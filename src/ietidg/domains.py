@@ -191,40 +191,60 @@ def domain_to_config(domain):
 
 
 def domain_from_config(config):
-    """Build and validate a domain from a config dict (see README for the schema)."""
-    patches = []
-    for entry in config["patches"]:
-        gdata = entry["geometry"]
-        geo = GeometryMap(
-            KnotVector(gdata["degree"], gdata["knots_u"]),
-            KnotVector(gdata["degree"], gdata["knots_v"]),
-            np.asarray(gdata["control_points"], dtype=float),
-        )
-        sdata = entry["space"]
-        degree = sdata["degree"]
-        if "knots_u" in sdata:
-            kv_u = KnotVector(degree, sdata["knots_u"])
-            kv_v = KnotVector(degree, sdata["knots_v"])
-        else:
-            kv_u = kv_v = refine_uniform(
-                KnotVector.bernstein(degree), int(sdata.get("refinements", 0))
+    """Build and validate a domain from a config dict (see README for the schema).
+
+    A missing key or a wrongly typed entry raises :class:`ConfigError`
+    naming the entry and the key or the offending value.
+    """
+    where = "config"
+    try:
+        patches = []
+        for i, entry in enumerate(config["patches"]):
+            where = "patches[%d]" % i
+            gdata = entry["geometry"]
+            geo = GeometryMap(
+                KnotVector(gdata["degree"], gdata["knots_u"]),
+                KnotVector(gdata["degree"], gdata["knots_v"]),
+                np.asarray(gdata["control_points"], dtype=float),
             )
-        space = TensorSplineSpace(kv_u, kv_v, entry.get("dirichlet_sides", ()))
-        patches.append(Patch(geo, float(entry["alpha"]), space))
-    interfaces = [
-        Interface(
-            g["k"], g["side_k"], tuple(g["range_k"]),
-            g["l"], g["side_l"], tuple(g["range_l"]),
-            bool(g.get("reversed", False)),
-        )
-        for g in config["interfaces"]
-    ]
-    return MultiPatchDomain(patches, interfaces, name=config.get("name", "domain")).validate()
+            sdata = entry["space"]
+            degree = sdata["degree"]
+            if "knots_u" in sdata:
+                kv_u = KnotVector(degree, sdata["knots_u"])
+                kv_v = KnotVector(degree, sdata["knots_v"])
+            else:
+                kv_u = kv_v = refine_uniform(
+                    KnotVector.bernstein(degree), int(sdata.get("refinements", 0))
+                )
+            space = TensorSplineSpace(kv_u, kv_v, entry.get("dirichlet_sides", ()))
+            patches.append(Patch(geo, float(entry["alpha"]), space))
+        interfaces = []
+        for i, g in enumerate(config["interfaces"]):
+            where = "interfaces[%d]" % i
+            interfaces.append(Interface(
+                g["k"], g["side_k"], tuple(g["range_k"]),
+                g["l"], g["side_l"], tuple(g["range_l"]),
+                bool(g.get("reversed", False)),
+            ))
+        where = "config"
+        return MultiPatchDomain(patches, interfaces, name=config.get("name", "domain")).validate()
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError("%s: missing key %s" % (where, exc)) from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError("%s: malformed entry: %s" % (where, exc)) from exc
 
 
 def load_domain(path):
-    with open(path) as fh:
-        return domain_from_config(json.load(fh))
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except OSError as exc:
+        raise ConfigError("cannot read %s: %s" % (path, exc)) from exc
+    except ValueError as exc:  # json.JSONDecodeError, or bytes that are not text
+        raise ConfigError("%s is not valid JSON: %s" % (path, exc)) from exc
+    return domain_from_config(config)
 
 
 def save_domain(domain, path):

@@ -24,7 +24,7 @@ import scipy.sparse
 from .assembly import build_local_system
 from .bspline import nonzero_at_point
 from .errors import NumericalError
-from .linalg import factorize, pcg
+from .linalg import Factorization, factorize, pcg
 
 log = logging.getLogger(__name__)
 
@@ -147,8 +147,8 @@ class JumpMatrices:
 
     Every row carries exactly one +1 (a patch trace dof) and one -1 (its
     artificial copy); no dof appears in two rows.  ``B_full`` spans all
-    extended dofs, ``B_tilde`` the (I, Delta) columns and ``B_gamma`` the
-    (Delta, Pi) columns (with zero Pi columns).  `D` holds the diagonal
+    extended dofs; ``B_tilde`` and ``B_gamma`` are its (I, Delta) and
+    (Delta, Pi) column slices (the Pi columns are zero).  `D` holds the diagonal
     coefficient scaling ``(alpha_k + alpha_l) / alpha_l`` per block over
     the (Delta, Pi) dofs.
     """
@@ -199,29 +199,21 @@ def build_jump_matrices(domain, local_systems, partition, groups):
                 pairs.append((n_rows, src, sdof, dst, copy, idx))
                 n_rows += 1
 
-    def block_csr(k, n_cols, pos_of):
-        data = [(r, pos_of[d], s) for r, d, s in rows[k] if pos_of[d] >= 0]
-        if not data:
-            return scipy.sparse.csr_matrix((n_rows, n_cols))
-        rr, cc, vv = zip(*data)
-        return scipy.sparse.csr_matrix((vv, (rr, cc)), shape=(n_rows, n_cols))
-
     B_full, B_tilde, B_gamma, D = [], [], [], []
     for k, sysk in enumerate(local_systems):
         n_e = sysk.n_total
-        full_pos = np.arange(n_e)
         tilde = partition.tilde_index(k)
         gamma = partition.gamma_index(k)
-        pos_tilde = -np.ones(n_e, dtype=int)
-        pos_tilde[tilde] = np.arange(tilde.size)
-        pos_gamma = -np.ones(n_e, dtype=int)
-        pos_gamma[gamma] = np.arange(gamma.size)
+        is_dual = np.zeros(n_e, dtype=bool)
+        is_dual[partition.dual[k]] = True
         for r, d, _ in rows[k]:
-            if pos_tilde[d] < 0 or pos_gamma[d] < 0:
+            if not is_dual[d]:
                 raise NumericalError("constraint row %d touches a non-dual dof" % r)
-        B_full.append(block_csr(k, n_e, full_pos))
-        B_tilde.append(block_csr(k, tilde.size, pos_tilde))
-        B_gamma.append(block_csr(k, gamma.size, pos_gamma))
+        rr, cc, vv = zip(*rows[k]) if rows[k] else ((), (), ())
+        full = scipy.sparse.csr_matrix((vv, (rr, cc)), shape=(n_rows, n_e))
+        B_full.append(full)
+        B_tilde.append(full[:, tilde])
+        B_gamma.append(full[:, gamma])
 
         assoc = {}
         for idx, tb in sysk.traces.items():
@@ -280,6 +272,29 @@ def build_psi(local_system, partition, name=""):
     return psi, tilde_fac
 
 
+@dataclass
+class OperatorBlock:
+    """Factorized data of one block, with index sets over its extended dofs.
+
+    `tilde` lists the (I, Delta) dofs and `gamma` the (Delta, Pi) dofs;
+    `tilde_fac` factorizes the torn block ``A[tilde][:, tilde]`` and
+    `aii_fac` the interior block.  The ``A_GG``, ``A_IG`` and ``A_GI``
+    submatrices of `A` couple the skeleton (`gamma`) and interior dofs.
+    """
+
+    A: scipy.sparse.csr_matrix
+    tilde_fac: Factorization
+    aii_fac: Factorization
+    A_GG: scipy.sparse.csr_matrix
+    A_IG: scipy.sparse.csr_matrix
+    A_GI: scipy.sparse.csr_matrix
+    psi: np.ndarray
+    f: np.ndarray
+    f_tilde: np.ndarray
+    tilde: np.ndarray
+    gamma: np.ndarray
+
+
 class IetiOperator:
     """Factorized per-block data plus the coarse problem; applies F and M_sD.
 
@@ -314,30 +329,28 @@ class IetiOperator:
             tilde = partition.tilde_index(k)
             gamma = partition.gamma_index(k)
             psi, tilde_fac = build_psi(sysk, partition)
-            aii_fac = factorize(A[I][:, I], name="patch %d interior block" % k).assert_spd()
-            return {
-                "A": A,
-                "A_tilde": A[tilde][:, tilde],
-                "tilde_fac": tilde_fac,
-                "aii_fac": aii_fac,
-                "A_GG": A[gamma][:, gamma],
-                "A_IG": A[I][:, gamma],
-                "A_GI": A[gamma][:, I],
-                "psi": psi,
-                "f": sysk.f,
-                "f_tilde": sysk.f[tilde],
-                "tilde": tilde,
-                "gamma": gamma,
-            }
+            return OperatorBlock(
+                A=A,
+                tilde_fac=tilde_fac,
+                aii_fac=factorize(A[I][:, I], name="patch %d interior block" % k).assert_spd(),
+                A_GG=A[gamma][:, gamma],
+                A_IG=A[I][:, gamma],
+                A_GI=A[gamma][:, I],
+                psi=psi,
+                f=sysk.f,
+                f_tilde=sysk.f[tilde],
+                tilde=tilde,
+                gamma=gamma,
+            )
 
         self.blocks = _pmap(prep, range(K), workers)
 
         coarse = np.zeros((self.n_primal, self.n_primal))
         for k in range(K):
             blk = self.blocks[k]
-            if blk["psi"].shape[1] == 0:
+            if blk.psi.shape[1] == 0:
                 continue
-            local = blk["psi"].T @ (blk["A"] @ blk["psi"])
+            local = blk.psi.T @ (blk.A @ blk.psi)
             gk = self.primal_global[k]
             np.add.at(coarse, (gk[:, None], gk[None, :]), local)
         self.coarse_matrix = coarse
@@ -351,32 +364,32 @@ class IetiOperator:
     def _coarse_rhs(self, block_vectors):
         w = np.zeros(self.n_primal)
         for k, blk in enumerate(self.blocks):
-            if blk["psi"].shape[1]:
-                np.add.at(w, self.primal_global[k], blk["psi"].T @ block_vectors[k])
+            if blk.psi.shape[1]:
+                np.add.at(w, self.primal_global[k], blk.psi.T @ block_vectors[k])
         return w
 
     def apply_F(self, lam):
         y = np.zeros(self.n_rows)
         for k, blk in enumerate(self.blocks):
             Bt = self.jumps.B_tilde[k]
-            y += Bt @ blk["tilde_fac"].solve(Bt.T @ lam)
+            y += Bt @ blk.tilde_fac.solve(Bt.T @ lam)
         if self.n_primal:
             w = self._coarse_rhs([self.jumps.B_full[k].T @ lam for k in range(len(self.blocks))])
             mu = self.coarse_fac.solve(w)
             for k, blk in enumerate(self.blocks):
-                if blk["psi"].shape[1]:
-                    y += self.jumps.B_full[k] @ (blk["psi"] @ mu[self.primal_global[k]])
+                if blk.psi.shape[1]:
+                    y += self.jumps.B_full[k] @ (blk.psi @ mu[self.primal_global[k]])
         return y
 
     def compute_d(self):
         d = np.zeros(self.n_rows)
         for k, blk in enumerate(self.blocks):
-            d += self.jumps.B_tilde[k] @ blk["tilde_fac"].solve(blk["f_tilde"])
+            d += self.jumps.B_tilde[k] @ blk.tilde_fac.solve(blk.f_tilde)
         if self.n_primal:
-            mu = self.coarse_fac.solve(self._coarse_rhs([blk["f"] for blk in self.blocks]))
+            mu = self.coarse_fac.solve(self._coarse_rhs([blk.f for blk in self.blocks]))
             for k, blk in enumerate(self.blocks):
-                if blk["psi"].shape[1]:
-                    d += self.jumps.B_full[k] @ (blk["psi"] @ mu[self.primal_global[k]])
+                if blk.psi.shape[1]:
+                    d += self.jumps.B_full[k] @ (blk.psi @ mu[self.primal_global[k]])
         return d
 
     # -- preconditioner ----------------------------------------------------
@@ -384,7 +397,7 @@ class IetiOperator:
     def apply_S(self, k, g):
         """Block Schur complement on the skeleton dofs (Delta, Pi) of block k."""
         blk = self.blocks[k]
-        return blk["A_GG"] @ g - blk["A_GI"] @ blk["aii_fac"].solve(blk["A_IG"] @ g)
+        return blk.A_GG @ g - blk.A_GI @ blk.aii_fac.solve(blk.A_IG @ g)
 
     def apply_MsD(self, mu):
         y = np.zeros(self.n_rows)
@@ -401,17 +414,17 @@ class IetiOperator:
         u_blocks = []
         for k, blk in enumerate(self.blocks):
             u = np.zeros(self.locals[k].n_total)
-            rhs = blk["f_tilde"] - self.jumps.B_tilde[k].T @ lam
-            u[blk["tilde"]] = blk["tilde_fac"].solve(rhs)
+            rhs = blk.f_tilde - self.jumps.B_tilde[k].T @ lam
+            u[blk.tilde] = blk.tilde_fac.solve(rhs)
             u_blocks.append(u)
         if self.n_primal:
             w = self._coarse_rhs(
-                [blk["f"] - self.jumps.B_full[k].T @ lam for k, blk in enumerate(self.blocks)]
+                [blk.f - self.jumps.B_full[k].T @ lam for k, blk in enumerate(self.blocks)]
             )
             u_pi = self.coarse_fac.solve(w)
             for k, blk in enumerate(self.blocks):
-                if blk["psi"].shape[1]:
-                    u_blocks[k] += blk["psi"] @ u_pi[self.primal_global[k]]
+                if blk.psi.shape[1]:
+                    u_blocks[k] += blk.psi @ u_pi[self.primal_global[k]]
         return u_blocks
 
     def patch_solutions(self, u_blocks):
@@ -422,10 +435,10 @@ class IetiOperator:
     def psi_residual(self, k):
         """Energy-minimality residual of Psi: max |(I,Delta) rows of A Psi| / max |A|."""
         blk = self.blocks[k]
-        if not blk["psi"].shape[1]:
+        if not blk.psi.shape[1]:
             return 0.0
-        res = (blk["A"] @ blk["psi"])[blk["tilde"]]
-        scale = max(abs(blk["A"].max()), abs(blk["A"].min()), 1e-300)
+        res = (blk.A @ blk.psi)[blk.tilde]
+        scale = max(abs(blk.A.max()), abs(blk.A.min()), 1e-300)
         return float(np.abs(res).max() / scale)
 
     def project_wtilde(self, u_blocks):
@@ -446,7 +459,7 @@ class IetiOperator:
         negative jump at the copy.  Returns the max coefficientwise
         deviation (all non-pair skeleton dofs must carry zero).
         """
-        gam = [u_blocks[k][blk["gamma"]] for k, blk in enumerate(self.blocks)]
+        gam = [u_blocks[k][blk.gamma] for k, blk in enumerate(self.blocks)]
         mu = np.zeros(self.n_rows)
         for k in range(len(self.blocks)):
             mu += self.jumps.B_gamma[k] @ gam[k]
@@ -455,7 +468,7 @@ class IetiOperator:
         pos_gamma = []
         for k, blk in enumerate(self.blocks):
             pg = -np.ones(self.locals[k].n_total, dtype=int)
-            pg[blk["gamma"]] = np.arange(blk["gamma"].size)
+            pg[blk.gamma] = np.arange(blk.gamma.size)
             pos_gamma.append(pg)
         for _, k, dof_k, l, dof_l, _ in self.jumps.pairs:
             a_k = self.domain.patches[k].alpha

@@ -1,10 +1,10 @@
 """Shared numerical kernels: sparse symmetric storage, factorization, PCG.
 
-Factorizations are LDL^T-style with pivot monitoring: small systems go
-through a dense Bunch-Kaufman factorization (exact inertia), larger ones
-through SuperLU in symmetric mode with a minimum-degree-type ordering,
-reading the inertia off the signs of the U diagonal.  The eigensolver for
-small dense matrices wraps LAPACK's tridiagonal-reduction + QR iteration.
+One factorization backend serves every block, the coarse problem and the
+oracle: SuperLU in symmetric mode with a minimum-degree-type ordering and
+pivot monitoring, reading the inertia off the signs of the U diagonal.
+The eigensolver for small dense matrices wraps LAPACK's
+tridiagonal-reduction + QR iteration.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +16,6 @@ import scipy.sparse.linalg
 
 from .errors import NumericalError, SingularMatrixError
 
-_DENSE_CUTOFF = 2000
 _PIVOT_RTOL = 1e-14
 
 
@@ -95,70 +94,23 @@ class Factorization:
         return self
 
 
-def _dense_ldl(A, name):
-    lu, d, perm = scipy.linalg.ldl(A, lower=True)
-    n = A.shape[0]
-    scale = max(np.abs(A).max(), 1e-300) if n else 1.0
-    tol = _PIVOT_RTOL * scale
+def factorize(A, name=""):
+    """Factorize a symmetric matrix for repeated solves.
 
-    # walk the 1x1 / 2x2 pivot blocks of d
-    blocks = []
-    npos = nneg = nzero = 0
-    i = 0
-    while i < n:
-        if i + 1 < n and d[i, i + 1] != 0.0:
-            a, b, c = d[i, i], d[i, i + 1], d[i + 1, i + 1]
-            disc = np.hypot(a - c, 2.0 * b)
-            lam1 = 0.5 * ((a + c) + disc)
-            lam2 = 0.5 * ((a + c) - disc)
-            for lam in (lam1, lam2):
-                if abs(lam) <= tol:
-                    raise SingularMatrixError(
-                        "%s: zero pivot in 2x2 block at index %d" % (name or "ldl", i), index=i
-                    )
-                if lam > 0:
-                    npos += 1
-                else:
-                    nneg += 1
-            blocks.append((i, 2))
-            i += 2
-        else:
-            piv = d[i, i]
-            if abs(piv) <= tol:
-                raise SingularMatrixError(
-                    "%s: zero pivot at index %d" % (name or "ldl", i), index=i
-                )
-            if piv > 0:
-                npos += 1
-            else:
-                nneg += 1
-            blocks.append((i, 1))
-            i += 1
-
-    L = lu[perm, :]
-
-    def solver(rhs):
-        vec = rhs.ndim == 1
-        b = rhs[:, None] if vec else rhs
-        z = scipy.linalg.solve_triangular(L, b[perm], lower=True, unit_diagonal=True)
-        w = np.empty_like(z)
-        for start, size in blocks:
-            if size == 1:
-                w[start] = z[start] / d[start, start]
-            else:
-                blk = d[start : start + 2, start : start + 2]
-                w[start : start + 2] = np.linalg.solve(blk, z[start : start + 2])
-        y = scipy.linalg.solve_triangular(L.T, w, lower=False, unit_diagonal=True)
-        x = np.empty_like(y)
-        x[perm] = y
-        return x[:, 0] if vec else x
-
-    return Factorization(n, solver, (npos, nneg, nzero), name)
-
-
-def _sparse_ldl(A, name):
-    n = A.shape[0]
-    csc = scipy.sparse.csc_matrix(A)
+    Every matrix, sparse, :class:`SparseSym` or dense ``ndarray``, goes
+    through SuperLU in symmetric mode (diagonal pivots only, minimum-degree
+    ordering on A^T + A), and the inertia is read off the signs of the U
+    diagonal.  Raises :class:`SingularMatrixError` on zero pivots (tolerance
+    ``1e-14 * max|A|``) and :class:`NumericalError` when the matrix needs
+    off-diagonal pivoting, as a symmetric indefinite matrix with a zero
+    diagonal does.
+    """
+    mat = A.csr if isinstance(A, SparseSym) else A
+    n = mat.shape[0]
+    label = name or "splu"
+    if n == 0:
+        return Factorization(0, lambda rhs: rhs, (0, 0, 0), name)
+    csc = scipy.sparse.csc_matrix(mat, dtype=float)
     try:
         lu = scipy.sparse.linalg.splu(
             csc,
@@ -167,53 +119,20 @@ def _sparse_ldl(A, name):
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:  # SuperLU reports exactly singular matrices this way
-        raise SingularMatrixError("%s: %s" % (name or "splu", exc)) from exc
+        raise SingularMatrixError("%s: %s" % (label, exc)) from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise NumericalError(
             "%s: unsymmetric pivoting kicked in; matrix is not factorizable "
-            "as symmetric quasi-definite" % (name or "splu")
+            "as symmetric quasi-definite" % label
         )
     diag = lu.U.diagonal()
-    scale = max(np.abs(csc).max(), 1e-300)
-    tol = _PIVOT_RTOL * scale
+    tol = _PIVOT_RTOL * max(np.abs(csc).max(), 1e-300)
     small = np.abs(diag) <= tol
     if np.any(small):
-        raise SingularMatrixError(
-            "%s: zero pivot at index %d" % (name or "splu", int(np.argmax(small))),
-            index=int(np.argmax(small)),
-        )
+        index = int(np.argmax(small))
+        raise SingularMatrixError("%s: zero pivot at index %d" % (label, index), index=index)
     npos = int(np.sum(diag > 0))
-    nneg = int(np.sum(diag < 0))
-    return Factorization(n, lu.solve, (npos, nneg, 0), name)
-
-
-def factorize(A, name=""):
-    """Factorize a symmetric matrix for repeated solves.
-
-    Dense Bunch-Kaufman below ``_DENSE_CUTOFF`` unknowns, SuperLU in
-    symmetric mode above.  Raises :class:`SingularMatrixError` on zero
-    pivots (tolerance ``1e-14 * max|A|``).
-    """
-    if isinstance(A, SparseSym):
-        mat = A.csr
-    else:
-        mat = A
-    n = mat.shape[0]
-    if n == 0:
-        return Factorization(0, lambda rhs: rhs, (0, 0, 0), name)
-    if scipy.sparse.issparse(mat):
-        if n <= _DENSE_CUTOFF:
-            return _dense_ldl(mat.toarray(), name)
-        return _sparse_ldl(mat, name)
-    mat = np.asarray(mat, dtype=float)
-    if n <= _DENSE_CUTOFF:
-        return _dense_ldl(mat, name)
-    return _sparse_ldl(scipy.sparse.csc_matrix(mat), name)
-
-
-def solve(factorization, rhs):
-    """Functional alias for ``factorization.solve(rhs)``."""
-    return factorization.solve(rhs)
+    return Factorization(n, lu.solve, (npos, n - npos, 0), name)
 
 
 def symmetric_eigenvalues(M):

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from ietidg.cli import ExperimentSpec, build_parser, main, run_growth_study, run_solve
-from ietidg.domains import save_domain, t_domain
+from ietidg.cli import (ExperimentSpec, build_parser, largest_rise, main, run_growth_study,
+                        run_solve)
+from ietidg.domains import domain_to_config, save_domain, t_domain
 from ietidg.errors import ConfigError
 
 
@@ -125,6 +126,14 @@ class TestGrowthStudy:
         assert len(row["kappas"]) == 4
         assert max(row["ratios"]) / min(row["ratios"]) <= 3.0
 
+    def test_largest_rise_hand_computed(self):
+        # [2, 4, 0.5, 1]: the rises over i < j are 4/2 = 2, 0.5/2, 1/2, 0.5/4,
+        # 1/4 and 1/0.5 = 2; the fall from 4 to 0.5 makes the spread 8 but
+        # is no rise
+        assert largest_rise([2.0, 4.0, 0.5, 1.0]) == pytest.approx(2.0)
+        assert largest_rise([2.0, 0.5, 3.0, 1.0]) == pytest.approx(6.0)
+        assert largest_rise([3.0, 2.0, 1.0]) == pytest.approx(2.0 / 3.0)
+
     def test_conforming_grid_levels_finite(self):
         spec = ExperimentSpec(builtin=("grid", "2"), degrees=[2],
                               refinements=[1, 2, 3, 4])
@@ -160,7 +169,38 @@ class TestMain:
         code = main(["--builtin", "slider", "3", "0.3", "--degree", "2",
                      "--refine", "1 2 3 4", "--growth", "--single-worker"])
         assert code == 0
-        assert "spread" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "spread" in out
+        assert "rise=" in out
+
+    def test_config_without_geometry(self, capsys, tmp_path):
+        config = domain_to_config(t_domain(degree=2, refinements=1))
+        del config["patches"][2]["geometry"]
+        path = tmp_path / "dom.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "'geometry'" in err
+
+    def test_config_cut_short(self, capsys, tmp_path):
+        path = tmp_path / "dom.json"
+        save_domain(t_domain(degree=2, refinements=1), str(path))
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        assert main(["--config", str(path)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_config_file_missing(self, capsys, tmp_path):
+        assert main(["--config", str(tmp_path / "absent.json")]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_config_wrong_type(self, capsys, tmp_path):
+        config = domain_to_config(t_domain(degree=2, refinements=1))
+        config["interfaces"][1]["range_k"] = 0.4
+        path = tmp_path / "dom.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path)]) == 2
+        assert "interfaces[1]" in capsys.readouterr().err
 
     def test_partial_csv_preserved_on_failure(self, tmp_path):
         path = tmp_path / "partial.csv"

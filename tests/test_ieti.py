@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from ietidg.assembly import build_local_system
 from ietidg.bspline import KnotVector, TensorSplineSpace, eval_basis, refine_uniform
@@ -176,6 +177,31 @@ class TestJumpMatrices:
             for dof in partition.dual[k]:
                 assert (full[:, dof] != 0).sum() == 1
 
+    @pytest.mark.parametrize("factory", [
+        lambda: t_domain(degree=2, refinements=2),
+        lambda: slider_domain(3, 0.3, degree=2, refinements=2),
+    ])
+    def test_column_slices_match_direct_build(self, factory):
+        # B_tilde and B_gamma equal the matrices built straight from the
+        # constraint pairs over the (I, Delta) and (Delta, Pi) columns
+        dom = factory()
+        locals_, groups, partition, jumps = build_stack(dom)
+        entries = [[] for _ in range(dom.num_patches)]
+        for row, k, dof_k, l, dof_l, _ in jumps.pairs:
+            entries[k].append((row, dof_k, 1.0))
+            entries[l].append((row, dof_l, -1.0))
+        for k in range(dom.num_patches):
+            for index, sliced in ((partition.tilde_index(k), jumps.B_tilde[k]),
+                                  (partition.gamma_index(k), jumps.B_gamma[k])):
+                pos = -np.ones(locals_[k].n_total, dtype=int)
+                pos[index] = np.arange(index.size)
+                rr, cc, vv = zip(*[(r, pos[d], s) for r, d, s in entries[k]])
+                direct = scipy.sparse.csr_matrix((vv, (rr, cc)),
+                                                 shape=(jumps.n_rows, index.size))
+                assert sliced.shape == direct.shape
+                assert sliced.nnz == direct.nnz
+                assert (sliced != direct).nnz == 0
+
 
 class TestOperator:
     def test_build_psi_standalone(self):
@@ -193,7 +219,7 @@ class TestOperator:
         dom = t_domain(degree=2, refinements=1, alphas=[1, 10, 100, 1, 10])
         op = setup_operator(dom)
         for k in range(dom.num_patches):
-            psi = op.blocks[k]["psi"]
+            psi = op.blocks[k].psi
             P = op.partition.primal[k]
             if P.size:
                 np.testing.assert_allclose(psi[P], np.eye(P.size), atol=0)
@@ -203,7 +229,7 @@ class TestOperator:
         patch = unit_square_patch(0, 1, 0, 1, 2, 1, {"west", "east", "south", "north"})
         dom = MultiPatchDomain([patch], []).validate()
         op = setup_operator(dom)
-        assert op.blocks[0]["psi"].shape[1] == 0
+        assert op.blocks[0].psi.shape[1] == 0
         assert op.n_rows == 0
 
     def test_apply_F_linear_zero(self):
@@ -235,25 +261,26 @@ class TestOperator:
         dom = two_patch_domain(p=1, r=1)
         op = setup_operator(dom)
         K = dom.num_patches
-        At = scipy.linalg.block_diag(*[op.blocks[k]["A_tilde"].toarray() for k in range(K)])
+        At = scipy.linalg.block_diag(*[blk.A[blk.tilde][:, blk.tilde].toarray()
+                                       for blk in op.blocks])
         Bt = np.hstack([op.jumps.B_tilde[k].toarray() for k in range(K)])
         blocks = [At]
         rhs_cols = [Bt]
         if op.n_primal:
             R = [np.eye(op.n_primal)[op.primal_global[k]] for k in range(K)]
-            BPsi = sum(op.jumps.B_full[k].toarray() @ op.blocks[k]["psi"] @ R[k] for k in range(K))
+            BPsi = sum(op.jumps.B_full[k].toarray() @ op.blocks[k].psi @ R[k] for k in range(K))
             blocks.append(op.coarse_matrix)
             rhs_cols.append(BPsi)
         big = scipy.linalg.block_diag(*blocks)
         wide = np.hstack(rhs_cols)
         F_ref = wide @ np.linalg.solve(big, wide.T)
         np.testing.assert_allclose(dense_F(op), F_ref, atol=1e-10 * np.abs(F_ref).max())
-        ft = np.hstack([op.blocks[k]["f_tilde"] for k in range(K)])
+        ft = np.hstack([op.blocks[k].f_tilde for k in range(K)])
         parts = [ft]
         if op.n_primal:
             pf = np.zeros(op.n_primal)
             for k in range(K):
-                np.add.at(pf, op.primal_global[k], op.blocks[k]["psi"].T @ op.blocks[k]["f"])
+                np.add.at(pf, op.primal_global[k], op.blocks[k].psi.T @ op.blocks[k].f)
             parts.append(pf)
         d_ref = wide @ np.linalg.solve(big, np.hstack(parts))
         np.testing.assert_allclose(op.compute_d(), d_ref, atol=1e-10 * np.abs(d_ref).max())
@@ -262,10 +289,11 @@ class TestOperator:
         dom = t_domain(degree=2, refinements=1, alphas=[1, 10, 100, 1, 10])
         op = setup_operator(dom)
         K = dom.num_patches
-        At = scipy.linalg.block_diag(*[op.blocks[k]["A_tilde"].toarray() for k in range(K)])
+        At = scipy.linalg.block_diag(*[blk.A[blk.tilde][:, blk.tilde].toarray()
+                                       for blk in op.blocks])
         Bt = np.hstack([op.jumps.B_tilde[k].toarray() for k in range(K)])
         R = [np.eye(op.n_primal)[op.primal_global[k]] for k in range(K)]
-        BPsi = sum(op.jumps.B_full[k].toarray() @ op.blocks[k]["psi"] @ R[k] for k in range(K))
+        BPsi = sum(op.jumps.B_full[k].toarray() @ op.blocks[k].psi @ R[k] for k in range(K))
         big = scipy.linalg.block_diag(At, op.coarse_matrix)
         wide = np.hstack([Bt, BPsi])
         F_ref = wide @ np.linalg.solve(big, wide.T)
@@ -276,7 +304,7 @@ class TestOperator:
         op = setup_operator(dom)
         for k in range(2):
             A = op.locals[k].A.csr.toarray()
-            gam = op.blocks[k]["gamma"]
+            gam = op.blocks[k].gamma
             I = op.partition.interior[k]
             S_ref = A[np.ix_(gam, gam)] - A[np.ix_(gam, I)] @ np.linalg.solve(
                 A[np.ix_(I, I)], A[np.ix_(I, gam)])
@@ -310,7 +338,7 @@ class TestOperator:
         before = op.apply_MsD(mu)
         pos_gamma = []
         for k in range(dom.num_patches):
-            gam = op.blocks[k]["gamma"]
+            gam = op.blocks[k].gamma
             pg = {dof: i for i, dof in enumerate(gam)}
             for dof in op.partition.primal[k]:
                 op.jumps.D[k][pg[dof]] *= 7.3
@@ -336,7 +364,7 @@ class TestSolve:
         op = sol.operator
         resid = np.zeros(op.n_rows)
         for k in range(dom.num_patches):
-            gam = op.blocks[k]["gamma"]
+            gam = op.blocks[k].gamma
             resid += op.jumps.B_gamma[k] @ sol.u_blocks[k][gam]
         scale = max(np.abs(np.concatenate(sol.u_blocks)).max(), 1.0)
         assert np.abs(resid).max() <= 1e-8 * scale
@@ -418,12 +446,12 @@ class TestLemma:
         dom = two_patch_domain(p=1, r=1)
         op = setup_operator(dom)
         u = op.project_wtilde([rng.standard_normal(s.n_total) for s in op.locals])
-        gam = [u[k][op.blocks[k]["gamma"]] for k in range(2)]
+        gam = [u[k][op.blocks[k].gamma] for k in range(2)]
         mu = sum(op.jumps.B_gamma[k] @ gam[k] for k in range(2))
         w0 = (op.jumps.B_gamma[0].T @ mu) / op.jumps.D[0]
         row, k, dof_k, l, dof_l, _ = op.jumps.pairs[0]
         jump = u[k][dof_k] - u[l][dof_l]
-        pos = {dof: i for i, dof in enumerate(op.blocks[k]["gamma"])}
+        pos = {dof: i for i, dof in enumerate(op.blocks[k].gamma)}
         assert w0[pos[dof_k]] == pytest.approx(0.5 * jump)
         assert op.check_lemma_bbt(u) <= 1e-13
 

@@ -78,8 +78,7 @@ class TestFactorize:
         X = factorize(A).solve(B)
         assert np.linalg.norm(A @ X - B) <= 1e-10 * np.linalg.norm(B)
 
-    def test_sparse_path(self, rng):
-        # above the dense cutoff: banded SPD goes through the sparse branch
+    def test_banded_scipy_sparse_n800(self, rng):
         n = 800
         main = 2.0 * np.ones(n)
         off = -np.ones(n - 1)
@@ -96,6 +95,23 @@ class TestFactorize:
         assert fac.inertia == (2, 2, 0)
         with pytest.raises(NumericalError):
             fac.assert_spd()
+
+    def test_dense_and_csr_input_agree(self, rng):
+        A = random_spd(rng, 30)
+        A[np.abs(A) < 0.1] = 0.0  # some structural zeros for the CSR copy
+        A[0, 0] = -10.0  # indefinite, but diagonal pivots still suffice
+        b = rng.standard_normal(30)
+        dense, sparse = factorize(A), factorize(scipy.sparse.csr_matrix(A))
+        assert dense.inertia == sparse.inertia
+        assert dense.inertia[1] >= 1
+        np.testing.assert_array_equal(dense.solve(b), sparse.solve(b))
+
+    def test_two_by_two_pivot_rejected(self):
+        # symmetric indefinite with a zero diagonal: it needs a 2x2 pivot or
+        # an off-diagonal row swap, and the factorization takes diagonal
+        # pivots only
+        with pytest.raises(NumericalError):
+            factorize(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_singular_raises_with_index(self):
         A = np.zeros((3, 3))
