@@ -42,10 +42,6 @@ class TraceBasis:
     def edge_indices(self):
         return [e for e, _ in self.entries]
 
-    @property
-    def dofs(self):
-        return [d for _, d in self.entries]
-
 
 def trace_basis_on_edge(space, side, prange):
     """Edge dof list for functions of `space` with nonvanishing trace on the range.
@@ -54,12 +50,9 @@ def trace_basis_on_edge(space, side, prange):
     whose Greville point lies outside it.
     """
     ekv = space.edge_kv(side)
-    entries = []
-    for e in active_on_interval(ekv, prange[0], prange[1]):
-        i, j = space.edge_lattice(side, int(e))
-        dof = space.dof_map[i, j]
-        if dof >= 0:
-            entries.append((int(e), int(dof)))
+    dofs = space.edge_dofs(side)
+    entries = [(int(e), int(dofs[e])) for e in active_on_interval(ekv, prange[0], prange[1])
+               if dofs[e] >= 0]
     if not entries:
         raise ConfigError("degenerate interface: no active trace functions on %s %s" % (side, prange))
     return TraceBasis(side, tuple(prange), ekv, tuple(entries))
@@ -83,9 +76,6 @@ class ArtificialInterfaceBasis:
     @property
     def size(self):
         return len(self.sources)
-
-    def position_of_edge(self):
-        return {e: pos for pos, (e, _) in enumerate(self.sources)}
 
 
 @dataclass
@@ -378,50 +368,41 @@ def extended_layout(domain, k):
     return n_patch, artificial, traces, neighbors
 
 
-def _map_lattice_to_free(space, rows, cols, vals):
-    dof = space.dof_map.ravel()
-    r, c = dof[rows], dof[cols]
-    keep = (r >= 0) & (c >= 0)
-    return r[keep], c[keep], vals[keep]
+def paste_terms(tri, terms, keys, own_index, edge_index):
+    """Scatter the triplet families `keys` of `terms` into `tri` through two index maps.
+
+    The last two letters of a key name the row and column spaces: 'p' is
+    the owner's flat lattice, mapped by `own_index`; 'a' is the neighbor's
+    edge, mapped by `edge_index`.  Entries either map sends to -1 are
+    dropped, and 'pa' families are also added transposed.
+    """
+    index = {"p": own_index, "a": edge_index}
+    for key in keys:
+        rows, cols, vals = terms[key].arrays()
+        r, c = index[key[-2]][rows], index[key[-1]][cols]
+        keep = (r >= 0) & (c >= 0)
+        r, c, vals = r[keep], c[keep], vals[keep]
+        tri.add(r, c, vals)
+        if key.endswith("pa"):
+            tri.add(c, r, vals)
 
 
-def assemble_interface_terms(domain, k, iface_index, delta, layout=None):
+def assemble_interface_terms(domain, k, iface_index, delta, layout):
     """m and r contributions of one interface into patch `k`'s extended matrix.
 
-    Returns two coo-style triplet arrays ``(m_terms, r_terms)`` over the
-    extended dof space of patch `k`.
+    `layout` is :func:`extended_layout` of patch `k`.  Returns two triplet
+    sets ``(m_terms, r_terms)`` over the extended dof space of patch `k`.
     """
-    if layout is None:
-        layout = extended_layout(domain, k)
-    n_patch, artificial, traces, _ = layout
     ori = dict(domain.interfaces_of(k))[iface_index]
-    ab = next(a for a in artificial if a.iface_index == iface_index)
-    space = domain.patches[k].space
+    ab = next(a for a in layout[1] if a.iface_index == iface_index)
     terms = interface_side_terms(domain, ori, delta)
-    pos = ab.position_of_edge()
-
-    def paste(keys):
-        tri = _Triplets()
-        for key in keys:
-            rows, cols, vals = terms[key].arrays()
-            if key.endswith("pp"):
-                r, c, v = _map_lattice_to_free(space, rows, cols, vals)
-                tri.add(r, c, v)
-            elif key.endswith("pa"):
-                r = space.dof_map.ravel()[rows]
-                c = np.array([pos.get(e, -1) for e in cols])
-                keep = (r >= 0) & (c >= 0)
-                ra, ca, va = r[keep], ab.offset + c[keep], vals[keep]
-                tri.add(ra, ca, va)
-                tri.add(ca, ra, va)  # symmetric counterpart
-            else:  # aa
-                r = np.array([pos.get(e, -1) for e in rows])
-                c = np.array([pos.get(e, -1) for e in cols])
-                keep = (r >= 0) & (c >= 0)
-                tri.add(ab.offset + r[keep], ab.offset + c[keep], vals[keep])
-        return tri
-
-    return paste(["m_pp", "m_pa"]), paste(["r_pp", "r_pa", "r_aa"])
+    own_index = domain.patches[k].space.dof_map.ravel()
+    edge_index = -np.ones(domain.patches[ori.l].space.edge_kv(ori.side_l).n, dtype=int)
+    edge_index[[e for e, _ in ab.sources]] = ab.offset + np.arange(ab.size)
+    m_tri, r_tri = _Triplets(), _Triplets()
+    paste_terms(m_tri, terms, ("m_pp", "m_pa"), own_index, edge_index)
+    paste_terms(r_tri, terms, ("r_pp", "r_pa", "r_aa"), own_index, edge_index)
+    return m_tri, r_tri
 
 
 def build_local_system(domain, k, delta, source=None, vector_source=None):
@@ -439,8 +420,7 @@ def build_local_system(domain, k, delta, source=None, vector_source=None):
     tri = _Triplets()
     vol, load_lat = assemble_volume(patch, source=source, vector_source=vector_source,
                                     label="patch %d" % k)
-    rows, cols, vals = vol.arrays()
-    tri.add(*_map_lattice_to_free(space, rows, cols, vals))
+    paste_terms(tri, {"pp": vol}, ("pp",), space.dof_map.ravel(), None)
     f = np.zeros(n_total)
     f[:n_patch] = load_lat[space.free_mask.ravel()]
 

@@ -296,17 +296,12 @@ class TensorSplineSpace:
         """Univariate knot vector along the given side."""
         return self.kv_v if side in ("west", "east") else self.kv_u
 
-    def edge_lattice(self, side, edge_index):
-        """Lattice index (i, j) of the boundary-layer function `edge_index` on `side`."""
-        if side == "west":
-            return (0, edge_index)
-        if side == "east":
-            return (self.n_u - 1, edge_index)
-        if side == "south":
-            return (edge_index, 0)
-        if side == "north":
-            return (edge_index, self.n_v - 1)
-        raise ConfigError("unknown side %r" % side)
+    def edge_dofs(self, side):
+        """Dof of each boundary-layer function on `side` by edge index; -1 where constrained."""
+        if side not in SIDES:
+            raise ConfigError("unknown side %r" % side)
+        return {"west": self.dof_map[0], "east": self.dof_map[-1],
+                "south": self.dof_map[:, 0], "north": self.dof_map[:, -1]}[side]
 
 
 @dataclass(frozen=True)

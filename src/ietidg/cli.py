@@ -9,7 +9,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +34,6 @@ class ExperimentSpec:
     slide_offsets: list = None
     check_oracle: bool = False
     manufactured: bool = False
-    workers: int = 1
     csv_path: str = None
     json_path: str = None
 
@@ -132,12 +130,8 @@ def run_solve(spec):
     sink = _CsvSink(spec.csv_path)
     results = []
     try:
-        if spec.workers > 1:
-            with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-                outs = list(pool.map(lambda c: _run_case(spec, *c), cases))
-        else:
-            outs = [_run_case(spec, *c) for c in cases]
-        for report, extra in outs:
+        for case in cases:
+            report, extra = _run_case(spec, *case)
             sink.write(report)
             entry = report.to_json_dict()
             entry.update(extra)
@@ -231,9 +225,6 @@ def build_parser():
     ap.add_argument("--manufactured", action="store_true",
                     help="use the sin*sin manufactured solution and report errors")
     ap.add_argument("--growth", action="store_true", help="run the growth-law study")
-    ap.add_argument("--single-worker", action="store_true",
-                    help="force sequential execution (bit-reproducible)")
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--csv", metavar="PATH", help="CSV output path")
     ap.add_argument("--json", metavar="PATH", help="JSON output path")
     return ap
@@ -256,7 +247,6 @@ def main(argv=None):
                            if args.slide_offsets else None),
             check_oracle=args.check_oracle,
             manufactured=args.manufactured,
-            workers=1 if args.single_worker else max(1, args.workers),
             csv_path=args.csv,
             json_path=args.json,
         )

@@ -197,8 +197,9 @@ class MultiPatchDomain:
         if len(degrees) != 1:
             raise ConfigError("mixed spline degrees across patches are unsupported")
         for i, p in enumerate(patches):
-            if not p.alpha > 0:
-                raise ConfigError("diffusion coefficient of patch %d must be positive" % i)
+            if not 0 < p.alpha < np.inf:
+                raise ConfigError("diffusion coefficient of patch %d must be finite and positive, "
+                                  "got %r" % (i, p.alpha))
         self.patches = list(patches)
         self.interfaces = list(interfaces)
         self.name = name
@@ -230,6 +231,7 @@ class MultiPatchDomain:
     # -- validation ----------------------------------------------------
 
     def validate(self, n_samples=17, tol=1e-9):
+        self._check_overlaps()
         for i, p in enumerate(self.patches):
             try:
                 p.geometry.check_bijective()
@@ -242,6 +244,22 @@ class MultiPatchDomain:
                 raise ConfigError("interface %d mismatch: %s" % (idx, report))
         self.vertices = classify_vertices(self)
         return self
+
+    def _check_overlaps(self):
+        """Reject two interface ranges that share a piece of one patch side.
+
+        Ranges that only touch, as at a T-junction, are valid.
+        """
+        seen = {}
+        for idx, g in enumerate(self.interfaces):
+            for k, side, (a, b) in ((g.k, g.side_k, g.range_k), (g.l, g.side_l, g.range_l)):
+                for other, (c, d) in seen.get((k, side), []):
+                    if min(b, d) - max(a, c) > _CORNER_TOL:
+                        raise ConfigError(
+                            "interfaces %d and %d overlap on side %s of patch %d"
+                            % (other, idx, side, k)
+                        )
+                seen.setdefault((k, side), []).append((idx, (a, b)))
 
     # -- metrics -------------------------------------------------------
 
@@ -270,13 +288,6 @@ class MultiPatchDomain:
         if self._metrics is None:
             self._metrics = self._compute_metrics()
         return self._metrics
-
-    @property
-    def max_vertex_valence(self):
-        """Largest number of patches meeting at any vertex (boundedness hook)."""
-        if not self.vertices:
-            return 0
-        return max(len({p for p, _ in v.adjacency}) for v in self.vertices)
 
     def patch_metrics(self):
         """Per-patch (H_k, h_k, hhat_min_k) plus the quasi-uniformity ratio."""
@@ -397,11 +408,6 @@ def classify_vertices(domain):
         vertices.append(Vertex(cl["point"], sorted(adjacency), kind, tuple(sorted(long_patches))))
     vertices.sort(key=lambda v: (round(v.point[0], 9), round(v.point[1], 9)))
     return vertices
-
-
-def eval_geometry(geometry_map, u, v):
-    """Physical image of a parameter point."""
-    return geometry_map(u, v)
 
 
 def jacobian(geometry_map, u, v):

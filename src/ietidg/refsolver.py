@@ -11,10 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .assembly import _Triplets, assemble_volume, interface_side_terms
-from .bspline import eval_basis, eval_matrix, span_quadrature
+from .assembly import _inv_transpose, _Triplets, assemble_volume, interface_side_terms, paste_terms
+from .bspline import eval_matrix, span_quadrature
 from .errors import NumericalError
-from .geometry import side_axis, side_point
+from .geometry import side_point
 
 
 @dataclass
@@ -31,14 +31,9 @@ def patch_offsets(domain):
     return np.concatenate([[0], np.cumsum(dims)]).astype(int)
 
 
-def _edge_dof_lookup(space, side):
-    """Map edge index -> patch dof (or -1 when Dirichlet-constrained)."""
-    ekv = space.edge_kv(side)
-    out = -np.ones(ekv.n, dtype=int)
-    for e in range(ekv.n):
-        i, j = space.edge_lattice(side, e)
-        out[e] = space.dof_map[i, j]
-    return out
+def _shifted(dofs, offset):
+    """Patch dofs moved to the global numbering; -1 (constrained) stays -1."""
+    return np.where(dofs >= 0, dofs + offset, -1)
 
 
 def assemble_global(domain, delta, source=1.0, vector_source=None, include_m=True):
@@ -54,40 +49,18 @@ def assemble_global(domain, delta, source=1.0, vector_source=None, include_m=Tru
     for k, patch in enumerate(domain.patches):
         vol, load = assemble_volume(patch, source=source, vector_source=vector_source,
                                     label="patch %d" % k)
-        rows, cols, vals = vol.arrays()
-        dof = patch.space.dof_map.ravel()
-        r, c = dof[rows], dof[cols]
-        keep = (r >= 0) & (c >= 0)
-        tri.add(offs[k] + r[keep], offs[k] + c[keep], vals[keep])
+        paste_terms(tri, {"pp": vol}, ("pp",), _shifted(patch.space.dof_map.ravel(), offs[k]),
+                    None)
         rhs[offs[k] : offs[k + 1]] = load[patch.space.free_mask.ravel()]
 
     families = ("m_pp", "m_pa", "r_pp", "r_pa", "r_aa") if include_m else ("r_pp", "r_pa", "r_aa")
-    for idx, g in enumerate(domain.interfaces):
+    for g in domain.interfaces:
         for ori in (g, g.flipped()):
-            terms = interface_side_terms(domain, ori, delta)
             own = domain.patches[ori.k].space
             nb = domain.patches[ori.l].space
-            own_dof = own.dof_map.ravel()
-            nb_edge = _edge_dof_lookup(nb, ori.side_l)
-            for key in families:
-                rows, cols, vals = terms[key].arrays()
-                if not rows.size:
-                    continue
-                if key.endswith("pp"):
-                    r, c = own_dof[rows], own_dof[cols]
-                    keep = (r >= 0) & (c >= 0)
-                    tri.add(offs[ori.k] + r[keep], offs[ori.k] + c[keep], vals[keep])
-                elif key.endswith("pa"):
-                    r, c = own_dof[rows], nb_edge[cols]
-                    keep = (r >= 0) & (c >= 0)
-                    rr = offs[ori.k] + r[keep]
-                    cc = offs[ori.l] + c[keep]
-                    tri.add(rr, cc, vals[keep])
-                    tri.add(cc, rr, vals[keep])
-                else:
-                    r, c = nb_edge[rows], nb_edge[cols]
-                    keep = (r >= 0) & (c >= 0)
-                    tri.add(offs[ori.l] + r[keep], offs[ori.l] + c[keep], vals[keep])
+            paste_terms(tri, interface_side_terms(domain, ori, delta), families,
+                        _shifted(own.dof_map.ravel(), offs[ori.k]),
+                        _shifted(nb.edge_dofs(ori.side_l), offs[ori.l]))
     A = linalg.SparseSym.from_triplets(n, *tri.arrays())
     return GlobalSipgSystem(A, rhs, offs)
 
@@ -159,7 +132,7 @@ def measure_error(domain, u_patches, u_star, grad_u_star=None, n_gauss=None):
         sqv = span_quadrature(space.kv_v, ng, 0)
         pu, pv = squ.points.ravel(), sqv.points.ravel()
         pts, jac = patch.geometry.jacobian_grid(pu, pv)
-        det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+        jinv_t, det = _inv_transpose(jac, where="patch %d" % k)
         w2d = np.abs(det) * (squ.weights.ravel()[:, None] * sqv.weights.ravel()[None, :])
         uh = evaluate_patch(patch, u_patches[k], pu, pv)
         ue = u_star(pts[..., 0], pts[..., 1])
@@ -168,12 +141,6 @@ def measure_error(domain, u_patches, u_star, grad_u_star=None, n_gauss=None):
             du = evaluate_patch(patch, u_patches[k], pu, pv, deriv=(1, 0))
             dv = evaluate_patch(patch, u_patches[k], pu, pv, deriv=(0, 1))
             ghat = np.stack([du, dv], axis=-1)
-            jinv_t = np.empty_like(jac)
-            jinv_t[..., 0, 0] = jac[..., 1, 1]
-            jinv_t[..., 0, 1] = -jac[..., 1, 0]
-            jinv_t[..., 1, 0] = -jac[..., 0, 1]
-            jinv_t[..., 1, 1] = jac[..., 0, 0]
-            jinv_t = jinv_t / det[..., None, None]
             gh = np.einsum("uvab,uvb->uva", jinv_t, ghat)
             ge = grad_u_star(pts[..., 0], pts[..., 1])
             h1_sq += float(np.sum(w2d * np.sum((gh - ge) ** 2, axis=-1)))
@@ -184,21 +151,8 @@ def measure_error(domain, u_patches, u_star, grad_u_star=None, n_gauss=None):
         nb = domain.patches[g.l]
         ts = np.linspace(g.range_k[0], g.range_k[1], 64)
         ss = np.asarray(g.map_param(ts))
-        uk = _trace_values(own, u_patches[g.k], g.side_k, ts)
-        ul = _trace_values(nb, u_patches[g.l], g.side_l, ss)
+        uk = evaluate_patch(own, u_patches[g.k], *side_point(g.side_k, ts)).ravel()
+        ul = evaluate_patch(nb, u_patches[g.l], *side_point(g.side_l, ss)).ravel()
         max_jump = max(max_jump, float(np.abs(uk - ul).max()))
     return np.sqrt(l2_sq), np.sqrt(h1_sq), max_jump
 
-
-def _trace_values(patch, u_free, side, ts):
-    space = patch.space
-    C = _lattice_coefficients(space, u_free)
-    axis = side_axis(side)
-    out = np.empty(ts.size)
-    for q, t in enumerate(ts):
-        u, v = side_point(side, t)
-        fu, tu = eval_basis(space.kv_u, u, 0)
-        fv, tv = eval_basis(space.kv_v, v, 0)
-        p = space.degree
-        out[q] = tu[0] @ C[fu : fu + p + 1, fv : fv + p + 1] @ tv[0]
-    return out

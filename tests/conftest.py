@@ -23,6 +23,22 @@ def two_patch_domain(p=1, r=1, dirichlet=True, alphas=(1.0, 1.0)):
     return MultiPatchDomain(patches, ifaces, name="two_patch").validate()
 
 
+def reversed_two_patch_domain(p=2):
+    """The unit square and the half-turned square [1, 2] x [0, 1], glued along
+    their east sides with opposite directions and different interior knots."""
+    kv = refine_uniform(KnotVector.bernstein(p), 1)
+    kv_v = KnotVector(p, [0.0] * (p + 1) + [0.3] + [1.0] * (p + 1))
+    sides = {"west", "south", "north"}
+    patches = [
+        Patch(GeometryMap.bilinear((0, 0), (1, 0), (0, 1), (1, 1)), 1.0,
+              TensorSplineSpace(kv, kv, sides)),
+        Patch(GeometryMap.bilinear((2, 1), (1, 1), (2, 0), (1, 0)), 2.0,
+              TensorSplineSpace(kv, kv_v, sides)),
+    ]
+    ifaces = [Interface(0, "east", (0.0, 1.0), 1, "east", (0.0, 1.0), reversed_=True)]
+    return MultiPatchDomain(patches, ifaces, name="reversed_two_patch").validate()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

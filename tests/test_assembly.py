@@ -158,8 +158,7 @@ class TestInterfaceTerms:
         v = np.zeros(n_total)
         ab = artificial[0]
         for pos, (edge, _) in enumerate(ab.sources):
-            i, j = dom.patches[0].space.edge_lattice("east", edge)
-            v[dom.patches[0].space.dof_map[i, j]] = 2.5
+            v[dom.patches[0].space.edge_dofs("east")[edge]] = 2.5
             v[ab.offset + pos] = 2.5
         assert abs(v @ R @ v) <= 1e-12
         # constants: both the consistency and penalty terms annihilate them

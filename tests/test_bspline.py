@@ -273,5 +273,5 @@ class TestTensorSplineSpace:
         space = TensorSplineSpace(kv_u, kv_v)
         assert space.edge_kv("south") is kv_u
         assert space.edge_kv("west") is kv_v
-        assert space.edge_lattice("east", 0) == (space.n_u - 1, 0)
-        assert space.edge_lattice("north", 1) == (1, space.n_v - 1)
+        assert space.edge_dofs("east")[0] == space.dof_map[space.n_u - 1, 0]
+        assert space.edge_dofs("north")[1] == space.dof_map[1, space.n_v - 1]

@@ -6,7 +6,7 @@ import pytest
 
 from ietidg.cli import (ExperimentSpec, build_parser, largest_rise, main, run_growth_study,
                         run_solve)
-from ietidg.domains import domain_to_config, save_domain, t_domain
+from ietidg.domains import domain_to_config, grid_domain, save_domain, t_domain
 from ietidg.errors import ConfigError
 
 
@@ -92,20 +92,9 @@ class TestRunSolve:
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
             spec = ExperimentSpec(builtin=("tdomain",), degrees=[1, 2], refinements=[1],
-                                  workers=1, csv_path=str(path))
+                                  csv_path=str(path))
             run_solve(spec)
         assert paths[0].read_bytes() == paths[1].read_bytes()
-
-    def test_parallel_workers_match_single(self, tmp_path):
-        # cases are independent; a thread pool must not change any number
-        results = {}
-        for workers in (1, 3):
-            spec = ExperimentSpec(builtin=("tdomain",), degrees=[1, 2], refinements=[1, 2],
-                                  workers=workers)
-            results[workers] = run_solve(spec)
-        for a, b in zip(results[1], results[3]):
-            assert a["kappa"] == b["kappa"]
-            assert a["iterations"] == b["iterations"]
 
 
 class TestGrowthStudy:
@@ -167,7 +156,7 @@ class TestMain:
 
     def test_growth_flag_output(self, capsys):
         code = main(["--builtin", "slider", "3", "0.3", "--degree", "2",
-                     "--refine", "1 2 3 4", "--growth", "--single-worker"])
+                     "--refine", "1 2 3 4", "--growth"])
         assert code == 0
         out = capsys.readouterr().out
         assert "spread" in out
@@ -202,6 +191,19 @@ class TestMain:
         assert main(["--config", str(path)]) == 2
         assert "interfaces[1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("defect", ["overlap", "infinite_alpha"])
+    def test_config_rejected_before_solving(self, capsys, tmp_path, defect):
+        config = domain_to_config(grid_domain(2, degree=1, refinements=1))
+        if defect == "overlap":
+            config["interfaces"].append({"k": 0, "side_k": "east", "range_k": [0.25, 0.75],
+                                         "l": 1, "side_l": "west", "range_l": [0.25, 0.75]})
+        else:
+            config["patches"][1]["alpha"] = float("inf")
+        path = tmp_path / "dom.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path)]) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
     def test_partial_csv_preserved_on_failure(self, tmp_path):
         path = tmp_path / "partial.csv"
         code = main(["--builtin", "tdomain", "--degree", "2", "--refine", "1",
@@ -209,3 +211,12 @@ class TestMain:
         assert code == 3
         rows = list(csv.reader(path.open()))
         assert rows[0][0] == "domain"  # header written before the failure
+
+    def test_rows_of_finished_cases_kept_on_failure(self, tmp_path):
+        # 10^-400 underflows to a zero coefficient, so the second case fails
+        path = tmp_path / "partial.csv"
+        code = main(["--builtin", "tdomain", "--degree", "1", "--jump-exponents", "0 -400",
+                     "--csv", str(path)])
+        assert code == 2
+        rows = list(csv.reader(path.open()))
+        assert len(rows) == 2 and rows[1][0] == "tdomain"

@@ -234,6 +234,16 @@ class TestDomainConfig:
     def test_alpha_positive_enforced(self):
         with pytest.raises(ConfigError):
             t_domain(degree=1, refinements=1, alphas=[1, -1, 1, 1, 1])
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ConfigError, match="finite and positive"):
+                t_domain(degree=1, refinements=1, alphas=[1, bad, 1, 1, 1])
+
+    def test_overlapping_interfaces_rejected(self):
+        dom = grid_domain(2, degree=1, refinements=1)
+        g = dom.interfaces[0]
+        for extra in (Interface(g.k, "east", (0.25, 0.75), g.l, "west", (0.25, 0.75)), g):
+            with pytest.raises(ConfigError, match="interfaces 0 and 4 overlap"):
+                MultiPatchDomain(dom.patches, dom.interfaces + [extra]).validate()
 
     def test_mixed_degrees_rejected(self):
         kv1 = KnotVector.bernstein(1)

@@ -17,7 +17,7 @@ from ietidg.refsolver import (
 )
 from ietidg.geometry import MultiPatchDomain
 
-from conftest import two_patch_domain, unit_square_patch
+from conftest import reversed_two_patch_domain, two_patch_domain, unit_square_patch
 
 
 def u_sin(x, y):
@@ -53,6 +53,7 @@ class TestAssembleGlobal:
         lambda: t_domain(degree=2, refinements=1, alphas=[1, 10, 100, 1, 10]),
         lambda: slider_domain(3, 0.3, degree=2, refinements=1),
         lambda: two_patch_domain(p=1, r=1),
+        lambda: reversed_two_patch_domain(p=2),
     ])
     def test_gluing_matches_global(self, factory):
         dom = factory()
