@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .bspline import active_on_interval, eval_basis, span_quadrature, gauss_rule
+from .bspline import (active_on_interval, eval_basis, eval_basis_tables, gauss_rule,
+                      span_quadrature)
 from .errors import ConfigError, NumericalError
 from .geometry import side_axis, side_normal_hat, side_point
 
@@ -124,12 +125,14 @@ class _Triplets:
 def _inv_transpose(J, where="", points=None):
     """Batch inverse-transpose of 2x2 Jacobians, with singularity guard.
 
-    `points` (same leading shape as `J`, trailing dim 2) makes the error
-    message name the offending parameter point.
+    `J` has shape ``(..., Q, 2, 2)``: sets of Q points, each set judged
+    against the square of its own largest entry.  `points` (shape
+    ``(..., Q, 2)``) makes the error message name the first offending
+    parameter point.
     """
     det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    scale = np.max(np.abs(J)) ** 2
-    bad = np.abs(det) <= _SINGULAR_RTOL * max(scale, 1e-300)
+    scale = np.max(np.abs(J), axis=(-3, -2, -1)) ** 2
+    bad = np.abs(det) <= _SINGULAR_RTOL * np.maximum(scale, 1e-300)[..., None]
     if np.any(bad):
         q = int(np.argmax(np.ravel(bad)))
         at = ""
@@ -153,51 +156,55 @@ def assemble_volume(patch, source=None, vector_source=None, n_gauss=None, label=
     Returns triplets over the *full lattice* index space together with the
     lattice load vector; callers restrict to free dofs.  `source` is a
     scalar or callable f(x, y); `vector_source` an optional callable
-    W(x, y) -> (2,) adding the weakly integrated-by-parts contribution
-    of a divergence-form right-hand side.
+    W(x, y) -> (..., 2) adding the weakly integrated-by-parts contribution
+    of a divergence-form right-hand side.  Both callables receive the
+    coordinate arrays of all quadrature points of the patch at once.
+    All elements are assembled in one batch; triplets come element by
+    element, row-major within each element matrix.
     """
     space, geo, alpha = patch.space, patch.geometry, patch.alpha
     p = space.degree
     ng = n_gauss or (max(p, geo.kv_u.p, geo.kv_v.p) + 1)
     squ = span_quadrature(space.kv_u, ng, 1)
     sqv = span_quadrature(space.kv_v, ng, 1)
+    nsu, nsv = squ.first_active.size, sqv.first_active.size
+    E, Q, m = nsu * nsv, ng * ng, (p + 1) ** 2
+
+    def by_element(grid):
+        """(nsu*ng, nsv*ng, ...) grid -> (E, Q, ...), both axes row-major over (u, v)."""
+        grid = grid.reshape((nsu, ng, nsv, ng) + grid.shape[2:]).swapaxes(1, 2)
+        return grid.reshape((E, Q) + grid.shape[4:])
+
+    def tensor(du, dv):
+        """(E, Q, m) products of the du-th u- and dv-th v-derivative tables."""
+        Bu = squ.tables[:, None, :, None, du, :, None]
+        Bv = sqv.tables[None, :, None, :, dv, None, :]
+        return (Bu * Bv).reshape(E, Q, m)
+
     pu, pv = squ.points.ravel(), sqv.points.ravel()
     pts, jac = geo.jacobian_grid(pu, pv)
-    n_v = space.n_v
-    m = (p + 1) ** 2
+    uv = np.stack(np.meshgrid(pu, pv, indexing="ij"), axis=-1)
+    JinvT, det = _inv_transpose(by_element(jac), where=label, points=by_element(uv))
+    grads = JinvT @ np.stack([tensor(1, 0), tensor(0, 1)], axis=2)  # (E, Q, 2, m)
+    w = (squ.weights[:, None, :, None] * sqv.weights[None, :, None, :]).reshape(E, Q) * np.abs(det)
+    Gw = (grads * (alpha * w)[:, :, None, None]).reshape(E, 2 * Q, m)
+    elem = np.swapaxes(Gw, 1, 2) @ grads.reshape(E, 2 * Q, m)
+    lat = ((squ.first_active[:, None, None, None] + np.arange(p + 1)[:, None]) * space.n_v
+           + sqv.first_active[None, :, None, None] + np.arange(p + 1)).reshape(E, m)
     tri = _Triplets()
-    load = np.zeros(space.n_u * n_v)
-    for a in range(squ.spans.size):
-        Bu = squ.tables[a]
-        wu = squ.weights[a]
-        fu = squ.first_active[a]
-        ia = slice(a * ng, (a + 1) * ng)
-        for b in range(sqv.spans.size):
-            Bv = sqv.tables[b]
-            wv = sqv.weights[b]
-            fv = sqv.first_active[b]
-            ib = slice(b * ng, (b + 1) * ng)
-            N = (Bu[:, 0][:, None, :, None] * Bv[:, 0][None, :, None, :]).reshape(-1, m)
-            Gu = (Bu[:, 1][:, None, :, None] * Bv[:, 0][None, :, None, :]).reshape(-1, m)
-            Gv = (Bu[:, 0][:, None, :, None] * Bv[:, 1][None, :, None, :]).reshape(-1, m)
-            Ghat = np.stack([Gu, Gv], axis=1)
-            J = jac[ia, ib].reshape(-1, 2, 2)
-            uv = np.stack(np.meshgrid(squ.points[a], sqv.points[b], indexing="ij"), axis=-1)
-            JinvT, det = _inv_transpose(J, where=label, points=uv)
-            grads = np.einsum("qab,qbm->qam", JinvT, Ghat)
-            w = (wu[:, None] * wv[None, :]).ravel() * np.abs(det)
-            elem = np.einsum("qam,qan,q->mn", grads, grads, alpha * w)
-            lat = ((fu + np.arange(p + 1))[:, None] * n_v + (fv + np.arange(p + 1))[None, :]).ravel()
-            tri.add(np.repeat(lat, m), np.tile(lat, m), elem)
-            x = pts[ia, ib].reshape(-1, 2)
-            if source is not None:
-                fvals = source(x[:, 0], x[:, 1]) if callable(source) else float(source)
-                load[lat] += N.T @ (w * fvals)
-            if vector_source is not None:
-                W = np.asarray(vector_source(x[:, 0], x[:, 1]), dtype=float)
-                if W.shape != (x.shape[0], 2):
-                    W = W.reshape(x.shape[0], 2)
-                load[lat] += np.einsum("qam,qa,q->m", grads, W, w)
+    tri.add(np.repeat(lat, m, axis=1), np.tile(lat, m), elem)
+
+    x = by_element(pts)
+    contrib = np.zeros((E, m))
+    if source is not None:
+        fvals = source(x[..., 0], x[..., 1]) if callable(source) else float(source)
+        contrib += np.einsum("eqm,eq->em", tensor(0, 0), w * fvals)
+    if vector_source is not None:
+        W = np.asarray(vector_source(x[..., 0], x[..., 1]), dtype=float)
+        if W.shape != x.shape:
+            W = W.reshape(x.shape)
+        contrib += np.einsum("eqam,eqa,eq->em", grads, W, w)
+    load = np.bincount(lat.ravel(), weights=contrib.ravel(), minlength=space.n_u * space.n_v)
     return tri, load
 
 
@@ -229,7 +236,6 @@ class _SideQuadrature:
     ss: np.ndarray           # neighbor edge parameters
     weights: np.ndarray      # Gauss weight times arc measure
     normals: np.ndarray      # outward unit normals of the owner
-    points: np.ndarray       # physical points
     jinv_t: np.ndarray       # inverse-transpose Jacobians of the owner
     fixed_first: int
     fixed_tab: np.ndarray    # (2, p+1) values/derivs of the owner's normal-direction kv
@@ -240,14 +246,8 @@ def _side_quadrature(domain, ori, n_gauss):
     space = domain.patches[ori.k].space
     side = ori.side_k
     breaks = _merged_edge_partition(domain, ori)
-    rule = gauss_rule(n_gauss)
-    ts, wts = [], []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        q, w = rule.mapped(lo, hi)
-        ts.append(q)
-        wts.append(w)
-    ts = np.concatenate(ts)
-    wts = np.concatenate(wts)
+    ts, wts = gauss_rule(n_gauss).mapped(breaks[:-1, None], breaks[1:, None])
+    ts, wts = ts.ravel(), wts.ravel()
     ss = np.asarray(ori.map_param(ts))
 
     axis = side_axis(side)
@@ -261,7 +261,7 @@ def _side_quadrature(domain, ori, n_gauss):
         pts, jac = pts[:, 0], jac[:, 0]
     tangent = jac[:, :, axis]
     arc = np.linalg.norm(tangent, axis=1)
-    uv = np.array([side_point(side, t) for t in ts])
+    uv = np.stack(np.broadcast_arrays(*side_point(side, ts)), axis=-1)
     JinvT, _ = _inv_transpose(jac, where="patch %d side %s" % (ori.k, side), points=uv)
     n_hat = side_normal_hat(side)
     normals = JinvT @ n_hat
@@ -279,7 +279,7 @@ def _side_quadrature(domain, ori, n_gauss):
 
     nkv = space.kv_u if axis == 1 else space.kv_v
     fixed_first, fixed_tab = eval_basis(nkv, fixed, 1)
-    return _SideQuadrature(ts, ss, wts * arc, normals, pts, JinvT, fixed_first, fixed_tab)
+    return _SideQuadrature(ts, ss, wts * arc, normals, JinvT, fixed_first, fixed_tab)
 
 
 def interface_side_terms(domain, ori, delta):
@@ -296,8 +296,7 @@ def interface_side_terms(domain, ori, delta):
     geo = patch.geometry
     ng = max(p, geo.kv_u.p, geo.kv_v.p) + 1
     sq = _side_quadrature(domain, ori, ng)
-    nb_space = domain.patches[ori.l].space
-    nb_kv = nb_space.edge_kv(ori.side_l)
+    nb_kv = domain.patches[ori.l].space.edge_kv(ori.side_l)
     axis = side_axis(ori.side_k)
     tkv = space.kv_v if axis == 1 else space.kv_u
     n_v = space.n_v
@@ -306,43 +305,46 @@ def interface_side_terms(domain, ori, delta):
     h_l = domain.metrics["h"][ori.l]
     rho = alpha * delta * p * p / min(h_k, h_l)
 
-    out = {key: _Triplets() for key in ("m_pp", "m_pa", "r_pp", "r_pa", "r_aa")}
+    # every quadrature point at once: (Q, p+1) tables of both univariate
+    # factors of the owner's functions and of the neighbor's edge functions
+    Q = sq.ts.size
     win = np.arange(p + 1)
-    for q in range(sq.ts.size):
-        t, s, w, n = sq.ts[q], sq.ss[q], sq.weights[q], sq.normals[q]
-        ft, tab_t = eval_basis(tkv, t, 1)
-        if axis == 1:
-            # u fixed, v tangential
-            N = np.outer(sq.fixed_tab[0], tab_t[0]).ravel()
-            Gu = np.outer(sq.fixed_tab[1], tab_t[0]).ravel()
-            Gv = np.outer(sq.fixed_tab[0], tab_t[1]).ravel()
-            lat = ((sq.fixed_first + win)[:, None] * n_v + (ft + win)[None, :]).ravel()
-        else:
-            N = np.outer(tab_t[0], sq.fixed_tab[0]).ravel()
-            Gu = np.outer(tab_t[1], sq.fixed_tab[0]).ravel()
-            Gv = np.outer(tab_t[0], sq.fixed_tab[1]).ravel()
-            lat = ((ft + win)[:, None] * n_v + (sq.fixed_first + win)[None, :]).ravel()
-        grads = sq.jinv_t[q] @ np.stack([Gu, Gv])
-        dn = n @ grads
+    ft, tab_t = eval_basis_tables(tkv, sq.ts, 1)
+    fixed_t = np.broadcast_to(sq.fixed_tab, tab_t.shape)
+    fixed_f = np.full(Q, sq.fixed_first)
+    # u fixed and v tangential on west/east, the other way round on south/north
+    tu, tv, fu, fv = (fixed_t, tab_t, fixed_f, ft) if axis == 1 else (tab_t, fixed_t, ft, fixed_f)
 
-        fs, tab_s = eval_basis(nb_kv, s, 0)
-        psi = tab_s[0]
-        edge = fs + win
+    def tensor(du, dv):
+        return (tu[:, du, :, None] * tv[:, dv, None, :]).reshape(Q, -1)
 
-        m = lat.size
-        E = np.outer(dn, N)
-        out["m_pp"].add(np.repeat(lat, m), np.tile(lat, m), (-0.5 * alpha * w) * (E + E.T))
-        out["m_pa"].add(
-            np.repeat(lat, p + 1), np.tile(edge, m), (0.5 * alpha * w) * np.outer(dn, psi)
-        )
-        out["r_pp"].add(np.repeat(lat, m), np.tile(lat, m), (rho * w) * np.outer(N, N))
-        out["r_pa"].add(
-            np.repeat(lat, p + 1), np.tile(edge, m), (-rho * w) * np.outer(N, psi)
-        )
-        out["r_aa"].add(
-            np.repeat(edge, p + 1), np.tile(edge, p + 1), (rho * w) * np.outer(psi, psi)
-        )
-    return out
+    N = tensor(0, 0)
+    grads = sq.jinv_t @ np.stack([tensor(1, 0), tensor(0, 1)], axis=1)
+    dn = np.einsum("qa,qam->qm", sq.normals, grads)
+    lat = ((fu[:, None] + win)[:, :, None] * n_v + (fv[:, None] + win)[:, None, :]).reshape(Q, -1)
+    fs, tab_s = eval_basis_tables(nb_kv, sq.ss, 0)
+    psi = tab_s[:, 0]
+    edge = fs[:, None] + win
+
+    def outer(left, right):
+        return left[:, :, None] * right[:, None, :]
+
+    def family(rows, cols, scale, vals):
+        """Triplets of ``scale[q] * vals[q]`` over the (row, col) pairs of every point."""
+        tri = _Triplets()
+        tri.add(np.repeat(rows, cols.shape[1], axis=1), np.tile(cols, rows.shape[1]),
+                scale[:, None, None] * vals)
+        return tri
+
+    w = sq.weights
+    E = outer(dn, N)
+    return {
+        "m_pp": family(lat, lat, -0.5 * alpha * w, E + np.swapaxes(E, 1, 2)),
+        "m_pa": family(lat, edge, 0.5 * alpha * w, outer(dn, psi)),
+        "r_pp": family(lat, lat, rho * w, outer(N, N)),
+        "r_pa": family(lat, edge, -rho * w, outer(N, psi)),
+        "r_aa": family(edge, edge, rho * w, outer(psi, psi)),
+    }
 
 
 def extended_layout(domain, k):

@@ -6,6 +6,7 @@ functions are evaluated with the Cox-de Boor recursion (including
 derivatives), and each basis function is identified with its Greville point.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,16 +85,14 @@ class KnotVector:
         d = np.diff(self.knots)
         return float(np.min(d[d > 0]))
 
-    def support(self, i):
-        """Support interval ``(knots[i], knots[i+p+1])`` of basis function `i`."""
-        return (self.knots[i], self.knots[i + self.p + 1])
-
     def find_span(self, x):
-        """Index of the nonzero span that contains `x`; ``x = 1`` maps into the last one."""
-        if not (0.0 <= x <= 1.0):
-            raise ValueError("parameter %r outside [0, 1]" % x)
-        s = int(np.searchsorted(self.knots, x, side="right")) - 1
-        return min(max(s, self.p), self.n - 1)
+        """Index of the nonzero span that contains each `x`; ``x = 1`` maps into the last one."""
+        x = np.asarray(x, dtype=float)
+        outside = ~((x >= 0.0) & (x <= 1.0))
+        if outside.any():
+            raise ValueError("parameter %r outside [0, 1]" % float(x[outside].flat[0]))
+        span = np.searchsorted(self.knots, x, side="right") - 1
+        return np.minimum(np.maximum(span, self.p), self.n - 1)
 
     def as_dict(self):
         """JSON-ready representation; binary64 values round-trip exactly."""
@@ -109,34 +108,24 @@ class KnotVector:
         return cls(degree, [0.0] * (degree + 1) + [1.0] * (degree + 1))
 
 
-def eval_basis(kv, x, max_deriv=0):
-    """Evaluate the ``p + 1`` basis functions active at `x`, with derivatives.
+def eval_basis_tables(kv, points, max_deriv=0):
+    """Evaluate the ``p + 1`` basis functions active at each point, with derivatives.
 
-    Cox-de Boor recursion in the standard triangular-table form.
-
-    Parameters
-    ----------
-    kv : KnotVector
-    x : float
-        Evaluation point in [0, 1].
-    max_deriv : int
-        Highest derivative order, at most ``kv.p``.
-
-    Returns
-    -------
-    first : int
-        Index of the first active basis function.
-    table : ndarray, shape (max_deriv + 1, p + 1)
-        Row ``d`` holds the d-th derivatives of the active functions.
+    Cox-de Boor recursion in the standard triangular-table form, run over a
+    trailing axis of the `n` points in [0, 1], up to derivative order
+    ``max_deriv <= p``.  Returns ``firsts`` (n,), the index of the first
+    function active at each point, and ``tables`` (n, max_deriv + 1, p + 1),
+    where ``tables[q, d]`` holds the d-th derivatives of those functions.
     """
     p = kv.p
     if not 0 <= max_deriv <= p:
         raise ValueError("max_deriv must be in [0, %d], got %d" % (p, max_deriv))
+    x = np.atleast_1d(np.asarray(points, dtype=float))
     span = kv.find_span(x)
     U = kv.knots
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
-    ndu = np.empty((p + 1, p + 1))
+    left = np.empty((p + 1, x.size))
+    right = np.empty((p + 1, x.size))
+    ndu = np.empty((p + 1, p + 1, x.size))
     ndu[0, 0] = 1.0
     for j in range(1, p + 1):
         left[j] = x - U[span + 1 - j]
@@ -149,10 +138,10 @@ def eval_basis(kv, x, max_deriv=0):
             saved = left[j - r] * temp
         ndu[j, j] = saved
 
-    out = np.zeros((max_deriv + 1, p + 1))
+    out = np.zeros((max_deriv + 1, p + 1, x.size))
     out[0] = ndu[:, p]
     if max_deriv:
-        a = np.empty((2, p + 1))
+        a = np.empty((2, p + 1, x.size))
         for r in range(p + 1):
             s1, s2 = 0, 1
             a[0, 0] = 1.0
@@ -166,27 +155,37 @@ def eval_basis(kv, x, max_deriv=0):
                 j2 = k - 1 if r - 1 <= pk else p - r
                 for j in range(j1, j2 + 1):
                     a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                    d += a[s2, j] * ndu[rk + j, pk]
+                    d = d + a[s2, j] * ndu[rk + j, pk]
                 if r <= pk:
                     a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                    d += a[s2, k] * ndu[r, pk]
+                    d = d + a[s2, k] * ndu[r, pk]
                 out[k, r] = d
                 s1, s2 = s2, s1
         fac = float(p)
         for k in range(1, max_deriv + 1):
             out[k] *= fac
             fac *= p - k
-    return span - p, out
+    return span - p, out.transpose(2, 0, 1)
+
+
+def eval_basis(kv, x, max_deriv=0):
+    """One-point form of :func:`eval_basis_tables`: ``(first, table)`` at the scalar `x`."""
+    firsts, tables = eval_basis_tables(kv, [x], max_deriv)
+    return int(firsts[0]), tables[0]
+
+
+def eval_matrices(kv, points, max_deriv=0):
+    """Dense evaluation matrices ``M[d, q, i] = d^d B_i / dx^d (points[q])``, d <= max_deriv."""
+    firsts, tables = eval_basis_tables(kv, points, max_deriv)
+    M = np.zeros((max_deriv + 1, firsts.size, kv.n))
+    cols = firsts[:, None] + np.arange(kv.p + 1)
+    M[:, np.arange(firsts.size)[:, None], cols] = tables.transpose(1, 0, 2)
+    return M
 
 
 def eval_matrix(kv, points, deriv=0):
     """Dense evaluation matrix ``M[q, i] = d^deriv B_i / dx^deriv (points[q])``."""
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
-    M = np.zeros((pts.size, kv.n))
-    for q, x in enumerate(pts):
-        first, tab = eval_basis(kv, x, deriv)
-        M[q, first : first + kv.p + 1] = tab[deriv]
-    return M
+    return eval_matrices(kv, points, deriv)[deriv]
 
 
 def greville_points(kv):
@@ -242,11 +241,13 @@ class QuadratureRule:
         return 0.5 * (a + b) + half * self.nodes, half * self.weights
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_rule(n):
-    """Gauss-Legendre rule with `n` points on [-1, 1] (exact to degree 2n-1)."""
+    """Gauss-Legendre rule with `n` points on [-1, 1] (exact to degree 2n-1); read-only, shared."""
     if not 1 <= n <= 64:
         raise ValueError("number of Gauss points must be in [1, 64], got %r" % n)
     nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
     return QuadratureRule(nodes, weights)
 
 
@@ -308,7 +309,6 @@ class TensorSplineSpace:
 class _SpanQuadrature:
     """Per-span tensor quadrature bookkeeping for one parameter direction."""
 
-    spans: np.ndarray          # span index per nonzero interval
     points: np.ndarray         # (n_spans, n_gauss)
     weights: np.ndarray        # (n_spans, n_gauss)
     first_active: np.ndarray   # (n_spans,)
@@ -317,20 +317,8 @@ class _SpanQuadrature:
 
 def span_quadrature(kv, n_gauss, max_deriv=1):
     """Gauss points, weights and basis tables per nonzero knot span."""
-    rule = gauss_rule(n_gauss)
     bp = kv.breakpoints
-    n_spans = bp.size - 1
-    points = np.empty((n_spans, n_gauss))
-    weights = np.empty((n_spans, n_gauss))
-    firsts = np.empty(n_spans, dtype=int)
-    tables = np.empty((n_spans, n_gauss, max_deriv + 1, kv.p + 1))
-    spans = np.empty(n_spans, dtype=int)
-    for s in range(n_spans):
-        pts, wts = rule.mapped(bp[s], bp[s + 1])
-        points[s], weights[s] = pts, wts
-        spans[s] = kv.find_span(0.5 * (bp[s] + bp[s + 1]))
-        for q, x in enumerate(pts):
-            first, tab = eval_basis(kv, x, max_deriv)
-            tables[s, q] = tab
-        firsts[s] = spans[s] - kv.p
-    return _SpanQuadrature(spans, points, weights, firsts, tables)
+    points, weights = gauss_rule(n_gauss).mapped(bp[:-1, None], bp[1:, None])
+    firsts, tables = eval_basis_tables(kv, points.ravel(), max_deriv)
+    return _SpanQuadrature(points, weights, firsts[::n_gauss],
+                           tables.reshape(points.shape + tables.shape[1:]))

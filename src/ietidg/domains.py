@@ -77,8 +77,12 @@ def t_domain(degree=2, refinements=1, alphas=None, jump_exponent=None):
         alphas = [1.0] * 5
     alphas = list(alphas)
     if jump_exponent is not None:
+        try:
+            jump = 10.0**jump_exponent
+        except OverflowError:
+            raise ConfigError("jump exponent %r overflows 10**j" % jump_exponent) from None
         for k in TDOMAIN_JUMP_PATCHES:
-            alphas[k] = 10.0**jump_exponent
+            alphas[k] = jump
     boxes = [
         (0.0, 2.0, 1.0, 2.0, {"west", "north"}),
         (0.0, 0.8, 0.0, 1.0, {"west", "south"}),

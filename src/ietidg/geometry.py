@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import SIDES, KnotVector, TensorSplineSpace, eval_matrix
+from .bspline import SIDES, KnotVector, TensorSplineSpace, eval_matrices, eval_matrix
 from .errors import ConfigError, NumericalError
 
 log = logging.getLogger(__name__)
@@ -77,6 +77,11 @@ class GeometryMap:
         control = np.array([[sw, nw], [se, ne]], dtype=float)
         return cls(kv, kv, control)
 
+    def _contract(self, BU, BV):
+        """Map values on the tensor grid of two univariate evaluation matrices."""
+        along_u = (BU @ self.control.reshape(self.kv_u.n, -1)).reshape(-1, self.kv_v.n, 2)
+        return BV @ along_u
+
     def eval_grid(self, u_pts, v_pts, deriv=0):
         """Evaluate the map (or a first partial) on the tensor grid of points.
 
@@ -84,9 +89,7 @@ class GeometryMap:
         ``deriv=(du, dv)`` entries are mixed partial derivatives.
         """
         du, dv = deriv if isinstance(deriv, tuple) else (deriv, deriv)
-        BU = eval_matrix(self.kv_u, u_pts, du)
-        BV = eval_matrix(self.kv_v, v_pts, dv)
-        return np.einsum("ui,ijc,vj->uvc", BU, self.control, BV)
+        return self._contract(eval_matrix(self.kv_u, u_pts, du), eval_matrix(self.kv_v, v_pts, dv))
 
     def jacobian_grid(self, u_pts, v_pts):
         """Points and Jacobians on a tensor grid.
@@ -97,10 +100,10 @@ class GeometryMap:
         jac : ndarray, shape (nu, nv, 2, 2)
             ``jac[..., :, 0]`` is the u-partial, ``jac[..., :, 1]`` the v-partial.
         """
-        pts = self.eval_grid(u_pts, v_pts, deriv=(0, 0))
-        ju = self.eval_grid(u_pts, v_pts, deriv=(1, 0))
-        jv = self.eval_grid(u_pts, v_pts, deriv=(0, 1))
-        return pts, np.stack([ju, jv], axis=-1)
+        BU = eval_matrices(self.kv_u, u_pts, 1)
+        BV = eval_matrices(self.kv_v, v_pts, 1)
+        ju, jv = self._contract(BU[1], BV[0]), self._contract(BU[0], BV[1])
+        return self._contract(BU[0], BV[0]), np.stack([ju, jv], axis=-1)
 
     def __call__(self, u, v):
         return self.eval_grid([u], [v])[0, 0]
@@ -314,8 +317,8 @@ def validate_interface(domain, index, n_samples=17, tol=1e-9):
     ss = g.map_param(ts)
     geo_k = domain.patches[g.k].geometry
     geo_l = domain.patches[g.l].geometry
-    pk = np.array([geo_k(*side_point(g.side_k, t)) for t in ts])
-    pl = np.array([geo_l(*side_point(g.side_l, s)) for s in ss])
+    pk = geo_k.eval_grid(*side_point(g.side_k, ts)).reshape(-1, 2)
+    pl = geo_l.eval_grid(*side_point(g.side_l, ss)).reshape(-1, 2)
     dist = np.linalg.norm(pk - pl, axis=1)
     worst = int(np.argmax(dist))
     H_k = domain.metrics["H"][g.k]
@@ -350,12 +353,13 @@ def classify_vertices(domain):
     """
     records = []  # (point, patch, (u, v))
     for g in domain.interfaces:
-        for t_end in g.range_k:
-            s_end = float(g.map_param(t_end))
-            uk = side_point(g.side_k, t_end)
-            ul = side_point(g.side_l, s_end)
-            records.append((np.array(domain.patches[g.k].geometry(*uk)), g.k, uk))
-            records.append((np.array(domain.patches[g.l].geometry(*ul)), g.l, ul))
+        t_ends = np.array(g.range_k)
+        ends = ((g.k, g.side_k, t_ends), (g.l, g.side_l, g.map_param(t_ends)))
+        xs = [domain.patches[k].geometry.eval_grid(*side_point(side, t)).reshape(-1, 2)
+              for k, side, t in ends]
+        for i in range(2):
+            for (k, side, t), x in zip(ends, xs):
+                records.append((x[i], k, side_point(side, float(t[i]))))
     if not records:
         return []
     merge_tol = 1e-9 * float(np.max(domain.metrics["H"]))

@@ -11,10 +11,10 @@ from ietidg.assembly import (
     interface_side_terms,
     trace_basis_on_edge,
 )
-from ietidg.bspline import KnotVector, TensorSplineSpace
+from ietidg.bspline import KnotVector, TensorSplineSpace, gauss_rule, greville_points, refine_uniform
 from ietidg.domains import t_domain
-from ietidg.errors import ConfigError
-from ietidg.geometry import MultiPatchDomain
+from ietidg.errors import ConfigError, NumericalError
+from ietidg.geometry import GeometryMap, MultiPatchDomain, Patch
 
 from conftest import two_patch_domain, unit_square_patch
 
@@ -120,6 +120,41 @@ class TestVolume:
             [np.full_like(x, 0.7), np.full_like(x, -1.3)], axis=-1))
         free = patch.space.free_mask.ravel()
         np.testing.assert_allclose(load[free], 0.0, atol=1e-14)
+
+    @staticmethod
+    def _quad_patch(corners, p=2, r=2):
+        kv = refine_uniform(KnotVector.bernstein(p), r)
+        return Patch(GeometryMap.bilinear(*corners), 1.0, TensorSplineSpace(kv, kv))
+
+    def test_vector_source_full_lattice_sums_to_zero(self):
+        # the basis sums to 1, so int W . grad(sum_i B_i) = 0 for any W
+        patch = self._quad_patch([(0.0, 0.0), (2.0, 0.3), (-0.2, 1.1), (1.7, 1.9)])
+        _, load = assemble_volume(patch, vector_source=lambda x, y: np.stack(
+            [np.full_like(x, 0.7), np.full_like(x, -1.3)], axis=-1))
+        assert abs(load.sum()) <= 1e-13 * np.abs(load).max()
+
+    def test_vector_source_against_linear_function(self):
+        # on an affine patch u = x has the Greville x-coordinates as lattice
+        # coefficients, and int W . grad(u) with W = (1, 0) is the patch area
+        sw, se, nw = np.array([0.5, 0.2]), np.array([2.0, 0.6]), np.array([0.9, 1.4])
+        patch = self._quad_patch([sw, se, nw, se + nw - sw])
+        g = greville_points(patch.space.kv_u)
+        coeffs = patch.geometry.eval_grid(g, g)[..., 0].ravel()
+        _, load = assemble_volume(patch, vector_source=lambda x, y: np.stack(
+            [np.ones_like(x), np.zeros_like(x)], axis=-1))
+        area = abs(np.linalg.det(np.column_stack([se - sw, nw - sw])))
+        assert load @ coeffs == pytest.approx(area, rel=1e-13)
+
+    @pytest.mark.parametrize("corners", [
+        [(1.0, 1.0)] * 4,                                   # collapsed to a point
+        [(0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (1.0, 0.0)],   # collapsed to a segment
+    ], ids=["point", "segment"])
+    def test_singular_jacobian_names_patch_and_first_point(self, corners):
+        patch = self._quad_patch(corners, p=2, r=1)
+        u0 = gauss_rule(3).mapped(0.0, 0.5)[0][0]  # first Gauss point of element (0, 0)
+        with pytest.raises(NumericalError) as err:
+            assemble_volume(patch, source=1.0, label="patch 0")
+        assert str(err.value) == "singular Jacobian at parameter (%.6g, %.6g), patch 0" % (u0, u0)
 
     def test_spd_on_dirichlet_patch(self, rng):
         patch = unit_square_patch(0, 1, 0, 1, 2, 2, {"west", "east", "south", "north"})

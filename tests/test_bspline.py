@@ -3,12 +3,15 @@ import json
 import numpy as np
 import pytest
 import scipy.interpolate
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from ietidg.bspline import (
     KnotVector,
     TensorSplineSpace,
     active_on_interval,
     eval_basis,
+    eval_basis_tables,
     eval_matrix,
     gauss_rule,
     greville_points,
@@ -129,6 +132,87 @@ class TestEvalBasis:
             eval_basis(kv, 1.5)
         with pytest.raises(ValueError):
             eval_basis(kv, 0.5, max_deriv=3)
+
+
+def scalar_cox_de_boor(kv, x, max_deriv):
+    """Reference: the one-point triangular-table recursion with derivatives, in plain loops."""
+    p, U = kv.p, kv.knots
+    span = min(max(int(np.searchsorted(U, x, side="right")) - 1, p), kv.n - 1)
+    left, right = np.empty(p + 1), np.empty(p + 1)
+    ndu = np.empty((p + 1, p + 1))
+    ndu[0, 0] = 1.0
+    for j in range(1, p + 1):
+        left[j] = x - U[span + 1 - j]
+        right[j] = U[span + j] - x
+        saved = 0.0
+        for r in range(j):
+            ndu[j, r] = right[r + 1] + left[j - r]
+            temp = ndu[r, j - 1] / ndu[j, r]
+            ndu[r, j] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        ndu[j, j] = saved
+    out = np.zeros((max_deriv + 1, p + 1))
+    out[0] = ndu[:, p]
+    a = np.empty((2, p + 1))
+    for r in range(p + 1):
+        s1, s2 = 0, 1
+        a[0, 0] = 1.0
+        for k in range(1, max_deriv + 1):
+            d = 0.0
+            rk, pk = r - k, p - k
+            if r >= k:
+                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
+                d = a[s2, 0] * ndu[rk, pk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = k - 1 if r - 1 <= pk else p - r
+            for j in range(j1, j2 + 1):
+                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
+                d += a[s2, j] * ndu[rk + j, pk]
+            if r <= pk:
+                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
+                d += a[s2, k] * ndu[r, pk]
+            out[k, r] = d
+            s1, s2 = s2, s1
+    fac = float(p)
+    for k in range(1, max_deriv + 1):
+        out[k] *= fac
+        fac *= p - k
+    return span - p, out
+
+
+@st.composite
+def open_knots_and_points(draw):
+    """An open knot vector (p = 1..4, interior multiplicities <= p) and points on it,
+    including every knot and both ends."""
+    p = draw(st.integers(1, 4))
+    distinct = draw(st.lists(st.floats(0.01, 0.99), max_size=4, unique_by=lambda t: round(t, 3)))
+    interior = sorted(t for t in distinct for _ in range(draw(st.integers(1, p))))
+    kv = KnotVector(p, [0.0] * (p + 1) + interior + [1.0] * (p + 1))
+    extra = draw(st.lists(st.floats(0.0, 1.0), max_size=6))
+    return kv, np.array(list(kv.knots) + [0.0, 1.0] + extra)
+
+
+class TestArrayRecursion:
+    @seed(20261018)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(open_knots_and_points(), st.integers(0, 4))
+    def test_tables_match_one_point_forms(self, case, max_deriv):
+        kv, points = case
+        max_deriv = min(max_deriv, kv.p)
+        firsts, tables = eval_basis_tables(kv, points, max_deriv)
+        assert firsts.shape == points.shape
+        assert tables.shape == (points.size, max_deriv + 1, kv.p + 1)
+        for q, x in enumerate(points):
+            first, table = eval_basis(kv, x, max_deriv)
+            ref_first, ref_table = scalar_cox_de_boor(kv, x, max_deriv)
+            assert firsts[q] == first == ref_first
+            assert np.array_equal(tables[q], table)
+            assert np.array_equal(tables[q], ref_table)
+        assert np.all(np.abs(tables[:, 0].sum(axis=-1) - 1.0) <= 1e-12)
+        # derivative rows cancel to rounding of their own magnitude
+        rows = tables[:, 1:]
+        scale = np.maximum(np.abs(rows).max(axis=-1), 1.0)
+        assert np.all(np.abs(rows.sum(axis=-1)) <= 1e-12 * scale)
 
 
 class TestGreville:

@@ -204,6 +204,13 @@ class TestMain:
         assert main(["--config", str(path)]) == 2
         assert "configuration error:" in capsys.readouterr().err
 
+    def test_overflowing_jump_exponent(self, capsys):
+        # 10^400 does not fit a float; the case ends as a configuration error
+        code = main(["--builtin", "tdomain", "--degree", "1", "--jump-exponents", "0 400"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error:" in err and "jump exponent 400 overflows" in err
+
     def test_partial_csv_preserved_on_failure(self, tmp_path):
         path = tmp_path / "partial.csv"
         code = main(["--builtin", "tdomain", "--degree", "2", "--refine", "1",
