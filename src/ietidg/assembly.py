@@ -202,10 +202,21 @@ def assemble_volume(patch, source=None, vector_source=None, n_gauss=None, label=
     if vector_source is not None:
         W = np.asarray(vector_source(x[..., 0], x[..., 1]), dtype=float)
         if W.shape != x.shape:
-            W = W.reshape(x.shape)
+            raise ConfigError("vector_source shape %s, expected %s" % (W.shape, x.shape))
         contrib += np.einsum("eqam,eqa,eq->em", grads, W, w)
     load = np.bincount(lat.ravel(), weights=contrib.ravel(), minlength=space.n_u * space.n_v)
     return tri, load
+
+
+def univariate_matrices(kv):
+    """Dense parametric stiffness and mass matrices ``(K, M)`` of the basis of `kv` on [0, 1]."""
+    sq = span_quadrature(kv, kv.p + 1, 1)
+    B = sq.tables[:, :, ::-1].transpose(2, 0, 1, 3)  # (derivative 1 then 0, span, point, function)
+    cols = sq.first_active[:, None] + np.arange(kv.p + 1)
+    KM = np.zeros((2, kv.n, kv.n))
+    np.add.at(KM, (slice(None), cols[:, :, None], cols[:, None, :]),
+              np.swapaxes(B * sq.weights[..., None], 2, 3) @ B)
+    return KM[0], KM[1]
 
 
 def _merged_edge_partition(domain, ori):

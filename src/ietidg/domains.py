@@ -221,19 +221,23 @@ def domain_from_config(config):
                     KnotVector.bernstein(degree), int(sdata.get("refinements", 0))
                 )
             space = TensorSplineSpace(kv_u, kv_v, entry.get("dirichlet_sides", ()))
+            if isinstance(entry["alpha"], bool) or not isinstance(entry["alpha"], (int, float)):
+                raise ConfigError("alpha must be a number, got %r" % (entry["alpha"],))
             patches.append(Patch(geo, float(entry["alpha"]), space))
         interfaces = []
         for i, g in enumerate(config["interfaces"]):
             where = "interfaces[%d]" % i
+            reversed_ = g.get("reversed", False)
+            if not isinstance(reversed_, bool):
+                raise ConfigError("reversed must be true or false, got %r" % (reversed_,))
             interfaces.append(Interface(
                 g["k"], g["side_k"], tuple(g["range_k"]),
-                g["l"], g["side_l"], tuple(g["range_l"]),
-                bool(g.get("reversed", False)),
+                g["l"], g["side_l"], tuple(g["range_l"]), reversed_,
             ))
         where = "config"
         return MultiPatchDomain(patches, interfaces, name=config.get("name", "domain")).validate()
-    except ConfigError:
-        raise
+    except ConfigError as exc:
+        raise ConfigError("%s: %s" % (where, exc)) from exc
     except KeyError as exc:
         raise ConfigError("%s: missing key %s" % (where, exc)) from exc
     except (TypeError, ValueError, AttributeError) as exc:

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .assembly import build_local_system
+from .assembly import build_local_system, univariate_matrices
 from .bspline import nonzero_at_point
 from .errors import NumericalError
-from .linalg import Factorization, factorize, pcg
+from .linalg import Factorization, factorize, fast_diagonalization, pcg
 
 log = logging.getLogger(__name__)
 
@@ -272,14 +272,51 @@ def build_psi(local_system, partition, name=""):
     return psi, tilde_fac
 
 
+def kronecker_interior(patch, A_II, interior, univariate, name=""):
+    """Fast-diagonalization factorization of `A_II` if it is exactly a Kronecker sum, else None.
+
+    Requires the `interior` patch dofs to form a tensor lattice ``I_u x I_v``
+    in flat-lattice order and a diagonal Jacobian J at the corner (0, 0); then
+    every stored entry of `A_II` must match ``c_u K_u (x) M_v + c_v M_u (x) K_v``,
+    ``c_u = alpha |J_22 / J_11| = alpha^2 / c_v``, to 1e-13 of ``max |A_II|``,
+    and that sum's Frobenius norm must put no mass outside `A_II`'s pattern.
+    `univariate` maps knot bytes to the 1D ``(K, M)``.
+    """
+    space = patch.space
+    lat = np.flatnonzero(space.free_mask)[interior]
+    iu, iv = np.divmod(lat, space.n_v)
+    geo = patch.geometry  # Jacobian at the corner (0, 0): end derivatives of p-open B-splines
+    J = np.column_stack([kv.p / kv.knots[kv.p + 1] * (geo.control[e] - geo.control[0, 0])
+                         for kv, e in ((geo.kv_u, (1, 0)), (geo.kv_v, (0, 1)))])
+    if not lat.size or J[0, 1] != 0.0 or J[1, 0] != 0.0:
+        return None
+    n_v = int(np.argmax(iu != iu[0])) or lat.size
+    I_u, I_v = iu[::n_v], iv[:n_v]
+    if not np.array_equal(lat, (I_u[:, None] * space.n_v + I_v).ravel()):
+        return None
+    (K_u, M_u), (K_v, M_v) = [[m[idx][:, idx] for m in univariate[kv.knots.tobytes()]]
+                              for kv, idx in ((space.kv_u, I_u), (space.kv_v, I_v))]
+    aspect = abs(J[1, 1] / J[0, 0])
+    c_u, c_v = patch.alpha * aspect, patch.alpha / aspect
+    a, b = np.divmod(np.repeat(np.arange(lat.size), np.diff(A_II.indptr)), n_v)
+    c, d = np.divmod(A_II.indices, n_v)
+    kron = c_u * K_u[a, c] * M_v[b, d] + c_v * M_u[a, c] * K_v[b, d]
+    norm2 = (c_u**2 * np.vdot(K_u, K_u) * np.vdot(M_v, M_v)
+             + c_v**2 * np.vdot(M_u, M_u) * np.vdot(K_v, K_v)
+             + 2 * c_u * c_v * np.vdot(K_u, M_u) * np.vdot(M_v, K_v))
+    exact = (np.abs(kron - A_II.data).max() <= 1e-13 * np.abs(A_II.data).max()
+             and norm2 - kron @ kron <= 1e-12 * norm2)
+    return fast_diagonalization(K_u, M_u, K_v, M_v, c_u, c_v, name) if exact else None
+
+
 @dataclass
 class OperatorBlock:
     """Factorized data of one block, with index sets over its extended dofs.
 
     `tilde` lists the (I, Delta) dofs and `gamma` the (Delta, Pi) dofs;
     `tilde_fac` factorizes the torn block ``A[tilde][:, tilde]`` and
-    `aii_fac` the interior block.  The ``A_GG``, ``A_IG`` and ``A_GI``
-    submatrices of `A` couple the skeleton (`gamma`) and interior dofs.
+    `aii_fac` the interior block (see `interior_fd`).  The ``A_GG``, ``A_IG``
+    and ``A_GI`` submatrices of `A` couple the skeleton (`gamma`) and interior dofs.
     """
 
     A: scipy.sparse.csr_matrix
@@ -293,6 +330,7 @@ class OperatorBlock:
     f_tilde: np.ndarray
     tilde: np.ndarray
     gamma: np.ndarray
+    interior_fd: bool  # aii_fac is from kronecker_interior, not SuperLU
 
 
 class IetiOperator:
@@ -322,6 +360,11 @@ class IetiOperator:
             for k in range(K)
         ]
 
+        # 1D matrices of the fast-diagonalization check, once per distinct knot vector
+        kvs = {kv.knots.tobytes(): kv for patch in domain.patches
+               for kv in (patch.space.kv_u, patch.space.kv_v)}
+        univariate = {key: univariate_matrices(kv) for key, kv in kvs.items()}
+
         def prep(k):
             sysk = local_systems[k]
             A = sysk.A.csr
@@ -329,10 +372,13 @@ class IetiOperator:
             tilde = partition.tilde_index(k)
             gamma = partition.gamma_index(k)
             psi, tilde_fac = build_psi(sysk, partition)
+            A_II = A[I][:, I]
+            name = "patch %d interior block" % k
+            fd = kronecker_interior(domain.patches[k], A_II, I, univariate, name)
             return OperatorBlock(
                 A=A,
                 tilde_fac=tilde_fac,
-                aii_fac=factorize(A[I][:, I], name="patch %d interior block" % k).assert_spd(),
+                aii_fac=fd or factorize(A_II, name=name).assert_spd(),
                 A_GG=A[gamma][:, gamma],
                 A_IG=A[I][:, gamma],
                 A_GI=A[gamma][:, I],
@@ -341,6 +387,7 @@ class IetiOperator:
                 f_tilde=sysk.f[tilde],
                 tilde=tilde,
                 gamma=gamma,
+                interior_fd=fd is not None,
             )
 
         self.blocks = _pmap(prep, range(K), workers)
@@ -502,6 +549,7 @@ class SolveReport:
     setup_seconds: float = 0.0
     solve_seconds: float = 0.0
     degenerate_tjunctions: int = 0
+    fd_interior_blocks: int = 0
 
     CSV_COLUMNS = (
         "domain", "p", "r", "K", "dofs", "multipliers", "it",
@@ -539,6 +587,7 @@ class SolveReport:
             "setup_seconds": self.setup_seconds,
             "solve_seconds": self.solve_seconds,
             "degenerate_tjunctions": self.degenerate_tjunctions,
+            "fd_interior_blocks": self.fd_interior_blocks,
         }
 
 
@@ -605,5 +654,6 @@ def solve_ieti(domain, delta=12.0, tol=1e-6, max_iter=1000, source=1.0,
         setup_seconds=t1 - t0,
         solve_seconds=t2 - t1,
         degenerate_tjunctions=degenerate_tjunction_count(domain),
+        fd_interior_blocks=sum(blk.interior_fd for blk in op.blocks),
     )
     return IetiSolution(op.patch_solutions(u_blocks), u_blocks, result.x, report, op)

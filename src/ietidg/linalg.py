@@ -1,8 +1,8 @@
 """Shared numerical kernels: sparse symmetric storage, factorization, PCG.
 
-One factorization backend serves every block, the coarse problem and the
-oracle: SuperLU in symmetric mode with a minimum-degree-type ordering and
-pivot monitoring, reading the inertia off the signs of the U diagonal.
+One sparse backend serves every block, the coarse problem and the oracle:
+SuperLU in symmetric mode with a minimum-degree ordering and pivot monitoring,
+inertia from the U-diagonal signs; Kronecker sums use fast diagonalization.
 The eigensolver for small dense matrices wraps LAPACK's
 tridiagonal-reduction + QR iteration.
 """
@@ -13,6 +13,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.linalg.lapack import dsygv
 
 from .errors import NumericalError, SingularMatrixError
 
@@ -133,6 +134,30 @@ def factorize(A, name=""):
         raise SingularMatrixError("%s: zero pivot at index %d" % (label, index), index=index)
     npos = int(np.sum(diag > 0))
     return Factorization(n, lu.solve, (npos, n - npos, 0), name)
+
+
+def fast_diagonalization(K_u, M_u, K_v, M_v, c_u, c_v, name=""):
+    """Exact SPD solver of the Kronecker sum ``c_u K_u (x) M_v + c_v M_u (x) K_v``.
+
+    Fast diagonalization (Lynch, Rice and Thomas, 1964): with the generalized
+    eigenpairs ``K U = M U diag(lam)``, ``U^T M U = 1`` of both directions and
+    ``D = c_u lam_u (x) 1 + c_v 1 (x) lam_v``, a solve is ``U_u (U_u^T X U_v / D)
+    U_v^T`` on the ``(n_u, n_v)`` reshape X of a right-hand side.  The inertia is
+    that of D; raises :class:`NumericalError` if an eigenproblem fails or D is not positive.
+    """
+    (lam_u, U_u, info_u), (lam_v, U_v, info_v) = dsygv(K_u, M_u), dsygv(K_v, M_v)
+    if info_u or info_v:
+        raise NumericalError("%s: 1D eigensolver failed" % (name or "fast diagonalization"))
+    D = c_u * lam_u[:, None] + c_v * lam_v
+
+    def solve(rhs):
+        matrix = rhs.ndim > 1
+        X = rhs.reshape(*D.shape, -1).transpose(2, 0, 1) if matrix else rhs.reshape(D.shape)
+        Y = U_u @ ((U_u.T @ X @ U_v) / D) @ U_v.T
+        return (Y.transpose(1, 2, 0) if matrix else Y).reshape(rhs.shape)
+
+    inertia = (int(np.sum(D > 0)), int(np.sum(D < 0)), int(np.sum(D == 0)))
+    return Factorization(D.size, solve, inertia, name).assert_spd()
 
 
 def symmetric_eigenvalues(M):

@@ -169,6 +169,28 @@ class TestCriterion4GrowthLaw:
                 % (r, op.n_rows, ev[0], ev[-1], res.kappa, kappa_dense, rel))
 
 
+DEGREES = [2, 3, 4, 5, 6]
+
+
+class TestCriterion4DegreeGrowth:
+    def test_ratio_rise_over_degrees_within_three(self):
+        # the bound's factor p (1 + log p + log H/h)^2 over p at fixed H/h: on
+        # tdomain r=2 the ratio kappa/(p Lambda^2) may not rise by more than 3
+        t0 = time.perf_counter()
+        spec = ExperimentSpec(builtin=("tdomain",), degrees=DEGREES, refinements=[2])
+        results = run_solve(spec)
+        elapsed = time.perf_counter() - t0
+        assert [entry["fd_interior_blocks"] for entry in results] == [5] * len(DEGREES)
+        ratios = [entry["kappa_over_bound"] for entry in results]
+        rise, i, j = largest_rise(ratios)
+        line = ("criterion 4 degree study: kappa/(p Lambda^2) on tdomain r=2 over p=%d..%d is "
+                "%s; largest rise %.3f (p=%d -> p=%d)"
+                % (DEGREES[0], DEGREES[-1], ["%.4f" % x for x in ratios], rise,
+                   DEGREES[i], DEGREES[j]))
+        assert rise <= RISE_BOUND, "%s exceeds %g" % (line, RISE_BOUND)
+        _report("PASS %s (%.1fs)" % (line, elapsed))
+
+
 class TestCriterion5ConvergenceRates:
     @pytest.mark.parametrize("p", [1, 2])
     def test_l2_rate(self, p):

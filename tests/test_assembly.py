@@ -10,6 +10,7 @@ from ietidg.assembly import (
     extended_layout,
     interface_side_terms,
     trace_basis_on_edge,
+    univariate_matrices,
 )
 from ietidg.bspline import KnotVector, TensorSplineSpace, gauss_rule, greville_points, refine_uniform
 from ietidg.domains import t_domain
@@ -144,6 +145,28 @@ class TestVolume:
             [np.ones_like(x), np.zeros_like(x)], axis=-1))
         area = abs(np.linalg.det(np.column_stack([se - sw, nw - sw])))
         assert load @ coeffs == pytest.approx(area, rel=1e-13)
+
+    def test_vector_source_components_first_rejected(self):
+        # np.stack([W1, W2]) puts the components first; reshaping it to
+        # (..., 2) would scramble the field, so the shape is an input error
+        patch = unit_square_patch(0, 1, 0, 1, 2, 1, set())
+        with pytest.raises(ConfigError, match=r"vector_source shape \(2, 4, 9\), expected \(4, 9, 2\)"):
+            assemble_volume(patch, vector_source=lambda x, y: np.stack(
+                [np.ones_like(x), np.zeros_like(x)]))
+
+    def test_univariate_matrices_reproduce_the_volume_term(self):
+        # on a rectangle the volume stiffness is (H/W) K_u (x) M_v + (W/H) M_u (x) K_v
+        kv_u = KnotVector(2, [0, 0, 0, 0.3, 0.7, 1, 1, 1])
+        kv_v = refine_uniform(KnotVector.bernstein(2), 2)
+        K_u, M_u = univariate_matrices(kv_u)
+        K_v, M_v = univariate_matrices(kv_v)
+        np.testing.assert_allclose(K_u.sum(axis=1), 0.0, atol=1e-13)
+        assert M_u.sum() == pytest.approx(1.0, rel=1e-14)
+        patch = Patch(GeometryMap.bilinear((0, 0), (2, 0), (0, 0.5), (2, 0.5)), 1.0,
+                      TensorSplineSpace(kv_u, kv_v))
+        A = coo_to_dense(assemble_volume(patch)[0], kv_u.n * kv_v.n)
+        kron = 0.25 * np.kron(K_u, M_v) + 4.0 * np.kron(M_u, K_v)
+        np.testing.assert_allclose(A, kron, rtol=0, atol=1e-14 * np.abs(A).max())
 
     @pytest.mark.parametrize("corners", [
         [(1.0, 1.0)] * 4,                                   # collapsed to a point

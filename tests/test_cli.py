@@ -204,6 +204,31 @@ class TestMain:
         assert main(["--config", str(path)]) == 2
         assert "configuration error:" in capsys.readouterr().err
 
+    LENIENT = {
+        "degree": ("patches", 0, "space", "degree", 2.5,
+                   "patches[0]: spline degree must be a positive integer, got 2.5"),
+        "alpha_string": ("patches", 1, None, "alpha", "1",
+                         "patches[1]: alpha must be a number, got '1'"),
+        "alpha_bool": ("patches", 1, None, "alpha", True,
+                       "patches[1]: alpha must be a number, got True"),
+        "reversed": ("interfaces", 0, None, "reversed", "yes",
+                     "interfaces[0]: reversed must be true or false, got 'yes'"),
+    }
+
+    @pytest.mark.parametrize("defect", sorted(LENIENT))
+    def test_lenient_entries_rejected(self, capsys, tmp_path, defect):
+        # each of these used to be accepted: degree 2.5 ran as p=2, alpha went
+        # through float(), and "yes" as reversed failed as an interface mismatch
+        group, index, sub, key, value, message = self.LENIENT[defect]
+        config = domain_to_config(grid_domain(2, degree=2, refinements=1))
+        entry = config[group][index]
+        (entry[sub] if sub else entry)[key] = value
+        path = tmp_path / "dom.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error:" in err and message in err
+
     def test_overflowing_jump_exponent(self, capsys):
         # 10^400 does not fit a float; the case ends as a configuration error
         code = main(["--builtin", "tdomain", "--degree", "1", "--jump-exponents", "0 400"])

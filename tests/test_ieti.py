@@ -3,9 +3,11 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from ietidg.assembly import build_local_system
-from ietidg.bspline import KnotVector, TensorSplineSpace, eval_basis, refine_uniform
-from ietidg.domains import grid_domain, slider_domain, t_domain
+from ietidg.assembly import build_local_system, univariate_matrices
+from ietidg.bspline import (KnotVector, TensorSplineSpace, eval_basis, greville_points,
+                            refine_uniform)
+from ietidg.domains import (domain_from_config, domain_to_config, grid_domain, slider_domain,
+                            t_domain)
 from ietidg.errors import NumericalError
 from ietidg.geometry import GeometryMap, Interface, MultiPatchDomain, Patch
 from ietidg.ieti import (
@@ -13,6 +15,7 @@ from ietidg.ieti import (
     build_partition,
     build_psi,
     degenerate_tjunction_count,
+    kronecker_interior,
     lambda_factor,
     pcg_solve,
     select_primal,
@@ -20,6 +23,7 @@ from ietidg.ieti import (
     solve_ieti,
 )
 from ietidg import refsolver
+from ietidg.linalg import factorize
 
 from conftest import two_patch_domain, unit_square_patch
 
@@ -519,6 +523,152 @@ class TestReducedSmoothness:
         scale = np.abs(np.concatenate(direct)).max()
         for a, b in zip(sol.u_patches, direct):
             assert np.abs(a - b).max() <= 1e-6 * scale
+
+
+def fd_against_superlu(op, rng):
+    """Largest relative max-norm gap between each block's interior solve and SuperLU's."""
+    worst = 0.0
+    for k, blk in enumerate(op.blocks):
+        I = op.partition.interior[k]
+        reference = factorize(blk.A[I][:, I])
+        B = rng.standard_normal((I.size, 3))
+        for rhs in (B[:, 0], B):
+            x, y = blk.aii_fac.solve(rhs), reference.solve(rhs)
+            assert x.shape == rhs.shape
+            worst = max(worst, np.abs(x - y).max() / np.abs(y).max())
+    return worst
+
+
+def nonuniform_config_domain(p):
+    """Two patches, [0, 1] x [0, 1] and [1, 3] x [0, 1], from a config with
+    non-uniform knot vectors that do not match across the interface."""
+    config = domain_to_config(two_patch_domain(p, 1))
+    config["patches"][1]["geometry"]["control_points"] = [[[1, 0], [1, 1]], [[3, 0], [3, 1]]]
+    for patch, knots_u, knots_v in ((0, [0.3, 0.45], [0.2, 0.7]), (1, [0.6], [0.35, 0.5, 0.8])):
+        space = config["patches"][patch]["space"]
+        space["knots_u"] = [0.0] * (p + 1) + knots_u + [1.0] * (p + 1)
+        space["knots_v"] = [0.0] * (p + 1) + knots_v + [1.0] * (p + 1)
+    return domain_from_config(config)
+
+
+def partial_interface_domain(p=2, r=2):
+    """Patch 0 = [0, 1]^2, its east side glued to patch 1 = [1, 2] x [0, 0.5] on
+    (0, 0.5) only; the rest of that side is a natural boundary, so patch 0's
+    interior dofs keep part of its east layer and are no tensor lattice."""
+    patches = [unit_square_patch(0, 1, 0, 1, p, r, {"west", "south", "north"}),
+               unit_square_patch(1, 2, 0, 0.5, p, r, {"east", "south", "north"})]
+    ifaces = [Interface(0, "east", (0.0, 0.5), 1, "west", (0.0, 1.0))]
+    return MultiPatchDomain(patches, ifaces, name="partial").validate()
+
+
+FD_BUILTINS = {
+    "grid2x2": lambda p: grid_domain(2, degree=p, refinements=2),
+    "tdomain": lambda p: t_domain(degree=p, refinements=2),
+    "slider(3,0.3)": lambda p: slider_domain(3, 0.3, degree=p, refinements=2),
+    "slider(4,0.3)": lambda p: slider_domain(4, 0.3, degree=p, refinements=2),
+    "nonuniform": nonuniform_config_domain,
+}
+
+
+class TestFastDiagonalizationInterior:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(FD_BUILTINS))
+    def test_every_patch_fd_and_equal_to_superlu(self, rng, name, p):
+        op = setup_operator(FD_BUILTINS[name](p))
+        assert all(blk.interior_fd for blk in op.blocks)
+        assert fd_against_superlu(op, rng) <= 1e-12
+
+    @staticmethod
+    def _single_patch(geometry, p=2):
+        kv = refine_uniform(KnotVector.bernstein(p), 2)
+        patch = Patch(geometry, 1.0, TensorSplineSpace(kv, kv, {"west", "east", "south", "north"}))
+        return MultiPatchDomain([patch], []).validate()
+
+    def test_mirrored_patch_takes_fd(self, rng):
+        # x = 2 (1 - u), y = v: det J < 0, and c_u, c_v use |J_22 / J_11|
+        geo = GeometryMap.bilinear((2, 0), (0, 0), (2, 1), (0, 1))
+        op = setup_operator(self._single_patch(geo))
+        assert op.blocks[0].interior_fd
+        assert fd_against_superlu(op, rng) <= 1e-12
+
+    def test_affine_spline_geometry_takes_fd(self, rng):
+        # the rectangle [0, 2] x [0, 0.5] as a degree-2 map with different
+        # interior knots per direction: the corner Jacobian needs the knot spans
+        kv_u = KnotVector(2, [0, 0, 0, 0.3, 1, 1, 1])
+        kv_v = KnotVector(2, [0, 0, 0, 0.6, 1, 1, 1])
+        control = np.stack(np.meshgrid(2.0 * greville_points(kv_u), 0.5 * greville_points(kv_v),
+                                       indexing="ij"), axis=-1)
+        op = setup_operator(self._single_patch(GeometryMap(kv_u, kv_v, control)))
+        assert op.blocks[0].interior_fd
+        assert fd_against_superlu(op, rng) <= 1e-12
+
+    def test_kronecker_mass_outside_pattern_falls_back(self):
+        # drop one symmetric pair of couplings from A_II: every stored entry
+        # still matches, only the Frobenius-norm comparison sees the gap
+        dom = self._single_patch(GeometryMap.bilinear((0, 0), (1, 0), (0, 1), (1, 1)))
+        op = setup_operator(dom)
+        I = op.partition.interior[0]
+        A_II = op.blocks[0].A[I][:, I].tolil()
+        kv = dom.patches[0].space.kv_u
+        univariate = {kv.knots.tobytes(): univariate_matrices(kv)}
+        assert kronecker_interior(dom.patches[0], A_II.tocsr(), I, univariate) is not None
+        A_II[0, 1] = A_II[1, 0] = 0.0
+        A_II = A_II.tocsr()
+        A_II.eliminate_zeros()
+        assert kronecker_interior(dom.patches[0], A_II, I, univariate) is None
+
+    C = 1e-9
+    PERTURBED = {
+        # the identity Jacobian at the centre, perturbed by C elsewhere
+        "centre": [(0.25 * C, 0), (1 - 0.25 * C, 0), (-0.25 * C, 1), (1 + 0.25 * C, 1)],
+        # the identity at the corner (0, 0) where the check reads J, so only the
+        # entrywise comparison with the Kronecker form can reject it
+        "corner": [(0, 0), (1, 0), (0, 1), (1 + C, 1 + C)],
+    }
+
+    @pytest.mark.parametrize("where", sorted(PERTURBED))
+    def test_perturbed_bilinear_patch_falls_back(self, rng, where):
+        geo = GeometryMap.bilinear(*self.PERTURBED[where])
+        point = (0.5, 0.5) if where == "centre" else (0.0, 0.0)
+        np.testing.assert_array_equal(geo.jacobian(*point), np.eye(2))
+        op = setup_operator(self._single_patch(geo))
+        assert not op.blocks[0].interior_fd
+        assert fd_against_superlu(op, rng) == 0.0
+
+    def test_curved_patch_falls_back(self, rng):
+        # degree-2 map whose middle control point is lifted: diagonal Jacobian at
+        # the corners and the centre, curved everywhere else
+        kv = KnotVector.bernstein(2)
+        control = np.stack(np.meshgrid([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], indexing="ij"), axis=-1)
+        control[1, 1, 1] = 0.7
+        geo = GeometryMap(kv, kv, control)
+        for point in ((0.0, 0.0), (0.5, 0.5)):
+            jac = geo.jacobian(*point)
+            assert jac[0, 1] == 0.0 and jac[1, 0] == 0.0
+        op = setup_operator(self._single_patch(geo))
+        assert not op.blocks[0].interior_fd
+        assert fd_against_superlu(op, rng) == 0.0
+
+    def test_partial_interface_mixed_solve_matches_oracle(self, capsys):
+        dom = partial_interface_domain()
+        sol = solve_ieti(dom, tol=1e-10)
+        assert [blk.interior_fd for blk in sol.operator.blocks] == [False, True]
+        system = refsolver.assemble_global(dom, 12.0)
+        direct = refsolver.split_solution(system, refsolver.direct_solve(system))
+        scale = np.abs(np.concatenate(direct)).max()
+        err = max(np.abs(a - b).max() for a, b in zip(sol.u_patches, direct)) / scale
+        assert err <= 1e-6, "relative sup-norm discrepancy %.3e" % err
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("factory, count", [
+        (lambda: t_domain(degree=2, refinements=2), 5),
+        (lambda: slider_domain(4, 0.3, degree=2, refinements=2), 8),
+        (partial_interface_domain, 1),
+    ], ids=["tdomain", "slider(4,0.3)", "partial"])
+    def test_report_counts_fd_blocks(self, factory, count):
+        report = solve_ieti(factory(), tol=1e-8).report
+        assert report.fd_interior_blocks == count
+        assert report.to_json_dict()["fd_interior_blocks"] == count
 
 
 class TestFailureModes:

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from ietidg.assembly import univariate_matrices
+from ietidg.bspline import KnotVector, refine_uniform
 from ietidg.errors import NumericalError, SingularMatrixError
 from ietidg.linalg import (
     SparseSym,
     factorize,
+    fast_diagonalization,
     lanczos_condition,
     pcg,
     symmetric_eigenvalues,
@@ -125,6 +128,37 @@ class TestFactorize:
         wrapped = SparseSym(scipy.sparse.csr_matrix(A))
         x = factorize(wrapped).solve(np.ones(20))
         np.testing.assert_allclose(A @ x, np.ones(20), atol=1e-9)
+
+
+class TestFastDiagonalization:
+    @staticmethod
+    def _pair(kv, inner):
+        return [m[inner][:, inner] for m in univariate_matrices(kv)]
+
+    def test_matches_dense_kronecker_solve(self, rng):
+        # non-uniform knots, different sizes per direction, anisotropic weights
+        K_u, M_u = self._pair(KnotVector(2, [0, 0, 0, 0.2, 0.35, 0.8, 1, 1, 1]), slice(1, -1))
+        K_v, M_v = self._pair(KnotVector(3, [0, 0, 0, 0, 0.5, 0.6, 1, 1, 1, 1]), slice(1, None))
+        c_u, c_v = 0.3, 7.0
+        A = c_u * np.kron(K_u, M_v) + c_v * np.kron(M_u, K_v)
+        fac = fast_diagonalization(K_u, M_u, K_v, M_v, c_u, c_v)
+        assert fac.inertia == (A.shape[0], 0, 0)
+        B = rng.standard_normal((A.shape[0], 4))
+        for rhs in (B[:, 0], B):
+            x = fac.solve(rhs)
+            assert x.shape == rhs.shape
+            np.testing.assert_allclose(x, np.linalg.solve(A, rhs), rtol=0,
+                                       atol=1e-12 * np.abs(x).max())
+
+    def test_negative_weight_raises(self):
+        K, M = self._pair(refine_uniform(KnotVector.bernstein(2), 2), slice(1, -1))
+        with pytest.raises(NumericalError, match="fd block: expected SPD matrix but inertia"):
+            fast_diagonalization(K, M, K, M, -1.0, 1.0, name="fd block")
+
+    def test_indefinite_mass_raises(self):
+        K, M = self._pair(refine_uniform(KnotVector.bernstein(2), 2), slice(1, -1))
+        with pytest.raises(NumericalError, match="fd block: 1D eigensolver failed"):
+            fast_diagonalization(K, M, K, -M, 1.0, 1.0, name="fd block")
 
 
 class TestSymmetricEigenvalues:
