@@ -217,9 +217,10 @@ def domain_from_config(config):
                 kv_u = KnotVector(degree, sdata["knots_u"])
                 kv_v = KnotVector(degree, sdata["knots_v"])
             else:
-                kv_u = kv_v = refine_uniform(
-                    KnotVector.bernstein(degree), int(sdata.get("refinements", 0))
-                )
+                r = sdata.get("refinements", 0)
+                if isinstance(r, bool) or not isinstance(r, int) or r < 0:
+                    raise ConfigError("refinements must be a non-negative integer, got %r" % (r,))
+                kv_u = kv_v = refine_uniform(KnotVector.bernstein(degree), r)
             space = TensorSplineSpace(kv_u, kv_v, entry.get("dirichlet_sides", ()))
             if isinstance(entry["alpha"], bool) or not isinstance(entry["alpha"], (int, float)):
                 raise ConfigError("alpha must be a number, got %r" % (entry["alpha"],))

@@ -8,8 +8,10 @@ single corner function per patch, at a T-junction the long side
 contributes up to p + 1 functions.  Dual dofs are coupled in matched
 pairs (+1/-1 rows of the jump matrix B); the primal coefficients are
 eliminated through the energy-minimizing basis Psi and a global coarse
-problem.  The multipliers solve F lambda = d by PCG with the
-coefficient-scaled Dirichlet preconditioner
+problem.  One solve with the primal-constrained matrix A~ serves F, d and
+the recovery: ``F = B A~^{-1} B^T``, ``d = B A~^{-1} f`` and
+``u = A~^{-1} (f - B^T lambda)``.  The multipliers solve F lambda = d by
+PCG with the coefficient-scaled Dirichlet preconditioner
 ``M_sD = B_Gamma D^{-1} S D^{-1} B_Gamma^T``.
 """
 
@@ -147,21 +149,20 @@ class JumpMatrices:
 
     Every row carries exactly one +1 (a patch trace dof) and one -1 (its
     artificial copy); no dof appears in two rows.  ``B_full`` spans all
-    extended dofs; ``B_tilde`` and ``B_gamma`` are its (I, Delta) and
-    (Delta, Pi) column slices (the Pi columns are zero).  `D` holds the diagonal
+    extended dofs (its I and Pi columns are zero); ``B_gamma`` is its
+    (Delta, Pi) column slice.  `D` holds the diagonal
     coefficient scaling ``(alpha_k + alpha_l) / alpha_l`` per block over
     the (Delta, Pi) dofs.
     """
 
     n_rows: int
     B_full: list
-    B_tilde: list
     B_gamma: list
     D: list
     pairs: list  # (row, block_k, dof_k, block_l, dof_l, iface_index)
 
 
-def build_jump_matrices(domain, local_systems, partition, groups):
+def build_jump_matrices(domain, local_systems, partition):
     """One row per matched non-primal (trace dof, artificial copy) pair."""
     K = len(local_systems)
     primal_sets = [set(partition.primal[k]) for k in range(K)]
@@ -199,10 +200,9 @@ def build_jump_matrices(domain, local_systems, partition, groups):
                 pairs.append((n_rows, src, sdof, dst, copy, idx))
                 n_rows += 1
 
-    B_full, B_tilde, B_gamma, D = [], [], [], []
+    B_full, B_gamma, D = [], [], []
     for k, sysk in enumerate(local_systems):
         n_e = sysk.n_total
-        tilde = partition.tilde_index(k)
         gamma = partition.gamma_index(k)
         is_dual = np.zeros(n_e, dtype=bool)
         is_dual[partition.dual[k]] = True
@@ -212,7 +212,6 @@ def build_jump_matrices(domain, local_systems, partition, groups):
         rr, cc, vv = zip(*rows[k]) if rows[k] else ((), (), ())
         full = scipy.sparse.csr_matrix((vv, (rr, cc)), shape=(n_rows, n_e))
         B_full.append(full)
-        B_tilde.append(full[:, tilde])
         B_gamma.append(full[:, gamma])
 
         assoc = {}
@@ -233,7 +232,7 @@ def build_jump_matrices(domain, local_systems, partition, groups):
             alpha_l = domain.patches[l].alpha
             d_vals[g_pos] = (alpha_k + alpha_l) / alpha_l
         D.append(d_vals)
-    return JumpMatrices(n_rows, B_full, B_tilde, B_gamma, D, pairs)
+    return JumpMatrices(n_rows, B_full, B_gamma, D, pairs)
 
 
 def _pmap(fn, items, workers):
@@ -327,7 +326,6 @@ class OperatorBlock:
     A_GI: scipy.sparse.csr_matrix
     psi: np.ndarray
     f: np.ndarray
-    f_tilde: np.ndarray
     tilde: np.ndarray
     gamma: np.ndarray
     interior_fd: bool  # aii_fac is from kronecker_interior, not SuperLU
@@ -384,7 +382,6 @@ class IetiOperator:
                 A_GI=A[gamma][:, I],
                 psi=psi,
                 f=sysk.f,
-                f_tilde=sysk.f[tilde],
                 tilde=tilde,
                 gamma=gamma,
                 interior_fd=fd is not None,
@@ -393,51 +390,41 @@ class IetiOperator:
         self.blocks = _pmap(prep, range(K), workers)
 
         coarse = np.zeros((self.n_primal, self.n_primal))
-        for k in range(K):
-            blk = self.blocks[k]
-            if blk.psi.shape[1] == 0:
-                continue
-            local = blk.psi.T @ (blk.A @ blk.psi)
-            gk = self.primal_global[k]
-            np.add.at(coarse, (gk[:, None], gk[None, :]), local)
+        for blk, gk in zip(self.blocks, self.primal_global):
+            np.add.at(coarse, (gk[:, None], gk[None, :]), blk.psi.T @ (blk.A @ blk.psi))
         self.coarse_matrix = coarse
-        if self.n_primal:
-            self.coarse_fac = factorize(coarse, name="coarse problem").assert_spd()
-        else:
-            self.coarse_fac = None
+        self.coarse_fac = factorize(coarse, name="coarse problem").assert_spd()
 
-    # -- F and d ---------------------------------------------------------
+    # -- the primal-constrained solve: F, d and recovery -------------------
 
-    def _coarse_rhs(self, block_vectors):
+    def solve_constrained(self, rhs_blocks):
+        """Per-block ``u = A~^{-1} r`` for per-block right-hand sides `rhs_blocks`.
+
+        A torn solve on the (I, Delta) dofs of every block, plus the
+        correction ``Psi_k mu[R_k]`` from one coarse solve with the
+        right-hand side ``sum_k R_k^T Psi_k^T r_k``.
+        """
+        u_blocks = []
         w = np.zeros(self.n_primal)
-        for k, blk in enumerate(self.blocks):
-            if blk.psi.shape[1]:
-                np.add.at(w, self.primal_global[k], blk.psi.T @ block_vectors[k])
-        return w
+        for blk, gk, r in zip(self.blocks, self.primal_global, rhs_blocks):
+            u = np.zeros(r.shape)
+            u[blk.tilde] = blk.tilde_fac.solve(r[blk.tilde])
+            u_blocks.append(u)
+            np.add.at(w, gk, blk.psi.T @ r)
+        mu = self.coarse_fac.solve(w)
+        for u, blk, gk in zip(u_blocks, self.blocks, self.primal_global):
+            u += blk.psi @ mu[gk]
+        return u_blocks
+
+    def _jump(self, u_blocks):
+        """``B u = sum_k B_k u_k`` over all blocks."""
+        return sum((B @ u for B, u in zip(self.jumps.B_full, u_blocks)), np.zeros(self.n_rows))
 
     def apply_F(self, lam):
-        y = np.zeros(self.n_rows)
-        for k, blk in enumerate(self.blocks):
-            Bt = self.jumps.B_tilde[k]
-            y += Bt @ blk.tilde_fac.solve(Bt.T @ lam)
-        if self.n_primal:
-            w = self._coarse_rhs([self.jumps.B_full[k].T @ lam for k in range(len(self.blocks))])
-            mu = self.coarse_fac.solve(w)
-            for k, blk in enumerate(self.blocks):
-                if blk.psi.shape[1]:
-                    y += self.jumps.B_full[k] @ (blk.psi @ mu[self.primal_global[k]])
-        return y
+        return self._jump(self.solve_constrained([B.T @ lam for B in self.jumps.B_full]))
 
     def compute_d(self):
-        d = np.zeros(self.n_rows)
-        for k, blk in enumerate(self.blocks):
-            d += self.jumps.B_tilde[k] @ blk.tilde_fac.solve(blk.f_tilde)
-        if self.n_primal:
-            mu = self.coarse_fac.solve(self._coarse_rhs([blk.f for blk in self.blocks]))
-            for k, blk in enumerate(self.blocks):
-                if blk.psi.shape[1]:
-                    d += self.jumps.B_full[k] @ (blk.psi @ mu[self.primal_global[k]])
-        return d
+        return self._jump(self.solve_constrained([blk.f for blk in self.blocks]))
 
     # -- preconditioner ----------------------------------------------------
 
@@ -458,21 +445,8 @@ class IetiOperator:
 
     def recover_solution(self, lam):
         """Per-block coefficient vectors from the converged multipliers."""
-        u_blocks = []
-        for k, blk in enumerate(self.blocks):
-            u = np.zeros(self.locals[k].n_total)
-            rhs = blk.f_tilde - self.jumps.B_tilde[k].T @ lam
-            u[blk.tilde] = blk.tilde_fac.solve(rhs)
-            u_blocks.append(u)
-        if self.n_primal:
-            w = self._coarse_rhs(
-                [blk.f - self.jumps.B_full[k].T @ lam for k, blk in enumerate(self.blocks)]
-            )
-            u_pi = self.coarse_fac.solve(w)
-            for k, blk in enumerate(self.blocks):
-                if blk.psi.shape[1]:
-                    u_blocks[k] += blk.psi @ u_pi[self.primal_global[k]]
-        return u_blocks
+        return self.solve_constrained(
+            [blk.f - B.T @ lam for blk, B in zip(self.blocks, self.jumps.B_full)])
 
     def patch_solutions(self, u_blocks):
         return [u[: self.locals[k].n_patch] for k, u in enumerate(u_blocks)]
@@ -482,11 +456,9 @@ class IetiOperator:
     def psi_residual(self, k):
         """Energy-minimality residual of Psi: max |(I,Delta) rows of A Psi| / max |A|."""
         blk = self.blocks[k]
-        if not blk.psi.shape[1]:
-            return 0.0
         res = (blk.A @ blk.psi)[blk.tilde]
         scale = max(abs(blk.A.max()), abs(blk.A.min()), 1e-300)
-        return float(np.abs(res).max() / scale)
+        return float(np.abs(res).max(initial=0.0) / scale)
 
     def project_wtilde(self, u_blocks):
         """Project block vectors onto the primal-constrained subspace by group averaging."""
@@ -615,7 +587,7 @@ def setup_operator(domain, delta=12.0, source=1.0, vector_source=None, workers=1
     )
     groups = select_primal(domain, local_systems)
     partition = build_partition(domain, local_systems, groups)
-    jumps = build_jump_matrices(domain, local_systems, partition, groups)
+    jumps = build_jump_matrices(domain, local_systems, partition)
     return IetiOperator(domain, local_systems, groups, partition, jumps, workers=workers)
 
 

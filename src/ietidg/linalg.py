@@ -23,31 +23,28 @@ _PIVOT_RTOL = 1e-14
 class SparseSym:
     """Compressed-row symmetric matrix built from triplets.
 
-    Duplicate triplets are summed and explicit zeros dropped.  When
-    ``symmetric=True`` the values are verified to be symmetric up to
-    1e-12 relative in the max norm.
+    Duplicate triplets are summed and explicit zeros dropped.  The values
+    are verified to be symmetric up to 1e-12 relative in the max norm.
     """
 
-    def __init__(self, matrix, symmetric=True):
+    def __init__(self, matrix):
         csr = scipy.sparse.csr_matrix(matrix)
         csr.sum_duplicates()
         csr.eliminate_zeros()
         self.csr = csr
         self.n = csr.shape[0]
-        self.symmetric = symmetric
-        if symmetric and self.n:
+        if self.n:
             scale = max(abs(csr.max()), abs(csr.min()), 1e-300)
             asym = abs(csr - csr.T)
             worst = asym.max() if asym.nnz else 0.0
             if worst > 1e-12 * scale:
                 raise NumericalError(
-                    "matrix flagged symmetric has asymmetry %.3e (scale %.3e)" % (worst, scale)
+                    "symmetric matrix has asymmetry %.3e (scale %.3e)" % (worst, scale)
                 )
 
     @classmethod
-    def from_triplets(cls, n, rows, cols, values, symmetric=True):
-        coo = scipy.sparse.coo_matrix((values, (rows, cols)), shape=(n, n))
-        return cls(coo, symmetric=symmetric)
+    def from_triplets(cls, n, rows, cols, values):
+        return cls(scipy.sparse.coo_matrix((values, (rows, cols)), shape=(n, n)))
 
     @property
     def shape(self):

@@ -229,6 +229,21 @@ class TestMain:
         err = capsys.readouterr().err
         assert "configuration error:" in err and message in err
 
+    @pytest.mark.parametrize("value", [2.5, True, -1, "2"])
+    def test_refinements_must_be_a_nonnegative_integer(self, capsys, tmp_path, value):
+        # a space without explicit knots used to pass refinements through int():
+        # 2.5 built the r=2 space and true the r=1 space
+        config = domain_to_config(grid_domain(2, degree=2, refinements=1))
+        space = config["patches"][1]["space"]
+        del space["knots_u"], space["knots_v"]
+        space["refinements"] = value
+        path = tmp_path / "dom.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert ("configuration error: patches[1]: refinements must be a non-negative "
+                "integer, got %r" % (value,)) in err
+
     def test_overflowing_jump_exponent(self, capsys):
         # 10^400 does not fit a float; the case ends as a configuration error
         code = main(["--builtin", "tdomain", "--degree", "1", "--jump-exponents", "0 400"])

@@ -33,7 +33,7 @@ def build_stack(domain, delta=12.0, source=1.0):
                for k in range(domain.num_patches)]
     groups = select_primal(domain, locals_)
     partition = build_partition(domain, locals_, groups)
-    jumps = build_jump_matrices(domain, locals_, partition, groups)
+    jumps = build_jump_matrices(domain, locals_, partition)
     return locals_, groups, partition, jumps
 
 
@@ -131,7 +131,7 @@ class TestJumpMatrices:
         dom = two_patch_domain(p=1, r=0, dirichlet=False)
         locals_ = [build_local_system(dom, k, 12.0) for k in range(2)]
         partition = build_partition(dom, locals_, [])
-        jumps = build_jump_matrices(dom, locals_, partition, [])
+        jumps = build_jump_matrices(dom, locals_, partition)
         assert jumps.n_rows == 4
         B = np.hstack([jumps.B_full[k].toarray() for k in range(2)])
         for row in B:
@@ -186,8 +186,8 @@ class TestJumpMatrices:
         lambda: slider_domain(3, 0.3, degree=2, refinements=2),
     ])
     def test_column_slices_match_direct_build(self, factory):
-        # B_tilde and B_gamma equal the matrices built straight from the
-        # constraint pairs over the (I, Delta) and (Delta, Pi) columns
+        # B_gamma equals the matrix built straight from the constraint pairs
+        # over the (Delta, Pi) columns
         dom = factory()
         locals_, groups, partition, jumps = build_stack(dom)
         entries = [[] for _ in range(dom.num_patches)]
@@ -195,16 +195,14 @@ class TestJumpMatrices:
             entries[k].append((row, dof_k, 1.0))
             entries[l].append((row, dof_l, -1.0))
         for k in range(dom.num_patches):
-            for index, sliced in ((partition.tilde_index(k), jumps.B_tilde[k]),
-                                  (partition.gamma_index(k), jumps.B_gamma[k])):
-                pos = -np.ones(locals_[k].n_total, dtype=int)
-                pos[index] = np.arange(index.size)
-                rr, cc, vv = zip(*[(r, pos[d], s) for r, d, s in entries[k]])
-                direct = scipy.sparse.csr_matrix((vv, (rr, cc)),
-                                                 shape=(jumps.n_rows, index.size))
-                assert sliced.shape == direct.shape
-                assert sliced.nnz == direct.nnz
-                assert (sliced != direct).nnz == 0
+            index, sliced = partition.gamma_index(k), jumps.B_gamma[k]
+            pos = -np.ones(locals_[k].n_total, dtype=int)
+            pos[index] = np.arange(index.size)
+            rr, cc, vv = zip(*[(r, pos[d], s) for r, d, s in entries[k]])
+            direct = scipy.sparse.csr_matrix((vv, (rr, cc)), shape=(jumps.n_rows, index.size))
+            assert sliced.shape == direct.shape
+            assert sliced.nnz == direct.nnz
+            assert (sliced != direct).nnz == 0
 
 
 class TestOperator:
@@ -267,7 +265,8 @@ class TestOperator:
         K = dom.num_patches
         At = scipy.linalg.block_diag(*[blk.A[blk.tilde][:, blk.tilde].toarray()
                                        for blk in op.blocks])
-        Bt = np.hstack([op.jumps.B_tilde[k].toarray() for k in range(K)])
+        Bt = np.hstack([op.jumps.B_full[k][:, blk.tilde].toarray()
+                        for k, blk in enumerate(op.blocks)])
         blocks = [At]
         rhs_cols = [Bt]
         if op.n_primal:
@@ -279,7 +278,7 @@ class TestOperator:
         wide = np.hstack(rhs_cols)
         F_ref = wide @ np.linalg.solve(big, wide.T)
         np.testing.assert_allclose(dense_F(op), F_ref, atol=1e-10 * np.abs(F_ref).max())
-        ft = np.hstack([op.blocks[k].f_tilde for k in range(K)])
+        ft = np.hstack([blk.f[blk.tilde] for blk in op.blocks])
         parts = [ft]
         if op.n_primal:
             pf = np.zeros(op.n_primal)
@@ -295,7 +294,8 @@ class TestOperator:
         K = dom.num_patches
         At = scipy.linalg.block_diag(*[blk.A[blk.tilde][:, blk.tilde].toarray()
                                        for blk in op.blocks])
-        Bt = np.hstack([op.jumps.B_tilde[k].toarray() for k in range(K)])
+        Bt = np.hstack([op.jumps.B_full[k][:, blk.tilde].toarray()
+                        for k, blk in enumerate(op.blocks)])
         R = [np.eye(op.n_primal)[op.primal_global[k]] for k in range(K)]
         BPsi = sum(op.jumps.B_full[k].toarray() @ op.blocks[k].psi @ R[k] for k in range(K))
         big = scipy.linalg.block_diag(At, op.coarse_matrix)
@@ -361,6 +361,31 @@ class TestSolve:
         u = op.recover_solution(res.x)
         for vec in u:
             np.testing.assert_allclose(vec, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("factory", [
+        lambda: t_domain(degree=2, refinements=2, jump_exponent=4),
+        lambda: slider_domain(3, 0.3, degree=2, refinements=2),
+    ])
+    def test_recovery_solves_primal_constrained_system(self, rng, factory):
+        # u = A~^{-1} (f - B^T lam) for any lam: the block residuals
+        # A_k u_k - f_k + B_k^T lam vanish on the (I, Delta) rows, their
+        # Psi-weighted sum vanishes on the global primal space, and u is
+        # continuous at the primal dofs
+        op = setup_operator(factory())
+        lam = rng.standard_normal(op.n_rows)
+        u = op.recover_solution(lam)
+        w = np.zeros(op.n_primal)
+        w_scale = np.zeros(op.n_primal)
+        for k, blk in enumerate(op.blocks):
+            terms = (blk.A @ u[k], -blk.f, op.jumps.B_full[k].T @ lam)
+            resid = sum(terms)
+            scale = sum(np.abs(t) for t in terms)
+            assert np.abs(resid[blk.tilde]).max() <= 1e-12 * scale.max()
+            np.add.at(w, op.primal_global[k], blk.psi.T @ resid)
+            np.add.at(w_scale, op.primal_global[k], np.abs(blk.psi).T @ scale)
+        assert op.n_primal and np.abs(w).max() <= 1e-12 * w_scale.max()
+        for projected, uk in zip(op.project_wtilde(u), u):
+            np.testing.assert_allclose(projected, uk, rtol=1e-14, atol=0)
 
     def test_constraint_residual_after_solve(self):
         dom = slider_domain(3, 0.3, degree=2, refinements=2)
