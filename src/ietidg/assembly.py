@@ -94,14 +94,6 @@ class ExtendedLocalSystem:
     n_patch: int
     n_total: int
     artificial: list          # ArtificialInterfaceBasis, ordered by iface index
-    traces: dict              # iface index -> TraceBasis of this patch's own side
-    iface_neighbors: dict     # iface index -> neighbor patch
-
-    def artificial_for(self, iface_index):
-        for ab in self.artificial:
-            if ab.iface_index == iface_index:
-                return ab
-        raise KeyError(iface_index)
 
 
 class _Triplets:
@@ -361,14 +353,12 @@ def interface_side_terms(domain, ori, delta):
 def extended_layout(domain, k):
     """Dof layout of patch `k`'s extended space.
 
-    Returns ``(n_patch, artificial, traces, neighbors)`` with artificial
-    blocks ordered by interface index.
+    Returns ``(n_patch, artificial)`` with artificial blocks ordered by
+    interface index.  Patch `k`'s own trace on an interface is the
+    neighbor's artificial block there, built by the neighbor's layout.
     """
-    space = domain.patches[k].space
-    n_patch = space.dimension
+    n_patch = domain.patches[k].space.dimension
     artificial = []
-    traces = {}
-    neighbors = {}
     offset = n_patch
     for idx, ori in sorted(domain.interfaces_of(k), key=lambda kv: kv[0]):
         nb_trace = trace_basis_on_edge(domain.patches[ori.l].space, ori.side_l, ori.range_l)
@@ -376,9 +366,7 @@ def extended_layout(domain, k):
             ArtificialInterfaceBasis(k, ori.l, idx, nb_trace.entries, offset)
         )
         offset += len(nb_trace.entries)
-        traces[idx] = trace_basis_on_edge(space, ori.side_k, ori.range_k)
-        neighbors[idx] = ori.l
-    return n_patch, artificial, traces, neighbors
+    return n_patch, artificial
 
 
 def paste_terms(tri, terms, keys, own_index, edge_index):
@@ -427,7 +415,7 @@ def build_local_system(domain, k, delta, source=None, vector_source=None):
     patch = domain.patches[k]
     space = patch.space
     layout = extended_layout(domain, k)
-    n_patch, artificial, traces, neighbors = layout
+    n_patch, artificial = layout
     n_total = n_patch + sum(ab.size for ab in artificial)
 
     tri = _Triplets()
@@ -443,4 +431,4 @@ def build_local_system(domain, k, delta, source=None, vector_source=None):
         tri.add(*r_tri.arrays())
 
     A = linalg.SparseSym.from_triplets(n_total, *tri.arrays())
-    return ExtendedLocalSystem(k, A, f, n_patch, n_total, artificial, traces, neighbors)
+    return ExtendedLocalSystem(k, A, f, n_patch, n_total, artificial)

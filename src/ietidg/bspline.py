@@ -39,7 +39,7 @@ class KnotVector:
 
     def __init__(self, degree, knots):
         p = int(degree)
-        if p != degree or p < 1:
+        if isinstance(degree, bool) or p != degree or p < 1:
             raise ConfigError("spline degree must be a positive integer, got %r" % degree)
         kv = np.ascontiguousarray(knots, dtype=float)
         if kv.ndim != 1 or kv.size < 2 * (p + 1):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bspline import SIDES, KnotVector, TensorSplineSpace, eval_matrices, eval_matrix
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 
 log = logging.getLogger(__name__)
 
@@ -413,11 +413,3 @@ def classify_vertices(domain):
     vertices.sort(key=lambda v: (round(v.point[0], 9), round(v.point[1], 9)))
     return vertices
 
-
-def jacobian(geometry_map, u, v):
-    """2x2 Jacobian at a parameter point; raises on singularity."""
-    J = geometry_map.jacobian(u, v)
-    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-    if abs(det) <= 1e-12 * max(np.abs(J).max() ** 2, 1e-300):
-        raise NumericalError("singular Jacobian at parameter (%g, %g)" % (u, v))
-    return J

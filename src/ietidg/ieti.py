@@ -6,7 +6,9 @@ functions that do not vanish there are primal, together with every
 artificial copy of them; at a regular corner this reduces to the classic
 single corner function per patch, at a T-junction the long side
 contributes up to p + 1 functions.  Dual dofs are coupled in matched
-pairs (+1/-1 rows of the jump matrix B); the primal coefficients are
+pairs (+1/-1 rows of the jump matrix B).  The split, the copies of each
+primal dof, B and its scaling D are all read off one copy map: which
+artificial dof copies which patch dof.  The primal coefficients are
 eliminated through the energy-minimizing basis Psi and a global coarse
 problem.  One solve with the primal-constrained matrix A~ serves F, d and
 the recovery: ``F = B A~^{-1} B^T``, ``d = B A~^{-1} f`` and
@@ -33,34 +35,25 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class PrimalGroup:
-    """One primal coefficient: a source basis function and all its copies.
+    """One primal coefficient: a source basis function ``(patch, dof)`` and all its copies.
 
-    ``source`` is ``(patch, dof)``; ``members`` lists ``(block, local
-    extended dof)`` pairs including the source itself.  All members share
+    The copies are the copy-map rows whose source it is; all of them share
     one global coefficient, indexed by `index`.
     """
 
     vertex: int
     source: tuple
-    members: tuple
     index: int = -1
 
 
-def select_primal(domain, local_systems):
+def select_primal(domain):
     """Fat-vertex primal dof selection.
 
     For every vertex and every adjacent patch, all basis functions with a
     positive value at the vertex become primal sources (Dirichlet-constrained
-    candidates are dropped with a log note); each source is grouped with all
-    of its artificial copies.  A source claimed by several vertices joins
-    one group only.
+    candidates are dropped with a log note).  A source claimed by several
+    vertices joins one group only.
     """
-    copies = {}
-    for sysk in local_systems:
-        for ab in sysk.artificial:
-            for pos, (_, sdof) in enumerate(ab.sources):
-                copies.setdefault((ab.neighbor, sdof), []).append((sysk.k, ab.offset + pos))
-
     groups = []
     claimed = set()
     for v_idx, vertex in enumerate(domain.vertices):
@@ -79,8 +72,7 @@ def select_primal(domain, local_systems):
                     if key in claimed:
                         continue
                     claimed.add(key)
-                    members = ((patch, dof),) + tuple(copies.get(key, ()))
-                    groups.append(PrimalGroup(v_idx, key, members))
+                    groups.append(PrimalGroup(v_idx, key))
     groups.sort(key=lambda g: g.source)
     for gi, g in enumerate(groups):
         g.index = gi
@@ -104,13 +96,36 @@ def degenerate_tjunction_count(domain):
     return count
 
 
+def copy_map(domain, local_systems):
+    """Which artificial dof copies which patch dof, as an ``(n, 5)`` int array.
+
+    One row ``(interface, source patch, source dof, block, copy dof)`` per
+    artificial dof.  Rows run by interface, then the ``k -> l`` side (copies
+    of patch ``k`` in block ``l``) before ``l -> k``, then by position in the
+    artificial block: the multiplier order.
+    """
+    rows = sorted(
+        (ab.iface_index, ab.owner == domain.interfaces[ab.iface_index].k, pos,
+         ab.neighbor, sdof, ab.owner, ab.offset + pos)
+        for sysk in local_systems for ab in sysk.artificial
+        for pos, (_, sdof) in enumerate(ab.sources)
+    )
+    return np.array([r[:1] + r[3:] for r in rows], dtype=int).reshape(-1, 5)
+
+
 @dataclass
 class DofPartition:
-    """Per-block interior/dual/primal index sets over the extended dofs."""
+    """Per-block interior/dual/primal index sets over the extended dofs.
+
+    `primal_global` holds the coarse index of every dof in `primal`, and
+    `copies` the `copy_map` the sets are read from.
+    """
 
     interior: list
     dual: list
     primal: list
+    primal_global: list
+    copies: np.ndarray
 
     def tilde_index(self, k):
         return np.concatenate([self.interior[k], self.dual[k]]).astype(int)
@@ -119,28 +134,39 @@ class DofPartition:
         return np.concatenate([self.dual[k], self.primal[k]]).astype(int)
 
 
+def _extended_offsets(local_systems):
+    """Start of every block in the concatenation of all extended dofs, plus the total."""
+    return np.cumsum([0] + [s.n_total for s in local_systems])
+
+
 def build_partition(domain, local_systems, groups):
-    """Split every block's dofs into (I, Delta, Pi)."""
-    K = len(local_systems)
-    primal_sets = [set() for _ in range(K)]
+    """Split every block's dofs into (I, Delta, Pi) off the copy map.
+
+    The skeleton (Delta and Pi) of block k is its artificial dofs plus the
+    patch dofs that some block copies; a dof is primal when it is a group
+    source or a copy of one.
+    """
+    copies = copy_map(domain, local_systems)
+    _, src, sdof, blk, cdof = copies.T
+    ext = _extended_offsets(local_systems)
+    coarse = np.full(ext[-1], -1)  # coarse index of every extended dof, -1 off Pi
     for g in groups:
-        for blk, loc in g.members:
-            primal_sets[blk].add(loc)
-    interior, dual, primal = [], [], []
-    for sysk in local_systems:
-        trace_active = set()
-        for tb in sysk.traces.values():
-            trace_active.update(d for _, d in tb.entries)
-        for ab in sysk.artificial:
-            trace_active.update(range(ab.offset, ab.offset + ab.size))
-        pset = primal_sets[sysk.k]
-        if not pset <= trace_active:
-            raise NumericalError("block %d: primal dof outside the trace-active set" % sysk.k)
-        primal.append(np.array(sorted(pset), dtype=int))
-        dual.append(np.array(sorted(trace_active - pset), dtype=int))
-        rest = set(range(sysk.n_total)) - trace_active
-        interior.append(np.array(sorted(rest), dtype=int))
-    return DofPartition(interior, dual, primal)
+        coarse[ext[g.source[0]] + g.source[1]] = g.index
+    coarse[ext[blk] + cdof] = coarse[ext[src] + sdof]
+    skeleton = np.zeros(ext[-1], dtype=bool)
+    skeleton[ext[src] + sdof] = True
+    skeleton[ext[blk] + cdof] = True
+    outside = np.flatnonzero((coarse >= 0) & ~skeleton)
+    if outside.size:
+        k = int(np.searchsorted(ext, outside[0], side="right")) - 1
+        raise NumericalError("block %d: primal dof outside the trace-active set" % k)
+    interior, dual, primal, primal_global = [], [], [], []
+    for c, sk in zip(np.split(coarse, ext[1:-1]), np.split(skeleton, ext[1:-1])):
+        primal.append(np.flatnonzero(c >= 0))
+        dual.append(np.flatnonzero(sk & (c < 0)))
+        interior.append(np.flatnonzero(~sk))
+        primal_global.append(c[primal[-1]])
+    return DofPartition(interior, dual, primal, primal_global, copies)
 
 
 @dataclass
@@ -163,75 +189,41 @@ class JumpMatrices:
 
 
 def build_jump_matrices(domain, local_systems, partition):
-    """One row per matched non-primal (trace dof, artificial copy) pair."""
-    K = len(local_systems)
-    primal_sets = [set(partition.primal[k]) for k in range(K)]
-    rows = [[] for _ in range(K)]
-    used = [set() for _ in range(K)]
-    pairs = []
-    n_rows = 0
-    for idx, g in enumerate(domain.interfaces):
-        for src, dst in ((g.k, g.l), (g.l, g.k)):
-            tb = local_systems[src].traces[idx]
-            ab = local_systems[dst].artificial_for(idx)
-            if ab.neighbor != src or len(ab.sources) != len(tb.entries):
-                raise NumericalError("interface %d: trace/copy bases out of sync" % idx)
-            for pos, (edge, sdof) in enumerate(tb.entries):
-                if ab.sources[pos][0] != edge or ab.sources[pos][1] != sdof:
-                    raise NumericalError("interface %d: copy-map misaligned" % idx)
-                copy = ab.offset + pos
-                s_primal = sdof in primal_sets[src]
-                c_primal = copy in primal_sets[dst]
-                if s_primal != c_primal:
-                    raise NumericalError(
-                        "interface %d: pair (%d:%d, %d:%d) is only half primal"
-                        % (idx, src, sdof, dst, copy)
-                    )
-                if s_primal:
-                    continue
-                if sdof in used[src] or copy in used[dst]:
-                    raise NumericalError(
-                        "dof matched by two constraints; primal selection missed a vertex"
-                    )
-                used[src].add(sdof)
-                used[dst].add(copy)
-                rows[src].append((n_rows, sdof, 1.0))
-                rows[dst].append((n_rows, copy, -1.0))
-                pairs.append((n_rows, src, sdof, dst, copy, idx))
-                n_rows += 1
+    """One row per non-primal copy-map row: +1 at the source, -1 at the copy.
 
+    The scaling neighbor ``l`` of a copy is its source patch; that of a
+    patch dof is the smallest block that copies it.
+    """
+    ext = _extended_offsets(local_systems)
+    _, src, sdof, blk, cdof = partition.copies.T
+    source, copy = ext[src] + sdof, ext[blk] + cdof
+    is_dual = np.zeros(ext[-1], dtype=bool)
+    for k, dual in enumerate(partition.dual):
+        is_dual[ext[k] + dual] = True
+    jump = is_dual[copy]  # a copy is dual exactly when its source is
+    n_rows = int(jump.sum())
+    if np.unique(source[jump]).size < n_rows:
+        raise NumericalError("dof matched by two constraints; primal selection missed a vertex")
+    B = scipy.sparse.csr_matrix(
+        (np.tile([1.0, -1.0], n_rows),
+         (np.repeat(np.arange(n_rows), 2), np.column_stack([source[jump], copy[jump]]).ravel())),
+        shape=(n_rows, ext[-1]),
+    )
+    pairs = [(r,) + tuple(row)
+             for r, row in enumerate(partition.copies[jump][:, [1, 2, 3, 4, 0]].tolist())]
+
+    neighbor = np.full(ext[-1], len(local_systems))
+    np.minimum.at(neighbor, source, blk)
+    neighbor[copy] = src
+    alpha = np.array([patch.alpha for patch in domain.patches])
     B_full, B_gamma, D = [], [], []
-    for k, sysk in enumerate(local_systems):
-        n_e = sysk.n_total
+    for k in range(len(local_systems)):
         gamma = partition.gamma_index(k)
-        is_dual = np.zeros(n_e, dtype=bool)
-        is_dual[partition.dual[k]] = True
-        for r, d, _ in rows[k]:
-            if not is_dual[d]:
-                raise NumericalError("constraint row %d touches a non-dual dof" % r)
-        rr, cc, vv = zip(*rows[k]) if rows[k] else ((), (), ())
-        full = scipy.sparse.csr_matrix((vv, (rr, cc)), shape=(n_rows, n_e))
+        full = B[:, ext[k]:ext[k + 1]]
         B_full.append(full)
         B_gamma.append(full[:, gamma])
-
-        assoc = {}
-        for idx, tb in sysk.traces.items():
-            nb = sysk.iface_neighbors[idx]
-            for _, dof in tb.entries:
-                assoc.setdefault(dof, set()).add(nb)
-        for ab in sysk.artificial:
-            for pos in range(ab.size):
-                assoc[ab.offset + pos] = {ab.neighbor}
-        alpha_k = domain.patches[k].alpha
-        d_vals = np.empty(gamma.size)
-        for g_pos, dof in enumerate(gamma):
-            nbs = assoc.get(int(dof))
-            if not nbs:
-                raise NumericalError("block %d: skeleton dof %d has no interface" % (k, dof))
-            l = min(nbs)
-            alpha_l = domain.patches[l].alpha
-            d_vals[g_pos] = (alpha_k + alpha_l) / alpha_l
-        D.append(d_vals)
+        alpha_l = alpha[neighbor[ext[k] + gamma]]
+        D.append((alpha[k] + alpha_l) / alpha_l)
     return JumpMatrices(n_rows, B_full, B_gamma, D, pairs)
 
 
@@ -348,15 +340,7 @@ class IetiOperator:
         self.n_primal = len(groups)
         K = len(local_systems)
 
-        # global index of every local primal dof, per block
-        member_index = {}
-        for g in groups:
-            for blk, loc in g.members:
-                member_index[(blk, loc)] = g.index
-        self.primal_global = [
-            np.array([member_index[(k, int(d))] for d in partition.primal[k]], dtype=int)
-            for k in range(K)
-        ]
+        self.primal_global = partition.primal_global
 
         # 1D matrices of the fast-diagonalization check, once per distinct knot vector
         kvs = {kv.knots.tobytes(): kv for patch in domain.patches
@@ -462,11 +446,13 @@ class IetiOperator:
 
     def project_wtilde(self, u_blocks):
         """Project block vectors onto the primal-constrained subspace by group averaging."""
+        total, count = np.zeros(self.n_primal), np.zeros(self.n_primal)
+        for u, P, gk in zip(u_blocks, self.partition.primal, self.primal_global):
+            np.add.at(total, gk, u[P])
+            np.add.at(count, gk, 1.0)
         out = [u.copy() for u in u_blocks]
-        for g in self.groups:
-            avg = np.mean([out[blk][loc] for blk, loc in g.members])
-            for blk, loc in g.members:
-                out[blk][loc] = avg
+        for u, P, gk in zip(out, self.partition.primal, self.primal_global):
+            u[P] = total[gk] / count[gk]
         return out
 
     def check_lemma_bbt(self, u_blocks):
@@ -585,7 +571,7 @@ def setup_operator(domain, delta=12.0, source=1.0, vector_source=None, workers=1
         range(domain.num_patches),
         workers,
     )
-    groups = select_primal(domain, local_systems)
+    groups = select_primal(domain)
     partition = build_partition(domain, local_systems, groups)
     jumps = build_jump_matrices(domain, local_systems, partition)
     return IetiOperator(domain, local_systems, groups, partition, jumps, workers=workers)

@@ -157,19 +157,6 @@ def fast_diagonalization(K_u, M_u, K_v, M_v, c_u, c_v, name=""):
     return Factorization(D.size, solve, inertia, name).assert_spd()
 
 
-def symmetric_eigenvalues(M):
-    """Sorted eigenvalues of a symmetric dense matrix (LAPACK reduction + QR)."""
-    M = np.asarray(M, dtype=float)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("matrix must be square")
-    if M.shape[0] > 3000:
-        raise ValueError("dense eigensolver limited to dimension 3000")
-    try:
-        return np.sort(scipy.linalg.eigvalsh(M))
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError("dense eigensolver failed to converge: %s" % exc) from exc
-
-
 @dataclass
 class PcgResult:
     """Outcome of a preconditioned conjugate gradient run."""

@@ -208,7 +208,7 @@ class TestInterfaceTerms:
         # equal trace and artificial coefficients: zero jump, zero r-energy
         dom = two_patch_domain(p=2, r=1, dirichlet=False)
         layout = extended_layout(dom, 0)
-        n_patch, artificial, traces, _ = layout
+        n_patch, artificial = layout
         n_total = n_patch + sum(ab.size for ab in artificial)
         m_tri, r_tri = assemble_interface_terms(dom, 0, 0, 12.0, layout)
         R = coo_to_dense(r_tri, n_total)

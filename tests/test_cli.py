@@ -207,6 +207,8 @@ class TestMain:
     LENIENT = {
         "degree": ("patches", 0, "space", "degree", 2.5,
                    "patches[0]: spline degree must be a positive integer, got 2.5"),
+        "degree_bool": ("patches", 0, "space", "degree", True,
+                        "patches[0]: spline degree must be a positive integer, got True"),
         "alpha_string": ("patches", 1, None, "alpha", "1",
                          "patches[1]: alpha must be a number, got '1'"),
         "alpha_bool": ("patches", 1, None, "alpha", True,
@@ -217,8 +219,9 @@ class TestMain:
 
     @pytest.mark.parametrize("defect", sorted(LENIENT))
     def test_lenient_entries_rejected(self, capsys, tmp_path, defect):
-        # each of these used to be accepted: degree 2.5 ran as p=2, alpha went
-        # through float(), and "yes" as reversed failed as an interface mismatch
+        # each of these used to be accepted: degree 2.5 ran as p=2 and true as
+        # p=1, alpha went through float(), and "yes" as reversed failed as an
+        # interface mismatch
         group, index, sub, key, value, message = self.LENIENT[defect]
         config = domain_to_config(grid_domain(2, degree=2, refinements=1))
         entry = config[group][index]

@@ -11,14 +11,13 @@ from ietidg.domains import (
     slider_domain,
     t_domain,
 )
-from ietidg.errors import ConfigError, NumericalError
+from ietidg.errors import ConfigError
 from ietidg.geometry import (
     GeometryMap,
     Interface,
     MultiPatchDomain,
     Patch,
     classify_vertices,
-    jacobian,
     side_point,
     validate_interface,
 )
@@ -68,11 +67,6 @@ class TestGeometryMap:
         geo = GeometryMap.bilinear((0, 0), (1, 0), (0, 0), (1, 0))  # collapsed
         with pytest.raises(ConfigError):
             geo.check_bijective()
-
-    def test_singular_jacobian_error(self):
-        geo = GeometryMap.bilinear((0, 0), (1, 0), (0, 0), (1, 0))
-        with pytest.raises(NumericalError):
-            jacobian(geo, 0.5, 0.0)
 
     def test_negative_det_allowed(self):
         # orientation-reversing but bijective map passes validation

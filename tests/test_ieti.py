@@ -11,9 +11,11 @@ from ietidg.domains import (domain_from_config, domain_to_config, grid_domain, s
 from ietidg.errors import NumericalError
 from ietidg.geometry import GeometryMap, Interface, MultiPatchDomain, Patch
 from ietidg.ieti import (
+    PrimalGroup,
     build_jump_matrices,
     build_partition,
     build_psi,
+    copy_map,
     degenerate_tjunction_count,
     kronecker_interior,
     lambda_factor,
@@ -31,10 +33,18 @@ from conftest import two_patch_domain, unit_square_patch
 def build_stack(domain, delta=12.0, source=1.0):
     locals_ = [build_local_system(domain, k, delta, source=source)
                for k in range(domain.num_patches)]
-    groups = select_primal(domain, locals_)
+    groups = select_primal(domain)
     partition = build_partition(domain, locals_, groups)
     jumps = build_jump_matrices(domain, locals_, partition)
     return locals_, groups, partition, jumps
+
+
+def members(domain, groups):
+    """(block, extended dof) pairs that share each group's coarse coefficient."""
+    locals_ = [build_local_system(domain, k, 12.0) for k in range(domain.num_patches)]
+    partition = build_partition(domain, locals_, groups)
+    return [[(k, int(d)) for k, (P, gk) in enumerate(zip(partition.primal, partition.primal_global))
+             for d in P[gk == g.index]] for g in groups]
 
 
 def dense_F(op):
@@ -50,21 +60,19 @@ def dense_MsD(op):
 class TestSelectPrimal:
     def test_regular_four_patch_corner(self):
         dom = grid_domain(2, degree=2, refinements=1)
-        locals_ = [build_local_system(dom, k, 12.0) for k in range(4)]
-        groups = select_primal(dom, locals_)
+        groups = select_primal(dom)
         # one group per patch at the single interior vertex, each of size >= 2
         assert len(groups) == 4
         assert {g.source[0] for g in groups} == {0, 1, 2, 3}
-        for g in groups:
-            assert len(g.members) >= 2
+        for group_members in members(dom, groups):
+            assert len(group_members) >= 2
 
     def test_tjunction_fat_vertex(self):
         # long side contributes the functions positive at the junction
         # parameter, computed by evaluation; the two short sides contribute
         # their corner functions
         dom = t_domain(degree=2, refinements=2)
-        locals_ = [build_local_system(dom, k, 12.0) for k in range(5)]
-        groups = select_primal(dom, locals_)
+        groups = select_primal(dom)
         tj_vertex = next(i for i, v in enumerate(dom.vertices) if v.kind == "tjunction")
         tj_groups = [g for g in groups if g.vertex == tj_vertex]
         long_side = [g for g in tj_groups if g.source[0] == 0]
@@ -75,20 +83,20 @@ class TestSelectPrimal:
         short = [g for g in tj_groups if g.source[0] in (1, 2)]
         assert len(short) == 2
         # long-side groups have copies on both sub-interfaces
+        group_members = members(dom, groups)
         for g in long_side:
-            assert len(g.members) == 3
+            assert len(group_members[g.index]) == 3
 
     def test_single_patch_empty(self):
         patch = unit_square_patch(0, 1, 0, 1, 2, 1, {"west", "east", "south", "north"})
         dom = MultiPatchDomain([patch], []).validate()
-        assert select_primal(dom, [build_local_system(dom, 0, 12.0)]) == []
+        assert select_primal(dom) == []
 
     def test_dirichlet_candidates_dropped(self, caplog):
         # at refinement 1 the long-side function at the west edge is
         # constrained and must not become primal
         dom = t_domain(degree=2, refinements=1)
-        locals_ = [build_local_system(dom, k, 12.0) for k in range(5)]
-        groups = select_primal(dom, locals_)
+        groups = select_primal(dom)
         assert all(g.source[1] >= 0 for g in groups)
         tj_vertex = next(i for i, v in enumerate(dom.vertices) if v.kind == "tjunction")
         long_side = [g for g in groups if g.vertex == tj_vertex and g.source[0] == 0]
@@ -98,19 +106,18 @@ class TestSelectPrimal:
         for factory in (lambda: t_domain(degree=3, refinements=1),
                         lambda: slider_domain(3, 0.3, degree=2, refinements=1)):
             dom = factory()
-            locals_ = [build_local_system(dom, k, 12.0) for k in range(dom.num_patches)]
-            groups = select_primal(dom, locals_)
+            groups = select_primal(dom)
             seen = set()
-            for g in groups:
-                for member in g.members:
+            for g, group_members in zip(groups, members(dom, groups)):
+                assert g.source in group_members
+                for member in group_members:
                     assert member not in seen
                     seen.add(member)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_primal_members_positive_at_vertex(self, p):
         dom = t_domain(degree=p, refinements=2)
-        locals_ = [build_local_system(dom, k, 12.0) for k in range(dom.num_patches)]
-        groups = select_primal(dom, locals_)
+        groups = select_primal(dom)
         for g in groups:
             vertex = dom.vertices[g.vertex]
             patch, dof = g.source
@@ -122,6 +129,36 @@ class TestSelectPrimal:
             val_u = tu[0][i - fu] if fu <= i <= fu + space.degree else 0.0
             val_v = tv[0][j - fv] if fv <= j <= fv + space.degree else 0.0
             assert val_u * val_v > 0.0
+
+
+class TestCopyMap:
+    @pytest.mark.parametrize("factory", [
+        lambda: t_domain(degree=2, refinements=1),
+        lambda: slider_domain(3, 0.3, degree=3, refinements=1),
+    ])
+    def test_one_row_per_artificial_dof(self, factory):
+        # every artificial dof appears once, paired with the neighbor dof
+        # its artificial block records, in the neighbor's trace on that side
+        dom = factory()
+        locals_ = [build_local_system(dom, k, 12.0) for k in range(dom.num_patches)]
+        copies = copy_map(dom, locals_)
+        for k, sysk in enumerate(locals_):
+            mine = copies[copies[:, 3] == k]
+            np.testing.assert_array_equal(np.sort(mine[:, 4]),
+                                          np.arange(sysk.n_patch, sysk.n_total))
+            for iface, src, sdof, _, copy in mine:
+                ab = next(ab for ab in sysk.artificial if ab.iface_index == iface)
+                assert (ab.neighbor, ab.sources[copy - ab.offset][1]) == (src, sdof)
+                assert sdof < locals_[src].n_patch
+
+    def test_primal_source_off_the_skeleton_rejected(self):
+        # an interior function cannot be a fat-vertex dof
+        dom = two_patch_domain(p=2, r=2)
+        locals_ = [build_local_system(dom, k, 12.0) for k in range(2)]
+        interior = build_partition(dom, locals_, []).interior[0]
+        group = PrimalGroup(0, (0, int(interior[0])), 0)
+        with pytest.raises(NumericalError, match="block 0: primal dof outside the trace-active set"):
+            build_partition(dom, locals_, [group])
 
 
 class TestJumpMatrices:
@@ -146,6 +183,36 @@ class TestJumpMatrices:
         locals_, groups, partition, jumps = build_stack(dom)
         assert len(groups) == 4
         assert jumps.n_rows == 0
+
+    def test_thin_vertex_rejected(self):
+        # without primal dofs, the corner functions at the cross point are
+        # copied across two interfaces each and would sit in two rows
+        dom = grid_domain(2, degree=2, refinements=1)
+        locals_ = [build_local_system(dom, k, 12.0) for k in range(dom.num_patches)]
+        partition = build_partition(dom, locals_, [])
+        with pytest.raises(NumericalError, match="dof matched by two constraints"):
+            build_jump_matrices(dom, locals_, partition)
+
+    @pytest.mark.parametrize("factory", [
+        lambda: t_domain(degree=2, refinements=2),
+        lambda: slider_domain(3, 0.3, degree=2, refinements=2),
+    ])
+    def test_multiplier_order(self, factory):
+        # each row pairs a source with its copy as the artificial blocks
+        # record it; rows run by interface, the k -> l side first, then by
+        # position in the artificial block
+        dom = factory()
+        locals_, groups, partition, jumps = build_stack(dom)
+        keys = []
+        for expected_row, (row, src, sdof, dst, copy, iface) in enumerate(jumps.pairs):
+            assert row == expected_row
+            ab = next(ab for ab in locals_[dst].artificial if ab.iface_index == iface)
+            assert ab.neighbor == src
+            pos = copy - ab.offset
+            assert 0 <= pos < ab.size and ab.sources[pos][1] == sdof
+            keys.append((iface, src != dom.interfaces[iface].k, pos))
+        assert len(keys) == jumps.n_rows > 0
+        assert keys == sorted(keys)
 
     def test_coefficient_scaling_entries(self):
         dom = two_patch_domain(p=1, r=1, alphas=(1.0, 1e4))

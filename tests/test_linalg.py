@@ -11,7 +11,6 @@ from ietidg.linalg import (
     fast_diagonalization,
     lanczos_condition,
     pcg,
-    symmetric_eigenvalues,
     write_triplets,
 )
 
@@ -161,26 +160,6 @@ class TestFastDiagonalization:
             fast_diagonalization(K, M, K, -M, 1.0, 1.0, name="fd block")
 
 
-class TestSymmetricEigenvalues:
-    def test_diagonal(self):
-        np.testing.assert_allclose(symmetric_eigenvalues(np.diag([3.0, 1.0, 2.0])), [1, 2, 3])
-
-    def test_two_by_two(self):
-        np.testing.assert_allclose(symmetric_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]])), [-1, 1])
-
-    def test_toeplitz_closed_form(self):
-        n = 10
-        A = np.diag(2.0 * np.ones(n)) + np.diag(-np.ones(n - 1), 1) + np.diag(-np.ones(n - 1), -1)
-        expected = np.sort(2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
-        np.testing.assert_allclose(symmetric_eigenvalues(A), expected, atol=1e-12)
-
-    def test_residual(self, rng):
-        A = random_spd(rng, 40)
-        ev = symmetric_eigenvalues(A)
-        w, V = np.linalg.eigh(A)
-        np.testing.assert_allclose(ev, np.sort(w), rtol=1e-10)
-
-
 class TestPcg:
     def test_zero_rhs(self):
         res = pcg(lambda x: x, lambda x: x, np.zeros(5))
@@ -211,7 +190,7 @@ class TestPcg:
         b = rng.standard_normal(30)
         res = pcg(lambda x: A @ x, lambda x: M_diag * x, b, tol=1e-14, max_iter=60)
         prec = (np.sqrt(M_diag)[:, None] * A) * np.sqrt(M_diag)[None, :]
-        ev = symmetric_eigenvalues(prec)
+        ev = np.linalg.eigvalsh(prec)
         exact = ev[-1] / ev[0]
         assert res.kappa == pytest.approx(exact, rel=0.05)
 
