@@ -142,7 +142,7 @@ def _inv_transpose(J, where="", points=None):
     return JinvT / det[..., None, None], det
 
 
-def assemble_volume(patch, source=None, vector_source=None, n_gauss=None, label=""):
+def assemble_volume(patch, source=None, vector_source=None, label=""):
     """Stiffness and load of the diffusion term on one patch.
 
     Returns triplets over the *full lattice* index space together with the
@@ -156,7 +156,7 @@ def assemble_volume(patch, source=None, vector_source=None, n_gauss=None, label=
     """
     space, geo, alpha = patch.space, patch.geometry, patch.alpha
     p = space.degree
-    ng = n_gauss or (max(p, geo.kv_u.p, geo.kv_v.p) + 1)
+    ng = max(p, geo.kv_u.p, geo.kv_v.p) + 1
     squ = span_quadrature(space.kv_u, ng, 1)
     sqv = span_quadrature(space.kv_v, ng, 1)
     nsu, nsv = squ.first_active.size, sqv.first_active.size

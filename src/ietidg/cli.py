@@ -9,7 +9,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -163,7 +163,7 @@ def run_growth_study(spec):
     """
     if len(spec.refinements) < 4:
         raise ConfigError("growth study needs at least four refinement levels")
-    results = run_solve(spec)
+    results = run_solve(replace(spec, json_path=None))  # the study writes the JSON
     by_degree = {}
     for entry in results:
         by_degree.setdefault(entry["p"], []).append(entry)

@@ -150,16 +150,30 @@ def slider_domain(m, s, degree=2, refinements=1, alphas=None):
     return MultiPatchDomain(patches, interfaces, name="slider%d_%g" % (m, s)).validate()
 
 
+def _builtin_args(name, args, defaults):
+    """Cast the positional arguments of built-in family `name` to the types of its defaults."""
+    if len(args) > len(defaults):
+        raise ConfigError("builtin %s: surplus argument(s) %s" % (name, list(args[len(defaults):])))
+    out = list(defaults)
+    for i, arg in enumerate(args):
+        try:
+            out[i] = type(defaults[i])(arg)
+        except (TypeError, ValueError):
+            raise ConfigError("builtin %s: argument %r is not %s" % (
+                name, arg, "an integer" if isinstance(defaults[i], int) else "a number")) from None
+    return out
+
+
 def builtin_domain(name, args=(), degree=2, refinements=1, alphas=None, jump_exponent=None):
     """Dispatch a built-in generator by name with its positional arguments."""
     if name == "grid":
-        n = int(args[0]) if args else 2
+        (n,) = _builtin_args(name, args, (2,))
         return grid_domain(n, degree, refinements, alphas)
     if name == "tdomain":
+        _builtin_args(name, args, ())
         return t_domain(degree, refinements, alphas, jump_exponent)
     if name == "slider":
-        m = int(args[0]) if args else 3
-        s = float(args[1]) if len(args) > 1 else 0.3
+        m, s = _builtin_args(name, args, (3, 0.3))
         return slider_domain(m, s, degree, refinements, alphas)
     raise ConfigError("unknown builtin domain %r (expected grid, tdomain or slider)" % name)
 

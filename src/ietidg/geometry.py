@@ -2,8 +2,8 @@
 
 The decomposition is declared explicitly (patches, interfaces with
 parametric sub-ranges on both sides) and then validated geometrically;
-vertices are discovered by clustering interface endpoints and classified
-as regular corners or T-junctions.
+vertices are discovered by clustering the interface endpoints among the
+validation samples and classified as regular corners or T-junctions.
 """
 
 import logging
@@ -17,6 +17,9 @@ from .errors import ConfigError
 log = logging.getLogger(__name__)
 
 _CORNER_TOL = 1e-12
+_JACOBIAN_SAMPLES = 9  # per direction, for the bijectivity check
+_INTERFACE_SAMPLES = 17  # per interface side
+_MATCH_TOL = 1e-9  # interface mismatch allowed, relative to H of patch k
 
 
 def side_point(side, t):
@@ -112,9 +115,9 @@ class GeometryMap:
         _, jac = self.jacobian_grid([u], [v])
         return jac[0, 0]
 
-    def check_bijective(self, n_samples=9):
+    def check_bijective(self):
         """Reject the patch unless det(Jacobian) keeps one sign on a sample grid."""
-        s = np.linspace(1e-3, 1.0 - 1e-3, n_samples)
+        s = np.linspace(1e-3, 1.0 - 1e-3, _JACOBIAN_SAMPLES)
         _, jac = self.jacobian_grid(s, s)
         det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
         scale = np.abs(jac).max() ** 2
@@ -233,7 +236,7 @@ class MultiPatchDomain:
 
     # -- validation ----------------------------------------------------
 
-    def validate(self, n_samples=17, tol=1e-9):
+    def validate(self):
         self._check_overlaps()
         for i, p in enumerate(self.patches):
             try:
@@ -241,11 +244,13 @@ class MultiPatchDomain:
             except ConfigError as exc:
                 raise ConfigError("patch %d: %s" % (i, exc)) from exc
         self._metrics = self._compute_metrics()
+        ends = []
         for idx in range(len(self.interfaces)):
-            report = validate_interface(self, idx, n_samples=n_samples, tol=tol)
+            report, records = validate_interface(self, idx)
             if report is not None:
                 raise ConfigError("interface %d mismatch: %s" % (idx, report))
-        self.vertices = classify_vertices(self)
+            ends.extend(records)
+        self.vertices = classify_vertices(ends, 1e-9 * float(np.max(self._metrics["H"])))
         return self
 
     def _check_overlaps(self):
@@ -272,16 +277,9 @@ class MultiPatchDomain:
         hhat_min = np.empty(self.num_patches)
         s = np.linspace(0.0, 1.0, 33)
         for k, p in enumerate(self.patches):
-            geo = p.geometry
-            edges = [
-                geo.eval_grid([0.0], s)[0],
-                geo.eval_grid([1.0], s)[0],
-                geo.eval_grid(s, [0.0])[:, 0],
-                geo.eval_grid(s, [1.0])[:, 0],
-            ]
-            cloud = np.concatenate(edges, axis=0)
-            diff = cloud[:, None, :] - cloud[None, :, :]
-            H[k] = np.sqrt(np.max(np.sum(diff**2, axis=-1)))
+            grid = p.geometry.eval_grid(s, s)
+            x, y = np.concatenate([grid[0], grid[-1], grid[:, 0], grid[:, -1]]).T
+            H[k] = np.sqrt(np.max((x[:, None] - x) ** 2 + (y[:, None] - y) ** 2))
             hhat[k] = max(p.space.kv_u.h_max, p.space.kv_v.h_max)
             hhat_min[k] = min(p.space.kv_u.h_min, p.space.kv_v.h_min)
         return {"H": H, "hhat": hhat, "hhat_min": hhat_min, "h": hhat * H}
@@ -307,109 +305,76 @@ class MultiPatchDomain:
         ]
 
 
-def validate_interface(domain, index, n_samples=17, tol=1e-9):
-    """Sample the interface on both sides; return None if they coincide.
+def validate_interface(domain, index):
+    """Sample the interface on both sides.
 
-    On failure returns a dict describing the worst sample.
+    Returns ``(report, ends)``.  `report` is None if the sides coincide,
+    else a dict describing the worst sample.  `ends` holds the four end
+    records ``(point, patch, (u, v))`` taken from the same samples: the
+    range start, then its end, each on side k before side l.
     """
     g = domain.interfaces[index]
-    ts = np.linspace(g.range_k[0], g.range_k[1], n_samples)
+    ts = np.linspace(g.range_k[0], g.range_k[1], _INTERFACE_SAMPLES)
     ss = g.map_param(ts)
-    geo_k = domain.patches[g.k].geometry
-    geo_l = domain.patches[g.l].geometry
-    pk = geo_k.eval_grid(*side_point(g.side_k, ts)).reshape(-1, 2)
-    pl = geo_l.eval_grid(*side_point(g.side_l, ss)).reshape(-1, 2)
+    pk = domain.patches[g.k].geometry.eval_grid(*side_point(g.side_k, ts)).reshape(-1, 2)
+    pl = domain.patches[g.l].geometry.eval_grid(*side_point(g.side_l, ss)).reshape(-1, 2)
+    ends = [(x[i], patch, side_point(side, float(t[i])))
+            for i in (0, -1)
+            for x, patch, side, t in ((pk, g.k, g.side_k, ts), (pl, g.l, g.side_l, ss))]
     dist = np.linalg.norm(pk - pl, axis=1)
     worst = int(np.argmax(dist))
     H_k = domain.metrics["H"][g.k]
-    if dist[worst] <= tol * H_k:
-        return None
+    if dist[worst] <= _MATCH_TOL * H_k:
+        return None, ends
     return {
         "max_mismatch": float(dist[worst]),
-        "tolerance": float(tol * H_k),
+        "tolerance": float(_MATCH_TOL * H_k),
         "t": float(ts[worst]),
         "point_k": pk[worst].tolist(),
         "point_l": pl[worst].tolist(),
-    }
+    }, ends
 
 
-def _param_location_kind(u, v):
-    """Classify a parameter point: 'corner', 'edge' (interior of an edge) or 'inner'."""
-    on_u = min(u, 1.0 - u) <= _CORNER_TOL
-    on_v = min(v, 1.0 - v) <= _CORNER_TOL
-    if on_u and on_v:
-        return "corner"
-    if on_u or on_v:
-        return "edge"
-    return "inner"
+def _is_corner(u, v):
+    """Whether a point on the boundary of the parameter square is one of its corners."""
+    return min(u, 1.0 - u) <= _CORNER_TOL and min(v, 1.0 - v) <= _CORNER_TOL
 
 
-def classify_vertices(domain):
-    """Cluster interface endpoints into vertices and detect T-junctions.
+def classify_vertices(ends, merge_tol):
+    """Cluster interface end records into vertices and detect T-junctions.
 
-    A vertex is a T-junction iff it lies strictly inside an edge of at
-    least one adjacent patch (the "long side"); it must be a corner of
-    every other adjacent patch.
+    `ends` holds ``(point, patch, (u, v))`` records as
+    :func:`validate_interface` gives them; a record joins the first
+    vertex within `merge_tol` of it.  A vertex is a T-junction iff it lies
+    strictly inside an edge of at least one adjacent patch (a "long"
+    patch), and a long patch must meet the vertex at exactly one
+    parameter point.
     """
-    records = []  # (point, patch, (u, v))
-    for g in domain.interfaces:
-        t_ends = np.array(g.range_k)
-        ends = ((g.k, g.side_k, t_ends), (g.l, g.side_l, g.map_param(t_ends)))
-        xs = [domain.patches[k].geometry.eval_grid(*side_point(side, t)).reshape(-1, 2)
-              for k, side, t in ends]
-        for i in range(2):
-            for (k, side, t), x in zip(ends, xs):
-                records.append((x[i], k, side_point(side, float(t[i]))))
-    if not records:
-        return []
-    merge_tol = 1e-9 * float(np.max(domain.metrics["H"]))
     clusters = []
-    for point, patch, loc in records:
-        for cl in clusters:
-            if np.linalg.norm(cl["point"] - point) <= merge_tol:
-                cl["members"].append((patch, loc))
+    for point, patch, loc in ends:
+        for cl_point, members in clusters:
+            if np.linalg.norm(cl_point - point) <= merge_tol:
+                members.append((patch, loc))
                 break
         else:
-            clusters.append({"point": point, "members": [(patch, loc)]})
+            clusters.append((point, [(patch, loc)]))
 
     vertices = []
-    for cl in clusters:
-        by_patch = {}
-        for patch, (u, v) in cl["members"]:
-            key = None
-            for (pp, (uu, vv)) in by_patch:
-                if pp == patch and abs(uu - u) <= _CORNER_TOL and abs(vv - v) <= _CORNER_TOL:
-                    key = (pp, (uu, vv))
-                    break
-            if key is None:
-                by_patch[(patch, (u, v))] = _param_location_kind(u, v)
-        long_patches = []
+    for point, members in clusters:
         adjacency = []
-        seen_edge = {}
-        for (patch, loc), kind in by_patch.items():
-            if kind == "inner":
+        for patch, (u, v) in members:
+            if not any(pp == patch and abs(uu - u) <= _CORNER_TOL and abs(vv - v) <= _CORNER_TOL
+                       for pp, (uu, vv) in adjacency):
+                adjacency.append((patch, (u, v)))
+        long_patches = sorted({patch for patch, loc in adjacency if not _is_corner(*loc)})
+        for patch in long_patches:
+            count = sum(pp == patch for pp, _ in adjacency)
+            if count > 1:
                 raise ConfigError(
-                    "vertex at %s lies in the interior of patch %d" % (cl["point"], patch)
-                )
-            adjacency.append((patch, loc))
-            if kind == "edge":
-                if patch in seen_edge:
-                    raise ConfigError(
-                        "vertex at %s is interior to two edges of patch %d"
-                        % (cl["point"], patch)
-                    )
-                seen_edge[patch] = loc
-                long_patches.append(patch)
-        patches_here = {p for p, _ in adjacency}
-        for patch in patches_here:
-            locs = [loc for p, loc in adjacency if p == patch]
-            kinds = {_param_location_kind(*loc) for loc in locs}
-            if len(kinds) > 1:
-                raise ConfigError(
-                    "inconsistent adjacency of patch %d at vertex %s" % (patch, cl["point"])
+                    "vertex at %s lies inside an edge of patch %d but meets that patch "
+                    "at %d parameter points" % (point, patch, count)
                 )
         kind = "tjunction" if long_patches else "regular"
-        vertices.append(Vertex(cl["point"], sorted(adjacency), kind, tuple(sorted(long_patches))))
+        vertices.append(Vertex(point, sorted(adjacency), kind, tuple(long_patches)))
     vertices.sort(key=lambda v: (round(v.point[0], 9), round(v.point[1], 9)))
     return vertices
-

@@ -234,7 +234,7 @@ def _pmap(fn, items, workers):
     return [fn(item) for item in items]
 
 
-def build_psi(local_system, partition, name=""):
+def build_psi(local_system, partition):
     """Energy-minimizing basis of the local primal dofs.
 
     Returns ``(psi, tilde_fac)``: `psi` has one column per local primal
@@ -246,7 +246,7 @@ def build_psi(local_system, partition, name=""):
     A = local_system.A.csr
     tilde = partition.tilde_index(k)
     P = partition.primal[k]
-    tilde_fac = factorize(A[tilde][:, tilde], name=name or "patch %d (I,Delta) block" % k)
+    tilde_fac = factorize(A[tilde][:, tilde], name="patch %d (I,Delta) block" % k)
     try:
         tilde_fac.assert_spd()
     except NumericalError as exc:
@@ -586,7 +586,7 @@ def pcg_solve(operator, d, tol=1e-6, max_iter=1000):
 
 
 def solve_ieti(domain, delta=12.0, tol=1e-6, max_iter=1000, source=1.0,
-               vector_source=None, workers=1, label=None, refinement=-1):
+               vector_source=None, workers=1, refinement=-1):
     """Full pipeline: assemble, set up, solve the multiplier system, recover."""
     t0 = time.perf_counter()
     op = setup_operator(domain, delta, source=source, vector_source=vector_source, workers=workers)
@@ -596,7 +596,7 @@ def solve_ieti(domain, delta=12.0, tol=1e-6, max_iter=1000, source=1.0,
     u_blocks = op.recover_solution(result.x)
     t2 = time.perf_counter()
     report = SolveReport(
-        domain=label or domain.name,
+        domain=domain.name,
         p=domain.degree,
         refinement=refinement,
         num_patches=domain.num_patches,

@@ -116,7 +116,7 @@ def evaluate_patch(patch, u_free, u_pts, v_pts, deriv=(0, 0)):
     return BU @ C @ BV.T
 
 
-def measure_error(domain, u_patches, u_star, grad_u_star=None, n_gauss=None):
+def measure_error(domain, u_patches, u_star, grad_u_star=None):
     """L2 error, broken H1 seminorm error and the largest interface jump.
 
     `u_star` maps (x, y) arrays to values; `grad_u_star`, when given,
@@ -127,7 +127,7 @@ def measure_error(domain, u_patches, u_star, grad_u_star=None, n_gauss=None):
     for k, patch in enumerate(domain.patches):
         space = patch.space
         p = space.degree
-        ng = n_gauss or (p + 2)
+        ng = p + 2
         squ = span_quadrature(space.kv_u, ng, 0)
         sqv = span_quadrature(space.kv_v, ng, 0)
         pu, pv = squ.points.ravel(), sqv.points.ravel()

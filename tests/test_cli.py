@@ -150,6 +150,19 @@ class TestMain:
         assert main(["--builtin", "moebius"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("builtin,message", [
+        (["grid", "abc"], "builtin grid: argument 'abc' is not an integer"),
+        (["grid", "2.0"], "builtin grid: argument '2.0' is not an integer"),
+        (["slider", "3", "x"], "builtin slider: argument 'x' is not a number"),
+        (["slider", "2.5", "0.3"], "builtin slider: argument '2.5' is not an integer"),
+        (["tdomain", "3"], "builtin tdomain: surplus argument(s) ['3']"),
+        (["grid", "2", "3"], "builtin grid: surplus argument(s) ['3']"),
+    ], ids=["grid_abc", "grid_float", "slider_offset", "slider_count", "tdomain_surplus",
+            "grid_surplus"])
+    def test_malformed_builtin_argument(self, capsys, builtin, message):
+        assert main(["--builtin", *builtin]) == 2
+        assert "configuration error: " + message in capsys.readouterr().err
+
     def test_exit_numerical_failure(self, capsys):
         assert main(["--builtin", "tdomain", "--delta", "0.001"]) == 3
         assert "numerical failure" in capsys.readouterr().err
@@ -161,6 +174,26 @@ class TestMain:
         out = capsys.readouterr().out
         assert "spread" in out
         assert "rise=" in out
+
+    def test_growth_json(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "growth.json"
+        dumps = []
+        original = json.dump
+
+        def counted(*args, **kwargs):
+            dumps.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dump", counted)
+        code = main(["--builtin", "tdomain", "--degree", "1 2", "--refine", "0 1 2 3",
+                     "--growth", "--json", str(path)])
+        assert code == 0
+        assert len(dumps) == 1  # the file is written once
+        blob = json.loads(path.read_text())
+        assert set(blob) == {"cases", "growth"}
+        assert sorted((c["p"], c["r"]) for c in blob["cases"]) == [
+            (p, r) for p in (1, 2) for r in (0, 1, 2, 3)]
+        assert [row["p"] for row in blob["growth"]] == [1, 2]
 
     def test_config_without_geometry(self, capsys, tmp_path):
         config = domain_to_config(t_domain(degree=2, refinements=1))

@@ -78,7 +78,12 @@ class TestGeometryMap:
 class TestValidateInterface:
     def test_exact_match(self):
         dom = two_patch_domain(p=1, r=1)
-        assert validate_interface(dom, 0) is None
+        report, ends = validate_interface(dom, 0)
+        assert report is None
+        assert [(x.tolist(), patch, loc) for x, patch, loc in ends] == [
+            ([1.0, 0.0], 0, (1.0, 0.0)), ([1.0, 0.0], 1, (0.0, 0.0)),
+            ([1.0, 1.0], 0, (1.0, 1.0)), ([1.0, 1.0], 1, (0.0, 1.0)),
+        ]
 
     def test_subinterval_match(self):
         patches = [
@@ -88,7 +93,11 @@ class TestValidateInterface:
         ifaces = [Interface(0, "east", (0.0, 0.5), 1, "west", (0.0, 0.5))]
         dom = MultiPatchDomain(patches, ifaces)
         dom._metrics = dom._compute_metrics()
-        assert validate_interface(dom, 0) is None
+        report, ends = validate_interface(dom, 0)
+        assert report is None
+        assert [(patch, loc) for _, patch, loc in ends] == [
+            (0, (1.0, 0.0)), (1, (0.0, 0.0)), (0, (1.0, 0.5)), (1, (0.0, 0.5)),
+        ]
 
     def test_mismatch_reported(self):
         patches = [
@@ -98,7 +107,7 @@ class TestValidateInterface:
         ifaces = [Interface(0, "east", (0.0, 1.0), 1, "west", (0.0, 1.0))]
         dom = MultiPatchDomain(patches, ifaces)
         dom._metrics = dom._compute_metrics()
-        report = validate_interface(dom, 0, tol=1e-8)
+        report, _ = validate_interface(dom, 0)
         assert report is not None
         assert report["max_mismatch"] == pytest.approx(1e-3, rel=1e-6)
         with pytest.raises(ConfigError):
@@ -114,7 +123,27 @@ class TestValidateInterface:
         ]
         ifaces = [Interface(0, "east", (0.0, 1.0), 1, "west", (0.0, 1.0), reversed_=True)]
         dom = MultiPatchDomain(patches, ifaces).validate()
-        assert validate_interface(dom, 0) is None
+        report, ends = validate_interface(dom, 0)
+        assert report is None
+        # the start of side k meets the end of side l and vice versa
+        assert [(x.tolist(), patch, loc) for x, patch, loc in ends] == [
+            ([1.0, 0.0], 0, (1.0, 0.0)), ([1.0, 0.0], 1, (0.0, 1.0)),
+            ([1.0, 1.0], 0, (1.0, 1.0)), ([1.0, 1.0], 1, (0.0, 0.0)),
+        ]
+
+    def test_each_side_sampled_once(self, monkeypatch):
+        # one call per patch for the metrics, one per interface side
+        dom = slider_domain(3, 0.3, degree=1, refinements=1)
+        calls = []
+        original = GeometryMap.eval_grid
+
+        def counted(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(GeometryMap, "eval_grid", counted)
+        dom.validate()
+        assert len(calls) == dom.num_patches + 2 * len(dom.interfaces)
 
 
 class TestClassifyVertices:
@@ -143,11 +172,38 @@ class TestClassifyVertices:
         assert dom.vertices == []
 
     def test_idempotent(self):
+        # validating again gives equal vertices
         dom = slider_domain(3, 0.3, degree=1, refinements=1)
-        first = [(v.point.tolist(), v.kind, v.long_patches) for v in dom.vertices]
-        again = [(v.point.tolist(), v.kind, v.long_patches)
-                 for v in classify_vertices(dom)]
+        first = [(v.point.tolist(), v.adjacency, v.kind, v.long_patches) for v in dom.vertices]
+        again = [(v.point.tolist(), v.adjacency, v.kind, v.long_patches)
+                 for v in dom.validate().vertices]
         assert first == again
+
+    @staticmethod
+    def at_origin(*records):
+        return [(np.zeros(2), patch, loc) for patch, loc in records]
+
+    @pytest.mark.parametrize("second", [(0.0, 0.5), (0.0, 0.0)], ids=["edge_edge", "edge_corner"])
+    def test_long_patch_met_twice_rejected(self, second):
+        ends = self.at_origin((0, (1.0, 0.5)), (1, (0.0, 0.0)), (0, second))
+        with pytest.raises(ConfigError, match="inside an edge of patch 0 but meets that "
+                                              "patch at 2 parameter points"):
+            classify_vertices(ends, 1e-9)
+
+    def test_corner_twice_accepted(self):
+        ends = self.at_origin((0, (1.0, 0.0)), (1, (0.0, 0.0)), (0, (0.0, 0.0)))
+        (vertex,) = classify_vertices(ends, 1e-9)
+        assert vertex.kind == "regular"
+        assert vertex.adjacency == [(0, (0.0, 0.0)), (0, (1.0, 0.0)), (1, (0.0, 0.0))]
+
+    def test_tjunction_from_records(self):
+        # the long patch's point, seen from two interfaces, counts once
+        ends = self.at_origin((0, (0.5, 1.0)), (1, (1.0, 0.0)),
+                              (0, (0.5 + 1e-13, 1.0)), (2, (0.0, 0.0)))
+        (vertex,) = classify_vertices(ends, 1e-9)
+        assert vertex.kind == "tjunction"
+        assert vertex.long_patches == (0,)
+        assert vertex.adjacency == [(0, (0.5, 1.0)), (1, (1.0, 0.0)), (2, (0.0, 0.0))]
 
     def test_slider_tjunction_count(self):
         for m in (2, 3, 4):
