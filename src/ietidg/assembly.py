@@ -26,37 +26,21 @@ from .geometry import side_axis, side_normal_hat, side_point
 _SINGULAR_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class TraceBasis:
-    """Boundary-layer functions of one patch active on an interface range.
-
-    ``entries`` holds ``(edge_index, patch_dof)`` pairs in increasing edge
-    order; Dirichlet-constrained functions are excluded.
-    """
-
-    side: str
-    prange: tuple
-    edge_kv: object
-    entries: tuple
-
-    @property
-    def edge_indices(self):
-        return [e for e, _ in self.entries]
-
-
 def trace_basis_on_edge(space, side, prange):
-    """Edge dof list for functions of `space` with nonvanishing trace on the range.
+    """Functions of `space` with nonvanishing trace on the range.
 
-    Includes every function whose support meets the open range, also those
-    whose Greville point lies outside it.
+    Returns ``(edge_index, patch_dof)`` pairs in increasing edge order,
+    leaving out Dirichlet-constrained functions.  Includes every function
+    whose support meets the open range, also those whose Greville point
+    lies outside it.
     """
     ekv = space.edge_kv(side)
     dofs = space.edge_dofs(side)
-    entries = [(int(e), int(dofs[e])) for e in active_on_interval(ekv, prange[0], prange[1])
-               if dofs[e] >= 0]
+    entries = tuple((int(e), int(dofs[e])) for e in active_on_interval(ekv, prange[0], prange[1])
+                    if dofs[e] >= 0)
     if not entries:
         raise ConfigError("degenerate interface: no active trace functions on %s %s" % (side, prange))
-    return TraceBasis(side, tuple(prange), ekv, tuple(entries))
+    return entries
 
 
 @dataclass(frozen=True)
@@ -96,24 +80,6 @@ class ExtendedLocalSystem:
     artificial: list          # ArtificialInterfaceBasis, ordered by iface index
 
 
-class _Triplets:
-    """Append-only triplet accumulator."""
-
-    def __init__(self):
-        self.rows, self.cols, self.vals = [], [], []
-
-    def add(self, rows, cols, vals):
-        self.rows.append(np.asarray(rows, dtype=int).ravel())
-        self.cols.append(np.asarray(cols, dtype=int).ravel())
-        self.vals.append(np.asarray(vals, dtype=float).ravel())
-
-    def arrays(self):
-        if not self.rows:
-            z = np.zeros(0)
-            return z.astype(int), z.astype(int), z
-        return (np.concatenate(self.rows), np.concatenate(self.cols), np.concatenate(self.vals))
-
-
 def _inv_transpose(J, where="", points=None):
     """Batch inverse-transpose of 2x2 Jacobians, with singularity guard.
 
@@ -145,14 +111,14 @@ def _inv_transpose(J, where="", points=None):
 def assemble_volume(patch, source=None, vector_source=None, label=""):
     """Stiffness and load of the diffusion term on one patch.
 
-    Returns triplets over the *full lattice* index space together with the
-    lattice load vector; callers restrict to free dofs.  `source` is a
-    scalar or callable f(x, y); `vector_source` an optional callable
-    W(x, y) -> (..., 2) adding the weakly integrated-by-parts contribution
-    of a divergence-form right-hand side.  Both callables receive the
-    coordinate arrays of all quadrature points of the patch at once.
-    All elements are assembled in one batch; triplets come element by
-    element, row-major within each element matrix.
+    Returns the block ``(lat, elem)`` over the *full lattice* index space,
+    where the (m, m) matrix ``elem[e]`` adds onto the rows and columns
+    ``lat[e]`` of element e, together with the lattice load vector; callers
+    map both to free dofs.  `source` is a scalar or callable f(x, y);
+    `vector_source` an optional callable W(x, y) -> (..., 2) adding the
+    weakly integrated-by-parts contribution of a divergence-form right-hand
+    side.  Both callables receive the coordinate arrays of all quadrature
+    points of the patch at once.  All elements are assembled in one batch.
     """
     space, geo, alpha = patch.space, patch.geometry, patch.alpha
     p = space.degree
@@ -183,8 +149,6 @@ def assemble_volume(patch, source=None, vector_source=None, label=""):
     elem = np.swapaxes(Gw, 1, 2) @ grads.reshape(E, 2 * Q, m)
     lat = ((squ.first_active[:, None, None, None] + np.arange(p + 1)[:, None]) * space.n_v
            + sqv.first_active[None, :, None, None] + np.arange(p + 1)).reshape(E, m)
-    tri = _Triplets()
-    tri.add(np.repeat(lat, m, axis=1), np.tile(lat, m), elem)
 
     x = by_element(pts)
     contrib = np.zeros((E, m))
@@ -197,7 +161,7 @@ def assemble_volume(patch, source=None, vector_source=None, label=""):
             raise ConfigError("vector_source shape %s, expected %s" % (W.shape, x.shape))
         contrib += np.einsum("eqam,eqa,eq->em", grads, W, w)
     load = np.bincount(lat.ravel(), weights=contrib.ravel(), minlength=space.n_u * space.n_v)
-    return tri, load
+    return (lat, elem), load
 
 
 def univariate_matrices(kv):
@@ -285,13 +249,18 @@ def _side_quadrature(domain, ori, n_gauss):
     return _SideQuadrature(ts, ss, wts * arc, normals, JinvT, fixed_first, fixed_tab)
 
 
-def interface_side_terms(domain, ori, delta):
-    """Consistency (m) and penalty (r) triplets for one oriented interface side.
+def interface_side_terms(domain, ori, delta, own_index, edge_index, include_m=True):
+    """SIPG block of one oriented interface side, one dense matrix per quadrature point.
 
-    Rows/cols come in two index spaces: lattice indices of the owner patch
-    ('pp', 'pa' rows) and neighbor *edge indices* ('pa' cols, 'aa'); the
-    caller maps edge indices onto artificial dofs or neighbor patch dofs.
-    Returns the dict ``{'m_pp', 'm_pa', 'r_pp', 'r_pa', 'r_aa'}``.
+    At a point with weight w the owner's m lattice functions N and the
+    neighbor's p + 1 edge functions psi give the jump ``[N, -psi]`` and the
+    owner-side flux ``[dN/dn, 0]``; the point's matrix is
+    ``rho w jump (x) jump - alpha w / 2 (flux (x) jump + jump (x) flux)``,
+    the penalty (r) and consistency (m) terms.  ``include_m=False`` keeps the
+    penalty alone.  `own_index` maps the owner's flat lattice and
+    `edge_index` the neighbor's edge functions to the caller's dofs (-1
+    for dropped ones).  Returns ``(idx, mats)``: ``mats[q]`` adds onto the
+    rows and columns ``idx[q]``.
     """
     patch = domain.patches[ori.k]
     space = patch.space
@@ -321,33 +290,18 @@ def interface_side_terms(domain, ori, delta):
     def tensor(du, dv):
         return (tu[:, du, :, None] * tv[:, dv, None, :]).reshape(Q, -1)
 
-    N = tensor(0, 0)
-    grads = sq.jinv_t @ np.stack([tensor(1, 0), tensor(0, 1)], axis=1)
-    dn = np.einsum("qa,qam->qm", sq.normals, grads)
     lat = ((fu[:, None] + win)[:, :, None] * n_v + (fv[:, None] + win)[:, None, :]).reshape(Q, -1)
     fs, tab_s = eval_basis_tables(nb_kv, sq.ss, 0)
-    psi = tab_s[:, 0]
-    edge = fs[:, None] + win
-
-    def outer(left, right):
-        return left[:, :, None] * right[:, None, :]
-
-    def family(rows, cols, scale, vals):
-        """Triplets of ``scale[q] * vals[q]`` over the (row, col) pairs of every point."""
-        tri = _Triplets()
-        tri.add(np.repeat(rows, cols.shape[1], axis=1), np.tile(cols, rows.shape[1]),
-                scale[:, None, None] * vals)
-        return tri
-
-    w = sq.weights
-    E = outer(dn, N)
-    return {
-        "m_pp": family(lat, lat, -0.5 * alpha * w, E + np.swapaxes(E, 1, 2)),
-        "m_pa": family(lat, edge, 0.5 * alpha * w, outer(dn, psi)),
-        "r_pp": family(lat, lat, rho * w, outer(N, N)),
-        "r_pa": family(lat, edge, -rho * w, outer(N, psi)),
-        "r_aa": family(edge, edge, rho * w, outer(psi, psi)),
-    }
+    idx = np.concatenate([own_index[lat], edge_index[fs[:, None] + win]], axis=1)
+    jump = np.concatenate([tensor(0, 0), -tab_s[:, 0]], axis=1)
+    mats = (rho * sq.weights)[:, None, None] * jump[:, :, None] * jump[:, None, :]
+    if include_m:
+        grads = sq.jinv_t @ np.stack([tensor(1, 0), tensor(0, 1)], axis=1)
+        flux = np.zeros_like(jump)
+        flux[:, : lat.shape[1]] = np.einsum("qa,qam->qm", sq.normals, grads)
+        fj = (0.5 * alpha * sq.weights)[:, None, None] * flux[:, :, None] * jump[:, None, :]
+        mats -= fj + np.swapaxes(fj, 1, 2)
+    return idx, mats
 
 
 def extended_layout(domain, k):
@@ -361,49 +315,23 @@ def extended_layout(domain, k):
     artificial = []
     offset = n_patch
     for idx, ori in sorted(domain.interfaces_of(k), key=lambda kv: kv[0]):
-        nb_trace = trace_basis_on_edge(domain.patches[ori.l].space, ori.side_l, ori.range_l)
-        artificial.append(
-            ArtificialInterfaceBasis(k, ori.l, idx, nb_trace.entries, offset)
-        )
-        offset += len(nb_trace.entries)
+        sources = trace_basis_on_edge(domain.patches[ori.l].space, ori.side_l, ori.range_l)
+        artificial.append(ArtificialInterfaceBasis(k, ori.l, idx, sources, offset))
+        offset += len(sources)
     return n_patch, artificial
 
 
-def paste_terms(tri, terms, keys, own_index, edge_index):
-    """Scatter the triplet families `keys` of `terms` into `tri` through two index maps.
+def assemble_interface_terms(domain, ab, delta):
+    """SIPG block of the interface of artificial block `ab` in its owner's extended space.
 
-    The last two letters of a key name the row and column spaces: 'p' is
-    the owner's flat lattice, mapped by `own_index`; 'a' is the neighbor's
-    edge, mapped by `edge_index`.  Entries either map sends to -1 are
-    dropped, and 'pa' families are also added transposed.
+    Returns the ``(idx, mats)`` block of :func:`interface_side_terms` over
+    the extended dofs of patch ``ab.owner``.
     """
-    index = {"p": own_index, "a": edge_index}
-    for key in keys:
-        rows, cols, vals = terms[key].arrays()
-        r, c = index[key[-2]][rows], index[key[-1]][cols]
-        keep = (r >= 0) & (c >= 0)
-        r, c, vals = r[keep], c[keep], vals[keep]
-        tri.add(r, c, vals)
-        if key.endswith("pa"):
-            tri.add(c, r, vals)
-
-
-def assemble_interface_terms(domain, k, iface_index, delta, layout):
-    """m and r contributions of one interface into patch `k`'s extended matrix.
-
-    `layout` is :func:`extended_layout` of patch `k`.  Returns two triplet
-    sets ``(m_terms, r_terms)`` over the extended dof space of patch `k`.
-    """
-    ori = dict(domain.interfaces_of(k))[iface_index]
-    ab = next(a for a in layout[1] if a.iface_index == iface_index)
-    terms = interface_side_terms(domain, ori, delta)
-    own_index = domain.patches[k].space.dof_map.ravel()
-    edge_index = -np.ones(domain.patches[ori.l].space.edge_kv(ori.side_l).n, dtype=int)
+    ori = dict(domain.interfaces_of(ab.owner))[ab.iface_index]
+    edge_index = np.full(domain.patches[ab.neighbor].space.edge_kv(ori.side_l).n, -1)
     edge_index[[e for e, _ in ab.sources]] = ab.offset + np.arange(ab.size)
-    m_tri, r_tri = _Triplets(), _Triplets()
-    paste_terms(m_tri, terms, ("m_pp", "m_pa"), own_index, edge_index)
-    paste_terms(r_tri, terms, ("r_pp", "r_pa", "r_aa"), own_index, edge_index)
-    return m_tri, r_tri
+    return interface_side_terms(domain, ori, delta, domain.patches[ab.owner].space.dof_map.ravel(),
+                                edge_index)
 
 
 def build_local_system(domain, k, delta, source=None, vector_source=None):
@@ -414,21 +342,14 @@ def build_local_system(domain, k, delta, source=None, vector_source=None):
     """
     patch = domain.patches[k]
     space = patch.space
-    layout = extended_layout(domain, k)
-    n_patch, artificial = layout
+    n_patch, artificial = extended_layout(domain, k)
     n_total = n_patch + sum(ab.size for ab in artificial)
 
-    tri = _Triplets()
-    vol, load_lat = assemble_volume(patch, source=source, vector_source=vector_source,
-                                    label="patch %d" % k)
-    paste_terms(tri, {"pp": vol}, ("pp",), space.dof_map.ravel(), None)
+    (lat, elem), load_lat = assemble_volume(patch, source=source, vector_source=vector_source,
+                                            label="patch %d" % k)
     f = np.zeros(n_total)
     f[:n_patch] = load_lat[space.free_mask.ravel()]
-
-    for ab in artificial:
-        m_tri, r_tri = assemble_interface_terms(domain, k, ab.iface_index, delta, layout)
-        tri.add(*m_tri.arrays())
-        tri.add(*r_tri.arrays())
-
-    A = linalg.SparseSym.from_triplets(n_total, *tri.arrays())
+    blocks = [(space.dof_map.ravel()[lat], elem)]
+    blocks += [assemble_interface_terms(domain, ab, delta) for ab in artificial]
+    A = linalg.SparseSym.from_blocks(n_total, blocks)
     return ExtendedLocalSystem(k, A, f, n_patch, n_total, artificial)

@@ -49,6 +49,11 @@ class ExperimentSpec:
                               "drop the jump exponents")
         if self.slide_offsets and (self.config_path or self.builtin[0] != "slider"):
             raise ConfigError("slide offsets only apply to the slider family")
+        if self.slide_offsets and len(self.builtin) > 2:
+            raise ConfigError("slide offsets replace the slider's offset argument %r"
+                              % (self.builtin[2],))
+        if self.jump_exponents and self.config_path:
+            raise ConfigError("jump exponents do not apply to config-file domains")
 
     def make_domain(self, degree, refinement, jump_exponent=None, slide=None):
         if self.config_path:

@@ -165,7 +165,13 @@ def _builtin_args(name, args, defaults):
 
 
 def builtin_domain(name, args=(), degree=2, refinements=1, alphas=None, jump_exponent=None):
-    """Dispatch a built-in generator by name with its positional arguments."""
+    """Dispatch a built-in generator by name with its positional arguments.
+
+    Only the T-domain designates coefficient-jump patches, so a
+    `jump_exponent` for grid or slider is a configuration error.
+    """
+    if jump_exponent is not None and name in ("grid", "slider"):
+        raise ConfigError("builtin %s takes no jump exponent (only tdomain does)" % name)
     if name == "grid":
         (n,) = _builtin_args(name, args, (2,))
         return grid_domain(n, degree, refinements, alphas)

@@ -3,8 +3,8 @@
 One sparse backend serves every block, the coarse problem and the oracle:
 SuperLU in symmetric mode with a minimum-degree ordering and pivot monitoring,
 inertia from the U-diagonal signs; Kronecker sums use fast diagonalization.
-The eigensolver for small dense matrices wraps LAPACK's
-tridiagonal-reduction + QR iteration.
+PCG estimates the condition number from the eigenvalues of its Lanczos
+tridiagonal matrix.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +21,7 @@ _PIVOT_RTOL = 1e-14
 
 
 class SparseSym:
-    """Compressed-row symmetric matrix built from triplets.
+    """Compressed-row symmetric matrix built from triplets or dense blocks.
 
     Duplicate triplets are summed and explicit zeros dropped.  The values
     are verified to be symmetric up to 1e-12 relative in the max norm.
@@ -45,6 +45,19 @@ class SparseSym:
     @classmethod
     def from_triplets(cls, n, rows, cols, values):
         return cls(scipy.sparse.coo_matrix((values, (rows, cols)), shape=(n, n)))
+
+    @classmethod
+    def from_blocks(cls, n, blocks):
+        """Sum of dense blocks ``(idx, mats)``: ``mats[b]`` adds onto rows and columns ``idx[b]``.
+
+        Each block pairs a (B, s) index array with (B, s, s) matrices;
+        entries whose row or column index is -1 are dropped.
+        """
+        rows = np.concatenate([np.repeat(idx, idx.shape[1], axis=1).ravel() for idx, _ in blocks])
+        cols = np.concatenate([np.tile(idx, idx.shape[1]).ravel() for idx, _ in blocks])
+        vals = np.concatenate([mats.ravel() for _, mats in blocks])
+        keep = (rows >= 0) & (cols >= 0)
+        return cls.from_triplets(n, rows[keep], cols[keep], vals[keep])
 
     @property
     def shape(self):

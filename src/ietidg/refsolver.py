@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .assembly import _inv_transpose, _Triplets, assemble_volume, interface_side_terms, paste_terms
+from .assembly import _inv_transpose, assemble_volume, interface_side_terms
 from .bspline import eval_matrix, span_quadrature
 from .errors import NumericalError
 from .geometry import side_point
@@ -44,25 +44,22 @@ def assemble_global(domain, delta, source=1.0, vector_source=None, include_m=Tru
     """
     offs = patch_offsets(domain)
     n = int(offs[-1])
-    tri = _Triplets()
+    blocks = []
     rhs = np.zeros(n)
     for k, patch in enumerate(domain.patches):
-        vol, load = assemble_volume(patch, source=source, vector_source=vector_source,
-                                    label="patch %d" % k)
-        paste_terms(tri, {"pp": vol}, ("pp",), _shifted(patch.space.dof_map.ravel(), offs[k]),
-                    None)
+        (lat, elem), load = assemble_volume(patch, source=source, vector_source=vector_source,
+                                            label="patch %d" % k)
+        blocks.append((_shifted(patch.space.dof_map.ravel(), offs[k])[lat], elem))
         rhs[offs[k] : offs[k + 1]] = load[patch.space.free_mask.ravel()]
 
-    families = ("m_pp", "m_pa", "r_pp", "r_pa", "r_aa") if include_m else ("r_pp", "r_pa", "r_aa")
     for g in domain.interfaces:
         for ori in (g, g.flipped()):
             own = domain.patches[ori.k].space
             nb = domain.patches[ori.l].space
-            paste_terms(tri, interface_side_terms(domain, ori, delta), families,
-                        _shifted(own.dof_map.ravel(), offs[ori.k]),
-                        _shifted(nb.edge_dofs(ori.side_l), offs[ori.l]))
-    A = linalg.SparseSym.from_triplets(n, *tri.arrays())
-    return GlobalSipgSystem(A, rhs, offs)
+            blocks.append(interface_side_terms(
+                domain, ori, delta, _shifted(own.dof_map.ravel(), offs[ori.k]),
+                _shifted(nb.edge_dofs(ori.side_l), offs[ori.l]), include_m=include_m))
+    return GlobalSipgSystem(linalg.SparseSym.from_blocks(n, blocks), rhs, offs)
 
 
 def glued_from_locals(domain, local_systems):
@@ -72,7 +69,7 @@ def glued_from_locals(domain, local_systems):
     with :func:`assemble_global` on every valid domain.
     """
     offs = patch_offsets(domain)
-    tri = _Triplets()
+    parts = []
     for sysk in local_systems:
         to_global = np.empty(sysk.n_total, dtype=int)
         to_global[: sysk.n_patch] = offs[sysk.k] + np.arange(sysk.n_patch)
@@ -80,8 +77,8 @@ def glued_from_locals(domain, local_systems):
             for pos, (_, sdof) in enumerate(ab.sources):
                 to_global[ab.offset + pos] = offs[ab.neighbor] + sdof
         coo = sysk.A.csr.tocoo()
-        tri.add(to_global[coo.row], to_global[coo.col], coo.data)
-    return linalg.SparseSym.from_triplets(int(offs[-1]), *tri.arrays())
+        parts.append((to_global[coo.row], to_global[coo.col], coo.data))
+    return linalg.SparseSym.from_triplets(int(offs[-1]), *map(np.concatenate, zip(*parts)))
 
 
 def direct_solve(system):

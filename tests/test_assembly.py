@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse
 
 from ietidg.assembly import (
     _side_quadrature,
@@ -16,13 +15,13 @@ from ietidg.bspline import KnotVector, TensorSplineSpace, gauss_rule, greville_p
 from ietidg.domains import t_domain
 from ietidg.errors import ConfigError, NumericalError
 from ietidg.geometry import GeometryMap, MultiPatchDomain, Patch
+from ietidg.linalg import SparseSym
 
 from conftest import two_patch_domain, unit_square_patch
 
 
-def coo_to_dense(tri, n):
-    r, c, v = tri.arrays()
-    return scipy.sparse.coo_matrix((v, (r, c)), shape=(n, n)).toarray()
+def block_to_dense(block, n):
+    return SparseSym.from_blocks(n, [block]).toarray()
 
 
 def q1_stiffness_oracle():
@@ -67,20 +66,20 @@ class TestTraceBasis:
     def test_examples(self):
         kv2 = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
         space = TensorSplineSpace(kv2, kv2)
-        tb = trace_basis_on_edge(space, "south", (0.0, 0.5))
-        assert tb.edge_indices == [0, 1, 2]
-        tb = trace_basis_on_edge(space, "south", (0.0, 1.0))
-        assert tb.edge_indices == [0, 1, 2, 3]
+        entries = trace_basis_on_edge(space, "south", (0.0, 0.5))
+        assert [e for e, _ in entries] == [0, 1, 2]
+        entries = trace_basis_on_edge(space, "south", (0.0, 1.0))
+        assert [e for e, _ in entries] == [0, 1, 2, 3]
         kv1 = KnotVector(1, [0, 0, 0.5, 1, 1])
         space1 = TensorSplineSpace(kv1, kv1)
-        tb = trace_basis_on_edge(space1, "south", (0.5, 1.0))
-        assert tb.edge_indices == [1, 2]
+        entries = trace_basis_on_edge(space1, "south", (0.5, 1.0))
+        assert [e for e, _ in entries] == [1, 2]
 
     def test_dirichlet_functions_excluded(self):
         kv = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
         space = TensorSplineSpace(kv, kv, {"west"})
-        tb = trace_basis_on_edge(space, "south", (0.0, 1.0))
-        assert tb.edge_indices == [1, 2, 3]
+        entries = trace_basis_on_edge(space, "south", (0.0, 1.0))
+        assert [e for e, _ in entries] == [1, 2, 3]
 
     def test_degenerate_interface_error(self):
         kv = KnotVector(1, [0, 0, 1, 1])
@@ -92,8 +91,8 @@ class TestTraceBasis:
 class TestVolume:
     def test_q1_unit_square(self):
         patch = unit_square_patch(0, 1, 0, 1, 1, 0, set())
-        tri, load = assemble_volume(patch, source=1.0)
-        A = coo_to_dense(tri, 4)
+        block, load = assemble_volume(patch, source=1.0)
+        A = block_to_dense(block, 4)
         np.testing.assert_allclose(A, q1_stiffness_oracle(), atol=1e-14)
         assert A[0, 0] == pytest.approx(2.0 / 3.0)
         np.testing.assert_allclose(A.sum(axis=1), 0.0, atol=1e-14)
@@ -101,17 +100,17 @@ class TestVolume:
 
     def test_constants_in_kernel(self, rng):
         patch = unit_square_patch(0, 1, 0, 1, 2, 2, set())
-        tri, _ = assemble_volume(patch)
+        block, _ = assemble_volume(patch)
         n = patch.space.dimension
-        A = coo_to_dense(tri, n)
+        A = block_to_dense(block, n)
         np.testing.assert_allclose(A @ np.ones(n), 0.0, atol=1e-13)
 
     def test_alpha_linearity(self):
         p1 = unit_square_patch(0, 1, 0, 1, 2, 1, set(), alpha=1.0)
         p10 = unit_square_patch(0, 1, 0, 1, 2, 1, set(), alpha=10.0)
         n = p1.space.n_u * p1.space.n_v
-        A1 = coo_to_dense(assemble_volume(p1)[0], n)
-        A10 = coo_to_dense(assemble_volume(p10)[0], n)
+        A1 = block_to_dense(assemble_volume(p1)[0], n)
+        A10 = block_to_dense(assemble_volume(p10)[0], n)
         np.testing.assert_allclose(A10, 10.0 * A1, rtol=0, atol=1e-13 * np.abs(A1).max())
 
     def test_vector_source_zero_for_constant_field(self):
@@ -164,7 +163,7 @@ class TestVolume:
         assert M_u.sum() == pytest.approx(1.0, rel=1e-14)
         patch = Patch(GeometryMap.bilinear((0, 0), (2, 0), (0, 0.5), (2, 0.5)), 1.0,
                       TensorSplineSpace(kv_u, kv_v))
-        A = coo_to_dense(assemble_volume(patch)[0], kv_u.n * kv_v.n)
+        A = block_to_dense(assemble_volume(patch)[0], kv_u.n * kv_v.n)
         kron = 0.25 * np.kron(K_u, M_v) + 4.0 * np.kron(M_u, K_v)
         np.testing.assert_allclose(A, kron, rtol=0, atol=1e-14 * np.abs(A).max())
 
@@ -181,12 +180,8 @@ class TestVolume:
 
     def test_spd_on_dirichlet_patch(self, rng):
         patch = unit_square_patch(0, 1, 0, 1, 2, 2, {"west", "east", "south", "north"})
-        tri, _ = assemble_volume(patch)
-        r, c, v = tri.arrays()
-        dof = patch.space.dof_map.ravel()
-        keep = (dof[r] >= 0) & (dof[c] >= 0)
-        n = patch.space.dimension
-        A = scipy.sparse.coo_matrix((v[keep], (dof[r][keep], dof[c][keep])), shape=(n, n)).toarray()
+        (lat, elem), _ = assemble_volume(patch)
+        A = block_to_dense((patch.space.dof_map.ravel()[lat], elem), patch.space.dimension)
         ev = np.linalg.eigvalsh(A)
         assert ev[0] > 0
 
@@ -196,9 +191,11 @@ class TestInterfaceTerms:
         # two unit squares, p = 1, single span: the artificial-artificial
         # penalty block is (delta p^2 / min(h_k, h_l)) times the 1D mass matrix
         dom = two_patch_domain(p=1, r=0, dirichlet=False)
-        terms = interface_side_terms(dom, dom.interfaces[0], 12.0)
-        r, c, v = terms["r_aa"].arrays()
-        Raa = scipy.sparse.coo_matrix((v, (r, c)), shape=(2, 2)).toarray()
+        # owner functions map to -1, so only the edge-edge part is kept
+        own_index = np.full(dom.patches[0].space.n_u * dom.patches[0].space.n_v, -1)
+        block = interface_side_terms(dom, dom.interfaces[0], 12.0, own_index, np.arange(2),
+                                     include_m=False)
+        Raa = block_to_dense(block, 2)
         h = dom.metrics["h"][0]
         assert h == pytest.approx(np.sqrt(2.0), rel=1e-9)
         expected = trace_mass_oracle(KnotVector(1, [0, 0, 1, 1]), 12.0 * 1.0 / h)
@@ -207,14 +204,16 @@ class TestInterfaceTerms:
     def test_matched_function_no_penalty_energy(self):
         # equal trace and artificial coefficients: zero jump, zero r-energy
         dom = two_patch_domain(p=2, r=1, dirichlet=False)
-        layout = extended_layout(dom, 0)
-        n_patch, artificial = layout
+        n_patch, artificial = extended_layout(dom, 0)
         n_total = n_patch + sum(ab.size for ab in artificial)
-        m_tri, r_tri = assemble_interface_terms(dom, 0, 0, 12.0, layout)
-        R = coo_to_dense(r_tri, n_total)
-        M = coo_to_dense(m_tri, n_total)
-        v = np.zeros(n_total)
         ab = artificial[0]
+        edge_index = np.full(dom.patches[1].space.edge_kv("west").n, -1)
+        edge_index[[e for e, _ in ab.sources]] = ab.offset + np.arange(ab.size)
+        R = block_to_dense(interface_side_terms(dom, dom.interfaces[0], 12.0,
+                                                dom.patches[0].space.dof_map.ravel(), edge_index,
+                                                include_m=False), n_total)
+        M = block_to_dense(assemble_interface_terms(dom, ab, 12.0), n_total) - R
+        v = np.zeros(n_total)
         for pos, (edge, _) in enumerate(ab.sources):
             v[dom.patches[0].space.edge_dofs("east")[edge]] = 2.5
             v[ab.offset + pos] = 2.5
@@ -273,12 +272,11 @@ class TestLocalSystem:
         assert np.any(sysk.f[: sysk.n_patch] != 0.0)
 
     def test_artificial_rows_have_no_volume_coupling(self):
-        # artificial-artificial coupling comes from the penalty term alone
+        # artificial-artificial coupling comes from the interface block alone,
+        # whose artificial-artificial part is the penalty term
         dom = two_patch_domain(p=2, r=1)
         sysk = build_local_system(dom, 0, 12.0)
-        layout = extended_layout(dom, 0)
-        _, r_tri = assemble_interface_terms(dom, 0, 0, 12.0, layout)
-        R = coo_to_dense(r_tri, sysk.n_total)
+        R = block_to_dense(assemble_interface_terms(dom, sysk.artificial[0], 12.0), sysk.n_total)
         A = sysk.A.toarray()
         art = slice(sysk.n_patch, sysk.n_total)
         np.testing.assert_allclose(A[art, art], R[art, art], atol=1e-13 * np.abs(A).max())

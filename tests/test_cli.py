@@ -39,7 +39,7 @@ class TestRunSolve:
         assert len(results) == 1
         assert results[0]["iterations"] >= 1
         assert results[0]["kappa"] >= 1.0
-        rows = list(csv.reader(csv_path.open()))
+        rows = list(csv.reader(csv_path.read_text().splitlines()))
         assert rows[0][0] == "domain"
         assert len(rows) == 2
         blob = json.loads(json_path.read_text())
@@ -80,6 +80,12 @@ class TestRunSolve:
     def test_slide_sweep_needs_slider(self):
         with pytest.raises(ConfigError):
             ExperimentSpec(builtin=("tdomain",), slide_offsets=[0.2])
+
+    def test_config_file_with_jumps_rejected(self, tmp_path):
+        path = tmp_path / "dom.json"
+        save_domain(t_domain(degree=2, refinements=1), str(path))
+        with pytest.raises(ConfigError, match="jump exponents do not apply to config-file domains"):
+            ExperimentSpec(config_path=str(path), jump_exponents=[0, 3])
 
     def test_config_file_domain(self, tmp_path):
         path = tmp_path / "dom.json"
@@ -162,6 +168,21 @@ class TestMain:
     def test_malformed_builtin_argument(self, capsys, builtin, message):
         assert main(["--builtin", *builtin]) == 2
         assert "configuration error: " + message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("builtin", [["grid", "2"], ["slider", "3", "0.3"]],
+                             ids=["grid", "slider"])
+    def test_jump_exponents_need_tdomain(self, capsys, builtin):
+        # only the T-domain has jump patches; elsewhere the exponent would be ignored
+        assert main(["--builtin", *builtin, "--degree", "1", "--refine", "0",
+                     "--jump-exponents", "0 3"]) == 2
+        assert ("configuration error: builtin %s takes no jump exponent (only tdomain does)"
+                % builtin[0]) in capsys.readouterr().err
+
+    def test_slide_offsets_with_slider_offset_rejected(self, capsys):
+        assert main(["--builtin", "slider", "3", "0.9", "--slide-offsets", "0.2",
+                     "--degree", "1", "--refine", "0"]) == 2
+        assert ("configuration error: slide offsets replace the slider's offset argument '0.9'"
+                in capsys.readouterr().err)
 
     def test_exit_numerical_failure(self, capsys):
         assert main(["--builtin", "tdomain", "--delta", "0.001"]) == 3
@@ -292,7 +313,7 @@ class TestMain:
         code = main(["--builtin", "tdomain", "--degree", "2", "--refine", "1",
                      "--delta", "0.001", "--csv", str(path)])
         assert code == 3
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0][0] == "domain"  # header written before the failure
 
     def test_rows_of_finished_cases_kept_on_failure(self, tmp_path):
@@ -301,5 +322,5 @@ class TestMain:
         code = main(["--builtin", "tdomain", "--degree", "1", "--jump-exponents", "0 -400",
                      "--csv", str(path)])
         assert code == 2
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert len(rows) == 2 and rows[1][0] == "tdomain"

@@ -40,6 +40,22 @@ class TestSparseSym:
         with pytest.raises(NumericalError):
             SparseSym.from_triplets(2, [0, 1], [1, 0], [1.0, 1.0 + 1e-6])
 
+    def test_blocks_summed_and_dropped_indices_skipped(self):
+        # dof 1 is shared by the first two blocks, dof 0 by the first and
+        # third; every entry in a row or column mapped to -1 (the 5s, 6 and 9s)
+        # is dropped
+        first = (np.array([[0, 1], [1, -1]]),
+                 np.array([[[1.0, 2.0], [2.0, 3.0]], [[4.0, 5.0], [5.0, 6.0]]]))
+        second = (np.array([[2, 0, -1]]),
+                  np.array([[[7.0, 1.0, 9.0], [1.0, 8.0, 9.0], [9.0, 9.0, 9.0]]]))
+        A = SparseSym.from_blocks(3, [first, second])
+        np.testing.assert_array_equal(A.toarray(),
+                                      [[9.0, 2.0, 1.0], [2.0, 7.0, 0.0], [1.0, 0.0, 7.0]])
+
+    def test_asymmetric_block_rejected(self):
+        with pytest.raises(NumericalError):
+            SparseSym.from_blocks(2, [(np.array([[0, 1]]), np.array([[[1.0, 2.0], [3.0, 1.0]]]))])
+
     def test_triplet_dump_roundtrip(self, tmp_path, rng):
         A = scipy.sparse.random(8, 8, density=0.4, random_state=7)
         A = A + A.T
