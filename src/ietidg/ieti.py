@@ -10,16 +10,23 @@ pairs (+1/-1 rows of the jump matrix B).  The split, the copies of each
 primal dof, B and its scaling D are all read off one copy map: which
 artificial dof copies which patch dof.  The primal coefficients are
 eliminated through the energy-minimizing basis Psi and a global coarse
-problem.  One solve with the primal-constrained matrix A~ serves F, d and
-the recovery: ``F = B A~^{-1} B^T``, ``d = B A~^{-1} f`` and
-``u = A~^{-1} (f - B^T lambda)``.  The multipliers solve F lambda = d by
-PCG with the coefficient-scaled Dirichlet preconditioner
+problem.
+
+Everything after setup lives on each block's skeleton Gamma = (Delta, Pi):
+the dense Schur complement ``S = A_GG - A_GI A_II^{-1} A_IG``, formed once
+per block from its interior solver, serves the solver and the
+preconditioner alike.  One solve with the primal-constrained Schur
+complement S~ (a dense Cholesky of ``S_DD`` plus one coarse correction)
+serves F, d and the recovery: ``F = B_Gamma S~^{-1} B_Gamma^T``,
+``d = B_Gamma S~^{-1} g`` with the condensed load
+``g = f_G - A_GI A_II^{-1} f_I``, and ``u_Gamma = S~^{-1} (g - B_Gamma^T lambda)``,
+to which one interior solve per block adds ``u_I``.  The multipliers solve
+F lambda = d by PCG with the coefficient-scaled Dirichlet preconditioner
 ``M_sD = B_Gamma D^{-1} S D^{-1} B_Gamma^T``.
 """
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +35,7 @@ import scipy.sparse
 from .assembly import build_local_system, univariate_matrices
 from .bspline import nonzero_at_point
 from .errors import NumericalError
-from .linalg import Factorization, factorize, fast_diagonalization, pcg
+from .linalg import Factorization, cholesky, factorize, fast_diagonalization, pcg
 
 log = logging.getLogger(__name__)
 
@@ -127,9 +134,6 @@ class DofPartition:
     primal_global: list
     copies: np.ndarray
 
-    def tilde_index(self, k):
-        return np.concatenate([self.interior[k], self.dual[k]]).astype(int)
-
     def gamma_index(self, k):
         return np.concatenate([self.dual[k], self.primal[k]]).astype(int)
 
@@ -174,15 +178,14 @@ class JumpMatrices:
     """Signed matching constraints and the coefficient scaling.
 
     Every row carries exactly one +1 (a patch trace dof) and one -1 (its
-    artificial copy); no dof appears in two rows.  ``B_full`` spans all
-    extended dofs (its I and Pi columns are zero); ``B_gamma`` is its
-    (Delta, Pi) column slice.  `D` holds the diagonal
-    coefficient scaling ``(alpha_k + alpha_l) / alpha_l`` per block over
-    the (Delta, Pi) dofs.
+    artificial copy); no dof appears in two rows.  B touches dual dofs
+    only, so ``B_gamma[k]`` holds block k's columns over its skeleton
+    ``gamma_index(k)`` (Delta, then Pi; the Pi columns are zero).  `D`
+    holds the diagonal coefficient scaling ``(alpha_k + alpha_l) / alpha_l``
+    per block over the same dofs.
     """
 
     n_rows: int
-    B_full: list
     B_gamma: list
     D: list
     pairs: list  # (row, block_k, dof_k, block_l, dof_l, iface_index)
@@ -216,51 +219,44 @@ def build_jump_matrices(domain, local_systems, partition):
     np.minimum.at(neighbor, source, blk)
     neighbor[copy] = src
     alpha = np.array([patch.alpha for patch in domain.patches])
-    B_full, B_gamma, D = [], [], []
+    B_gamma, D = [], []
     for k in range(len(local_systems)):
-        gamma = partition.gamma_index(k)
-        full = B[:, ext[k]:ext[k + 1]]
-        B_full.append(full)
-        B_gamma.append(full[:, gamma])
-        alpha_l = alpha[neighbor[ext[k] + gamma]]
+        gamma = ext[k] + partition.gamma_index(k)
+        B_gamma.append(B[:, gamma])
+        alpha_l = alpha[neighbor[gamma]]
         D.append((alpha[k] + alpha_l) / alpha_l)
-    return JumpMatrices(n_rows, B_full, B_gamma, D, pairs)
+    return JumpMatrices(n_rows, B_gamma, D, pairs)
 
 
-def _pmap(fn, items, workers):
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+def build_psi(local_system, partition, aii_fac, interior_fd=False):
+    """One block's skeleton record: its Schur complement, the S_DD factor and Psi.
 
-
-def build_psi(local_system, partition):
-    """Energy-minimizing basis of the local primal dofs.
-
-    Returns ``(psi, tilde_fac)``: `psi` has one column per local primal
-    dof, identity on the primal rows, and its (I, Delta) rows solve the
-    torn block against the negative primal coupling columns, so those rows
-    of ``A psi`` vanish.  Raises when the torn block is not SPD.
+    ``S = A_GG - A_GI A_II^{-1} A_IG`` is formed densely over
+    ``gamma_index(k)`` with one `aii_fac` solve against the columns of
+    ``A_IG``; ``S_DD`` gets a dense Cholesky factorization.  `psi` has one
+    column per local primal dof: the identity on the Pi rows and
+    ``-S_DD^{-1} S_DP`` on the Delta rows, so the Delta rows of ``S psi``
+    vanish.  The condensed load is ``g = f_G - A_GI A_II^{-1} f_I``.
+    Raises when ``S_DD``, and with it the torn (I, Delta) block, is not SPD.
     """
     k = local_system.k
     A = local_system.A.csr
-    tilde = partition.tilde_index(k)
-    P = partition.primal[k]
-    tilde_fac = factorize(A[tilde][:, tilde], name="patch %d (I,Delta) block" % k)
+    I, gamma = partition.interior[k], partition.gamma_index(k)
+    nd = partition.dual[k].size
+    A_IG = A[I][:, gamma]
+    S = A[gamma][:, gamma].toarray() - A_IG.T @ aii_fac.solve(A_IG.toarray())
     try:
-        tilde_fac.assert_spd()
+        dual_fac = cholesky(S[:nd, :nd], name="patch %d S_DD" % k)
     except NumericalError as exc:
         raise NumericalError(
             "patch %d: torn block is not SPD; either the penalty is too "
             "small for coercivity or a floating patch lacks primal "
             "constraints (%s)" % (k, exc)
         ) from exc
-    psi = np.zeros((local_system.n_total, P.size))
-    if P.size:
-        rhs = -A[tilde][:, P].toarray()
-        psi[tilde] = tilde_fac.solve(rhs)
-        psi[P, np.arange(P.size)] = 1.0
-    return psi, tilde_fac
+    psi = np.vstack([-dual_fac.solve(S[:nd, nd:]), np.eye(gamma.size - nd)])
+    f = local_system.f
+    g = f[gamma] - A_IG.T @ aii_fac.solve(f[I])
+    return OperatorBlock(S, dual_fac, psi, aii_fac, A_IG, g, I, gamma, nd, interior_fd)
 
 
 def kronecker_interior(patch, A_II, interior, univariate, name=""):
@@ -302,35 +298,36 @@ def kronecker_interior(patch, A_II, interior, univariate, name=""):
 
 @dataclass
 class OperatorBlock:
-    """Factorized data of one block, with index sets over its extended dofs.
+    """One block on its skeleton, with index sets over its extended dofs.
 
-    `tilde` lists the (I, Delta) dofs and `gamma` the (Delta, Pi) dofs;
-    `tilde_fac` factorizes the torn block ``A[tilde][:, tilde]`` and
-    `aii_fac` the interior block (see `interior_fd`).  The ``A_GG``, ``A_IG``
-    and ``A_GI`` submatrices of `A` couple the skeleton (`gamma`) and interior dofs.
+    `gamma` lists the skeleton dofs, the `n_dual` Delta dofs first, then
+    Pi; `interior` the I dofs.  `S` is the dense Schur complement over
+    `gamma`, `dual_fac` the Cholesky factor of its (Delta, Delta) block,
+    `psi` the energy-minimizing primal basis on `gamma` and `g` the
+    condensed load (see `build_psi`).  `aii_fac` solves the interior block,
+    which ``A_IG`` couples to the skeleton.
     """
 
-    A: scipy.sparse.csr_matrix
-    tilde_fac: Factorization
-    aii_fac: Factorization
-    A_GG: scipy.sparse.csr_matrix
-    A_IG: scipy.sparse.csr_matrix
-    A_GI: scipy.sparse.csr_matrix
+    S: np.ndarray
+    dual_fac: Factorization
     psi: np.ndarray
-    f: np.ndarray
-    tilde: np.ndarray
+    aii_fac: Factorization
+    A_IG: scipy.sparse.csr_matrix
+    g: np.ndarray
+    interior: np.ndarray
     gamma: np.ndarray
+    n_dual: int
     interior_fd: bool  # aii_fac is from kronecker_interior, not SuperLU
 
 
 class IetiOperator:
-    """Factorized per-block data plus the coarse problem; applies F and M_sD.
+    """Per-block skeleton data plus the coarse problem; applies F and M_sD.
 
     Immutable after construction; applications are read-only and safe to
     call concurrently.
     """
 
-    def __init__(self, domain, local_systems, groups, partition, jumps, workers=1):
+    def __init__(self, domain, local_systems, groups, partition, jumps):
         self.domain = domain
         self.locals = local_systems
         self.groups = groups
@@ -338,8 +335,6 @@ class IetiOperator:
         self.jumps = jumps
         self.n_rows = jumps.n_rows
         self.n_primal = len(groups)
-        K = len(local_systems)
-
         self.primal_global = partition.primal_global
 
         # 1D matrices of the fast-diagonalization check, once per distinct knot vector
@@ -347,44 +342,26 @@ class IetiOperator:
                for kv in (patch.space.kv_u, patch.space.kv_v)}
         univariate = {key: univariate_matrices(kv) for key, kv in kvs.items()}
 
-        def prep(k):
-            sysk = local_systems[k]
-            A = sysk.A.csr
+        self.blocks = []
+        for k, sysk in enumerate(local_systems):
             I = partition.interior[k]
-            tilde = partition.tilde_index(k)
-            gamma = partition.gamma_index(k)
-            psi, tilde_fac = build_psi(sysk, partition)
-            A_II = A[I][:, I]
+            A_II = sysk.A.csr[I][:, I]
             name = "patch %d interior block" % k
             fd = kronecker_interior(domain.patches[k], A_II, I, univariate, name)
-            return OperatorBlock(
-                A=A,
-                tilde_fac=tilde_fac,
-                aii_fac=fd or factorize(A_II, name=name).assert_spd(),
-                A_GG=A[gamma][:, gamma],
-                A_IG=A[I][:, gamma],
-                A_GI=A[gamma][:, I],
-                psi=psi,
-                f=sysk.f,
-                tilde=tilde,
-                gamma=gamma,
-                interior_fd=fd is not None,
-            )
-
-        self.blocks = _pmap(prep, range(K), workers)
+            aii_fac = fd or factorize(A_II, name=name).assert_spd()
+            self.blocks.append(build_psi(sysk, partition, aii_fac, fd is not None))
 
         coarse = np.zeros((self.n_primal, self.n_primal))
         for blk, gk in zip(self.blocks, self.primal_global):
-            np.add.at(coarse, (gk[:, None], gk[None, :]), blk.psi.T @ (blk.A @ blk.psi))
-        self.coarse_matrix = coarse
-        self.coarse_fac = factorize(coarse, name="coarse problem").assert_spd()
+            np.add.at(coarse, (gk[:, None], gk[None, :]), blk.psi.T @ (blk.S @ blk.psi))
+        self.coarse_fac = cholesky(coarse, name="coarse problem")
 
     # -- the primal-constrained solve: F, d and recovery -------------------
 
     def solve_constrained(self, rhs_blocks):
-        """Per-block ``u = A~^{-1} r`` for per-block right-hand sides `rhs_blocks`.
+        """Per-block ``u = S~^{-1} r`` for per-block skeleton right-hand sides `rhs_blocks`.
 
-        A torn solve on the (I, Delta) dofs of every block, plus the
+        A Cholesky solve on the Delta dofs of every block, plus the
         correction ``Psi_k mu[R_k]`` from one coarse solve with the
         right-hand side ``sum_k R_k^T Psi_k^T r_k``.
         """
@@ -392,7 +369,7 @@ class IetiOperator:
         w = np.zeros(self.n_primal)
         for blk, gk, r in zip(self.blocks, self.primal_global, rhs_blocks):
             u = np.zeros(r.shape)
-            u[blk.tilde] = blk.tilde_fac.solve(r[blk.tilde])
+            u[:blk.n_dual] = blk.dual_fac.solve(r[:blk.n_dual])
             u_blocks.append(u)
             np.add.at(w, gk, blk.psi.T @ r)
         mu = self.coarse_fac.solve(w)
@@ -401,36 +378,36 @@ class IetiOperator:
         return u_blocks
 
     def _jump(self, u_blocks):
-        """``B u = sum_k B_k u_k`` over all blocks."""
-        return sum((B @ u for B, u in zip(self.jumps.B_full, u_blocks)), np.zeros(self.n_rows))
+        """``B u = sum_k B_k u_k`` over the skeleton of all blocks."""
+        return sum((B @ u for B, u in zip(self.jumps.B_gamma, u_blocks)), np.zeros(self.n_rows))
 
     def apply_F(self, lam):
-        return self._jump(self.solve_constrained([B.T @ lam for B in self.jumps.B_full]))
+        return self._jump(self.solve_constrained([B.T @ lam for B in self.jumps.B_gamma]))
 
     def compute_d(self):
-        return self._jump(self.solve_constrained([blk.f for blk in self.blocks]))
+        return self._jump(self.solve_constrained([blk.g for blk in self.blocks]))
 
     # -- preconditioner ----------------------------------------------------
 
-    def apply_S(self, k, g):
-        """Block Schur complement on the skeleton dofs (Delta, Pi) of block k."""
-        blk = self.blocks[k]
-        return blk.A_GG @ g - blk.A_GI @ blk.aii_fac.solve(blk.A_IG @ g)
-
     def apply_MsD(self, mu):
         y = np.zeros(self.n_rows)
-        for k in range(len(self.blocks)):
-            Bg = self.jumps.B_gamma[k]
-            g = (Bg.T @ mu) / self.jumps.D[k]
-            y += Bg @ (self.apply_S(k, g) / self.jumps.D[k])
+        for blk, Bg, D in zip(self.blocks, self.jumps.B_gamma, self.jumps.D):
+            y += Bg @ ((blk.S @ ((Bg.T @ mu) / D)) / D)
         return y
 
     # -- solution recovery -------------------------------------------------
 
     def recover_solution(self, lam):
-        """Per-block coefficient vectors from the converged multipliers."""
-        return self.solve_constrained(
-            [blk.f - B.T @ lam for blk, B in zip(self.blocks, self.jumps.B_full)])
+        """Per-block coefficient vectors over the extended dofs from the converged multipliers."""
+        u_gamma = self.solve_constrained(
+            [blk.g - B.T @ lam for blk, B in zip(self.blocks, self.jumps.B_gamma)])
+        u_blocks = []
+        for blk, sysk, ug in zip(self.blocks, self.locals, u_gamma):
+            u = np.empty(sysk.n_total)
+            u[blk.gamma] = ug
+            u[blk.interior] = blk.aii_fac.solve(sysk.f[blk.interior] - blk.A_IG @ ug)
+            u_blocks.append(u)
+        return u_blocks
 
     def patch_solutions(self, u_blocks):
         return [u[: self.locals[k].n_patch] for k, u in enumerate(u_blocks)]
@@ -438,10 +415,10 @@ class IetiOperator:
     # -- diagnostics ---------------------------------------------------------
 
     def psi_residual(self, k):
-        """Energy-minimality residual of Psi: max |(I,Delta) rows of A Psi| / max |A|."""
+        """Energy-minimality residual of Psi: max |Delta rows of S Psi| / max |S|."""
         blk = self.blocks[k]
-        res = (blk.A @ blk.psi)[blk.tilde]
-        scale = max(abs(blk.A.max()), abs(blk.A.min()), 1e-300)
+        res = (blk.S @ blk.psi)[:blk.n_dual]
+        scale = max(np.abs(blk.S).max(initial=0.0), 1e-300)
         return float(np.abs(res).max(initial=0.0) / scale)
 
     def project_wtilde(self, u_blocks):
@@ -464,11 +441,8 @@ class IetiOperator:
         negative jump at the copy.  Returns the max coefficientwise
         deviation (all non-pair skeleton dofs must carry zero).
         """
-        gam = [u_blocks[k][blk.gamma] for k, blk in enumerate(self.blocks)]
-        mu = np.zeros(self.n_rows)
-        for k in range(len(self.blocks)):
-            mu += self.jumps.B_gamma[k] @ gam[k]
-        w = [(self.jumps.B_gamma[k].T @ mu) / self.jumps.D[k] for k in range(len(self.blocks))]
+        mu = self._jump([u[blk.gamma] for u, blk in zip(u_blocks, self.blocks)])
+        w = [(B.T @ mu) / D for B, D in zip(self.jumps.B_gamma, self.jumps.D)]
         expected = [np.zeros_like(wk) for wk in w]
         pos_gamma = []
         for k, blk in enumerate(self.blocks):
@@ -564,17 +538,15 @@ def lambda_factor(domain):
     return float(1.0 + np.log(domain.degree) + np.log(1.0 / hhat.min()))
 
 
-def setup_operator(domain, delta=12.0, source=1.0, vector_source=None, workers=1):
+def setup_operator(domain, delta=12.0, source=1.0, vector_source=None):
     """Assemble all extended local systems and build the IETI operator."""
-    local_systems = _pmap(
-        lambda k: build_local_system(domain, k, delta, source=source, vector_source=vector_source),
-        range(domain.num_patches),
-        workers,
-    )
+    local_systems = [build_local_system(domain, k, delta, source=source,
+                                        vector_source=vector_source)
+                     for k in range(domain.num_patches)]
     groups = select_primal(domain)
     partition = build_partition(domain, local_systems, groups)
     jumps = build_jump_matrices(domain, local_systems, partition)
-    return IetiOperator(domain, local_systems, groups, partition, jumps, workers=workers)
+    return IetiOperator(domain, local_systems, groups, partition, jumps)
 
 
 def pcg_solve(operator, d, tol=1e-6, max_iter=1000):
@@ -587,9 +559,13 @@ def pcg_solve(operator, d, tol=1e-6, max_iter=1000):
 
 def solve_ieti(domain, delta=12.0, tol=1e-6, max_iter=1000, source=1.0,
                vector_source=None, workers=1, refinement=-1):
-    """Full pipeline: assemble, set up, solve the multiplier system, recover."""
+    """Full pipeline: assemble, set up, solve the multiplier system, recover.
+
+    `workers` is accepted and ignored: ``perfbench/run.py`` passes it, so
+    removing it is a change on the benchmark side.
+    """
     t0 = time.perf_counter()
-    op = setup_operator(domain, delta, source=source, vector_source=vector_source, workers=workers)
+    op = setup_operator(domain, delta, source=source, vector_source=vector_source)
     d = op.compute_d()
     t1 = time.perf_counter()
     result = pcg_solve(op, d, tol=tol, max_iter=max_iter)

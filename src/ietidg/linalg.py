@@ -1,8 +1,10 @@
 """Shared numerical kernels: sparse symmetric storage, factorization, PCG.
 
-One sparse backend serves every block, the coarse problem and the oracle:
-SuperLU in symmetric mode with a minimum-degree ordering and pivot monitoring,
-inertia from the U-diagonal signs; Kronecker sums use fast diagonalization.
+One sparse backend serves the interior blocks that are no Kronecker sum and
+the oracle: SuperLU in symmetric mode with a minimum-degree ordering and
+pivot monitoring, inertia from the U-diagonal signs.  Kronecker sums use
+fast diagonalization; the dense skeleton blocks and the coarse problem use
+a dense Cholesky factorization.
 PCG estimates the condition number from the eigenvalues of its Lanczos
 tridiagonal matrix.
 """
@@ -144,6 +146,23 @@ def factorize(A, name=""):
         raise SingularMatrixError("%s: zero pivot at index %d" % (label, index), index=index)
     npos = int(np.sum(diag > 0))
     return Factorization(n, lu.solve, (npos, n - npos, 0), name)
+
+
+def cholesky(A, name=""):
+    """Dense Cholesky factorization of an SPD ``ndarray`` (``scipy.linalg.cho_factor``).
+
+    Raises :class:`NumericalError` when `A` is not finite or not positive definite.
+    """
+    n = A.shape[0]
+    if n == 0:
+        return Factorization(0, lambda rhs: rhs, (0, 0, 0), name)
+    try:
+        factor = scipy.linalg.cho_factor(A)
+    except (ValueError, np.linalg.LinAlgError) as exc:  # ValueError: not finite
+        raise NumericalError("%s: expected SPD matrix, Cholesky failed: %s"
+                             % (name or "cholesky", exc)) from exc
+    return Factorization(n, lambda rhs: scipy.linalg.cho_solve(factor, rhs, check_finite=False),
+                         (n, 0, 0), name)
 
 
 def fast_diagonalization(K_u, M_u, K_v, M_v, c_u, c_v, name=""):

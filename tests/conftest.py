@@ -50,3 +50,13 @@ def random_knotvector(rng, p=None):
     interior = np.sort(rng.uniform(0.05, 0.95, n_interior))
     knots = np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)])
     return KnotVector(p, knots)
+
+
+def full_jump_columns(jumps, partition, local_systems):
+    """Each block's dense B over all its extended dofs, scattered from ``B_gamma``."""
+    out = []
+    for k, sysk in enumerate(local_systems):
+        B = np.zeros((jumps.n_rows, sysk.n_total))
+        B[:, partition.gamma_index(k)] = jumps.B_gamma[k].toarray()
+        out.append(B)
+    return out

@@ -15,7 +15,7 @@ from ietidg.cli import ExperimentSpec, run_growth_study, run_solve
 from ietidg.domains import grid_domain, slider_domain, t_domain
 from ietidg.ieti import lambda_factor, pcg_solve, setup_operator, solve_ieti
 
-from conftest import two_patch_domain
+from conftest import full_jump_columns, two_patch_domain
 
 BUILTINS = {
     "grid2x2": lambda p, r, alphas=None: grid_domain(2, degree=p, refinements=r, alphas=alphas),
@@ -218,7 +218,7 @@ class TestCriterion6StructuralInvariants:
         dom = BUILTINS[name](p, 2)
         op = setup_operator(dom)
         # jump-matrix structure
-        B = np.hstack([op.jumps.B_full[k].toarray() for k in range(dom.num_patches)])
+        B = np.hstack(full_jump_columns(op.jumps, op.partition, op.locals))
         for row in B:
             assert sorted(row[row != 0]) == [-1.0, 1.0]
         counts = (B != 0).sum(axis=0)

@@ -188,6 +188,10 @@ class TestMain:
         assert main(["--builtin", "tdomain", "--delta", "0.001"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_exit_sliver_patch(self, capsys):
+        assert main(["--builtin", "slider", "3", "0.01", "--degree", "2", "--refine", "2"]) == 3
+        assert "patch 3: torn block is not SPD" in capsys.readouterr().err
+
     def test_growth_flag_output(self, capsys):
         code = main(["--builtin", "slider", "3", "0.3", "--degree", "2",
                      "--refine", "1 2 3 4", "--growth"])

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse
 
 from ietidg.assembly import build_local_system, univariate_matrices
@@ -27,7 +26,7 @@ from ietidg.ieti import (
 from ietidg import refsolver
 from ietidg.linalg import factorize
 
-from conftest import two_patch_domain, unit_square_patch
+from conftest import full_jump_columns, two_patch_domain, unit_square_patch
 
 
 def build_stack(domain, delta=12.0, source=1.0):
@@ -55,6 +54,28 @@ def dense_F(op):
 def dense_MsD(op):
     n = op.n_rows
     return np.column_stack([op.apply_MsD(np.eye(n)[:, i]) for i in range(n)])
+
+
+def constrained_system(op):
+    """The primal-constrained system ``(A~, B~, f~)``, assembled densely from the local matrices.
+
+    Its unknowns are every block's (I, Delta) dofs, block after block, then
+    the global primal dofs; each copy of a primal dof maps onto its coarse index.
+    """
+    part = op.partition
+    tilde = [np.concatenate([I, dual]) for I, dual in zip(part.interior, part.dual)]
+    offsets = np.cumsum([0] + [t.size for t in tilde])
+    n = offsets[-1] + op.n_primal
+    A, B, f = np.zeros((n, n)), np.zeros((op.n_rows, n)), np.zeros(n)
+    for k, (sysk, Bk) in enumerate(zip(op.locals, full_jump_columns(op.jumps, part, op.locals))):
+        col = np.empty(sysk.n_total, dtype=int)
+        col[tilde[k]] = offsets[k] + np.arange(tilde[k].size)
+        col[part.primal[k]] = offsets[-1] + part.primal_global[k]
+        R = np.eye(n)[col]
+        A += R.T @ sysk.A.toarray() @ R
+        B += Bk @ R
+        f += R.T @ sysk.f
+    return A, B, f
 
 
 class TestSelectPrimal:
@@ -170,7 +191,7 @@ class TestJumpMatrices:
         partition = build_partition(dom, locals_, [])
         jumps = build_jump_matrices(dom, locals_, partition)
         assert jumps.n_rows == 4
-        B = np.hstack([jumps.B_full[k].toarray() for k in range(2)])
+        B = np.hstack(full_jump_columns(jumps, partition, locals_))
         for row in B:
             assert sorted(row[row != 0]) == [-1.0, 1.0]
         col_counts = (B != 0).sum(axis=0)
@@ -230,7 +251,7 @@ class TestJumpMatrices:
     def test_structure_invariants_all_builtins(self, p, factory):
         dom = factory(p)
         locals_, groups, partition, jumps = build_stack(dom)
-        Bs = [jumps.B_full[k].toarray() for k in range(dom.num_patches)]
+        Bs = full_jump_columns(jumps, partition, locals_)
         B = np.hstack(Bs)
         for row in B:
             nz = row[row != 0]
@@ -276,22 +297,26 @@ class TestOperator:
     def test_build_psi_standalone(self):
         dom = t_domain(degree=2, refinements=1)
         locals_, groups, partition, jumps = build_stack(dom)
-        psi, tilde_fac = build_psi(locals_[0], partition)
-        P = partition.primal[0]
-        assert psi.shape == (locals_[0].n_total, P.size)
-        np.testing.assert_allclose(psi[P], np.eye(P.size), atol=0)
-        res = (locals_[0].A.csr @ psi)[partition.tilde_index(0)]
-        scale = abs(locals_[0].A.csr.max())
+        A = locals_[0].A.toarray()
+        I, dual, P = partition.interior[0], partition.dual[0], partition.primal[0]
+        blk = build_psi(locals_[0], partition, factorize(A[np.ix_(I, I)]))
+        assert blk.psi.shape == (dual.size + P.size, P.size)
+        np.testing.assert_allclose(blk.psi[dual.size:], np.eye(P.size), atol=0)
+        # extend Psi by its dense interior solve: the (I, Delta) rows of A Psi vanish
+        psi = np.zeros((locals_[0].n_total, P.size))
+        psi[blk.gamma] = blk.psi
+        psi[I] = -np.linalg.solve(A[np.ix_(I, I)], A[np.ix_(I, blk.gamma)] @ blk.psi)
+        res = (A @ psi)[np.concatenate([I, dual])]
+        scale = abs(A.max())
         assert np.abs(res).max() <= 1e-9 * scale
 
     def test_psi_identity_rows_and_residual(self):
         dom = t_domain(degree=2, refinements=1, alphas=[1, 10, 100, 1, 10])
         op = setup_operator(dom)
-        for k in range(dom.num_patches):
-            psi = op.blocks[k].psi
+        for k, blk in enumerate(op.blocks):
             P = op.partition.primal[k]
             if P.size:
-                np.testing.assert_allclose(psi[P], np.eye(P.size), atol=0)
+                np.testing.assert_allclose(blk.psi[blk.n_dual:], np.eye(P.size), atol=0)
             assert op.psi_residual(k) <= 1e-9
 
     def test_psi_empty_without_primal(self):
@@ -325,63 +350,41 @@ class TestOperator:
             assert abs(y @ mx - x @ my) <= 1e-9 * scale
 
     def test_dense_saddle_oracle(self):
-        # eliminate the saddle system assembled from the raw blocks and
-        # compare column by column with the operator application
-        dom = two_patch_domain(p=1, r=1)
-        op = setup_operator(dom)
-        K = dom.num_patches
-        At = scipy.linalg.block_diag(*[blk.A[blk.tilde][:, blk.tilde].toarray()
-                                       for blk in op.blocks])
-        Bt = np.hstack([op.jumps.B_full[k][:, blk.tilde].toarray()
-                        for k, blk in enumerate(op.blocks)])
-        blocks = [At]
-        rhs_cols = [Bt]
-        if op.n_primal:
-            R = [np.eye(op.n_primal)[op.primal_global[k]] for k in range(K)]
-            BPsi = sum(op.jumps.B_full[k].toarray() @ op.blocks[k].psi @ R[k] for k in range(K))
-            blocks.append(op.coarse_matrix)
-            rhs_cols.append(BPsi)
-        big = scipy.linalg.block_diag(*blocks)
-        wide = np.hstack(rhs_cols)
-        F_ref = wide @ np.linalg.solve(big, wide.T)
+        # eliminate the primal-constrained system assembled from the raw
+        # blocks and compare column by column with the operator application
+        op = setup_operator(two_patch_domain(p=1, r=1))
+        A, B, f = constrained_system(op)
+        F_ref = B @ np.linalg.solve(A, B.T)
         np.testing.assert_allclose(dense_F(op), F_ref, atol=1e-10 * np.abs(F_ref).max())
-        ft = np.hstack([blk.f[blk.tilde] for blk in op.blocks])
-        parts = [ft]
-        if op.n_primal:
-            pf = np.zeros(op.n_primal)
-            for k in range(K):
-                np.add.at(pf, op.primal_global[k], op.blocks[k].psi.T @ op.blocks[k].f)
-            parts.append(pf)
-        d_ref = wide @ np.linalg.solve(big, np.hstack(parts))
+        d_ref = B @ np.linalg.solve(A, f)
         np.testing.assert_allclose(op.compute_d(), d_ref, atol=1e-10 * np.abs(d_ref).max())
 
     def test_dense_saddle_oracle_with_primal(self):
-        dom = t_domain(degree=2, refinements=1, alphas=[1, 10, 100, 1, 10])
-        op = setup_operator(dom)
-        K = dom.num_patches
-        At = scipy.linalg.block_diag(*[blk.A[blk.tilde][:, blk.tilde].toarray()
-                                       for blk in op.blocks])
-        Bt = np.hstack([op.jumps.B_full[k][:, blk.tilde].toarray()
-                        for k, blk in enumerate(op.blocks)])
-        R = [np.eye(op.n_primal)[op.primal_global[k]] for k in range(K)]
-        BPsi = sum(op.jumps.B_full[k].toarray() @ op.blocks[k].psi @ R[k] for k in range(K))
-        big = scipy.linalg.block_diag(At, op.coarse_matrix)
-        wide = np.hstack([Bt, BPsi])
-        F_ref = wide @ np.linalg.solve(big, wide.T)
+        op = setup_operator(t_domain(degree=2, refinements=1, alphas=[1, 10, 100, 1, 10]))
+        assert op.n_primal
+        A, B, _ = constrained_system(op)
+        F_ref = B @ np.linalg.solve(A, B.T)
         np.testing.assert_allclose(dense_F(op), F_ref, atol=1e-10 * np.abs(F_ref).max())
 
-    def test_schur_against_dense_elimination(self, rng):
-        dom = two_patch_domain(p=1, r=2)
-        op = setup_operator(dom)
-        for k in range(2):
-            A = op.locals[k].A.csr.toarray()
-            gam = op.blocks[k].gamma
-            I = op.partition.interior[k]
+    @pytest.mark.parametrize("factory", [
+        pytest.param(lambda f=f, p=p: f(p), id="%s-p%d" % (name, p))
+        for name, f in (("grid2x2", lambda p: grid_domain(2, degree=p, refinements=2)),
+                        ("tdomain", lambda p: t_domain(degree=p, refinements=2)),
+                        ("slider(3,0.3)", lambda p: slider_domain(3, 0.3, degree=p, refinements=2)))
+        for p in (1, 2, 3)
+    ] + [
+        pytest.param(lambda: curved_two_patch_domain(), id="curved"),
+        pytest.param(lambda: nonuniform_config_domain(2), id="nonuniform"),
+        pytest.param(lambda: partial_interface_domain(), id="partial"),
+    ])
+    def test_schur_against_dense_elimination(self, factory):
+        op = setup_operator(factory())
+        for k, blk in enumerate(op.blocks):
+            A = op.locals[k].A.toarray()
+            gam, I = blk.gamma, op.partition.interior[k]
             S_ref = A[np.ix_(gam, gam)] - A[np.ix_(gam, I)] @ np.linalg.solve(
                 A[np.ix_(I, I)], A[np.ix_(I, gam)])
-            g = rng.standard_normal(gam.size)
-            np.testing.assert_allclose(op.apply_S(k, g), S_ref @ g,
-                                       atol=1e-10 * np.abs(S_ref).max())
+            assert np.abs(blk.S - S_ref).max() <= 1e-12 * np.abs(S_ref).max()
 
     def test_equal_alpha_preconditioner_formula(self):
         # with all alphas equal, D = 2 I and M_sD = (1/4) B_Gamma S B_Gamma^T
@@ -397,7 +400,7 @@ class TestOperator:
             acc = np.zeros(n)
             for k in range(dom.num_patches):
                 Bg = op.jumps.B_gamma[k]
-                acc += Bg @ op.apply_S(k, Bg.T @ e)
+                acc += Bg @ (op.blocks[k].S @ (Bg.T @ e))
             raw[:, i] = acc
         np.testing.assert_allclose(dense_MsD(op), 0.25 * raw, atol=1e-12 * np.abs(raw).max())
 
@@ -436,20 +439,23 @@ class TestSolve:
     def test_recovery_solves_primal_constrained_system(self, rng, factory):
         # u = A~^{-1} (f - B^T lam) for any lam: the block residuals
         # A_k u_k - f_k + B_k^T lam vanish on the (I, Delta) rows, their
-        # Psi-weighted sum vanishes on the global primal space, and u is
+        # sum over the copies of each primal dof vanishes, and u is
         # continuous at the primal dofs
         op = setup_operator(factory())
         lam = rng.standard_normal(op.n_rows)
         u = op.recover_solution(lam)
         w = np.zeros(op.n_primal)
         w_scale = np.zeros(op.n_primal)
-        for k, blk in enumerate(op.blocks):
-            terms = (blk.A @ u[k], -blk.f, op.jumps.B_full[k].T @ lam)
+        Bs = full_jump_columns(op.jumps, op.partition, op.locals)
+        for k, sysk in enumerate(op.locals):
+            terms = (sysk.A.csr @ u[k], -sysk.f, Bs[k].T @ lam)
             resid = sum(terms)
             scale = sum(np.abs(t) for t in terms)
-            assert np.abs(resid[blk.tilde]).max() <= 1e-12 * scale.max()
-            np.add.at(w, op.primal_global[k], blk.psi.T @ resid)
-            np.add.at(w_scale, op.primal_global[k], np.abs(blk.psi).T @ scale)
+            tilde = np.concatenate([op.partition.interior[k], op.partition.dual[k]])
+            assert np.abs(resid[tilde]).max() <= 1e-12 * scale.max()
+            P = op.partition.primal[k]
+            np.add.at(w, op.primal_global[k], resid[P])
+            np.add.at(w_scale, op.primal_global[k], scale[P])
         assert op.n_primal and np.abs(w).max() <= 1e-12 * w_scale.max()
         for projected, uk in zip(op.project_wtilde(u), u):
             np.testing.assert_allclose(projected, uk, rtol=1e-14, atol=0)
@@ -507,14 +513,6 @@ class TestSolve:
         system = refsolver.assemble_global(dom, 12.0)
         direct = refsolver.split_solution(system, refsolver.direct_solve(system))
         np.testing.assert_allclose(sol.u_patches[0], direct[0], atol=1e-10)
-
-    def test_threaded_setup_matches_sequential(self, rng):
-        dom = t_domain(degree=2, refinements=2, alphas=[1, 10, 100, 1, 10])
-        op1 = setup_operator(dom, workers=1)
-        op2 = setup_operator(dom, workers=3)
-        lam = rng.standard_normal(op1.n_rows)
-        np.testing.assert_array_equal(op1.apply_F(lam), op2.apply_F(lam))
-        np.testing.assert_array_equal(op1.apply_MsD(lam), op2.apply_MsD(lam))
 
     def test_report_fields(self):
         dom = t_domain(degree=2, refinements=1)
@@ -622,7 +620,7 @@ def fd_against_superlu(op, rng):
     worst = 0.0
     for k, blk in enumerate(op.blocks):
         I = op.partition.interior[k]
-        reference = factorize(blk.A[I][:, I])
+        reference = factorize(op.locals[k].A.csr[I][:, I])
         B = rng.standard_normal((I.size, 3))
         for rhs in (B[:, 0], B):
             x, y = blk.aii_fac.solve(rhs), reference.solve(rhs)
@@ -641,6 +639,24 @@ def nonuniform_config_domain(p):
         space["knots_u"] = [0.0] * (p + 1) + knots_u + [1.0] * (p + 1)
         space["knots_v"] = [0.0] * (p + 1) + knots_v + [1.0] * (p + 1)
     return domain_from_config(config)
+
+
+def curved_geometry():
+    """Degree-2 map of the unit square whose middle control point is lifted:
+    diagonal Jacobian at the corners and the centre, curved everywhere else."""
+    kv = KnotVector.bernstein(2)
+    control = np.stack(np.meshgrid([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], indexing="ij"), axis=-1)
+    control[1, 1, 1] = 0.7
+    return GeometryMap(kv, kv, control)
+
+
+def curved_two_patch_domain(p=2, r=2):
+    """The curved patch of `curved_geometry` glued along x = 1 to the square [1, 2] x [0, 1]."""
+    kv = refine_uniform(KnotVector.bernstein(p), r)
+    patches = [Patch(curved_geometry(), 1.0, TensorSplineSpace(kv, kv, {"west", "south", "north"})),
+               unit_square_patch(1, 2, 0, 1, p, r, {"east", "south", "north"})]
+    ifaces = [Interface(0, "east", (0.0, 1.0), 1, "west", (0.0, 1.0))]
+    return MultiPatchDomain(patches, ifaces, name="curved").validate()
 
 
 def partial_interface_domain(p=2, r=2):
@@ -700,7 +716,7 @@ class TestFastDiagonalizationInterior:
         dom = self._single_patch(GeometryMap.bilinear((0, 0), (1, 0), (0, 1), (1, 1)))
         op = setup_operator(dom)
         I = op.partition.interior[0]
-        A_II = op.blocks[0].A[I][:, I].tolil()
+        A_II = op.locals[0].A.csr[I][:, I].tolil()
         kv = dom.patches[0].space.kv_u
         univariate = {kv.knots.tobytes(): univariate_matrices(kv)}
         assert kronecker_interior(dom.patches[0], A_II.tocsr(), I, univariate) is not None
@@ -728,12 +744,7 @@ class TestFastDiagonalizationInterior:
         assert fd_against_superlu(op, rng) == 0.0
 
     def test_curved_patch_falls_back(self, rng):
-        # degree-2 map whose middle control point is lifted: diagonal Jacobian at
-        # the corners and the centre, curved everywhere else
-        kv = KnotVector.bernstein(2)
-        control = np.stack(np.meshgrid([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], indexing="ij"), axis=-1)
-        control[1, 1, 1] = 0.7
-        geo = GeometryMap(kv, kv, control)
+        geo = curved_geometry()
         for point in ((0.0, 0.0), (0.5, 0.5)):
             jac = geo.jacobian(*point)
             assert jac[0, 1] == 0.0 and jac[1, 0] == 0.0
@@ -768,3 +779,11 @@ class TestFailureModes:
         dom = t_domain(degree=2, refinements=1)
         with pytest.raises(NumericalError):
             solve_ieti(dom, delta=0.001)
+
+    def test_sliver_patch_raises(self):
+        # the top row's first patch is [0, 0.01] x [1, 2]: the penalty, scaled
+        # by the element diameter, is too weak for its thin elements, and the
+        # torn block has inertia (24, 4, 0)
+        dom = slider_domain(3, 0.01, degree=2, refinements=2)
+        with pytest.raises(NumericalError, match="patch 3: torn block is not SPD"):
+            solve_ieti(dom)

@@ -7,6 +7,7 @@ from ietidg.bspline import KnotVector, refine_uniform
 from ietidg.errors import NumericalError, SingularMatrixError
 from ietidg.linalg import (
     SparseSym,
+    cholesky,
     factorize,
     fast_diagonalization,
     lanczos_condition,
@@ -143,6 +144,25 @@ class TestFactorize:
         wrapped = SparseSym(scipy.sparse.csr_matrix(A))
         x = factorize(wrapped).solve(np.ones(20))
         np.testing.assert_allclose(A @ x, np.ones(20), atol=1e-9)
+
+
+class TestCholesky:
+    def test_solves_spd(self, rng):
+        A = random_spd(rng, 25)
+        fac = cholesky(A)
+        assert fac.inertia == (25, 0, 0)
+        B = rng.standard_normal((25, 3))
+        for rhs in (B[:, 0], B):
+            np.testing.assert_allclose(A @ fac.solve(rhs), rhs, atol=1e-12)
+
+    def test_empty(self):
+        assert cholesky(np.zeros((0, 0))).solve(np.zeros(0)).shape == (0,)
+
+    @pytest.mark.parametrize("A", [np.diag([3.0, -2.0, 1.0]), np.full((2, 2), np.nan)],
+                             ids=["indefinite", "nan"])
+    def test_not_spd_raises_numerical_error(self, A):
+        with pytest.raises(NumericalError, match="S_DD: expected SPD matrix"):
+            cholesky(A, name="S_DD")
 
 
 class TestFastDiagonalization:
