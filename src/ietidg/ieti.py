@@ -66,8 +66,9 @@ def select_primal(domain):
     for v_idx, vertex in enumerate(domain.vertices):
         for patch, (u0, v0) in vertex.adjacency:
             space = domain.patches[patch].space
+            js = nonzero_at_point(space.kv_v, v0)
             for i in nonzero_at_point(space.kv_u, u0):
-                for j in nonzero_at_point(space.kv_v, v0):
+                for j in js:
                     dof = int(space.dof_map[i, j])
                     if dof < 0:
                         log.info(
@@ -232,11 +233,10 @@ def build_psi(local_system, partition, aii_fac, interior_fd=False):
     """One block's skeleton record: its Schur complement, the S_DD factor and Psi.
 
     ``S = A_GG - A_GI A_II^{-1} A_IG`` is formed densely over
-    ``gamma_index(k)`` with one `aii_fac` solve against the columns of
-    ``A_IG``; ``S_DD`` gets a dense Cholesky factorization.  `psi` has one
-    column per local primal dof: the identity on the Pi rows and
-    ``-S_DD^{-1} S_DP`` on the Delta rows, so the Delta rows of ``S psi``
-    vanish.  The condensed load is ``g = f_G - A_GI A_II^{-1} f_I``.
+    ``gamma_index(k)`` by ``aii_fac.schur(A_IG)``; ``S_DD`` gets a dense
+    Cholesky factorization.  `psi` has one column per local primal dof:
+    the identity on the Pi rows and ``-S_DD^{-1} S_DP`` on the Delta rows,
+    so the Delta rows of ``S psi`` vanish.  The condensed load is ``g = f_G - A_GI A_II^{-1} f_I``.
     Raises when ``S_DD``, and with it the torn (I, Delta) block, is not SPD.
     """
     k = local_system.k
@@ -244,7 +244,7 @@ def build_psi(local_system, partition, aii_fac, interior_fd=False):
     I, gamma = partition.interior[k], partition.gamma_index(k)
     nd = partition.dual[k].size
     A_IG = A[I][:, gamma]
-    S = A[gamma][:, gamma].toarray() - A_IG.T @ aii_fac.solve(A_IG.toarray())
+    S = A[gamma][:, gamma].toarray() - aii_fac.schur(A_IG)
     try:
         dual_fac = cholesky(S[:nd, :nd], name="patch %d S_DD" % k)
     except NumericalError as exc:
@@ -420,45 +420,6 @@ class IetiOperator:
         res = (blk.S @ blk.psi)[:blk.n_dual]
         scale = max(np.abs(blk.S).max(initial=0.0), 1e-300)
         return float(np.abs(res).max(initial=0.0) / scale)
-
-    def project_wtilde(self, u_blocks):
-        """Project block vectors onto the primal-constrained subspace by group averaging."""
-        total, count = np.zeros(self.n_primal), np.zeros(self.n_primal)
-        for u, P, gk in zip(u_blocks, self.partition.primal, self.primal_global):
-            np.add.at(total, gk, u[P])
-            np.add.at(count, gk, 1.0)
-        out = [u.copy() for u in u_blocks]
-        for u, P, gk in zip(out, self.partition.primal, self.primal_global):
-            u[P] = total[gk] / count[gk]
-        return out
-
-    def check_lemma_bbt(self, u_blocks):
-        """Verify the closed form of w = B_D^T B_Gamma u for primal-constrained u.
-
-        For every matched pair on an interface between patches k and l the
-        scaled jump ``alpha_l / (alpha_k + alpha_l) * (u_k - u_l_copy)``
-        must appear at the block-k dof, and the complementary-scaled
-        negative jump at the copy.  Returns the max coefficientwise
-        deviation (all non-pair skeleton dofs must carry zero).
-        """
-        mu = self._jump([u[blk.gamma] for u, blk in zip(u_blocks, self.blocks)])
-        w = [(B.T @ mu) / D for B, D in zip(self.jumps.B_gamma, self.jumps.D)]
-        expected = [np.zeros_like(wk) for wk in w]
-        pos_gamma = []
-        for k, blk in enumerate(self.blocks):
-            pg = -np.ones(self.locals[k].n_total, dtype=int)
-            pg[blk.gamma] = np.arange(blk.gamma.size)
-            pos_gamma.append(pg)
-        for _, k, dof_k, l, dof_l, _ in self.jumps.pairs:
-            a_k = self.domain.patches[k].alpha
-            a_l = self.domain.patches[l].alpha
-            jump = u_blocks[k][dof_k] - u_blocks[l][dof_l]
-            expected[k][pos_gamma[k][dof_k]] = a_l / (a_k + a_l) * jump
-            expected[l][pos_gamma[l][dof_l]] = -a_k / (a_k + a_l) * jump
-        return max(
-            float(np.abs(w[k] - expected[k]).max()) if w[k].size else 0.0
-            for k in range(len(self.blocks))
-        )
 
 
 @dataclass

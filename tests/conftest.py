@@ -60,3 +60,45 @@ def full_jump_columns(jumps, partition, local_systems):
         B[:, partition.gamma_index(k)] = jumps.B_gamma[k].toarray()
         out.append(B)
     return out
+
+
+def project_wtilde(op, u_blocks):
+    """Project block vectors onto the primal-constrained subspace by group averaging."""
+    total, count = np.zeros(op.n_primal), np.zeros(op.n_primal)
+    for u, P, gk in zip(u_blocks, op.partition.primal, op.primal_global):
+        np.add.at(total, gk, u[P])
+        np.add.at(count, gk, 1.0)
+    out = [u.copy() for u in u_blocks]
+    for u, P, gk in zip(out, op.partition.primal, op.primal_global):
+        u[P] = total[gk] / count[gk]
+    return out
+
+
+def check_lemma_bbt(op, u_blocks):
+    """Verify the closed form of w = B_D^T B_Gamma u for primal-constrained u.
+
+    For every matched pair on an interface between patches k and l the
+    scaled jump ``alpha_l / (alpha_k + alpha_l) * (u_k - u_l_copy)``
+    must appear at the block-k dof, and the complementary-scaled
+    negative jump at the copy.  Returns the max coefficientwise
+    deviation (all non-pair skeleton dofs must carry zero).
+    """
+    mu = sum((B @ u[blk.gamma] for B, u, blk in zip(op.jumps.B_gamma, u_blocks, op.blocks)),
+             np.zeros(op.n_rows))
+    w = [(B.T @ mu) / D for B, D in zip(op.jumps.B_gamma, op.jumps.D)]
+    expected = [np.zeros_like(wk) for wk in w]
+    pos_gamma = []
+    for k, blk in enumerate(op.blocks):
+        pg = -np.ones(op.locals[k].n_total, dtype=int)
+        pg[blk.gamma] = np.arange(blk.gamma.size)
+        pos_gamma.append(pg)
+    for _, k, dof_k, l, dof_l, _ in op.jumps.pairs:
+        a_k = op.domain.patches[k].alpha
+        a_l = op.domain.patches[l].alpha
+        jump = u_blocks[k][dof_k] - u_blocks[l][dof_l]
+        expected[k][pos_gamma[k][dof_k]] = a_l / (a_k + a_l) * jump
+        expected[l][pos_gamma[l][dof_l]] = -a_k / (a_k + a_l) * jump
+    return max(
+        float(np.abs(w[k] - expected[k]).max()) if w[k].size else 0.0
+        for k in range(len(op.blocks))
+    )

@@ -15,7 +15,7 @@ from ietidg.cli import ExperimentSpec, run_growth_study, run_solve
 from ietidg.domains import grid_domain, slider_domain, t_domain
 from ietidg.ieti import lambda_factor, pcg_solve, setup_operator, solve_ieti
 
-from conftest import full_jump_columns, two_patch_domain
+from conftest import check_lemma_bbt, full_jump_columns, project_wtilde, two_patch_domain
 
 BUILTINS = {
     "grid2x2": lambda p, r, alphas=None: grid_domain(2, degree=p, refinements=r, alphas=alphas),
@@ -61,8 +61,8 @@ class TestCriterion2LemmaIdentity:
         op = setup_operator(dom)
         worst = 0.0
         for _ in range(50):
-            u = op.project_wtilde([rng.standard_normal(s.n_total) for s in op.locals])
-            worst = max(worst, op.check_lemma_bbt(u))
+            u = project_wtilde(op, [rng.standard_normal(s.n_total) for s in op.locals])
+            worst = max(worst, check_lemma_bbt(op, u))
         assert worst <= 1e-12, "max coefficientwise deviation %.3e" % worst
         _report("PASS criterion 2 [%s alphas=%s]: max deviation %.2e"
                 % (name, pattern, worst))

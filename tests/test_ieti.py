@@ -24,9 +24,10 @@ from ietidg.ieti import (
     solve_ieti,
 )
 from ietidg import refsolver
-from ietidg.linalg import factorize
+from ietidg.linalg import Factorization, factorize
 
-from conftest import full_jump_columns, two_patch_domain, unit_square_patch
+from conftest import (check_lemma_bbt, full_jump_columns, project_wtilde, two_patch_domain,
+                      unit_square_patch)
 
 
 def build_stack(domain, delta=12.0, source=1.0):
@@ -54,6 +55,14 @@ def dense_F(op):
 def dense_MsD(op):
     n = op.n_rows
     return np.column_stack([op.apply_MsD(np.eye(n)[:, i]) for i in range(n)])
+
+
+def dense_schur(op, k):
+    """Block k's Schur complement by dense elimination of its interior."""
+    A = op.locals[k].A.toarray()
+    gam, I = op.blocks[k].gamma, op.partition.interior[k]
+    return A[np.ix_(gam, gam)] - A[np.ix_(gam, I)] @ np.linalg.solve(
+        A[np.ix_(I, I)], A[np.ix_(I, gam)])
 
 
 def constrained_system(op):
@@ -380,11 +389,38 @@ class TestOperator:
     def test_schur_against_dense_elimination(self, factory):
         op = setup_operator(factory())
         for k, blk in enumerate(op.blocks):
-            A = op.locals[k].A.toarray()
-            gam, I = blk.gamma, op.partition.interior[k]
-            S_ref = A[np.ix_(gam, gam)] - A[np.ix_(gam, I)] @ np.linalg.solve(
-                A[np.ix_(I, I)], A[np.ix_(I, gam)])
+            S_ref = dense_schur(op, k)
             assert np.abs(blk.S - S_ref).max() <= 1e-12 * np.abs(S_ref).max()
+
+    @pytest.mark.parametrize("factory", [
+        pytest.param(lambda: t_domain(degree=2, refinements=4), id="tdomain-p2-r4"),
+        # at r=4 the flop rule sends every p=3 block down the generic formula
+        pytest.param(lambda: t_domain(degree=3, refinements=5), id="tdomain-p3-r5"),
+        pytest.param(lambda: nonuniform_config_domain(2, r=2), id="nonuniform"),
+        pytest.param(lambda: partial_interface_domain(r=4), id="partial"),
+        # every skeleton row in the south/north band: no column group
+        pytest.param(lambda: stacked_two_patch_domain(r=4), id="stacked"),
+    ])
+    def test_separable_schur(self, monkeypatch, factory):
+        # an FD block whose factorization never reaches Factorization.schur
+        # formed S from the boundary band of its 1D eigenbases
+        generic = []
+        formula = Factorization.schur
+        monkeypatch.setattr(Factorization, "schur",
+                            lambda fac, B: generic.append(fac) or formula(fac, B))
+        op = setup_operator(factory())
+        separable = [k for k, blk in enumerate(op.blocks)
+                     if blk.interior_fd and all(fac is not blk.aii_fac for fac in generic)]
+        assert separable
+        for k in separable:
+            blk = op.blocks[k]
+            S_ref = dense_schur(op, k)
+            assert np.abs(blk.S - S_ref).max() <= 1e-12 * np.abs(S_ref).max()
+            reference = formula(blk.aii_fac, blk.A_IG)
+            assert np.abs(blk.aii_fac.schur(blk.A_IG) - reference).max() <= 1e-13 * np.abs(
+                reference).max()
+            S_gen = op.locals[k].A.toarray()[np.ix_(blk.gamma, blk.gamma)] - reference
+            assert np.abs(blk.S - S_gen).max() <= 1e-13 * np.abs(S_gen).max()
 
     def test_equal_alpha_preconditioner_formula(self):
         # with all alphas equal, D = 2 I and M_sD = (1/4) B_Gamma S B_Gamma^T
@@ -457,7 +493,7 @@ class TestSolve:
             np.add.at(w, op.primal_global[k], resid[P])
             np.add.at(w_scale, op.primal_global[k], scale[P])
         assert op.n_primal and np.abs(w).max() <= 1e-12 * w_scale.max()
-        for projected, uk in zip(op.project_wtilde(u), u):
+        for projected, uk in zip(project_wtilde(op, u), u):
             np.testing.assert_allclose(projected, uk, rtol=1e-14, atol=0)
 
     def test_constraint_residual_after_solve(self):
@@ -533,13 +569,13 @@ class TestLemma:
         dom = t_domain(degree=2, refinements=1)
         op = setup_operator(dom)
         u = [np.ones(s.n_total) for s in op.locals]
-        gam_vals = op.check_lemma_bbt(u)
+        gam_vals = check_lemma_bbt(op, u)
         assert gam_vals <= 1e-15
 
     def test_half_jump_for_equal_alpha(self, rng):
         dom = two_patch_domain(p=1, r=1)
         op = setup_operator(dom)
-        u = op.project_wtilde([rng.standard_normal(s.n_total) for s in op.locals])
+        u = project_wtilde(op, [rng.standard_normal(s.n_total) for s in op.locals])
         gam = [u[k][op.blocks[k].gamma] for k in range(2)]
         mu = sum(op.jumps.B_gamma[k] @ gam[k] for k in range(2))
         w0 = (op.jumps.B_gamma[0].T @ mu) / op.jumps.D[0]
@@ -547,7 +583,7 @@ class TestLemma:
         jump = u[k][dof_k] - u[l][dof_l]
         pos = {dof: i for i, dof in enumerate(op.blocks[k].gamma)}
         assert w0[pos[dof_k]] == pytest.approx(0.5 * jump)
-        assert op.check_lemma_bbt(u) <= 1e-13
+        assert check_lemma_bbt(op, u) <= 1e-13
 
     @pytest.mark.parametrize("alphas", [
         [1.0, 1.0, 1.0, 1.0, 1.0],
@@ -557,8 +593,8 @@ class TestLemma:
         dom = t_domain(degree=2, refinements=1, alphas=alphas)
         op = setup_operator(dom)
         for _ in range(50):
-            u = op.project_wtilde([rng.standard_normal(s.n_total) for s in op.locals])
-            assert op.check_lemma_bbt(u) <= 1e-13
+            u = project_wtilde(op, [rng.standard_normal(s.n_total) for s in op.locals])
+            assert check_lemma_bbt(op, u) <= 1e-13
 
 
 class TestDegenerateTJunction:
@@ -629,15 +665,17 @@ def fd_against_superlu(op, rng):
     return worst
 
 
-def nonuniform_config_domain(p):
+def nonuniform_config_domain(p, r=0):
     """Two patches, [0, 1] x [0, 1] and [1, 3] x [0, 1], from a config with
-    non-uniform knot vectors that do not match across the interface."""
+    non-uniform knot vectors that do not match across the interface, each
+    span bisected `r` times."""
     config = domain_to_config(two_patch_domain(p, 1))
     config["patches"][1]["geometry"]["control_points"] = [[[1, 0], [1, 1]], [[3, 0], [3, 1]]]
     for patch, knots_u, knots_v in ((0, [0.3, 0.45], [0.2, 0.7]), (1, [0.6], [0.35, 0.5, 0.8])):
         space = config["patches"][patch]["space"]
-        space["knots_u"] = [0.0] * (p + 1) + knots_u + [1.0] * (p + 1)
-        space["knots_v"] = [0.0] * (p + 1) + knots_v + [1.0] * (p + 1)
+        for key, knots in (("knots_u", knots_u), ("knots_v", knots_v)):
+            kv = KnotVector(p, [0.0] * (p + 1) + knots + [1.0] * (p + 1))
+            space[key] = refine_uniform(kv, r).knots.tolist()
     return domain_from_config(config)
 
 
@@ -667,6 +705,14 @@ def partial_interface_domain(p=2, r=2):
                unit_square_patch(1, 2, 0, 0.5, p, r, {"east", "south", "north"})]
     ifaces = [Interface(0, "east", (0.0, 0.5), 1, "west", (0.0, 1.0))]
     return MultiPatchDomain(patches, ifaces, name="partial").validate()
+
+
+def stacked_two_patch_domain(p=2, r=2):
+    """Patch 0 = [0, 1]^2 below patch 1 = [0, 1] x [1, 2], glued along y = 1."""
+    patches = [unit_square_patch(0, 1, 0, 1, p, r, {"west", "east", "south"}),
+               unit_square_patch(0, 1, 1, 2, p, r, {"west", "east", "north"})]
+    ifaces = [Interface(0, "north", (0.0, 1.0), 1, "south", (0.0, 1.0))]
+    return MultiPatchDomain(patches, ifaces, name="stacked").validate()
 
 
 FD_BUILTINS = {

@@ -6,6 +6,7 @@ from ietidg.assembly import univariate_matrices
 from ietidg.bspline import KnotVector, refine_uniform
 from ietidg.errors import NumericalError, SingularMatrixError
 from ietidg.linalg import (
+    Factorization,
     SparseSym,
     cholesky,
     factorize,
@@ -184,6 +185,39 @@ class TestFastDiagonalization:
             assert x.shape == rhs.shape
             np.testing.assert_allclose(x, np.linalg.solve(A, rhs), rtol=0,
                                        atol=1e-12 * np.abs(x).max())
+
+    @pytest.mark.parametrize("band", ["both", "v", "u"])
+    @pytest.mark.parametrize("n_u, n_v, K, separable", [
+        (24, 18, 2, True), (40, 16, 3, True), (6, 5, 2, False)])
+    def test_schur_of_band_supported_matrix(self, rng, monkeypatch, n_u, n_v, K, separable, band):
+        # B's rows lie within K lattice rows or columns of the boundary:
+        # anywhere in that band, corners included ("both"), only next to
+        # b = 0 and b = n_v - 1 ("v", no Q group), or only next to a = 0 and
+        # a = n_u - 1 away from the corners ("u", no P group); the flop rule
+        # takes the separable form on the large lattices and the generic
+        # formula on the small one
+        (K_u, M_u), (K_v, M_v) = (
+            self._pair(KnotVector(2, np.r_[0, 0, np.linspace(0, 1, n + 1), 1, 1]), slice(1, -1))
+            for n in (n_u, n_v))
+        fac = fast_diagonalization(K_u, M_u, K_v, M_v, 0.3, 7.0)
+        a, b = np.divmod(np.arange(n_u * n_v), n_v)
+        du, dv = np.minimum(a, n_u - 1 - a), np.minimum(b, n_v - 1 - b)
+        inside, deepest = {
+            "both": (np.minimum(du, dv) < K, np.minimum(du, dv) == K - 1),
+            "v": (dv < K, (dv == K - 1) & (du >= K - 1)),
+            "u": ((du < K) & (dv >= K), (du == K - 1) & (dv >= K)),
+        }[band]
+        m, nnz = 30, 240
+        rows = np.r_[np.flatnonzero(deepest)[:1], rng.choice(np.flatnonzero(inside), nnz - 1)]
+        B = scipy.sparse.csr_matrix((rng.standard_normal(nnz), (rows, rng.integers(0, m, nnz))),
+                                    shape=(n_u * n_v, m))
+        generic = []
+        formula = Factorization.schur
+        monkeypatch.setattr(Factorization, "schur", lambda f, B: generic.append(f) or formula(f, B))
+        S = fac.schur(B)
+        assert bool(generic) != separable
+        reference = formula(fac, B)
+        assert np.abs(S - reference).max() <= 1e-13 * np.abs(reference).max()
 
     def test_negative_weight_raises(self):
         K, M = self._pair(refine_uniform(KnotVector.bernstein(2), 2), slice(1, -1))
