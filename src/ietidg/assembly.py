@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .bspline import (active_on_interval, eval_basis, eval_basis_tables, gauss_rule,
-                      span_quadrature)
+from .bspline import active_on_interval, eval_basis_tables, gauss_rule, span_quadrature
 from .errors import ConfigError, NumericalError
 from .geometry import side_axis, side_normal_hat, side_point
 
@@ -201,34 +200,25 @@ class _SideQuadrature:
 
     ts: np.ndarray           # owner edge parameters
     ss: np.ndarray           # neighbor edge parameters
+    uv: np.ndarray           # (Q, 2) owner parameter points
     weights: np.ndarray      # Gauss weight times arc measure
     normals: np.ndarray      # outward unit normals of the owner
     jinv_t: np.ndarray       # inverse-transpose Jacobians of the owner
-    fixed_first: int
-    fixed_tab: np.ndarray    # (2, p+1) values/derivs of the owner's normal-direction kv
 
 
 def _side_quadrature(domain, ori, n_gauss):
     geo = domain.patches[ori.k].geometry
-    space = domain.patches[ori.k].space
     side = ori.side_k
     breaks = _merged_edge_partition(domain, ori)
     ts, wts = gauss_rule(n_gauss).mapped(breaks[:-1, None], breaks[1:, None])
     ts, wts = ts.ravel(), wts.ravel()
     ss = np.asarray(ori.map_param(ts))
 
-    axis = side_axis(side)
-    if axis == 1:
-        fixed = 0.0 if side == "west" else 1.0
-        pts, jac = geo.jacobian_grid([fixed], ts)
-        pts, jac = pts[0], jac[0]
-    else:
-        fixed = 0.0 if side == "south" else 1.0
-        pts, jac = geo.jacobian_grid(ts, [fixed])
-        pts, jac = pts[:, 0], jac[:, 0]
-    tangent = jac[:, :, axis]
-    arc = np.linalg.norm(tangent, axis=1)
-    uv = np.stack(np.broadcast_arrays(*side_point(side, ts)), axis=-1)
+    u, v = side_point(side, ts)
+    pts, jac = geo.jacobian_grid(u, v)
+    pts, jac = pts.reshape(-1, 2), jac.reshape(-1, 2, 2)
+    uv = np.stack(np.broadcast_arrays(u, v), axis=-1)
+    arc = np.linalg.norm(jac[:, :, side_axis(side)], axis=1)
     JinvT, _ = _inv_transpose(jac, where="patch %d side %s" % (ori.k, side), points=uv)
     n_hat = side_normal_hat(side)
     normals = JinvT @ n_hat
@@ -236,17 +226,14 @@ def _side_quadrature(domain, ori, n_gauss):
 
     # probe: a step inward from the edge must oppose the normal
     eps = 1e-4
-    u0, v0 = side_point(side, ts[0])
+    u0, v0 = uv[0]
     du, dv = -eps * n_hat
     probe = geo(min(max(u0 + du, 0.0), 1.0), min(max(v0 + dv, 0.0), 1.0))
     if np.dot(probe - pts[0], normals[0]) >= 0:
         raise NumericalError(
             "outward normal of patch %d points inward on side %s" % (ori.k, side)
         )
-
-    nkv = space.kv_u if axis == 1 else space.kv_v
-    fixed_first, fixed_tab = eval_basis(nkv, fixed, 1)
-    return _SideQuadrature(ts, ss, wts * arc, normals, JinvT, fixed_first, fixed_tab)
+    return _SideQuadrature(ts, ss, uv, wts * arc, normals, JinvT)
 
 
 def interface_side_terms(domain, ori, delta, own_index, edge_index, include_m=True):
@@ -269,8 +256,6 @@ def interface_side_terms(domain, ori, delta, own_index, edge_index, include_m=Tr
     ng = max(p, geo.kv_u.p, geo.kv_v.p) + 1
     sq = _side_quadrature(domain, ori, ng)
     nb_kv = domain.patches[ori.l].space.edge_kv(ori.side_l)
-    axis = side_axis(ori.side_k)
-    tkv = space.kv_v if axis == 1 else space.kv_u
     n_v = space.n_v
     alpha = patch.alpha
     h_k = domain.metrics["h"][ori.k]
@@ -281,11 +266,8 @@ def interface_side_terms(domain, ori, delta, own_index, edge_index, include_m=Tr
     # factors of the owner's functions and of the neighbor's edge functions
     Q = sq.ts.size
     win = np.arange(p + 1)
-    ft, tab_t = eval_basis_tables(tkv, sq.ts, 1)
-    fixed_t = np.broadcast_to(sq.fixed_tab, tab_t.shape)
-    fixed_f = np.full(Q, sq.fixed_first)
-    # u fixed and v tangential on west/east, the other way round on south/north
-    tu, tv, fu, fv = (fixed_t, tab_t, fixed_f, ft) if axis == 1 else (tab_t, fixed_t, ft, fixed_f)
+    fu, tu = eval_basis_tables(space.kv_u, sq.uv[:, 0], 1)
+    fv, tv = eval_basis_tables(space.kv_v, sq.uv[:, 1], 1)
 
     def tensor(du, dv):
         return (tu[:, du, :, None] * tv[:, dv, None, :]).reshape(Q, -1)

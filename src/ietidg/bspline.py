@@ -2,7 +2,7 @@
 
 Knot vectors are *p-open* on [0, 1]: the first and last knot are repeated
 ``p + 1`` times and interior knots may be repeated up to ``p`` times.  Basis
-functions are evaluated with the Cox-de Boor recursion (including
+functions are evaluated with the Cox-de Boor recursion (values and first
 derivatives), and each basis function is identified with its Greville point.
 """
 
@@ -109,17 +109,17 @@ class KnotVector:
 
 
 def eval_basis_tables(kv, points, max_deriv=0):
-    """Evaluate the ``p + 1`` basis functions active at each point, with derivatives.
+    """Evaluate the ``p + 1`` basis functions active at each point, and their first derivatives.
 
     Cox-de Boor recursion in the standard triangular-table form, run over a
-    trailing axis of the `n` points in [0, 1], up to derivative order
-    ``max_deriv <= p``.  Returns ``firsts`` (n,), the index of the first
-    function active at each point, and ``tables`` (n, max_deriv + 1, p + 1),
-    where ``tables[q, d]`` holds the d-th derivatives of those functions.
+    trailing axis of the `n` points in [0, 1], with ``max_deriv`` 0 or 1.
+    Returns ``firsts`` (n,), the index of the first function active at each
+    point, and ``tables`` (n, max_deriv + 1, p + 1), where ``tables[q, d]``
+    holds the d-th derivatives of those functions.
     """
     p = kv.p
-    if not 0 <= max_deriv <= p:
-        raise ValueError("max_deriv must be in [0, %d], got %d" % (p, max_deriv))
+    if not 0 <= max_deriv <= 1:
+        raise ValueError("max_deriv must be 0 or 1, got %d" % max_deriv)
     x = np.atleast_1d(np.asarray(points, dtype=float))
     span = kv.find_span(x)
     U = kv.knots
@@ -138,33 +138,13 @@ def eval_basis_tables(kv, points, max_deriv=0):
             saved = left[j - r] * temp
         ndu[j, j] = saved
 
-    out = np.zeros((max_deriv + 1, p + 1, x.size))
+    out = np.empty((max_deriv + 1, p + 1, x.size))
     out[0] = ndu[:, p]
     if max_deriv:
-        a = np.empty((2, p + 1, x.size))
-        for r in range(p + 1):
-            s1, s2 = 0, 1
-            a[0, 0] = 1.0
-            for k in range(1, max_deriv + 1):
-                d = 0.0
-                rk, pk = r - k, p - k
-                if r >= k:
-                    a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                    d = a[s2, 0] * ndu[rk, pk]
-                j1 = 1 if rk >= -1 else -rk
-                j2 = k - 1 if r - 1 <= pk else p - r
-                for j in range(j1, j2 + 1):
-                    a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                    d = d + a[s2, j] * ndu[rk + j, pk]
-                if r <= pk:
-                    a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                    d = d + a[s2, k] * ndu[r, pk]
-                out[k, r] = d
-                s1, s2 = s2, s1
-        fac = float(p)
-        for k in range(1, max_deriv + 1):
-            out[k] *= fac
-            fac *= p - k
+        # de Boor: B'_{i,p} = p (t_i - t_{i+1}), t_i = B_{i,p-1} / (U[i+p] - U[i]); the
+        # degree p-1 values are column p-1 of the table, their support lengths row p
+        t = (1.0 / ndu[p, :p]) * ndu[:p, p - 1]
+        out[1] = p * np.concatenate([0.0 - t[:1], t[:-1] - t[1:], t[-1:]])
     return span - p, out.transpose(2, 0, 1)
 
 

@@ -44,6 +44,8 @@ class ExperimentSpec:
             raise ConfigError("penalty parameter must be positive")
         if not 0.0 < self.tol < 1.0:
             raise ConfigError("tolerance must lie in (0, 1)")
+        if self.max_iter < 1:
+            raise ConfigError("maximum iteration count must be at least 1, got %d" % self.max_iter)
         if self.manufactured and self.jump_exponents:
             raise ConfigError("the manufactured solution assumes a unit coefficient; "
                               "drop the jump exponents")
@@ -103,6 +105,8 @@ def _run_case(spec, degree, refinement, jump_exponent=None, slide=None):
         f = 1.0
     sol = solve_ieti(domain, delta=spec.delta, tol=spec.tol, max_iter=spec.max_iter,
                      source=f, refinement=refinement)
+    if not sol.report.converged:
+        raise NumericalError("PCG did not converge in %d iterations" % sol.report.iterations)
     extra = {}
     if jump_exponent is not None:
         extra["jump_exponent"] = jump_exponent

@@ -85,14 +85,9 @@ class GeometryMap:
         along_u = (BU @ self.control.reshape(self.kv_u.n, -1)).reshape(-1, self.kv_v.n, 2)
         return BV @ along_u
 
-    def eval_grid(self, u_pts, v_pts, deriv=0):
-        """Evaluate the map (or a first partial) on the tensor grid of points.
-
-        Returns an array of shape ``(len(u_pts), len(v_pts), 2)``; with
-        ``deriv=(du, dv)`` entries are mixed partial derivatives.
-        """
-        du, dv = deriv if isinstance(deriv, tuple) else (deriv, deriv)
-        return self._contract(eval_matrix(self.kv_u, u_pts, du), eval_matrix(self.kv_v, v_pts, dv))
+    def eval_grid(self, u_pts, v_pts):
+        """Evaluate the map on the tensor grid of points: shape ``(len(u_pts), len(v_pts), 2)``."""
+        return self._contract(eval_matrix(self.kv_u, u_pts), eval_matrix(self.kv_v, v_pts))
 
     def jacobian_grid(self, u_pts, v_pts):
         """Points and Jacobians on a tensor grid.

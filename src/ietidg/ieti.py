@@ -412,15 +412,6 @@ class IetiOperator:
     def patch_solutions(self, u_blocks):
         return [u[: self.locals[k].n_patch] for k, u in enumerate(u_blocks)]
 
-    # -- diagnostics ---------------------------------------------------------
-
-    def psi_residual(self, k):
-        """Energy-minimality residual of Psi: max |Delta rows of S Psi| / max |S|."""
-        blk = self.blocks[k]
-        res = (blk.S @ blk.psi)[:blk.n_dual]
-        scale = max(np.abs(blk.S).max(initial=0.0), 1e-300)
-        return float(np.abs(res).max(initial=0.0) / scale)
-
 
 @dataclass
 class SolveReport:

@@ -74,6 +74,14 @@ def project_wtilde(op, u_blocks):
     return out
 
 
+def psi_residual(op, k):
+    """Energy-minimality residual of block k's Psi: max |Delta rows of S Psi| / max |S|."""
+    blk = op.blocks[k]
+    res = (blk.S @ blk.psi)[:blk.n_dual]
+    scale = max(np.abs(blk.S).max(initial=0.0), 1e-300)
+    return float(np.abs(res).max(initial=0.0) / scale)
+
+
 def check_lemma_bbt(op, u_blocks):
     """Verify the closed form of w = B_D^T B_Gamma u for primal-constrained u.
 

@@ -234,10 +234,18 @@ class TestInterfaceTerms:
 
     def test_normals_point_outward(self):
         dom = t_domain(degree=1, refinements=1)
+        fixed = {"west": (0, 0.0), "east": (0, 1.0), "south": (1, 0.0), "north": (1, 1.0)}
+        seen = set()
         for idx, g in enumerate(dom.interfaces):
             for ori in (g, g.flipped()):
                 sq = _side_quadrature(dom, ori, 2)
                 np.testing.assert_allclose(np.linalg.norm(sq.normals, axis=1), 1.0, rtol=1e-12)
+                # each side is evaluated at its own parameter points, the fixed coordinate exact
+                axis, value = fixed[ori.side_k]
+                assert np.all(sq.uv[:, axis] == value)
+                assert np.array_equal(sq.uv[:, 1 - axis], sq.ts)
+                seen.add(ori.side_k)
+        assert seen == set(fixed)
 
 
 class TestLocalSystem:

@@ -104,7 +104,7 @@ class TestEvalBasis:
             kv = random_knotvector(rng)
             xs = rng.uniform(0, 1, 30)
             coeffs = np.eye(kv.n)
-            for d in range(min(kv.p, 2) + 1):
+            for d in range(2):
                 ours = eval_matrix(kv, xs, d)
                 theirs = np.column_stack(
                     [scipy.interpolate.BSpline(kv.knots, coeffs[i], kv.p).derivative(d)(xs)
@@ -130,6 +130,8 @@ class TestEvalBasis:
         kv = KnotVector(2, [0, 0, 0, 1, 1, 1])
         with pytest.raises(ValueError):
             eval_basis(kv, 1.5)
+        with pytest.raises(ValueError):
+            eval_basis(kv, 0.5, max_deriv=2)
         with pytest.raises(ValueError):
             eval_basis(kv, 0.5, max_deriv=3)
 
@@ -195,10 +197,9 @@ def open_knots_and_points(draw):
 class TestArrayRecursion:
     @seed(20261018)
     @settings(max_examples=60, deadline=None, database=None)
-    @given(open_knots_and_points(), st.integers(0, 4))
+    @given(open_knots_and_points(), st.integers(0, 1))
     def test_tables_match_one_point_forms(self, case, max_deriv):
         kv, points = case
-        max_deriv = min(max_deriv, kv.p)
         firsts, tables = eval_basis_tables(kv, points, max_deriv)
         assert firsts.shape == points.shape
         assert tables.shape == (points.size, max_deriv + 1, kv.p + 1)

@@ -184,6 +184,22 @@ class TestMain:
         assert ("configuration error: slide offsets replace the slider's offset argument '0.9'"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("max_iter", ["0", "-1"])
+    def test_max_iter_must_be_positive(self, capsys, max_iter):
+        assert main(["--builtin", "tdomain", "--degree", "1", "--max-iter", max_iter]) == 2
+        assert ("configuration error: maximum iteration count must be at least 1, got %s"
+                % max_iter) in capsys.readouterr().err
+
+    def test_unconverged_solve_exits_nonzero(self, capsys, tmp_path):
+        # r=0 has no multipliers and converges at once; r=1 needs more than one step
+        path = tmp_path / "partial.csv"
+        code = main(["--builtin", "tdomain", "--degree", "1", "--refine", "0 1",
+                     "--max-iter", "1", "--tol", "1e-12", "--csv", str(path)])
+        assert code == 3
+        assert "numerical failure: PCG did not converge in 1 iterations" in capsys.readouterr().err
+        rows = list(csv.reader(path.read_text().splitlines()))
+        assert len(rows) == 2 and rows[1][:3] == ["tdomain", "1", "0"]
+
     def test_exit_numerical_failure(self, capsys):
         assert main(["--builtin", "tdomain", "--delta", "0.001"]) == 3
         assert "numerical failure" in capsys.readouterr().err
