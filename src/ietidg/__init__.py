@@ -1,5 +1,7 @@
 """Tearing/interconnecting solver for dG-coupled multi-patch spline problems."""
 
+import logging
+
 from .bspline import (
     KnotVector,
     QuadratureRule,
@@ -12,7 +14,7 @@ from .bspline import (
     refine_uniform,
 )
 from .domains import builtin_domain, grid_domain, slider_domain, t_domain
-from .errors import ConfigError, NumericalError, SingularMatrixError
+from .errors import ConfigError, NumericalError
 from .geometry import GeometryMap, Interface, MultiPatchDomain, Patch, Vertex
 from .ieti import (
     IetiOperator,
@@ -28,10 +30,13 @@ __all__ = [
     "active_on_interval", "eval_basis", "gauss_rule", "greville_points",
     "nonzero_at_point", "refine_uniform",
     "builtin_domain", "grid_domain", "slider_domain", "t_domain",
-    "ConfigError", "NumericalError", "SingularMatrixError",
+    "ConfigError", "NumericalError",
     "GeometryMap", "Interface", "MultiPatchDomain", "Patch", "Vertex",
     "IetiOperator", "SolveReport", "select_primal", "setup_operator", "solve_ieti",
     "assemble_global", "direct_solve", "measure_error",
 ]
 
 __version__ = "0.1.0"
+
+# a library leaves output to the application: no lastResort lines on stderr
+logging.getLogger(__name__).addHandler(logging.NullHandler())

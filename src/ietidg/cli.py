@@ -40,8 +40,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.degrees or not self.refinements:
             raise ConfigError("degree and refinement lists must be non-empty")
-        if not self.delta > 0:
-            raise ConfigError("penalty parameter must be positive")
+        if not 0 < self.delta < np.inf:
+            raise ConfigError("penalty parameter must be positive and finite")
         if not 0.0 < self.tol < 1.0:
             raise ConfigError("tolerance must lie in (0, 1)")
         if self.max_iter < 1:

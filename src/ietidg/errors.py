@@ -7,17 +7,3 @@ class ConfigError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical stage failed (factorization, PCG breakdown, singular geometry)."""
-
-
-class SingularMatrixError(NumericalError):
-    """Factorization hit a zero pivot.
-
-    Attributes
-    ----------
-    index : int or None
-        Pivot index at which the breakdown was detected, when available.
-    """
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index

@@ -348,7 +348,7 @@ class IetiOperator:
             A_II = sysk.A.csr[I][:, I]
             name = "patch %d interior block" % k
             fd = kronecker_interior(domain.patches[k], A_II, I, univariate, name)
-            aii_fac = fd or factorize(A_II, name=name).assert_spd()
+            aii_fac = fd or factorize(A_II, name=name)
             self.blocks.append(build_psi(sysk, partition, aii_fac, fd is not None))
 
         coarse = np.zeros((self.n_primal, self.n_primal))

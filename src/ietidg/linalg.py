@@ -1,16 +1,17 @@
 """Shared numerical kernels: sparse symmetric storage, factorization, PCG.
 
-One sparse backend serves the interior blocks that are no Kronecker sum and
-the oracle: SuperLU in symmetric mode with a minimum-degree ordering and
-pivot monitoring, inertia from the U-diagonal signs.  Kronecker sums use
-fast diagonalization, whose 1D eigenbases also give the Schur complements
-of the skeleton; the dense skeleton blocks and the coarse problem use a
-dense Cholesky factorization.
+Every factorization is of an SPD matrix or raises :class:`NumericalError`
+naming the matrix.  One sparse backend serves the interior blocks that are
+no Kronecker sum and the oracle: SuperLU in symmetric mode with a
+minimum-degree ordering, whose U-diagonal pivots must all be positive.
+Kronecker sums use fast diagonalization, whose 1D eigenbases also give the
+Schur complements of the skeleton; the dense skeleton blocks and the coarse
+problem use a dense Cholesky factorization.
 PCG estimates the condition number from the eigenvalues of its Lanczos
 tridiagonal matrix.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -18,7 +19,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.linalg.lapack import dsygv
 
-from .errors import NumericalError, SingularMatrixError
+from .errors import NumericalError
 
 _PIVOT_RTOL = 1e-14
 
@@ -27,7 +28,8 @@ class SparseSym:
     """Compressed-row symmetric matrix built from triplets or dense blocks.
 
     Duplicate triplets are summed and explicit zeros dropped.  The values
-    are verified to be symmetric up to 1e-12 relative in the max norm.
+    are verified to be finite and symmetric up to 1e-12 relative in the max
+    norm.
     """
 
     def __init__(self, matrix):
@@ -36,6 +38,8 @@ class SparseSym:
         csr.eliminate_zeros()
         self.csr = csr
         self.n = csr.shape[0]
+        if not np.isfinite(csr.data).all():
+            raise NumericalError("symmetric matrix has non-finite entries")
         if self.n:
             scale = max(abs(csr.max()), abs(csr.min()), 1e-300)
             asym = abs(csr - csr.T)
@@ -70,27 +74,16 @@ class SparseSym:
         return self.csr.toarray()
 
 
-def write_triplets(path, matrix):
-    """Dump a matrix as plain text, one ``row col value`` triplet per line."""
-    coo = scipy.sparse.coo_matrix(matrix)
-    with open(path, "w") as fh:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write("%d %d %.17g\n" % (r, c, v))
-
-
 class Factorization:
-    """Symmetric factorization with ``solve`` and pivot inertia.
+    """Factorization of an SPD matrix with ``solve``.
 
-    ``inertia`` is the triple (positive, negative, zero) of pivot signs;
-    an SPD matrix yields ``(n, 0, 0)``.  Solves accept vector or matrix
-    right-hand sides and are safe to call concurrently.
+    Solves accept vector or matrix right-hand sides and are safe to call
+    concurrently.
     """
 
-    def __init__(self, n, solver, inertia, name=""):
+    def __init__(self, n, solver):
         self.n = n
         self._solver = solver
-        self.inertia = inertia
-        self.name = name
 
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=float)
@@ -102,33 +95,21 @@ class Factorization:
         """``B^T A^{-1} B`` as a dense array, for a sparse `B` with n rows."""
         return B.T @ self.solve(B.toarray())
 
-    def assert_spd(self):
-        npos, nneg, nzero = self.inertia
-        if nneg or nzero:
-            raise NumericalError(
-                "%s: expected SPD matrix but inertia is (%d, %d, %d)"
-                % (self.name or "factorization", npos, nneg, nzero)
-            )
-        return self
-
 
 def factorize(A, name=""):
-    """Factorize a symmetric matrix for repeated solves.
+    """Factorize an SPD matrix, sparse or dense ``ndarray``, for repeated solves.
 
-    Every matrix, sparse, :class:`SparseSym` or dense ``ndarray``, goes
-    through SuperLU in symmetric mode (diagonal pivots only, minimum-degree
-    ordering on A^T + A), and the inertia is read off the signs of the U
-    diagonal.  Raises :class:`SingularMatrixError` on zero pivots (tolerance
-    ``1e-14 * max|A|``) and :class:`NumericalError` when the matrix needs
-    off-diagonal pivoting, as a symmetric indefinite matrix with a zero
-    diagonal does.
+    SuperLU in symmetric mode: diagonal pivots only, minimum-degree ordering
+    on A^T + A.  Raises :class:`NumericalError` when a pivot is not positive
+    (tolerance ``1e-14 * max|A|``), when SuperLU finds the matrix exactly
+    singular, and when it needs off-diagonal pivoting, as a matrix with a
+    zero diagonal does.
     """
-    mat = A.csr if isinstance(A, SparseSym) else A
-    n = mat.shape[0]
+    n = A.shape[0]
     label = name or "splu"
     if n == 0:
-        return Factorization(0, lambda rhs: rhs, (0, 0, 0), name)
-    csc = scipy.sparse.csc_matrix(mat, dtype=float)
+        return Factorization(0, lambda rhs: rhs)
+    csc = scipy.sparse.csc_matrix(A, dtype=float)
     try:
         lu = scipy.sparse.linalg.splu(
             csc,
@@ -137,20 +118,17 @@ def factorize(A, name=""):
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:  # SuperLU reports exactly singular matrices this way
-        raise SingularMatrixError("%s: %s" % (label, exc)) from exc
+        raise NumericalError("%s: expected SPD matrix: %s" % (label, exc)) from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise NumericalError(
             "%s: unsymmetric pivoting kicked in; matrix is not factorizable "
             "as symmetric quasi-definite" % label
         )
-    diag = lu.U.diagonal()
-    tol = _PIVOT_RTOL * max(np.abs(csc).max(), 1e-300)
-    small = np.abs(diag) <= tol
-    if np.any(small):
-        index = int(np.argmax(small))
-        raise SingularMatrixError("%s: zero pivot at index %d" % (label, index), index=index)
-    npos = int(np.sum(diag > 0))
-    return Factorization(n, lu.solve, (npos, n - npos, 0), name)
+    bad = ~(lu.U.diagonal() > _PIVOT_RTOL * max(np.abs(csc).max(), 1e-300))  # NaN too
+    if np.any(bad):
+        raise NumericalError("%s: expected SPD matrix, %d of %d pivots not positive (first at %d)"
+                             % (label, np.count_nonzero(bad), n, np.argmax(bad)))
+    return Factorization(n, lu.solve)
 
 
 def cholesky(A, name=""):
@@ -160,14 +138,13 @@ def cholesky(A, name=""):
     """
     n = A.shape[0]
     if n == 0:
-        return Factorization(0, lambda rhs: rhs, (0, 0, 0), name)
+        return Factorization(0, lambda rhs: rhs)
     try:
         factor = scipy.linalg.cho_factor(A)
     except (ValueError, np.linalg.LinAlgError) as exc:  # ValueError: not finite
         raise NumericalError("%s: expected SPD matrix, Cholesky failed: %s"
                              % (name or "cholesky", exc)) from exc
-    return Factorization(n, lambda rhs: scipy.linalg.cho_solve(factor, rhs, check_finite=False),
-                         (n, 0, 0), name)
+    return Factorization(n, lambda rhs: scipy.linalg.cho_solve(factor, rhs, check_finite=False))
 
 
 def fast_diagonalization(K_u, M_u, K_v, M_v, c_u, c_v, name=""):
@@ -176,22 +153,25 @@ def fast_diagonalization(K_u, M_u, K_v, M_v, c_u, c_v, name=""):
     Fast diagonalization (Lynch, Rice and Thomas, 1964): with the generalized
     eigenpairs ``K U = M U diag(lam)``, ``U^T M U = 1`` of both directions and
     ``D = c_u lam_u (x) 1 + c_v 1 (x) lam_v``, a solve is ``U_u (U_u^T X U_v / D)
-    U_v^T`` on the ``(n_u, n_v)`` reshape X of a right-hand side.  The inertia is
-    that of D; raises :class:`NumericalError` if an eigenproblem fails or D is not positive.
+    U_v^T`` on the ``(n_u, n_v)`` reshape X of a right-hand side.  Raises
+    :class:`NumericalError` if an eigenproblem fails or D is not positive.
     """
+    label = name or "fast diagonalization"
     (lam_u, U_u, info_u), (lam_v, U_v, info_v) = dsygv(K_u, M_u), dsygv(K_v, M_v)
     if info_u or info_v:
-        raise NumericalError("%s: 1D eigensolver failed" % (name or "fast diagonalization"))
-    return _FastDiagonalization(U_u, U_v, c_u * lam_u[:, None] + c_v * lam_v, name).assert_spd()
+        raise NumericalError("%s: 1D eigensolver failed" % label)
+    D = c_u * lam_u[:, None] + c_v * lam_v
+    if not D.min() > 0:  # also catches NaN
+        raise NumericalError("%s: expected SPD matrix, smallest eigenvalue %.3e" % (label, D.min()))
+    return _FastDiagonalization(U_u, U_v, D)
 
 
 class _FastDiagonalization(Factorization):
     """`fast_diagonalization`'s factor: ``A^{-1} = (U_u (x) U_v) D^{-1} (U_u (x) U_v)^T``."""
 
-    def __init__(self, U_u, U_v, D, name):
+    def __init__(self, U_u, U_v, D):
         self.U_u, self.U_v, self.D = U_u, U_v, D
-        inertia = (int(np.sum(D > 0)), int(np.sum(D < 0)), int(np.sum(D == 0)))
-        super().__init__(D.size, self._solve, inertia, name)
+        super().__init__(D.size, self._solve)
 
     def _solve(self, rhs):
         U_u, U_v, D = self.U_u, self.U_v, self.D
@@ -261,8 +241,6 @@ class PcgResult:
     residuals: list
     converged: bool
     kappa: float
-    alphas: list = field(default_factory=list)
-    betas: list = field(default_factory=list)
 
 
 def lanczos_condition(alphas, betas):
@@ -329,4 +307,4 @@ def pcg(apply_A, apply_M, b, tol=1e-6, max_iter=500):
         rz = rz_new
         p = z + beta * p
     kappa = lanczos_condition(alphas, betas)
-    return PcgResult(x, len(alphas), residuals, converged, kappa, alphas, betas)
+    return PcgResult(x, len(alphas), residuals, converged, kappa)

@@ -86,9 +86,7 @@ def direct_solve(system):
     b = system.rhs
     if not np.any(b):
         return np.zeros_like(b)
-    fac = linalg.factorize(system.matrix, name="global system")
-    fac.assert_spd()
-    x = fac.solve(b)
+    x = linalg.factorize(system.matrix.csr, name="global system").solve(b)
     res = np.linalg.norm(system.matrix.csr @ x - b)
     if res > 1e-10 * np.linalg.norm(b):
         raise NumericalError("direct solve residual %.3e exceeds tolerance" % res)

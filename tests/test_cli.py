@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ietidg
 from ietidg.cli import (ExperimentSpec, build_parser, largest_rise, main, run_growth_study,
                         run_solve)
 from ietidg.domains import domain_to_config, grid_domain, save_domain, t_domain
@@ -199,6 +204,22 @@ class TestMain:
         assert "numerical failure: PCG did not converge in 1 iterations" in capsys.readouterr().err
         rows = list(csv.reader(path.read_text().splitlines()))
         assert len(rows) == 2 and rows[1][:3] == ["tdomain", "1", "0"]
+
+    def test_unconverged_solve_reported_once(self):
+        # the library logs the failure too; the CLI alone may write to stderr
+        env = dict(os.environ, PYTHONPATH=str(Path(ietidg.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-m", "ietidg.cli", "--builtin", "tdomain", "--degree", "1",
+             "--refine", "1", "--max-iter", "1", "--tol", "1e-12"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 3
+        assert run.stderr == "numerical failure: PCG did not converge in 1 iterations\n"
+
+    def test_infinite_penalty_rejected(self, capsys):
+        # it used to fail later as "Factor is exactly singular" (exit 3)
+        assert main(["--builtin", "tdomain", "--degree", "1", "--delta", "inf"]) == 2
+        assert ("configuration error: penalty parameter must be positive and finite"
+                in capsys.readouterr().err)
 
     def test_exit_numerical_failure(self, capsys):
         assert main(["--builtin", "tdomain", "--delta", "0.001"]) == 3

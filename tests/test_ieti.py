@@ -829,7 +829,7 @@ class TestFailureModes:
     def test_sliver_patch_raises(self):
         # the top row's first patch is [0, 0.01] x [1, 2]: the penalty, scaled
         # by the element diameter, is too weak for its thin elements, and the
-        # torn block has inertia (24, 4, 0)
+        # torn block has 4 negative eigenvalues
         dom = slider_domain(3, 0.01, degree=2, refinements=2)
         with pytest.raises(NumericalError, match="patch 3: torn block is not SPD"):
             solve_ieti(dom)

@@ -4,7 +4,7 @@ import scipy.sparse
 
 from ietidg.assembly import univariate_matrices
 from ietidg.bspline import KnotVector, refine_uniform
-from ietidg.errors import NumericalError, SingularMatrixError
+from ietidg.errors import NumericalError
 from ietidg.linalg import (
     Factorization,
     SparseSym,
@@ -13,7 +13,6 @@ from ietidg.linalg import (
     fast_diagonalization,
     lanczos_condition,
     pcg,
-    write_triplets,
 )
 
 
@@ -58,26 +57,20 @@ class TestSparseSym:
         with pytest.raises(NumericalError):
             SparseSym.from_blocks(2, [(np.array([[0, 1]]), np.array([[[1.0, 2.0], [3.0, 1.0]]]))])
 
-    def test_triplet_dump_roundtrip(self, tmp_path, rng):
-        A = scipy.sparse.random(8, 8, density=0.4, random_state=7)
-        A = A + A.T
-        path = tmp_path / "mat.txt"
-        write_triplets(path, A)
-        rows, cols, vals = [], [], []
-        for line in path.read_text().splitlines():
-            r, c, v = line.split()
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(float(v))
-        B = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(8, 8))
-        assert np.abs((A - B).toarray()).max() == 0.0
+    def test_non_finite_rejected(self):
+        with pytest.raises(NumericalError, match="non-finite"):
+            SparseSym(np.array([[2.0, np.nan], [np.nan, 2.0]]))
+
+    def test_infinite_entry_does_not_hide_asymmetry(self):
+        # an infinite entry made the asymmetry tolerance 1e-12 * scale infinite
+        with pytest.raises(NumericalError, match="non-finite"):
+            SparseSym(np.array([[np.inf, 1.0], [2.0, 2.0]]))
 
 
 class TestFactorize:
     def test_identity(self):
         fac = factorize(np.eye(4))
         np.testing.assert_allclose(fac.solve(np.arange(4.0)), np.arange(4.0))
-        assert fac.inertia == (4, 0, 0)
 
     def test_diagonal(self):
         fac = factorize(np.diag([2.0, 3.0]))
@@ -87,7 +80,6 @@ class TestFactorize:
         A = random_spd(rng, 50)
         b = rng.standard_normal(50)
         fac = factorize(A)
-        assert fac.inertia == (50, 0, 0)
         x = fac.solve(b)
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
@@ -104,26 +96,19 @@ class TestFactorize:
         off = -np.ones(n - 1)
         A = scipy.sparse.diags([off, main, off], [-1, 0, 1], format="csr")
         fac = factorize(A)
-        assert fac.inertia == (n, 0, 0)
         b = rng.standard_normal(n)
         x = fac.solve(b)
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
-    def test_indefinite_inertia(self):
-        A = np.diag([3.0, -2.0, 1.0, -4.0])
-        fac = factorize(A)
-        assert fac.inertia == (2, 2, 0)
-        with pytest.raises(NumericalError):
-            fac.assert_spd()
+    def test_indefinite_raises(self):
+        with pytest.raises(NumericalError, match="expected SPD"):
+            factorize(np.diag([3.0, -2.0, 1.0, -4.0]))
 
     def test_dense_and_csr_input_agree(self, rng):
         A = random_spd(rng, 30)
         A[np.abs(A) < 0.1] = 0.0  # some structural zeros for the CSR copy
-        A[0, 0] = -10.0  # indefinite, but diagonal pivots still suffice
         b = rng.standard_normal(30)
         dense, sparse = factorize(A), factorize(scipy.sparse.csr_matrix(A))
-        assert dense.inertia == sparse.inertia
-        assert dense.inertia[1] >= 1
         np.testing.assert_array_equal(dense.solve(b), sparse.solve(b))
 
     def test_two_by_two_pivot_rejected(self):
@@ -137,21 +122,14 @@ class TestFactorize:
         A = np.zeros((3, 3))
         A[0, 0] = 1.0
         A[1, 1] = 1.0
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(NumericalError):
             factorize(A)
-
-    def test_accepts_sparsesym(self, rng):
-        A = random_spd(rng, 20)
-        wrapped = SparseSym(scipy.sparse.csr_matrix(A))
-        x = factorize(wrapped).solve(np.ones(20))
-        np.testing.assert_allclose(A @ x, np.ones(20), atol=1e-9)
 
 
 class TestCholesky:
     def test_solves_spd(self, rng):
         A = random_spd(rng, 25)
         fac = cholesky(A)
-        assert fac.inertia == (25, 0, 0)
         B = rng.standard_normal((25, 3))
         for rhs in (B[:, 0], B):
             np.testing.assert_allclose(A @ fac.solve(rhs), rhs, atol=1e-12)
@@ -178,7 +156,6 @@ class TestFastDiagonalization:
         c_u, c_v = 0.3, 7.0
         A = c_u * np.kron(K_u, M_v) + c_v * np.kron(M_u, K_v)
         fac = fast_diagonalization(K_u, M_u, K_v, M_v, c_u, c_v)
-        assert fac.inertia == (A.shape[0], 0, 0)
         B = rng.standard_normal((A.shape[0], 4))
         for rhs in (B[:, 0], B):
             x = fac.solve(rhs)
@@ -221,7 +198,7 @@ class TestFastDiagonalization:
 
     def test_negative_weight_raises(self):
         K, M = self._pair(refine_uniform(KnotVector.bernstein(2), 2), slice(1, -1))
-        with pytest.raises(NumericalError, match="fd block: expected SPD matrix but inertia"):
+        with pytest.raises(NumericalError, match="fd block: expected SPD matrix"):
             fast_diagonalization(K, M, K, M, -1.0, 1.0, name="fd block")
 
     def test_indefinite_mass_raises(self):
