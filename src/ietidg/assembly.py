@@ -42,24 +42,27 @@ def trace_basis_on_edge(space, side, prange):
     return entries
 
 
-@dataclass(frozen=True)
-class ArtificialInterfaceBasis:
-    """Copies of neighbor basis functions attached to the owning patch.
+def copy_map(domain):
+    """Which artificial dof copies which patch dof, as an ``(n, 5)`` int array.
 
-    The copy-map sends local artificial dof ``offset + pos`` to
-    ``sources[pos] = (edge_index, dof index in the neighbor's space)``;
-    it is injective by construction.
+    One row ``(interface, source patch, source dof, block, copy dof)`` per
+    artificial dof.  Rows run by interface; on each, the copies of side k in
+    block l come first, then those of side l in block k, each side in
+    :func:`trace_basis_on_edge` order: the multiplier order.  Every block
+    numbers its copies on from its own dimension, one contiguous run per
+    interface in increasing interface order.
     """
-
-    owner: int
-    neighbor: int
-    iface_index: int
-    sources: tuple         # (edge_index, neighbor patch dof)
-    offset: int
-
-    @property
-    def size(self):
-        return len(self.sources)
+    rows = [np.zeros((0, 5), dtype=int)]
+    next_dof = [patch.space.dimension for patch in domain.patches]
+    for i, g in enumerate(domain.interfaces):
+        for src, side, prange, blk in ((g.k, g.side_k, g.range_k, g.l),
+                                       (g.l, g.side_l, g.range_l, g.k)):
+            sdof = [d for _, d in trace_basis_on_edge(domain.patches[src].space, side, prange)]
+            n = len(sdof)
+            rows.append(np.column_stack([np.full(n, i), np.full(n, src), sdof, np.full(n, blk),
+                                         next_dof[blk] + np.arange(n)]))
+            next_dof[blk] += n
+    return np.concatenate(rows)
 
 
 @dataclass
@@ -68,7 +71,7 @@ class ExtendedLocalSystem:
 
     Dof order: the patch's free tensor-product dofs first (compact
     numbering of the space), then one artificial block per interface in
-    increasing interface-index order.
+    increasing interface-index order (see :func:`copy_map`).
     """
 
     k: int
@@ -76,7 +79,6 @@ class ExtendedLocalSystem:
     f: np.ndarray
     n_patch: int
     n_total: int
-    artificial: list          # ArtificialInterfaceBasis, ordered by iface index
 
 
 def _inv_transpose(J, where="", points=None):
@@ -286,52 +288,41 @@ def interface_side_terms(domain, ori, delta, own_index, edge_index, include_m=Tr
     return idx, mats
 
 
-def extended_layout(domain, k):
-    """Dof layout of patch `k`'s extended space.
+def assemble_interface_terms(domain, k, rows, delta):
+    """SIPG block of one interface in block `k`'s extended space.
 
-    Returns ``(n_patch, artificial)`` with artificial blocks ordered by
-    interface index.  Patch `k`'s own trace on an interface is the
-    neighbor's artificial block there, built by the neighbor's layout.
+    `rows` are the :func:`copy_map` rows of that interface whose block is
+    `k`.  Returns the ``(idx, mats)`` block of :func:`interface_side_terms`
+    over the extended dofs of patch `k`.
     """
-    n_patch = domain.patches[k].space.dimension
-    artificial = []
-    offset = n_patch
-    for idx, ori in sorted(domain.interfaces_of(k), key=lambda kv: kv[0]):
-        sources = trace_basis_on_edge(domain.patches[ori.l].space, ori.side_l, ori.range_l)
-        artificial.append(ArtificialInterfaceBasis(k, ori.l, idx, sources, offset))
-        offset += len(sources)
-    return n_patch, artificial
+    g = domain.interfaces[rows[0, 0]]
+    ori = g if g.k == k else g.flipped()
+    nb = domain.patches[ori.l].space
+    copy_of = np.full(nb.dimension + 1, -1)  # the last entry serves the constrained index -1
+    copy_of[rows[:, 2]] = rows[:, 4]
+    return interface_side_terms(domain, ori, delta, domain.patches[k].space.dof_map.ravel(),
+                                copy_of[nb.edge_dofs(ori.side_l)])
 
 
-def assemble_interface_terms(domain, ab, delta):
-    """SIPG block of the interface of artificial block `ab` in its owner's extended space.
-
-    Returns the ``(idx, mats)`` block of :func:`interface_side_terms` over
-    the extended dofs of patch ``ab.owner``.
-    """
-    ori = dict(domain.interfaces_of(ab.owner))[ab.iface_index]
-    edge_index = np.full(domain.patches[ab.neighbor].space.edge_kv(ori.side_l).n, -1)
-    edge_index[[e for e, _ in ab.sources]] = ab.offset + np.arange(ab.size)
-    return interface_side_terms(domain, ori, delta, domain.patches[ab.owner].space.dof_map.ravel(),
-                                edge_index)
-
-
-def build_local_system(domain, k, delta, source=None, vector_source=None):
+def build_local_system(domain, k, delta, copies, source=None, vector_source=None):
     """Assemble the extended local system of patch `k`.
 
-    The load is supported on the patch dofs only; the interface blocks
-    receive consistency and penalty couplings.
+    Block `k`'s artificial dofs are its rows of the copy map `copies`.  The
+    load is supported on the patch dofs only; the interface blocks receive
+    consistency and penalty couplings.
     """
     patch = domain.patches[k]
     space = patch.space
-    n_patch, artificial = extended_layout(domain, k)
-    n_total = n_patch + sum(ab.size for ab in artificial)
+    rows = copies[copies[:, 3] == k]
+    n_patch = space.dimension
+    n_total = n_patch + len(rows)
 
     (lat, elem), load_lat = assemble_volume(patch, source=source, vector_source=vector_source,
                                             label="patch %d" % k)
     f = np.zeros(n_total)
     f[:n_patch] = load_lat[space.free_mask.ravel()]
     blocks = [(space.dof_map.ravel()[lat], elem)]
-    blocks += [assemble_interface_terms(domain, ab, delta) for ab in artificial]
+    blocks += [assemble_interface_terms(domain, k, rows[rows[:, 0] == i], delta)
+               for i in np.unique(rows[:, 0])]
     A = linalg.SparseSym.from_blocks(n_total, blocks)
-    return ExtendedLocalSystem(k, A, f, n_patch, n_total, artificial)
+    return ExtendedLocalSystem(k, A, f, n_patch, n_total)

@@ -146,12 +146,15 @@ class Interface:
     reversed_: bool = False
 
     def __post_init__(self):
+        for name, patch in (("k", self.k), ("l", self.l)):
+            if isinstance(patch, bool) or not isinstance(patch, (int, np.integer)):
+                raise ConfigError("patch index %s must be an integer, got %r" % (name, patch))
         for side in (self.side_k, self.side_l):
             if side not in SIDES:
                 raise ConfigError("unknown side %r" % side)
         for rng in (self.range_k, self.range_l):
             a, b = rng
-            if not (0.0 <= a < b <= 1.0):
+            if isinstance(a, bool) or isinstance(b, bool) or not (0.0 <= a < b <= 1.0):
                 raise ConfigError("interface range %r must be a positive sub-interval of [0,1]" % (rng,))
 
     def map_param(self, t):
@@ -218,16 +221,6 @@ class MultiPatchDomain:
     @property
     def degree(self):
         return self.patches[0].space.degree
-
-    def interfaces_of(self, k):
-        """(interface index, oriented interface with patch `k` first) pairs."""
-        out = []
-        for idx, g in enumerate(self.interfaces):
-            if g.k == k:
-                out.append((idx, g))
-            elif g.l == k:
-                out.append((idx, g.flipped()))
-        return out
 
     # -- validation ----------------------------------------------------
 

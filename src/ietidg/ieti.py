@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .assembly import build_local_system, univariate_matrices
+from .assembly import build_local_system, copy_map, univariate_matrices
 from .bspline import nonzero_at_point
 from .errors import NumericalError
 from .linalg import Factorization, cholesky, factorize, fast_diagonalization, pcg
@@ -45,12 +45,12 @@ class PrimalGroup:
     """One primal coefficient: a source basis function ``(patch, dof)`` and all its copies.
 
     The copies are the copy-map rows whose source it is; all of them share
-    one global coefficient, indexed by `index`.
+    one global coefficient, indexed by the group's position in
+    :func:`select_primal`'s list.
     """
 
     vertex: int
     source: tuple
-    index: int = -1
 
 
 def select_primal(domain):
@@ -82,8 +82,6 @@ def select_primal(domain):
                     claimed.add(key)
                     groups.append(PrimalGroup(v_idx, key))
     groups.sort(key=lambda g: g.source)
-    for gi, g in enumerate(groups):
-        g.index = gi
     return groups
 
 
@@ -104,29 +102,12 @@ def degenerate_tjunction_count(domain):
     return count
 
 
-def copy_map(domain, local_systems):
-    """Which artificial dof copies which patch dof, as an ``(n, 5)`` int array.
-
-    One row ``(interface, source patch, source dof, block, copy dof)`` per
-    artificial dof.  Rows run by interface, then the ``k -> l`` side (copies
-    of patch ``k`` in block ``l``) before ``l -> k``, then by position in the
-    artificial block: the multiplier order.
-    """
-    rows = sorted(
-        (ab.iface_index, ab.owner == domain.interfaces[ab.iface_index].k, pos,
-         ab.neighbor, sdof, ab.owner, ab.offset + pos)
-        for sysk in local_systems for ab in sysk.artificial
-        for pos, (_, sdof) in enumerate(ab.sources)
-    )
-    return np.array([r[:1] + r[3:] for r in rows], dtype=int).reshape(-1, 5)
-
-
 @dataclass
 class DofPartition:
     """Per-block interior/dual/primal index sets over the extended dofs.
 
     `primal_global` holds the coarse index of every dof in `primal`, and
-    `copies` the `copy_map` the sets are read from.
+    `copies` the :func:`~ietidg.assembly.copy_map` the sets are read from.
     """
 
     interior: list
@@ -144,19 +125,18 @@ def _extended_offsets(local_systems):
     return np.cumsum([0] + [s.n_total for s in local_systems])
 
 
-def build_partition(domain, local_systems, groups):
-    """Split every block's dofs into (I, Delta, Pi) off the copy map.
+def build_partition(local_systems, copies, groups):
+    """Split every block's dofs into (I, Delta, Pi) off the copy map `copies`.
 
     The skeleton (Delta and Pi) of block k is its artificial dofs plus the
     patch dofs that some block copies; a dof is primal when it is a group
     source or a copy of one.
     """
-    copies = copy_map(domain, local_systems)
     _, src, sdof, blk, cdof = copies.T
     ext = _extended_offsets(local_systems)
     coarse = np.full(ext[-1], -1)  # coarse index of every extended dof, -1 off Pi
-    for g in groups:
-        coarse[ext[g.source[0]] + g.source[1]] = g.index
+    for gi, g in enumerate(groups):
+        coarse[ext[g.source[0]] + g.source[1]] = gi
     coarse[ext[blk] + cdof] = coarse[ext[src] + sdof]
     skeleton = np.zeros(ext[-1], dtype=bool)
     skeleton[ext[src] + sdof] = True
@@ -183,13 +163,13 @@ class JumpMatrices:
     only, so ``B_gamma[k]`` holds block k's columns over its skeleton
     ``gamma_index(k)`` (Delta, then Pi; the Pi columns are zero).  `D`
     holds the diagonal coefficient scaling ``(alpha_k + alpha_l) / alpha_l``
-    per block over the same dofs.
+    per block over the same dofs.  Row r is the r-th copy-map row whose copy
+    is dual.
     """
 
     n_rows: int
     B_gamma: list
     D: list
-    pairs: list  # (row, block_k, dof_k, block_l, dof_l, iface_index)
 
 
 def build_jump_matrices(domain, local_systems, partition):
@@ -213,8 +193,6 @@ def build_jump_matrices(domain, local_systems, partition):
          (np.repeat(np.arange(n_rows), 2), np.column_stack([source[jump], copy[jump]]).ravel())),
         shape=(n_rows, ext[-1]),
     )
-    pairs = [(r,) + tuple(row)
-             for r, row in enumerate(partition.copies[jump][:, [1, 2, 3, 4, 0]].tolist())]
 
     neighbor = np.full(ext[-1], len(local_systems))
     np.minimum.at(neighbor, source, blk)
@@ -226,7 +204,7 @@ def build_jump_matrices(domain, local_systems, partition):
         B_gamma.append(B[:, gamma])
         alpha_l = alpha[neighbor[gamma]]
         D.append((alpha[k] + alpha_l) / alpha_l)
-    return JumpMatrices(n_rows, B_gamma, D, pairs)
+    return JumpMatrices(n_rows, B_gamma, D)
 
 
 def build_psi(local_system, partition, aii_fac, interior_fd=False):
@@ -264,10 +242,10 @@ def kronecker_interior(patch, A_II, interior, univariate, name=""):
 
     Requires the `interior` patch dofs to form a tensor lattice ``I_u x I_v``
     in flat-lattice order and a diagonal Jacobian J at the corner (0, 0); then
-    every stored entry of `A_II` must match ``c_u K_u (x) M_v + c_v M_u (x) K_v``,
-    ``c_u = alpha |J_22 / J_11| = alpha^2 / c_v``, to 1e-13 of ``max |A_II|``,
-    and that sum's Frobenius norm must put no mass outside `A_II`'s pattern.
-    `univariate` maps knot bytes to the 1D ``(K, M)``.
+    `A_II` must match ``c_u K_u (x) M_v + c_v M_u (x) K_v``,
+    ``c_u = alpha |J_22 / J_11| = alpha^2 / c_v``, entrywise over both
+    patterns to 1e-13 of ``max |A_II|``.  `univariate` maps knot bytes to
+    the 1D ``(K, M)``.
     """
     space = patch.space
     lat = np.flatnonzero(space.free_mask)[interior]
@@ -285,14 +263,8 @@ def kronecker_interior(patch, A_II, interior, univariate, name=""):
                               for kv, idx in ((space.kv_u, I_u), (space.kv_v, I_v))]
     aspect = abs(J[1, 1] / J[0, 0])
     c_u, c_v = patch.alpha * aspect, patch.alpha / aspect
-    a, b = np.divmod(np.repeat(np.arange(lat.size), np.diff(A_II.indptr)), n_v)
-    c, d = np.divmod(A_II.indices, n_v)
-    kron = c_u * K_u[a, c] * M_v[b, d] + c_v * M_u[a, c] * K_v[b, d]
-    norm2 = (c_u**2 * np.vdot(K_u, K_u) * np.vdot(M_v, M_v)
-             + c_v**2 * np.vdot(M_u, M_u) * np.vdot(K_v, K_v)
-             + 2 * c_u * c_v * np.vdot(K_u, M_u) * np.vdot(M_v, K_v))
-    exact = (np.abs(kron - A_II.data).max() <= 1e-13 * np.abs(A_II.data).max()
-             and norm2 - kron @ kron <= 1e-12 * norm2)
+    kron = scipy.sparse.kron(K_u, c_u * M_v) + scipy.sparse.kron(M_u, c_v * K_v)
+    exact = np.abs((A_II - kron).data).max(initial=0.0) <= 1e-13 * np.abs(A_II.data).max()
     return fast_diagonalization(K_u, M_u, K_v, M_v, c_u, c_v, name) if exact else None
 
 
@@ -492,11 +464,12 @@ def lambda_factor(domain):
 
 def setup_operator(domain, delta=12.0, source=1.0, vector_source=None):
     """Assemble all extended local systems and build the IETI operator."""
-    local_systems = [build_local_system(domain, k, delta, source=source,
+    copies = copy_map(domain)
+    local_systems = [build_local_system(domain, k, delta, copies, source=source,
                                         vector_source=vector_source)
                      for k in range(domain.num_patches)]
     groups = select_primal(domain)
-    partition = build_partition(domain, local_systems, groups)
+    partition = build_partition(local_systems, copies, groups)
     jumps = build_jump_matrices(domain, local_systems, partition)
     return IetiOperator(domain, local_systems, groups, partition, jumps)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ietidg.assembly import build_local_system, copy_map
 from ietidg.bspline import KnotVector, TensorSplineSpace, refine_uniform
 from ietidg.geometry import GeometryMap, Interface, MultiPatchDomain, Patch
 
@@ -52,6 +53,20 @@ def random_knotvector(rng, p=None):
     return KnotVector(p, knots)
 
 
+def local_systems(domain, delta=12.0, source=None):
+    """The copy map and every block's extended local system."""
+    copies = copy_map(domain)
+    return copies, [build_local_system(domain, k, delta, copies, source=source)
+                    for k in range(domain.num_patches)]
+
+
+def dual_rows(partition):
+    """The copy-map rows whose copy is dual: row r pairs the dofs of multiplier r."""
+    dual = {(k, int(d)) for k, ds in enumerate(partition.dual) for d in ds}
+    keep = [(int(blk), int(cdof)) in dual for blk, cdof in partition.copies[:, 3:]]
+    return partition.copies[np.array(keep, dtype=bool)]
+
+
 def full_jump_columns(jumps, partition, local_systems):
     """Each block's dense B over all its extended dofs, scattered from ``B_gamma``."""
     out = []
@@ -100,7 +115,7 @@ def check_lemma_bbt(op, u_blocks):
         pg = -np.ones(op.locals[k].n_total, dtype=int)
         pg[blk.gamma] = np.arange(blk.gamma.size)
         pos_gamma.append(pg)
-    for _, k, dof_k, l, dof_l, _ in op.jumps.pairs:
+    for _, k, dof_k, l, dof_l in dual_rows(op.partition):
         a_k = op.domain.patches[k].alpha
         a_l = op.domain.patches[l].alpha
         jump = u_blocks[k][dof_k] - u_blocks[l][dof_l]

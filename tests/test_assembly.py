@@ -6,7 +6,7 @@ from ietidg.assembly import (
     assemble_interface_terms,
     assemble_volume,
     build_local_system,
-    extended_layout,
+    copy_map,
     interface_side_terms,
     trace_basis_on_edge,
     univariate_matrices,
@@ -204,19 +204,21 @@ class TestInterfaceTerms:
     def test_matched_function_no_penalty_energy(self):
         # equal trace and artificial coefficients: zero jump, zero r-energy
         dom = two_patch_domain(p=2, r=1, dirichlet=False)
-        n_patch, artificial = extended_layout(dom, 0)
-        n_total = n_patch + sum(ab.size for ab in artificial)
-        ab = artificial[0]
+        copies = copy_map(dom)
+        rows = copies[copies[:, 3] == 0]
+        n_total = dom.patches[0].space.dimension + len(rows)
+        sources = trace_basis_on_edge(dom.patches[1].space, "west", (0.0, 1.0))
+        assert rows[:, 2].tolist() == [d for _, d in sources]
         edge_index = np.full(dom.patches[1].space.edge_kv("west").n, -1)
-        edge_index[[e for e, _ in ab.sources]] = ab.offset + np.arange(ab.size)
+        edge_index[[e for e, _ in sources]] = rows[:, 4]
         R = block_to_dense(interface_side_terms(dom, dom.interfaces[0], 12.0,
                                                 dom.patches[0].space.dof_map.ravel(), edge_index,
                                                 include_m=False), n_total)
-        M = block_to_dense(assemble_interface_terms(dom, ab, 12.0), n_total) - R
+        M = block_to_dense(assemble_interface_terms(dom, 0, rows, 12.0), n_total) - R
         v = np.zeros(n_total)
-        for pos, (edge, _) in enumerate(ab.sources):
+        for (edge, _), copy in zip(sources, rows[:, 4]):
             v[dom.patches[0].space.edge_dofs("east")[edge]] = 2.5
-            v[ab.offset + pos] = 2.5
+            v[copy] = 2.5
         assert abs(v @ R @ v) <= 1e-12
         # constants: both the consistency and penalty terms annihilate them
         ones = np.ones(n_total)
@@ -252,7 +254,7 @@ class TestLocalSystem:
     def test_no_neighbors_equals_volume(self):
         patch = unit_square_patch(0, 1, 0, 1, 2, 1, {"west", "east", "south", "north"})
         dom = MultiPatchDomain([patch], []).validate()
-        sysk = build_local_system(dom, 0, 12.0)
+        sysk = build_local_system(dom, 0, 12.0, copy_map(dom))
         assert sysk.n_total == sysk.n_patch == patch.space.dimension
         ev = np.linalg.eigvalsh(sysk.A.toarray())
         assert ev[0] > 0
@@ -261,21 +263,21 @@ class TestLocalSystem:
     def test_symmetry_on_tdomain(self, p):
         dom = t_domain(degree=p, refinements=1)
         for k in range(dom.num_patches):
-            sysk = build_local_system(dom, k, 12.0)
+            sysk = build_local_system(dom, k, 12.0, copy_map(dom))
             A = sysk.A.csr
             asym = abs(A - A.T).max()
             assert asym <= 1e-12 * max(abs(A.max()), abs(A.min()))
 
     def test_floating_patch_constant_kernel(self):
         dom = two_patch_domain(p=2, r=1, dirichlet=False)
-        sysk = build_local_system(dom, 0, 12.0)
+        sysk = build_local_system(dom, 0, 12.0, copy_map(dom))
         ones = np.ones(sysk.n_total)
         scale = abs(sysk.A.csr.max())
         np.testing.assert_allclose(sysk.A.csr @ ones, 0.0, atol=1e-12 * scale)
 
     def test_load_on_patch_dofs_only(self):
         dom = t_domain(degree=2, refinements=1)
-        sysk = build_local_system(dom, 0, 12.0, source=1.0)
+        sysk = build_local_system(dom, 0, 12.0, copy_map(dom), source=1.0)
         assert np.all(sysk.f[sysk.n_patch:] == 0.0)
         assert np.any(sysk.f[: sysk.n_patch] != 0.0)
 
@@ -283,8 +285,10 @@ class TestLocalSystem:
         # artificial-artificial coupling comes from the interface block alone,
         # whose artificial-artificial part is the penalty term
         dom = two_patch_domain(p=2, r=1)
-        sysk = build_local_system(dom, 0, 12.0)
-        R = block_to_dense(assemble_interface_terms(dom, sysk.artificial[0], 12.0), sysk.n_total)
+        copies = copy_map(dom)
+        sysk = build_local_system(dom, 0, 12.0, copies)
+        R = block_to_dense(assemble_interface_terms(dom, 0, copies[copies[:, 3] == 0], 12.0),
+                           sysk.n_total)
         A = sysk.A.toarray()
         art = slice(sysk.n_patch, sysk.n_total)
         np.testing.assert_allclose(A[art, art], R[art, art], atol=1e-13 * np.abs(A).max())
@@ -292,8 +296,8 @@ class TestLocalSystem:
     def test_alpha_scaling_equivariance(self):
         dom1 = two_patch_domain(p=2, r=1, alphas=(1.0, 3.0))
         dom2 = two_patch_domain(p=2, r=1, alphas=(5.0, 15.0))
-        A1 = build_local_system(dom1, 0, 12.0).A.toarray()
-        A2 = build_local_system(dom2, 0, 12.0).A.toarray()
+        A1 = build_local_system(dom1, 0, 12.0, copy_map(dom1)).A.toarray()
+        A2 = build_local_system(dom2, 0, 12.0, copy_map(dom2)).A.toarray()
         np.testing.assert_allclose(A2, 5.0 * A1, atol=1e-12 * np.abs(A2).max())
 
     @pytest.mark.parametrize("factory,label", [
@@ -303,7 +307,7 @@ class TestLocalSystem:
     def test_coercivity_probe(self, rng, factory, label):
         dom = factory()
         for k in range(dom.num_patches):
-            sysk = build_local_system(dom, k, 12.0)
+            sysk = build_local_system(dom, k, 12.0, copy_map(dom))
             A = sysk.A.csr
             scale = max(abs(A.max()), abs(A.min()))
             for _ in range(50):

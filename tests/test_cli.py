@@ -310,13 +310,23 @@ class TestMain:
                        "patches[1]: alpha must be a number, got True"),
         "reversed": ("interfaces", 0, None, "reversed", "yes",
                      "interfaces[0]: reversed must be true or false, got 'yes'"),
+        "patch_k_bool": ("interfaces", 0, None, "k", True,
+                         "interfaces[0]: patch index k must be an integer, got True"),
+        "patch_l_bool": ("interfaces", 0, None, "l", True,
+                         "interfaces[0]: patch index l must be an integer, got True"),
+        "patch_l_float": ("interfaces", 0, None, "l", 1.0,
+                          "interfaces[0]: patch index l must be an integer, got 1.0"),
+        "range_end_bool": ("interfaces", 0, None, "range_k", [False, 1],
+                           "interfaces[0]: interface range (False, 1) must be"),
     }
 
     @pytest.mark.parametrize("defect", sorted(LENIENT))
     def test_lenient_entries_rejected(self, capsys, tmp_path, defect):
-        # each of these used to be accepted: degree 2.5 ran as p=2 and true as
-        # p=1, alpha went through float(), and "yes" as reversed failed as an
-        # interface mismatch
+        # each of these used to be accepted or misreported: degree 2.5 ran as
+        # p=2 and true as p=1, alpha went through float(), "yes" as reversed
+        # failed as an interface mismatch, "l": true ran as patch 1, "k": true
+        # gave "invalid patches (1, 1)", 1.0 as a patch index a malformed entry
+        # and the range [false, 1] ran as (0, 1)
         group, index, sub, key, value, message = self.LENIENT[defect]
         config = domain_to_config(grid_domain(2, degree=2, refinements=1))
         entry = config[group][index]

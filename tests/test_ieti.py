@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from ietidg.assembly import build_local_system, univariate_matrices
+from ietidg.assembly import trace_basis_on_edge, univariate_matrices
 from ietidg.bspline import (KnotVector, TensorSplineSpace, eval_basis, greville_points,
                             refine_uniform)
 from ietidg.domains import (domain_from_config, domain_to_config, grid_domain, slider_domain,
@@ -14,7 +14,6 @@ from ietidg.ieti import (
     build_jump_matrices,
     build_partition,
     build_psi,
-    copy_map,
     degenerate_tjunction_count,
     kronecker_interior,
     lambda_factor,
@@ -26,25 +25,25 @@ from ietidg.ieti import (
 from ietidg import refsolver
 from ietidg.linalg import Factorization, factorize
 
-from conftest import (check_lemma_bbt, full_jump_columns, project_wtilde, psi_residual,
-                      two_patch_domain, unit_square_patch)
+from conftest import (check_lemma_bbt, dual_rows, full_jump_columns, local_systems,
+                      project_wtilde, psi_residual, reversed_two_patch_domain, two_patch_domain,
+                      unit_square_patch)
 
 
 def build_stack(domain, delta=12.0, source=1.0):
-    locals_ = [build_local_system(domain, k, delta, source=source)
-               for k in range(domain.num_patches)]
+    copies, locals_ = local_systems(domain, delta, source)
     groups = select_primal(domain)
-    partition = build_partition(domain, locals_, groups)
+    partition = build_partition(locals_, copies, groups)
     jumps = build_jump_matrices(domain, locals_, partition)
     return locals_, groups, partition, jumps
 
 
 def members(domain, groups):
     """(block, extended dof) pairs that share each group's coarse coefficient."""
-    locals_ = [build_local_system(domain, k, 12.0) for k in range(domain.num_patches)]
-    partition = build_partition(domain, locals_, groups)
+    copies, locals_ = local_systems(domain)
+    partition = build_partition(locals_, copies, groups)
     return [[(k, int(d)) for k, (P, gk) in enumerate(zip(partition.primal, partition.primal_global))
-             for d in P[gk == g.index]] for g in groups]
+             for d in P[gk == gi]] for gi in range(len(groups))]
 
 
 def dense_F(op):
@@ -115,7 +114,7 @@ class TestSelectPrimal:
         # long-side groups have copies on both sub-interfaces
         group_members = members(dom, groups)
         for g in long_side:
-            assert len(group_members[g.index]) == 3
+            assert len(group_members[groups.index(g)]) == 3
 
     def test_single_patch_empty(self):
         patch = unit_square_patch(0, 1, 0, 1, 2, 1, {"west", "east", "south", "north"})
@@ -165,30 +164,38 @@ class TestCopyMap:
     @pytest.mark.parametrize("factory", [
         lambda: t_domain(degree=2, refinements=1),
         lambda: slider_domain(3, 0.3, degree=3, refinements=1),
+        lambda: reversed_two_patch_domain(p=2),
     ])
     def test_one_row_per_artificial_dof(self, factory):
-        # every artificial dof appears once, paired with the neighbor dof
-        # its artificial block records, in the neighbor's trace on that side
+        # every artificial dof appears once, paired with the neighbor's trace
+        # on that side in trace_basis_on_edge order; each block numbers its
+        # copies n_patch..n_total-1, one contiguous run per interface in
+        # increasing interface order
         dom = factory()
-        locals_ = [build_local_system(dom, k, 12.0) for k in range(dom.num_patches)]
-        copies = copy_map(dom, locals_)
+        copies, locals_ = local_systems(dom)
         for k, sysk in enumerate(locals_):
             mine = copies[copies[:, 3] == k]
-            np.testing.assert_array_equal(np.sort(mine[:, 4]),
-                                          np.arange(sysk.n_patch, sysk.n_total))
-            for iface, src, sdof, _, copy in mine:
-                ab = next(ab for ab in sysk.artificial if ab.iface_index == iface)
-                assert (ab.neighbor, ab.sources[copy - ab.offset][1]) == (src, sdof)
-                assert sdof < locals_[src].n_patch
+            np.testing.assert_array_equal(mine[:, 4], np.arange(sysk.n_patch, sysk.n_total))
+            assert np.all(np.diff(mine[:, 0]) >= 0)
+            touching = [i for i, g in enumerate(dom.interfaces) if k in (g.k, g.l)]
+            assert np.unique(mine[:, 0]).tolist() == touching
+            for i in touching:
+                g = dom.interfaces[i]
+                src, side, prange = (g.l, g.side_l, g.range_l) if g.k == k else (g.k, g.side_k, g.range_k)
+                rows = mine[mine[:, 0] == i]
+                assert np.all(rows[:, 1] == src)
+                sources = [d for _, d in trace_basis_on_edge(dom.patches[src].space, side, prange)]
+                assert rows[:, 2].tolist() == sources
+                assert np.all(rows[:, 2] < locals_[src].n_patch)
 
     def test_primal_source_off_the_skeleton_rejected(self):
         # an interior function cannot be a fat-vertex dof
         dom = two_patch_domain(p=2, r=2)
-        locals_ = [build_local_system(dom, k, 12.0) for k in range(2)]
-        interior = build_partition(dom, locals_, []).interior[0]
-        group = PrimalGroup(0, (0, int(interior[0])), 0)
+        copies, locals_ = local_systems(dom)
+        interior = build_partition(locals_, copies, []).interior[0]
+        group = PrimalGroup(0, (0, int(interior[0])))
         with pytest.raises(NumericalError, match="block 0: primal dof outside the trace-active set"):
-            build_partition(dom, locals_, [group])
+            build_partition(locals_, copies, [group])
 
 
 class TestJumpMatrices:
@@ -196,8 +203,8 @@ class TestJumpMatrices:
         # every matched (trace, copy) pair gets one +1/-1 row; each side of
         # the interface contributes its own pairs
         dom = two_patch_domain(p=1, r=0, dirichlet=False)
-        locals_ = [build_local_system(dom, k, 12.0) for k in range(2)]
-        partition = build_partition(dom, locals_, [])
+        copies, locals_ = local_systems(dom)
+        partition = build_partition(locals_, copies, [])
         jumps = build_jump_matrices(dom, locals_, partition)
         assert jumps.n_rows == 4
         B = np.hstack(full_jump_columns(jumps, partition, locals_))
@@ -218,29 +225,31 @@ class TestJumpMatrices:
         # without primal dofs, the corner functions at the cross point are
         # copied across two interfaces each and would sit in two rows
         dom = grid_domain(2, degree=2, refinements=1)
-        locals_ = [build_local_system(dom, k, 12.0) for k in range(dom.num_patches)]
-        partition = build_partition(dom, locals_, [])
+        copies, locals_ = local_systems(dom)
+        partition = build_partition(locals_, copies, [])
         with pytest.raises(NumericalError, match="dof matched by two constraints"):
             build_jump_matrices(dom, locals_, partition)
 
     @pytest.mark.parametrize("factory", [
         lambda: t_domain(degree=2, refinements=2),
         lambda: slider_domain(3, 0.3, degree=2, refinements=2),
+        lambda: reversed_two_patch_domain(p=2),
     ])
     def test_multiplier_order(self, factory):
-        # each row pairs a source with its copy as the artificial blocks
-        # record it; rows run by interface, the k -> l side first, then by
-        # position in the artificial block
+        # each row pairs a source with its copy in the neighbor's block;
+        # rows run by interface, the k -> l side first, then by position in
+        # the source side's trace_basis_on_edge order
         dom = factory()
         locals_, groups, partition, jumps = build_stack(dom)
+        Bs = full_jump_columns(jumps, partition, locals_)
         keys = []
-        for expected_row, (row, src, sdof, dst, copy, iface) in enumerate(jumps.pairs):
-            assert row == expected_row
-            ab = next(ab for ab in locals_[dst].artificial if ab.iface_index == iface)
-            assert ab.neighbor == src
-            pos = copy - ab.offset
-            assert 0 <= pos < ab.size and ab.sources[pos][1] == sdof
-            keys.append((iface, src != dom.interfaces[iface].k, pos))
+        for row, (iface, src, sdof, dst, copy) in enumerate(dual_rows(partition)):
+            assert Bs[src][row, sdof] == 1.0 and Bs[dst][row, copy] == -1.0
+            g = dom.interfaces[iface]
+            side, prange, nb = (g.side_k, g.range_k, g.l) if src == g.k else (g.side_l, g.range_l, g.k)
+            assert dst == nb
+            sources = [d for _, d in trace_basis_on_edge(dom.patches[src].space, side, prange)]
+            keys.append((iface, src != g.k, sources.index(sdof)))
         assert len(keys) == jumps.n_rows > 0
         assert keys == sorted(keys)
 
@@ -288,7 +297,7 @@ class TestJumpMatrices:
         dom = factory()
         locals_, groups, partition, jumps = build_stack(dom)
         entries = [[] for _ in range(dom.num_patches)]
-        for row, k, dof_k, l, dof_l, _ in jumps.pairs:
+        for row, (_, k, dof_k, l, dof_l) in enumerate(dual_rows(partition)):
             entries[k].append((row, dof_k, 1.0))
             entries[l].append((row, dof_l, -1.0))
         for k in range(dom.num_patches):
@@ -579,7 +588,7 @@ class TestLemma:
         gam = [u[k][op.blocks[k].gamma] for k in range(2)]
         mu = sum(op.jumps.B_gamma[k] @ gam[k] for k in range(2))
         w0 = (op.jumps.B_gamma[0].T @ mu) / op.jumps.D[0]
-        row, k, dof_k, l, dof_l, _ = op.jumps.pairs[0]
+        _, k, dof_k, l, dof_l = dual_rows(op.partition)[0]
         jump = u[k][dof_k] - u[l][dof_l]
         pos = {dof: i for i, dof in enumerate(op.blocks[k].gamma)}
         assert w0[pos[dof_k]] == pytest.approx(0.5 * jump)
@@ -758,7 +767,7 @@ class TestFastDiagonalizationInterior:
 
     def test_kronecker_mass_outside_pattern_falls_back(self):
         # drop one symmetric pair of couplings from A_II: every stored entry
-        # still matches, only the Frobenius-norm comparison sees the gap
+        # still matches, only the Kronecker sum's own pattern shows the gap
         dom = self._single_patch(GeometryMap.bilinear((0, 0), (1, 0), (0, 1), (1, 1)))
         op = setup_operator(dom)
         I = op.partition.interior[0]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ietidg.assembly import assemble_volume, build_local_system
+from ietidg.assembly import assemble_volume
 from ietidg.domains import grid_domain, slider_domain, t_domain
 from ietidg.errors import NumericalError
 from ietidg.linalg import SparseSym
@@ -17,7 +17,7 @@ from ietidg.refsolver import (
 )
 from ietidg.geometry import MultiPatchDomain
 
-from conftest import reversed_two_patch_domain, two_patch_domain, unit_square_patch
+from conftest import local_systems, reversed_two_patch_domain, two_patch_domain, unit_square_patch
 
 
 def u_sin(x, y):
@@ -55,8 +55,8 @@ class TestAssembleGlobal:
     def test_gluing_matches_global(self, factory):
         dom = factory()
         system = assemble_global(dom, 12.0)
-        locals_ = [build_local_system(dom, k, 12.0) for k in range(dom.num_patches)]
-        glued = glued_from_locals(dom, locals_)
+        copies, locals_ = local_systems(dom)
+        glued = glued_from_locals(dom, locals_, copies)
         scale = max(abs(system.matrix.csr.max()), abs(system.matrix.csr.min()))
         diff = abs(system.matrix.csr - glued.csr)
         assert (diff.max() if diff.nnz else 0.0) <= 1e-12 * scale

@@ -1,8 +1,10 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+PERFBENCH = PYPROJECT.parent / "perfbench"
 
 FAILING_PROPERTY = '''
 from hypothesis import given, seed, settings
@@ -31,3 +33,16 @@ def test_failing_property_test_is_reported_not_fatal(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert run.returncode == 1, run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
+
+
+def test_benchmark_span_targets_resolve(monkeypatch):
+    # perfbench/spans.py wraps these names only in traced runs (--trace 1);
+    # a renamed or deleted target must fail here, not first in a traced run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = [(owner, attr) for owner, attr, *_ in spans.SPANS + spans.COUNTED]
+    missing = ["%s.%s" % (owner.__name__, attr) for owner, attr in targets
+               if not callable(vars(owner).get(attr))]
+    assert targets and not missing, missing
