@@ -44,8 +44,8 @@ class KnotVector:
         kv = np.ascontiguousarray(knots, dtype=float)
         if kv.ndim != 1 or kv.size < 2 * (p + 1):
             raise ConfigError("knot vector too short for degree %d" % p)
-        if np.any(np.diff(kv) < 0):
-            raise ConfigError("knots must be non-decreasing")
+        if not np.all(np.diff(kv) >= 0):  # also catches NaN
+            raise ConfigError("knots must be finite and non-decreasing")
         n = kv.size - p - 1
         if not (np.all(kv[: p + 1] == 0.0) and np.all(kv[n:] == 1.0)):
             raise ConfigError("knot vector must be p-open on [0, 1]")
@@ -79,12 +79,6 @@ class KnotVector:
         """Largest knot span."""
         return float(np.max(np.diff(self.knots)))
 
-    @property
-    def h_min(self):
-        """Smallest nonzero knot span."""
-        d = np.diff(self.knots)
-        return float(np.min(d[d > 0]))
-
     def find_span(self, x):
         """Index of the nonzero span that contains each `x`; ``x = 1`` maps into the last one."""
         x = np.asarray(x, dtype=float)
@@ -93,14 +87,6 @@ class KnotVector:
             raise ValueError("parameter %r outside [0, 1]" % float(x[outside].flat[0]))
         span = np.searchsorted(self.knots, x, side="right") - 1
         return np.minimum(np.maximum(span, self.p), self.n - 1)
-
-    def as_dict(self):
-        """JSON-ready representation; binary64 values round-trip exactly."""
-        return {"degree": self.p, "knots": self.knots.tolist()}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(data["degree"], data["knots"])
 
     @classmethod
     def bernstein(cls, degree):

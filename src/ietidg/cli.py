@@ -2,7 +2,7 @@
 
 Results stream to CSV (one row per case, stable schema) and optionally to
 JSON; any failure exits nonzero while keeping the rows written so far.
-Exit codes: 0 ok, 2 configuration error, 3 numerical failure.
+Exit codes: 0 ok, 2 configuration error or unwritable output, 3 numerical failure.
 """
 
 import argparse
@@ -282,6 +282,9 @@ def main(argv=None):
     except NumericalError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
+    except OSError as exc:  # an unwritable --csv or --json path
+        print("cannot write output: %s" % exc, file=sys.stderr)
+        return 2
     return 0
 
 

@@ -69,6 +69,8 @@ class GeometryMap:
                 "control net shape %s does not match spaces (%d, %d, 2)"
                 % (control.shape, kv_u.n, kv_v.n)
             )
+        if not np.all(np.isfinite(control)):
+            raise ConfigError("control points must be finite")
         self.kv_u = kv_u
         self.kv_v = kv_v
         self.control = control
@@ -102,13 +104,6 @@ class GeometryMap:
         BV = eval_matrices(self.kv_v, v_pts, 1)
         ju, jv = self._contract(BU[1], BV[0]), self._contract(BU[0], BV[1])
         return self._contract(BU[0], BV[0]), np.stack([ju, jv], axis=-1)
-
-    def __call__(self, u, v):
-        return self.eval_grid([u], [v])[0, 0]
-
-    def jacobian(self, u, v):
-        _, jac = self.jacobian_grid([u], [v])
-        return jac[0, 0]
 
     def check_bijective(self):
         """Reject the patch unless det(Jacobian) keeps one sign on a sample grid."""
@@ -262,35 +257,19 @@ class MultiPatchDomain:
     def _compute_metrics(self):
         H = np.empty(self.num_patches)
         hhat = np.empty(self.num_patches)
-        hhat_min = np.empty(self.num_patches)
         s = np.linspace(0.0, 1.0, 33)
         for k, p in enumerate(self.patches):
             grid = p.geometry.eval_grid(s, s)
             x, y = np.concatenate([grid[0], grid[-1], grid[:, 0], grid[:, -1]]).T
             H[k] = np.sqrt(np.max((x[:, None] - x) ** 2 + (y[:, None] - y) ** 2))
             hhat[k] = max(p.space.kv_u.h_max, p.space.kv_v.h_max)
-            hhat_min[k] = min(p.space.kv_u.h_min, p.space.kv_v.h_min)
-        return {"H": H, "hhat": hhat, "hhat_min": hhat_min, "h": hhat * H}
+        return {"H": H, "hhat": hhat, "h": hhat * H}
 
     @property
     def metrics(self):
         if self._metrics is None:
             self._metrics = self._compute_metrics()
         return self._metrics
-
-    def patch_metrics(self):
-        """Per-patch (H_k, h_k, hhat_min_k) plus the quasi-uniformity ratio."""
-        m = self.metrics
-        return [
-            {
-                "H": float(m["H"][k]),
-                "h": float(m["h"][k]),
-                "hhat": float(m["hhat"][k]),
-                "hhat_min": float(m["hhat_min"][k]),
-                "quasi_uniformity": float(m["hhat"][k] / m["hhat_min"][k]),
-            }
-            for k in range(self.num_patches)
-        ]
 
 
 def validate_interface(domain, index):

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse
 
 from .assembly import build_local_system, copy_map, univariate_matrices
-from .bspline import nonzero_at_point
+from .bspline import greville_points, nonzero_at_point
 from .errors import NumericalError
 from .linalg import Factorization, cholesky, factorize, fast_diagonalization, pcg
 
@@ -237,35 +237,36 @@ def build_psi(local_system, partition, aii_fac, interior_fd=False):
     return OperatorBlock(S, dual_fac, psi, aii_fac, A_IG, g, I, gamma, nd, interior_fd)
 
 
-def kronecker_interior(patch, A_II, interior, univariate, name=""):
-    """Fast-diagonalization factorization of `A_II` if it is exactly a Kronecker sum, else None.
+def kronecker_interior(patch, interior, univariate, name=""):
+    """Fast-diagonalization factorization of the interior block, or None if it is no Kronecker sum.
 
-    Requires the `interior` patch dofs to form a tensor lattice ``I_u x I_v``
-    in flat-lattice order and a diagonal Jacobian J at the corner (0, 0); then
-    `A_II` must match ``c_u K_u (x) M_v + c_v M_u (x) K_v``,
-    ``c_u = alpha |J_22 / J_11| = alpha^2 / c_v``, entrywise over both
-    patterns to 1e-13 of ``max |A_II|``.  `univariate` maps knot bytes to
+    The block is ``c_u K_u (x) M_v + c_v M_u (x) K_v``, ``c_u = alpha |J_y / J_x|
+    = alpha^2 / c_v``, when the `interior` patch dofs form a tensor lattice
+    ``I_u x I_v`` in flat-lattice order and the map is ``x0 + diag(J) (u, v)``:
+    the volume quadrature is exact for an affine map, and no interface term
+    couples two interior dofs (a jump is nonzero only on trace-active
+    functions, which are skeleton dofs).  The map is taken as affine when its
+    control net equals it at the Greville points to 1e-14 of ``max |J|``,
+    ``J = control[-1, -1] - control[0, 0]``.  `univariate` maps knot bytes to
     the 1D ``(K, M)``.
     """
-    space = patch.space
+    space, geo = patch.space, patch.geometry
+    x0, J = geo.control[0, 0], geo.control[-1, -1] - geo.control[0, 0]
+    grid = np.stack(np.meshgrid(greville_points(geo.kv_u), greville_points(geo.kv_v),
+                                indexing="ij"), axis=-1)
     lat = np.flatnonzero(space.free_mask)[interior]
-    iu, iv = np.divmod(lat, space.n_v)
-    geo = patch.geometry  # Jacobian at the corner (0, 0): end derivatives of p-open B-splines
-    J = np.column_stack([kv.p / kv.knots[kv.p + 1] * (geo.control[e] - geo.control[0, 0])
-                         for kv, e in ((geo.kv_u, (1, 0)), (geo.kv_v, (0, 1)))])
-    if not lat.size or J[0, 1] != 0.0 or J[1, 0] != 0.0:
+    if not lat.size or np.abs(geo.control - (x0 + J * grid)).max() > 1e-14 * np.abs(J).max():
         return None
+    iu, iv = np.divmod(lat, space.n_v)
     n_v = int(np.argmax(iu != iu[0])) or lat.size
     I_u, I_v = iu[::n_v], iv[:n_v]
     if not np.array_equal(lat, (I_u[:, None] * space.n_v + I_v).ravel()):
         return None
     (K_u, M_u), (K_v, M_v) = [[m[idx][:, idx] for m in univariate[kv.knots.tobytes()]]
                               for kv, idx in ((space.kv_u, I_u), (space.kv_v, I_v))]
-    aspect = abs(J[1, 1] / J[0, 0])
-    c_u, c_v = patch.alpha * aspect, patch.alpha / aspect
-    kron = scipy.sparse.kron(K_u, c_u * M_v) + scipy.sparse.kron(M_u, c_v * K_v)
-    exact = np.abs((A_II - kron).data).max(initial=0.0) <= 1e-13 * np.abs(A_II.data).max()
-    return fast_diagonalization(K_u, M_u, K_v, M_v, c_u, c_v, name) if exact else None
+    aspect = abs(J[1] / J[0])
+    return fast_diagonalization(K_u, M_u, K_v, M_v, patch.alpha * aspect, patch.alpha / aspect,
+                                name)
 
 
 @dataclass
@@ -309,7 +310,7 @@ class IetiOperator:
         self.n_primal = len(groups)
         self.primal_global = partition.primal_global
 
-        # 1D matrices of the fast-diagonalization check, once per distinct knot vector
+        # 1D matrices of the fast-diagonalization blocks, once per distinct knot vector
         kvs = {kv.knots.tobytes(): kv for patch in domain.patches
                for kv in (patch.space.kv_u, patch.space.kv_v)}
         univariate = {key: univariate_matrices(kv) for key, kv in kvs.items()}
@@ -317,10 +318,9 @@ class IetiOperator:
         self.blocks = []
         for k, sysk in enumerate(local_systems):
             I = partition.interior[k]
-            A_II = sysk.A.csr[I][:, I]
             name = "patch %d interior block" % k
-            fd = kronecker_interior(domain.patches[k], A_II, I, univariate, name)
-            aii_fac = fd or factorize(A_II, name=name)
+            fd = kronecker_interior(domain.patches[k], I, univariate, name)
+            aii_fac = fd or factorize(sysk.A.csr[I][:, I], name=name)
             self.blocks.append(build_psi(sysk, partition, aii_fac, fd is not None))
 
         coarse = np.zeros((self.n_primal, self.n_primal))

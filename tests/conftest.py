@@ -40,6 +40,42 @@ def reversed_two_patch_domain(p=2):
     return MultiPatchDomain(patches, ifaces, name="reversed_two_patch").validate()
 
 
+def mirrored_two_patch_domain(p=2, r=1):
+    """The unit square glued to the mirrored square x = 2 - u, y = v (det J < 0), whose
+    east side u = 1 lies on x = 1."""
+    kv = refine_uniform(KnotVector.bernstein(p), r)
+    sides = {"west", "south", "north"}
+    patches = [unit_square_patch(0, 1, 0, 1, p, r, sides),
+               Patch(GeometryMap.bilinear((2, 0), (1, 0), (2, 1), (1, 1)), 1.0,
+                     TensorSplineSpace(kv, kv, sides))]
+    ifaces = [Interface(0, "east", (0.0, 1.0), 1, "east", (0.0, 1.0))]
+    return MultiPatchDomain(patches, ifaces, name="mirrored_two_patch").validate()
+
+
+def curved_geometry():
+    """Degree-2 map of the unit square whose middle control point is lifted:
+    diagonal Jacobian at the corners and the centre, curved everywhere else."""
+    kv = KnotVector.bernstein(2)
+    control = np.stack(np.meshgrid([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], indexing="ij"), axis=-1)
+    control[1, 1, 1] = 0.7
+    return GeometryMap(kv, kv, control)
+
+
+def curved_two_patch_domain(p=2, r=2):
+    """The curved patch of `curved_geometry` glued along x = 1 to the square [1, 2] x [0, 1]."""
+    kv = refine_uniform(KnotVector.bernstein(p), r)
+    patches = [Patch(curved_geometry(), 1.0, TensorSplineSpace(kv, kv, {"west", "south", "north"})),
+               unit_square_patch(1, 2, 0, 1, p, r, {"east", "south", "north"})]
+    ifaces = [Interface(0, "east", (0.0, 1.0), 1, "west", (0.0, 1.0))]
+    return MultiPatchDomain(patches, ifaces, name="curved").validate()
+
+
+def at(geo, u, v):
+    """Point and Jacobian of the map `geo` at the one parameter point (u, v)."""
+    pts, jac = geo.jacobian_grid([u], [v])
+    return pts[0, 0], jac[0, 0]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

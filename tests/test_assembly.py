@@ -12,12 +12,13 @@ from ietidg.assembly import (
     univariate_matrices,
 )
 from ietidg.bspline import KnotVector, TensorSplineSpace, gauss_rule, greville_points, refine_uniform
-from ietidg.domains import t_domain
+from ietidg.domains import slider_domain, t_domain
 from ietidg.errors import ConfigError, NumericalError
-from ietidg.geometry import GeometryMap, MultiPatchDomain, Patch
+from ietidg.geometry import GeometryMap, MultiPatchDomain, Patch, side_normal_hat
 from ietidg.linalg import SparseSym
 
-from conftest import two_patch_domain, unit_square_patch
+from conftest import (curved_two_patch_domain, mirrored_two_patch_domain,
+                      reversed_two_patch_domain, two_patch_domain, unit_square_patch)
 
 
 def block_to_dense(block, n):
@@ -62,24 +63,31 @@ def trace_mass_oracle(kv, weight):
     return weight * M
 
 
+def edge_positions(space, side, dofs):
+    """Edge index of each of the `dofs` on `side`, read off `edge_dofs`."""
+    return [int(np.flatnonzero(space.edge_dofs(side) == d)[0]) for d in dofs]
+
+
 class TestTraceBasis:
     def test_examples(self):
         kv2 = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
         space = TensorSplineSpace(kv2, kv2)
-        entries = trace_basis_on_edge(space, "south", (0.0, 0.5))
-        assert [e for e, _ in entries] == [0, 1, 2]
-        entries = trace_basis_on_edge(space, "south", (0.0, 1.0))
-        assert [e for e, _ in entries] == [0, 1, 2, 3]
+        dofs = trace_basis_on_edge(space, "south", (0.0, 0.5))
+        assert dofs.tolist() == space.edge_dofs("south")[:3].tolist()
+        assert edge_positions(space, "south", dofs) == [0, 1, 2]
+        dofs = trace_basis_on_edge(space, "south", (0.0, 1.0))
+        assert edge_positions(space, "south", dofs) == [0, 1, 2, 3]
         kv1 = KnotVector(1, [0, 0, 0.5, 1, 1])
         space1 = TensorSplineSpace(kv1, kv1)
-        entries = trace_basis_on_edge(space1, "south", (0.5, 1.0))
-        assert [e for e, _ in entries] == [1, 2]
+        dofs = trace_basis_on_edge(space1, "south", (0.5, 1.0))
+        assert edge_positions(space1, "south", dofs) == [1, 2]
 
     def test_dirichlet_functions_excluded(self):
         kv = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
         space = TensorSplineSpace(kv, kv, {"west"})
-        entries = trace_basis_on_edge(space, "south", (0.0, 1.0))
-        assert [e for e, _ in entries] == [1, 2, 3]
+        dofs = trace_basis_on_edge(space, "south", (0.0, 1.0))
+        assert np.all(dofs >= 0)
+        assert edge_positions(space, "south", dofs) == [1, 2, 3]
 
     def test_degenerate_interface_error(self):
         kv = KnotVector(1, [0, 0, 1, 1])
@@ -208,15 +216,16 @@ class TestInterfaceTerms:
         rows = copies[copies[:, 3] == 0]
         n_total = dom.patches[0].space.dimension + len(rows)
         sources = trace_basis_on_edge(dom.patches[1].space, "west", (0.0, 1.0))
-        assert rows[:, 2].tolist() == [d for _, d in sources]
+        assert rows[:, 2].tolist() == sources.tolist()
+        edges = edge_positions(dom.patches[1].space, "west", sources)
         edge_index = np.full(dom.patches[1].space.edge_kv("west").n, -1)
-        edge_index[[e for e, _ in sources]] = rows[:, 4]
+        edge_index[edges] = rows[:, 4]
         R = block_to_dense(interface_side_terms(dom, dom.interfaces[0], 12.0,
                                                 dom.patches[0].space.dof_map.ravel(), edge_index,
                                                 include_m=False), n_total)
         M = block_to_dense(assemble_interface_terms(dom, 0, rows, 12.0), n_total) - R
         v = np.zeros(n_total)
-        for (edge, _), copy in zip(sources, rows[:, 4]):
+        for edge, copy in zip(edges, rows[:, 4]):
             v[dom.patches[0].space.edge_dofs("east")[edge]] = 2.5
             v[copy] = 2.5
         assert abs(v @ R @ v) <= 1e-12
@@ -248,6 +257,28 @@ class TestInterfaceTerms:
                 assert np.array_equal(sq.uv[:, 1 - axis], sq.ts)
                 seen.add(ori.side_k)
         assert seen == set(fixed)
+
+    @pytest.mark.parametrize("factory", [
+        lambda: curved_two_patch_domain(p=3),
+        lambda: reversed_two_patch_domain(p=3),
+        lambda: mirrored_two_patch_domain(p=3),
+        lambda: t_domain(degree=3, refinements=1),
+        lambda: slider_domain(4, 0.37, degree=3, refinements=1),
+    ], ids=["curved", "reversed", "mirrored", "tdomain", "slider(4,0.37)"])
+    def test_inward_step_opposes_normal(self, factory):
+        # at every quadrature point of every side, a step into the patch maps
+        # to a physical step against the normal J^-T n_hat
+        dom = factory()
+        eps = 1e-3
+        for g in dom.interfaces:
+            for ori in (g, g.flipped()):
+                geo = dom.patches[ori.k].geometry
+                sq = _side_quadrature(dom, ori, dom.degree + 1)
+                inward = sq.uv - eps * side_normal_hat(ori.side_k)
+                step = np.array([geo.eval_grid([a], [b])[0, 0] - geo.eval_grid([u], [v])[0, 0]
+                                 for (a, b), (u, v) in zip(inward, sq.uv)])
+                cosine = np.sum(step * sq.normals, axis=1) / np.linalg.norm(step, axis=1)
+                assert cosine.max() <= -0.9, (ori, cosine.max())
 
 
 class TestLocalSystem:

@@ -318,6 +318,11 @@ class TestMain:
                           "interfaces[0]: patch index l must be an integer, got 1.0"),
         "range_end_bool": ("interfaces", 0, None, "range_k", [False, 1],
                            "interfaces[0]: interface range (False, 1) must be"),
+        "knot_nan": ("patches", 0, "space", "knots_u", [0, 0, 0, float("nan"), 1, 1, 1],
+                     "patches[0]: knots must be finite and non-decreasing"),
+        "control_nan": ("patches", 0, "geometry", "control_points",
+                        [[[0, 0], [0, 1]], [[1, 0], [1, float("nan")]]],
+                        "patches[0]: control points must be finite"),
     }
 
     @pytest.mark.parametrize("defect", sorted(LENIENT))
@@ -325,8 +330,9 @@ class TestMain:
         # each of these used to be accepted or misreported: degree 2.5 ran as
         # p=2 and true as p=1, alpha went through float(), "yes" as reversed
         # failed as an interface mismatch, "l": true ran as patch 1, "k": true
-        # gave "invalid patches (1, 1)", 1.0 as a patch index a malformed entry
-        # and the range [false, 1] ran as (0, 1)
+        # gave "invalid patches (1, 1)", 1.0 as a patch index a malformed entry,
+        # the range [false, 1] ran as (0, 1), a NaN knot surfaced as a failed
+        # reduction and a NaN control point passed the bijectivity check
         group, index, sub, key, value, message = self.LENIENT[defect]
         config = domain_to_config(grid_domain(2, degree=2, refinements=1))
         entry = config[group][index]
@@ -358,6 +364,15 @@ class TestMain:
         assert code == 2
         err = capsys.readouterr().err
         assert "configuration error:" in err and "jump exponent 400 overflows" in err
+
+    @pytest.mark.parametrize("flag", ["--csv", "--json"])
+    def test_unwritable_output_path(self, capsys, tmp_path, flag):
+        # a missing directory used to end in a FileNotFoundError traceback,
+        # for --json only after every solve had run
+        path = tmp_path / "missing" / "out"
+        assert main(["--builtin", "grid", "2", "--refine", "0", flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ") and str(path) in err
 
     def test_partial_csv_preserved_on_failure(self, tmp_path):
         path = tmp_path / "partial.csv"

@@ -22,21 +22,22 @@ from ietidg.geometry import (
     validate_interface,
 )
 
-from conftest import two_patch_domain, unit_square_patch
+from conftest import at, two_patch_domain, unit_square_patch
 
 
 class TestGeometryMap:
     def test_identity(self):
         geo = GeometryMap.bilinear((0, 0), (1, 0), (0, 1), (1, 1))
-        np.testing.assert_allclose(geo(0.3, 0.7), [0.3, 0.7])
-        np.testing.assert_allclose(geo.jacobian(0.3, 0.7), np.eye(2))
+        x, J = at(geo, 0.3, 0.7)
+        np.testing.assert_allclose(x, [0.3, 0.7])
+        np.testing.assert_allclose(geo.eval_grid([0.3], [0.7])[0, 0], [0.3, 0.7])
+        np.testing.assert_allclose(J, np.eye(2))
 
     def test_affine_scaling(self):
         geo = GeometryMap.bilinear((0, 0), (2, 0), (0, 3), (2, 3))
         for u, v in [(0.1, 0.9), (0.5, 0.5)]:
-            J = geo.jacobian(u, v)
-            np.testing.assert_allclose(J, np.diag([2.0, 3.0]))
-        assert np.linalg.det(geo.jacobian(0.2, 0.8)) == pytest.approx(6.0)
+            np.testing.assert_allclose(at(geo, u, v)[1], np.diag([2.0, 3.0]))
+        assert np.linalg.det(at(geo, 0.2, 0.8)[1]) == pytest.approx(6.0)
 
     def test_bilinear_hand_value(self):
         # direct bilinear interpolation of the four corners
@@ -49,17 +50,17 @@ class TestGeometryMap:
             + np.array(corners["nw"]) * (1 - u) * v
             + np.array(corners["ne"]) * u * v
         )
-        np.testing.assert_allclose(geo(0.5, 0.5), expected)
-        np.testing.assert_allclose(geo(0.5, 0.5), [0.75, 0.5])
+        np.testing.assert_allclose(at(geo, 0.5, 0.5)[0], expected)
+        np.testing.assert_allclose(at(geo, 0.5, 0.5)[0], [0.75, 0.5])
 
     def test_jacobian_finite_differences(self, rng):
         geo = GeometryMap.bilinear((0, 0), (1.2, -0.1), (0.2, 1.1), (1.5, 1.3))
         h = 1e-6
         for _ in range(100):
             u, v = rng.uniform(0.01, 0.99, 2)
-            J = geo.jacobian(u, v)
-            fd_u = (geo(u + h, v) - geo(u - h, v)) / (2 * h)
-            fd_v = (geo(u, v + h) - geo(u, v - h)) / (2 * h)
+            J = at(geo, u, v)[1]
+            fd_u = (at(geo, u + h, v)[0] - at(geo, u - h, v)[0]) / (2 * h)
+            fd_v = (at(geo, u, v + h)[0] - at(geo, u, v - h)[0]) / (2 * h)
             np.testing.assert_allclose(J[:, 0], fd_u, rtol=1e-5, atol=1e-8)
             np.testing.assert_allclose(J[:, 1], fd_v, rtol=1e-5, atol=1e-8)
 
@@ -72,7 +73,12 @@ class TestGeometryMap:
         # orientation-reversing but bijective map passes validation
         geo = GeometryMap.bilinear((1, 0), (0, 0), (1, 1), (0, 1))
         geo.check_bijective()
-        assert np.linalg.det(geo.jacobian(0.5, 0.5)) < 0
+        assert np.linalg.det(at(geo, 0.5, 0.5)[1]) < 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_control_rejected(self, bad):
+        with pytest.raises(ConfigError, match="control points must be finite"):
+            GeometryMap.bilinear((0, 0), (1, 0), (0, 1), (1, bad))
 
 
 class TestValidateInterface:
@@ -215,20 +221,22 @@ class TestClassifyVertices:
 class TestPatchMetrics:
     def test_unit_square(self):
         dom = two_patch_domain(p=1, r=2)
-        m = dom.patch_metrics()[0]
-        assert m["H"] == pytest.approx(np.sqrt(2.0), rel=1e-9)
-        assert m["hhat"] == pytest.approx(0.25)
-        assert m["h"] == pytest.approx(0.25 * np.sqrt(2.0), rel=1e-9)
-        assert m["quasi_uniformity"] == pytest.approx(1.0)
+        m = dom.metrics
+        assert m["H"][0] == pytest.approx(np.sqrt(2.0), rel=1e-9)
+        assert m["hhat"][0] == pytest.approx(0.25)
+        assert m["h"][0] == pytest.approx(0.25 * np.sqrt(2.0), rel=1e-9)
+        # quasi-uniform: the smallest span equals the largest
+        space = dom.patches[0].space
+        h_min = min(np.diff(kv.breakpoints).min() for kv in (space.kv_u, space.kv_v))
+        assert m["hhat"][0] / h_min == pytest.approx(1.0)
 
     def test_affine_rectangle(self):
         kv = refine_uniform(KnotVector.bernstein(1), 1)
         geo = GeometryMap.bilinear((0, 0), (2, 0), (0, 1), (2, 1))
         patch = Patch(geo, 1.0, TensorSplineSpace(kv, kv, {"west", "east", "south", "north"}))
         dom = MultiPatchDomain([patch], []).validate()
-        m = dom.patch_metrics()[0]
-        assert m["H"] == pytest.approx(np.sqrt(5.0), rel=1e-9)
-        assert m["h"] == pytest.approx(0.5 * np.sqrt(5.0), rel=1e-9)
+        assert dom.metrics["H"][0] == pytest.approx(np.sqrt(5.0), rel=1e-9)
+        assert dom.metrics["h"][0] == pytest.approx(0.5 * np.sqrt(5.0), rel=1e-9)
 
 
 class TestInterfaceGeometry:
@@ -242,10 +250,10 @@ class TestInterfaceGeometry:
         for g in dom.interfaces:
             t_mid = 0.5 * (g.range_k[0] + g.range_k[1])
             s_mid = float(g.map_param(t_mid))
-            pk = dom.patches[g.k].geometry(*side_point(g.side_k, t_mid))
-            pl = dom.patches[g.l].geometry(*side_point(g.side_l, s_mid))
+            pk = dom.patches[g.k].geometry.eval_grid(*side_point(g.side_k, t_mid))
+            pl = dom.patches[g.l].geometry.eval_grid(*side_point(g.side_l, s_mid))
             H = dom.metrics["H"][g.k]
-            assert np.linalg.norm(np.asarray(pk) - np.asarray(pl)) <= 1e-9 * H
+            assert np.linalg.norm(pk - pl) <= 1e-9 * H
 
     def test_interface_validation_errors(self):
         with pytest.raises(ConfigError):

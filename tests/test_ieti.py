@@ -15,7 +15,6 @@ from ietidg.ieti import (
     build_partition,
     build_psi,
     degenerate_tjunction_count,
-    kronecker_interior,
     lambda_factor,
     pcg_solve,
     select_primal,
@@ -25,9 +24,9 @@ from ietidg.ieti import (
 from ietidg import refsolver
 from ietidg.linalg import Factorization, factorize
 
-from conftest import (check_lemma_bbt, dual_rows, full_jump_columns, local_systems,
-                      project_wtilde, psi_residual, reversed_two_patch_domain, two_patch_domain,
-                      unit_square_patch)
+from conftest import (at, check_lemma_bbt, curved_geometry, curved_two_patch_domain, dual_rows,
+                      full_jump_columns, local_systems, project_wtilde, psi_residual,
+                      reversed_two_patch_domain, two_patch_domain, unit_square_patch)
 
 
 def build_stack(domain, delta=12.0, source=1.0):
@@ -184,7 +183,7 @@ class TestCopyMap:
                 src, side, prange = (g.l, g.side_l, g.range_l) if g.k == k else (g.k, g.side_k, g.range_k)
                 rows = mine[mine[:, 0] == i]
                 assert np.all(rows[:, 1] == src)
-                sources = [d for _, d in trace_basis_on_edge(dom.patches[src].space, side, prange)]
+                sources = trace_basis_on_edge(dom.patches[src].space, side, prange).tolist()
                 assert rows[:, 2].tolist() == sources
                 assert np.all(rows[:, 2] < locals_[src].n_patch)
 
@@ -248,7 +247,7 @@ class TestJumpMatrices:
             g = dom.interfaces[iface]
             side, prange, nb = (g.side_k, g.range_k, g.l) if src == g.k else (g.side_l, g.range_l, g.k)
             assert dst == nb
-            sources = [d for _, d in trace_basis_on_edge(dom.patches[src].space, side, prange)]
+            sources = trace_basis_on_edge(dom.patches[src].space, side, prange).tolist()
             keys.append((iface, src != g.k, sources.index(sdof)))
         assert len(keys) == jumps.n_rows > 0
         assert keys == sorted(keys)
@@ -674,6 +673,25 @@ def fd_against_superlu(op, rng):
     return worst
 
 
+def kronecker_gap(op, k):
+    """max |A_II - (c_u K_u (x) M_v + c_v M_u (x) K_v)| / max |A_II| of block k, over both
+    patterns, with c_u = alpha |J_22 / J_11| = alpha^2 / c_v read off the Jacobian at the
+    centre; the interior dofs must form a tensor lattice I_u x I_v."""
+    patch = op.domain.patches[k]
+    space = patch.space
+    I = op.partition.interior[k]
+    lat = np.flatnonzero(space.free_mask)[I]
+    I_u, I_v = np.unique(lat // space.n_v), np.unique(lat % space.n_v)
+    np.testing.assert_array_equal(lat, (I_u[:, None] * space.n_v + I_v).ravel())
+    (K_u, M_u), (K_v, M_v) = [[m[np.ix_(idx, idx)] for m in univariate_matrices(kv)]
+                              for kv, idx in ((space.kv_u, I_u), (space.kv_v, I_v))]
+    J = at(patch.geometry, 0.5, 0.5)[1]
+    c_u = patch.alpha * abs(J[1, 1] / J[0, 0])
+    kron = np.kron(K_u, c_u * M_v) + np.kron(M_u, patch.alpha**2 / c_u * K_v)
+    A_II = op.locals[k].A.csr[I][:, I].toarray()
+    return np.abs(A_II - kron).max() / np.abs(A_II).max()
+
+
 def nonuniform_config_domain(p, r=0):
     """Two patches, [0, 1] x [0, 1] and [1, 3] x [0, 1], from a config with
     non-uniform knot vectors that do not match across the interface, each
@@ -686,24 +704,6 @@ def nonuniform_config_domain(p, r=0):
             kv = KnotVector(p, [0.0] * (p + 1) + knots + [1.0] * (p + 1))
             space[key] = refine_uniform(kv, r).knots.tolist()
     return domain_from_config(config)
-
-
-def curved_geometry():
-    """Degree-2 map of the unit square whose middle control point is lifted:
-    diagonal Jacobian at the corners and the centre, curved everywhere else."""
-    kv = KnotVector.bernstein(2)
-    control = np.stack(np.meshgrid([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], indexing="ij"), axis=-1)
-    control[1, 1, 1] = 0.7
-    return GeometryMap(kv, kv, control)
-
-
-def curved_two_patch_domain(p=2, r=2):
-    """The curved patch of `curved_geometry` glued along x = 1 to the square [1, 2] x [0, 1]."""
-    kv = refine_uniform(KnotVector.bernstein(p), r)
-    patches = [Patch(curved_geometry(), 1.0, TensorSplineSpace(kv, kv, {"west", "south", "north"})),
-               unit_square_patch(1, 2, 0, 1, p, r, {"east", "south", "north"})]
-    ifaces = [Interface(0, "east", (0.0, 1.0), 1, "west", (0.0, 1.0))]
-    return MultiPatchDomain(patches, ifaces, name="curved").validate()
 
 
 def partial_interface_domain(p=2, r=2):
@@ -739,6 +739,7 @@ class TestFastDiagonalizationInterior:
     def test_every_patch_fd_and_equal_to_superlu(self, rng, name, p):
         op = setup_operator(FD_BUILTINS[name](p))
         assert all(blk.interior_fd for blk in op.blocks)
+        assert max(kronecker_gap(op, k) for k in range(len(op.blocks))) <= 1e-13
         assert fd_against_superlu(op, rng) <= 1e-12
 
     @staticmethod
@@ -752,40 +753,28 @@ class TestFastDiagonalizationInterior:
         geo = GeometryMap.bilinear((2, 0), (0, 0), (2, 1), (0, 1))
         op = setup_operator(self._single_patch(geo))
         assert op.blocks[0].interior_fd
+        assert kronecker_gap(op, 0) <= 1e-13
         assert fd_against_superlu(op, rng) <= 1e-12
 
     def test_affine_spline_geometry_takes_fd(self, rng):
         # the rectangle [0, 2] x [0, 0.5] as a degree-2 map with different
-        # interior knots per direction: the corner Jacobian needs the knot spans
+        # interior knots per direction: its control net is the map at the
+        # Greville points of the geometry knot vectors
         kv_u = KnotVector(2, [0, 0, 0, 0.3, 1, 1, 1])
         kv_v = KnotVector(2, [0, 0, 0, 0.6, 1, 1, 1])
         control = np.stack(np.meshgrid(2.0 * greville_points(kv_u), 0.5 * greville_points(kv_v),
                                        indexing="ij"), axis=-1)
         op = setup_operator(self._single_patch(GeometryMap(kv_u, kv_v, control)))
         assert op.blocks[0].interior_fd
+        assert kronecker_gap(op, 0) <= 1e-13
         assert fd_against_superlu(op, rng) <= 1e-12
-
-    def test_kronecker_mass_outside_pattern_falls_back(self):
-        # drop one symmetric pair of couplings from A_II: every stored entry
-        # still matches, only the Kronecker sum's own pattern shows the gap
-        dom = self._single_patch(GeometryMap.bilinear((0, 0), (1, 0), (0, 1), (1, 1)))
-        op = setup_operator(dom)
-        I = op.partition.interior[0]
-        A_II = op.locals[0].A.csr[I][:, I].tolil()
-        kv = dom.patches[0].space.kv_u
-        univariate = {kv.knots.tobytes(): univariate_matrices(kv)}
-        assert kronecker_interior(dom.patches[0], A_II.tocsr(), I, univariate) is not None
-        A_II[0, 1] = A_II[1, 0] = 0.0
-        A_II = A_II.tocsr()
-        A_II.eliminate_zeros()
-        assert kronecker_interior(dom.patches[0], A_II, I, univariate) is None
 
     C = 1e-9
     PERTURBED = {
         # the identity Jacobian at the centre, perturbed by C elsewhere
         "centre": [(0.25 * C, 0), (1 - 0.25 * C, 0), (-0.25 * C, 1), (1 + 0.25 * C, 1)],
-        # the identity at the corner (0, 0) where the check reads J, so only the
-        # entrywise comparison with the Kronecker form can reject it
+        # the identity at the corner (0, 0), moved by C at the opposite one: the
+        # control net is off the affine map x0 + diag(J) (u, v) by C
         "corner": [(0, 0), (1, 0), (0, 1), (1 + C, 1 + C)],
     }
 
@@ -793,7 +782,15 @@ class TestFastDiagonalizationInterior:
     def test_perturbed_bilinear_patch_falls_back(self, rng, where):
         geo = GeometryMap.bilinear(*self.PERTURBED[where])
         point = (0.5, 0.5) if where == "centre" else (0.0, 0.0)
-        np.testing.assert_array_equal(geo.jacobian(*point), np.eye(2))
+        np.testing.assert_array_equal(at(geo, *point)[1], np.eye(2))
+        op = setup_operator(self._single_patch(geo))
+        assert not op.blocks[0].interior_fd
+        assert fd_against_superlu(op, rng) == 0.0
+
+    def test_rotated_affine_patch_falls_back(self, rng):
+        # the unit square turned by 30 degrees: affine, but J is not diagonal
+        c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+        geo = GeometryMap.bilinear((0, 0), (c, s), (-s, c), (c - s, s + c))
         op = setup_operator(self._single_patch(geo))
         assert not op.blocks[0].interior_fd
         assert fd_against_superlu(op, rng) == 0.0
@@ -801,7 +798,7 @@ class TestFastDiagonalizationInterior:
     def test_curved_patch_falls_back(self, rng):
         geo = curved_geometry()
         for point in ((0.0, 0.0), (0.5, 0.5)):
-            jac = geo.jacobian(*point)
+            jac = at(geo, *point)[1]
             assert jac[0, 1] == 0.0 and jac[1, 0] == 0.0
         op = setup_operator(self._single_patch(geo))
         assert not op.blocks[0].interior_fd

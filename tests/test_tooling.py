@@ -5,6 +5,7 @@ from pathlib import Path
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 PERFBENCH = PYPROJECT.parent / "perfbench"
+DIGEST = PYPROJECT.parent / "scripts" / "digest.py"
 
 FAILING_PROPERTY = '''
 from hypothesis import given, seed, settings
@@ -46,3 +47,17 @@ def test_benchmark_span_targets_resolve(monkeypatch):
     missing = ["%s.%s" % (owner.__name__, attr) for owner, attr in targets
                if not callable(vars(owner).get(attr))]
     assert targets and not missing, missing
+
+
+def test_digest_script_is_reproducible():
+    # scripts/digest.py hashes the numbers a refactoring must keep; two runs
+    # on the same tree print the same digest
+    cmd = [sys.executable, str(DIGEST), "--no-cases", "--domain", "grid", "2", "--domain",
+           "tdomain", "--degrees", "1", "--refinements", "0"]
+    runs = [subprocess.run(cmd, capture_output=True, text=True, timeout=120) for _ in range(2)]
+    for run in runs:
+        assert run.returncode == 0, run.stderr
+    lines = runs[0].stdout.splitlines()
+    assert [line.split("  ")[1] for line in lines] == ["grid 2 p1 r0", "tdomain p1 r0", "2 items"]
+    assert all(len(line.split("  ")[0]) == 64 for line in lines)
+    assert runs[0].stdout == runs[1].stdout
