@@ -14,7 +14,8 @@ bytes:
 * every ``--domain`` at every degree and refinement (by default grid(2),
   tdomain, slider(3, 0.3) and slider(4, 0.37) at p=1..3, r=0..2): each
   block's local ``A`` and ``f``, the copy map and the (I, Delta, Pi)
-  partition, ``B_gamma``, ``D``, ``S``, ``psi`` and the FD flag.
+  partition, ``B_gamma``, ``D``, ``S``, ``psi`` and the FD flag, and the
+  oracle's global matrix and load from ``refsolver.assemble_global``.
 
 Run it on the parent commit (``--src`` pointing into a ``git archive``
 copy) and on the change; a refactoring that claims bit-identical results
@@ -60,7 +61,7 @@ def _update_csr(h, m):
     _update(h, m.data, m.indices, m.indptr, np.array(m.shape))
 
 
-def case_arrays(h, ieti, domains, builtin, degree, refinement, tol, jump):
+def case_arrays(h, ieti, domains, refsolver, builtin, degree, refinement, tol, jump):
     domain = domains.builtin_domain(builtin[0], builtin[1:], degree=degree,
                                     refinements=refinement, jump_exponent=jump)
     sol = ieti.solve_ieti(domain, delta=DELTA, tol=tol, refinement=refinement)
@@ -69,10 +70,10 @@ def case_arrays(h, ieti, domains, builtin, degree, refinement, tol, jump):
     h.update(repr(rep.kappa).encode())
 
 
-def domain_arrays(h, ieti, domains, builtin, degree, refinement):
+def domain_arrays(h, ieti, domains, refsolver, builtin, degree, refinement):
     domain = domains.builtin_domain(builtin[0], builtin[1:], degree=degree,
                                     refinements=refinement)
-    op = ieti.setup_operator(domain, DELTA, source=1.0)
+    op = ieti.setup_operator(domain, DELTA)
     part = op.partition
     _update(h, part.copies)
     for k, (sysk, blk) in enumerate(zip(op.locals, op.blocks)):
@@ -80,6 +81,9 @@ def domain_arrays(h, ieti, domains, builtin, degree, refinement):
         _update_csr(h, op.jumps.B_gamma[k])
         _update(h, sysk.f, part.interior[k], part.dual[k], part.primal[k], part.primal_global[k],
                 op.jumps.D[k], blk.S, blk.psi, np.array([blk.interior_fd]))
+    oracle = refsolver.assemble_global(domain, DELTA)
+    _update_csr(h, oracle.matrix.csr)
+    _update(h, oracle.rhs)
 
 
 def main(argv=None):
@@ -94,7 +98,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     sys.path.insert(0, str(args.src.resolve()))
-    from ietidg import domains, ieti
+    from ietidg import domains, ieti, refsolver
 
     items = [] if args.no_cases else [(label, case_arrays, c) for label, *c in seed0_cases()]
     items += [("%s p%d r%d" % (" ".join(d), p, r), domain_arrays, (d, p, r))
@@ -103,7 +107,7 @@ def main(argv=None):
     total = hashlib.sha256()
     for label, fn, params in items:
         h = hashlib.sha256()
-        fn(h, ieti, domains, *params)
+        fn(h, ieti, domains, refsolver, *params)
         total.update(h.digest())
         print("%s  %s" % (h.hexdigest(), label))
     print("%s  %d items" % (total.hexdigest(), len(items)))

@@ -106,17 +106,15 @@ def _inv_transpose(J, where="", points=None):
     return JinvT / det[..., None, None], det
 
 
-def assemble_volume(patch, source=None, vector_source=None, label=""):
+def assemble_volume(patch, source=1.0, label=""):
     """Stiffness and load of the diffusion term on one patch.
 
     Returns the block ``(lat, elem)`` over the *full lattice* index space,
     where the (m, m) matrix ``elem[e]`` adds onto the rows and columns
     ``lat[e]`` of element e, together with the lattice load vector; callers
-    map both to free dofs.  `source` is a scalar or callable f(x, y);
-    `vector_source` an optional callable W(x, y) -> (..., 2) adding the
-    weakly integrated-by-parts contribution of a divergence-form right-hand
-    side.  Both callables receive the coordinate arrays of all quadrature
-    points of the patch at once.  All elements are assembled in one batch.
+    map both to free dofs.  `source` is a scalar or a callable f(x, y),
+    which receives the coordinate arrays of all quadrature points of the
+    patch at once.  All elements are assembled in one batch.
     """
     space, geo, alpha = patch.space, patch.geometry, patch.alpha
     p = space.degree
@@ -149,15 +147,8 @@ def assemble_volume(patch, source=None, vector_source=None, label=""):
            + sqv.first_active[None, :, None, None] + np.arange(p + 1)).reshape(E, m)
 
     x = by_element(pts)
-    contrib = np.zeros((E, m))
-    if source is not None:
-        fvals = source(x[..., 0], x[..., 1]) if callable(source) else float(source)
-        contrib += np.einsum("eqm,eq->em", tensor(0, 0), w * fvals)
-    if vector_source is not None:
-        W = np.asarray(vector_source(x[..., 0], x[..., 1]), dtype=float)
-        if W.shape != x.shape:
-            raise ConfigError("vector_source shape %s, expected %s" % (W.shape, x.shape))
-        contrib += np.einsum("eqam,eqa,eq->em", grads, W, w)
+    fvals = source(x[..., 0], x[..., 1]) if callable(source) else float(source)
+    contrib = np.einsum("eqm,eq->em", tensor(0, 0), w * fvals)
     load = np.bincount(lat.ravel(), weights=contrib.ravel(), minlength=space.n_u * space.n_v)
     return (lat, elem), load
 
@@ -225,18 +216,17 @@ def _side_quadrature(domain, ori, n_gauss):
     return _SideQuadrature(ts, ss, uv, wts * arc, normals, JinvT)
 
 
-def interface_side_terms(domain, ori, delta, own_index, edge_index, include_m=True):
+def interface_side_terms(domain, ori, delta, own_index, edge_index):
     """SIPG block of one oriented interface side, one dense matrix per quadrature point.
 
     At a point with weight w the owner's m lattice functions N and the
     neighbor's p + 1 edge functions psi give the jump ``[N, -psi]`` and the
     owner-side flux ``[dN/dn, 0]``; the point's matrix is
     ``rho w jump (x) jump - alpha w / 2 (flux (x) jump + jump (x) flux)``,
-    the penalty (r) and consistency (m) terms.  ``include_m=False`` keeps the
-    penalty alone.  `own_index` maps the owner's flat lattice and
-    `edge_index` the neighbor's edge functions to the caller's dofs (-1
-    for dropped ones).  Returns ``(idx, mats)``: ``mats[q]`` adds onto the
-    rows and columns ``idx[q]``.
+    the penalty and consistency terms.  `own_index` maps the owner's flat
+    lattice and `edge_index` the neighbor's edge functions to the caller's
+    dofs (-1 for dropped ones).  Returns ``(idx, mats)``: ``mats[q]`` adds
+    onto the rows and columns ``idx[q]``.
     """
     patch = domain.patches[ori.k]
     space = patch.space
@@ -266,12 +256,11 @@ def interface_side_terms(domain, ori, delta, own_index, edge_index, include_m=Tr
     idx = np.concatenate([own_index[lat], edge_index[fs[:, None] + win]], axis=1)
     jump = np.concatenate([tensor(0, 0), -tab_s[:, 0]], axis=1)
     mats = (rho * sq.weights)[:, None, None] * jump[:, :, None] * jump[:, None, :]
-    if include_m:
-        grads = sq.jinv_t @ np.stack([tensor(1, 0), tensor(0, 1)], axis=1)
-        flux = np.zeros_like(jump)
-        flux[:, : lat.shape[1]] = np.einsum("qa,qam->qm", sq.normals, grads)
-        fj = (0.5 * alpha * sq.weights)[:, None, None] * flux[:, :, None] * jump[:, None, :]
-        mats -= fj + np.swapaxes(fj, 1, 2)
+    grads = sq.jinv_t @ np.stack([tensor(1, 0), tensor(0, 1)], axis=1)
+    flux = np.zeros_like(jump)
+    flux[:, : lat.shape[1]] = np.einsum("qa,qam->qm", sq.normals, grads)
+    fj = (0.5 * alpha * sq.weights)[:, None, None] * flux[:, :, None] * jump[:, None, :]
+    mats -= fj + np.swapaxes(fj, 1, 2)
     return idx, mats
 
 
@@ -291,7 +280,7 @@ def assemble_interface_terms(domain, k, rows, delta):
                                 copy_of[nb.edge_dofs(ori.side_l)])
 
 
-def build_local_system(domain, k, delta, copies, source=None, vector_source=None):
+def build_local_system(domain, k, delta, copies, source=1.0):
     """Assemble the extended local system of patch `k`.
 
     Block `k`'s artificial dofs are its rows of the copy map `copies`.  The
@@ -304,8 +293,7 @@ def build_local_system(domain, k, delta, copies, source=None, vector_source=None
     n_patch = space.dimension
     n_total = n_patch + len(rows)
 
-    (lat, elem), load_lat = assemble_volume(patch, source=source, vector_source=vector_source,
-                                            label="patch %d" % k)
+    (lat, elem), load_lat = assemble_volume(patch, source=source, label="patch %d" % k)
     f = np.zeros(n_total)
     f[:n_patch] = load_lat[space.free_mask.ravel()]
     blocks = [(space.dof_map.ravel()[lat], elem)]

@@ -58,14 +58,6 @@ class KnotVector:
         self.knots = kv
         self.n = n
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, KnotVector)
-            and self.p == other.p
-            and self.knots.shape == other.knots.shape
-            and bool(np.all(self.knots == other.knots))
-        )
-
     def __repr__(self):
         return "KnotVector(p=%d, n=%d)" % (self.p, self.n)
 

@@ -6,6 +6,7 @@ Exit codes: 0 ok, 2 configuration error or unwritable output, 3 numerical failur
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -56,11 +57,11 @@ class ExperimentSpec:
                               % (self.builtin[2],))
         if self.jump_exponents and self.config_path:
             raise ConfigError("jump exponents do not apply to config-file domains")
+        if self.config_path and len(self.degrees) * len(self.refinements) > 1:
+            raise ConfigError("config-file domains fix degree and refinement")
 
     def make_domain(self, degree, refinement, jump_exponent=None, slide=None):
         if self.config_path:
-            if (degree, refinement) != (self.degrees[0], self.refinements[0]):
-                raise ConfigError("config-file domains fix degree and refinement")
             return load_domain(self.config_path)
         name, *args = self.builtin
         if slide is not None:
@@ -76,6 +77,11 @@ def _manufactured():
          np.pi * np.sin(np.pi * x) * np.cos(np.pi * y)], axis=-1)
     f = lambda x, y: 2.0 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y)
     return u, grad, f
+
+
+def _json_file(path):
+    """The JSON output, opened before the first case so that a bad path fails at once."""
+    return open(path, "w") if path else contextlib.nullcontext()
 
 
 class _CsvSink:
@@ -136,19 +142,19 @@ def run_solve(spec):
         for j in (spec.jump_exponents if spec.jump_exponents else [None])
         for s in (spec.slide_offsets if spec.slide_offsets else [None])
     ]
-    sink = _CsvSink(spec.csv_path)
-    results = []
-    try:
-        for case in cases:
-            report, extra = _run_case(spec, *case)
-            sink.write(report)
-            entry = report.to_json_dict()
-            entry.update(extra)
-            results.append(entry)
-    finally:
-        sink.close()
-    if spec.json_path:
-        with open(spec.json_path, "w") as fh:
+    with _json_file(spec.json_path) as fh:
+        sink = _CsvSink(spec.csv_path)
+        results = []
+        try:
+            for case in cases:
+                report, extra = _run_case(spec, *case)
+                sink.write(report)
+                entry = report.to_json_dict()
+                entry.update(extra)
+                results.append(entry)
+        finally:
+            sink.close()
+        if fh:
             json.dump(results, fh, indent=2)
     return results
 
@@ -172,31 +178,31 @@ def run_growth_study(spec):
     """
     if len(spec.refinements) < 4:
         raise ConfigError("growth study needs at least four refinement levels")
-    results = run_solve(replace(spec, json_path=None))  # the study writes the JSON
-    by_degree = {}
-    for entry in results:
-        by_degree.setdefault(entry["p"], []).append(entry)
-    study = []
-    for p, entries in sorted(by_degree.items()):
-        entries.sort(key=lambda e: e["r"])
-        kappas = np.array([e["kappa"] for e in entries])
-        bounds = np.array([e["lambda_bound"] for e in entries])
-        ratios = kappas / bounds
-        fit = float(np.sum(kappas * bounds) / np.sum(bounds * bounds))
-        study.append(
-            {
-                "p": p,
-                "refinements": [e["r"] for e in entries],
-                "kappas": kappas.tolist(),
-                "bounds": bounds.tolist(),
-                "ratios": ratios.tolist(),
-                "fit_constant": fit,
-                "ratio_spread": float(ratios.max() / ratios.min()),
-                "largest_rise": largest_rise(ratios),
-            }
-        )
-    if spec.json_path:
-        with open(spec.json_path, "w") as fh:
+    with _json_file(spec.json_path) as fh:
+        results = run_solve(replace(spec, json_path=None))  # the study writes the JSON
+        by_degree = {}
+        for entry in results:
+            by_degree.setdefault(entry["p"], []).append(entry)
+        study = []
+        for p, entries in sorted(by_degree.items()):
+            entries.sort(key=lambda e: e["r"])
+            kappas = np.array([e["kappa"] for e in entries])
+            bounds = np.array([e["lambda_bound"] for e in entries])
+            ratios = kappas / bounds
+            fit = float(np.sum(kappas * bounds) / np.sum(bounds * bounds))
+            study.append(
+                {
+                    "p": p,
+                    "refinements": [e["r"] for e in entries],
+                    "kappas": kappas.tolist(),
+                    "bounds": bounds.tolist(),
+                    "ratios": ratios.tolist(),
+                    "fit_constant": fit,
+                    "ratio_spread": float(ratios.max() / ratios.min()),
+                    "largest_rise": largest_rise(ratios),
+                }
+            )
+        if fh:
             json.dump({"cases": results, "growth": study}, fh, indent=2)
     return study
 

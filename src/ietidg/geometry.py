@@ -185,8 +185,8 @@ class Patch:
 class MultiPatchDomain:
     """Patches, interfaces, classified vertices and derived mesh metrics.
 
-    Immutable after :meth:`validate`; all queries are read-only and safe
-    for concurrent use.
+    :meth:`validate` sets `vertices` and `metrics`.  Immutable after it; all
+    queries are read-only and safe for concurrent use.
     """
 
     def __init__(self, patches, interfaces, name="domain"):
@@ -207,7 +207,6 @@ class MultiPatchDomain:
             if not (0 <= g.k < K and 0 <= g.l < K and g.k != g.l):
                 raise ConfigError("interface references invalid patches (%d, %d)" % (g.k, g.l))
         self.vertices = []
-        self._metrics = None
 
     @property
     def num_patches(self):
@@ -226,14 +225,14 @@ class MultiPatchDomain:
                 p.geometry.check_bijective()
             except ConfigError as exc:
                 raise ConfigError("patch %d: %s" % (i, exc)) from exc
-        self._metrics = self._compute_metrics()
+        self.metrics = self._compute_metrics()
         ends = []
         for idx in range(len(self.interfaces)):
             report, records = validate_interface(self, idx)
             if report is not None:
                 raise ConfigError("interface %d mismatch: %s" % (idx, report))
             ends.extend(records)
-        self.vertices = classify_vertices(ends, 1e-9 * float(np.max(self._metrics["H"])))
+        self.vertices = classify_vertices(ends, 1e-9 * float(np.max(self.metrics["H"])))
         return self
 
     def _check_overlaps(self):
@@ -264,12 +263,6 @@ class MultiPatchDomain:
             H[k] = np.sqrt(np.max((x[:, None] - x) ** 2 + (y[:, None] - y) ** 2))
             hhat[k] = max(p.space.kv_u.h_max, p.space.kv_v.h_max)
         return {"H": H, "hhat": hhat, "h": hhat * H}
-
-    @property
-    def metrics(self):
-        if self._metrics is None:
-            self._metrics = self._compute_metrics()
-        return self._metrics
 
 
 def validate_interface(domain, index):

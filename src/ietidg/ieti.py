@@ -462,11 +462,10 @@ def lambda_factor(domain):
     return float(1.0 + np.log(domain.degree) + np.log(1.0 / hhat.min()))
 
 
-def setup_operator(domain, delta=12.0, source=1.0, vector_source=None):
+def setup_operator(domain, delta=12.0, source=1.0):
     """Assemble all extended local systems and build the IETI operator."""
     copies = copy_map(domain)
-    local_systems = [build_local_system(domain, k, delta, copies, source=source,
-                                        vector_source=vector_source)
+    local_systems = [build_local_system(domain, k, delta, copies, source=source)
                      for k in range(domain.num_patches)]
     groups = select_primal(domain)
     partition = build_partition(local_systems, copies, groups)
@@ -482,15 +481,15 @@ def pcg_solve(operator, d, tol=1e-6, max_iter=1000):
     return result
 
 
-def solve_ieti(domain, delta=12.0, tol=1e-6, max_iter=1000, source=1.0,
-               vector_source=None, workers=1, refinement=-1):
+def solve_ieti(domain, delta=12.0, tol=1e-6, max_iter=1000, source=1.0, workers=1,
+               refinement=-1):
     """Full pipeline: assemble, set up, solve the multiplier system, recover.
 
     `workers` is accepted and ignored: ``perfbench/run.py`` passes it, so
     removing it is a change on the benchmark side.
     """
     t0 = time.perf_counter()
-    op = setup_operator(domain, delta, source=source, vector_source=vector_source)
+    op = setup_operator(domain, delta, source=source)
     d = op.compute_d()
     t1 = time.perf_counter()
     result = pcg_solve(op, d, tol=tol, max_iter=max_iter)

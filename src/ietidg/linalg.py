@@ -66,10 +66,6 @@ class SparseSym:
         keep = (rows >= 0) & (cols >= 0)
         return cls.from_triplets(n, rows[keep], cols[keep], vals[keep])
 
-    @property
-    def shape(self):
-        return self.csr.shape
-
     def toarray(self):
         return self.csr.toarray()
 
@@ -246,15 +242,11 @@ class PcgResult:
 def lanczos_condition(alphas, betas):
     """Condition estimate from the Lanczos tridiagonal built out of PCG coefficients."""
     m = len(alphas)
-    if m == 0:
+    if m < 2:
         return 1.0
-    diag = np.empty(m)
-    diag[0] = 1.0 / alphas[0]
-    for i in range(1, m):
-        diag[i] = 1.0 / alphas[i] + betas[i - 1] / alphas[i - 1]
-    if m == 1:
-        return 1.0
-    off = np.array([np.sqrt(betas[i]) / alphas[i] for i in range(m - 1)])
+    a, b = np.asarray(alphas, dtype=float), np.asarray(betas[: m - 1], dtype=float)
+    diag = 1.0 / a + np.concatenate([[0.0], b / a[:-1]])
+    off = np.sqrt(b) / a[:-1]
     ev = scipy.linalg.eigvalsh_tridiagonal(diag, off)
     lo, hi = ev[0], ev[-1]
     if lo <= 0:

@@ -36,8 +36,8 @@ def _shifted(dofs, offset):
     return np.where(dofs >= 0, dofs + offset, -1)
 
 
-def assemble_global(domain, delta, source=1.0, vector_source=None, include_m=True):
-    """Global coupled matrix; with ``include_m=False`` the jump-norm Gram matrix.
+def assemble_global(domain, delta, source=1.0):
+    """Global coupled matrix and load.
 
     Quadrature and term definitions match the patch-local assembly exactly,
     so gluing the extended local systems reproduces this matrix to rounding.
@@ -47,8 +47,7 @@ def assemble_global(domain, delta, source=1.0, vector_source=None, include_m=Tru
     blocks = []
     rhs = np.zeros(n)
     for k, patch in enumerate(domain.patches):
-        (lat, elem), load = assemble_volume(patch, source=source, vector_source=vector_source,
-                                            label="patch %d" % k)
+        (lat, elem), load = assemble_volume(patch, source=source, label="patch %d" % k)
         blocks.append((_shifted(patch.space.dof_map.ravel(), offs[k])[lat], elem))
         rhs[offs[k] : offs[k + 1]] = load[patch.space.free_mask.ravel()]
 
@@ -58,7 +57,7 @@ def assemble_global(domain, delta, source=1.0, vector_source=None, include_m=Tru
             nb = domain.patches[ori.l].space
             blocks.append(interface_side_terms(
                 domain, ori, delta, _shifted(own.dof_map.ravel(), offs[ori.k]),
-                _shifted(nb.edge_dofs(ori.side_l), offs[ori.l]), include_m=include_m))
+                _shifted(nb.edge_dofs(ori.side_l), offs[ori.l])))
     return GlobalSipgSystem(linalg.SparseSym.from_blocks(n, blocks), rhs, offs)
 
 

@@ -89,7 +89,7 @@ def random_knotvector(rng, p=None):
     return KnotVector(p, knots)
 
 
-def local_systems(domain, delta=12.0, source=None):
+def local_systems(domain, delta=12.0, source=1.0):
     """The copy map and every block's extended local system."""
     copies = copy_map(domain)
     return copies, [build_local_system(domain, k, delta, copies, source=source)

@@ -11,7 +11,7 @@ from ietidg.assembly import (
     trace_basis_on_edge,
     univariate_matrices,
 )
-from ietidg.bspline import KnotVector, TensorSplineSpace, gauss_rule, greville_points, refine_uniform
+from ietidg.bspline import KnotVector, TensorSplineSpace, gauss_rule, refine_uniform
 from ietidg.domains import slider_domain, t_domain
 from ietidg.errors import ConfigError, NumericalError
 from ietidg.geometry import GeometryMap, MultiPatchDomain, Patch, side_normal_hat
@@ -121,45 +121,10 @@ class TestVolume:
         A10 = block_to_dense(assemble_volume(p10)[0], n)
         np.testing.assert_allclose(A10, 10.0 * A1, rtol=0, atol=1e-13 * np.abs(A1).max())
 
-    def test_vector_source_zero_for_constant_field(self):
-        # int W . grad(v) vanishes for all-Dirichlet test functions, W constant
-        patch = unit_square_patch(0, 1, 0, 1, 2, 2, {"west", "east", "south", "north"})
-        _, load = assemble_volume(patch, vector_source=lambda x, y: np.stack(
-            [np.full_like(x, 0.7), np.full_like(x, -1.3)], axis=-1))
-        free = patch.space.free_mask.ravel()
-        np.testing.assert_allclose(load[free], 0.0, atol=1e-14)
-
     @staticmethod
     def _quad_patch(corners, p=2, r=2):
         kv = refine_uniform(KnotVector.bernstein(p), r)
         return Patch(GeometryMap.bilinear(*corners), 1.0, TensorSplineSpace(kv, kv))
-
-    def test_vector_source_full_lattice_sums_to_zero(self):
-        # the basis sums to 1, so int W . grad(sum_i B_i) = 0 for any W
-        patch = self._quad_patch([(0.0, 0.0), (2.0, 0.3), (-0.2, 1.1), (1.7, 1.9)])
-        _, load = assemble_volume(patch, vector_source=lambda x, y: np.stack(
-            [np.full_like(x, 0.7), np.full_like(x, -1.3)], axis=-1))
-        assert abs(load.sum()) <= 1e-13 * np.abs(load).max()
-
-    def test_vector_source_against_linear_function(self):
-        # on an affine patch u = x has the Greville x-coordinates as lattice
-        # coefficients, and int W . grad(u) with W = (1, 0) is the patch area
-        sw, se, nw = np.array([0.5, 0.2]), np.array([2.0, 0.6]), np.array([0.9, 1.4])
-        patch = self._quad_patch([sw, se, nw, se + nw - sw])
-        g = greville_points(patch.space.kv_u)
-        coeffs = patch.geometry.eval_grid(g, g)[..., 0].ravel()
-        _, load = assemble_volume(patch, vector_source=lambda x, y: np.stack(
-            [np.ones_like(x), np.zeros_like(x)], axis=-1))
-        area = abs(np.linalg.det(np.column_stack([se - sw, nw - sw])))
-        assert load @ coeffs == pytest.approx(area, rel=1e-13)
-
-    def test_vector_source_components_first_rejected(self):
-        # np.stack([W1, W2]) puts the components first; reshaping it to
-        # (..., 2) would scramble the field, so the shape is an input error
-        patch = unit_square_patch(0, 1, 0, 1, 2, 1, set())
-        with pytest.raises(ConfigError, match=r"vector_source shape \(2, 4, 9\), expected \(4, 9, 2\)"):
-            assemble_volume(patch, vector_source=lambda x, y: np.stack(
-                [np.ones_like(x), np.zeros_like(x)]))
 
     def test_univariate_matrices_reproduce_the_volume_term(self):
         # on a rectangle the volume stiffness is (H/W) K_u (x) M_v + (W/H) M_u (x) K_v
@@ -201,8 +166,8 @@ class TestInterfaceTerms:
         dom = two_patch_domain(p=1, r=0, dirichlet=False)
         # owner functions map to -1, so only the edge-edge part is kept
         own_index = np.full(dom.patches[0].space.n_u * dom.patches[0].space.n_v, -1)
-        block = interface_side_terms(dom, dom.interfaces[0], 12.0, own_index, np.arange(2),
-                                     include_m=False)
+        # (the consistency part vanishes there: the flux is zero on edge columns)
+        block = interface_side_terms(dom, dom.interfaces[0], 12.0, own_index, np.arange(2))
         Raa = block_to_dense(block, 2)
         h = dom.metrics["h"][0]
         assert h == pytest.approx(np.sqrt(2.0), rel=1e-9)
@@ -220,9 +185,11 @@ class TestInterfaceTerms:
         edges = edge_positions(dom.patches[1].space, "west", sources)
         edge_index = np.full(dom.patches[1].space.edge_kv("west").n, -1)
         edge_index[edges] = rows[:, 4]
-        R = block_to_dense(interface_side_terms(dom, dom.interfaces[0], 12.0,
-                                                dom.patches[0].space.dof_map.ravel(), edge_index,
-                                                include_m=False), n_total)
+        # the penalty is linear in delta and the consistency term does not
+        # depend on it, so T(24) - T(12) is the penalty part at delta = 12
+        R = np.subtract(*[block_to_dense(interface_side_terms(
+            dom, dom.interfaces[0], delta, dom.patches[0].space.dof_map.ravel(), edge_index),
+            n_total) for delta in (24.0, 12.0)])
         M = block_to_dense(assemble_interface_terms(dom, 0, rows, 12.0), n_total) - R
         v = np.zeros(n_total)
         for edge, copy in zip(edges, rows[:, 4]):

@@ -62,7 +62,7 @@ class TestKnotVector:
         # domain_to_config writes the knots as a JSON list
         kv = random_knotvector(rng)
         kv2 = KnotVector(kv.p, json.loads(json.dumps(kv.knots.tolist())))
-        assert kv2 == kv
+        assert kv2.p == kv.p
         assert np.array_equal(kv2.knots, kv.knots)
 
     def test_find_span_endpoint_convention(self):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ietidg
+from ietidg import cli
 from ietidg.cli import (ExperimentSpec, build_parser, largest_rise, main, run_growth_study,
                         run_solve)
 from ietidg.domains import domain_to_config, grid_domain, save_domain, t_domain
@@ -147,6 +148,25 @@ class TestGrowthStudy:
                                   delta=delta)
             iterations[delta] = run_solve(spec)[0]["iterations"]
         assert abs(iterations[24.0] - iterations[12.0]) <= 0.3 * iterations[12.0]
+
+
+def _fold_patch_0(config):
+    """Swap two corners of patch 0's bilinear map, so that its Jacobian changes sign."""
+    control = config["patches"][0]["geometry"]["control_points"]
+    control[1][0], control[1][1] = control[1][1], control[1][0]
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The list of domains that the CLI hands to ``solve_ieti``, one per solve."""
+    calls = []
+
+    def counted(domain, *args, **kwargs):
+        calls.append(domain.name)
+        return ietidg.solve_ieti(domain, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_ieti", counted)
+    return calls
 
 
 class TestMain:
@@ -367,8 +387,7 @@ class TestMain:
 
     @pytest.mark.parametrize("flag", ["--csv", "--json"])
     def test_unwritable_output_path(self, capsys, tmp_path, flag):
-        # a missing directory used to end in a FileNotFoundError traceback,
-        # for --json only after every solve had run
+        # a missing directory used to end in a FileNotFoundError traceback
         path = tmp_path / "missing" / "out"
         assert main(["--builtin", "grid", "2", "--refine", "0", flag, str(path)]) == 2
         err = capsys.readouterr().err
@@ -390,3 +409,67 @@ class TestMain:
         assert code == 2
         rows = list(csv.reader(path.read_text().splitlines()))
         assert len(rows) == 2 and rows[1][0] == "tdomain"
+
+    @pytest.mark.parametrize("argv", [
+        ["--builtin", "grid", "2", "--refine", "0"],
+        ["--builtin", "grid", "2", "--degree", "1", "--refine", "0 1 2 3", "--growth"],
+    ], ids=["solve", "growth"])
+    def test_unwritable_json_fails_before_solving(self, capsys, tmp_path, solves, argv):
+        # the JSON path used to be opened only after every case had solved
+        path = tmp_path / "missing" / "out.json"
+        assert main(argv + ["--json", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("cannot write output: ")
+        assert solves == []
+
+    @pytest.mark.parametrize("flag,values", [("--degree", "2 3"), ("--refine", "0 1")])
+    def test_config_with_several_levels_fails_before_solving(self, capsys, tmp_path, solves,
+                                                             flag, values):
+        # the second level used to be rejected only after the first had solved
+        path = tmp_path / "dom.json"
+        save_domain(grid_domain(2, degree=2, refinements=0), str(path))
+        assert main(["--config", str(path), flag, values]) == 2
+        assert ("configuration error: config-file domains fix degree and refinement"
+                in capsys.readouterr().err)
+        assert solves == []
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--builtin", "grid", "0"], "grid size must be >= 1"),
+        (["--builtin", "slider", "1"], "slider needs at least two patches per row"),
+        (["--builtin", "slider", "3", "1.5"], "slide offset must be in (0, 1)"),
+        (["--degree", "2,x"], "cannot parse list '2,x'"),
+    ], ids=["grid_zero", "slider_one_patch", "slider_offset_range", "degree_list"])
+    def test_bad_command_line_value(self, capsys, solves, argv, message):
+        assert main(argv + ["--refine", "0"]) == 2
+        assert "configuration error: " + message in capsys.readouterr().err
+        assert solves == []
+
+    BAD_CONFIG = {
+        "no_patches": (lambda c: c.update(patches=[]),
+                       "config: domain needs at least one patch"),
+        "control_net_shape": (
+            lambda c: c["patches"][0]["geometry"].update(control_points=[[[0, 0], [0, 1]]]),
+            "patches[0]: control net shape (1, 2, 2) does not match spaces (2, 2, 2)"),
+        "interface_to_patch_7": (lambda c: c["interfaces"][0].update(l=7),
+                                 "config: interface references invalid patches (0, 7)"),
+        "knots_too_short": (lambda c: c["patches"][0]["space"].update(knots_u=[0, 0, 1]),
+                            "patches[0]: knot vector too short for degree 1"),
+        "not_bijective": (_fold_patch_0,
+                          "config: patch 0: geometry map is not bijective"),
+    }
+
+    @pytest.mark.parametrize("defect", sorted(BAD_CONFIG))
+    def test_bad_config_file(self, capsys, tmp_path, solves, defect):
+        edit, message = self.BAD_CONFIG[defect]
+        config = domain_to_config(grid_domain(2, degree=1, refinements=1))
+        edit(config)
+        path = tmp_path / "dom.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path)]) == 2
+        assert "configuration error: " + message in capsys.readouterr().err
+        assert solves == []
+
+    @pytest.mark.parametrize("flag,field", [("--check-oracle", " oracle_err="),
+                                            ("--manufactured", " l2=")])
+    def test_optional_output_column(self, capsys, flag, field):
+        assert main(["--builtin", "grid", "2", "--degree", "1", "--refine", "1", flag]) == 0
+        assert field in capsys.readouterr().out

@@ -98,7 +98,7 @@ class TestValidateInterface:
         ]
         ifaces = [Interface(0, "east", (0.0, 0.5), 1, "west", (0.0, 0.5))]
         dom = MultiPatchDomain(patches, ifaces)
-        dom._metrics = dom._compute_metrics()
+        dom.metrics = dom._compute_metrics()
         report, ends = validate_interface(dom, 0)
         assert report is None
         assert [(patch, loc) for _, patch, loc in ends] == [
@@ -112,7 +112,7 @@ class TestValidateInterface:
         ]
         ifaces = [Interface(0, "east", (0.0, 1.0), 1, "west", (0.0, 1.0))]
         dom = MultiPatchDomain(patches, ifaces)
-        dom._metrics = dom._compute_metrics()
+        dom.metrics = dom._compute_metrics()
         report, _ = validate_interface(dom, 0)
         assert report is not None
         assert report["max_mismatch"] == pytest.approx(1e-3, rel=1e-6)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from ietidg.assembly import univariate_matrices
@@ -258,3 +259,15 @@ class TestPcg:
     def test_lanczos_condition_edge_cases(self):
         assert lanczos_condition([], []) == 1.0
         assert lanczos_condition([0.5], []) == 1.0
+
+    @pytest.mark.parametrize("extra_beta", [0, 1], ids=["converged", "stopped"])
+    def test_lanczos_condition_matches_loop_form(self, rng, extra_beta):
+        # the entrywise loop form of the tridiagonal, as a reference: PCG
+        # leaves m - 1 betas when it converges and m when it stops at max_iter
+        alphas = list(rng.uniform(0.2, 2.0, 9))
+        betas = list(rng.uniform(0.01, 0.9, 8 + extra_beta))
+        diag = [1.0 / alphas[0]] + [1.0 / alphas[i] + betas[i - 1] / alphas[i - 1]
+                                    for i in range(1, 9)]
+        off = [np.sqrt(betas[i]) / alphas[i] for i in range(8)]
+        ev = scipy.linalg.eigvalsh_tridiagonal(np.array(diag), np.array(off))
+        assert lanczos_condition(alphas, betas) == ev[-1] / ev[0]
