@@ -16,6 +16,8 @@ outward normal taken from the owning patch's geometry map.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import linalg
 from .bspline import active_on_interval, eval_basis_tables, gauss_rule, span_quadrature
@@ -107,14 +109,14 @@ def _inv_transpose(J, where="", points=None):
 
 
 def assemble_volume(patch, source=1.0, label=""):
-    """Stiffness and load of the diffusion term on one patch.
+    """Stiffness and load of the diffusion term on one patch, over its free dofs.
 
-    Returns the block ``(lat, elem)`` over the *full lattice* index space,
-    where the (m, m) matrix ``elem[e]`` adds onto the rows and columns
-    ``lat[e]`` of element e, together with the lattice load vector; callers
-    map both to free dofs.  `source` is a scalar or a callable f(x, y),
-    which receives the coordinate arrays of all quadrature points of the
-    patch at once.  All elements are assembled in one batch.
+    Returns the stiffness as a canonical CSR matrix and the load vector.
+    `source` is a scalar or a callable f(x, y), which receives the
+    coordinate arrays of all quadrature points of the patch at once.  All
+    elements are assembled in one batch and summed with one ``bincount``
+    into the (2p+1)^2 band of each lattice row; read in lattice order, the
+    free rows of that band are the CSR rows with sorted columns.
     """
     space, geo, alpha = patch.space, patch.geometry, patch.alpha
     p = space.degree
@@ -150,7 +152,19 @@ def assemble_volume(patch, source=1.0, label=""):
     fvals = source(x[..., 0], x[..., 1]) if callable(source) else float(source)
     contrib = np.einsum("eqm,eq->em", tensor(0, 0), w * fvals)
     load = np.bincount(lat.ravel(), weights=contrib.ravel(), minlength=space.n_u * space.n_v)
-    return (lat, elem), load
+
+    # entry (a, b) of an element adds onto the (2p+1)^2 band of lattice row
+    # lat[a], at the offset of lat[b] from it; cols holds each band's free dofs
+    bw = 2 * p + 1
+    d = np.arange(p + 1) - np.arange(p + 1)[:, None] + p  # d[i, j] = j - i + p
+    slot = lat[:, :, None] * bw * bw + (d[:, None, :, None] * bw + d[:, None, :]).reshape(m, m)
+    band = np.bincount(slot.ravel(), weights=elem.ravel(), minlength=load.size * bw * bw)
+    cols = sliding_window_view(np.pad(space.dof_map, p, constant_values=-1), (bw, bw))
+    keep = (cols >= 0) & space.free_mask[:, :, None, None]
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=(2, 3))[space.free_mask])])
+    A = scipy.sparse.csr_matrix((band.reshape(keep.shape)[keep], cols[keep], indptr),
+                                shape=(space.dimension, space.dimension))
+    return A, load[space.free_mask.ravel()]
 
 
 def univariate_matrices(kv):
@@ -217,16 +231,18 @@ def _side_quadrature(domain, ori, n_gauss):
 
 
 def interface_side_terms(domain, ori, delta, own_index, edge_index):
-    """SIPG block of one oriented interface side, one dense matrix per quadrature point.
+    """SIPG block of one oriented interface side, one dense matrix per merged sub-interval.
 
     At a point with weight w the owner's m lattice functions N and the
     neighbor's p + 1 edge functions psi give the jump ``[N, -psi]`` and the
     owner-side flux ``[dN/dn, 0]``; the point's matrix is
     ``rho w jump (x) jump - alpha w / 2 (flux (x) jump + jump (x) flux)``,
-    the penalty and consistency terms.  `own_index` maps the owner's flat
-    lattice and `edge_index` the neighbor's edge functions to the caller's
-    dofs (-1 for dropped ones).  Returns ``(idx, mats)``: ``mats[q]`` adds
-    onto the rows and columns ``idx[q]``.
+    the penalty and consistency terms.  Only the owner functions whose value
+    or derivative is nonzero somewhere on the side enter.  `own_index` maps
+    the owner's flat lattice and `edge_index` the neighbor's edge functions
+    to the caller's dofs (-1 for dropped ones).  Returns ``(idx, mats)``, the
+    matrices summed over each merged sub-interval: ``mats[j]`` adds onto the
+    rows and columns ``idx[j]``.
     """
     patch = domain.patches[ori.k]
     space = patch.space
@@ -241,19 +257,21 @@ def interface_side_terms(domain, ori, delta, own_index, edge_index):
     h_l = domain.metrics["h"][ori.l]
     rho = alpha * delta * p * p / min(h_k, h_l)
 
-    # every quadrature point at once: (Q, p+1) tables of both univariate
-    # factors of the owner's functions and of the neighbor's edge functions
+    # every quadrature point at once: the tables of both univariate factors
+    # of the owner's functions whose value or derivative is nonzero somewhere
+    # on the side, and of the neighbor's p + 1 edge functions
     Q = sq.ts.size
-    win = np.arange(p + 1)
     fu, tu = eval_basis_tables(space.kv_u, sq.uv[:, 0], 1)
     fv, tv = eval_basis_tables(space.kv_v, sq.uv[:, 1], 1)
+    cu, cv = (np.flatnonzero(np.any(t != 0.0, axis=(0, 1))) for t in (tu, tv))
+    tu, tv = tu[:, :, cu], tv[:, :, cv]
 
     def tensor(du, dv):
         return (tu[:, du, :, None] * tv[:, dv, None, :]).reshape(Q, -1)
 
-    lat = ((fu[:, None] + win)[:, :, None] * n_v + (fv[:, None] + win)[:, None, :]).reshape(Q, -1)
+    lat = ((fu[:, None] + cu)[:, :, None] * n_v + (fv[:, None] + cv)[:, None, :]).reshape(Q, -1)
     fs, tab_s = eval_basis_tables(nb_kv, sq.ss, 0)
-    idx = np.concatenate([own_index[lat], edge_index[fs[:, None] + win]], axis=1)
+    idx = np.concatenate([own_index[lat], edge_index[fs[:, None] + np.arange(p + 1)]], axis=1)
     jump = np.concatenate([tensor(0, 0), -tab_s[:, 0]], axis=1)
     mats = (rho * sq.weights)[:, None, None] * jump[:, :, None] * jump[:, None, :]
     grads = sq.jinv_t @ np.stack([tensor(1, 0), tensor(0, 1)], axis=1)
@@ -261,7 +279,9 @@ def interface_side_terms(domain, ori, delta, own_index, edge_index):
     flux[:, : lat.shape[1]] = np.einsum("qa,qam->qm", sq.normals, grads)
     fj = (0.5 * alpha * sq.weights)[:, None, None] * flux[:, :, None] * jump[:, None, :]
     mats -= fj + np.swapaxes(fj, 1, 2)
-    return idx, mats
+    # points that share an index row lie on one merged sub-interval
+    start = np.flatnonzero(np.concatenate([[True], np.any(idx[1:] != idx[:-1], axis=1)]))
+    return idx[start], np.add.reduceat(mats, start, axis=0)
 
 
 def assemble_interface_terms(domain, k, rows, delta):
@@ -293,11 +313,9 @@ def build_local_system(domain, k, delta, copies, source=1.0):
     n_patch = space.dimension
     n_total = n_patch + len(rows)
 
-    (lat, elem), load_lat = assemble_volume(patch, source=source, label="patch %d" % k)
-    f = np.zeros(n_total)
-    f[:n_patch] = load_lat[space.free_mask.ravel()]
-    blocks = [(space.dof_map.ravel()[lat], elem)]
-    blocks += [assemble_interface_terms(domain, k, rows[rows[:, 0] == i], delta)
-               for i in np.unique(rows[:, 0])]
-    A = linalg.SparseSym.from_blocks(n_total, blocks)
-    return ExtendedLocalSystem(k, A, f, n_patch, n_total)
+    vol, load = assemble_volume(patch, source=source, label="patch %d" % k)
+    vol.resize(n_total, n_total)
+    blocks = [assemble_interface_terms(domain, k, rows[rows[:, 0] == i], delta)
+              for i in np.unique(rows[:, 0])]
+    A = linalg.SparseSym.from_blocks(vol, blocks)
+    return ExtendedLocalSystem(k, A, np.concatenate([load, np.zeros(len(rows))]), n_patch, n_total)

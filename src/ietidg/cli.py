@@ -10,7 +10,7 @@ import contextlib
 import csv
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,8 +26,8 @@ class ExperimentSpec:
 
     builtin: tuple = ("tdomain",)
     config_path: str = None
-    degrees: list = field(default_factory=lambda: [2])
-    refinements: list = field(default_factory=lambda: [1])
+    degrees: list = None  # [2] unless a config file fixes it
+    refinements: list = None  # [1]; a config file's is unknown and reported as -1
     delta: float = 12.0
     tol: float = 1e-6
     max_iter: int = 1000
@@ -39,6 +39,12 @@ class ExperimentSpec:
     json_path: str = None
 
     def __post_init__(self):
+        if self.config_path and (self.degrees, self.refinements) != (None, None):
+            raise ConfigError("config-file domains fix degree and refinement; give neither")
+        if self.config_path:
+            self.degrees, self.refinements = [None], [-1]
+        self.degrees = [2] if self.degrees is None else self.degrees
+        self.refinements = [1] if self.refinements is None else self.refinements
         if not self.degrees or not self.refinements:
             raise ConfigError("degree and refinement lists must be non-empty")
         if not 0 < self.delta < np.inf:
@@ -57,8 +63,6 @@ class ExperimentSpec:
                               % (self.builtin[2],))
         if self.jump_exponents and self.config_path:
             raise ConfigError("jump exponents do not apply to config-file domains")
-        if self.config_path and len(self.degrees) * len(self.refinements) > 1:
-            raise ConfigError("config-file domains fix degree and refinement")
 
     def make_domain(self, degree, refinement, jump_exponent=None, slide=None):
         if self.config_path:
@@ -226,8 +230,10 @@ def build_parser():
     src.add_argument("--builtin", nargs="+", metavar="NAME",
                      default=["tdomain"],
                      help="built-in family with args: grid N | tdomain | slider M S")
-    ap.add_argument("--degree", default="2", help="spline degrees, e.g. '1 2 3'")
-    ap.add_argument("--refine", default="1", help="refinement levels, e.g. '1 2 3'")
+    ap.add_argument("--degree",
+                    help="spline degrees, e.g. '1 2 3' (default 2; not with --config)")
+    ap.add_argument("--refine",
+                    help="refinement levels, e.g. '1 2 3' (default 1; not with --config)")
     ap.add_argument("--delta", type=float, default=12.0, help="penalty parameter")
     ap.add_argument("--tol", type=float, default=1e-6, help="PCG residual reduction")
     ap.add_argument("--max-iter", type=int, default=1000)
@@ -251,8 +257,8 @@ def main(argv=None):
         spec = ExperimentSpec(
             builtin=tuple(args.builtin),
             config_path=args.config,
-            degrees=_parse_number_list(args.degree, int),
-            refinements=_parse_number_list(args.refine, int),
+            degrees=None if args.degree is None else _parse_number_list(args.degree, int),
+            refinements=None if args.refine is None else _parse_number_list(args.refine, int),
             delta=args.delta,
             tol=args.tol,
             max_iter=args.max_iter,

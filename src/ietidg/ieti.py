@@ -453,7 +453,6 @@ class IetiSolution:
     u_blocks: list
     multipliers: np.ndarray
     report: SolveReport
-    operator: IetiOperator
 
 
 def lambda_factor(domain):
@@ -514,4 +513,4 @@ def solve_ieti(domain, delta=12.0, tol=1e-6, max_iter=1000, source=1.0, workers=
         degenerate_tjunctions=degenerate_tjunction_count(domain),
         fd_interior_blocks=sum(blk.interior_fd for blk in op.blocks),
     )
-    return IetiSolution(op.patch_solutions(u_blocks), u_blocks, result.x, report, op)
+    return IetiSolution(op.patch_solutions(u_blocks), u_blocks, result.x, report)

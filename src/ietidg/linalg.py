@@ -25,7 +25,7 @@ _PIVOT_RTOL = 1e-14
 
 
 class SparseSym:
-    """Compressed-row symmetric matrix built from triplets or dense blocks.
+    """Compressed-row symmetric matrix built from a sparse matrix, triplets or dense blocks.
 
     Duplicate triplets are summed and explicit zeros dropped.  The values
     are verified to be finite and symmetric up to 1e-12 relative in the max
@@ -54,17 +54,22 @@ class SparseSym:
         return cls(scipy.sparse.coo_matrix((values, (rows, cols)), shape=(n, n)))
 
     @classmethod
-    def from_blocks(cls, n, blocks):
-        """Sum of dense blocks ``(idx, mats)``: ``mats[b]`` adds onto rows and columns ``idx[b]``.
+    def from_blocks(cls, base, blocks):
+        """The sparse (n, n) `base` plus dense blocks ``(idx, mats)``.
 
-        Each block pairs a (B, s) index array with (B, s, s) matrices;
-        entries whose row or column index is -1 are dropped.
+        Each block pairs a (B, s) index array with (B, s, s) matrices:
+        ``mats[b]`` adds onto the rows and columns ``idx[b]``, and entries
+        whose row or column index is -1 are dropped.
         """
-        rows = np.concatenate([np.repeat(idx, idx.shape[1], axis=1).ravel() for idx, _ in blocks])
-        cols = np.concatenate([np.tile(idx, idx.shape[1]).ravel() for idx, _ in blocks])
-        vals = np.concatenate([mats.ravel() for _, mats in blocks])
-        keep = (rows >= 0) & (cols >= 0)
-        return cls.from_triplets(n, rows[keep], cols[keep], vals[keep])
+        if blocks:
+            rows = np.concatenate([np.repeat(idx, idx.shape[1], axis=1).ravel()
+                                   for idx, _ in blocks])
+            cols = np.concatenate([np.tile(idx, idx.shape[1]).ravel() for idx, _ in blocks])
+            vals = np.concatenate([mats.ravel() for _, mats in blocks])
+            keep = (rows >= 0) & (cols >= 0)
+            base = base + scipy.sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                                                  shape=base.shape)
+        return cls(base)
 
     def toarray(self):
         return self.csr.toarray()

@@ -9,6 +9,7 @@ cross-check the tearing solver.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from . import linalg
 from .assembly import _inv_transpose, assemble_volume, interface_side_terms
@@ -43,14 +44,9 @@ def assemble_global(domain, delta, source=1.0):
     so gluing the extended local systems reproduces this matrix to rounding.
     """
     offs = patch_offsets(domain)
-    n = int(offs[-1])
+    volumes = [assemble_volume(patch, source=source, label="patch %d" % k)
+               for k, patch in enumerate(domain.patches)]
     blocks = []
-    rhs = np.zeros(n)
-    for k, patch in enumerate(domain.patches):
-        (lat, elem), load = assemble_volume(patch, source=source, label="patch %d" % k)
-        blocks.append((_shifted(patch.space.dof_map.ravel(), offs[k])[lat], elem))
-        rhs[offs[k] : offs[k + 1]] = load[patch.space.free_mask.ravel()]
-
     for g in domain.interfaces:
         for ori in (g, g.flipped()):
             own = domain.patches[ori.k].space
@@ -58,7 +54,9 @@ def assemble_global(domain, delta, source=1.0):
             blocks.append(interface_side_terms(
                 domain, ori, delta, _shifted(own.dof_map.ravel(), offs[ori.k]),
                 _shifted(nb.edge_dofs(ori.side_l), offs[ori.l])))
-    return GlobalSipgSystem(linalg.SparseSym.from_blocks(n, blocks), rhs, offs)
+    matrix = scipy.sparse.block_diag([A for A, _ in volumes], format="csr")
+    return GlobalSipgSystem(linalg.SparseSym.from_blocks(matrix, blocks),
+                            np.concatenate([load for _, load in volumes]), offs)
 
 
 def glued_from_locals(domain, local_systems, copies):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from ietidg.assembly import (
     _side_quadrature,
@@ -11,18 +12,18 @@ from ietidg.assembly import (
     trace_basis_on_edge,
     univariate_matrices,
 )
-from ietidg.bspline import KnotVector, TensorSplineSpace, gauss_rule, refine_uniform
+from ietidg.bspline import KnotVector, TensorSplineSpace, eval_matrices, gauss_rule, refine_uniform
 from ietidg.domains import slider_domain, t_domain
 from ietidg.errors import ConfigError, NumericalError
 from ietidg.geometry import GeometryMap, MultiPatchDomain, Patch, side_normal_hat
 from ietidg.linalg import SparseSym
 
-from conftest import (curved_two_patch_domain, mirrored_two_patch_domain,
+from conftest import (curved_geometry, curved_two_patch_domain, mirrored_two_patch_domain,
                       reversed_two_patch_domain, two_patch_domain, unit_square_patch)
 
 
 def block_to_dense(block, n):
-    return SparseSym.from_blocks(n, [block]).toarray()
+    return SparseSym.from_blocks(scipy.sparse.csr_matrix((n, n)), [block]).toarray()
 
 
 def q1_stiffness_oracle():
@@ -63,6 +64,38 @@ def trace_mass_oracle(kv, weight):
     return weight * M
 
 
+def gauss_grid(kv, ng):
+    """Gauss points and weights of `ng` points on every nonzero span of `kv`."""
+    x, w = np.polynomial.legendre.leggauss(ng)
+    lo, hi = kv.breakpoints[:-1, None], kv.breakpoints[1:, None]
+    return (0.5 * (lo + hi) + 0.5 * (hi - lo) * x).ravel(), (0.5 * (hi - lo) * w).ravel()
+
+
+def brute_force_volume(patch, source):
+    """Dense stiffness and load of one patch over its free dofs, by quadrature
+    on the full tensor Gauss grid with every lattice function evaluated."""
+    space, geo = patch.space, patch.geometry
+    ng = max(space.degree, geo.kv_u.p, geo.kv_v.p) + 1
+    (pu, wu), (pv, wv) = gauss_grid(space.kv_u, ng), gauss_grid(space.kv_v, ng)
+    Bu, Bv = eval_matrices(space.kv_u, pu, 1), eval_matrices(space.kv_v, pv, 1)
+    pts, jac = geo.jacobian_grid(pu, pv)
+    ghat = np.stack([np.einsum("ai,bj->abij", Bu[1], Bv[0]),
+                     np.einsum("ai,bj->abij", Bu[0], Bv[1])], axis=2)
+    JinvT = np.swapaxes(np.linalg.inv(jac), -1, -2)
+    grads = np.einsum("abxy,abyij->abxij", JinvT, ghat).reshape(pu.size, pv.size, 2, -1)
+    w = np.outer(wu, wv) * np.abs(np.linalg.det(jac))
+    A = patch.alpha * np.einsum("ab,abxi,abxj->ij", w, grads, grads)
+    f = np.einsum("ab,ai,bj->ij", w * source(pts[..., 0], pts[..., 1]), Bu[0], Bv[0]).ravel()
+    free = space.free_mask.ravel()
+    return A[np.ix_(free, free)], f[free]
+
+
+def assert_canonical(A):
+    """Sorted column indices and no duplicates: the (row, column) keys strictly increase."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    assert np.all(np.diff(rows * A.shape[1] + A.indices) > 0)
+
+
 def edge_positions(space, side, dofs):
     """Edge index of each of the `dofs` on `side`, read off `edge_dofs`."""
     return [int(np.flatnonzero(space.edge_dofs(side) == d)[0]) for d in dofs]
@@ -99,8 +132,8 @@ class TestTraceBasis:
 class TestVolume:
     def test_q1_unit_square(self):
         patch = unit_square_patch(0, 1, 0, 1, 1, 0, set())
-        block, load = assemble_volume(patch, source=1.0)
-        A = block_to_dense(block, 4)
+        A, load = assemble_volume(patch, source=1.0)
+        A = A.toarray()
         np.testing.assert_allclose(A, q1_stiffness_oracle(), atol=1e-14)
         assert A[0, 0] == pytest.approx(2.0 / 3.0)
         np.testing.assert_allclose(A.sum(axis=1), 0.0, atol=1e-14)
@@ -108,17 +141,15 @@ class TestVolume:
 
     def test_constants_in_kernel(self, rng):
         patch = unit_square_patch(0, 1, 0, 1, 2, 2, set())
-        block, _ = assemble_volume(patch)
         n = patch.space.dimension
-        A = block_to_dense(block, n)
+        A = assemble_volume(patch)[0].toarray()
         np.testing.assert_allclose(A @ np.ones(n), 0.0, atol=1e-13)
 
     def test_alpha_linearity(self):
         p1 = unit_square_patch(0, 1, 0, 1, 2, 1, set(), alpha=1.0)
         p10 = unit_square_patch(0, 1, 0, 1, 2, 1, set(), alpha=10.0)
-        n = p1.space.n_u * p1.space.n_v
-        A1 = block_to_dense(assemble_volume(p1)[0], n)
-        A10 = block_to_dense(assemble_volume(p10)[0], n)
+        A1 = assemble_volume(p1)[0].toarray()
+        A10 = assemble_volume(p10)[0].toarray()
         np.testing.assert_allclose(A10, 10.0 * A1, rtol=0, atol=1e-13 * np.abs(A1).max())
 
     @staticmethod
@@ -136,7 +167,7 @@ class TestVolume:
         assert M_u.sum() == pytest.approx(1.0, rel=1e-14)
         patch = Patch(GeometryMap.bilinear((0, 0), (2, 0), (0, 0.5), (2, 0.5)), 1.0,
                       TensorSplineSpace(kv_u, kv_v))
-        A = block_to_dense(assemble_volume(patch)[0], kv_u.n * kv_v.n)
+        A = assemble_volume(patch)[0].toarray()
         kron = 0.25 * np.kron(K_u, M_v) + 4.0 * np.kron(M_u, K_v)
         np.testing.assert_allclose(A, kron, rtol=0, atol=1e-14 * np.abs(A).max())
 
@@ -151,10 +182,35 @@ class TestVolume:
             assemble_volume(patch, source=1.0, label="patch 0")
         assert str(err.value) == "singular Jacobian at parameter (%.6g, %.6g), patch 0" % (u0, u0)
 
+    @pytest.mark.parametrize("kv_u,kv_v,geo,dirichlet", [
+        *[(refine_uniform(KnotVector.bernstein(p), 2), refine_uniform(KnotVector.bernstein(p), 1),
+           GeometryMap.bilinear((0, 0), (2, 0.2), (0.3, 1), (1.8, 1.4)), {"west", "north"})
+          for p in (1, 2, 3)],
+        (KnotVector(2, [0, 0, 0, 0.4, 0.4, 0.7, 1, 1, 1]),
+         KnotVector(2, [0, 0, 0, 0.5, 0.5, 1, 1, 1]), None, {"south"}),
+        (KnotVector(3, [0, 0, 0, 0, 0.5, 0.5, 0.5, 0.75, 1, 1, 1, 1]),
+         refine_uniform(KnotVector.bernstein(3), 1), None, {"east", "south"}),
+        (KnotVector.bernstein(2), KnotVector.bernstein(2), None, {"west"}),
+        (KnotVector.bernstein(3), refine_uniform(KnotVector.bernstein(3), 1), None, set()),
+        (refine_uniform(KnotVector.bernstein(3), 2), KnotVector.bernstein(3), None, {"north"}),
+        *[(refine_uniform(KnotVector.bernstein(p), 1), refine_uniform(KnotVector.bernstein(p), 2),
+           curved_geometry(), {"west", "south"}) for p in (1, 2, 3)],
+    ], ids=["quad-p1", "quad-p2", "quad-p3", "repeated-p2", "repeated-p3", "n3-p2", "n4n5-p3",
+            "n7n4-p3", "curved-p1", "curved-p2", "curved-p3"])
+    def test_matches_brute_force_quadrature(self, kv_u, kv_v, geo, dirichlet):
+        geo = geo or GeometryMap.bilinear((0, 0), (1.5, 0), (0, 0.5), (1.5, 0.5))
+        patch = Patch(geo, 2.5, TensorSplineSpace(kv_u, kv_v, dirichlet))
+        source = lambda x, y: 1.0 + x * y**2
+        A, f = assemble_volume(patch, source=source)
+        A_ref, f_ref = brute_force_volume(patch, source)
+        assert A.shape == A_ref.shape == (patch.space.dimension,) * 2
+        assert_canonical(A)
+        assert np.abs(A.toarray() - A_ref).max() <= 1e-13 * np.abs(A_ref).max()
+        assert np.abs(f - f_ref).max() <= 1e-13 * np.abs(f_ref).max()
+
     def test_spd_on_dirichlet_patch(self, rng):
         patch = unit_square_patch(0, 1, 0, 1, 2, 2, {"west", "east", "south", "north"})
-        (lat, elem), _ = assemble_volume(patch)
-        A = block_to_dense((patch.space.dof_map.ravel()[lat], elem), patch.space.dimension)
+        A = assemble_volume(patch)[0].toarray()
         ev = np.linalg.eigvalsh(A)
         assert ev[0] > 0
 
@@ -200,6 +256,19 @@ class TestInterfaceTerms:
         ones = np.ones(n_total)
         np.testing.assert_allclose(R @ ones, 0.0, atol=1e-12)
         np.testing.assert_allclose(M @ ones, 0.0, atol=1e-12)
+
+    def test_one_block_per_sub_interval_over_the_edge_layers(self):
+        # the reversed domain's sides break at 0.5 (owner) and 0.7 (neighbor's
+        # 0.3): three sub-intervals, each over the owner's two layers next to
+        # the edge and the neighbor's p + 1 edge functions
+        dom = reversed_two_patch_domain(p=2)
+        space = dom.patches[0].space
+        idx, mats = interface_side_terms(dom, dom.interfaces[0], 12.0,
+                                         np.arange(space.n_u * space.n_v), np.arange(4))
+        assert idx.shape == (3, 2 * 3 + 3) and mats.shape == (3, 9, 9)
+        assert np.all(idx[:, :6] // space.n_v >= space.n_u - 2)
+        np.testing.assert_allclose(mats, np.swapaxes(mats, 1, 2),
+                                   rtol=0, atol=1e-14 * np.abs(mats).max())
 
     def test_quadrature_consistency_polynomial(self):
         # the merged-breakpoint rule integrates a degree-2p+1 polynomial exactly

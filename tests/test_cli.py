@@ -96,7 +96,7 @@ class TestRunSolve:
     def test_config_file_domain(self, tmp_path):
         path = tmp_path / "dom.json"
         save_domain(t_domain(degree=2, refinements=1), str(path))
-        spec = ExperimentSpec(config_path=str(path), degrees=[2], refinements=[1])
+        spec = ExperimentSpec(config_path=str(path))
         results = run_solve(spec)
         assert results[0]["K"] == 5
 
@@ -431,6 +431,29 @@ class TestMain:
         assert ("configuration error: config-file domains fix degree and refinement"
                 in capsys.readouterr().err)
         assert solves == []
+
+    @pytest.mark.parametrize("flags", [["--degree", "3", "--refine", "4"], ["--degree", "2"],
+                                       ["--refine", "0"]], ids=["both", "degree", "refine"])
+    def test_config_with_degree_or_refine_fails_before_solving(self, capsys, tmp_path, solves,
+                                                               flags):
+        # a config file fixes both; the row used to report the refinement asked for
+        path = tmp_path / "dom.json"
+        save_domain(grid_domain(2, degree=2, refinements=0), str(path))
+        assert main(["--config", str(path)] + flags) == 2
+        assert ("configuration error: config-file domains fix degree and refinement"
+                in capsys.readouterr().err)
+        assert solves == []
+
+    def test_config_reports_unknown_refinement(self, capsys, tmp_path):
+        path = tmp_path / "dom.json"
+        save_domain(grid_domain(2, degree=2, refinements=0), str(path))
+        out_json, out_csv = tmp_path / "out.json", tmp_path / "out.csv"
+        assert main(["--config", str(path), "--json", str(out_json), "--csv", str(out_csv)]) == 0
+        assert " p=2 r=-1 " in capsys.readouterr().out
+        entry, = json.loads(out_json.read_text())
+        assert (entry["p"], entry["r"]) == (2, -1)
+        header, row = out_csv.read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["r"] == "-1"
 
     @pytest.mark.parametrize("argv,message", [
         (["--builtin", "grid", "0"], "grid size must be >= 1"),

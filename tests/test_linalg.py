@@ -50,13 +50,25 @@ class TestSparseSym:
                  np.array([[[1.0, 2.0], [2.0, 3.0]], [[4.0, 5.0], [5.0, 6.0]]]))
         second = (np.array([[2, 0, -1]]),
                   np.array([[[7.0, 1.0, 9.0], [1.0, 8.0, 9.0], [9.0, 9.0, 9.0]]]))
-        A = SparseSym.from_blocks(3, [first, second])
+        A = SparseSym.from_blocks(scipy.sparse.csr_matrix((3, 3)), [first, second])
         np.testing.assert_array_equal(A.toarray(),
                                       [[9.0, 2.0, 1.0], [2.0, 7.0, 0.0], [1.0, 0.0, 7.0]])
 
+    def test_blocks_added_to_base(self):
+        base = scipy.sparse.csr_matrix(np.array([[2.0, 1.0, 0.0],
+                                                 [1.0, 2.0, 0.0],
+                                                 [0.0, 0.0, 1.0]]))
+        assert np.array_equal(SparseSym.from_blocks(base, []).toarray(), base.toarray())
+        block = (np.array([[2, 0]]), np.array([[[3.0, 1.0], [1.0, -2.0]]]))
+        A = SparseSym.from_blocks(base, [block])
+        np.testing.assert_array_equal(A.toarray(),
+                                      [[0.0, 1.0, 1.0], [1.0, 2.0, 0.0], [1.0, 0.0, 4.0]])
+        assert A.csr.nnz == 6  # the cancelled (0, 0) entry is dropped
+
     def test_asymmetric_block_rejected(self):
         with pytest.raises(NumericalError):
-            SparseSym.from_blocks(2, [(np.array([[0, 1]]), np.array([[[1.0, 2.0], [3.0, 1.0]]]))])
+            SparseSym.from_blocks(scipy.sparse.csr_matrix((2, 2)),
+                                  [(np.array([[0, 1]]), np.array([[[1.0, 2.0], [3.0, 1.0]]]))])
 
     def test_non_finite_rejected(self):
         with pytest.raises(NumericalError, match="non-finite"):
