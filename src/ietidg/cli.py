@@ -39,9 +39,9 @@ class ExperimentSpec:
     json_path: str = None
 
     def __post_init__(self):
-        if self.config_path and (self.degrees, self.refinements) != (None, None):
-            raise ConfigError("config-file domains fix degree and refinement; give neither")
         if self.config_path:
+            if (self.degrees, self.refinements) != (None, None):
+                raise ConfigError("config-file domains fix degree and refinement; give neither")
             self.degrees, self.refinements = [None], [-1]
         self.degrees = [2] if self.degrees is None else self.degrees
         self.refinements = [1] if self.refinements is None else self.refinements
