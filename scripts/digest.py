@@ -2,7 +2,9 @@
 
     python scripts/digest.py                      # the full check, about 4 s
     python scripts/digest.py --src OTHER/src      # the same check on another tree
+    python scripts/digest.py --diff OTHER/src     # largest relative difference per array family
     python scripts/digest.py --domain grid 2 --degrees 1 --refinements 0 --no-cases
+    python scripts/digest.py --config curved.json --no-cases
 
 The digest covers two groups of arrays, hashed as their dtype, shape and
 bytes:
@@ -12,15 +14,22 @@ bytes:
   s = 0.1..0.9): the solution ``u``, the iteration count, ``repr(kappa)``
   and the FD block count of each solve;
 * every ``--domain`` at every degree and refinement (by default grid(2),
-  tdomain, slider(3, 0.3) and slider(4, 0.37) at p=1..3, r=0..2): each
-  block's local ``A`` and ``f``, the copy map and the (I, Delta, Pi)
-  partition, ``B_gamma``, ``D``, ``S``, ``psi`` and the FD flag, and the
-  oracle's global matrix and load from ``refsolver.assemble_global``.
+  tdomain, slider(3, 0.3) and slider(4, 0.37) at p=1..3, r=0..2), and
+  every ``--config`` file as saved: each block's local ``A`` and ``f``,
+  the copy map and the (I, Delta, Pi) partition, ``B_gamma``, ``D``, ``S``,
+  ``psi`` and the FD flag, and the oracle's global matrix and load from
+  ``refsolver.assemble_global``.
 
 Run it on the parent commit (``--src`` pointing into a ``git archive``
 copy) and on the change; a refactoring that claims bit-identical results
 prints the same last line on both.  The lines before it give one digest per
 case and domain, to find the first that differs.
+
+A change that rounds differently cannot keep the digest.  ``--diff OTHER/src``
+computes the same arrays with both trees in one process and prints, per
+array family, the largest relative difference ``max|a - b| / max|b|`` with
+the item where it occurs, and for sparse matrices how many store a
+different pattern.
 """
 
 import os
@@ -31,10 +40,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import hashlib
+import importlib.util
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse
 
 ROOT = Path(__file__).resolve().parents[1]
 DOMAINS = (("grid", "2"), ("tdomain",), ("slider", "3", "0.3"), ("slider", "4", "0.37"))
@@ -50,64 +61,131 @@ def seed0_cases():
     return cases
 
 
-def _update(h, *arrays):
-    for a in arrays:
-        a = np.ascontiguousarray(a)
-        h.update(("%s%s" % (a.dtype.str, a.shape)).encode())
-        h.update(a.tobytes())
+def load_package(src, name):
+    """Import the ``ietidg`` package under `src` as `name`, so two trees load side by side."""
+    pkg = Path(src).resolve() / "ietidg"
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py",
+                                                  submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
-def _update_csr(h, m):
-    _update(h, m.data, m.indices, m.indptr, np.array(m.shape))
-
-
-def case_arrays(h, ieti, domains, refsolver, builtin, degree, refinement, tol, jump):
-    domain = domains.builtin_domain(builtin[0], builtin[1:], degree=degree,
-                                    refinements=refinement, jump_exponent=jump)
-    sol = ieti.solve_ieti(domain, delta=DELTA, tol=tol, refinement=refinement)
+def case_arrays(pkg, builtin, degree, refinement, tol, jump):
+    """(family, value) pairs of one benchmark case, in hashing order."""
+    domain = pkg.domains.builtin_domain(builtin[0], builtin[1:], degree=degree,
+                                        refinements=refinement, jump_exponent=jump)
+    sol = pkg.ieti.solve_ieti(domain, delta=DELTA, tol=tol, refinement=refinement)
     rep = sol.report
-    _update(h, np.concatenate(sol.u_patches), np.array([rep.iterations, rep.fd_interior_blocks]))
-    h.update(repr(rep.kappa).encode())
+    return [("u", np.concatenate(sol.u_patches)),
+            ("iterations, FD blocks", np.array([rep.iterations, rep.fd_interior_blocks])),
+            ("kappa", repr(rep.kappa))]
 
 
-def domain_arrays(h, ieti, domains, refsolver, builtin, degree, refinement):
-    domain = domains.builtin_domain(builtin[0], builtin[1:], degree=degree,
-                                    refinements=refinement)
-    op = ieti.setup_operator(domain, DELTA)
+def domain_arrays(pkg, domain):
+    """(family, value) pairs of one domain's blocks and oracle, in hashing order."""
+    op = pkg.ieti.setup_operator(domain, DELTA)
     part = op.partition
-    _update(h, part.copies)
+    out = [("copy map", part.copies)]
     for k, (sysk, blk) in enumerate(zip(op.locals, op.blocks)):
-        _update_csr(h, sysk.A.csr)
-        _update_csr(h, op.jumps.B_gamma[k])
-        _update(h, sysk.f, part.interior[k], part.dual[k], part.primal[k], part.primal_global[k],
-                op.jumps.D[k], blk.S, blk.psi, np.array([blk.interior_fd]))
-    oracle = refsolver.assemble_global(domain, DELTA)
-    _update_csr(h, oracle.matrix.csr)
-    _update(h, oracle.rhs)
+        out += [("local A", sysk.A.csr), ("B_gamma", op.jumps.B_gamma[k]), ("local f", sysk.f),
+                ("interior", part.interior[k]), ("dual", part.dual[k]), ("primal", part.primal[k]),
+                ("primal_global", part.primal_global[k]), ("D", op.jumps.D[k]), ("S", blk.S),
+                ("psi", blk.psi), ("FD flag", np.array([blk.interior_fd]))]
+    oracle = pkg.refsolver.assemble_global(domain, DELTA)
+    return out + [("oracle A", oracle.matrix.csr), ("oracle f", oracle.rhs)]
+
+
+def _update(h, a):
+    a = np.ascontiguousarray(a)
+    h.update(("%s%s" % (a.dtype.str, a.shape)).encode())
+    h.update(a.tobytes())
+
+
+def digest(h, pairs):
+    for _, value in pairs:
+        if isinstance(value, str):
+            h.update(value.encode())
+        elif scipy.sparse.issparse(value):
+            for a in (value.data, value.indices, value.indptr, np.array(value.shape)):
+                _update(h, a)
+        else:
+            _update(h, value)
+
+
+def relative_difference(a, b):
+    """(max|a - b| / max|b|, whether a sparse pattern differs); inf for a shape mismatch."""
+    if isinstance(a, str):
+        a, b = np.array(float(a)), np.array(float(b))
+    if a.shape != b.shape:
+        return np.inf, True
+    pattern = False
+    if scipy.sparse.issparse(a):
+        pattern = not (np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices))
+        diff, b = (a - b).data, b.data
+    else:
+        diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    diff, scale = np.abs(diff).max(initial=0.0), np.abs(b).max(initial=0.0)
+    return (diff / scale if scale > 0 else diff), pattern
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="source tree to import ietidg from (default: this repository's)")
+    ap.add_argument("--diff", type=Path, metavar="OTHER_SRC",
+                    help="compare with the tree OTHER_SRC instead of hashing")
     ap.add_argument("--domain", nargs="+", action="append", metavar="ARG",
                     help="a built-in domain with its arguments, e.g. 'slider 4 0.37'; repeatable")
+    ap.add_argument("--config", action="append", type=Path, default=[],
+                    help="a domain config file (JSON, as domains.save_domain writes); repeatable; "
+                         "without --domain, the built-in domains are skipped")
     ap.add_argument("--degrees", nargs="+", type=int, default=[1, 2, 3])
     ap.add_argument("--refinements", nargs="+", type=int, default=[0, 1, 2])
     ap.add_argument("--no-cases", action="store_true", help="skip the 15 seed-0 solves")
     args = ap.parse_args(argv)
 
-    sys.path.insert(0, str(args.src.resolve()))
-    from ietidg import domains, ieti, refsolver
+    trees = [load_package(args.src, "ietidg_this")]
+    if args.diff:
+        trees.append(load_package(args.diff, "ietidg_other"))
 
-    items = [] if args.no_cases else [(label, case_arrays, c) for label, *c in seed0_cases()]
-    items += [("%s p%d r%d" % (" ".join(d), p, r), domain_arrays, (d, p, r))
-              for d in map(tuple, args.domain or DOMAINS)
-              for p in args.degrees for r in args.refinements]
+    def builtin(d, p, r):
+        return lambda pkg: domain_arrays(pkg, pkg.domains.builtin_domain(
+            d[0], d[1:], degree=p, refinements=r))
+
+    def config(path):
+        return lambda pkg: domain_arrays(pkg, pkg.domains.load_domain(path))
+
+    def case(c):
+        return lambda pkg: case_arrays(pkg, *c)
+
+    domains = [] if args.domain is None and args.config else (args.domain or DOMAINS)
+    items = [] if args.no_cases else [(label, case(c)) for label, *c in seed0_cases()]
+    items += [("%s p%d r%d" % (" ".join(d), p, r), builtin(tuple(d), p, r))
+              for d in domains for p in args.degrees for r in args.refinements]
+    items += [("config %s" % path.name, config(path)) for path in args.config]
+
+    if args.diff:
+        worst = {}
+        for label, fn in items:
+            for (family, a), (_, b) in zip(*(fn(pkg) for pkg in trees)):
+                rel, pattern = relative_difference(a, b)
+                w = worst.setdefault(family, [-1.0, "", 0, 0])
+                if rel > w[0]:
+                    w[0], w[1] = rel, label
+                w[2] += pattern
+                w[3] += 1
+        for family, (rel, label, patterns, count) in worst.items():
+            extra = ", pattern differs in %d of %d" % (patterns, count) if patterns else ""
+            print("%-22s %.3e  (%s%s)" % (family, rel, label, extra))
+        print("%.3e  largest over %d items" % (max(w[0] for w in worst.values()), len(items)))
+        return
+
     total = hashlib.sha256()
-    for label, fn, params in items:
+    for label, fn in items:
         h = hashlib.sha256()
-        fn(h, ieti, domains, refsolver, *params)
+        digest(h, fn(trees[0]))
         total.update(h.digest())
         print("%s  %s" % (h.hexdigest(), label))
     print("%s  %d items" % (total.hexdigest(), len(items)))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from . import linalg
 from .bspline import active_on_interval, eval_basis_tables, gauss_rule, span_quadrature
@@ -80,32 +80,43 @@ class ExtendedLocalSystem:
     n_total: int
 
 
-def _inv_transpose(J, where="", points=None):
-    """Batch inverse-transpose of 2x2 Jacobians, with singularity guard.
+def _inv_transpose(J, where="", points=None, axes=(0,)):
+    """Batch inverse-transpose of the (..., 2, 2) Jacobians `J`, with singularity guard.
 
-    `J` has shape ``(..., Q, 2, 2)``: sets of Q points, each set judged
-    against the square of its own largest entry.  `points` (shape
-    ``(..., Q, 2)``) makes the error message name the first offending
-    parameter point.
+    Each set of points along `axes` is judged against the square of its own
+    largest entry; `points` ``(..., 2)`` let the error name the first bad one.
     """
     det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    scale = np.max(np.abs(J), axis=(-3, -2, -1)) ** 2
-    bad = np.abs(det) <= _SINGULAR_RTOL * np.maximum(scale, 1e-300)[..., None]
+    a = np.abs(J)
+    scale = np.maximum(np.maximum(a[..., 0, 0], a[..., 0, 1]), np.maximum(a[..., 1, 0], a[..., 1, 1]))
+    bad = np.abs(det) <= _SINGULAR_RTOL * np.maximum(scale.max(axis=axes, keepdims=True) ** 2, 1e-300)
     if np.any(bad):
-        q = int(np.argmax(np.ravel(bad)))
+        last = tuple(range(bad.ndim - len(axes), bad.ndim))
         at = ""
         if points is not None:
-            uv = np.reshape(points, (-1, 2))[q]
+            uv = np.moveaxis(points, axes, last).reshape(-1, 2)[np.argmax(np.moveaxis(bad, axes, last))]
             at = " at parameter (%.6g, %.6g)" % (uv[0], uv[1])
-        raise NumericalError(
-            "singular Jacobian%s%s" % (at, ", " + where if where else "")
-        )
-    JinvT = np.empty_like(J)
-    JinvT[..., 0, 0] = J[..., 1, 1]
-    JinvT[..., 0, 1] = -J[..., 1, 0]
-    JinvT[..., 1, 0] = -J[..., 0, 1]
-    JinvT[..., 1, 1] = J[..., 0, 0]
+        raise NumericalError("singular Jacobian%s%s" % (at, ", " + where if where else ""))
+    JinvT = np.stack([J[..., 1, ::-1] * [1.0, -1.0], J[..., 0, ::-1] * [-1.0, 1.0]], axis=-2)  # adj(J)^T
     return JinvT / det[..., None, None], det
+
+
+def _span_fold(first, n, X, A, B):
+    """Integrate over each knot span, then fold its functions onto the n global ones.
+
+    `A` ``(..., S, G, q)`` and `B` ``(..., S, G, k)`` tabulate, at the G points
+    of each of S spans, the functions ``first[s] + i``; `X` ``(..., S, G, R)``
+    holds the weights.  Returns the band rows ``(..., n, q + k - 1, R)`` of
+    the sums of ``A_i B_k X``, k at offset ``k - i + q - 1`` of row i.
+    """
+    q, k = A.shape[-1], B.shape[-1]
+    P = (A[..., :, None] * B[..., None, :]).reshape(A.shape[:-1] + (q * k,))
+    Y = np.swapaxes(P, -1, -2) @ X
+    Y = Y.reshape(Y.shape[:-2] + (q, k, Y.shape[-1]))  # (..., S, q, k, R)
+    out = np.zeros(Y.shape[:-4] + (n, q + k - 1, Y.shape[-1]))
+    for i in range(q):
+        out[..., first + i, q - 1 - i:q - 1 - i + k, :] += Y[..., i, :, :]
+    return out
 
 
 def assemble_volume(patch, source=1.0, label=""):
@@ -113,69 +124,64 @@ def assemble_volume(patch, source=1.0, label=""):
 
     Returns the stiffness as a canonical CSR matrix and the load vector.
     `source` is a scalar or a callable f(x, y), which receives the
-    coordinate arrays of all quadrature points of the patch at once.  All
-    elements are assembled in one batch and summed with one ``bincount``
-    into the (2p+1)^2 band of each lattice row; read in lattice order, the
-    free rows of that band are the CSR rows with sorted columns.
+    coordinate arrays of all quadrature points of the patch at once.  By sum
+    factorization, the metric ``alpha w |det J| J^-1 J^-T`` on the Gauss grid
+    and the load ``B_u (w f) B_v^T`` are contracted in u, then in v, into the
+    (2p+1)^2 band of each lattice row; its free rows are the CSR rows.
     """
     space, geo, alpha = patch.space, patch.geometry, patch.alpha
     p = space.degree
     ng = max(p, geo.kv_u.p, geo.kv_v.p) + 1
-    squ = span_quadrature(space.kv_u, ng, 1)
-    sqv = span_quadrature(space.kv_v, ng, 1)
+    squ, sqv = (span_quadrature(kv, ng, 1) for kv in (space.kv_u, space.kv_v))
     nsu, nsv = squ.first_active.size, sqv.first_active.size
-    E, Q, m = nsu * nsv, ng * ng, (p + 1) ** 2
-
-    def by_element(grid):
-        """(nsu*ng, nsv*ng, ...) grid -> (E, Q, ...), both axes row-major over (u, v)."""
-        grid = grid.reshape((nsu, ng, nsv, ng) + grid.shape[2:]).swapaxes(1, 2)
-        return grid.reshape((E, Q) + grid.shape[4:])
-
-    def tensor(du, dv):
-        """(E, Q, m) products of the du-th u- and dv-th v-derivative tables."""
-        Bu = squ.tables[:, None, :, None, du, :, None]
-        Bv = sqv.tables[None, :, None, :, dv, None, :]
-        return (Bu * Bv).reshape(E, Q, m)
+    n_u, n_v, bw = space.n_u, space.n_v, 2 * p + 1
 
     pu, pv = squ.points.ravel(), sqv.points.ravel()
     pts, jac = geo.jacobian_grid(pu, pv)
-    uv = np.stack(np.meshgrid(pu, pv, indexing="ij"), axis=-1)
-    JinvT, det = _inv_transpose(by_element(jac), where=label, points=by_element(uv))
-    grads = JinvT @ np.stack([tensor(1, 0), tensor(0, 1)], axis=2)  # (E, Q, 2, m)
-    w = (squ.weights[:, None, :, None] * sqv.weights[None, :, None, :]).reshape(E, Q) * np.abs(det)
-    Gw = (grads * (alpha * w)[:, :, None, None]).reshape(E, 2 * Q, m)
-    elem = np.swapaxes(Gw, 1, 2) @ grads.reshape(E, 2 * Q, m)
-    lat = ((squ.first_active[:, None, None, None] + np.arange(p + 1)[:, None]) * space.n_v
-           + sqv.first_active[None, :, None, None] + np.arange(p + 1)).reshape(E, m)
+    uv = np.empty(jac.shape[:2] + (2,))
+    uv[..., 0], uv[..., 1] = pu[:, None], pv
+    grid = (nsu, ng, nsv, ng)  # the points of every element form one set
+    JinvT, det = _inv_transpose(jac.reshape(grid + (2, 2)), label, uv.reshape(grid + (2,)), (1, 3))
+    (m00, m01), (m10, m11) = JinvT.reshape(jac.shape).transpose(2, 3, 0, 1)
+    w = np.outer(squ.weights, sqv.weights) * np.abs(det.reshape(pu.size, pv.size))
+    g01 = (m00 * m01 + m10 * m11) * (alpha * w)  # entries (x, y) = 00, 01, 10, 11 below
+    metric = np.stack([(m00 * m00 + m10 * m10) * (alpha * w), g01, g01,
+                       (m01 * m01 + m11 * m11) * (alpha * w)]).reshape(4, nsu, ng, -1)
 
-    x = by_element(pts)
-    fvals = source(x[..., 0], x[..., 1]) if callable(source) else float(source)
-    contrib = np.einsum("eqm,eq->em", tensor(0, 0), w * fvals)
-    load = np.bincount(lat.ravel(), weights=contrib.ravel(), minlength=space.n_u * space.n_v)
+    # term (x, y) pairs d/dx of row function a with d/dy of column function b;
+    # its u-tables are the derivatives (1 - x, 1 - y), its v-tables (x, y)
+    tu, tv = squ.tables.transpose(2, 0, 1, 3), sqv.tables.transpose(2, 0, 1, 3)
+    band = _span_fold(squ.first_active, n_u, metric, *tu[[[1, 1, 0, 0], [1, 0, 1, 0]]])
+    band = band.reshape(4, n_u * bw, nsv, ng).transpose(2, 0, 3, 1).reshape(nsv, 4 * ng, -1)
+    tv_xy = tv[[[0, 0, 1, 1], [0, 1, 0, 1]]].transpose(0, 2, 1, 3, 4).reshape(2, nsv, 4 * ng, -1)
+    band = _span_fold(sqv.first_active, n_v, band, *tv_xy)  # (n_v, bw, n_u * bw)
+    band = band.reshape(n_v, bw, n_u, bw).transpose(2, 0, 3, 1)
 
-    # entry (a, b) of an element adds onto the (2p+1)^2 band of lattice row
-    # lat[a], at the offset of lat[b] from it; cols holds each band's free dofs
-    bw = 2 * p + 1
-    d = np.arange(p + 1) - np.arange(p + 1)[:, None] + p  # d[i, j] = j - i + p
-    slot = lat[:, :, None] * bw * bw + (d[:, None, :, None] * bw + d[:, None, :]).reshape(m, m)
-    band = np.bincount(slot.ravel(), weights=elem.ravel(), minlength=load.size * bw * bw)
-    cols = sliding_window_view(np.pad(space.dof_map, p, constant_values=-1), (bw, bw))
+    # the load pairs every function with the constant 1 and sums its band rows
+    fvals = source(pts[..., 0], pts[..., 1]) if callable(source) else float(source)
+    load = _span_fold(squ.first_active, n_u, (w * fvals).reshape(nsu, ng, -1), tu[0], np.ones(1))
+    load = _span_fold(sqv.first_active, n_v, load.sum(1).reshape(n_u, nsv, ng).transpose(1, 2, 0),
+                      tv[0], np.ones(1)).sum(1)
+
+    # band[i, j, a, b] pairs lattice (i, j) with (i + a - p, j + b - p), whose dof is cols[i, j, a, b]
+    padded = np.full((n_u + 2 * p, n_v + 2 * p), -1)
+    padded[p:p + n_u, p:p + n_v] = space.dof_map
+    cols = as_strided(padded, (n_u, n_v, bw, bw), padded.strides * 2, writeable=False)
     keep = (cols >= 0) & space.free_mask[:, :, None, None]
     indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=(2, 3))[space.free_mask])])
-    A = scipy.sparse.csr_matrix((band.reshape(keep.shape)[keep], cols[keep], indptr),
-                                shape=(space.dimension, space.dimension))
-    return A, load[space.free_mask.ravel()]
+    return (scipy.sparse.csr_matrix((band[keep], cols[keep], indptr), shape=(space.dimension,) * 2),
+            load.T[space.free_mask])
 
 
 def univariate_matrices(kv):
     """Dense parametric stiffness and mass matrices ``(K, M)`` of the basis of `kv` on [0, 1]."""
-    sq = span_quadrature(kv, kv.p + 1, 1)
-    B = sq.tables[:, :, ::-1].transpose(2, 0, 1, 3)  # (derivative 1 then 0, span, point, function)
-    cols = sq.first_active[:, None] + np.arange(kv.p + 1)
-    KM = np.zeros((2, kv.n, kv.n))
-    np.add.at(KM, (slice(None), cols[:, :, None], cols[:, None, :]),
-              np.swapaxes(B * sq.weights[..., None], 2, 3) @ B)
-    return KM[0], KM[1]
+    p, n = kv.p, kv.n
+    sq = span_quadrature(kv, p + 1, 1)
+    B = sq.tables.transpose(2, 0, 1, 3)[::-1]  # (derivative 1 then 0, span, point, function)
+    band = _span_fold(sq.first_active, n, sq.weights[..., None], B, B)[..., 0]  # (2, n, 2p + 1)
+    # offset d of row i is column i + d - p, on the (d - p)-th diagonal
+    return tuple(sum(np.diag(b[max(0, p - d):n - max(0, d - p), d], d - p) for d in range(2 * p + 1))
+                 for b in band)
 
 
 def _merged_edge_partition(domain, ori):
@@ -273,7 +279,7 @@ def interface_side_terms(domain, ori, delta, own_index, edge_index):
     fs, tab_s = eval_basis_tables(nb_kv, sq.ss, 0)
     idx = np.concatenate([own_index[lat], edge_index[fs[:, None] + np.arange(p + 1)]], axis=1)
     jump = np.concatenate([tensor(0, 0), -tab_s[:, 0]], axis=1)
-    mats = (rho * sq.weights)[:, None, None] * jump[:, :, None] * jump[:, None, :]
+    mats = (jump[:, :, None] * jump[:, None, :]) * (rho * sq.weights)[:, None, None]
     grads = sq.jinv_t @ np.stack([tensor(1, 0), tensor(0, 1)], axis=1)
     flux = np.zeros_like(jump)
     flux[:, : lat.shape[1]] = np.einsum("qa,qam->qm", sq.normals, grads)

@@ -124,8 +124,7 @@ def measure_error(domain, u_patches, u_star, grad_u_star=None):
         sqv = span_quadrature(space.kv_v, ng, 0)
         pu, pv = squ.points.ravel(), sqv.points.ravel()
         pts, jac = patch.geometry.jacobian_grid(pu, pv)
-        jinv_t, det = _inv_transpose(jac.reshape(-1, 2, 2), where="patch %d" % k)
-        jinv_t, det = jinv_t.reshape(jac.shape), det.reshape(jac.shape[:2])
+        jinv_t, det = _inv_transpose(jac, where="patch %d" % k, axes=(0, 1))
         w2d = np.abs(det) * (squ.weights.ravel()[:, None] * sqv.weights.ravel()[None, :])
         uh = evaluate_patch(patch, u_patches[k], pu, pv)
         ue = u_star(pts[..., 0], pts[..., 1])
