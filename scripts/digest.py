@@ -169,7 +169,10 @@ def main(argv=None):
     if args.diff:
         worst = {}
         for label, fn in items:
-            for (family, a), (_, b) in zip(*(fn(pkg) for pkg in trees)):
+            ours, theirs = (fn(pkg) for pkg in trees)
+            if [f for f, _ in ours] != [f for f, _ in theirs]:
+                raise SystemExit("%s: the two trees give different arrays" % label)
+            for (family, a), (_, b) in zip(ours, theirs):
                 rel, pattern = relative_difference(a, b)
                 w = worst.setdefault(family, [-1.0, "", 0, 0])
                 if rel > w[0]:

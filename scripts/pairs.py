@@ -1,13 +1,14 @@
 """Alternating parent/change pairs of the benchmark, summarized into ``BENCH_<name>.json``.
 
     python scripts/pairs.py --name sum_factorization --parent f1e5a9f --change HEAD --traced
-    python scripts/pairs.py --name quick --pairs 3 --seconds 10 --workloads slide-sweep
 
-Each side runs ``perfbench/run.py`` from its own ``git archive`` copy of the
-committed files of its revision, so neither run sees the working tree.  Pair
-i runs seed i on both sides, the parent first for even i and the change
-first for odd i.  With ``--traced``, one more pair per workload runs with
-``--trace 1`` at seed 0 and the file lists a few of its per-layer metrics.
+Each side runs ``perfbench/run.py`` (every workload of ``BENCHMARK.json``,
+its ``run_seconds`` per run) from its own ``git archive`` copy of the
+committed files of its revision, in a temporary directory removed at the
+end, so neither run sees the working tree.  Pair i runs seed i on both
+sides, the parent first for even i and the change first for odd i.  With
+``--traced``, one more pair per workload runs with ``--trace 1`` at seed 0,
+and the file lists a few of its per-layer metrics.
 
 The file has the keys ``what``, ``command``, ``method``, ``environment``,
 ``versions``, ``series``, ``summary``, ``traced_layers`` and ``runs``.  Per
@@ -56,10 +57,10 @@ def archive(rev, dest):
     return commit
 
 
-def run_once(tree, workload, seed, seconds, trace):
+def run_once(tree, workload, seed, trace):
     """One ``perfbench/run.py`` run in `tree`: its last output line, each metric its value."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(BENCHMARK["run_seconds"]), "--trace", str(trace)]
     run = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if run.returncode != 0 or not run.stdout.strip():
         raise RuntimeError("%s in %s failed:\n%s" % (" ".join(cmd), tree, run.stderr[-2000:]))
@@ -113,47 +114,45 @@ def main(argv=None):
     ap.add_argument("--parent", default="HEAD~1", help="parent revision (default HEAD~1)")
     ap.add_argument("--change", default="HEAD", help="changed revision (default HEAD)")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=40.0, help="--seconds of each run")
-    ap.add_argument("--workloads", nargs="+", default=[w["name"] for w in BENCHMARK["workloads"]])
     ap.add_argument("--traced", action="store_true", help="add one traced pair per workload")
     ap.add_argument("--what", default="", help="what the change does, for the file's 'what'")
-    ap.add_argument("--workdir", type=Path, help="where the two copies go (default: a new temp dir)")
     args = ap.parse_args(argv)
 
-    workdir = args.workdir or Path(tempfile.mkdtemp(prefix="pairs-"))
-    trees = {v: workdir / v for v in ("parent", "change")}
-    versions = {v: archive(rev, trees[v]) for v, rev in (("parent", args.parent),
-                                                         ("change", args.change))}
+    workloads = [w["name"] for w in BENCHMARK["workloads"]]
     out = ROOT / ("BENCH_%s.json" % args.name)
     record = {
         "what": args.what,
         "command": "python3 perfbench/run.py --workload W --seed S --trace 0 --seconds %g; pair i "
                    "runs seed i on both sides; the traced series adds --trace 1 at seed 0"
-                   % args.seconds,
+                   % BENCHMARK["run_seconds"],
         "method": METHOD,
         "environment": {"nproc": os.cpu_count(), "python": platform.python_version(),
                         "numpy": np.__version__, "scipy": scipy.__version__, "blas_threads": 1},
-        "versions": versions,
+        "versions": {},
         "series": {"final": "%d pairs on each of %s, seeds 0-%d"
-                            % (args.pairs, ", ".join(args.workloads), args.pairs - 1)},
+                            % (args.pairs, ", ".join(workloads), args.pairs - 1)},
     }
-    runs = []
     if args.traced:
         record["series"]["traced"] = "one traced pair per workload (--trace 1, seed 0)"
-    plan = [("final", w, i, 0) for w in args.workloads for i in range(args.pairs)]
-    plan += [("traced", w, 0, 1) for w in args.workloads] if args.traced else []
-    for series, workload, pair, trace in plan:
-        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        for k, version in enumerate(order):
-            res = run_once(trees[version], workload, pair, args.seconds, trace)
-            runs.append({"series": series, "workload": workload, "seed": pair,
-                         "version": version, "pair": pair, "order": k, **res})
-            print("%s %s pair %d %s: %s" % (series, workload, pair, version, json.dumps(
-                {m: res["metrics"][m] for m in ("setup_s", "assembly.volume_s")
-                 if m in res["metrics"]})), flush=True)
-            out.write_text(json.dumps(dict(record, summary=summarize(runs),
-                                           traced_layers=traced_layers(runs), runs=runs),
-                                      indent=1) + "\n")
+    plan = [("final", w, i, 0) for w in workloads for i in range(args.pairs)]
+    plan += [("traced", w, 0, 1) for w in workloads] if args.traced else []
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
+        trees = {v: Path(tmp) / v for v in ("parent", "change")}
+        for version, rev in (("parent", args.parent), ("change", args.change)):
+            record["versions"][version] = archive(rev, trees[version])
+        for series, workload, pair, trace in plan:
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for k, version in enumerate(order):
+                res = run_once(trees[version], workload, pair, trace)
+                runs.append({"series": series, "workload": workload, "seed": pair,
+                             "version": version, "pair": pair, "order": k, **res})
+                print("%s %s pair %d %s: %s" % (series, workload, pair, version, json.dumps(
+                    {m: res["metrics"][m] for m in ("setup_s", "assembly.volume_s")
+                     if m in res["metrics"]})), flush=True)
+                out.write_text(json.dumps(dict(record, summary=summarize(runs),
+                                               traced_layers=traced_layers(runs), runs=runs),
+                                          indent=1) + "\n")
     print("wrote %s" % out)
 
 

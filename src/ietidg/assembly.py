@@ -84,7 +84,8 @@ def _inv_transpose(J, where="", points=None, axes=(0,)):
     """Batch inverse-transpose of the (..., 2, 2) Jacobians `J`, with singularity guard.
 
     Each set of points along `axes` is judged against the square of its own
-    largest entry; `points` ``(..., 2)`` let the error name the first bad one.
+    largest entry; `points` ``(..., 2)`` let the error name the first bad
+    one, sets in the order of the other axes.
     """
     det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
     a = np.abs(J)
