@@ -176,13 +176,12 @@ def assemble_volume(patch, source=1.0, label=""):
 
 def univariate_matrices(kv):
     """Dense parametric stiffness and mass matrices ``(K, M)`` of the basis of `kv` on [0, 1]."""
-    p, n = kv.p, kv.n
+    p, n, i = kv.p, kv.n, np.arange(kv.n)[:, None]
     sq = span_quadrature(kv, p + 1, 1)
     B = sq.tables.transpose(2, 0, 1, 3)[::-1]  # (derivative 1 then 0, span, point, function)
-    band = _span_fold(sq.first_active, n, sq.weights[..., None], B, B)[..., 0]  # (2, n, 2p + 1)
-    # offset d of row i is column i + d - p, on the (d - p)-th diagonal
-    return tuple(sum(np.diag(b[max(0, p - d):n - max(0, d - p), d], d - p) for d in range(2 * p + 1))
-                 for b in band)
+    KM = np.zeros((2, n, n + 2 * p, 1))  # offset d of row i is column i + d - p, stored at i + d
+    KM[:, i, i + np.arange(2 * p + 1)] = _span_fold(sq.first_active, n, sq.weights[..., None], B, B)
+    return tuple(KM[:, :, p:-p, 0])
 
 
 def _merged_edge_partition(domain, ori):
@@ -191,15 +190,11 @@ def _merged_edge_partition(domain, ori):
     nb_kv = domain.patches[ori.l].space.edge_kv(ori.side_l)
     a, b = ori.range_k
     c, d = sorted(ori.range_l)
-    pts = [a, b]
-    pts += [t for t in own_kv.breakpoints if a < t < b]
+    pts = [a, b] + [t for t in own_kv.breakpoints if a < t < b]
     for s in nb_kv.breakpoints:
-        if c < s < d:
-            # invert the affine correspondence
+        if c < s < d:  # invert the affine correspondence
             frac = (s - ori.range_l[0]) / (ori.range_l[1] - ori.range_l[0])
-            if ori.reversed_:
-                frac = 1.0 - frac
-            pts.append(a + frac * (b - a))
+            pts.append(a + (1.0 - frac if ori.reversed_ else frac) * (b - a))
     pts = np.array(sorted(pts))
     keep = np.concatenate([[True], np.diff(pts) > 1e-12 * (b - a)])
     return pts[keep]
@@ -260,9 +255,8 @@ def interface_side_terms(domain, ori, delta, own_index, edge_index):
     nb_kv = domain.patches[ori.l].space.edge_kv(ori.side_l)
     n_v = space.n_v
     alpha = patch.alpha
-    h_k = domain.metrics["h"][ori.k]
-    h_l = domain.metrics["h"][ori.l]
-    rho = alpha * delta * p * p / min(h_k, h_l)
+    h = domain.metrics["h"]
+    rho = alpha * delta * p * p / min(h[ori.k], h[ori.l])
 
     # every quadrature point at once: the tables of both univariate factors
     # of the owner's functions whose value or derivative is nonzero somewhere
