@@ -1,14 +1,14 @@
 """Alternating parent/change pairs of the benchmark, summarized into ``BENCH_<name>.json``.
 
-    python scripts/pairs.py --name sum_factorization --parent f1e5a9f --change HEAD --traced
+    python scripts/pairs.py --name sum_factorization --parent f1e5a9f --change HEAD
 
 Each side runs ``perfbench/run.py`` (every workload of ``BENCHMARK.json``,
 its ``run_seconds`` per run) from its own ``git archive`` copy of the
 committed files of its revision, in a temporary directory removed at the
-end, so neither run sees the working tree.  Pair i runs seed i on both
-sides, the parent first for even i and the change first for odd i.  With
-``--traced``, one more pair per workload runs with ``--trace 1`` at seed 0,
-and the file lists a few of its per-layer metrics.
+end, so neither run sees the working tree.  Each workload gets 10 pairs;
+pair i runs seed i on both sides, the parent first for even i and the
+change first for odd i.  One more pair per workload runs with ``--trace 1``
+at seed 0, and the file lists a few of its per-layer metrics.
 
 The file has the keys ``what``, ``command``, ``method``, ``environment``,
 ``versions``, ``series``, ``summary``, ``traced_layers`` and ``runs``.  Per
@@ -33,6 +33,7 @@ import numpy as np
 import scipy
 
 ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 END_TO_END = [m["name"] for m in BENCHMARK["end_to_end"]]
 LAYERS = ("assembly.volume_s", "assembly.volume_calls", "assembly.volume_elements",
@@ -113,8 +114,6 @@ def main(argv=None):
     ap.add_argument("--name", required=True, help="writes BENCH_<name>.json at the repository root")
     ap.add_argument("--parent", default="HEAD~1", help="parent revision (default HEAD~1)")
     ap.add_argument("--change", default="HEAD", help="changed revision (default HEAD)")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--traced", action="store_true", help="add one traced pair per workload")
     ap.add_argument("--what", default="", help="what the change does, for the file's 'what'")
     args = ap.parse_args(argv)
 
@@ -130,12 +129,11 @@ def main(argv=None):
                         "numpy": np.__version__, "scipy": scipy.__version__, "blas_threads": 1},
         "versions": {},
         "series": {"final": "%d pairs on each of %s, seeds 0-%d"
-                            % (args.pairs, ", ".join(workloads), args.pairs - 1)},
+                            % (PAIRS, ", ".join(workloads), PAIRS - 1),
+                   "traced": "one traced pair per workload (--trace 1, seed 0)"},
     }
-    if args.traced:
-        record["series"]["traced"] = "one traced pair per workload (--trace 1, seed 0)"
-    plan = [("final", w, i, 0) for w in workloads for i in range(args.pairs)]
-    plan += [("traced", w, 0, 1) for w in workloads] if args.traced else []
+    plan = [("final", w, i, 0) for w in workloads for i in range(PAIRS)]
+    plan += [("traced", w, 0, 1) for w in workloads]
     runs = []
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         trees = {v: Path(tmp) / v for v in ("parent", "change")}
