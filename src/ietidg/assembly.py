@@ -20,7 +20,7 @@ import scipy.sparse
 from numpy.lib.stride_tricks import as_strided
 
 from . import linalg
-from .bspline import active_on_interval, eval_basis_tables, gauss_rule, span_quadrature
+from .bspline import active_on_interval, eval_basis, gauss_rule, span_quadrature
 from .errors import ConfigError, NumericalError
 from .geometry import side_axis, side_normal_hat, side_point
 
@@ -133,7 +133,7 @@ def assemble_volume(patch, source=1.0, label=""):
     space, geo, alpha = patch.space, patch.geometry, patch.alpha
     p = space.degree
     ng = max(p, geo.kv_u.p, geo.kv_v.p) + 1
-    squ, sqv = (span_quadrature(kv, ng, 1) for kv in (space.kv_u, space.kv_v))
+    squ, sqv = (span_quadrature(kv, ng) for kv in (space.kv_u, space.kv_v))
     nsu, nsv = squ.first_active.size, sqv.first_active.size
     n_u, n_v, bw = space.n_u, space.n_v, 2 * p + 1
 
@@ -177,7 +177,7 @@ def assemble_volume(patch, source=1.0, label=""):
 def univariate_matrices(kv):
     """Dense parametric stiffness and mass matrices ``(K, M)`` of the basis of `kv` on [0, 1]."""
     p, n, i = kv.p, kv.n, np.arange(kv.n)[:, None]
-    sq = span_quadrature(kv, p + 1, 1)
+    sq = span_quadrature(kv, p + 1)
     B = sq.tables.transpose(2, 0, 1, 3)[::-1]  # (derivative 1 then 0, span, point, function)
     KM = np.zeros((2, n, n + 2 * p, 1))  # offset d of row i is column i + d - p, stored at i + d
     KM[:, i, i + np.arange(2 * p + 1)] = _span_fold(sq.first_active, n, sq.weights[..., None], B, B)
@@ -262,8 +262,8 @@ def interface_side_terms(domain, ori, delta, own_index, edge_index):
     # of the owner's functions whose value or derivative is nonzero somewhere
     # on the side, and of the neighbor's p + 1 edge functions
     Q = sq.ts.size
-    fu, tu = eval_basis_tables(space.kv_u, sq.uv[:, 0], 1)
-    fv, tv = eval_basis_tables(space.kv_v, sq.uv[:, 1], 1)
+    fu, tu = eval_basis(space.kv_u, sq.uv[:, 0], 1)
+    fv, tv = eval_basis(space.kv_v, sq.uv[:, 1], 1)
     cu, cv = (np.flatnonzero(np.any(t != 0.0, axis=(0, 1))) for t in (tu, tv))
     tu, tv = tu[:, :, cu], tv[:, :, cv]
 
@@ -271,7 +271,7 @@ def interface_side_terms(domain, ori, delta, own_index, edge_index):
         return (tu[:, du, :, None] * tv[:, dv, None, :]).reshape(Q, -1)
 
     lat = ((fu[:, None] + cu)[:, :, None] * n_v + (fv[:, None] + cv)[:, None, :]).reshape(Q, -1)
-    fs, tab_s = eval_basis_tables(nb_kv, sq.ss, 0)
+    fs, tab_s = eval_basis(nb_kv, sq.ss, 0)
     idx = np.concatenate([own_index[lat], edge_index[fs[:, None] + np.arange(p + 1)]], axis=1)
     jump = np.concatenate([tensor(0, 0), -tab_s[:, 0]], axis=1)
     mats = (jump[:, :, None] * jump[:, None, :]) * (rho * sq.weights)[:, None, None]

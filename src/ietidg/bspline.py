@@ -86,7 +86,7 @@ class KnotVector:
         return cls(degree, [0.0] * (degree + 1) + [1.0] * (degree + 1))
 
 
-def eval_basis_tables(kv, points, max_deriv=0):
+def eval_basis(kv, points, max_deriv=0):
     """Evaluate the ``p + 1`` basis functions active at each point, and their first derivatives.
 
     Cox-de Boor recursion in the standard triangular-table form, run over a
@@ -126,24 +126,13 @@ def eval_basis_tables(kv, points, max_deriv=0):
     return span - p, out.transpose(2, 0, 1)
 
 
-def eval_basis(kv, x, max_deriv=0):
-    """One-point form of :func:`eval_basis_tables`: ``(first, table)`` at the scalar `x`."""
-    firsts, tables = eval_basis_tables(kv, [x], max_deriv)
-    return int(firsts[0]), tables[0]
-
-
 def eval_matrices(kv, points, max_deriv=0):
     """Dense evaluation matrices ``M[d, q, i] = d^d B_i / dx^d (points[q])``, d <= max_deriv."""
-    firsts, tables = eval_basis_tables(kv, points, max_deriv)
+    firsts, tables = eval_basis(kv, points, max_deriv)
     M = np.zeros((max_deriv + 1, firsts.size, kv.n))
     cols = firsts[:, None] + np.arange(kv.p + 1)
     M[:, np.arange(firsts.size)[:, None], cols] = tables.transpose(1, 0, 2)
     return M
-
-
-def eval_matrix(kv, points, deriv=0):
-    """Dense evaluation matrix ``M[q, i] = d^deriv B_i / dx^deriv (points[q])``."""
-    return eval_matrices(kv, points, deriv)[deriv]
 
 
 def greville_points(kv):
@@ -166,21 +155,26 @@ def refine_uniform(kv, levels):
 
 
 def active_on_interval(kv, a, b):
-    """Indices whose support overlaps ``(a, b)`` with positive length."""
+    """Indices whose support ``[U[i], U[i+p+1]]`` overlaps ``(a, b)`` with positive length."""
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("need 0 <= a < b <= 1, got (%r, %r)" % (a, b))
-    idx = [i for i in range(kv.n) if kv.knots[i] < b and kv.knots[i + kv.p + 1] > a]
-    return np.array(idx, dtype=int)
+    U = kv.knots
+    return np.flatnonzero((U[: kv.n] < b) & (U[kv.p + 1 :] > a))
 
 
 def nonzero_at_point(kv, x):
-    """Indices `i` with ``B_i(x) > 0``, decided by evaluation.
+    """Indices `i` with ``B_i(x) > 0``, read off the knot vector.
 
-    The Cox-de Boor recursion yields exact zeros outside the open support,
-    so thresholding at zero is reliable.
+    ``B_i`` is positive on the open interval ``(U[i], U[i+p+1])`` and at a
+    closed end only where that end is a knot of multiplicity ``p + 1``,
+    which an open knot vector has at 0 and 1 alone.
     """
-    first, tab = eval_basis(kv, x, 0)
-    return first + np.nonzero(tab[0] > 0.0)[0]
+    if not 0.0 <= x <= 1.0:
+        raise ValueError("parameter %r outside [0, 1]" % x)
+    U, p = kv.knots, kv.p
+    left = (U[: kv.n] < x) | (U[p : kv.n + p] == x)
+    right = (x < U[p + 1 :]) | (U[1 : kv.n + 1] == x)
+    return np.flatnonzero(left & right)
 
 
 @dataclass(frozen=True)
@@ -270,13 +264,13 @@ class _SpanQuadrature:
     points: np.ndarray         # (n_spans, n_gauss)
     weights: np.ndarray        # (n_spans, n_gauss)
     first_active: np.ndarray   # (n_spans,)
-    tables: np.ndarray = field(repr=False)  # (n_spans, n_gauss, deriv+1, p+1)
+    tables: np.ndarray = field(repr=False)  # (n_spans, n_gauss, 2, p+1)
 
 
-def span_quadrature(kv, n_gauss, max_deriv=1):
-    """Gauss points, weights and basis tables per nonzero knot span."""
+def span_quadrature(kv, n_gauss):
+    """Gauss points, weights and basis tables (values, first derivatives) per nonzero span."""
     bp = kv.breakpoints
     points, weights = gauss_rule(n_gauss).mapped(bp[:-1, None], bp[1:, None])
-    firsts, tables = eval_basis_tables(kv, points.ravel(), max_deriv)
+    firsts, tables = eval_basis(kv, points.ravel(), 1)
     return _SpanQuadrature(points, weights, firsts[::n_gauss],
                            tables.reshape(points.shape + tables.shape[1:]))

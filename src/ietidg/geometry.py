@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import SIDES, KnotVector, TensorSplineSpace, eval_matrices, eval_matrix
+from .bspline import SIDES, KnotVector, TensorSplineSpace, eval_matrices
 from .errors import ConfigError
 
 log = logging.getLogger(__name__)
@@ -89,7 +89,7 @@ class GeometryMap:
 
     def eval_grid(self, u_pts, v_pts):
         """Evaluate the map on the tensor grid of points: shape ``(len(u_pts), len(v_pts), 2)``."""
-        return self._contract(eval_matrix(self.kv_u, u_pts), eval_matrix(self.kv_v, v_pts))
+        return self._contract(eval_matrices(self.kv_u, u_pts)[0], eval_matrices(self.kv_v, v_pts)[0])
 
     def jacobian_grid(self, u_pts, v_pts):
         """Points and Jacobians on a tensor grid.
@@ -167,11 +167,14 @@ class Interface:
 
 @dataclass
 class Vertex:
-    """A clustered interface endpoint with its patch adjacency."""
+    """A clustered interface endpoint with its patch adjacency.
+
+    `long_patches` holds the patches whose edge it lies strictly inside;
+    the vertex is a T-junction iff there is one.
+    """
 
     point: np.ndarray
     adjacency: list  # (patch index, (u, v)) pairs
-    kind: str = "regular"
     long_patches: tuple = ()
 
 
@@ -334,7 +337,6 @@ def classify_vertices(ends, merge_tol):
                     "vertex at %s lies inside an edge of patch %d but meets that patch "
                     "at %d parameter points" % (point, patch, count)
                 )
-        kind = "tjunction" if long_patches else "regular"
-        vertices.append(Vertex(point, sorted(adjacency), kind, tuple(long_patches)))
+        vertices.append(Vertex(point, sorted(adjacency), tuple(long_patches)))
     vertices.sort(key=lambda v: (round(v.point[0], 9), round(v.point[1], 9)))
     return vertices

@@ -89,8 +89,6 @@ def degenerate_tjunction_count(domain):
     """Number of T-junction sides whose fat vertex degenerates to one function."""
     count = 0
     for vertex in domain.vertices:
-        if vertex.kind != "tjunction":
-            continue
         for patch in vertex.long_patches:
             loc = dict(vertex.adjacency)[patch]
             space = domain.patches[patch].space

@@ -13,7 +13,7 @@ import scipy.sparse
 
 from . import linalg
 from .assembly import _inv_transpose, assemble_volume, interface_side_terms
-from .bspline import eval_matrix, span_quadrature
+from .bspline import eval_matrices, gauss_rule
 from .errors import NumericalError
 from .geometry import side_point
 
@@ -103,8 +103,8 @@ def _lattice_coefficients(space, u_free):
 def evaluate_patch(patch, u_free, u_pts, v_pts, deriv=(0, 0)):
     """Values (or a parametric partial) of the discrete function on a tensor grid."""
     C = _lattice_coefficients(patch.space, u_free)
-    BU = eval_matrix(patch.space.kv_u, u_pts, deriv[0])
-    BV = eval_matrix(patch.space.kv_v, v_pts, deriv[1])
+    BU = eval_matrices(patch.space.kv_u, u_pts, deriv[0])[deriv[0]]
+    BV = eval_matrices(patch.space.kv_v, v_pts, deriv[1])[deriv[1]]
     return BU @ C @ BV.T
 
 
@@ -118,14 +118,13 @@ def measure_error(domain, u_patches, u_star, grad_u_star=None):
     h1_sq = 0.0
     for k, patch in enumerate(domain.patches):
         space = patch.space
-        p = space.degree
-        ng = p + 2
-        squ = span_quadrature(space.kv_u, ng, 0)
-        sqv = span_quadrature(space.kv_v, ng, 0)
-        pu, pv = squ.points.ravel(), sqv.points.ravel()
+        rule = gauss_rule(space.degree + 2)
+        bu, bv = space.kv_u.breakpoints, space.kv_v.breakpoints
+        pu, wu = (a.ravel() for a in rule.mapped(bu[:-1, None], bu[1:, None]))
+        pv, wv = (a.ravel() for a in rule.mapped(bv[:-1, None], bv[1:, None]))
         pts, jac = patch.geometry.jacobian_grid(pu, pv)
         jinv_t, det = _inv_transpose(jac, where="patch %d" % k, axes=(0, 1))
-        w2d = np.abs(det) * (squ.weights.ravel()[:, None] * sqv.weights.ravel()[None, :])
+        w2d = np.abs(det) * (wu[:, None] * wv[None, :])
         uh = evaluate_patch(patch, u_patches[k], pu, pv)
         ue = u_star(pts[..., 0], pts[..., 1])
         l2_sq += float(np.sum(w2d * (uh - ue) ** 2))

@@ -255,8 +255,8 @@ class TestCriterion6StructuralInvariants:
             loc = dict(vertex.adjacency)[patch]
             space = dom.patches[patch].space
             i, j = np.argwhere(space.dof_map == dof)[0]
-            fu, tu = eval_basis(space.kv_u, loc[0])
-            fv, tv = eval_basis(space.kv_v, loc[1])
+            (fu,), (tu,) = eval_basis(space.kv_u, [loc[0]])
+            (fv,), (tv,) = eval_basis(space.kv_v, [loc[1]])
             vu = tu[0][i - fu] if fu <= i <= fu + space.degree else 0.0
             vv = tv[0][j - fv] if fv <= j <= fv + space.degree else 0.0
             assert vu * vv > 0.0

@@ -54,11 +54,11 @@ def trace_mass_oracle(kv, weight):
     n = kv.n
     M = np.zeros((n, n))
     nodes, wts = np.polynomial.legendre.leggauss(kv.p + 2)
-    from ietidg.bspline import eval_matrix
+    from ietidg.bspline import eval_matrices
 
     for lo, hi in zip(kv.breakpoints[:-1], kv.breakpoints[1:]):
         pts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
-        B = eval_matrix(kv, pts)
+        B = eval_matrices(kv, pts)[0]
         for q in range(pts.size):
             M += 0.5 * (hi - lo) * wts[q] * np.outer(B[q], B[q])
     return weight * M

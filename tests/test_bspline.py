@@ -11,8 +11,7 @@ from ietidg.bspline import (
     TensorSplineSpace,
     active_on_interval,
     eval_basis,
-    eval_basis_tables,
-    eval_matrix,
+    eval_matrices,
     gauss_rule,
     greville_points,
     nonzero_at_point,
@@ -75,23 +74,23 @@ class TestKnotVector:
 class TestEvalBasis:
     def test_bernstein_midpoint(self):
         kv = KnotVector(2, [0, 0, 0, 1, 1, 1])
-        first, tab = eval_basis(kv, 0.5)
+        (first,), (tab,) = eval_basis(kv, [0.5])
         assert first == 0
         np.testing.assert_allclose(tab[0], [0.25, 0.5, 0.25])
 
     def test_endpoint_interpolation(self, rng):
         for _ in range(10):
             kv = random_knotvector(rng)
-            first, tab = eval_basis(kv, 0.0)
+            (first,), (tab,) = eval_basis(kv, [0.0])
             assert first == 0
             np.testing.assert_allclose(tab[0], np.eye(kv.p + 1)[0], atol=1e-15)
-            first, tab = eval_basis(kv, 1.0)
+            (first,), (tab,) = eval_basis(kv, [1.0])
             assert first == kv.n - kv.p - 1
             np.testing.assert_allclose(tab[0], np.eye(kv.p + 1)[-1], atol=1e-15)
 
     def test_partition_of_unity_and_derivative_sum(self):
         kv = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
-        _, tab = eval_basis(kv, 0.25, 1)
+        _, (tab,) = eval_basis(kv, [0.25], 1)
         assert tab[0].sum() == pytest.approx(1.0, abs=1e-14)
         assert tab[1].sum() == pytest.approx(0.0, abs=1e-13)
 
@@ -100,7 +99,7 @@ class TestEvalBasis:
             kv = random_knotvector(rng)
             xs = rng.uniform(0, 1, 50)
             for x in xs:
-                _, tab = eval_basis(kv, x)
+                _, (tab,) = eval_basis(kv, [x])
                 assert abs(tab[0].sum() - 1.0) <= 1e-12
                 assert np.all(tab[0] >= -1e-14)
 
@@ -111,7 +110,7 @@ class TestEvalBasis:
             xs = rng.uniform(0, 1, 30)
             coeffs = np.eye(kv.n)
             for d in range(2):
-                ours = eval_matrix(kv, xs, d)
+                ours = eval_matrices(kv, xs, d)[d]
                 theirs = np.column_stack(
                     [scipy.interpolate.BSpline(kv.knots, coeffs[i], kv.p).derivative(d)(xs)
                      if d else scipy.interpolate.BSpline(kv.knots, coeffs[i], kv.p)(xs)
@@ -125,9 +124,9 @@ class TestEvalBasis:
         for _ in range(10):
             kv = random_knotvector(rng)
             for x in rng.uniform(0.05, 0.95, 10):
-                lo = eval_matrix(kv, [x - h])[0]
-                hi = eval_matrix(kv, [x + h])[0]
-                der = eval_matrix(kv, [x], 1)[0]
+                lo = eval_matrices(kv, [x - h])[0, 0]
+                hi = eval_matrices(kv, [x + h])[0, 0]
+                der = eval_matrices(kv, [x], 1)[1, 0]
                 fd = (hi - lo) / (2 * h)
                 scale = max(np.abs(der).max(), 1.0)
                 assert np.abs(der - fd).max() <= 1e-6 * scale
@@ -135,11 +134,11 @@ class TestEvalBasis:
     def test_domain_errors(self):
         kv = KnotVector(2, [0, 0, 0, 1, 1, 1])
         with pytest.raises(ValueError):
-            eval_basis(kv, 1.5)
+            eval_basis(kv, [1.5])
         with pytest.raises(ValueError):
-            eval_basis(kv, 0.5, max_deriv=2)
+            eval_basis(kv, [0.5], max_deriv=2)
         with pytest.raises(ValueError):
-            eval_basis(kv, 0.5, max_deriv=3)
+            eval_basis(kv, [0.5], max_deriv=3)
 
 
 def scalar_cox_de_boor(kv, x, max_deriv):
@@ -205,12 +204,13 @@ class TestArrayRecursion:
     @settings(max_examples=60, deadline=None, database=None)
     @given(open_knots_and_points(), st.integers(0, 1))
     def test_tables_match_one_point_forms(self, case, max_deriv):
+        # every row of a batch equals the batch at that single point and the plain-loop recursion
         kv, points = case
-        firsts, tables = eval_basis_tables(kv, points, max_deriv)
+        firsts, tables = eval_basis(kv, points, max_deriv)
         assert firsts.shape == points.shape
         assert tables.shape == (points.size, max_deriv + 1, kv.p + 1)
         for q, x in enumerate(points):
-            first, table = eval_basis(kv, x, max_deriv)
+            (first,), (table,) = eval_basis(kv, [x], max_deriv)
             ref_first, ref_table = scalar_cox_de_boor(kv, x, max_deriv)
             assert firsts[q] == first == ref_first
             assert np.array_equal(tables[q], table)
@@ -265,8 +265,8 @@ class TestRefine:
             fine = refine_uniform(kv, 1)
             coeffs = rng.standard_normal(kv.n)
             xs = np.linspace(0, 1, 200)
-            coarse_vals = eval_matrix(kv, xs) @ coeffs
-            B = eval_matrix(fine, xs)
+            coarse_vals = eval_matrices(kv, xs)[0] @ coeffs
+            B = eval_matrices(fine, xs)[0]
             fine_coeffs, *_ = np.linalg.lstsq(B, coarse_vals, rcond=None)
             assert np.abs(B @ fine_coeffs - coarse_vals).max() <= 1e-10
 
@@ -287,11 +287,35 @@ class TestActivity:
     def test_nonzero_at_point(self):
         kv = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
         # derived by evaluating every function at x = 0.5 and thresholding
-        vals = eval_matrix(kv, [0.5])[0]
+        vals = eval_matrices(kv, [0.5])[0, 0]
         expected = np.nonzero(vals > 0)[0].tolist()
         assert nonzero_at_point(kv, 0.5).tolist() == expected == [1, 2]
         assert nonzero_at_point(kv, 0.0).tolist() == [0]
         assert nonzero_at_point(kv, 1.0).tolist() == [kv.n - 1]
+        with pytest.raises(ValueError):
+            nonzero_at_point(kv, 1.5)
+
+    @seed(20261019)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(open_knots_and_points())
+    def test_support_rules_match_evaluation(self, case):
+        # the knot rules against their definitions: positive values of the
+        # plain-loop recursion, and the support overlap tested one function at a time
+        kv, points = case
+        U, p = kv.knots, kv.p
+        for x in points:
+            first, table = scalar_cox_de_boor(kv, x, 0)
+            positive = set((first + np.flatnonzero(table[0] > 0.0)).tolist())
+            rule = set(nonzero_at_point(kv, x).tolist())
+            assert positive <= rule
+            # the rule is exact where a value underflows: B_i(x) ~ x**p at a subnormal x
+            for i in rule - positive:
+                assert 0.0 < min(x - U[i], U[i + p + 1] - x) < 1e-30
+        bp = kv.breakpoints
+        for a in bp:
+            for b in bp[bp > a]:
+                loop = [i for i in range(kv.n) if U[i] < b and U[i + p + 1] > a]
+                assert active_on_interval(kv, a, b).tolist() == loop
 
     def test_nonzero_at_c0_knot(self):
         # at a knot of multiplicity p only the C^0 function survives

@@ -157,12 +157,12 @@ class TestClassifyVertices:
         dom = grid_domain(2, degree=1, refinements=1)
         interior = [v for v in dom.vertices if len({p for p, _ in v.adjacency}) == 4]
         assert len(interior) == 1
-        assert interior[0].kind == "regular"
+        assert interior[0].long_patches == ()
         np.testing.assert_allclose(interior[0].point, [1.0, 1.0])
 
     def test_tdomain_junction(self):
         dom = t_domain(degree=2, refinements=1)
-        tj = [v for v in dom.vertices if v.kind == "tjunction"]
+        tj = [v for v in dom.vertices if v.long_patches]
         assert len(tj) == 1
         np.testing.assert_allclose(tj[0].point, [0.8, 1.0])
         assert tj[0].long_patches == (0,)
@@ -180,9 +180,8 @@ class TestClassifyVertices:
     def test_idempotent(self):
         # validating again gives equal vertices
         dom = slider_domain(3, 0.3, degree=1, refinements=1)
-        first = [(v.point.tolist(), v.adjacency, v.kind, v.long_patches) for v in dom.vertices]
-        again = [(v.point.tolist(), v.adjacency, v.kind, v.long_patches)
-                 for v in dom.validate().vertices]
+        first = [(v.point.tolist(), v.adjacency, v.long_patches) for v in dom.vertices]
+        again = [(v.point.tolist(), v.adjacency, v.long_patches) for v in dom.validate().vertices]
         assert first == again
 
     @staticmethod
@@ -199,7 +198,7 @@ class TestClassifyVertices:
     def test_corner_twice_accepted(self):
         ends = self.at_origin((0, (1.0, 0.0)), (1, (0.0, 0.0)), (0, (0.0, 0.0)))
         (vertex,) = classify_vertices(ends, 1e-9)
-        assert vertex.kind == "regular"
+        assert vertex.long_patches == ()
         assert vertex.adjacency == [(0, (0.0, 0.0)), (0, (1.0, 0.0)), (1, (0.0, 0.0))]
 
     def test_tjunction_from_records(self):
@@ -207,14 +206,13 @@ class TestClassifyVertices:
         ends = self.at_origin((0, (0.5, 1.0)), (1, (1.0, 0.0)),
                               (0, (0.5 + 1e-13, 1.0)), (2, (0.0, 0.0)))
         (vertex,) = classify_vertices(ends, 1e-9)
-        assert vertex.kind == "tjunction"
         assert vertex.long_patches == (0,)
         assert vertex.adjacency == [(0, (0.5, 1.0)), (1, (1.0, 0.0)), (2, (0.0, 0.0))]
 
     def test_slider_tjunction_count(self):
         for m in (2, 3, 4):
             dom = slider_domain(m, 0.3, degree=1, refinements=1)
-            tj = [v for v in dom.vertices if v.kind == "tjunction"]
+            tj = [v for v in dom.vertices if v.long_patches]
             assert len(tj) == 2 * (m - 1)
 
 

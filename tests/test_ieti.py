@@ -101,11 +101,11 @@ class TestSelectPrimal:
         # their corner functions
         dom = t_domain(degree=2, refinements=2)
         groups = select_primal(dom)
-        tj_vertex = next(i for i, v in enumerate(dom.vertices) if v.kind == "tjunction")
+        tj_vertex = next(i for i, v in enumerate(dom.vertices) if v.long_patches)
         tj_groups = [g for g in groups if g.vertex == tj_vertex]
         long_side = [g for g in tj_groups if g.source[0] == 0]
         space = dom.patches[0].space
-        first, tab = eval_basis(space.kv_u, 0.4)
+        _, (tab,) = eval_basis(space.kv_u, [0.4])
         expected_long = int(np.sum(tab[0] > 0.0))
         assert len(long_side) == expected_long == space.degree + 1
         short = [g for g in tj_groups if g.source[0] in (1, 2)]
@@ -126,7 +126,7 @@ class TestSelectPrimal:
         dom = t_domain(degree=2, refinements=1)
         groups = select_primal(dom)
         assert all(g.source[1] >= 0 for g in groups)
-        tj_vertex = next(i for i, v in enumerate(dom.vertices) if v.kind == "tjunction")
+        tj_vertex = next(i for i, v in enumerate(dom.vertices) if v.long_patches)
         long_side = [g for g in groups if g.vertex == tj_vertex and g.source[0] == 0]
         assert len(long_side) == 2  # one of the three candidates is constrained
 
@@ -152,8 +152,8 @@ class TestSelectPrimal:
             loc = dict(vertex.adjacency)[patch]
             space = dom.patches[patch].space
             i, j = np.argwhere(space.dof_map == dof)[0]
-            fu, tu = eval_basis(space.kv_u, loc[0])
-            fv, tv = eval_basis(space.kv_v, loc[1])
+            (fu,), (tu,) = eval_basis(space.kv_u, [loc[0]])
+            (fv,), (tv,) = eval_basis(space.kv_v, [loc[1]])
             val_u = tu[0][i - fu] if fu <= i <= fu + space.degree else 0.0
             val_v = tv[0][j - fv] if fv <= j <= fv + space.degree else 0.0
             assert val_u * val_v > 0.0

@@ -50,6 +50,14 @@ def test_benchmark_span_targets_resolve(monkeypatch):
     assert targets and not missing, missing
 
 
+def test_public_names_resolve():
+    # `from ietidg import *` raises on a name in __all__ that the package no longer binds
+    import ietidg
+
+    missing = [name for name in ietidg.__all__ if not hasattr(ietidg, name)]
+    assert ietidg.__all__ and not missing, missing
+
+
 def test_digest_script_is_reproducible():
     # scripts/digest.py hashes the numbers a refactoring must keep; two runs
     # on the same tree print the same digest
