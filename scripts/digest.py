@@ -88,7 +88,8 @@ def domain_arrays(pkg, domain):
     op = pkg.ieti.setup_operator(domain, DELTA)
     part = op.partition
     out = [("copy map", part.copies)]
-    for k, (sysk, blk) in enumerate(zip(op.locals, op.blocks)):
+    for k, blk in enumerate(op.blocks):
+        sysk = pkg.assembly.build_local_system(domain, k, DELTA, part.copies)
         out += [("local A", sysk.A.csr), ("B_gamma", op.jumps.B_gamma[k]), ("local f", sysk.f),
                 ("interior", part.interior[k]), ("dual", part.dual[k]), ("primal", part.primal[k]),
                 ("primal_global", part.primal_global[k]), ("D", op.jumps.D[k]), ("S", blk.S),

@@ -76,8 +76,6 @@ class ExtendedLocalSystem:
     k: int
     A: linalg.SparseSym
     f: np.ndarray
-    n_patch: int
-    n_total: int
 
 
 def _inv_transpose(J, where="", points=None, axes=(0,)):
@@ -309,14 +307,12 @@ def build_local_system(domain, k, delta, copies, source=1.0):
     consistency and penalty couplings.
     """
     patch = domain.patches[k]
-    space = patch.space
     rows = copies[copies[:, 3] == k]
-    n_patch = space.dimension
-    n_total = n_patch + len(rows)
+    n_total = patch.space.dimension + len(rows)
 
     vol, load = assemble_volume(patch, source=source, label="patch %d" % k)
     vol.resize(n_total, n_total)
     blocks = [assemble_interface_terms(domain, k, rows[rows[:, 0] == i], delta)
               for i in np.unique(rows[:, 0])]
     A = linalg.SparseSym.from_blocks(vol, blocks)
-    return ExtendedLocalSystem(k, A, np.concatenate([load, np.zeros(len(rows))]), n_patch, n_total)
+    return ExtendedLocalSystem(k, A, np.concatenate([load, np.zeros(len(rows))]))

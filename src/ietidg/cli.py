@@ -172,16 +172,22 @@ def largest_rise(ratios):
 def run_growth_study(spec):
     """Compare the condition estimates with the theoretical growth factor.
 
-    Requires at least four refinement levels.  The paper bounds kappa from
-    above by C p Lambda^2, so the ratio kappa / (p Lambda^2) may fall freely
-    with refinement but not grow: ``largest_rise``, the largest
-    ``ratios[j] / ratios[i]`` over levels i < j, is the statistic the bound
-    speaks to.  Also reports the least-squares constant c of
-    kappa ~ c p Lambda^2 and the two-sided ``ratio_spread``
-    ``max_r ratio / min_r ratio``, which the bound does not limit.
+    The paper bounds kappa from above by C p Lambda^2, so the ratio
+    kappa / (p Lambda^2) may fall freely with refinement but not grow:
+    ``largest_rise``, the largest ``ratios[j] / ratios[i]`` over levels
+    i < j, is the statistic the bound speaks to.  Also reports the
+    least-squares constant c of kappa ~ c p Lambda^2.
+
+    Each degree must give one series: four or more refinement levels, each
+    given once, and at most one jump exponent and one slide offset.
     """
-    if len(spec.refinements) < 4:
-        raise ConfigError("growth study needs at least four refinement levels")
+    levels = spec.refinements
+    if len(levels) < 4 or len(set(levels)) < len(levels):
+        raise ConfigError("growth study needs four or more refinement levels, each once, got %s"
+                          % levels)
+    if len(spec.jump_exponents or []) > 1 or len(spec.slide_offsets or []) > 1:
+        raise ConfigError("growth study follows one series per degree; "
+                          "give at most one jump exponent and one slide offset")
     with _json_file(spec.json_path) as fh:
         results = run_solve(replace(spec, json_path=None))  # the study writes the JSON
         by_degree = {}
@@ -202,7 +208,6 @@ def run_growth_study(spec):
                     "bounds": bounds.tolist(),
                     "ratios": ratios.tolist(),
                     "fit_constant": fit,
-                    "ratio_spread": float(ratios.max() / ratios.min()),
                     "largest_rise": largest_rise(ratios),
                 }
             )
@@ -274,8 +279,8 @@ def main(argv=None):
         if args.growth:
             study = run_growth_study(spec)
             for row in study:
-                print("p=%d spread=%.3f rise=%.3f fit=%.4g kappas=%s"
-                      % (row["p"], row["ratio_spread"], row["largest_rise"], row["fit_constant"],
+                print("p=%d rise=%.3f fit=%.4g kappas=%s"
+                      % (row["p"], row["largest_rise"], row["fit_constant"],
                          ["%.4g" % k for k in row["kappas"]]))
         else:
             for entry in run_solve(spec):

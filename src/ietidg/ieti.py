@@ -104,8 +104,10 @@ def degenerate_tjunction_count(domain):
 class DofPartition:
     """Per-block interior/dual/primal index sets over the extended dofs.
 
-    `primal_global` holds the coarse index of every dof in `primal`, and
-    `copies` the :func:`~ietidg.assembly.copy_map` the sets are read from.
+    `primal_global` holds the coarse index of every dof in `primal`,
+    `copies` the :func:`~ietidg.assembly.copy_map` the sets are read from,
+    and `offsets` the start of every block in the concatenation of all
+    extended dofs, plus the total.
     """
 
     interior: list
@@ -113,25 +115,23 @@ class DofPartition:
     primal: list
     primal_global: list
     copies: np.ndarray
+    offsets: np.ndarray
 
     def gamma_index(self, k):
         return np.concatenate([self.dual[k], self.primal[k]]).astype(int)
 
 
-def _extended_offsets(local_systems):
-    """Start of every block in the concatenation of all extended dofs, plus the total."""
-    return np.cumsum([0] + [s.n_total for s in local_systems])
-
-
-def build_partition(local_systems, copies, groups):
+def build_partition(domain, copies, groups):
     """Split every block's dofs into (I, Delta, Pi) off the copy map `copies`.
 
+    A block's extended size is its patch dimension plus its copy-map rows.
     The skeleton (Delta and Pi) of block k is its artificial dofs plus the
     patch dofs that some block copies; a dof is primal when it is a group
     source or a copy of one.
     """
     _, src, sdof, blk, cdof = copies.T
-    ext = _extended_offsets(local_systems)
+    dims = [patch.space.dimension for patch in domain.patches]
+    ext = np.concatenate([[0], np.cumsum(np.bincount(blk, minlength=len(dims)) + dims)])
     coarse = np.full(ext[-1], -1)  # coarse index of every extended dof, -1 off Pi
     for gi, g in enumerate(groups):
         coarse[ext[g.source[0]] + g.source[1]] = gi
@@ -149,7 +149,7 @@ def build_partition(local_systems, copies, groups):
         dual.append(np.flatnonzero(sk & (c < 0)))
         interior.append(np.flatnonzero(~sk))
         primal_global.append(c[primal[-1]])
-    return DofPartition(interior, dual, primal, primal_global, copies)
+    return DofPartition(interior, dual, primal, primal_global, copies, ext)
 
 
 @dataclass
@@ -170,13 +170,13 @@ class JumpMatrices:
     D: list
 
 
-def build_jump_matrices(domain, local_systems, partition):
+def build_jump_matrices(domain, partition):
     """One row per non-primal copy-map row: +1 at the source, -1 at the copy.
 
     The scaling neighbor ``l`` of a copy is its source patch; that of a
     patch dof is the smallest block that copies it.
     """
-    ext = _extended_offsets(local_systems)
+    ext = partition.offsets
     _, src, sdof, blk, cdof = partition.copies.T
     source, copy = ext[src] + sdof, ext[blk] + cdof
     is_dual = np.zeros(ext[-1], dtype=bool)
@@ -192,12 +192,12 @@ def build_jump_matrices(domain, local_systems, partition):
         shape=(n_rows, ext[-1]),
     )
 
-    neighbor = np.full(ext[-1], len(local_systems))
+    neighbor = np.full(ext[-1], domain.num_patches)
     np.minimum.at(neighbor, source, blk)
     neighbor[copy] = src
     alpha = np.array([patch.alpha for patch in domain.patches])
     B_gamma, D = [], []
-    for k in range(len(local_systems)):
+    for k in range(domain.num_patches):
         gamma = ext[k] + partition.gamma_index(k)
         B_gamma.append(B[:, gamma])
         alpha_l = alpha[neighbor[gamma]]
@@ -232,7 +232,7 @@ def build_psi(local_system, partition, aii_fac, interior_fd=False):
     psi = np.vstack([-dual_fac.solve(S[:nd, nd:]), np.eye(gamma.size - nd)])
     f = local_system.f
     g = f[gamma] - A_IG.T @ aii_fac.solve(f[I])
-    return OperatorBlock(S, dual_fac, psi, aii_fac, A_IG, g, I, gamma, nd, interior_fd)
+    return OperatorBlock(S, dual_fac, psi, aii_fac, A_IG, g, f[I], I, gamma, nd, interior_fd)
 
 
 def kronecker_interior(patch, interior, univariate, name=""):
@@ -276,7 +276,7 @@ class OperatorBlock:
     `gamma`, `dual_fac` the Cholesky factor of its (Delta, Delta) block,
     `psi` the energy-minimizing primal basis on `gamma` and `g` the
     condensed load (see `build_psi`).  `aii_fac` solves the interior block,
-    which ``A_IG`` couples to the skeleton.
+    which ``A_IG`` couples to the skeleton; `f_I` is the load on I.
     """
 
     S: np.ndarray
@@ -285,6 +285,7 @@ class OperatorBlock:
     aii_fac: Factorization
     A_IG: scipy.sparse.csr_matrix
     g: np.ndarray
+    f_I: np.ndarray
     interior: np.ndarray
     gamma: np.ndarray
     n_dual: int
@@ -294,13 +295,13 @@ class OperatorBlock:
 class IetiOperator:
     """Per-block skeleton data plus the coarse problem; applies F and M_sD.
 
-    Immutable after construction; applications are read-only and safe to
-    call concurrently.
+    Reduces every one of `local_systems` to its skeleton and keeps none of
+    them.  Immutable after construction; applications are read-only and safe
+    to call concurrently.
     """
 
     def __init__(self, domain, local_systems, groups, partition, jumps):
         self.domain = domain
-        self.locals = local_systems
         self.groups = groups
         self.partition = partition
         self.jumps = jumps
@@ -372,15 +373,15 @@ class IetiOperator:
         u_gamma = self.solve_constrained(
             [blk.g - B.T @ lam for blk, B in zip(self.blocks, self.jumps.B_gamma)])
         u_blocks = []
-        for blk, sysk, ug in zip(self.blocks, self.locals, u_gamma):
-            u = np.empty(sysk.n_total)
+        for blk, ug in zip(self.blocks, u_gamma):
+            u = np.empty(blk.interior.size + blk.gamma.size)
             u[blk.gamma] = ug
-            u[blk.interior] = blk.aii_fac.solve(sysk.f[blk.interior] - blk.A_IG @ ug)
+            u[blk.interior] = blk.aii_fac.solve(blk.f_I - blk.A_IG @ ug)
             u_blocks.append(u)
         return u_blocks
 
     def patch_solutions(self, u_blocks):
-        return [u[: self.locals[k].n_patch] for k, u in enumerate(u_blocks)]
+        return [u[: patch.space.dimension] for patch, u in zip(self.domain.patches, u_blocks)]
 
 
 @dataclass
@@ -460,13 +461,13 @@ def lambda_factor(domain):
 
 
 def setup_operator(domain, delta=12.0, source=1.0):
-    """Assemble all extended local systems and build the IETI operator."""
+    """Decide the partition and jumps from the domain, then assemble and reduce every block."""
     copies = copy_map(domain)
+    groups = select_primal(domain)
+    partition = build_partition(domain, copies, groups)
+    jumps = build_jump_matrices(domain, partition)
     local_systems = [build_local_system(domain, k, delta, copies, source=source)
                      for k in range(domain.num_patches)]
-    groups = select_primal(domain)
-    partition = build_partition(local_systems, copies, groups)
-    jumps = build_jump_matrices(domain, local_systems, partition)
     return IetiOperator(domain, local_systems, groups, partition, jumps)
 
 
@@ -498,7 +499,7 @@ def solve_ieti(domain, delta=12.0, tol=1e-6, max_iter=1000, source=1.0, workers=
         refinement=refinement,
         num_patches=domain.num_patches,
         dofs=sum(p.space.dimension for p in domain.patches),
-        extended_dofs=sum(s.n_total for s in op.locals),
+        extended_dofs=int(op.partition.offsets[-1]),
         multipliers=op.n_rows,
         primal_dofs=op.n_primal,
         iterations=result.iterations,

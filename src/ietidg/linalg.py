@@ -25,7 +25,7 @@ _PIVOT_RTOL = 1e-14
 
 
 class SparseSym:
-    """Compressed-row symmetric matrix built from a sparse matrix, triplets or dense blocks.
+    """Compressed-row symmetric matrix built from a sparse matrix or from dense blocks.
 
     Duplicate triplets are summed and explicit zeros dropped.  The values
     are verified to be finite and symmetric up to 1e-12 relative in the max
@@ -48,10 +48,6 @@ class SparseSym:
                 raise NumericalError(
                     "symmetric matrix has asymmetry %.3e (scale %.3e)" % (worst, scale)
                 )
-
-    @classmethod
-    def from_triplets(cls, n, rows, cols, values):
-        return cls(scipy.sparse.coo_matrix((values, (rows, cols)), shape=(n, n)))
 
     @classmethod
     def from_blocks(cls, base, blocks):

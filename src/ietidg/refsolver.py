@@ -59,25 +59,6 @@ def assemble_global(domain, delta, source=1.0):
                             np.concatenate([load for _, load in volumes]), offs)
 
 
-def glued_from_locals(domain, local_systems, copies):
-    """Identify artificial dofs with their sources and sum the extended systems.
-
-    `copies` is the :func:`~ietidg.assembly.copy_map` the local systems were
-    built from.  Returns the resulting sparse matrix over global patch dofs;
-    must agree with :func:`assemble_global` on every valid domain.
-    """
-    offs = patch_offsets(domain)
-    parts = []
-    for sysk in local_systems:
-        _, src, sdof, _, cdof = copies[copies[:, 3] == sysk.k].T
-        to_global = np.empty(sysk.n_total, dtype=int)
-        to_global[: sysk.n_patch] = offs[sysk.k] + np.arange(sysk.n_patch)
-        to_global[cdof] = offs[src] + sdof
-        coo = sysk.A.csr.tocoo()
-        parts.append((to_global[coo.row], to_global[coo.col], coo.data))
-    return linalg.SparseSym.from_triplets(int(offs[-1]), *map(np.concatenate, zip(*parts)))
-
-
 def direct_solve(system):
     """Factorize and solve; verifies the residual to 1e-10 relative."""
     b = system.rhs

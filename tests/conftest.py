@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from ietidg.assembly import build_local_system, copy_map
 from ietidg.bspline import KnotVector, TensorSplineSpace, refine_uniform
 from ietidg.geometry import GeometryMap, Interface, MultiPatchDomain, Patch
+from ietidg.linalg import SparseSym
+from ietidg.refsolver import patch_offsets
 
 
 def unit_square_patch(x0, x1, y0, y1, p, r, dirichlet, alpha=1.0):
@@ -90,10 +93,32 @@ def random_knotvector(rng, p=None):
 
 
 def local_systems(domain, delta=12.0, source=1.0):
-    """The copy map and every block's extended local system."""
+    """Every block's extended local system, over the copy map of `domain`."""
     copies = copy_map(domain)
-    return copies, [build_local_system(domain, k, delta, copies, source=source)
-                    for k in range(domain.num_patches)]
+    return [build_local_system(domain, k, delta, copies, source=source)
+            for k in range(domain.num_patches)]
+
+
+def glued_from_locals(domain, local_systems, copies):
+    """Identify artificial dofs with their sources and sum the extended systems.
+
+    `copies` is the copy map the local systems were built from.  Returns the
+    resulting matrix over global patch dofs; it must agree with
+    ``refsolver.assemble_global`` on every valid domain.
+    """
+    offs = patch_offsets(domain)
+    parts = []
+    for sysk in local_systems:
+        _, src, sdof, _, cdof = copies[copies[:, 3] == sysk.k].T
+        n_patch = domain.patches[sysk.k].space.dimension
+        to_global = np.empty(sysk.A.n, dtype=int)
+        to_global[:n_patch] = offs[sysk.k] + np.arange(n_patch)
+        to_global[cdof] = offs[src] + sdof
+        coo = sysk.A.csr.tocoo()
+        parts.append((to_global[coo.row], to_global[coo.col], coo.data))
+    rows, cols, values = map(np.concatenate, zip(*parts))
+    n = int(offs[-1])
+    return SparseSym(scipy.sparse.coo_matrix((values, (rows, cols)), shape=(n, n)))
 
 
 def dual_rows(partition):
@@ -103,11 +128,11 @@ def dual_rows(partition):
     return partition.copies[np.array(keep, dtype=bool)]
 
 
-def full_jump_columns(jumps, partition, local_systems):
+def full_jump_columns(jumps, partition):
     """Each block's dense B over all its extended dofs, scattered from ``B_gamma``."""
     out = []
-    for k, sysk in enumerate(local_systems):
-        B = np.zeros((jumps.n_rows, sysk.n_total))
+    for k, n in enumerate(np.diff(partition.offsets)):
+        B = np.zeros((jumps.n_rows, n))
         B[:, partition.gamma_index(k)] = jumps.B_gamma[k].toarray()
         out.append(B)
     return out
@@ -147,8 +172,8 @@ def check_lemma_bbt(op, u_blocks):
     w = [(B.T @ mu) / D for B, D in zip(op.jumps.B_gamma, op.jumps.D)]
     expected = [np.zeros_like(wk) for wk in w]
     pos_gamma = []
-    for k, blk in enumerate(op.blocks):
-        pg = -np.ones(op.locals[k].n_total, dtype=int)
+    for blk, n in zip(op.blocks, np.diff(op.partition.offsets)):
+        pg = -np.ones(n, dtype=int)
         pg[blk.gamma] = np.arange(blk.gamma.size)
         pos_gamma.append(pg)
     for _, k, dof_k, l, dof_l in dual_rows(op.partition):

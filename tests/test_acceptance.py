@@ -62,7 +62,7 @@ class TestCriterion2LemmaIdentity:
         op = setup_operator(dom)
         worst = 0.0
         for _ in range(50):
-            u = project_wtilde(op, [rng.standard_normal(s.n_total) for s in op.locals])
+            u = project_wtilde(op, [rng.standard_normal(n) for n in np.diff(op.partition.offsets)])
             worst = max(worst, check_lemma_bbt(op, u))
         assert worst <= 1e-12, "max coefficientwise deviation %.3e" % worst
         _report("PASS criterion 2 [%s alphas=%s]: max deviation %.2e"
@@ -219,20 +219,18 @@ class TestCriterion6StructuralInvariants:
         dom = BUILTINS[name](p, 2)
         op = setup_operator(dom)
         # jump-matrix structure
-        B = np.hstack(full_jump_columns(op.jumps, op.partition, op.locals))
+        B = np.hstack(full_jump_columns(op.jumps, op.partition))
         for row in B:
             assert sorted(row[row != 0]) == [-1.0, 1.0]
         counts = (B != 0).sum(axis=0)
         assert np.all(counts <= 1)
-        offset = 0
+        offsets = op.partition.offsets
         for k in range(dom.num_patches):
-            n_e = op.locals[k].n_total
-            blk_counts = counts[offset : offset + n_e]
+            blk_counts = counts[offsets[k] : offsets[k + 1]]
             for dof in op.partition.dual[k]:
                 assert blk_counts[dof] == 1
             for dof in np.concatenate([op.partition.interior[k], op.partition.primal[k]]):
                 assert blk_counts[int(dof)] == 0
-            offset += n_e
         # energy minimality of the primal basis
         psi_res = max(psi_residual(op, k) for k in range(dom.num_patches))
         assert psi_res <= 1e-9

@@ -123,7 +123,6 @@ class TestGrowthStudy:
         assert len(study) == 1
         row = study[0]
         assert row["fit_constant"] > 0
-        assert row["ratio_spread"] >= 1.0
         assert len(row["kappas"]) == 4
         assert max(row["ratios"]) / min(row["ratios"]) <= 3.0
 
@@ -254,8 +253,21 @@ class TestMain:
                      "--refine", "1 2 3 4", "--growth"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "spread" in out
         assert "rise=" in out
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--builtin", "tdomain", "--refine", "0 1 2 3", "--jump-exponents", "0 2"],
+         "one series per degree"),
+        (["--builtin", "slider", "3", "--refine", "0 1 2 3", "--slide-offsets", "0.3 0.5"],
+         "one series per degree"),
+        (["--builtin", "tdomain", "--refine", "1 1 2 3"], "each once, got [1, 1, 2, 3]"),
+    ], ids=["two_jumps", "two_offsets", "repeated_level"])
+    def test_growth_rejects_mixed_series(self, capsys, solves, argv, message):
+        # one degree's ratios must come from one case refined level by level;
+        # interleaved cases or repeated levels would feed largest_rise a mix
+        assert main([*argv, "--degree", "1", "--growth"]) == 2
+        assert message in capsys.readouterr().err
+        assert solves == []
 
     def test_growth_json(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "growth.json"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from ietidg.assembly import trace_basis_on_edge, univariate_matrices
+from ietidg.assembly import build_local_system, copy_map, trace_basis_on_edge, univariate_matrices
 from ietidg.bspline import (KnotVector, TensorSplineSpace, eval_basis, greville_points,
                             refine_uniform)
 from ietidg.domains import (domain_from_config, domain_to_config, grid_domain, slider_domain,
@@ -29,18 +29,16 @@ from conftest import (at, check_lemma_bbt, curved_geometry, curved_two_patch_dom
                       reversed_two_patch_domain, two_patch_domain, unit_square_patch)
 
 
-def build_stack(domain, delta=12.0, source=1.0):
-    copies, locals_ = local_systems(domain, delta, source)
+def build_stack(domain):
+    """The primal groups, the partition and the jump matrices of `domain`; nothing assembled."""
     groups = select_primal(domain)
-    partition = build_partition(locals_, copies, groups)
-    jumps = build_jump_matrices(domain, locals_, partition)
-    return locals_, groups, partition, jumps
+    partition = build_partition(domain, copy_map(domain), groups)
+    return groups, partition, build_jump_matrices(domain, partition)
 
 
 def members(domain, groups):
     """(block, extended dof) pairs that share each group's coarse coefficient."""
-    copies, locals_ = local_systems(domain)
-    partition = build_partition(locals_, copies, groups)
+    partition = build_partition(domain, copy_map(domain), groups)
     return [[(k, int(d)) for k, (P, gk) in enumerate(zip(partition.primal, partition.primal_global))
              for d in P[gk == gi]] for gi in range(len(groups))]
 
@@ -55,16 +53,16 @@ def dense_MsD(op):
     return np.column_stack([op.apply_MsD(np.eye(n)[:, i]) for i in range(n)])
 
 
-def dense_schur(op, k):
-    """Block k's Schur complement by dense elimination of its interior."""
-    A = op.locals[k].A.toarray()
-    gam, I = op.blocks[k].gamma, op.partition.interior[k]
+def dense_schur(op, sysk):
+    """The Schur complement of block ``sysk.k`` by dense elimination of its interior."""
+    A = sysk.A.toarray()
+    gam, I = op.blocks[sysk.k].gamma, op.partition.interior[sysk.k]
     return A[np.ix_(gam, gam)] - A[np.ix_(gam, I)] @ np.linalg.solve(
         A[np.ix_(I, I)], A[np.ix_(I, gam)])
 
 
 def constrained_system(op):
-    """The primal-constrained system ``(A~, B~, f~)``, assembled densely from the local matrices.
+    """The primal-constrained system ``(A~, B~, f~)``, assembled densely from the local systems.
 
     Its unknowns are every block's (I, Delta) dofs, block after block, then
     the global primal dofs; each copy of a primal dof maps onto its coarse index.
@@ -74,8 +72,9 @@ def constrained_system(op):
     offsets = np.cumsum([0] + [t.size for t in tilde])
     n = offsets[-1] + op.n_primal
     A, B, f = np.zeros((n, n)), np.zeros((op.n_rows, n)), np.zeros(n)
-    for k, (sysk, Bk) in enumerate(zip(op.locals, full_jump_columns(op.jumps, part, op.locals))):
-        col = np.empty(sysk.n_total, dtype=int)
+    locals_ = local_systems(op.domain)
+    for k, (sysk, Bk) in enumerate(zip(locals_, full_jump_columns(op.jumps, part))):
+        col = np.empty(sysk.A.n, dtype=int)
         col[tilde[k]] = offsets[k] + np.arange(tilde[k].size)
         col[part.primal[k]] = offsets[-1] + part.primal_global[k]
         R = np.eye(n)[col]
@@ -168,13 +167,14 @@ class TestCopyMap:
     def test_one_row_per_artificial_dof(self, factory):
         # every artificial dof appears once, paired with the neighbor's trace
         # on that side in trace_basis_on_edge order; each block numbers its
-        # copies n_patch..n_total-1, one contiguous run per interface in
+        # copies on from its dimension, one contiguous run per interface in
         # increasing interface order
         dom = factory()
-        copies, locals_ = local_systems(dom)
-        for k, sysk in enumerate(locals_):
+        copies = copy_map(dom)
+        dims = [patch.space.dimension for patch in dom.patches]
+        for k, n_patch in enumerate(dims):
             mine = copies[copies[:, 3] == k]
-            np.testing.assert_array_equal(mine[:, 4], np.arange(sysk.n_patch, sysk.n_total))
+            np.testing.assert_array_equal(mine[:, 4], n_patch + np.arange(len(mine)))
             assert np.all(np.diff(mine[:, 0]) >= 0)
             touching = [i for i, g in enumerate(dom.interfaces) if k in (g.k, g.l)]
             assert np.unique(mine[:, 0]).tolist() == touching
@@ -185,16 +185,16 @@ class TestCopyMap:
                 assert np.all(rows[:, 1] == src)
                 sources = trace_basis_on_edge(dom.patches[src].space, side, prange).tolist()
                 assert rows[:, 2].tolist() == sources
-                assert np.all(rows[:, 2] < locals_[src].n_patch)
+                assert np.all(rows[:, 2] < dims[src])
 
     def test_primal_source_off_the_skeleton_rejected(self):
         # an interior function cannot be a fat-vertex dof
         dom = two_patch_domain(p=2, r=2)
-        copies, locals_ = local_systems(dom)
-        interior = build_partition(locals_, copies, []).interior[0]
+        copies = copy_map(dom)
+        interior = build_partition(dom, copies, []).interior[0]
         group = PrimalGroup(0, (0, int(interior[0])))
         with pytest.raises(NumericalError, match="block 0: primal dof outside the trace-active set"):
-            build_partition(locals_, copies, [group])
+            build_partition(dom, copies, [group])
 
 
 class TestJumpMatrices:
@@ -202,11 +202,10 @@ class TestJumpMatrices:
         # every matched (trace, copy) pair gets one +1/-1 row; each side of
         # the interface contributes its own pairs
         dom = two_patch_domain(p=1, r=0, dirichlet=False)
-        copies, locals_ = local_systems(dom)
-        partition = build_partition(locals_, copies, [])
-        jumps = build_jump_matrices(dom, locals_, partition)
+        partition = build_partition(dom, copy_map(dom), [])
+        jumps = build_jump_matrices(dom, partition)
         assert jumps.n_rows == 4
-        B = np.hstack(full_jump_columns(jumps, partition, locals_))
+        B = np.hstack(full_jump_columns(jumps, partition))
         for row in B:
             assert sorted(row[row != 0]) == [-1.0, 1.0]
         col_counts = (B != 0).sum(axis=0)
@@ -216,7 +215,7 @@ class TestJumpMatrices:
         # p = 1, one span: all trace dofs sit at the corners, so the fat
         # vertices swallow every pair and no multipliers remain
         dom = two_patch_domain(p=1, r=0, dirichlet=False)
-        locals_, groups, partition, jumps = build_stack(dom)
+        groups, partition, jumps = build_stack(dom)
         assert len(groups) == 4
         assert jumps.n_rows == 0
 
@@ -224,10 +223,9 @@ class TestJumpMatrices:
         # without primal dofs, the corner functions at the cross point are
         # copied across two interfaces each and would sit in two rows
         dom = grid_domain(2, degree=2, refinements=1)
-        copies, locals_ = local_systems(dom)
-        partition = build_partition(locals_, copies, [])
+        partition = build_partition(dom, copy_map(dom), [])
         with pytest.raises(NumericalError, match="dof matched by two constraints"):
-            build_jump_matrices(dom, locals_, partition)
+            build_jump_matrices(dom, partition)
 
     @pytest.mark.parametrize("factory", [
         lambda: t_domain(degree=2, refinements=2),
@@ -239,8 +237,8 @@ class TestJumpMatrices:
         # rows run by interface, the k -> l side first, then by position in
         # the source side's trace_basis_on_edge order
         dom = factory()
-        locals_, groups, partition, jumps = build_stack(dom)
-        Bs = full_jump_columns(jumps, partition, locals_)
+        groups, partition, jumps = build_stack(dom)
+        Bs = full_jump_columns(jumps, partition)
         keys = []
         for row, (iface, src, sdof, dst, copy) in enumerate(dual_rows(partition)):
             assert Bs[src][row, sdof] == 1.0 and Bs[dst][row, copy] == -1.0
@@ -254,7 +252,7 @@ class TestJumpMatrices:
 
     def test_coefficient_scaling_entries(self):
         dom = two_patch_domain(p=1, r=1, alphas=(1.0, 1e4))
-        locals_, groups, partition, jumps = build_stack(dom)
+        groups, partition, jumps = build_stack(dom)
         for k, expected in ((0, (1.0 + 1e4) / 1e4), (1, (1e4 + 1.0) / 1.0)):
             assert jumps.D[k].size > 0
             np.testing.assert_allclose(jumps.D[k], expected)
@@ -267,8 +265,8 @@ class TestJumpMatrices:
     ])
     def test_structure_invariants_all_builtins(self, p, factory):
         dom = factory(p)
-        locals_, groups, partition, jumps = build_stack(dom)
-        Bs = full_jump_columns(jumps, partition, locals_)
+        groups, partition, jumps = build_stack(dom)
+        Bs = full_jump_columns(jumps, partition)
         B = np.hstack(Bs)
         for row in B:
             nz = row[row != 0]
@@ -294,14 +292,14 @@ class TestJumpMatrices:
         # B_gamma equals the matrix built straight from the constraint pairs
         # over the (Delta, Pi) columns
         dom = factory()
-        locals_, groups, partition, jumps = build_stack(dom)
+        groups, partition, jumps = build_stack(dom)
         entries = [[] for _ in range(dom.num_patches)]
         for row, (_, k, dof_k, l, dof_l) in enumerate(dual_rows(partition)):
             entries[k].append((row, dof_k, 1.0))
             entries[l].append((row, dof_l, -1.0))
         for k in range(dom.num_patches):
             index, sliced = partition.gamma_index(k), jumps.B_gamma[k]
-            pos = -np.ones(locals_[k].n_total, dtype=int)
+            pos = -np.ones(partition.offsets[k + 1] - partition.offsets[k], dtype=int)
             pos[index] = np.arange(index.size)
             rr, cc, vv = zip(*[(r, pos[d], s) for r, d, s in entries[k]])
             direct = scipy.sparse.csr_matrix((vv, (rr, cc)), shape=(jumps.n_rows, index.size))
@@ -313,14 +311,15 @@ class TestJumpMatrices:
 class TestOperator:
     def test_build_psi_standalone(self):
         dom = t_domain(degree=2, refinements=1)
-        locals_, groups, partition, jumps = build_stack(dom)
-        A = locals_[0].A.toarray()
+        groups, partition, jumps = build_stack(dom)
+        sysk = local_systems(dom)[0]
+        A = sysk.A.toarray()
         I, dual, P = partition.interior[0], partition.dual[0], partition.primal[0]
-        blk = build_psi(locals_[0], partition, factorize(A[np.ix_(I, I)]))
+        blk = build_psi(sysk, partition, factorize(A[np.ix_(I, I)]))
         assert blk.psi.shape == (dual.size + P.size, P.size)
         np.testing.assert_allclose(blk.psi[dual.size:], np.eye(P.size), atol=0)
         # extend Psi by its dense interior solve: the (I, Delta) rows of A Psi vanish
-        psi = np.zeros((locals_[0].n_total, P.size))
+        psi = np.zeros((sysk.A.n, P.size))
         psi[blk.gamma] = blk.psi
         psi[I] = -np.linalg.solve(A[np.ix_(I, I)], A[np.ix_(I, blk.gamma)] @ blk.psi)
         res = (A @ psi)[np.concatenate([I, dual])]
@@ -396,8 +395,8 @@ class TestOperator:
     ])
     def test_schur_against_dense_elimination(self, factory):
         op = setup_operator(factory())
-        for k, blk in enumerate(op.blocks):
-            S_ref = dense_schur(op, k)
+        for sysk, blk in zip(local_systems(op.domain), op.blocks):
+            S_ref = dense_schur(op, sysk)
             assert np.abs(blk.S - S_ref).max() <= 1e-12 * np.abs(S_ref).max()
 
     @pytest.mark.parametrize("factory", [
@@ -420,14 +419,15 @@ class TestOperator:
         separable = [k for k, blk in enumerate(op.blocks)
                      if blk.interior_fd and all(fac is not blk.aii_fac for fac in generic)]
         assert separable
+        locals_ = local_systems(op.domain)
         for k in separable:
             blk = op.blocks[k]
-            S_ref = dense_schur(op, k)
+            S_ref = dense_schur(op, locals_[k])
             assert np.abs(blk.S - S_ref).max() <= 1e-12 * np.abs(S_ref).max()
             reference = formula(blk.aii_fac, blk.A_IG)
             assert np.abs(blk.aii_fac.schur(blk.A_IG) - reference).max() <= 1e-13 * np.abs(
                 reference).max()
-            S_gen = op.locals[k].A.toarray()[np.ix_(blk.gamma, blk.gamma)] - reference
+            S_gen = locals_[k].A.toarray()[np.ix_(blk.gamma, blk.gamma)] - reference
             assert np.abs(blk.S - S_gen).max() <= 1e-13 * np.abs(S_gen).max()
 
     def test_equal_alpha_preconditioner_formula(self):
@@ -490,8 +490,8 @@ class TestSolve:
         u = op.recover_solution(lam)
         w = np.zeros(op.n_primal)
         w_scale = np.zeros(op.n_primal)
-        Bs = full_jump_columns(op.jumps, op.partition, op.locals)
-        for k, sysk in enumerate(op.locals):
+        Bs = full_jump_columns(op.jumps, op.partition)
+        for k, sysk in enumerate(local_systems(op.domain)):
             terms = (sysk.A.csr @ u[k], -sysk.f, Bs[k].T @ lam)
             resid = sum(terms)
             scale = sum(np.abs(t) for t in terms)
@@ -576,14 +576,14 @@ class TestLemma:
     def test_zero_for_matched_pairs(self):
         dom = t_domain(degree=2, refinements=1)
         op = setup_operator(dom)
-        u = [np.ones(s.n_total) for s in op.locals]
+        u = [np.ones(n) for n in np.diff(op.partition.offsets)]
         gam_vals = check_lemma_bbt(op, u)
         assert gam_vals <= 1e-15
 
     def test_half_jump_for_equal_alpha(self, rng):
         dom = two_patch_domain(p=1, r=1)
         op = setup_operator(dom)
-        u = project_wtilde(op, [rng.standard_normal(s.n_total) for s in op.locals])
+        u = project_wtilde(op, [rng.standard_normal(n) for n in np.diff(op.partition.offsets)])
         gam = [u[k][op.blocks[k].gamma] for k in range(2)]
         mu = sum(op.jumps.B_gamma[k] @ gam[k] for k in range(2))
         w0 = (op.jumps.B_gamma[0].T @ mu) / op.jumps.D[0]
@@ -601,7 +601,7 @@ class TestLemma:
         dom = t_domain(degree=2, refinements=1, alphas=alphas)
         op = setup_operator(dom)
         for _ in range(50):
-            u = project_wtilde(op, [rng.standard_normal(s.n_total) for s in op.locals])
+            u = project_wtilde(op, [rng.standard_normal(n) for n in np.diff(op.partition.offsets)])
             assert check_lemma_bbt(op, u) <= 1e-13
 
 
@@ -659,12 +659,18 @@ class TestReducedSmoothness:
             assert np.abs(a - b).max() <= 1e-6 * scale
 
 
+def interior_matrix(op, k):
+    """Block k's assembled A_II."""
+    I = op.partition.interior[k]
+    return build_local_system(op.domain, k, 12.0, op.partition.copies).A.csr[I][:, I]
+
+
 def fd_against_superlu(op, rng):
     """Largest relative max-norm gap between each block's interior solve and SuperLU's."""
     worst = 0.0
     for k, blk in enumerate(op.blocks):
         I = op.partition.interior[k]
-        reference = factorize(op.locals[k].A.csr[I][:, I])
+        reference = factorize(interior_matrix(op, k))
         B = rng.standard_normal((I.size, 3))
         for rhs in (B[:, 0], B):
             x, y = blk.aii_fac.solve(rhs), reference.solve(rhs)
@@ -688,7 +694,7 @@ def kronecker_gap(op, k):
     J = at(patch.geometry, 0.5, 0.5)[1]
     c_u = patch.alpha * abs(J[1, 1] / J[0, 0])
     kron = np.kron(K_u, c_u * M_v) + np.kron(M_u, patch.alpha**2 / c_u * K_v)
-    A_II = op.locals[k].A.csr[I][:, I].toarray()
+    A_II = interior_matrix(op, k).toarray()
     return np.abs(A_II - kron).max() / np.abs(A_II).max()
 
 
@@ -731,6 +737,17 @@ FD_BUILTINS = {
     "slider(4,0.3)": lambda p: slider_domain(4, 0.3, degree=p, refinements=2),
     "nonuniform": nonuniform_config_domain,
 }
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(FD_BUILTINS))
+def test_partition_offsets_match_local_systems(name, p):
+    # the extended layout that the partition decides from the domain alone
+    # is the one the assembled local systems come out with
+    dom = FD_BUILTINS[name](p)
+    partition = build_stack(dom)[1]
+    sizes = [sysk.A.n for sysk in local_systems(dom)]
+    np.testing.assert_array_equal(partition.offsets, np.cumsum([0] + sizes))
 
 
 class TestFastDiagonalizationInterior:

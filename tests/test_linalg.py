@@ -28,19 +28,18 @@ def random_spd(rng, n, cond=None):
 
 class TestSparseSym:
     def test_duplicates_summed_zeros_dropped(self):
-        A = SparseSym.from_triplets(
-            2,
-            [0, 0, 0, 1, 1, 0, 1],
-            [0, 0, 1, 0, 1, 1, 0],
-            [1.0, 2.0, 0.5, 0.5, 4.0, -0.5, -0.5],
-        )
+        A = SparseSym(scipy.sparse.coo_matrix(
+            ([1.0, 2.0, 0.5, 0.5, 4.0, -0.5, -0.5],
+             ([0, 0, 0, 1, 1, 0, 1], [0, 0, 1, 0, 1, 1, 0])),
+            shape=(2, 2),
+        ))
         assert A.csr[0, 0] == 3.0
         assert A.csr.nnz == 2  # the (0,1)/(1,0) pair cancelled to exact zero
         np.testing.assert_allclose(A.toarray(), [[3.0, 0.0], [0.0, 4.0]])
 
     def test_asymmetry_detected(self):
         with pytest.raises(NumericalError):
-            SparseSym.from_triplets(2, [0, 1], [1, 0], [1.0, 1.0 + 1e-6])
+            SparseSym(scipy.sparse.coo_matrix(([1.0, 1.0 + 1e-6], ([0, 1], [1, 0])), shape=(2, 2)))
 
     def test_blocks_summed_and_dropped_indices_skipped(self):
         # dof 1 is shared by the first two blocks, dof 0 by the first and

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ietidg.assembly import assemble_volume
+from ietidg.assembly import assemble_volume, copy_map
 from ietidg.domains import grid_domain, slider_domain, t_domain
 from ietidg.errors import NumericalError
 from ietidg.linalg import SparseSym
@@ -10,14 +10,14 @@ from ietidg.refsolver import (
     assemble_global,
     direct_solve,
     evaluate_patch,
-    glued_from_locals,
     measure_error,
     patch_offsets,
     split_solution,
 )
 from ietidg.geometry import MultiPatchDomain
 
-from conftest import local_systems, reversed_two_patch_domain, two_patch_domain, unit_square_patch
+from conftest import (glued_from_locals, local_systems, reversed_two_patch_domain, two_patch_domain,
+                      unit_square_patch)
 
 
 def u_sin(x, y):
@@ -55,8 +55,7 @@ class TestAssembleGlobal:
     def test_gluing_matches_global(self, factory):
         dom = factory()
         system = assemble_global(dom, 12.0)
-        copies, locals_ = local_systems(dom)
-        glued = glued_from_locals(dom, locals_, copies)
+        glued = glued_from_locals(dom, local_systems(dom), copy_map(dom))
         scale = max(abs(system.matrix.csr.max()), abs(system.matrix.csr.min()))
         diff = abs(system.matrix.csr - glued.csr)
         assert (diff.max() if diff.nnz else 0.0) <= 1e-12 * scale
