@@ -16,9 +16,9 @@ bytes:
 * every ``--domain`` at every degree and refinement (by default grid(2),
   tdomain, slider(3, 0.3) and slider(4, 0.37) at p=1..3, r=0..2), and
   every ``--config`` file as saved: each block's local ``A`` and ``f``,
-  the copy map and the (I, Delta, Pi) partition, ``B_gamma``, ``D``, ``S``,
-  ``psi`` and the FD flag, and the oracle's global matrix and load from
-  ``refsolver.assemble_global``.
+  the copy map and the (I, Delta, Pi) partition, the jump matrix over the
+  skeleton (see ``jump_matrix``), ``D``, ``S``, ``psi`` and the FD flag, and
+  the oracle's global matrix and load from ``refsolver.assemble_global``.
 
 Run it on the parent commit (``--src`` pointing into a ``git archive``
 copy) and on the change; a refactoring that claims bit-identical results
@@ -83,6 +83,20 @@ def case_arrays(pkg, builtin, degree, refinement, tol, jump):
             ("kappa", repr(rep.kappa))]
 
 
+def jump_matrix(jumps, k):
+    """Block k's jump matrix over its skeleton as a CSR.
+
+    A tree that stores it as ``B_gamma`` gives it as is; one that stores the
+    multiplier ``rows`` and ``signs`` of each Delta dof gives it built from
+    them, byte for byte the same matrix.
+    """
+    if hasattr(jumps, "B_gamma"):
+        return jumps.B_gamma[k]
+    rows = jumps.rows[k]
+    return scipy.sparse.csr_matrix((jumps.signs[k], (rows, np.arange(rows.size))),
+                                   shape=(jumps.n_rows, jumps.D[k].size))
+
+
 def domain_arrays(pkg, domain):
     """(family, value) pairs of one domain's blocks and oracle, in hashing order."""
     op = pkg.ieti.setup_operator(domain, DELTA)
@@ -90,7 +104,7 @@ def domain_arrays(pkg, domain):
     out = [("copy map", part.copies)]
     for k, blk in enumerate(op.blocks):
         sysk = pkg.assembly.build_local_system(domain, k, DELTA, part.copies)
-        out += [("local A", sysk.A.csr), ("B_gamma", op.jumps.B_gamma[k]), ("local f", sysk.f),
+        out += [("local A", sysk.A.csr), ("jump B", jump_matrix(op.jumps, k)), ("local f", sysk.f),
                 ("interior", part.interior[k]), ("dual", part.dual[k]), ("primal", part.primal[k]),
                 ("primal_global", part.primal_global[k]), ("D", op.jumps.D[k]), ("S", blk.S),
                 ("psi", blk.psi), ("FD flag", np.array([blk.interior_fd]))]

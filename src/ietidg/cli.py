@@ -125,11 +125,8 @@ def _run_case(spec, degree, refinement, jump_exponent=None, slide=None):
     if spec.check_oracle:
         system = refsolver.assemble_global(domain, spec.delta, source=f)
         direct = refsolver.split_solution(system, refsolver.direct_solve(system))
-        scale = max(max(np.abs(x).max() for x in direct if x.size), 1e-300)
-        diff = max(
-            np.abs(a - b).max() if a.size else 0.0
-            for a, b in zip(sol.u_patches, direct)
-        )
+        scale = max(np.abs(np.concatenate(direct)).max(initial=0.0), 1e-300)
+        diff = max(np.abs(a - b).max(initial=0.0) for a, b in zip(sol.u_patches, direct))
         extra["oracle_rel_inf_error"] = diff / scale
     if spec.manufactured:
         l2, h1, jump = refsolver.measure_error(domain, sol.u_patches, u_star, grad_star)
@@ -181,6 +178,9 @@ def run_growth_study(spec):
     Each degree must give one series: four or more refinement levels, each
     given once, and at most one jump exponent and one slide offset.
     """
+    if spec.config_path:
+        raise ConfigError("growth study needs a built-in family: "
+                          "a config file fixes the refinement")
     levels = spec.refinements
     if len(levels) < 4 or len(set(levels)) < len(levels):
         raise ConfigError("growth study needs four or more refinement levels, each once, got %s"

@@ -157,17 +157,29 @@ class JumpMatrices:
     """Signed matching constraints and the coefficient scaling.
 
     Every row carries exactly one +1 (a patch trace dof) and one -1 (its
-    artificial copy); no dof appears in two rows.  B touches dual dofs
-    only, so ``B_gamma[k]`` holds block k's columns over its skeleton
-    ``gamma_index(k)`` (Delta, then Pi; the Pi columns are zero).  `D`
-    holds the diagonal coefficient scaling ``(alpha_k + alpha_l) / alpha_l``
-    per block over the same dofs.  Row r is the r-th copy-map row whose copy
-    is dual.
+    artificial copy), and every dual dof lies in one row, so B is stored as
+    the row ``rows[k]`` and sign ``signs[k]`` of each Delta dof of block k;
+    only `apply` and `transpose` read them.  `D` holds the diagonal scaling
+    ``(alpha_k + alpha_l) / alpha_l`` per block over ``gamma_index(k)``.
+    Row r is the r-th copy-map row whose copy is dual.
     """
 
     n_rows: int
-    B_gamma: list
+    rows: list
+    signs: list
     D: list
+
+    def apply(self, u_blocks):
+        """``B u = sum_k B_k u_k`` for per-block skeleton vectors `u_blocks`."""
+        y = np.zeros(self.n_rows)
+        for rows, signs, u in zip(self.rows, self.signs, u_blocks):
+            y[rows] += signs * u[:rows.size]  # exact: a block's rows are distinct
+        return y
+
+    def transpose(self, lam):
+        """Per-block skeleton vectors ``B_k^T lam``, zero on Pi."""
+        return [np.pad(signs * lam[rows], (0, D.size - rows.size))
+                for rows, signs, D in zip(self.rows, self.signs, self.D)]
 
 
 def build_jump_matrices(domain, partition):
@@ -179,30 +191,24 @@ def build_jump_matrices(domain, partition):
     ext = partition.offsets
     _, src, sdof, blk, cdof = partition.copies.T
     source, copy = ext[src] + sdof, ext[blk] + cdof
-    is_dual = np.zeros(ext[-1], dtype=bool)
-    for k, dual in enumerate(partition.dual):
-        is_dual[ext[k] + dual] = True
-    jump = is_dual[copy]  # a copy is dual exactly when its source is
+    dual = [ext[k] + d for k, d in enumerate(partition.dual)]
+    jump = np.isin(copy, np.concatenate(dual))  # a copy is dual exactly when its source is
     n_rows = int(jump.sum())
     if np.unique(source[jump]).size < n_rows:
         raise NumericalError("dof matched by two constraints; primal selection missed a vertex")
-    B = scipy.sparse.csr_matrix(
-        (np.tile([1.0, -1.0], n_rows),
-         (np.repeat(np.arange(n_rows), 2), np.column_stack([source[jump], copy[jump]]).ravel())),
-        shape=(n_rows, ext[-1]),
-    )
+    row, sign = np.full(ext[-1], -1), np.zeros(ext[-1])  # multiplier and sign of every dual dof
+    row[source[jump]] = row[copy[jump]] = np.arange(n_rows)
+    sign[source[jump]], sign[copy[jump]] = 1.0, -1.0
 
     neighbor = np.full(ext[-1], domain.num_patches)
     np.minimum.at(neighbor, source, blk)
     neighbor[copy] = src
     alpha = np.array([patch.alpha for patch in domain.patches])
-    B_gamma, D = [], []
+    D = []
     for k in range(domain.num_patches):
-        gamma = ext[k] + partition.gamma_index(k)
-        B_gamma.append(B[:, gamma])
-        alpha_l = alpha[neighbor[gamma]]
+        alpha_l = alpha[neighbor[ext[k] + partition.gamma_index(k)]]
         D.append((alpha[k] + alpha_l) / alpha_l)
-    return JumpMatrices(n_rows, B_gamma, D)
+    return JumpMatrices(n_rows, [row[d] for d in dual], [sign[d] for d in dual], D)
 
 
 def build_psi(local_system, partition, aii_fac, interior_fd=False):
@@ -348,30 +354,24 @@ class IetiOperator:
             u += blk.psi @ mu[gk]
         return u_blocks
 
-    def _jump(self, u_blocks):
-        """``B u = sum_k B_k u_k`` over the skeleton of all blocks."""
-        return sum((B @ u for B, u in zip(self.jumps.B_gamma, u_blocks)), np.zeros(self.n_rows))
-
     def apply_F(self, lam):
-        return self._jump(self.solve_constrained([B.T @ lam for B in self.jumps.B_gamma]))
+        return self.jumps.apply(self.solve_constrained(self.jumps.transpose(lam)))
 
     def compute_d(self):
-        return self._jump(self.solve_constrained([blk.g for blk in self.blocks]))
+        return self.jumps.apply(self.solve_constrained([blk.g for blk in self.blocks]))
 
     # -- preconditioner ----------------------------------------------------
 
     def apply_MsD(self, mu):
-        y = np.zeros(self.n_rows)
-        for blk, Bg, D in zip(self.blocks, self.jumps.B_gamma, self.jumps.D):
-            y += Bg @ ((blk.S @ ((Bg.T @ mu) / D)) / D)
-        return y
+        return self.jumps.apply([(blk.S @ (t / D)) / D for blk, t, D in
+                                 zip(self.blocks, self.jumps.transpose(mu), self.jumps.D)])
 
     # -- solution recovery -------------------------------------------------
 
     def recover_solution(self, lam):
         """Per-block coefficient vectors over the extended dofs from the converged multipliers."""
         u_gamma = self.solve_constrained(
-            [blk.g - B.T @ lam for blk, B in zip(self.blocks, self.jumps.B_gamma)])
+            [blk.g - t for blk, t in zip(self.blocks, self.jumps.transpose(lam))])
         u_blocks = []
         for blk, ug in zip(self.blocks, u_gamma):
             u = np.empty(blk.interior.size + blk.gamma.size)

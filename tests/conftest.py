@@ -128,12 +128,19 @@ def dual_rows(partition):
     return partition.copies[np.array(keep, dtype=bool)]
 
 
+def jump_matrix(jumps, k):
+    """Block k's B as a CSR over its skeleton ``gamma_index(k)``, from its rows and signs."""
+    rows = jumps.rows[k]
+    return scipy.sparse.csr_matrix((jumps.signs[k], (rows, np.arange(rows.size))),
+                                   shape=(jumps.n_rows, jumps.D[k].size))
+
+
 def full_jump_columns(jumps, partition):
-    """Each block's dense B over all its extended dofs, scattered from ``B_gamma``."""
+    """Each block's dense B over all its extended dofs, scattered from `jump_matrix`."""
     out = []
     for k, n in enumerate(np.diff(partition.offsets)):
         B = np.zeros((jumps.n_rows, n))
-        B[:, partition.gamma_index(k)] = jumps.B_gamma[k].toarray()
+        B[:, partition.gamma_index(k)] = jump_matrix(jumps, k).toarray()
         out.append(B)
     return out
 
@@ -167,9 +174,10 @@ def check_lemma_bbt(op, u_blocks):
     negative jump at the copy.  Returns the max coefficientwise
     deviation (all non-pair skeleton dofs must carry zero).
     """
-    mu = sum((B @ u[blk.gamma] for B, u, blk in zip(op.jumps.B_gamma, u_blocks, op.blocks)),
+    B_gamma = [jump_matrix(op.jumps, k) for k in range(len(op.blocks))]
+    mu = sum((B @ u[blk.gamma] for B, u, blk in zip(B_gamma, u_blocks, op.blocks)),
              np.zeros(op.n_rows))
-    w = [(B.T @ mu) / D for B, D in zip(op.jumps.B_gamma, op.jumps.D)]
+    w = [(B.T @ mu) / D for B, D in zip(B_gamma, op.jumps.D)]
     expected = [np.zeros_like(wk) for wk in w]
     pos_gamma = []
     for blk, n in zip(op.blocks, np.diff(op.partition.offsets)):

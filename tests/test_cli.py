@@ -269,6 +269,15 @@ class TestMain:
         assert message in capsys.readouterr().err
         assert solves == []
 
+    def test_growth_rejects_config_file(self, capsys, tmp_path, solves):
+        # a config file fixes the refinement, so it gives no series of levels
+        path = tmp_path / "t.json"
+        save_domain(t_domain(degree=2, refinements=1), str(path))
+        assert main(["--config", str(path), "--growth"]) == 2
+        assert ("configuration error: growth study needs a built-in family: "
+                "a config file fixes the refinement" in capsys.readouterr().err)
+        assert solves == []
+
     def test_growth_json(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "growth.json"
         dumps = []
@@ -508,3 +517,10 @@ class TestMain:
     def test_optional_output_column(self, capsys, flag, field):
         assert main(["--builtin", "grid", "2", "--degree", "1", "--refine", "1", flag]) == 0
         assert field in capsys.readouterr().out
+
+    def test_check_oracle_without_free_dofs(self, capsys):
+        # one patch with every dof on the Dirichlet boundary: both solutions are empty
+        assert main(["--builtin", "grid", "1", "--degree", "1", "--refine", "0",
+                     "--check-oracle"]) == 0
+        out = capsys.readouterr().out
+        assert " dofs=0 " in out and " oracle_err=0.000e+00" in out

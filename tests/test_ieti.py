@@ -25,7 +25,7 @@ from ietidg import refsolver
 from ietidg.linalg import Factorization, factorize
 
 from conftest import (at, check_lemma_bbt, curved_geometry, curved_two_patch_domain, dual_rows,
-                      full_jump_columns, local_systems, project_wtilde, psi_residual,
+                      full_jump_columns, jump_matrix, local_systems, project_wtilde, psi_residual,
                       reversed_two_patch_domain, two_patch_domain, unit_square_patch)
 
 
@@ -284,12 +284,40 @@ class TestJumpMatrices:
             for dof in partition.dual[k]:
                 assert (full[:, dof] != 0).sum() == 1
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("factory", [
+        lambda p: grid_domain(2, degree=p, refinements=2),
+        lambda p: t_domain(degree=p, refinements=2),
+        lambda p: slider_domain(3, 0.3, degree=p, refinements=2),
+        lambda p: nonuniform_config_domain(p),
+    ])
+    def test_rows_and_signs_pair_patch_dof_with_copy(self, rng, p, factory):
+        # every multiplier meets two dual dofs: +1 on a patch dof, -1 on a copy;
+        # apply and transpose equal the products with the materialized B_k
+        dom = factory(p)
+        _, partition, jumps = build_stack(dom)
+        assert jumps.n_rows > 0
+        rows, signs = np.concatenate(jumps.rows), np.concatenate(jumps.signs)
+        on_patch = np.concatenate([partition.dual[k] < patch.space.dimension
+                                   for k, patch in enumerate(dom.patches)])
+        for side in (on_patch, ~on_patch):
+            assert np.array_equal(np.bincount(rows[side], minlength=jumps.n_rows),
+                                  np.ones(jumps.n_rows))
+        assert np.array_equal(signs, np.where(on_patch, 1.0, -1.0))
+        Bs = [jump_matrix(jumps, k) for k in range(dom.num_patches)]
+        u = [rng.standard_normal(D.size) for D in jumps.D]
+        lam = rng.standard_normal(jumps.n_rows)
+        assert np.array_equal(jumps.apply(u),
+                              sum((B @ x for B, x in zip(Bs, u)), np.zeros(jumps.n_rows)))
+        for B, t in zip(Bs, jumps.transpose(lam)):
+            assert np.array_equal(t, B.T @ lam)
+
     @pytest.mark.parametrize("factory", [
         lambda: t_domain(degree=2, refinements=2),
         lambda: slider_domain(3, 0.3, degree=2, refinements=2),
     ])
     def test_column_slices_match_direct_build(self, factory):
-        # B_gamma equals the matrix built straight from the constraint pairs
+        # jump_matrix equals the matrix built straight from the constraint pairs
         # over the (Delta, Pi) columns
         dom = factory()
         groups, partition, jumps = build_stack(dom)
@@ -298,7 +326,7 @@ class TestJumpMatrices:
             entries[k].append((row, dof_k, 1.0))
             entries[l].append((row, dof_l, -1.0))
         for k in range(dom.num_patches):
-            index, sliced = partition.gamma_index(k), jumps.B_gamma[k]
+            index, sliced = partition.gamma_index(k), jump_matrix(jumps, k)
             pos = -np.ones(partition.offsets[k + 1] - partition.offsets[k], dtype=int)
             pos[index] = np.arange(index.size)
             rr, cc, vv = zip(*[(r, pos[d], s) for r, d, s in entries[k]])
@@ -443,7 +471,7 @@ class TestOperator:
             e[i] = 1.0
             acc = np.zeros(n)
             for k in range(dom.num_patches):
-                Bg = op.jumps.B_gamma[k]
+                Bg = jump_matrix(op.jumps, k)
                 acc += Bg @ (op.blocks[k].S @ (Bg.T @ e))
             raw[:, i] = acc
         np.testing.assert_allclose(dense_MsD(op), 0.25 * raw, atol=1e-12 * np.abs(raw).max())
@@ -511,7 +539,7 @@ class TestSolve:
         resid = np.zeros(op.n_rows)
         for k in range(dom.num_patches):
             gam = op.blocks[k].gamma
-            resid += op.jumps.B_gamma[k] @ sol.u_blocks[k][gam]
+            resid += jump_matrix(op.jumps, k) @ sol.u_blocks[k][gam]
         scale = max(np.abs(np.concatenate(sol.u_blocks)).max(), 1.0)
         assert np.abs(resid).max() <= 1e-8 * scale
 
@@ -585,8 +613,8 @@ class TestLemma:
         op = setup_operator(dom)
         u = project_wtilde(op, [rng.standard_normal(n) for n in np.diff(op.partition.offsets)])
         gam = [u[k][op.blocks[k].gamma] for k in range(2)]
-        mu = sum(op.jumps.B_gamma[k] @ gam[k] for k in range(2))
-        w0 = (op.jumps.B_gamma[0].T @ mu) / op.jumps.D[0]
+        mu = sum(jump_matrix(op.jumps, k) @ gam[k] for k in range(2))
+        w0 = (jump_matrix(op.jumps, 0).T @ mu) / op.jumps.D[0]
         _, k, dof_k, l, dof_l = dual_rows(op.partition)[0]
         jump = u[k][dof_k] - u[l][dof_l]
         pos = {dof: i for i, dof in enumerate(op.blocks[k].gamma)}
