@@ -41,6 +41,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import hashlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -97,13 +98,27 @@ def jump_matrix(jumps, k):
                                    shape=(jumps.n_rows, jumps.D[k].size))
 
 
+def local_systems(pkg, domain, copies):
+    """Every block's extended local system, through either tree's ``build_local_system``.
+
+    A tree whose ``build_local_system(domain, k, delta, copies)`` assembles
+    its own interfaces is called so; one that takes the domain's
+    ``assemble_interface_terms(domain, copies, delta)`` gets them.
+    """
+    asm = pkg.assembly
+    if "delta" in inspect.signature(asm.build_local_system).parameters:
+        return [asm.build_local_system(domain, k, DELTA, copies)
+                for k in range(domain.num_patches)]
+    terms = asm.assemble_interface_terms(domain, copies, DELTA)
+    return [asm.build_local_system(domain, k, copies, terms) for k in range(domain.num_patches)]
+
+
 def domain_arrays(pkg, domain):
     """(family, value) pairs of one domain's blocks and oracle, in hashing order."""
     op = pkg.ieti.setup_operator(domain, DELTA)
     part = op.partition
     out = [("copy map", part.copies)]
-    for k, blk in enumerate(op.blocks):
-        sysk = pkg.assembly.build_local_system(domain, k, DELTA, part.copies)
+    for k, (blk, sysk) in enumerate(zip(op.blocks, local_systems(pkg, domain, part.copies))):
         out += [("local A", sysk.A.csr), ("jump B", jump_matrix(op.jumps, k)), ("local f", sysk.f),
                 ("interior", part.interior[k]), ("dual", part.dual[k]), ("primal", part.primal[k]),
                 ("primal_global", part.primal_global[k]), ("D", op.jumps.D[k]), ("S", blk.S),

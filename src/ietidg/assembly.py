@@ -13,16 +13,16 @@ Interface integrals run over the union of both sides' mapped breakpoints
 outward normal taken from the owning patch's geometry map.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 from numpy.lib.stride_tricks import as_strided
 
 from . import linalg
 from .bspline import active_on_interval, eval_basis, gauss_rule, span_quadrature
 from .errors import ConfigError, NumericalError
-from .geometry import side_axis, side_normal_hat, side_point
+from .geometry import side_normal_hat
 
 _SINGULAR_RTOL = 1e-12
 
@@ -121,17 +121,20 @@ def _span_fold(first, n, X, A, B):
 def assemble_volume(patch, source=1.0, label=""):
     """Stiffness and load of the diffusion term on one patch, over its free dofs.
 
-    Returns the stiffness as a canonical CSR matrix and the load vector.
-    `source` is a scalar or a callable f(x, y), which receives the
-    coordinate arrays of all quadrature points of the patch at once.  By sum
-    factorization, the metric ``alpha w |det J| J^-1 J^-T`` on the Gauss grid
-    and the load ``B_u (w f) B_v^T`` are contracted in u, then in v, into the
-    (2p+1)^2 band of each lattice row; its free rows are the CSR rows.
+    Returns the stiffness as the arrays ``(data, indices, indptr)`` of a
+    canonical CSR matrix, and the load vector.  `source` is a scalar or a
+    callable f(x, y), which receives the coordinate arrays of all quadrature
+    points of the patch at once.  By sum factorization, the metric ``alpha w
+    |det J| J^-1 J^-T`` on the Gauss grid and the load ``B_u (w f) B_v^T`` are
+    contracted in u, then in v, into the (2p+1)^2 band of each lattice row;
+    its free rows are the CSR rows.
     """
     space, geo, alpha = patch.space, patch.geometry, patch.alpha
     p = space.degree
     ng = max(p, geo.kv_u.p, geo.kv_v.p) + 1
-    squ, sqv = (span_quadrature(kv, ng) for kv in (space.kv_u, space.kv_v))
+    squ = sqv = span_quadrature(space.kv_u, ng)  # the v tables are the u ones on a square grid
+    if not np.array_equal(space.kv_v.knots, space.kv_u.knots):
+        sqv = span_quadrature(space.kv_v, ng)
     nsu, nsv = squ.first_active.size, sqv.first_active.size
     n_u, n_v, bw = space.n_u, space.n_v, 2 * p + 1
 
@@ -168,8 +171,7 @@ def assemble_volume(patch, source=1.0, label=""):
     cols = as_strided(padded, (n_u, n_v, bw, bw), padded.strides * 2, writeable=False)
     keep = (cols >= 0) & space.free_mask[:, :, None, None]
     indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=(2, 3))[space.free_mask])])
-    return (scipy.sparse.csr_matrix((band[keep], cols[keep], indptr), shape=(space.dimension,) * 2),
-            load.T[space.free_mask])
+    return (band[keep], cols[keep], indptr), load.T[space.free_mask]
 
 
 def univariate_matrices(kv):
@@ -184,135 +186,144 @@ def univariate_matrices(kv):
 
 def _merged_edge_partition(domain, ori):
     """Breakpoints of both sides merged, expressed in the owner's edge parameter."""
-    own_kv = domain.patches[ori.k].space.edge_kv(ori.side_k)
-    nb_kv = domain.patches[ori.l].space.edge_kv(ori.side_l)
-    a, b = ori.range_k
-    c, d = sorted(ori.range_l)
-    pts = [a, b] + [t for t in own_kv.breakpoints if a < t < b]
-    for s in nb_kv.breakpoints:
-        if c < s < d:  # invert the affine correspondence
-            frac = (s - ori.range_l[0]) / (ori.range_l[1] - ori.range_l[0])
-            pts.append(a + (1.0 - frac if ori.reversed_ else frac) * (b - a))
-    pts = np.array(sorted(pts))
-    keep = np.concatenate([[True], np.diff(pts) > 1e-12 * (b - a)])
-    return pts[keep]
+    own = domain.patches[ori.k].space.edge_kv(ori.side_k).breakpoints
+    nb = domain.patches[ori.l].space.edge_kv(ori.side_l).breakpoints
+    (a, b), (c, d) = ori.range_k, sorted(ori.range_l)
+    frac = (nb - ori.range_l[0]) / (ori.range_l[1] - ori.range_l[0])  # invert the affine map
+    frac = ((1.0 - frac) if ori.reversed_ else frac)[(c < nb) & (nb < d)]
+    pts = np.unique(np.concatenate([[a, b], own[(a < own) & (own < b)], a + frac * (b - a)]))
+    return pts[np.concatenate([[True], np.diff(pts) > 1e-12 * (b - a)])]
 
 
-@dataclass
-class _SideQuadrature:
-    """Quadrature data for one oriented interface side."""
-
-    ts: np.ndarray           # owner edge parameters
-    ss: np.ndarray           # neighbor edge parameters
-    uv: np.ndarray           # (Q, 2) owner parameter points
-    weights: np.ndarray      # Gauss weight times arc measure
-    normals: np.ndarray      # outward unit normals of the owner
-    jinv_t: np.ndarray       # inverse-transpose Jacobians of the owner
+def _oriented_sides(domain):
+    """Both orientations of every interface: side ``2 i`` is interface i, ``2 i + 1`` its flip."""
+    return [ori for g in domain.interfaces for ori in (g, g.flipped())]
 
 
-def _side_quadrature(domain, ori, n_gauss):
-    geo = domain.patches[ori.k].geometry
-    side = ori.side_k
-    breaks = _merged_edge_partition(domain, ori)
-    ts, wts = gauss_rule(n_gauss).mapped(breaks[:-1, None], breaks[1:, None])
-    ts, wts = ts.ravel(), wts.ravel()
-    ss = np.asarray(ori.map_param(ts))
+_SidePoints = namedtuple("_SidePoints", "side axis ss uv weights normals jinv_t start")
 
-    u, v = side_point(side, ts)
-    _, jac = geo.jacobian_grid(u, v)
-    jac = jac.reshape(-1, 2, 2)
-    uv = np.stack(np.broadcast_arrays(u, v), axis=-1)
-    arc = np.linalg.norm(jac[:, :, side_axis(side)], axis=1)
-    JinvT, _ = _inv_transpose(jac, where="patch %d side %s" % (ori.k, side), points=uv)
+
+def _side_points(domain):
+    """Gauss points of all oriented sides' merged partitions, side after side.
+
+    Per point: its `side` (:func:`_oriented_sides`), the owner's parameter `axis` along it, the
+    neighbor's edge parameter `ss`, the owner's `uv`, the Gauss weight times arc measure, the
+    owner's outward unit normal and ``J^-T``; `start` is the first point of every merged
+    sub-interval.  Each owner's map is evaluated once, at all its points."""
+    sides = _oriented_sides(domain)
+    ts, ws, ss, counts = [np.zeros(0)], [np.zeros(0)], [np.zeros(0)], [0]
+    for ori in sides:
+        geo = domain.patches[ori.k].geometry
+        ng = max(domain.degree, geo.kv_u.p, geo.kv_v.p) + 1
+        breaks = _merged_edge_partition(domain, ori)
+        t, w = (a.ravel() for a in gauss_rule(ng).mapped(breaks[:-1, None], breaks[1:, None]))
+        ts, ws, ss = ts + [t], ws + [w], ss + [np.asarray(ori.map_param(t))]
+        counts += [ng] * (breaks.size - 1)
+    side = np.repeat(np.arange(len(sides)), [t.size for t in ts[1:]]).astype(int)
+    n_hat = np.array([side_normal_hat(ori.side_k) for ori in sides]).reshape(-1, 2)[side]
+    axis = (n_hat[:, 1] == 0.0).astype(int)
+    uv = np.where(n_hat == 0.0, np.concatenate(ts)[:, None], (n_hat > 0.0).astype(float))
+    owner = np.array([ori.k for ori in sides], dtype=int)[side]
+    jac, jinv_t = np.empty((side.size, 2, 2)), np.empty((side.size, 2, 2))
+    for k in np.unique(owner):
+        at = owner == k
+        jac[at] = domain.patches[k].geometry.jacobian_points(uv[at, 0], uv[at, 1])
+        jinv_t[at] = _inv_transpose(jac[at], "patch %d" % k, uv[at])[0]
     # outward: an inward step J (-eps n_hat) has dot product -eps with J^-T n_hat
-    normals = JinvT @ side_normal_hat(side)
+    normals = (jinv_t @ n_hat[:, :, None])[..., 0]
     normals /= np.linalg.norm(normals, axis=1)[:, None]
-    return _SideQuadrature(ts, ss, uv, wts * arc, normals, JinvT)
+    weights = np.concatenate(ws) * np.linalg.norm(jac[np.arange(side.size), :, axis], axis=1)
+    return _SidePoints(side, axis, np.concatenate(ss), uv, weights, normals, jinv_t,
+                       np.cumsum(counts[:-1], dtype=int))
 
 
-def interface_side_terms(domain, ori, delta, own_index, edge_index):
-    """SIPG block of one oriented interface side, one dense matrix per merged sub-interval.
+def interface_side_terms(domain, delta):
+    """SIPG blocks of all oriented interface sides, one dense matrix per merged sub-interval.
 
-    At a point with weight w the owner's m lattice functions N and the
-    neighbor's p + 1 edge functions psi give the jump ``[N, -psi]`` and the
-    owner-side flux ``[dN/dn, 0]``; the point's matrix is
-    ``rho w jump (x) jump - alpha w / 2 (flux (x) jump + jump (x) flux)``,
-    the penalty and consistency terms.  Only the owner functions whose value
-    or derivative is nonzero somewhere on the side enter.  `own_index` maps
-    the owner's flat lattice and `edge_index` the neighbor's edge functions
-    to the caller's dofs (-1 for dropped ones).  Returns ``(idx, mats)``, the
-    matrices summed over each merged sub-interval: ``mats[j]`` adds onto the
-    rows and columns ``idx[j]``.
+    At a point with weight w, the owner's 2 (p + 1) functions N of the two
+    lattice layers next to the side (whose value or derivative is nonzero
+    there) and the neighbor's p + 1 edge functions psi give the jump
+    ``[N, -psi]`` and the owner-side flux ``[dN/dn, 0]``; the point's matrix
+    is ``rho w jump (x) jump - alpha w / 2 (flux (x) jump + jump (x) flux)``.
+    One pass over all sides' points evaluates the basis once per distinct
+    knot vector.  Returns ``(side, own, edge, mats)``, one row per
+    sub-interval, side after side: ``mats[j]`` couples the owner's flat
+    lattice indices ``own[j]``, then the neighbor's edge functions ``edge[j]``.
     """
-    patch = domain.patches[ori.k]
-    space = patch.space
-    p = space.degree
-    geo = patch.geometry
-    ng = max(p, geo.kv_u.p, geo.kv_v.p) + 1
-    sq = _side_quadrature(domain, ori, ng)
-    nb_kv = domain.patches[ori.l].space.edge_kv(ori.side_l)
-    n_v = space.n_v
-    alpha = patch.alpha
-    h = domain.metrics["h"]
-    rho = alpha * delta * p * p / min(h[ori.k], h[ori.l])
+    p, sides, sp = domain.degree, _oriented_sides(domain), _side_points(domain)
+    side, axis, start, q = sp.side, sp.axis, sp.start, np.arange(sp.side.size)
+    # the owner's u and v and the neighbor's edge basis at every point, by distinct knot vector
+    kvs = {}
+    which = np.array([[kvs.setdefault(kv.knots.tobytes(), (len(kvs), kv))[0] for kv in (
+        domain.patches[ori.k].space.kv_u, domain.patches[ori.k].space.kv_v,
+        domain.patches[ori.l].space.edge_kv(ori.side_l))] for ori in sides]).reshape(-1, 3)[side].T
+    params = np.stack([sp.uv[:, 0], sp.uv[:, 1], sp.ss])
+    first, tab = np.empty((3, q.size), dtype=int), np.empty((3, q.size, 2, p + 1))
+    for i, kv in kvs.values():
+        first[which == i], tab[which == i] = eval_basis(kv, params[which == i], 1)
 
-    # every quadrature point at once: the tables of both univariate factors
-    # of the owner's functions whose value or derivative is nonzero somewhere
-    # on the side, and of the neighbor's p + 1 edge functions
-    Q = sq.ts.size
-    fu, tu = eval_basis(space.kv_u, sq.uv[:, 0], 1)
-    fv, tv = eval_basis(space.kv_v, sq.uv[:, 1], 1)
-    cu, cv = (np.flatnonzero(np.any(t != 0.0, axis=(0, 1))) for t in (tu, tv))
-    tu, tv = tu[:, :, cu], tv[:, :, cv]
-
-    def tensor(du, dv):
-        return (tu[:, du, :, None] * tv[:, dv, None, :]).reshape(Q, -1)
-
-    lat = ((fu[:, None] + cu)[:, :, None] * n_v + (fv[:, None] + cv)[:, None, :]).reshape(Q, -1)
-    fs, tab_s = eval_basis(nb_kv, sq.ss, 0)
-    idx = np.concatenate([own_index[lat], edge_index[fs[:, None] + np.arange(p + 1)]], axis=1)
-    jump = np.concatenate([tensor(0, 0), -tab_s[:, 0]], axis=1)
-    mats = (jump[:, :, None] * jump[:, None, :]) * (rho * sq.weights)[:, None, None]
-    grads = sq.jinv_t @ np.stack([tensor(1, 0), tensor(0, 1)], axis=1)
-    flux = np.zeros_like(jump)
-    flux[:, : lat.shape[1]] = np.einsum("qa,qam->qm", sq.normals, grads)
-    fj = (0.5 * alpha * sq.weights)[:, None, None] * flux[:, :, None] * jump[:, None, :]
+    # the two layers are table columns 0, 1 at the parameter 0 and p - 1, p at 1
+    col = (p - 1) * (sp.uv[q, 1 - axis] == 1.0).astype(int)[:, None] + np.arange(2)
+    layer = np.take_along_axis(tab[1 - axis, q], col[:, None, :], axis=2)  # (Q, derivative, layer)
+    values, d_layer, d_along = ((layer[:, a, :, None] * tab[axis, q, b, None, :]).reshape(
+        -1, 2 * p + 2) for a, b in ((0, 0), (1, 0), (0, 1)))
+    grad_hat = np.where(axis[:, None, None] == 1, np.stack([d_layer, d_along], axis=1),
+                        np.stack([d_along, d_layer], axis=1))
+    jump = np.concatenate([values, -tab[2, :, 0]], axis=1)
+    flux = np.pad(np.einsum("qa,qam->qm", sp.normals, sp.jinv_t @ grad_hat), ((0, 0), (0, p + 1)))
+    k, l = np.array([[ori.k, ori.l] for ori in sides], dtype=int).reshape(-1, 2).T
+    alpha = np.array([patch.alpha for patch in domain.patches])[k]
+    rho = alpha * delta * p * p / np.minimum(domain.metrics["h"][k], domain.metrics["h"][l])
+    mats = (jump[:, :, None] * jump[:, None, :]) * (rho[side] * sp.weights)[:, None, None]
+    fj = (0.5 * alpha[side] * sp.weights)[:, None, None] * flux[:, :, None] * jump[:, None, :]
     mats -= fj + np.swapaxes(fj, 1, 2)
-    # points that share an index row lie on one merged sub-interval
-    start = np.flatnonzero(np.concatenate([[True], np.any(idx[1:] != idx[:-1], axis=1)]))
-    return idx[start], np.add.reduceat(mats, start, axis=0)
+
+    idx = np.broadcast_arrays((first[1 - axis[start], start, None] + col[start])[:, :, None],
+                              (first[axis[start], start, None] + np.arange(p + 1))[:, None, :])
+    iu, iv = np.where(axis[start, None, None] == 1, idx, idx[::-1])
+    n_v = np.array([patch.space.n_v for patch in domain.patches])[k[side[start]], None, None]
+    return (side[start], (iu * n_v + iv).reshape(-1, 2 * p + 2),
+            first[2, start, None] + np.arange(p + 1), np.add.reduceat(mats, start, axis=0))
 
 
-def assemble_interface_terms(domain, k, rows, delta):
-    """SIPG block of one interface in block `k`'s extended space.
+def side_dofs(domain, side, own, edge, lattice_maps, edge_maps):
+    """Owner patch and the indices of :func:`interface_side_terms` rows, the owner's lattice
+    mapped through ``lattice_maps[patch]`` and the edge functions through ``edge_maps[side]``."""
+    owner = np.array([ori.k for ori in _oriented_sides(domain)], dtype=int)[side]
+    idx = [np.concatenate([np.zeros(0, int), *maps])[np.cumsum([0] + [m.size for m in maps])[which]
+                                                    [:, None] + local]
+           for maps, which, local in ((lattice_maps, owner, own), (edge_maps, side, edge))]
+    return owner, np.concatenate(idx, axis=1)
 
-    `rows` are the :func:`copy_map` rows of that interface whose block is
-    `k`.  Returns the ``(idx, mats)`` block of :func:`interface_side_terms`
-    over the extended dofs of patch `k`.
+
+def assemble_interface_terms(domain, copies, delta):
+    """The :func:`interface_side_terms` rows over the owners' extended dofs (copy map `copies`).
+
+    Returns ``(block, idx, mats)``: ``mats[j]`` adds onto the rows and
+    columns ``idx[j]`` of block ``block[j]``, -1 for dropped ones.
     """
-    g = domain.interfaces[rows[0, 0]]
-    ori = g if g.k == k else g.flipped()
-    nb = domain.patches[ori.l].space
-    copy_of = np.full(nb.dimension + 1, -1)  # the last entry serves the constrained index -1
-    copy_of[rows[:, 2]] = rows[:, 4]
-    return interface_side_terms(domain, ori, delta, domain.patches[k].space.dof_map.ravel(),
-                                copy_of[nb.edge_dofs(ori.side_l)])
+    side, own, edge, mats = interface_side_terms(domain, delta)
+    edge_maps = []
+    for s, ori in enumerate(_oriented_sides(domain)):
+        nb = domain.patches[ori.l].space
+        rows = copies[(copies[:, 0] == s // 2) & (copies[:, 3] == ori.k)]
+        copy_of = np.full(nb.dimension + 1, -1)  # the last entry serves the constrained index -1
+        copy_of[rows[:, 2]] = rows[:, 4]
+        edge_maps.append(copy_of[nb.edge_dofs(ori.side_l)])
+    lattice_maps = [patch.space.dof_map.ravel() for patch in domain.patches]
+    return (*side_dofs(domain, side, own, edge, lattice_maps, edge_maps), mats)
 
 
-def build_local_system(domain, k, delta, copies, source=1.0):
-    """Assemble the extended local system of patch `k`.
+def build_local_system(domain, k, copies, terms, source=1.0):
+    """Assemble the extended local system of patch `k` in one sparse construction.
 
-    Block `k`'s artificial dofs are its rows of the copy map `copies`.  The
-    load is supported on the patch dofs only; the interface blocks receive
-    consistency and penalty couplings.
+    Block `k`'s artificial dofs are its rows of the copy map `copies`, its
+    interface blocks its rows of `terms` (:func:`assemble_interface_terms`).
+    The load is supported on the patch dofs only.
     """
     patch = domain.patches[k]
-    rows = copies[copies[:, 3] == k]
-    n_total = patch.space.dimension + len(rows)
-
-    vol, load = assemble_volume(patch, source=source, label="patch %d" % k)
-    vol.resize(n_total, n_total)
-    blocks = [assemble_interface_terms(domain, k, rows[rows[:, 0] == i], delta)
-              for i in np.unique(rows[:, 0])]
-    A = linalg.SparseSym.from_blocks(vol, blocks)
-    return ExtendedLocalSystem(k, A, np.concatenate([load, np.zeros(len(rows))]))
+    n = patch.space.dimension + np.count_nonzero(copies[:, 3] == k)
+    volume, load = assemble_volume(patch, source=source, label="patch %d" % k)
+    block, idx, mats = terms
+    A = linalg.SparseSym.from_blocks(n, volume, idx[block == k], mats[block == k])
+    return ExtendedLocalSystem(k, A, np.concatenate([load, np.zeros(n - load.size)]))

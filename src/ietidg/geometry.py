@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import SIDES, KnotVector, TensorSplineSpace, eval_matrices
+from .bspline import SIDES, KnotVector, TensorSplineSpace, eval_basis, eval_matrices
 from .errors import ConfigError
 
 log = logging.getLogger(__name__)
@@ -24,30 +24,15 @@ _MATCH_TOL = 1e-9  # interface mismatch allowed, relative to H of patch k
 
 def side_point(side, t):
     """Parameter-square point on `side` at edge parameter `t`."""
-    if side == "west":
-        return (0.0, t)
-    if side == "east":
-        return (1.0, t)
-    if side == "south":
-        return (t, 0.0)
-    if side == "north":
-        return (t, 1.0)
-    raise ConfigError("unknown side %r" % side)
-
-
-def side_axis(side):
-    """Parameter axis running along the side: 0 for south/north, 1 for west/east."""
-    return 1 if side in ("west", "east") else 0
+    if side not in SIDES:
+        raise ConfigError("unknown side %r" % side)
+    return {"west": (0.0, t), "east": (1.0, t), "south": (t, 0.0), "north": (t, 1.0)}[side]
 
 
 def side_normal_hat(side):
     """Outward unit normal of the parameter square on `side`."""
-    return {
-        "west": np.array([-1.0, 0.0]),
-        "east": np.array([1.0, 0.0]),
-        "south": np.array([0.0, -1.0]),
-        "north": np.array([0.0, 1.0]),
-    }[side]
+    return np.array({"west": (-1.0, 0.0), "east": (1.0, 0.0), "south": (0.0, -1.0),
+                     "north": (0.0, 1.0)}[side])
 
 
 class GeometryMap:
@@ -104,6 +89,14 @@ class GeometryMap:
         BV = eval_matrices(self.kv_v, v_pts, 1)
         ju, jv = self._contract(BU[1], BV[0]), self._contract(BU[0], BV[1])
         return self._contract(BU[0], BV[0]), np.stack([ju, jv], axis=-1)
+
+    def jacobian_points(self, u_pts, v_pts):
+        """Jacobians ``(Q, 2, 2)`` as in `jacobian_grid`, at the points ``(u_pts[q], v_pts[q])``."""
+        (fu, tu), (fv, tv) = eval_basis(self.kv_u, u_pts, 1), eval_basis(self.kv_v, v_pts, 1)
+        C = self.control[(fu[:, None] + np.arange(self.kv_u.p + 1))[:, :, None],
+                         (fv[:, None] + np.arange(self.kv_v.p + 1))[:, None, :]]
+        return np.stack([np.einsum("qa,qb,qabx->qx", tu[:, 1], tv[:, 0], C),
+                         np.einsum("qa,qb,qabx->qx", tu[:, 0], tv[:, 1], C)], axis=-1)
 
     def check_bijective(self):
         """Reject the patch unless det(Jacobian) keeps one sign on a sample grid."""

@@ -27,15 +27,15 @@ F lambda = d by PCG with the coefficient-scaled Dirichlet preconditioner
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse
 
-from .assembly import build_local_system, copy_map, univariate_matrices
+from .assembly import assemble_interface_terms, build_local_system, copy_map, univariate_matrices
 from .bspline import greville_points, nonzero_at_point
 from .errors import NumericalError
-from .linalg import Factorization, cholesky, factorize, fast_diagonalization, pcg
+from .linalg import Factorization, cholesky, factorize, fast_diagonalization, generalized_eigh, pcg
 
 log = logging.getLogger(__name__)
 
@@ -241,7 +241,7 @@ def build_psi(local_system, partition, aii_fac, interior_fd=False):
     return OperatorBlock(S, dual_fac, psi, aii_fac, A_IG, g, f[I], I, gamma, nd, interior_fd)
 
 
-def kronecker_interior(patch, interior, univariate, name=""):
+def kronecker_interior(patch, interior, eigenpairs, name=""):
     """Fast-diagonalization factorization of the interior block, or None if it is no Kronecker sum.
 
     The block is ``c_u K_u (x) M_v + c_v M_u (x) K_v``, ``c_u = alpha |J_y / J_x|
@@ -251,8 +251,8 @@ def kronecker_interior(patch, interior, univariate, name=""):
     couples two interior dofs (a jump is nonzero only on trace-active
     functions, which are skeleton dofs).  The map is taken as affine when its
     control net equals it at the Greville points to 1e-14 of ``max |J|``,
-    ``J = control[-1, -1] - control[0, 0]``.  `univariate` maps knot bytes to
-    the 1D ``(K, M)``.
+    ``J = control[-1, -1] - control[0, 0]``.  ``eigenpairs(kv, idx)`` gives
+    the 1D eigenpairs of `kv` on the indices `idx`.
     """
     space, geo = patch.space, patch.geometry
     x0, J = geo.control[0, 0], geo.control[-1, -1] - geo.control[0, 0]
@@ -266,11 +266,9 @@ def kronecker_interior(patch, interior, univariate, name=""):
     I_u, I_v = iu[::n_v], iv[:n_v]
     if not np.array_equal(lat, (I_u[:, None] * space.n_v + I_v).ravel()):
         return None
-    (K_u, M_u), (K_v, M_v) = [[m[idx][:, idx] for m in univariate[kv.knots.tobytes()]]
-                              for kv, idx in ((space.kv_u, I_u), (space.kv_v, I_v))]
     aspect = abs(J[1] / J[0])
-    return fast_diagonalization(K_u, M_u, K_v, M_v, patch.alpha * aspect, patch.alpha / aspect,
-                                name)
+    return fast_diagonalization(eigenpairs(space.kv_u, I_u), eigenpairs(space.kv_v, I_v),
+                                patch.alpha * aspect, patch.alpha / aspect, name)
 
 
 @dataclass
@@ -315,16 +313,21 @@ class IetiOperator:
         self.n_primal = len(groups)
         self.primal_global = partition.primal_global
 
-        # 1D matrices of the fast-diagonalization blocks, once per distinct knot vector
-        kvs = {kv.knots.tobytes(): kv for patch in domain.patches
-               for kv in (patch.space.kv_u, patch.space.kv_v)}
-        univariate = {key: univariate_matrices(kv) for key, kv in kvs.items()}
+        # 1D eigenpairs of the FD blocks, once per distinct (knot vector, interior range)
+        pairs = {}
+
+        def eigenpairs(kv, idx):
+            key = kv.knots.tobytes() + idx.tobytes()
+            if key not in pairs:
+                K, M = (m[idx][:, idx] for m in univariate_matrices(kv))
+                pairs[key] = generalized_eigh(K, M, name)
+            return pairs[key]
 
         self.blocks = []
         for k, sysk in enumerate(local_systems):
             I = partition.interior[k]
             name = "patch %d interior block" % k
-            fd = kronecker_interior(domain.patches[k], I, univariate, name)
+            fd = kronecker_interior(domain.patches[k], I, eigenpairs, name)
             aii_fac = fd or factorize(sysk.A.csr[I][:, I], name=name)
             self.blocks.append(build_psi(sysk, partition, aii_fac, fd is not None))
 
@@ -423,27 +426,14 @@ class SolveReport:
         ]
 
     def to_json_dict(self):
-        return {
-            "domain": self.domain,
-            "p": self.p,
-            "r": self.refinement,
-            "K": self.num_patches,
-            "dofs": self.dofs,
-            "extended_dofs": self.extended_dofs,
-            "multipliers": self.multipliers,
-            "primal_dofs": self.primal_dofs,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "kappa": self.kappa,
-            "lambda_factor": self.lambda_factor,
-            "lambda_bound": self.bound,
-            "kappa_over_bound": self.kappa / self.bound,
-            "residuals": list(self.residuals),
-            "setup_seconds": self.setup_seconds,
-            "solve_seconds": self.solve_seconds,
-            "degenerate_tjunctions": self.degenerate_tjunctions,
-            "fd_interior_blocks": self.fd_interior_blocks,
-        }
+        """The fields in order, `refinement` as ``r``, `num_patches` as ``K``, and the bound."""
+        out, keys = {}, {"refinement": "r", "num_patches": "K"}
+        for f in fields(self):
+            out[keys.get(f.name, f.name)] = getattr(self, f.name)
+            if f.name == "lambda_factor":
+                out.update(lambda_bound=self.bound, kappa_over_bound=self.kappa / self.bound)
+        out["residuals"] = list(self.residuals)
+        return out
 
 
 @dataclass
@@ -466,7 +456,8 @@ def setup_operator(domain, delta=12.0, source=1.0):
     groups = select_primal(domain)
     partition = build_partition(domain, copies, groups)
     jumps = build_jump_matrices(domain, partition)
-    local_systems = [build_local_system(domain, k, delta, copies, source=source)
+    terms = assemble_interface_terms(domain, copies, delta)
+    local_systems = [build_local_system(domain, k, copies, terms, source=source)
                      for k in range(domain.num_patches)]
     return IetiOperator(domain, local_systems, groups, partition, jumps)
 

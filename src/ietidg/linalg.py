@@ -25,7 +25,7 @@ _PIVOT_RTOL = 1e-14
 
 
 class SparseSym:
-    """Compressed-row symmetric matrix built from a sparse matrix or from dense blocks.
+    """Compressed-row symmetric matrix from a sparse matrix or from CSR rows and dense blocks.
 
     Duplicate triplets are summed and explicit zeros dropped.  The values
     are verified to be finite and symmetric up to 1e-12 relative in the max
@@ -40,35 +40,34 @@ class SparseSym:
         self.n = csr.shape[0]
         if not np.isfinite(csr.data).all():
             raise NumericalError("symmetric matrix has non-finite entries")
-        if self.n:
-            scale = max(abs(csr.max()), abs(csr.min()), 1e-300)
-            asym = abs(csr - csr.T)
-            worst = asym.max() if asym.nnz else 0.0
-            if worst > 1e-12 * scale:
-                raise NumericalError(
-                    "symmetric matrix has asymmetry %.3e (scale %.3e)" % (worst, scale)
-                )
+        scale = max(np.abs(csr.data).max(initial=0.0), 1e-300)
+        T = csr.T.tocsr()  # canonical, so a symmetric pattern stores the same index arrays
+        same = np.array_equal(T.indptr, csr.indptr) and np.array_equal(T.indices, csr.indices)
+        worst = np.abs(T.data - csr.data if same else (csr - T).data).max(initial=0.0)
+        if worst > 1e-12 * scale:
+            raise NumericalError("symmetric matrix has asymmetry %.3e (scale %.3e)"
+                                 % (worst, scale))
 
     @classmethod
-    def from_blocks(cls, base, blocks):
-        """The sparse (n, n) `base` plus dense blocks ``(idx, mats)``.
-
-        Each block pairs a (B, s) index array with (B, s, s) matrices:
-        ``mats[b]`` adds onto the rows and columns ``idx[b]``, and entries
-        whose row or column index is -1 are dropped.
-        """
-        if blocks:
-            rows = np.concatenate([np.repeat(idx, idx.shape[1], axis=1).ravel()
-                                   for idx, _ in blocks])
-            cols = np.concatenate([np.tile(idx, idx.shape[1]).ravel() for idx, _ in blocks])
-            vals = np.concatenate([mats.ravel() for _, mats in blocks])
-            keep = (rows >= 0) & (cols >= 0)
-            base = base + scipy.sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                                                  shape=base.shape)
-        return cls(base)
+    def from_blocks(cls, n, base, idx, mats):
+        """The (n, n) sum of the CSR arrays `base` ``(data, indices, indptr)`` of its leading rows
+        and the dense blocks `idx`, `mats` (see `block_triplets`), in one sparse construction."""
+        data, indices, indptr = base
+        vals, (rows, cols) = block_triplets(idx, mats)
+        rows = np.concatenate([np.repeat(np.arange(indptr.size - 1), np.diff(indptr)), rows])
+        return cls(scipy.sparse.coo_matrix(
+            (np.concatenate([data, vals]), (rows, np.concatenate([indices, cols]))), shape=(n, n)))
 
     def toarray(self):
         return self.csr.toarray()
+
+
+def block_triplets(idx, mats):
+    """Triplets ``(vals, (rows, cols))`` of the (B, s, s) `mats`: ``mats[b]`` on the rows and
+    columns ``idx[b]`` of the (B, s) `idx`, leaving out entries whose row or column index is -1."""
+    rows, cols = np.repeat(idx, idx.shape[1], axis=1).ravel(), np.tile(idx, idx.shape[1]).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    return mats.ravel()[keep], (rows[keep], cols[keep])
 
 
 class Factorization:
@@ -144,22 +143,28 @@ def cholesky(A, name=""):
     return Factorization(n, lambda rhs: scipy.linalg.cho_solve(factor, rhs, check_finite=False))
 
 
-def fast_diagonalization(K_u, M_u, K_v, M_v, c_u, c_v, name=""):
+def generalized_eigh(K, M, name=""):
+    """Pairs ``(lam, U)`` of ``K U = M U diag(lam)``, ``U^T M U = 1``, M SPD (LAPACK dsygv)."""
+    lam, U, info = dsygv(K, M)
+    if info:
+        raise NumericalError("%s: 1D eigensolver failed" % (name or "fast diagonalization"))
+    return lam, U
+
+
+def fast_diagonalization(eig_u, eig_v, c_u, c_v, name=""):
     """Exact SPD solver of the Kronecker sum ``c_u K_u (x) M_v + c_v M_u (x) K_v``.
 
-    Fast diagonalization (Lynch, Rice and Thomas, 1964): with the generalized
-    eigenpairs ``K U = M U diag(lam)``, ``U^T M U = 1`` of both directions and
-    ``D = c_u lam_u (x) 1 + c_v 1 (x) lam_v``, a solve is ``U_u (U_u^T X U_v / D)
-    U_v^T`` on the ``(n_u, n_v)`` reshape X of a right-hand side.  Raises
-    :class:`NumericalError` if an eigenproblem fails or D is not positive.
+    Fast diagonalization (Lynch, Rice and Thomas, 1964): with the
+    :func:`generalized_eigh` pairs ``(lam_u, U_u)``, ``(lam_v, U_v)`` of both
+    directions and ``D = c_u lam_u (x) 1 + c_v 1 (x) lam_v``, a solve is ``U_u
+    (U_u^T X U_v / D) U_v^T`` on the ``(n_u, n_v)`` reshape X of a right-hand
+    side.  Raises :class:`NumericalError` if D is not positive.
     """
-    label = name or "fast diagonalization"
-    (lam_u, U_u, info_u), (lam_v, U_v, info_v) = dsygv(K_u, M_u), dsygv(K_v, M_v)
-    if info_u or info_v:
-        raise NumericalError("%s: 1D eigensolver failed" % label)
+    (lam_u, U_u), (lam_v, U_v) = eig_u, eig_v
     D = c_u * lam_u[:, None] + c_v * lam_v
     if not D.min() > 0:  # also catches NaN
-        raise NumericalError("%s: expected SPD matrix, smallest eigenvalue %.3e" % (label, D.min()))
+        raise NumericalError("%s: expected SPD matrix, smallest eigenvalue %.3e"
+                             % (name or "fast diagonalization", D.min()))
     return _FastDiagonalization(U_u, U_v, D)
 
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from ietidg.assembly import build_local_system, copy_map
+from ietidg.assembly import assemble_interface_terms, build_local_system, copy_map
 from ietidg.bspline import KnotVector, TensorSplineSpace, refine_uniform
+from ietidg.domains import domain_from_config, domain_to_config
 from ietidg.geometry import GeometryMap, Interface, MultiPatchDomain, Patch
 from ietidg.linalg import SparseSym
 from ietidg.refsolver import patch_offsets
@@ -64,6 +65,20 @@ def curved_geometry():
     return GeometryMap(kv, kv, control)
 
 
+def nonuniform_config_domain(p, r=0):
+    """Two patches, [0, 1] x [0, 1] and [1, 3] x [0, 1], from a config with
+    non-uniform knot vectors that do not match across the interface, each
+    span bisected `r` times."""
+    config = domain_to_config(two_patch_domain(p, 1))
+    config["patches"][1]["geometry"]["control_points"] = [[[1, 0], [1, 1]], [[3, 0], [3, 1]]]
+    for patch, knots_u, knots_v in ((0, [0.3, 0.45], [0.2, 0.7]), (1, [0.6], [0.35, 0.5, 0.8])):
+        space = config["patches"][patch]["space"]
+        for key, knots in (("knots_u", knots_u), ("knots_v", knots_v)):
+            kv = KnotVector(p, [0.0] * (p + 1) + knots + [1.0] * (p + 1))
+            space[key] = refine_uniform(kv, r).knots.tolist()
+    return domain_from_config(config)
+
+
 def curved_two_patch_domain(p=2, r=2):
     """The curved patch of `curved_geometry` glued along x = 1 to the square [1, 2] x [0, 1]."""
     kv = refine_uniform(KnotVector.bernstein(p), r)
@@ -95,7 +110,8 @@ def random_knotvector(rng, p=None):
 def local_systems(domain, delta=12.0, source=1.0):
     """Every block's extended local system, over the copy map of `domain`."""
     copies = copy_map(domain)
-    return [build_local_system(domain, k, delta, copies, source=source)
+    terms = assemble_interface_terms(domain, copies, delta)
+    return [build_local_system(domain, k, copies, terms, source=source)
             for k in range(domain.num_patches)]
 
 

@@ -3,10 +3,11 @@ import pytest
 import scipy.sparse
 
 from ietidg.assembly import (
-    _side_quadrature,
+    _merged_edge_partition,
+    _oriented_sides,
+    _side_points,
     assemble_interface_terms,
     assemble_volume,
-    build_local_system,
     copy_map,
     interface_side_terms,
     trace_basis_on_edge,
@@ -18,12 +19,29 @@ from ietidg.errors import ConfigError, NumericalError
 from ietidg.geometry import GeometryMap, MultiPatchDomain, Patch, side_normal_hat
 from ietidg.linalg import SparseSym
 
-from conftest import (curved_geometry, curved_two_patch_domain, mirrored_two_patch_domain,
+from conftest import (curved_geometry, curved_two_patch_domain, local_systems,
+                      mirrored_two_patch_domain, nonuniform_config_domain,
                       reversed_two_patch_domain, two_patch_domain, unit_square_patch)
+from test_bspline import scalar_cox_de_boor
+
+NO_ROWS = (np.zeros(0), np.zeros(0, dtype=int), np.zeros(1, dtype=int))  # CSR arrays of no row
 
 
 def block_to_dense(block, n):
-    return SparseSym.from_blocks(scipy.sparse.csr_matrix((n, n)), [block]).toarray()
+    return SparseSym.from_blocks(n, NO_ROWS, *block).toarray()
+
+
+def volume_matrix(patch, **kwargs):
+    """`assemble_volume`'s stiffness as a CSR matrix, with its load."""
+    arrays, load = assemble_volume(patch, **kwargs)
+    return scipy.sparse.csr_matrix(arrays, shape=(patch.space.dimension,) * 2), load
+
+
+def side_rows(dom, delta, s, own_index, edge_index):
+    """The `interface_side_terms` rows of oriented side `s` as an ``(idx, mats)`` block."""
+    side, own, edge, mats = interface_side_terms(dom, delta)
+    at = side == s
+    return np.concatenate([own_index[own[at]], edge_index[edge[at]]], axis=1), mats[at]
 
 
 def q1_stiffness_oracle():
@@ -132,7 +150,7 @@ class TestTraceBasis:
 class TestVolume:
     def test_q1_unit_square(self):
         patch = unit_square_patch(0, 1, 0, 1, 1, 0, set())
-        A, load = assemble_volume(patch, source=1.0)
+        A, load = volume_matrix(patch, source=1.0)
         A = A.toarray()
         np.testing.assert_allclose(A, q1_stiffness_oracle(), atol=1e-14)
         assert A[0, 0] == pytest.approx(2.0 / 3.0)
@@ -142,14 +160,14 @@ class TestVolume:
     def test_constants_in_kernel(self, rng):
         patch = unit_square_patch(0, 1, 0, 1, 2, 2, set())
         n = patch.space.dimension
-        A = assemble_volume(patch)[0].toarray()
+        A = volume_matrix(patch)[0].toarray()
         np.testing.assert_allclose(A @ np.ones(n), 0.0, atol=1e-13)
 
     def test_alpha_linearity(self):
         p1 = unit_square_patch(0, 1, 0, 1, 2, 1, set(), alpha=1.0)
         p10 = unit_square_patch(0, 1, 0, 1, 2, 1, set(), alpha=10.0)
-        A1 = assemble_volume(p1)[0].toarray()
-        A10 = assemble_volume(p10)[0].toarray()
+        A1 = volume_matrix(p1)[0].toarray()
+        A10 = volume_matrix(p10)[0].toarray()
         np.testing.assert_allclose(A10, 10.0 * A1, rtol=0, atol=1e-13 * np.abs(A1).max())
 
     @staticmethod
@@ -167,7 +185,7 @@ class TestVolume:
         assert M_u.sum() == pytest.approx(1.0, rel=1e-14)
         patch = Patch(GeometryMap.bilinear((0, 0), (2, 0), (0, 0.5), (2, 0.5)), 1.0,
                       TensorSplineSpace(kv_u, kv_v))
-        A = assemble_volume(patch)[0].toarray()
+        A = volume_matrix(patch)[0].toarray()
         kron = 0.25 * np.kron(K_u, M_v) + 4.0 * np.kron(M_u, K_v)
         np.testing.assert_allclose(A, kron, rtol=0, atol=1e-14 * np.abs(A).max())
 
@@ -205,7 +223,7 @@ class TestVolume:
         geo = geo or GeometryMap.bilinear((0, 0), (1.5, 0), (0, 0.5), (1.5, 0.5))
         patch = Patch(geo, 2.5, TensorSplineSpace(kv_u, kv_v, dirichlet))
         source = lambda x, y: 1.0 + x * y**2
-        A, f = assemble_volume(patch, source=source)
+        A, f = volume_matrix(patch, source=source)
         A_ref, f_ref = brute_force_volume(patch, source)
         assert A.shape == A_ref.shape == (patch.space.dimension,) * 2
         assert_canonical(A)
@@ -214,9 +232,62 @@ class TestVolume:
 
     def test_spd_on_dirichlet_patch(self, rng):
         patch = unit_square_patch(0, 1, 0, 1, 2, 2, {"west", "east", "south", "north"})
-        A = assemble_volume(patch)[0].toarray()
+        A = volume_matrix(patch)[0].toarray()
         ev = np.linalg.eigvalsh(A)
         assert ev[0] > 0
+
+
+def reference_side_blocks(dom, delta, s):
+    """Oriented side `s`'s matrices, one per merged sub-interval, point by point.
+
+    Independent of the batched pass: the merged breakpoints and Gauss points
+    are recomputed here, the basis comes from `scalar_cox_de_boor` and the
+    map from one-point `jacobian_grid` calls.  Each matrix is dense over the
+    owner's flat lattice followed by the neighbor's edge functions, with
+    every owner function active at the point (not only the two layers).
+    """
+    ori = _oriented_sides(dom)[s]
+    own, nb = dom.patches[ori.k], dom.patches[ori.l]
+    p, space, geo = dom.degree, own.space, own.geometry
+    nb_kv = nb.space.edge_kv(ori.side_l)
+    n_lat = space.n_u * space.n_v
+    h = dom.metrics["h"]
+    rho = own.alpha * delta * p * p / min(h[ori.k], h[ori.l])
+    (a, b), (c, d) = ori.range_k, sorted(ori.range_l)
+    mapped = [a + (b - a) * ((x - ori.range_l[0]) / (ori.range_l[1] - ori.range_l[0]))
+              for x in nb_kv.breakpoints if c < x < d]
+    if ori.reversed_:
+        mapped = [a + b - m for m in mapped]
+    breaks = sorted({a, b, *[x for x in space.edge_kv(ori.side_k).breakpoints if a < x < b]})
+    breaks = sorted(breaks + [m for m in mapped if min(abs(m - x) for x in breaks) > 1e-12])
+    x_g, w_g = np.polynomial.legendre.leggauss(max(p, geo.kv_u.p, geo.kv_v.p) + 1)
+    n_hat = side_normal_hat(ori.side_k)
+
+    blocks = []
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        M = np.zeros((n_lat + nb_kv.n,) * 2)
+        for xg, wg in zip(x_g, w_g):
+            t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xg
+            u, v = {"west": (0.0, t), "east": (1.0, t), "south": (t, 0.0), "north": (t, 1.0)}[ori.side_k]
+            J = geo.jacobian_grid([u], [v])[1][0, 0]
+            JinvT = np.linalg.inv(J).T
+            normal = JinvT @ n_hat / np.linalg.norm(JinvT @ n_hat)
+            w = 0.5 * (hi - lo) * wg * np.linalg.norm(J[:, 0 if n_hat[0] == 0 else 1])
+            jump, flux = np.zeros(M.shape[0]), np.zeros(M.shape[0])
+            (fu, Bu), (fv, Bv) = (scalar_cox_de_boor(kv, x, 1)
+                                  for kv, x in ((space.kv_u, u), (space.kv_v, v)))
+            for i in range(p + 1):
+                for j in range(p + 1):
+                    lat = (fu + i) * space.n_v + fv + j
+                    jump[lat] = Bu[0, i] * Bv[0, j]
+                    flux[lat] = normal @ JinvT @ [Bu[1, i] * Bv[0, j], Bu[0, i] * Bv[1, j]]
+            s_nb = float(ori.map_param(t))
+            fs, Bs = scalar_cox_de_boor(nb_kv, s_nb, 0)
+            jump[n_lat + fs + np.arange(p + 1)] = -Bs[0]
+            M += rho * w * np.outer(jump, jump)
+            M -= 0.5 * own.alpha * w * (np.outer(flux, jump) + np.outer(jump, flux))
+        blocks.append(M)
+    return blocks
 
 
 class TestInterfaceTerms:
@@ -227,7 +298,7 @@ class TestInterfaceTerms:
         # owner functions map to -1, so only the edge-edge part is kept
         own_index = np.full(dom.patches[0].space.n_u * dom.patches[0].space.n_v, -1)
         # (the consistency part vanishes there: the flux is zero on edge columns)
-        block = interface_side_terms(dom, dom.interfaces[0], 12.0, own_index, np.arange(2))
+        block = side_rows(dom, 12.0, 0, own_index, np.arange(2))
         Raa = block_to_dense(block, 2)
         h = dom.metrics["h"][0]
         assert h == pytest.approx(np.sqrt(2.0), rel=1e-9)
@@ -247,10 +318,11 @@ class TestInterfaceTerms:
         edge_index[edges] = rows[:, 4]
         # the penalty is linear in delta and the consistency term does not
         # depend on it, so T(24) - T(12) is the penalty part at delta = 12
-        R = np.subtract(*[block_to_dense(interface_side_terms(
-            dom, dom.interfaces[0], delta, dom.patches[0].space.dof_map.ravel(), edge_index),
-            n_total) for delta in (24.0, 12.0)])
-        M = block_to_dense(assemble_interface_terms(dom, 0, rows, 12.0), n_total) - R
+        R = np.subtract(*[block_to_dense(side_rows(
+            dom, delta, 0, dom.patches[0].space.dof_map.ravel(), edge_index), n_total)
+            for delta in (24.0, 12.0)])
+        block, idx, mats = assemble_interface_terms(dom, copies, 12.0)
+        M = block_to_dense((idx[block == 0], mats[block == 0]), n_total) - R
         v = np.zeros(n_total)
         for edge, copy in zip(edges, rows[:, 4]):
             v[dom.patches[0].space.edge_dofs("east")[edge]] = 2.5
@@ -267,34 +339,64 @@ class TestInterfaceTerms:
         # the edge and the neighbor's p + 1 edge functions
         dom = reversed_two_patch_domain(p=2)
         space = dom.patches[0].space
-        idx, mats = interface_side_terms(dom, dom.interfaces[0], 12.0,
-                                         np.arange(space.n_u * space.n_v), np.arange(4))
+        idx, mats = side_rows(dom, 12.0, 0, np.arange(space.n_u * space.n_v), np.arange(4))
         assert idx.shape == (3, 2 * 3 + 3) and mats.shape == (3, 9, 9)
         assert np.all(idx[:, :6] // space.n_v >= space.n_u - 2)
         assert np.array_equal(mats, np.swapaxes(mats, 1, 2))
 
+    @pytest.mark.parametrize("factory", [
+        lambda: reversed_two_patch_domain(p=2),
+        lambda: curved_two_patch_domain(p=3, r=1),
+        lambda: mirrored_two_patch_domain(p=2),
+        lambda: slider_domain(3, 0.3, degree=2, refinements=1),
+        lambda: nonuniform_config_domain(2),
+    ], ids=["reversed", "curved", "mirrored", "slider(3,0.3)", "nonuniform"])
+    def test_batched_pass_matches_point_by_point_reference(self, factory):
+        # every side's sub-interval matrices, the owner's functions given as
+        # lattice indices and the neighbor's as edge indices, against the
+        # point-by-point reference over every active function
+        dom = factory()
+        side, own, edge, mats = interface_side_terms(dom, 12.0)
+        assert np.array_equal(side, np.sort(side))
+        for s, ori in enumerate(_oriented_sides(dom)):
+            n_lat = dom.patches[ori.k].space.n_u * dom.patches[ori.k].space.n_v
+            reference = reference_side_blocks(dom, 12.0, s)
+            at = np.flatnonzero(side == s)
+            assert at.size == len(reference)
+            scale = max(np.abs(R).max() for R in reference)
+            for j, R in zip(at, reference):
+                idx = np.concatenate([own[j], n_lat + edge[j]])
+                M = np.zeros_like(R)
+                M[np.ix_(idx, idx)] = mats[j]
+                assert np.abs(M - R).max() <= 1e-13 * scale, (s, j)
+
     def test_quadrature_consistency_polynomial(self):
         # the merged-breakpoint rule integrates a degree-2p+1 polynomial exactly
         dom = two_patch_domain(p=2, r=2)
-        sq = _side_quadrature(dom, dom.interfaces[0], 3)
+        sp = _side_points(dom)
+        at = sp.side == 0
+        ts = sp.uv[at, sp.axis[at][0]]
         for deg in range(6):
-            approx = np.sum(sq.weights * sq.ts**deg)
+            approx = np.sum(sp.weights[at] * ts**deg)
             exact = 1.0 / (deg + 1)  # unit-length straight edge
             assert approx == pytest.approx(exact, abs=1e-12)
 
     def test_normals_point_outward(self):
         dom = t_domain(degree=1, refinements=1)
         fixed = {"west": (0, 0.0), "east": (0, 1.0), "south": (1, 0.0), "north": (1, 1.0)}
+        sp = _side_points(dom)
         seen = set()
-        for idx, g in enumerate(dom.interfaces):
-            for ori in (g, g.flipped()):
-                sq = _side_quadrature(dom, ori, 2)
-                np.testing.assert_allclose(np.linalg.norm(sq.normals, axis=1), 1.0, rtol=1e-12)
-                # each side is evaluated at its own parameter points, the fixed coordinate exact
-                axis, value = fixed[ori.side_k]
-                assert np.all(sq.uv[:, axis] == value)
-                assert np.array_equal(sq.uv[:, 1 - axis], sq.ts)
-                seen.add(ori.side_k)
+        for s, ori in enumerate(_oriented_sides(dom)):
+            at = sp.side == s
+            np.testing.assert_allclose(np.linalg.norm(sp.normals[at], axis=1), 1.0, rtol=1e-12)
+            # each side is evaluated at its own parameter points, the fixed coordinate exact
+            axis, value = fixed[ori.side_k]
+            assert np.all(sp.uv[at, axis] == value) and np.all(sp.axis[at] == 1 - axis)
+            breaks = _merged_edge_partition(dom, ori)
+            ts = gauss_rule(2).mapped(breaks[:-1, None], breaks[1:, None])[0].ravel()
+            assert np.array_equal(sp.uv[at, 1 - axis], ts)
+            assert np.array_equal(sp.ss[at], ori.map_param(ts))
+            seen.add(ori.side_k)
         assert seen == set(fixed)
 
     @pytest.mark.parametrize("factory", [
@@ -309,22 +411,22 @@ class TestInterfaceTerms:
         # to a physical step against the normal J^-T n_hat
         dom = factory()
         eps = 1e-3
-        for g in dom.interfaces:
-            for ori in (g, g.flipped()):
-                geo = dom.patches[ori.k].geometry
-                sq = _side_quadrature(dom, ori, dom.degree + 1)
-                inward = sq.uv - eps * side_normal_hat(ori.side_k)
-                step = np.array([geo.eval_grid([a], [b])[0, 0] - geo.eval_grid([u], [v])[0, 0]
-                                 for (a, b), (u, v) in zip(inward, sq.uv)])
-                cosine = np.sum(step * sq.normals, axis=1) / np.linalg.norm(step, axis=1)
-                assert cosine.max() <= -0.9, (ori, cosine.max())
+        sp = _side_points(dom)
+        for s, ori in enumerate(_oriented_sides(dom)):
+            geo = dom.patches[ori.k].geometry
+            at = sp.side == s
+            inward = sp.uv[at] - eps * side_normal_hat(ori.side_k)
+            step = np.array([geo.eval_grid([a], [b])[0, 0] - geo.eval_grid([u], [v])[0, 0]
+                             for (a, b), (u, v) in zip(inward, sp.uv[at])])
+            cosine = np.sum(step * sp.normals[at], axis=1) / np.linalg.norm(step, axis=1)
+            assert cosine.max() <= -0.9, (ori, cosine.max())
 
 
 class TestLocalSystem:
     def test_no_neighbors_equals_volume(self):
         patch = unit_square_patch(0, 1, 0, 1, 2, 1, {"west", "east", "south", "north"})
         dom = MultiPatchDomain([patch], []).validate()
-        sysk = build_local_system(dom, 0, 12.0, copy_map(dom))
+        sysk = local_systems(dom)[0]
         assert sysk.A.n == patch.space.dimension
         ev = np.linalg.eigvalsh(sysk.A.toarray())
         assert ev[0] > 0
@@ -333,21 +435,21 @@ class TestLocalSystem:
     def test_symmetry_on_tdomain(self, p):
         dom = t_domain(degree=p, refinements=1)
         for k in range(dom.num_patches):
-            sysk = build_local_system(dom, k, 12.0, copy_map(dom))
+            sysk = local_systems(dom)[k]
             A = sysk.A.csr
             asym = abs(A - A.T).max()
             assert asym <= 1e-12 * max(abs(A.max()), abs(A.min()))
 
     def test_floating_patch_constant_kernel(self):
         dom = two_patch_domain(p=2, r=1, dirichlet=False)
-        sysk = build_local_system(dom, 0, 12.0, copy_map(dom))
+        sysk = local_systems(dom)[0]
         ones = np.ones(sysk.A.n)
         scale = abs(sysk.A.csr.max())
         np.testing.assert_allclose(sysk.A.csr @ ones, 0.0, atol=1e-12 * scale)
 
     def test_load_on_patch_dofs_only(self):
         dom = t_domain(degree=2, refinements=1)
-        sysk = build_local_system(dom, 0, 12.0, copy_map(dom), source=1.0)
+        sysk = local_systems(dom, source=1.0)[0]
         n_patch = dom.patches[0].space.dimension
         assert sysk.f.size > n_patch
         assert np.all(sysk.f[n_patch:] == 0.0)
@@ -358,9 +460,9 @@ class TestLocalSystem:
         # whose artificial-artificial part is the penalty term
         dom = two_patch_domain(p=2, r=1)
         copies = copy_map(dom)
-        sysk = build_local_system(dom, 0, 12.0, copies)
-        R = block_to_dense(assemble_interface_terms(dom, 0, copies[copies[:, 3] == 0], 12.0),
-                           sysk.A.n)
+        sysk = local_systems(dom)[0]
+        block, idx, mats = assemble_interface_terms(dom, copies, 12.0)
+        R = block_to_dense((idx[block == 0], mats[block == 0]), sysk.A.n)
         A = sysk.A.toarray()
         art = slice(dom.patches[0].space.dimension, sysk.A.n)
         np.testing.assert_allclose(A[art, art], R[art, art], atol=1e-13 * np.abs(A).max())
@@ -368,8 +470,8 @@ class TestLocalSystem:
     def test_alpha_scaling_equivariance(self):
         dom1 = two_patch_domain(p=2, r=1, alphas=(1.0, 3.0))
         dom2 = two_patch_domain(p=2, r=1, alphas=(5.0, 15.0))
-        A1 = build_local_system(dom1, 0, 12.0, copy_map(dom1)).A.toarray()
-        A2 = build_local_system(dom2, 0, 12.0, copy_map(dom2)).A.toarray()
+        A1 = local_systems(dom1)[0].A.toarray()
+        A2 = local_systems(dom2)[0].A.toarray()
         np.testing.assert_allclose(A2, 5.0 * A1, atol=1e-12 * np.abs(A2).max())
 
     @pytest.mark.parametrize("factory,label", [
@@ -379,7 +481,7 @@ class TestLocalSystem:
     def test_coercivity_probe(self, rng, factory, label):
         dom = factory()
         for k in range(dom.num_patches):
-            sysk = build_local_system(dom, k, 12.0, copy_map(dom))
+            sysk = local_systems(dom)[k]
             A = sysk.A.csr
             scale = max(abs(A.max()), abs(A.min()))
             for _ in range(50):

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from ietidg.assembly import build_local_system, copy_map, trace_basis_on_edge, univariate_matrices
+from ietidg.assembly import copy_map, trace_basis_on_edge, univariate_matrices
 from ietidg.bspline import (KnotVector, TensorSplineSpace, eval_basis, greville_points,
                             refine_uniform)
-from ietidg.domains import (domain_from_config, domain_to_config, grid_domain, slider_domain,
-                            t_domain)
+from ietidg.domains import grid_domain, slider_domain, t_domain
 from ietidg.errors import NumericalError
 from ietidg.geometry import GeometryMap, Interface, MultiPatchDomain, Patch
 from ietidg.ieti import (
@@ -25,8 +24,9 @@ from ietidg import refsolver
 from ietidg.linalg import Factorization, factorize
 
 from conftest import (at, check_lemma_bbt, curved_geometry, curved_two_patch_domain, dual_rows,
-                      full_jump_columns, jump_matrix, local_systems, project_wtilde, psi_residual,
-                      reversed_two_patch_domain, two_patch_domain, unit_square_patch)
+                      full_jump_columns, jump_matrix, local_systems, nonuniform_config_domain,
+                      project_wtilde, psi_residual, reversed_two_patch_domain, two_patch_domain,
+                      unit_square_patch)
 
 
 def build_stack(domain):
@@ -690,7 +690,7 @@ class TestReducedSmoothness:
 def interior_matrix(op, k):
     """Block k's assembled A_II."""
     I = op.partition.interior[k]
-    return build_local_system(op.domain, k, 12.0, op.partition.copies).A.csr[I][:, I]
+    return local_systems(op.domain)[k].A.csr[I][:, I]
 
 
 def fd_against_superlu(op, rng):
@@ -724,20 +724,6 @@ def kronecker_gap(op, k):
     kron = np.kron(K_u, c_u * M_v) + np.kron(M_u, patch.alpha**2 / c_u * K_v)
     A_II = interior_matrix(op, k).toarray()
     return np.abs(A_II - kron).max() / np.abs(A_II).max()
-
-
-def nonuniform_config_domain(p, r=0):
-    """Two patches, [0, 1] x [0, 1] and [1, 3] x [0, 1], from a config with
-    non-uniform knot vectors that do not match across the interface, each
-    span bisected `r` times."""
-    config = domain_to_config(two_patch_domain(p, 1))
-    config["patches"][1]["geometry"]["control_points"] = [[[1, 0], [1, 1]], [[3, 0], [3, 1]]]
-    for patch, knots_u, knots_v in ((0, [0.3, 0.45], [0.2, 0.7]), (1, [0.6], [0.35, 0.5, 0.8])):
-        space = config["patches"][patch]["space"]
-        for key, knots in (("knots_u", knots_u), ("knots_v", knots_v)):
-            kv = KnotVector(p, [0.0] * (p + 1) + knots + [1.0] * (p + 1))
-            space[key] = refine_uniform(kv, r).knots.tolist()
-    return domain_from_config(config)
 
 
 def partial_interface_domain(p=2, r=2):

@@ -12,9 +12,13 @@ from ietidg.linalg import (
     cholesky,
     factorize,
     fast_diagonalization,
+    generalized_eigh,
     lanczos_condition,
     pcg,
 )
+
+
+NO_ROWS = (np.zeros(0), np.zeros(0, dtype=int), np.zeros(1, dtype=int))  # CSR arrays of no row
 
 
 def random_spd(rng, n, cond=None):
@@ -45,11 +49,11 @@ class TestSparseSym:
         # dof 1 is shared by the first two blocks, dof 0 by the first and
         # third; every entry in a row or column mapped to -1 (the 5s, 6 and 9s)
         # is dropped
-        first = (np.array([[0, 1], [1, -1]]),
-                 np.array([[[1.0, 2.0], [2.0, 3.0]], [[4.0, 5.0], [5.0, 6.0]]]))
-        second = (np.array([[2, 0, -1]]),
-                  np.array([[[7.0, 1.0, 9.0], [1.0, 8.0, 9.0], [9.0, 9.0, 9.0]]]))
-        A = SparseSym.from_blocks(scipy.sparse.csr_matrix((3, 3)), [first, second])
+        idx = np.array([[0, 1, -1], [1, -1, -1], [2, 0, -1]])
+        mats = np.array([[[1.0, 2.0, 9.0], [2.0, 3.0, 9.0], [9.0, 9.0, 9.0]],
+                         [[4.0, 5.0, 9.0], [5.0, 6.0, 9.0], [9.0, 9.0, 9.0]],
+                         [[7.0, 1.0, 9.0], [1.0, 8.0, 9.0], [9.0, 9.0, 9.0]]])
+        A = SparseSym.from_blocks(3, NO_ROWS, idx, mats)
         np.testing.assert_array_equal(A.toarray(),
                                       [[9.0, 2.0, 1.0], [2.0, 7.0, 0.0], [1.0, 0.0, 7.0]])
 
@@ -57,17 +61,28 @@ class TestSparseSym:
         base = scipy.sparse.csr_matrix(np.array([[2.0, 1.0, 0.0],
                                                  [1.0, 2.0, 0.0],
                                                  [0.0, 0.0, 1.0]]))
-        assert np.array_equal(SparseSym.from_blocks(base, []).toarray(), base.toarray())
-        block = (np.array([[2, 0]]), np.array([[[3.0, 1.0], [1.0, -2.0]]]))
-        A = SparseSym.from_blocks(base, [block])
+        arrays = (base.data, base.indices, base.indptr)
+        no_blocks = (np.zeros((0, 2), dtype=int), np.zeros((0, 2, 2)))
+        assert np.array_equal(SparseSym.from_blocks(3, arrays, *no_blocks).toarray(),
+                              base.toarray())
+        A = SparseSym.from_blocks(3, arrays, np.array([[2, 0]]),
+                                  np.array([[[3.0, 1.0], [1.0, -2.0]]]))
         np.testing.assert_array_equal(A.toarray(),
                                       [[0.0, 1.0, 1.0], [1.0, 2.0, 0.0], [1.0, 0.0, 4.0]])
         assert A.csr.nnz == 6  # the cancelled (0, 0) entry is dropped
+        # the leading block of an (n, n) matrix: rows and columns past the base stay empty
+        B = SparseSym.from_blocks(4, arrays, *no_blocks)
+        assert B.csr.shape == (4, 4) and B.csr[3].nnz == 0
 
     def test_asymmetric_block_rejected(self):
         with pytest.raises(NumericalError):
-            SparseSym.from_blocks(scipy.sparse.csr_matrix((2, 2)),
-                                  [(np.array([[0, 1]]), np.array([[[1.0, 2.0], [3.0, 1.0]]]))])
+            SparseSym.from_blocks(2, NO_ROWS, np.array([[0, 1]]),
+                                  np.array([[[1.0, 2.0], [3.0, 1.0]]]))
+
+    def test_asymmetric_pattern_rejected(self):
+        # an entry whose mirror is not stored: the patterns differ
+        with pytest.raises(NumericalError, match="asymmetry 1.000e"):
+            SparseSym(np.array([[2.0, 0.0], [1.0, 2.0]]))
 
     def test_non_finite_rejected(self):
         with pytest.raises(NumericalError, match="non-finite"):
@@ -167,7 +182,7 @@ class TestFastDiagonalization:
         K_v, M_v = self._pair(KnotVector(3, [0, 0, 0, 0, 0.5, 0.6, 1, 1, 1, 1]), slice(1, None))
         c_u, c_v = 0.3, 7.0
         A = c_u * np.kron(K_u, M_v) + c_v * np.kron(M_u, K_v)
-        fac = fast_diagonalization(K_u, M_u, K_v, M_v, c_u, c_v)
+        fac = fast_diagonalization(generalized_eigh(K_u, M_u), generalized_eigh(K_v, M_v), c_u, c_v)
         B = rng.standard_normal((A.shape[0], 4))
         for rhs in (B[:, 0], B):
             x = fac.solve(rhs)
@@ -188,7 +203,7 @@ class TestFastDiagonalization:
         (K_u, M_u), (K_v, M_v) = (
             self._pair(KnotVector(2, np.r_[0, 0, np.linspace(0, 1, n + 1), 1, 1]), slice(1, -1))
             for n in (n_u, n_v))
-        fac = fast_diagonalization(K_u, M_u, K_v, M_v, 0.3, 7.0)
+        fac = fast_diagonalization(generalized_eigh(K_u, M_u), generalized_eigh(K_v, M_v), 0.3, 7.0)
         a, b = np.divmod(np.arange(n_u * n_v), n_v)
         du, dv = np.minimum(a, n_u - 1 - a), np.minimum(b, n_v - 1 - b)
         inside, deepest = {
@@ -211,12 +226,13 @@ class TestFastDiagonalization:
     def test_negative_weight_raises(self):
         K, M = self._pair(refine_uniform(KnotVector.bernstein(2), 2), slice(1, -1))
         with pytest.raises(NumericalError, match="fd block: expected SPD matrix"):
-            fast_diagonalization(K, M, K, M, -1.0, 1.0, name="fd block")
+            fast_diagonalization(generalized_eigh(K, M), generalized_eigh(K, M), -1.0, 1.0,
+                                 name="fd block")
 
     def test_indefinite_mass_raises(self):
         K, M = self._pair(refine_uniform(KnotVector.bernstein(2), 2), slice(1, -1))
         with pytest.raises(NumericalError, match="fd block: 1D eigensolver failed"):
-            fast_diagonalization(K, M, K, -M, 1.0, 1.0, name="fd block")
+            generalized_eigh(K, -M, name="fd block")
 
 
 class TestPcg:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from ietidg.assembly import assemble_volume, copy_map
 from ietidg.domains import grid_domain, slider_domain, t_domain
@@ -39,7 +40,7 @@ class TestAssembleGlobal:
         patch = unit_square_patch(0, 1, 0, 1, 2, 2, {"west", "east", "south", "north"})
         dom = MultiPatchDomain([patch], []).validate()
         system = assemble_global(dom, 12.0)
-        expected = SparseSym(assemble_volume(patch)[0])
+        expected = SparseSym(scipy.sparse.csr_matrix(assemble_volume(patch)[0]))
         assert np.abs((system.matrix.csr - expected.csr)).max() <= 1e-14
 
     @pytest.mark.parametrize("factory", [
