@@ -118,34 +118,36 @@ def _span_fold(first, n, X, A, B):
     return out
 
 
-def assemble_volume(patch, source=1.0, label=""):
-    """Stiffness and load of the diffusion term on one patch, over its free dofs.
-
-    Returns the stiffness as the arrays ``(data, indices, indptr)`` of a
-    canonical CSR matrix, and the load vector.  `source` is a scalar or a
-    callable f(x, y), which receives the coordinate arrays of all quadrature
-    points of the patch at once.  By sum factorization, the metric ``alpha w
-    |det J| J^-1 J^-T`` on the Gauss grid and the load ``B_u (w f) B_v^T`` are
-    contracted in u, then in v, into the (2p+1)^2 band of each lattice row;
-    its free rows are the CSR rows.
-    """
-    space, geo, alpha = patch.space, patch.geometry, patch.alpha
-    p = space.degree
-    ng = max(p, geo.kv_u.p, geo.kv_v.p) + 1
+def _quadrature(patch, source, label):
+    """The span quadratures of the patch's Gauss grid, ``J^-T`` and ``w |det J|`` on it, and the
+    (n_u, n_v) lattice load ``B_u (w f) B_v^T``, contracted in u, then in v, as the band below."""
+    space, geo = patch.space, patch.geometry
+    ng = max(space.degree, geo.kv_u.p, geo.kv_v.p) + 1
     squ = sqv = span_quadrature(space.kv_u, ng)  # the v tables are the u ones on a square grid
     if not np.array_equal(space.kv_v.knots, space.kv_u.knots):
         sqv = span_quadrature(space.kv_v, ng)
-    nsu, nsv = squ.first_active.size, sqv.first_active.size
-    n_u, n_v, bw = space.n_u, space.n_v, 2 * p + 1
-
     pu, pv = squ.points.ravel(), sqv.points.ravel()
     pts, jac = geo.jacobian_grid(pu, pv)
-    uv = np.empty(jac.shape[:2] + (2,))
-    uv[..., 0], uv[..., 1] = pu[:, None], pv
-    grid = (nsu, ng, nsv, ng)  # the points of every element form one set
+    uv = np.stack(np.meshgrid(pu, pv, indexing="ij"), axis=-1)
+    grid = squ.points.shape + sqv.points.shape  # the points of every element form one set
     JinvT, det = _inv_transpose(jac.reshape(grid + (2, 2)), label, uv.reshape(grid + (2,)), (1, 3))
-    (m00, m01), (m10, m11) = JinvT.reshape(jac.shape).transpose(2, 3, 0, 1)
     w = np.outer(squ.weights, sqv.weights) * np.abs(det.reshape(pu.size, pv.size))
+    # the load pairs every function with the constant 1 and sums its band rows
+    fvals = source(pts[..., 0], pts[..., 1]) if callable(source) else float(source)
+    load = _span_fold(squ.first_active, space.n_u, (w * fvals).reshape(grid[:2] + (-1,)),
+                      squ.tables[:, :, 0], np.ones(1)).sum(1).reshape((space.n_u,) + grid[2:])
+    load = _span_fold(sqv.first_active, space.n_v, load.transpose(1, 2, 0), sqv.tables[:, :, 0],
+                      np.ones(1)).sum(1)
+    return squ, sqv, JinvT.reshape(jac.shape), w, load.T
+
+
+def _sum_factorized(patch, source=1.0, label=""):
+    """The (n_u, n_v, 2p+1, 2p+1) lattice band and the lattice load on any map: the metric
+    ``alpha w |det J| J^-1 J^-T`` on the Gauss grid contracted in u, then in v."""
+    squ, sqv, JinvT, w, load = _quadrature(patch, source, label)
+    space, alpha, (nsu, ng), nsv = patch.space, patch.alpha, squ.points.shape, sqv.first_active.size
+    n_u, n_v, bw = space.n_u, space.n_v, 2 * space.degree + 1
+    (m00, m01), (m10, m11) = JinvT.transpose(2, 3, 0, 1)
     g01 = (m00 * m01 + m10 * m11) * (alpha * w)  # entries (x, y) = 00, 01, 10, 11 below
     metric = np.stack([(m00 * m00 + m10 * m10) * (alpha * w), g01, g01,
                        (m01 * m01 + m11 * m11) * (alpha * w)]).reshape(4, nsu, ng, -1)
@@ -157,13 +159,33 @@ def assemble_volume(patch, source=1.0, label=""):
     band = band.reshape(4, n_u * bw, nsv, ng).transpose(2, 0, 3, 1).reshape(nsv, 4 * ng, -1)
     tv_xy = tv[[[0, 0, 1, 1], [0, 1, 0, 1]]].transpose(0, 2, 1, 3, 4).reshape(2, nsv, 4 * ng, -1)
     band = _span_fold(sqv.first_active, n_v, band, *tv_xy)  # (n_v, bw, n_u * bw)
-    band = band.reshape(n_v, bw, n_u, bw).transpose(2, 0, 3, 1)
+    return band.reshape(n_v, bw, n_u, bw).transpose(2, 0, 3, 1), load
 
-    # the load pairs every function with the constant 1 and sums its band rows
-    fvals = source(pts[..., 0], pts[..., 1]) if callable(source) else float(source)
-    load = _span_fold(squ.first_active, n_u, (w * fvals).reshape(nsu, ng, -1), tu[0], np.ones(1))
-    load = _span_fold(sqv.first_active, n_v, load.sum(1).reshape(n_u, nsv, ng).transpose(1, 2, 0),
-                      tv[0], np.ones(1)).sum(1)
+
+def assemble_volume(patch, source=1.0, label=""):
+    """Stiffness and load of the diffusion term on one patch, over its free dofs.
+
+    Returns the stiffness as the arrays ``(data, indices, indptr)`` of a
+    canonical CSR matrix, and the load vector.  `source` is a scalar or a
+    callable f(x, y) of the coordinate arrays of all quadrature points.  On
+    a map ``x0 + diag(J) (u, v)`` (``GeometryMap.affine_diagonal``, as for
+    fast diagonalization) the (2p+1)^2 band of each lattice row is ``c_u K_u
+    (x) M_v + c_v M_u (x) K_v``, ``c_u = alpha |J_y / J_x| = alpha^2 / c_v``,
+    and a constant load ``f |J_x J_y| (M_u 1) (x) (M_v 1)``: what quadrature
+    gives there, to rounding.  Other maps and callable loads take
+    `_sum_factorized`.  The free band rows are the CSR rows.
+    """
+    space, J = patch.space, patch.geometry.affine_diagonal()
+    p, n_u, n_v, bw = space.degree, space.n_u, space.n_v, 2 * space.degree + 1
+    if J is None:
+        band, load = _sum_factorized(patch, source, label)
+    else:
+        (K_u, M_u), (K_v, M_v) = _univariate_bands(space.kv_u), _univariate_bands(space.kv_v)
+        aspect = abs(J[1] / J[0])
+        band = (patch.alpha * aspect * K_u)[:, None, :, None] * M_v[:, None, :]
+        band += (patch.alpha / aspect * M_u)[:, None, :, None] * K_v[:, None, :]
+        load = (_quadrature(patch, source, label)[-1] if callable(source) else
+                (float(source) * abs(J[0] * J[1]) * M_u.sum(1))[:, None] * M_v.sum(1))
 
     # band[i, j, a, b] pairs lattice (i, j) with (i + a - p, j + b - p), whose dof is cols[i, j, a, b]
     padded = np.full((n_u + 2 * p, n_v + 2 * p), -1)
@@ -171,17 +193,22 @@ def assemble_volume(patch, source=1.0, label=""):
     cols = as_strided(padded, (n_u, n_v, bw, bw), padded.strides * 2, writeable=False)
     keep = (cols >= 0) & space.free_mask[:, :, None, None]
     indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=(2, 3))[space.free_mask])])
-    return (band[keep], cols[keep], indptr), load.T[space.free_mask]
+    return (band[keep], cols[keep], indptr), load[space.free_mask]
+
+
+def _univariate_bands(kv):
+    """The band rows ``(K, M)`` of `univariate_matrices`: ``[i, d]`` pairs i with ``i + d - p``."""
+    sq = span_quadrature(kv, kv.p + 1)
+    B = sq.tables.transpose(2, 0, 1, 3)[::-1]  # (derivative 1 then 0, span, point, function)
+    return _span_fold(sq.first_active, kv.n, sq.weights[..., None], B, B)[..., 0]
 
 
 def univariate_matrices(kv):
     """Dense parametric stiffness and mass matrices ``(K, M)`` of the basis of `kv` on [0, 1]."""
     p, n, i = kv.p, kv.n, np.arange(kv.n)[:, None]
-    sq = span_quadrature(kv, p + 1)
-    B = sq.tables.transpose(2, 0, 1, 3)[::-1]  # (derivative 1 then 0, span, point, function)
-    KM = np.zeros((2, n, n + 2 * p, 1))  # offset d of row i is column i + d - p, stored at i + d
-    KM[:, i, i + np.arange(2 * p + 1)] = _span_fold(sq.first_active, n, sq.weights[..., None], B, B)
-    return tuple(KM[:, :, p:-p, 0])
+    KM = np.zeros((2, n, n + 2 * p))  # offset d of row i is column i + d - p, stored at i + d
+    KM[:, i, i + np.arange(2 * p + 1)] = _univariate_bands(kv)
+    return tuple(KM[:, :, p:-p])
 
 
 def _merged_edge_partition(domain, ori):
@@ -274,16 +301,21 @@ def interface_side_terms(domain, delta):
     k, l = np.array([[ori.k, ori.l] for ori in sides], dtype=int).reshape(-1, 2).T
     alpha = np.array([patch.alpha for patch in domain.patches])[k]
     rho = alpha * delta * p * p / np.minimum(domain.metrics["h"][k], domain.metrics["h"][l])
-    mats = (jump[:, :, None] * jump[:, None, :]) * (rho[side] * sp.weights)[:, None, None]
-    fj = (0.5 * alpha[side] * sp.weights)[:, None, None] * flux[:, :, None] * jump[:, None, :]
-    mats -= fj + np.swapaxes(fj, 1, 2)
+    # sum every sub-interval's point matrices, the g-th points of all sub-intervals at once
+    counts, mats = np.diff(np.append(start, q.size)), np.zeros((start.size, 3 * p + 3, 3 * p + 3))
+    for g in range(counts.max(initial=0)):
+        at = start + np.minimum(g, counts - 1)
+        w = sp.weights[at] * (g < counts)  # no point past the end of a sub-interval
+        fj = (0.5 * alpha[side[at]] * w)[:, None, None] * flux[at, :, None] * jump[at, None, :]
+        mats += (jump[at, :, None] * jump[at, None, :]) * (rho[side[at]] * w)[:, None, None] - (
+            fj + np.swapaxes(fj, 1, 2))
 
     idx = np.broadcast_arrays((first[1 - axis[start], start, None] + col[start])[:, :, None],
                               (first[axis[start], start, None] + np.arange(p + 1))[:, None, :])
     iu, iv = np.where(axis[start, None, None] == 1, idx, idx[::-1])
     n_v = np.array([patch.space.n_v for patch in domain.patches])[k[side[start]], None, None]
     return (side[start], (iu * n_v + iv).reshape(-1, 2 * p + 2),
-            first[2, start, None] + np.arange(p + 1), np.add.reduceat(mats, start, axis=0))
+            first[2, start, None] + np.arange(p + 1), mats)
 
 
 def side_dofs(domain, side, own, edge, lattice_maps, edge_maps):

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ConfigError
 
 SIDES = ("west", "east", "south", "north")
+_EDGE = {"west": np.s_[0], "east": np.s_[-1], "south": np.s_[:, 0], "north": np.s_[:, -1]}
 
 
 class KnotVector:
@@ -227,14 +228,8 @@ class TensorSplineSpace:
         self.n_u = kv_u.n
         self.n_v = kv_v.n
         mask = np.ones((self.n_u, self.n_v), dtype=bool)
-        if "west" in sides:
-            mask[0, :] = False
-        if "east" in sides:
-            mask[-1, :] = False
-        if "south" in sides:
-            mask[:, 0] = False
-        if "north" in sides:
-            mask[:, -1] = False
+        for side in sides:
+            mask[_EDGE[side]] = False
         self.free_mask = mask
         dof_map = -np.ones((self.n_u, self.n_v), dtype=int)
         dof_map[mask] = np.arange(int(mask.sum()))
@@ -253,8 +248,7 @@ class TensorSplineSpace:
         """Dof of each boundary-layer function on `side` by edge index; -1 where constrained."""
         if side not in SIDES:
             raise ConfigError("unknown side %r" % side)
-        return {"west": self.dof_map[0], "east": self.dof_map[-1],
-                "south": self.dof_map[:, 0], "north": self.dof_map[:, -1]}[side]
+        return self.dof_map[_EDGE[side]]
 
 
 @dataclass(frozen=True)

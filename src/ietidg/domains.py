@@ -43,15 +43,8 @@ def grid_domain(n, degree=2, refinements=1, alphas=None):
     patches = []
     for j in range(n):
         for i in range(n):
-            sides = set()
-            if i == 0:
-                sides.add("west")
-            if i == n - 1:
-                sides.add("east")
-            if j == 0:
-                sides.add("south")
-            if j == n - 1:
-                sides.add("north")
+            sides = {side for side, outer in (("west", i == 0), ("east", i == n - 1),
+                                              ("south", j == 0), ("north", j == n - 1)) if outer}
             alpha = alphas[j * n + i] if alphas is not None else 1.0
             patches.append(_rect_patch(i, i + 1, j, j + 1, alpha, degree, refinements, sides))
     interfaces = []

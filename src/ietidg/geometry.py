@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import SIDES, KnotVector, TensorSplineSpace, eval_basis, eval_matrices
+from .bspline import SIDES, KnotVector, TensorSplineSpace, eval_basis, eval_matrices, greville_points
 from .errors import ConfigError
 
 log = logging.getLogger(__name__)
@@ -97,6 +97,15 @@ class GeometryMap:
                          (fv[:, None] + np.arange(self.kv_v.p + 1))[:, None, :]]
         return np.stack([np.einsum("qa,qb,qabx->qx", tu[:, 1], tv[:, 0], C),
                          np.einsum("qa,qb,qabx->qx", tu[:, 0], tv[:, 1], C)], axis=-1)
+
+    def affine_diagonal(self):
+        """``J = control[-1, -1] - control[0, 0]`` if the control net is the map ``x0 + diag(J)
+        (u, v)`` at the Greville points to 1e-14 of ``max |J|``, and J is not singular (no entry
+        1e-12 of the other or less); else None."""
+        x0, J = self.control[0, 0], self.control[-1, -1] - self.control[0, 0]
+        grid = np.stack(np.meshgrid(*map(greville_points, (self.kv_u, self.kv_v)), indexing="ij"), -1)
+        scale, off = np.abs(J).max(), np.abs(self.control - (x0 + J * grid)).max()
+        return None if np.abs(J).min() <= 1e-12 * scale or off > 1e-14 * scale else J
 
     def check_bijective(self):
         """Reject the patch unless det(Jacobian) keeps one sign on a sample grid."""

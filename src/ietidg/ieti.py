@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse
 
 from .assembly import assemble_interface_terms, build_local_system, copy_map, univariate_matrices
-from .bspline import greville_points, nonzero_at_point
+from .bspline import nonzero_at_point
 from .errors import NumericalError
 from .linalg import Factorization, cholesky, factorize, fast_diagonalization, generalized_eigh, pcg
 
@@ -87,17 +87,10 @@ def select_primal(domain):
 
 def degenerate_tjunction_count(domain):
     """Number of T-junction sides whose fat vertex degenerates to one function."""
-    count = 0
-    for vertex in domain.vertices:
-        for patch in vertex.long_patches:
-            loc = dict(vertex.adjacency)[patch]
-            space = domain.patches[patch].space
-            n_pos = len(nonzero_at_point(space.kv_u, loc[0])) * len(
-                nonzero_at_point(space.kv_v, loc[1])
-            )
-            if n_pos == 1:
-                count += 1
-    return count
+    spaces = [patch.space for patch in domain.patches]
+    return sum(len(nonzero_at_point(spaces[k].kv_u, u)) * len(nonzero_at_point(spaces[k].kv_v, v)) == 1
+               for vertex in domain.vertices for k, (u, v) in vertex.adjacency
+               if k in vertex.long_patches)
 
 
 @dataclass
@@ -211,22 +204,24 @@ def build_jump_matrices(domain, partition):
     return JumpMatrices(n_rows, [row[d] for d in dual], [sign[d] for d in dual], D)
 
 
-def build_psi(local_system, partition, aii_fac, interior_fd=False):
+def build_psi(local_system, partition, aii_fac=None, interior_fd=False):
     """One block's skeleton record: its Schur complement, the S_DD factor and Psi.
 
-    ``S = A_GG - A_GI A_II^{-1} A_IG`` is formed densely over
-    ``gamma_index(k)`` by ``aii_fac.schur(A_IG)``; ``S_DD`` gets a dense
+    The block's skeleton columns ``gamma_index(k)`` are sliced once, and
+    ``A_IG`` and ``A_GG`` are their I and Gamma rows; `aii_fac` solves
+    ``A_II``, which SuperLU factorizes when it is None.  ``S = A_GG - A_GI
+    A_II^{-1} A_IG`` is formed densely by ``aii_fac.schur(A_IG)``; ``S_DD`` gets a dense
     Cholesky factorization.  `psi` has one column per local primal dof:
     the identity on the Pi rows and ``-S_DD^{-1} S_DP`` on the Delta rows,
     so the Delta rows of ``S psi`` vanish.  The condensed load is ``g = f_G - A_GI A_II^{-1} f_I``.
     Raises when ``S_DD``, and with it the torn (I, Delta) block, is not SPD.
     """
-    k = local_system.k
-    A = local_system.A.csr
-    I, gamma = partition.interior[k], partition.gamma_index(k)
-    nd = partition.dual[k].size
-    A_IG = A[I][:, gamma]
-    S = A[gamma][:, gamma].toarray() - aii_fac.schur(A_IG)
+    k, A = local_system.k, local_system.A.csr
+    I, gamma, nd = partition.interior[k], partition.gamma_index(k), partition.dual[k].size
+    A_cols = A[:, gamma]  # the one pass over the whole block
+    A_IG = A_cols[I]
+    aii_fac = aii_fac or factorize(A[I][:, I], name="patch %d interior block" % k)
+    S = A_cols[gamma].toarray() - aii_fac.schur(A_IG)
     try:
         dual_fac = cholesky(S[:nd, :nd], name="patch %d S_DD" % k)
     except NumericalError as exc:
@@ -246,25 +241,19 @@ def kronecker_interior(patch, interior, eigenpairs, name=""):
 
     The block is ``c_u K_u (x) M_v + c_v M_u (x) K_v``, ``c_u = alpha |J_y / J_x|
     = alpha^2 / c_v``, when the `interior` patch dofs form a tensor lattice
-    ``I_u x I_v`` in flat-lattice order and the map is ``x0 + diag(J) (u, v)``:
-    the volume quadrature is exact for an affine map, and no interface term
-    couples two interior dofs (a jump is nonzero only on trace-active
-    functions, which are skeleton dofs).  The map is taken as affine when its
-    control net equals it at the Greville points to 1e-14 of ``max |J|``,
-    ``J = control[-1, -1] - control[0, 0]``.  ``eigenpairs(kv, idx)`` gives
-    the 1D eigenpairs of `kv` on the indices `idx`.
+    ``I_u x I_v`` in flat-lattice order and the map is ``x0 + diag(J) (u, v)``
+    (:meth:`~ietidg.geometry.GeometryMap.affine_diagonal`): the volume is
+    then assembled as that sum, and no interface term couples two interior
+    dofs (a jump is nonzero only on trace-active functions, which are
+    skeleton dofs).  ``eigenpairs(kv, idx)`` gives the 1D eigenpairs of `kv`
+    on the indices `idx`.
     """
-    space, geo = patch.space, patch.geometry
-    x0, J = geo.control[0, 0], geo.control[-1, -1] - geo.control[0, 0]
-    grid = np.stack(np.meshgrid(greville_points(geo.kv_u), greville_points(geo.kv_v),
-                                indexing="ij"), axis=-1)
+    space, J = patch.space, patch.geometry.affine_diagonal()
     lat = np.flatnonzero(space.free_mask)[interior]
-    if not lat.size or np.abs(geo.control - (x0 + J * grid)).max() > 1e-14 * np.abs(J).max():
+    if not lat.size or J is None:
         return None
-    iu, iv = np.divmod(lat, space.n_v)
-    n_v = int(np.argmax(iu != iu[0])) or lat.size
-    I_u, I_v = iu[::n_v], iv[:n_v]
-    if not np.array_equal(lat, (I_u[:, None] * space.n_v + I_v).ravel()):
+    I_u, I_v = (np.unique(i) for i in np.divmod(lat, space.n_v))
+    if I_u.size * I_v.size != lat.size:  # lat, sorted, lies in I_u x I_v
         return None
     aspect = abs(J[1] / J[0])
     return fast_diagonalization(eigenpairs(space.kv_u, I_u), eigenpairs(space.kv_v, I_v),
@@ -325,11 +314,9 @@ class IetiOperator:
 
         self.blocks = []
         for k, sysk in enumerate(local_systems):
-            I = partition.interior[k]
             name = "patch %d interior block" % k
-            fd = kronecker_interior(domain.patches[k], I, eigenpairs, name)
-            aii_fac = fd or factorize(sysk.A.csr[I][:, I], name=name)
-            self.blocks.append(build_psi(sysk, partition, aii_fac, fd is not None))
+            fd = kronecker_interior(domain.patches[k], partition.interior[k], eigenpairs, name)
+            self.blocks.append(build_psi(sysk, partition, fd, fd is not None))
 
         coarse = np.zeros((self.n_primal, self.n_primal))
         for blk, gk in zip(self.blocks, self.primal_global):
@@ -382,9 +369,6 @@ class IetiOperator:
             u[blk.interior] = blk.aii_fac.solve(blk.f_I - blk.A_IG @ ug)
             u_blocks.append(u)
         return u_blocks
-
-    def patch_solutions(self, u_blocks):
-        return [u[: patch.space.dimension] for patch, u in zip(self.domain.patches, u_blocks)]
 
 
 @dataclass
@@ -503,4 +487,5 @@ def solve_ieti(domain, delta=12.0, tol=1e-6, max_iter=1000, source=1.0, workers=
         degenerate_tjunctions=degenerate_tjunction_count(domain),
         fd_interior_blocks=sum(blk.interior_fd for blk in op.blocks),
     )
-    return IetiSolution(op.patch_solutions(u_blocks), u_blocks, result.x, report)
+    u_patches = [u[:patch.space.dimension] for patch, u in zip(domain.patches, u_blocks)]
+    return IetiSolution(u_patches, u_blocks, result.x, report)
