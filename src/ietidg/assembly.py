@@ -120,7 +120,7 @@ def _span_fold(first, n, X, A, B):
 
 def _quadrature(patch, source, label):
     """The span quadratures of the patch's Gauss grid, ``J^-T`` and ``w |det J|`` on it, and the
-    (n_u, n_v) lattice load ``B_u (w f) B_v^T``, contracted in u, then in v, as the band below."""
+    (n_u, n_v) lattice load ``B_u (w f) B_v^T``, contracted in u, then in v."""
     space, geo = patch.space, patch.geometry
     ng = max(space.degree, geo.kv_u.p, geo.kv_v.p) + 1
     squ = sqv = span_quadrature(space.kv_u, ng)  # the v tables are the u ones on a square grid

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from ietidg import assembly
 from ietidg.assembly import (
     _merged_edge_partition,
     _oriented_sides,
     _side_points,
+    _sum_factorized,
     assemble_interface_terms,
     assemble_volume,
     copy_map,
@@ -14,15 +16,17 @@ from ietidg.assembly import (
     univariate_matrices,
 )
 from ietidg.bspline import KnotVector, TensorSplineSpace, eval_matrices, gauss_rule, refine_uniform
-from ietidg.domains import slider_domain, t_domain
+from ietidg.domains import grid_domain, slider_domain, t_domain
 from ietidg.errors import ConfigError, NumericalError
 from ietidg.geometry import GeometryMap, MultiPatchDomain, Patch, side_normal_hat
+from ietidg.ieti import setup_operator
 from ietidg.linalg import SparseSym
 
 from conftest import (curved_geometry, curved_two_patch_domain, local_systems,
                       mirrored_two_patch_domain, nonuniform_config_domain,
                       reversed_two_patch_domain, two_patch_domain, unit_square_patch)
 from test_bspline import scalar_cox_de_boor
+from test_ieti import partial_interface_domain
 
 NO_ROWS = (np.zeros(0), np.zeros(0, dtype=int), np.zeros(1, dtype=int))  # CSR arrays of no row
 
@@ -119,6 +123,29 @@ def edge_positions(space, side, dofs):
     return [int(np.flatnonzero(space.edge_dofs(side) == d)[0]) for d in dofs]
 
 
+# (kv_u, kv_v, geometry or None for an affine rectangle, Dirichlet sides) of the volume tests
+VOLUME_CASES = [
+    *[(refine_uniform(KnotVector.bernstein(p), 2), refine_uniform(KnotVector.bernstein(p), 1),
+       GeometryMap.bilinear((0, 0), (2, 0.2), (0.3, 1), (1.8, 1.4)), {"west", "north"})
+      for p in (1, 2, 3)],
+    (KnotVector(2, [0, 0, 0, 0.4, 0.4, 0.7, 1, 1, 1]),
+     KnotVector(2, [0, 0, 0, 0.5, 0.5, 1, 1, 1]), None, {"south"}),
+    (KnotVector(3, [0, 0, 0, 0, 0.5, 0.5, 0.5, 0.75, 1, 1, 1, 1]),
+     refine_uniform(KnotVector.bernstein(3), 1), None, {"east", "south"}),
+    (KnotVector.bernstein(2), KnotVector.bernstein(2), None, {"west"}),
+    (KnotVector.bernstein(3), refine_uniform(KnotVector.bernstein(3), 1), None, set()),
+    (refine_uniform(KnotVector.bernstein(3), 2), KnotVector.bernstein(3), None, {"north"}),
+    *[(refine_uniform(KnotVector.bernstein(p), 1), refine_uniform(KnotVector.bernstein(p), 2),
+       curved_geometry(), {"west", "south"}) for p in (1, 2, 3, 4, 6)],
+    # a 4-fold interior knot in u only: the u-spans' first functions jump by 4
+    (KnotVector(4, [0] * 5 + [0.5] * 4 + [1] * 5), refine_uniform(KnotVector.bernstein(4), 1),
+     GeometryMap.bilinear((0, 0), (2, 0.2), (0.3, 1), (1.8, 1.4)), {"north"}),
+]
+VOLUME_IDS = ["quad-p1", "quad-p2", "quad-p3", "repeated-p2", "repeated-p3", "n3-p2", "n4n5-p3",
+              "n7n4-p3", "curved-p1", "curved-p2", "curved-p3", "curved-p4", "curved-p6",
+              "fourfold-u-n9n6-p4"]
+
+
 class TestTraceBasis:
     def test_examples(self):
         kv2 = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
@@ -200,25 +227,7 @@ class TestVolume:
             assemble_volume(patch, source=1.0, label="patch 0")
         assert str(err.value) == "singular Jacobian at parameter (%.6g, %.6g), patch 0" % (u0, u0)
 
-    @pytest.mark.parametrize("kv_u,kv_v,geo,dirichlet", [
-        *[(refine_uniform(KnotVector.bernstein(p), 2), refine_uniform(KnotVector.bernstein(p), 1),
-           GeometryMap.bilinear((0, 0), (2, 0.2), (0.3, 1), (1.8, 1.4)), {"west", "north"})
-          for p in (1, 2, 3)],
-        (KnotVector(2, [0, 0, 0, 0.4, 0.4, 0.7, 1, 1, 1]),
-         KnotVector(2, [0, 0, 0, 0.5, 0.5, 1, 1, 1]), None, {"south"}),
-        (KnotVector(3, [0, 0, 0, 0, 0.5, 0.5, 0.5, 0.75, 1, 1, 1, 1]),
-         refine_uniform(KnotVector.bernstein(3), 1), None, {"east", "south"}),
-        (KnotVector.bernstein(2), KnotVector.bernstein(2), None, {"west"}),
-        (KnotVector.bernstein(3), refine_uniform(KnotVector.bernstein(3), 1), None, set()),
-        (refine_uniform(KnotVector.bernstein(3), 2), KnotVector.bernstein(3), None, {"north"}),
-        *[(refine_uniform(KnotVector.bernstein(p), 1), refine_uniform(KnotVector.bernstein(p), 2),
-           curved_geometry(), {"west", "south"}) for p in (1, 2, 3, 4, 6)],
-        # a 4-fold interior knot in u only: the u-spans' first functions jump by 4
-        (KnotVector(4, [0] * 5 + [0.5] * 4 + [1] * 5), refine_uniform(KnotVector.bernstein(4), 1),
-         GeometryMap.bilinear((0, 0), (2, 0.2), (0.3, 1), (1.8, 1.4)), {"north"}),
-    ], ids=["quad-p1", "quad-p2", "quad-p3", "repeated-p2", "repeated-p3", "n3-p2", "n4n5-p3",
-            "n7n4-p3", "curved-p1", "curved-p2", "curved-p3", "curved-p4", "curved-p6",
-            "fourfold-u-n9n6-p4"])
+    @pytest.mark.parametrize("kv_u,kv_v,geo,dirichlet", VOLUME_CASES, ids=VOLUME_IDS)
     def test_matches_brute_force_quadrature(self, kv_u, kv_v, geo, dirichlet):
         geo = geo or GeometryMap.bilinear((0, 0), (1.5, 0), (0, 0.5), (1.5, 0.5))
         patch = Patch(geo, 2.5, TensorSplineSpace(kv_u, kv_v, dirichlet))
@@ -235,6 +244,118 @@ class TestVolume:
         A = volume_matrix(patch)[0].toarray()
         ev = np.linalg.eigvalsh(A)
         assert ev[0] > 0
+
+
+def quadrature_route(patch, source=1.0):
+    """`assemble_volume`'s arrays from `_sum_factorized`, whatever the map: the route
+    every non-affine map takes, here with the affine test switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GeometryMap, "affine_diagonal", lambda geo: None)
+        return assemble_volume(patch, source=source)
+
+
+def assert_kronecker_matches_quadrature(patch, source=1.0):
+    """The affine route's CSR arrays and load against the quadrature route's, to 1e-13 relative."""
+    assert patch.geometry.affine_diagonal() is not None
+    (data, indices, indptr), load = assemble_volume(patch, source=source)
+    (data_q, indices_q, indptr_q), load_q = quadrature_route(patch, source)
+    assert np.array_equal(indices, indices_q) and np.array_equal(indptr, indptr_q)
+    assert np.abs(data - data_q).max() <= 1e-13 * np.abs(data_q).max()
+    assert np.abs(load - load_q).max() <= 1e-13 * np.abs(load_q).max()
+
+
+def routes(monkeypatch, patches):
+    """Whether each patch's `assemble_volume` ran `_sum_factorized`."""
+    calls = []
+    quadrature = assembly._sum_factorized
+    monkeypatch.setattr(assembly, "_sum_factorized",
+                        lambda patch, *args: calls.append(patch) or quadrature(patch, *args))
+    for patch in patches:
+        assemble_volume(patch)
+    return [any(patch is c for c in calls) for patch in patches]
+
+
+def single_patch(geometry, p=2, r=2):
+    kv = refine_uniform(KnotVector.bernstein(p), r)
+    return Patch(geometry, 1.0, TensorSplineSpace(kv, kv, {"west", "east", "south", "north"}))
+
+
+class TestKroneckerVolume:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("factory", [
+        lambda p: grid_domain(2, degree=p, refinements=1),
+        lambda p: t_domain(degree=p, refinements=1, alphas=[1, 10, 100, 1, 10]),
+        lambda p: slider_domain(3, 0.3, degree=p, refinements=1),
+        lambda p: slider_domain(4, 0.37, degree=p, refinements=1),
+        lambda p: nonuniform_config_domain(p, r=1),
+    ], ids=["grid2x2", "tdomain", "slider(3,0.3)", "slider(4,0.37)", "nonuniform"])
+    def test_every_builtin_patch(self, factory, p):
+        for patch in factory(p).patches:
+            assert_kronecker_matches_quadrature(patch)
+
+    @pytest.mark.parametrize("kv_u,kv_v,geo,dirichlet", VOLUME_CASES, ids=VOLUME_IDS)
+    def test_knot_and_dirichlet_cases(self, kv_u, kv_v, geo, dirichlet):
+        # the knot vectors and Dirichlet sides of the volume tests on a rectangle
+        rect = GeometryMap.bilinear((0.5, -1), (2, -1), (0.5, -0.5), (2, -0.5))
+        patch = Patch(rect, 2.5, TensorSplineSpace(kv_u, kv_v, dirichlet))
+        assert_kronecker_matches_quadrature(patch)
+        assert_kronecker_matches_quadrature(patch, source=lambda x, y: 1.0 + x * y**2)
+
+    @pytest.mark.parametrize("corners", [
+        [(2, 0), (0, 0), (2, 1), (0, 1)],          # x = 2 (1 - u), y = v
+        [(0, 3), (1, 3), (0, 0), (1, 0)],          # x = u, y = 3 (1 - v)
+        [(2, 3), (0, 3), (2, 0), (0, 0)],          # both reversed: det J > 0 again
+    ], ids=["mirrored-x", "mirrored-y", "half-turn"])
+    def test_negative_jacobian_entries(self, corners):
+        patch = single_patch(GeometryMap.bilinear(*corners), p=3)
+        assert_kronecker_matches_quadrature(patch)
+        assert_kronecker_matches_quadrature(patch, source=lambda x, y: np.cos(x) + y)
+
+    @pytest.mark.parametrize("corners", [
+        [(1.0, 1.0)] * 4,                                   # collapsed to a point
+        [(0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (1.0, 0.0)],   # collapsed to a segment
+        [(0.0, 0.0), (1.0, 0.0), (0.0, 1e-13), (1.0, 1e-13)],  # J_y 1e-13 of J_x
+    ], ids=["point", "segment", "thin"])
+    def test_singular_affine_maps_take_quadrature(self, corners):
+        assert GeometryMap.bilinear(*corners).affine_diagonal() is None
+
+    @pytest.mark.parametrize("rel, affine", [(1e-12, False), (1e-16, True)])
+    def test_predicate_tolerance(self, monkeypatch, rel, affine):
+        # the middle control point of a degree-2 rectangle map moved by rel |J|
+        kv = KnotVector.bernstein(2)
+        control = np.stack(np.meshgrid([0.0, 1.0, 2.0], [0.0, 0.5, 1.0], indexing="ij"), axis=-1)
+        control[1, 1, 1] += rel * 2.0
+        geo = GeometryMap(kv, kv, control)
+        assert (geo.affine_diagonal() is not None) is affine
+        patch = single_patch(geo)
+        assert routes(monkeypatch, [patch]) == [not affine]
+        assert setup_operator(MultiPatchDomain([patch], []).validate()).blocks[0].interior_fd is affine
+
+    def test_routes_follow_the_fd_decision(self, monkeypatch):
+        # curved and perturbed maps take quadrature and no FD; the partial
+        # interface's patch 0 is affine (Kronecker volume) but its interior
+        # is no tensor lattice (no FD)
+        perturbed = GeometryMap.bilinear((0, 0), (1, 0), (0, 1), (1 + 1e-9, 1 + 1e-9))
+        for geo in (curved_geometry(), perturbed):
+            patch = single_patch(geo)
+            assert routes(monkeypatch, [patch]) == [True]
+            assert not setup_operator(MultiPatchDomain([patch], []).validate()).blocks[0].interior_fd
+        dom = partial_interface_domain()
+        assert routes(monkeypatch, dom.patches) == [False, False]
+        assert [blk.interior_fd for blk in setup_operator(dom).blocks] == [False, True]
+
+    def test_sum_factorization_on_an_affine_patch(self):
+        # the private quadrature helper runs on any map: its lattice band and
+        # load give the brute-force volume on an affine patch as well
+        patch = nonuniform_config_domain(2).patches[1]
+        band, load = _sum_factorized(patch, 1.0)
+        space = patch.space
+        assert band.shape == (space.n_u, space.n_v, 5, 5) and load.shape == (space.n_u, space.n_v)
+        A_ref, f_ref = brute_force_volume(patch, lambda x, y: np.ones_like(x))
+        A, f = quadrature_route(patch)
+        A = scipy.sparse.csr_matrix(A, shape=A_ref.shape).toarray()
+        assert np.abs(A - A_ref).max() <= 1e-13 * np.abs(A_ref).max()
+        np.testing.assert_array_equal(f, load[space.free_mask])
 
 
 def reference_side_blocks(dom, delta, s):
@@ -350,7 +471,9 @@ class TestInterfaceTerms:
         lambda: mirrored_two_patch_domain(p=2),
         lambda: slider_domain(3, 0.3, degree=2, refinements=1),
         lambda: nonuniform_config_domain(2),
-    ], ids=["reversed", "curved", "mirrored", "slider(3,0.3)", "nonuniform"])
+        # the curved side takes 3 Gauss points per sub-interval, its flip 2
+        lambda: curved_two_patch_domain(p=1, r=1),
+    ], ids=["reversed", "curved", "mirrored", "slider(3,0.3)", "nonuniform", "curved-p1"])
     def test_batched_pass_matches_point_by_point_reference(self, factory):
         # every side's sub-interval matrices, the owner's functions given as
         # lattice indices and the neighbor's as edge indices, against the

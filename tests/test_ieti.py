@@ -354,6 +354,24 @@ class TestOperator:
         scale = abs(A.max())
         assert np.abs(res).max() <= 1e-9 * scale
 
+    @pytest.mark.parametrize("factory", [lambda: t_domain(degree=2, refinements=2),
+                                         lambda: curved_two_patch_domain(p=2, r=1)],
+                             ids=["tdomain", "curved"])
+    def test_blocks_sliced_as_by_index_sets(self, factory):
+        # one slice of the skeleton columns gives A_IG and A_GG bit for bit as
+        # the fancy-indexed index sets; the curved block's A_II goes to SuperLU
+        dom = factory()
+        op = setup_operator(dom)
+        for sysk, blk in zip(local_systems(dom), op.blocks):
+            A, I, gamma = sysk.A.csr, blk.interior, blk.gamma
+            ref = A[I][:, gamma]
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(blk.A_IG, name), getattr(ref, name))
+            S = A[gamma][:, gamma].toarray() - blk.aii_fac.schur(ref)
+            np.testing.assert_array_equal(blk.S, S)
+        assert [blk.interior_fd for blk in op.blocks] == [patch.geometry.affine_diagonal() is not None
+                                                         for patch in dom.patches]
+
     def test_psi_identity_rows_and_residual(self):
         dom = t_domain(degree=2, refinements=1, alphas=[1, 10, 100, 1, 10])
         op = setup_operator(dom)
