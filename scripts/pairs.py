@@ -36,7 +36,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 END_TO_END = [m["name"] for m in BENCHMARK["end_to_end"]]
-LAYERS = ("assembly.volume_s", "assembly.volume_calls", "assembly.volume_elements",
+LAYERS = ("domains.build_s", "geometry.validate_s",
+          "assembly.volume_s", "assembly.volume_calls", "assembly.volume_elements",
           "assembly.local_system_s", "assembly.interface_side_s", "assembly.interface_side_calls",
           "linalg.sparse_build_s", "refsolver.assemble_s", "refsolver.direct_solve_s",
           "ieti.psi_s", "linalg.factorize_s")

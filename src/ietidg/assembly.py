@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import as_strided
 from . import linalg
 from .bspline import active_on_interval, eval_basis, gauss_rule, span_quadrature
 from .errors import ConfigError, NumericalError
-from .geometry import side_normal_hat
+from .geometry import eval_maps, map_edge_param, side_normal_hat
 
 _SINGULAR_RTOL = 1e-12
 
@@ -118,27 +118,37 @@ def _span_fold(first, n, X, A, B):
     return out
 
 
+def _span_quadratures(patch):
+    """The u and v span quadratures of the patch's Gauss grid (the v ones are the u ones on a
+    square grid), with max(p, geometry degree) + 1 points per span."""
+    space, geo = patch.space, patch.geometry
+    squ = span_quadrature(space.kv_u, max(space.degree, geo.kv_u.p, geo.kv_v.p) + 1)
+    square = np.array_equal(space.kv_v.knots, space.kv_u.knots)
+    return squ, squ if square else span_quadrature(space.kv_v, squ.points.shape[1])
+
+
+def _lattice_load(space, squ, sqv, wf):
+    """The lattice load ``B_u (w f) B_v^T`` of the values `wf` of ``w f`` on the Gauss grid,
+    contracted in u, then in v: it pairs every function with 1 and sums its band rows."""
+    grid = squ.points.shape + sqv.points.shape
+    load = _span_fold(squ.first_active, space.n_u, wf.reshape(grid[:2] + (-1,)),
+                      squ.tables[:, :, 0], np.ones(1)).sum(1).reshape((space.n_u,) + grid[2:])
+    return _span_fold(sqv.first_active, space.n_v, load.transpose(1, 2, 0), sqv.tables[:, :, 0],
+                      np.ones(1)).sum(1).T
+
+
 def _quadrature(patch, source, label):
     """The span quadratures of the patch's Gauss grid, ``J^-T`` and ``w |det J|`` on it, and the
-    (n_u, n_v) lattice load ``B_u (w f) B_v^T``, contracted in u, then in v."""
-    space, geo = patch.space, patch.geometry
-    ng = max(space.degree, geo.kv_u.p, geo.kv_v.p) + 1
-    squ = sqv = span_quadrature(space.kv_u, ng)  # the v tables are the u ones on a square grid
-    if not np.array_equal(space.kv_v.knots, space.kv_u.knots):
-        sqv = span_quadrature(space.kv_v, ng)
+    lattice load (`_lattice_load`)."""
+    squ, sqv = _span_quadratures(patch)
     pu, pv = squ.points.ravel(), sqv.points.ravel()
-    pts, jac = geo.jacobian_grid(pu, pv)
+    pts, jac = patch.geometry.jacobian_grid(pu, pv)
     uv = np.stack(np.meshgrid(pu, pv, indexing="ij"), axis=-1)
     grid = squ.points.shape + sqv.points.shape  # the points of every element form one set
     JinvT, det = _inv_transpose(jac.reshape(grid + (2, 2)), label, uv.reshape(grid + (2,)), (1, 3))
     w = np.outer(squ.weights, sqv.weights) * np.abs(det.reshape(pu.size, pv.size))
-    # the load pairs every function with the constant 1 and sums its band rows
     fvals = source(pts[..., 0], pts[..., 1]) if callable(source) else float(source)
-    load = _span_fold(squ.first_active, space.n_u, (w * fvals).reshape(grid[:2] + (-1,)),
-                      squ.tables[:, :, 0], np.ones(1)).sum(1).reshape((space.n_u,) + grid[2:])
-    load = _span_fold(sqv.first_active, space.n_v, load.transpose(1, 2, 0), sqv.tables[:, :, 0],
-                      np.ones(1)).sum(1)
-    return squ, sqv, JinvT.reshape(jac.shape), w, load.T
+    return squ, sqv, JinvT.reshape(jac.shape), w, _lattice_load(patch.space, squ, sqv, w * fvals)
 
 
 def _sum_factorized(patch, source=1.0, label=""):
@@ -172,10 +182,11 @@ def assemble_volume(patch, source=1.0, label=""):
     fast diagonalization) the (2p+1)^2 band of each lattice row is ``c_u K_u
     (x) M_v + c_v M_u (x) K_v``, ``c_u = alpha |J_y / J_x| = alpha^2 / c_v``,
     and a constant load ``f |J_x J_y| (M_u 1) (x) (M_v 1)``: what quadrature
-    gives there, to rounding.  Other maps and callable loads take
+    gives there, to rounding; a callable load takes the Gauss points mapped by
+    ``x0 + diag(J) (u, v)`` and the constant ``|J_x J_y|``.  Other maps take
     `_sum_factorized`.  The free band rows are the CSR rows.
     """
-    space, J = patch.space, patch.geometry.affine_diagonal()
+    space, J = patch.space, patch.geometry.affine_diagonal
     p, n_u, n_v, bw = space.degree, space.n_u, space.n_v, 2 * space.degree + 1
     if J is None:
         band, load = _sum_factorized(patch, source, label)
@@ -184,8 +195,14 @@ def assemble_volume(patch, source=1.0, label=""):
         aspect = abs(J[1] / J[0])
         band = (patch.alpha * aspect * K_u)[:, None, :, None] * M_v[:, None, :]
         band += (patch.alpha / aspect * M_u)[:, None, :, None] * K_v[:, None, :]
-        load = (_quadrature(patch, source, label)[-1] if callable(source) else
-                (float(source) * abs(J[0] * J[1]) * M_u.sum(1))[:, None] * M_v.sum(1))
+        if callable(source):
+            (squ, sqv), x0 = _span_quadratures(patch), patch.geometry.control[0, 0]
+            xy = np.meshgrid(*(x0[i] + J[i] * q.points.ravel() for i, q in enumerate((squ, sqv))),
+                             indexing="ij")
+            w = np.outer(squ.weights, sqv.weights) * abs(J[0] * J[1])
+            load = _lattice_load(space, squ, sqv, w * source(*xy))
+        else:
+            load = (float(source) * abs(J[0] * J[1]) * M_u.sum(1))[:, None] * M_v.sum(1)
 
     # band[i, j, a, b] pairs lattice (i, j) with (i + a - p, j + b - p), whose dof is cols[i, j, a, b]
     padded = np.full((n_u + 2 * p, n_v + 2 * p), -1)
@@ -211,17 +228,6 @@ def univariate_matrices(kv):
     return tuple(KM[:, :, p:-p])
 
 
-def _merged_edge_partition(domain, ori):
-    """Breakpoints of both sides merged, expressed in the owner's edge parameter."""
-    own = domain.patches[ori.k].space.edge_kv(ori.side_k).breakpoints
-    nb = domain.patches[ori.l].space.edge_kv(ori.side_l).breakpoints
-    (a, b), (c, d) = ori.range_k, sorted(ori.range_l)
-    frac = (nb - ori.range_l[0]) / (ori.range_l[1] - ori.range_l[0])  # invert the affine map
-    frac = ((1.0 - frac) if ori.reversed_ else frac)[(c < nb) & (nb < d)]
-    pts = np.unique(np.concatenate([[a, b], own[(a < own) & (own < b)], a + frac * (b - a)]))
-    return pts[np.concatenate([[True], np.diff(pts) > 1e-12 * (b - a)])]
-
-
 def _oriented_sides(domain):
     """Both orientations of every interface: side ``2 i`` is interface i, ``2 i + 1`` its flip."""
     return [ori for g in domain.interfaces for ori in (g, g.flipped())]
@@ -233,35 +239,57 @@ _SidePoints = namedtuple("_SidePoints", "side axis ss uv weights normals jinv_t 
 def _side_points(domain):
     """Gauss points of all oriented sides' merged partitions, side after side.
 
-    Per point: its `side` (:func:`_oriented_sides`), the owner's parameter `axis` along it, the
-    neighbor's edge parameter `ss`, the owner's `uv`, the Gauss weight times arc measure, the
-    owner's outward unit normal and ``J^-T``; `start` is the first point of every merged
-    sub-interval.  Each owner's map is evaluated once, at all its points."""
-    sides = _oriented_sides(domain)
-    ts, ws, ss, counts = [np.zeros(0)], [np.zeros(0)], [np.zeros(0)], [0]
-    for ori in sides:
-        geo = domain.patches[ori.k].geometry
-        ng = max(domain.degree, geo.kv_u.p, geo.kv_v.p) + 1
-        breaks = _merged_edge_partition(domain, ori)
-        t, w = (a.ravel() for a in gauss_rule(ng).mapped(breaks[:-1, None], breaks[1:, None]))
-        ts, ws, ss = ts + [t], ws + [w], ss + [np.asarray(ori.map_param(t))]
-        counts += [ng] * (breaks.size - 1)
-    side = np.repeat(np.arange(len(sides)), [t.size for t in ts[1:]]).astype(int)
-    n_hat = np.array([side_normal_hat(ori.side_k) for ori in sides]).reshape(-1, 2)[side]
-    axis = (n_hat[:, 1] == 0.0).astype(int)
-    uv = np.where(n_hat == 0.0, np.concatenate(ts)[:, None], (n_hat > 0.0).astype(float))
-    owner = np.array([ori.k for ori in sides], dtype=int)[side]
-    jac, jinv_t = np.empty((side.size, 2, 2)), np.empty((side.size, 2, 2))
-    for k in np.unique(owner):
-        at = owner == k
-        jac[at] = domain.patches[k].geometry.jacobian_points(uv[at, 0], uv[at, 1])
-        jinv_t[at] = _inv_transpose(jac[at], "patch %d" % k, uv[at])[0]
+    A side's merged partition holds the breakpoints of both sides inside its range, in the
+    owner's edge parameter, the neighbor's through the inverse of the affine correspondence;
+    breakpoints closer than 1e-12 of the range length to the one before merge.  Per point: its
+    `side` (:func:`_oriented_sides`), the owner's parameter `axis` along it, the neighbor's edge
+    parameter `ss`, the owner's `uv`, the Gauss weight times arc measure, the owner's outward
+    unit normal and ``J^-T``; `start` is the first point of every merged sub-interval.  All
+    sides are merged in one sort and their maps evaluated in one `eval_maps` call."""
+    sides, patches = _oriented_sides(domain), domain.patches
+    partner = np.arange(len(sides)) ^ 1  # side s ^ 1 is side s seen from its neighbor
+    n_hat = np.array([side_normal_hat(ori.side_k) for ori in sides]).reshape(-1, 2)
+    along = (n_hat[:, 1] == 0.0).astype(int)  # the edge parameter is v on west and east sides
+    k = np.array([ori.k for ori in sides], dtype=int)
+    a, b = np.array([ori.range_k for ori in sides]).reshape(-1, 2).T
+    rev = np.array([ori.reversed_ for ori in sides], dtype=bool)
+    # each side's own breakpoints inside its range serve it and, mapped, its partner
+    own = [patches[i].space.edge_kv(ori.side_k).breakpoints for i, ori in zip(k, sides)]
+    of = np.repeat(np.arange(len(sides)), [x.size for x in own])
+    x = np.concatenate([np.zeros(0), *own])
+    inside = (a[of] < x) & (x < b[of])
+    x, of = x[inside], of[inside]
+    frac, to = (x - a[of]) / (b - a)[of], partner[of]
+    pts = np.concatenate([a, b, x, a[to] + np.where(rev[of], 1.0 - frac, frac) * (b - a)[to]])
+    of = np.concatenate([np.arange(len(sides)), np.arange(len(sides)), of, to])
+    order = np.lexsort((pts, of))
+    pts, of = pts[order], of[order]
+    keep = (np.diff(of, prepend=-1) != 0) | (np.diff(pts, prepend=0.0) > 1e-12 * (b - a)[of])
+    pts, of = pts[keep], of[keep]
+    sub = np.flatnonzero(of[1:] == of[:-1])  # sub-interval j runs from pts[sub[j]] to the next
+
+    # Gauss points: max(p, geometry degree) + 1 per sub-interval, from its owner's map
+    ng = np.array([max(domain.degree, patch.geometry.kv_u.p, patch.geometry.kv_v.p) + 1
+                   for patch in patches], dtype=int)[k[of[sub]]]
+    start = np.cumsum(ng) - ng
+    t, w = np.empty(ng.sum()), np.empty(ng.sum())
+    for n in np.unique(ng):
+        at = start[ng == n, None] + np.arange(n)
+        t[at], w[at] = gauss_rule(n).mapped(pts[sub[ng == n], None], pts[sub[ng == n] + 1, None])
+    side = np.repeat(of[sub], ng)
+    ss = map_edge_param(t, (a[side], b[side]), (a[partner[side]], b[partner[side]]), rev[side])
+    n_hat, axis, owner = n_hat[side], along[side], k[side]
+    uv = np.where(n_hat == 0.0, t[:, None], (n_hat > 0.0).astype(float))
+    jac = eval_maps([patch.geometry for patch in patches], owner, uv[:, 0], uv[:, 1], jacobian=True)
+    jinv_t = np.empty_like(jac)
+    for i in np.unique(owner):
+        at = owner == i
+        jinv_t[at] = _inv_transpose(jac[at], "patch %d" % i, uv[at])[0]
     # outward: an inward step J (-eps n_hat) has dot product -eps with J^-T n_hat
     normals = (jinv_t @ n_hat[:, :, None])[..., 0]
     normals /= np.linalg.norm(normals, axis=1)[:, None]
-    weights = np.concatenate(ws) * np.linalg.norm(jac[np.arange(side.size), :, axis], axis=1)
-    return _SidePoints(side, axis, np.concatenate(ss), uv, weights, normals, jinv_t,
-                       np.cumsum(counts[:-1], dtype=int))
+    weights = w * np.linalg.norm(jac[np.arange(side.size), :, axis], axis=1)
+    return _SidePoints(side, axis, ss, uv, weights, normals, jinv_t, start)
 
 
 def interface_side_terms(domain, delta):

@@ -26,27 +26,23 @@ from .geometry import GeometryMap, Interface, MultiPatchDomain, Patch
 TDOMAIN_JUMP_PATCHES = (1, 3)
 
 
-def _space(degree, refinements, dirichlet_sides):
-    kv = refine_uniform(KnotVector.bernstein(degree), refinements)
-    return TensorSplineSpace(kv, kv, dirichlet_sides)
-
-
-def _rect_patch(x0, x1, y0, y1, alpha, degree, refinements, dirichlet_sides):
+def _rect_patch(x0, x1, y0, y1, alpha, kv, dirichlet_sides):
+    """The rectangle [x0, x1] x [y0, y1] with the space of `kv` in both directions."""
     geo = GeometryMap.bilinear((x0, y0), (x1, y0), (x0, y1), (x1, y1))
-    return Patch(geo, alpha, _space(degree, refinements, dirichlet_sides))
+    return Patch(geo, alpha, TensorSplineSpace(kv, kv, dirichlet_sides))
 
 
 def grid_domain(n, degree=2, refinements=1, alphas=None):
     """Conforming n x n grid of unit squares on [0, n]^2."""
     if n < 1:
         raise ConfigError("grid size must be >= 1")
-    patches = []
+    kv, patches = refine_uniform(KnotVector.bernstein(degree), refinements), []
     for j in range(n):
         for i in range(n):
             sides = {side for side, outer in (("west", i == 0), ("east", i == n - 1),
                                               ("south", j == 0), ("north", j == n - 1)) if outer}
             alpha = alphas[j * n + i] if alphas is not None else 1.0
-            patches.append(_rect_patch(i, i + 1, j, j + 1, alpha, degree, refinements, sides))
+            patches.append(_rect_patch(i, i + 1, j, j + 1, alpha, kv, sides))
     interfaces = []
     for j in range(n):
         for i in range(n):
@@ -83,10 +79,9 @@ def t_domain(degree=2, refinements=1, alphas=None, jump_exponent=None):
         (2.0, 3.0, 1.0, 2.0, {"north", "east"}),
         (2.0, 3.0, 0.0, 1.0, {"south", "east"}),
     ]
-    patches = [
-        _rect_patch(x0, x1, y0, y1, alphas[k], degree, refinements, sides)
-        for k, (x0, x1, y0, y1, sides) in enumerate(boxes)
-    ]
+    kv = refine_uniform(KnotVector.bernstein(degree), refinements)
+    patches = [_rect_patch(x0, x1, y0, y1, alphas[k], kv, sides)
+               for k, (x0, x1, y0, y1, sides) in enumerate(boxes)]
     interfaces = [
         Interface(0, "south", (0.0, 0.4), 1, "north", (0.0, 1.0)),
         Interface(0, "south", (0.4, 1.0), 2, "north", (0.0, 1.0)),
@@ -111,17 +106,12 @@ def slider_domain(m, s, degree=2, refinements=1, alphas=None):
         raise ConfigError("slide offset must be in (0, 1)")
     bottom_cuts = [float(i) for i in range(m + 1)]
     top_cuts = [0.0] + [i + s for i in range(m - 1)] + [float(m)]
-    patches = []
-    for i in range(m):
-        sides = {"south"} | ({"west"} if i == 0 else set()) | ({"east"} if i == m - 1 else set())
-        alpha = alphas[i] if alphas is not None else 1.0
-        patches.append(_rect_patch(bottom_cuts[i], bottom_cuts[i + 1], 0.0, 1.0,
-                                   alpha, degree, refinements, sides))
-    for j in range(m):
-        sides = {"north"} | ({"west"} if j == 0 else set()) | ({"east"} if j == m - 1 else set())
-        alpha = alphas[m + j] if alphas is not None else 1.0
-        patches.append(_rect_patch(top_cuts[j], top_cuts[j + 1], 1.0, 2.0,
-                                   alpha, degree, refinements, sides))
+    kv, patches = refine_uniform(KnotVector.bernstein(degree), refinements), []
+    for row, (cuts, outer) in enumerate(((bottom_cuts, "south"), (top_cuts, "north"))):
+        for i in range(m):
+            sides = {outer} | ({"west"} if i == 0 else set()) | ({"east"} if i == m - 1 else set())
+            alpha = alphas[row * m + i] if alphas is not None else 1.0
+            patches.append(_rect_patch(cuts[i], cuts[i + 1], row, row + 1.0, alpha, kv, sides))
     interfaces = []
     for i in range(m - 1):
         interfaces.append(Interface(i, "east", (0.0, 1.0), i + 1, "west", (0.0, 1.0)))

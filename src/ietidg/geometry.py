@@ -45,6 +45,11 @@ class GeometryMap:
         discretization space).
     control : array_like, shape (n_u, n_v, 2)
         Control net.
+
+    The map is immutable.  Its attribute `affine_diagonal` is ``J = control[-1, -1] -
+    control[0, 0]`` if the control net is the map ``x0 + diag(J) (u, v)`` at the Greville
+    points to 1e-14 of ``max |J|``, and J is not singular (no entry 1e-12 of the other or
+    less); else None.
     """
 
     def __init__(self, kv_u, kv_v, control):
@@ -59,6 +64,10 @@ class GeometryMap:
         self.kv_u = kv_u
         self.kv_v = kv_v
         self.control = control
+        x0, J = control[0, 0], control[-1, -1] - control[0, 0]
+        grid = np.stack(np.meshgrid(*map(greville_points, (kv_u, kv_v)), indexing="ij"), -1)
+        scale, off = np.abs(J).max(), np.abs(control - (x0 + J * grid)).max()
+        self.affine_diagonal = None if np.abs(J).min() <= 1e-12 * scale or off > 1e-14 * scale else J
 
     @classmethod
     def bilinear(cls, sw, se, nw, ne):
@@ -71,10 +80,6 @@ class GeometryMap:
         """Map values on the tensor grid of two univariate evaluation matrices."""
         along_u = (BU @ self.control.reshape(self.kv_u.n, -1)).reshape(-1, self.kv_v.n, 2)
         return BV @ along_u
-
-    def eval_grid(self, u_pts, v_pts):
-        """Evaluate the map on the tensor grid of points: shape ``(len(u_pts), len(v_pts), 2)``."""
-        return self._contract(eval_matrices(self.kv_u, u_pts)[0], eval_matrices(self.kv_v, v_pts)[0])
 
     def jacobian_grid(self, u_pts, v_pts):
         """Points and Jacobians on a tensor grid.
@@ -90,32 +95,6 @@ class GeometryMap:
         ju, jv = self._contract(BU[1], BV[0]), self._contract(BU[0], BV[1])
         return self._contract(BU[0], BV[0]), np.stack([ju, jv], axis=-1)
 
-    def jacobian_points(self, u_pts, v_pts):
-        """Jacobians ``(Q, 2, 2)`` as in `jacobian_grid`, at the points ``(u_pts[q], v_pts[q])``."""
-        (fu, tu), (fv, tv) = eval_basis(self.kv_u, u_pts, 1), eval_basis(self.kv_v, v_pts, 1)
-        C = self.control[(fu[:, None] + np.arange(self.kv_u.p + 1))[:, :, None],
-                         (fv[:, None] + np.arange(self.kv_v.p + 1))[:, None, :]]
-        return np.stack([np.einsum("qa,qb,qabx->qx", tu[:, 1], tv[:, 0], C),
-                         np.einsum("qa,qb,qabx->qx", tu[:, 0], tv[:, 1], C)], axis=-1)
-
-    def affine_diagonal(self):
-        """``J = control[-1, -1] - control[0, 0]`` if the control net is the map ``x0 + diag(J)
-        (u, v)`` at the Greville points to 1e-14 of ``max |J|``, and J is not singular (no entry
-        1e-12 of the other or less); else None."""
-        x0, J = self.control[0, 0], self.control[-1, -1] - self.control[0, 0]
-        grid = np.stack(np.meshgrid(*map(greville_points, (self.kv_u, self.kv_v)), indexing="ij"), -1)
-        scale, off = np.abs(J).max(), np.abs(self.control - (x0 + J * grid)).max()
-        return None if np.abs(J).min() <= 1e-12 * scale or off > 1e-14 * scale else J
-
-    def check_bijective(self):
-        """Reject the patch unless det(Jacobian) keeps one sign on a sample grid."""
-        s = np.linspace(1e-3, 1.0 - 1e-3, _JACOBIAN_SAMPLES)
-        _, jac = self.jacobian_grid(s, s)
-        det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-        scale = np.abs(jac).max() ** 2
-        if np.any(np.abs(det) <= 1e-12 * scale) or (det.max() > 0 and det.min() < 0):
-            raise ConfigError("geometry map is not bijective: Jacobian determinant changes sign")
-
     def as_dict(self):
         return {
             "degree": self.kv_u.p,
@@ -123,6 +102,40 @@ class GeometryMap:
             "knots_v": self.kv_v.knots.tolist(),
             "control_points": self.control.tolist(),
         }
+
+
+def eval_maps(maps, patch, u, v, jacobian=False):
+    """Values ``(Q, 2)``, or Jacobians ``(Q, 2, 2)`` as in `GeometryMap.jacobian_grid`, of the
+    maps ``maps[patch[q]]`` at the points ``(u[q], v[q])``: one `eval_basis` call per distinct
+    pair of knot vectors, and each point contracts its own piece of the control net."""
+    out, d = np.empty((patch.size, 2) + (2,) * jacobian), int(jacobian)
+    keys = [(geo.kv_u.knots.tobytes(), geo.kv_v.knots.tobytes()) for geo in maps]
+    group = np.array([keys.index(key) for key in keys], dtype=int)  # first map with its knots
+    for g in np.unique(group):
+        ks, at = np.flatnonzero(group == g), np.flatnonzero(group[patch] == g)
+        kv_u, kv_v = maps[g].kv_u, maps[g].kv_v
+        if keys[g][0] == keys[g][1]:  # one call serves both directions
+            (fu, fv), (tu, tv) = (np.split(a, 2) for a in eval_basis(kv_u, np.append(u[at], v[at]), d))
+        else:
+            (fu, tu), (fv, tv) = eval_basis(kv_u, u[at], d), eval_basis(kv_v, v[at], d)
+        # the (p_u + 1, p_v + 1) control points of each point's span, from the group's stacked nets
+        row = (np.searchsorted(ks, patch[at]) * kv_u.n + fu)[:, None] + np.arange(kv_u.p + 1)
+        C = np.take(np.stack([maps[k].control for k in ks]).reshape(-1, 2),
+                    (row * kv_v.n)[:, :, None] + (fv[:, None] + np.arange(kv_v.p + 1))[:, None], axis=0)
+        for col, (a, b) in enumerate(((1, 0), (0, 1)) if jacobian else ((0, 0),)):
+            # einsum("qa,qb,qabx->qx", tu[:, a], tv[:, b], C), its products summed in its order
+            terms, sums = (tu[:, a, :, None] * tv[:, b, None, :])[..., None] * C, np.zeros((at.size, 2))
+            for term in terms.reshape(at.size, tu.shape[2] * tv.shape[2], 2).transpose(1, 0, 2):
+                sums += term
+            out[(at, slice(None), col) if jacobian else at] = sums
+    return out
+
+
+def map_edge_param(t, range_k, range_l, reversed_):
+    """The affine map from ``range_k`` onto ``range_l``, reversed where `reversed_`; broadcasts."""
+    (a, b), (c, d) = range_k, range_l
+    s = (t - a) / (b - a)
+    return np.where(reversed_, d - (d - c) * s, c + (d - c) * s)
 
 
 @dataclass(frozen=True)
@@ -156,10 +169,7 @@ class Interface:
 
     def map_param(self, t):
         """Affine edge-parameter correspondence from side k to side l."""
-        a, b = self.range_k
-        c, d = self.range_l
-        s = (np.asarray(t) - a) / (b - a)
-        return d - (d - c) * s if self.reversed_ else c + (d - c) * s
+        return map_edge_param(np.asarray(t), self.range_k, self.range_l, self.reversed_)
 
     def flipped(self):
         """Same interface seen from patch `l`."""
@@ -225,18 +235,20 @@ class MultiPatchDomain:
 
     def validate(self):
         self._check_overlaps()
-        for i, p in enumerate(self.patches):
-            try:
-                p.geometry.check_bijective()
-            except ConfigError as exc:
-                raise ConfigError("patch %d: %s" % (i, exc)) from exc
+        # bijectivity: det J keeps one sign, away from zero, on each patch's sample grid
+        s, K = np.linspace(1e-3, 1.0 - 1e-3, _JACOBIAN_SAMPLES), self.num_patches
+        jac = eval_maps([p.geometry for p in self.patches], np.repeat(np.arange(K), s.size**2),
+                        *(np.tile(x.ravel(), K) for x in np.meshgrid(s, s, indexing="ij")), True)
+        det = (jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]).reshape(K, -1)
+        bad = np.any(np.abs(det) <= 1e-12 * np.abs(jac).reshape(K, -1).max(1)[:, None] ** 2, axis=1)
+        bad |= (det.max(axis=1) > 0) & (det.min(axis=1) < 0)
+        if bad.any():
+            raise ConfigError("patch %d: geometry map is not bijective: Jacobian determinant "
+                              "changes sign" % np.argmax(bad))
         self.metrics = self._compute_metrics()
-        ends = []
-        for idx in range(len(self.interfaces)):
-            report, records = validate_interface(self, idx)
-            if report is not None:
-                raise ConfigError("interface %d mismatch: %s" % (idx, report))
-            ends.extend(records)
+        mismatch, ends = validate_interfaces(self)
+        if mismatch is not None:
+            raise ConfigError("interface %d mismatch: %s" % mismatch)
         self.vertices = classify_vertices(ends, 1e-9 * float(np.max(self.metrics["H"])))
         return self
 
@@ -259,45 +271,53 @@ class MultiPatchDomain:
     # -- metrics -------------------------------------------------------
 
     def _compute_metrics(self):
-        H = np.empty(self.num_patches)
-        hhat = np.empty(self.num_patches)
-        s = np.linspace(0.0, 1.0, 33)
-        for k, p in enumerate(self.patches):
-            grid = p.geometry.eval_grid(s, s)
-            x, y = np.concatenate([grid[0], grid[-1], grid[:, 0], grid[:, -1]]).T
-            H[k] = np.sqrt(np.max((x[:, None] - x) ** 2 + (y[:, None] - y) ** 2))
-            hhat[k] = max(p.space.kv_u.h_max, p.space.kv_v.h_max)
+        # H: the largest distance between 33 samples per side of the patch boundary
+        s, K = np.linspace(0.0, 1.0, 33), self.num_patches
+        e = np.zeros_like(s)
+        u, v = np.concatenate([e, e + 1.0, s, s]), np.concatenate([s, s, e, e + 1.0])
+        x, y = eval_maps([p.geometry for p in self.patches], np.repeat(np.arange(K), u.size),
+                         np.tile(u, K), np.tile(v, K)).reshape(K, -1, 2).transpose(2, 0, 1)
+        H = np.empty(K)
+        for k, (px, py) in enumerate(zip(x, y)):  # (x_i - x_j)^2 + (y_i - y_j)^2, in place
+            dx, dy = np.subtract.outer(px, px), np.subtract.outer(py, py)
+            dx *= dx
+            dx += np.multiply(dy, dy, out=dy)
+            H[k] = np.sqrt(dx.max())
+        hhat = np.array([max(p.space.kv_u.h_max, p.space.kv_v.h_max) for p in self.patches])
         return {"H": H, "hhat": hhat, "h": hhat * H}
 
 
-def validate_interface(domain, index):
-    """Sample the interface on both sides.
+def validate_interfaces(domain):
+    """Sample every interface on both sides, all with one map evaluation.
 
-    Returns ``(report, ends)``.  `report` is None if the sides coincide,
-    else a dict describing the worst sample.  `ends` holds the four end
-    records ``(point, patch, (u, v))`` taken from the same samples: the
-    range start, then its end, each on side k before side l.
+    Returns ``(mismatch, ends)``.  `mismatch` is None if the sides of every
+    interface coincide, else ``(index, report)`` of the first that does not,
+    `report` a dict describing its worst sample.  `ends` holds four end
+    records ``(point, patch, (u, v))`` per interface, taken from the same
+    samples: the range start, then its end, each on side k before side l.
     """
-    g = domain.interfaces[index]
-    ts = np.linspace(g.range_k[0], g.range_k[1], _INTERFACE_SAMPLES)
-    ss = g.map_param(ts)
-    pk = domain.patches[g.k].geometry.eval_grid(*side_point(g.side_k, ts)).reshape(-1, 2)
-    pl = domain.patches[g.l].geometry.eval_grid(*side_point(g.side_l, ss)).reshape(-1, 2)
-    ends = [(x[i], patch, side_point(side, float(t[i])))
-            for i in (0, -1)
-            for x, patch, side, t in ((pk, g.k, g.side_k, ts), (pl, g.l, g.side_l, ss))]
-    dist = np.linalg.norm(pk - pl, axis=1)
-    worst = int(np.argmax(dist))
-    H_k = domain.metrics["H"][g.k]
-    if dist[worst] <= _MATCH_TOL * H_k:
+    ifaces, maps = domain.interfaces, [p.geometry for p in domain.patches]
+    ranges = np.array([(g.range_k, g.range_l) for g in ifaces]).reshape(-1, 2, 2)
+    ts = np.linspace(ranges[:, 0, 0], ranges[:, 0, 1], _INTERFACE_SAMPLES, axis=1)
+    rev = np.array([[g.reversed_] for g in ifaces], dtype=bool).reshape(-1, 1)
+    t = np.stack([ts, map_edge_param(ts, *ranges.transpose(1, 2, 0)[..., None], rev)], axis=1)
+    n_hat = np.array([[side_normal_hat(g.side_k), side_normal_hat(g.side_l)] for g in ifaces])
+    n_hat = n_hat.reshape(-1, 2, 1, 2)  # (interface, side k or l, sample, axis)
+    uv = np.where(n_hat == 0.0, t[..., None], (n_hat > 0.0).astype(float))
+    patch = np.array([(g.k, g.l) for g in ifaces], dtype=int).reshape(-1, 2)
+    x = eval_maps(maps, np.repeat(patch.ravel(), ts.shape[1]), uv[..., 0].ravel(),
+                  uv[..., 1].ravel()).reshape(uv.shape)
+    end_x, end_uv = (a[:, :, [0, -1]].swapaxes(1, 2).reshape(-1, 2) for a in (x, uv))
+    ends = list(zip(end_x, np.repeat(patch, 2, axis=0).ravel().tolist(), map(tuple, end_uv.tolist())))
+    dist = np.linalg.norm(x[:, 0] - x[:, 1], axis=-1)
+    worst, tol = np.argmax(dist, axis=1), _MATCH_TOL * domain.metrics["H"][patch[:, 0]]
+    bad = np.flatnonzero(dist[np.arange(len(ifaces)), worst] > tol)
+    if not bad.size:
         return None, ends
-    return {
-        "max_mismatch": float(dist[worst]),
-        "tolerance": float(_MATCH_TOL * H_k),
-        "t": float(ts[worst]),
-        "point_k": pk[worst].tolist(),
-        "point_l": pl[worst].tolist(),
-    }, ends
+    i, w = bad[0], worst[bad[0]]
+    return (int(i), {"max_mismatch": float(dist[i, w]), "tolerance": float(tol[i]),
+                     "t": float(ts[i, w]), "point_k": x[i, 0, w].tolist(),
+                     "point_l": x[i, 1, w].tolist()}), ends
 
 
 def _is_corner(u, v):
@@ -309,25 +329,24 @@ def classify_vertices(ends, merge_tol):
     """Cluster interface end records into vertices and detect T-junctions.
 
     `ends` holds ``(point, patch, (u, v))`` records as
-    :func:`validate_interface` gives them; a record joins the first
+    :func:`validate_interfaces` gives them; a record joins the first
     vertex within `merge_tol` of it.  A vertex is a T-junction iff it lies
     strictly inside an edge of at least one adjacent patch (a "long"
     patch), and a long patch must meet the vertex at exactly one
     parameter point.
     """
-    clusters = []
-    for point, patch, loc in ends:
-        for cl_point, members in clusters:
-            if np.linalg.norm(cl_point - point) <= merge_tol:
-                members.append((patch, loc))
-                break
-        else:
-            clusters.append((point, [(patch, loc)]))
-
-    vertices = []
-    for point, members in clusters:
-        adjacency = []
-        for patch, (u, v) in members:
+    # a record joins the first cluster whose first record is within merge_tol of it: the
+    # earliest record left opens a cluster and takes every record left within merge_tol
+    points = np.array([point for point, _, _ in ends], dtype=float).reshape(-1, 2)
+    close = np.linalg.norm(points[:, None] - points, axis=-1) <= merge_tol
+    left, vertices = np.ones(len(ends), dtype=bool), []
+    while left.any():
+        first = int(np.argmax(left))
+        take = left & close[first]
+        take[first] = True
+        left &= ~take
+        point, adjacency = ends[first][0], []
+        for patch, (u, v) in (ends[i][1:] for i in np.flatnonzero(take)):
             if not any(pp == patch and abs(uu - u) <= _CORNER_TOL and abs(vv - v) <= _CORNER_TOL
                        for pp, (uu, vv) in adjacency):
                 adjacency.append((patch, (u, v)))
@@ -340,5 +359,6 @@ def classify_vertices(ends, merge_tol):
                     "at %d parameter points" % (point, patch, count)
                 )
         vertices.append(Vertex(point, sorted(adjacency), tuple(long_patches)))
-    vertices.sort(key=lambda v: (round(v.point[0], 9), round(v.point[1], 9)))
-    return vertices
+    # by the points rounded to 9 digits, x first; a stable sort keeps ties in cluster order
+    x, y = np.round(np.array([v.point for v in vertices]).reshape(-1, 2), 9).T
+    return [vertices[i] for i in np.lexsort((y, x))]

@@ -242,13 +242,13 @@ def kronecker_interior(patch, interior, eigenpairs, name=""):
     The block is ``c_u K_u (x) M_v + c_v M_u (x) K_v``, ``c_u = alpha |J_y / J_x|
     = alpha^2 / c_v``, when the `interior` patch dofs form a tensor lattice
     ``I_u x I_v`` in flat-lattice order and the map is ``x0 + diag(J) (u, v)``
-    (:meth:`~ietidg.geometry.GeometryMap.affine_diagonal`): the volume is
+    (:attr:`~ietidg.geometry.GeometryMap.affine_diagonal`): the volume is
     then assembled as that sum, and no interface term couples two interior
     dofs (a jump is nonzero only on trace-active functions, which are
     skeleton dofs).  ``eigenpairs(kv, idx)`` gives the 1D eigenpairs of `kv`
     on the indices `idx`.
     """
-    space, J = patch.space, patch.geometry.affine_diagonal()
+    space, J = patch.space, patch.geometry.affine_diagonal
     lat = np.flatnonzero(space.free_mask)[interior]
     if not lat.size or J is None:
         return None

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from ietidg.assembly import assemble_interface_terms, build_local_system, copy_map
-from ietidg.bspline import KnotVector, TensorSplineSpace, refine_uniform
+from ietidg.assembly import (_inv_transpose, _oriented_sides, _SidePoints,
+                             assemble_interface_terms, build_local_system, copy_map)
+from ietidg.bspline import KnotVector, TensorSplineSpace, eval_basis, gauss_rule, refine_uniform
 from ietidg.domains import domain_from_config, domain_to_config
-from ietidg.geometry import GeometryMap, Interface, MultiPatchDomain, Patch
+from ietidg.errors import ConfigError
+from ietidg.geometry import (GeometryMap, Interface, MultiPatchDomain, Patch, Vertex, side_normal_hat,
+                             side_point)
 from ietidg.linalg import SparseSym
 from ietidg.refsolver import patch_offsets
 
@@ -92,6 +95,124 @@ def at(geo, u, v):
     """Point and Jacobian of the map `geo` at the one parameter point (u, v)."""
     pts, jac = geo.jacobian_grid([u], [v])
     return pts[0, 0], jac[0, 0]
+
+
+# -- references: the per-patch, per-interface and per-side loops that the
+# vectorized geometry pass replaced, kept to compare against bit for bit
+
+
+def reference_validate(domain):
+    """`MultiPatchDomain.validate` one patch and one interface at a time, on `jacobian_grid`
+    samples.  Returns ``(metrics, vertices)``; raises what
+    validation raises, with the same text."""
+    domain._check_overlaps()
+    s = np.linspace(1e-3, 1.0 - 1e-3, 9)
+    for i, patch in enumerate(domain.patches):
+        jac = patch.geometry.jacobian_grid(s, s)[1]
+        det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+        if np.any(np.abs(det) <= 1e-12 * np.abs(jac).max() ** 2) or (det.max() > 0 and det.min() < 0):
+            raise ConfigError("patch %d: geometry map is not bijective: Jacobian determinant "
+                              "changes sign" % i)
+    H, hhat, s = np.empty(domain.num_patches), np.empty(domain.num_patches), np.linspace(0, 1, 33)
+    for k, patch in enumerate(domain.patches):
+        grid = patch.geometry.jacobian_grid(s, s)[0]
+        x, y = np.concatenate([grid[0], grid[-1], grid[:, 0], grid[:, -1]]).T
+        H[k] = np.sqrt(np.max((x[:, None] - x) ** 2 + (y[:, None] - y) ** 2))
+        hhat[k] = max(patch.space.kv_u.h_max, patch.space.kv_v.h_max)
+    metrics = {"H": H, "hhat": hhat, "h": hhat * H}
+    ends = []
+    for idx, g in enumerate(domain.interfaces):
+        ts = np.linspace(g.range_k[0], g.range_k[1], 17)
+        ss = g.map_param(ts)
+        pk = domain.patches[g.k].geometry.jacobian_grid(*side_point(g.side_k, ts))[0].reshape(-1, 2)
+        pl = domain.patches[g.l].geometry.jacobian_grid(*side_point(g.side_l, ss))[0].reshape(-1, 2)
+        ends += [(x[i], patch, side_point(side, float(t[i])))
+                 for i in (0, -1)
+                 for x, patch, side, t in ((pk, g.k, g.side_k, ts), (pl, g.l, g.side_l, ss))]
+        dist = np.linalg.norm(pk - pl, axis=1)
+        worst = int(np.argmax(dist))
+        if dist[worst] > 1e-9 * H[g.k]:
+            raise ConfigError("interface %d mismatch: %s" % (idx, {
+                "max_mismatch": float(dist[worst]), "tolerance": float(1e-9 * H[g.k]),
+                "t": float(ts[worst]), "point_k": pk[worst].tolist(), "point_l": pl[worst].tolist()}))
+    return metrics, reference_classify_vertices(ends, 1e-9 * float(np.max(H)))
+
+
+def reference_classify_vertices(ends, merge_tol):
+    """`classify_vertices` with one distance per record and cluster."""
+    clusters = []
+    for point, patch, loc in ends:
+        for cl_point, members in clusters:
+            if np.linalg.norm(cl_point - point) <= merge_tol:
+                members.append((patch, loc))
+                break
+        else:
+            clusters.append((point, [(patch, loc)]))
+    corner = lambda u, v: min(u, 1.0 - u) <= 1e-12 and min(v, 1.0 - v) <= 1e-12
+    vertices = []
+    for point, members in clusters:
+        adjacency = []
+        for patch, (u, v) in members:
+            if not any(pp == patch and abs(uu - u) <= 1e-12 and abs(vv - v) <= 1e-12
+                       for pp, (uu, vv) in adjacency):
+                adjacency.append((patch, (u, v)))
+        long_patches = sorted({patch for patch, loc in adjacency if not corner(*loc)})
+        for patch in long_patches:
+            count = sum(pp == patch for pp, _ in adjacency)
+            if count > 1:
+                raise ConfigError("vertex at %s lies inside an edge of patch %d but meets that patch "
+                                  "at %d parameter points" % (point, patch, count))
+        vertices.append(Vertex(point, sorted(adjacency), tuple(long_patches)))
+    vertices.sort(key=lambda v: (round(v.point[0], 9), round(v.point[1], 9)))
+    return vertices
+
+
+def reference_merged_partition(domain, ori):
+    """Breakpoints of both sides of the oriented side `ori` merged, in the owner's edge parameter."""
+    own = domain.patches[ori.k].space.edge_kv(ori.side_k).breakpoints
+    nb = domain.patches[ori.l].space.edge_kv(ori.side_l).breakpoints
+    (a, b), (c, d) = ori.range_k, sorted(ori.range_l)
+    frac = (nb - ori.range_l[0]) / (ori.range_l[1] - ori.range_l[0])  # invert the affine map
+    frac = ((1.0 - frac) if ori.reversed_ else frac)[(c < nb) & (nb < d)]
+    pts = np.unique(np.concatenate([[a, b], own[(a < own) & (own < b)], a + frac * (b - a)]))
+    return pts[np.concatenate([[True], np.diff(pts) > 1e-12 * (b - a)])]
+
+
+def reference_jacobian_points(geo, u_pts, v_pts):
+    """Jacobians ``(Q, 2, 2)`` of one map at the points ``(u_pts[q], v_pts[q])``."""
+    (fu, tu), (fv, tv) = eval_basis(geo.kv_u, u_pts, 1), eval_basis(geo.kv_v, v_pts, 1)
+    C = geo.control[(fu[:, None] + np.arange(geo.kv_u.p + 1))[:, :, None],
+                    (fv[:, None] + np.arange(geo.kv_v.p + 1))[:, None, :]]
+    return np.stack([np.einsum("qa,qb,qabx->qx", tu[:, 1], tv[:, 0], C),
+                     np.einsum("qa,qb,qabx->qx", tu[:, 0], tv[:, 1], C)], axis=-1)
+
+
+def reference_side_points(domain):
+    """`assembly._side_points` one side and one owner patch at a time."""
+    sides = _oriented_sides(domain)
+    ts, ws, ss, counts = [np.zeros(0)], [np.zeros(0)], [np.zeros(0)], [0]
+    for ori in sides:
+        geo = domain.patches[ori.k].geometry
+        ng = max(domain.degree, geo.kv_u.p, geo.kv_v.p) + 1
+        breaks = reference_merged_partition(domain, ori)
+        t, w = (a.ravel() for a in gauss_rule(ng).mapped(breaks[:-1, None], breaks[1:, None]))
+        ts, ws, ss = ts + [t], ws + [w], ss + [np.asarray(ori.map_param(t))]
+        counts += [ng] * (breaks.size - 1)
+    side = np.repeat(np.arange(len(sides)), [t.size for t in ts[1:]]).astype(int)
+    n_hat = np.array([side_normal_hat(ori.side_k) for ori in sides]).reshape(-1, 2)[side]
+    axis = (n_hat[:, 1] == 0.0).astype(int)
+    uv = np.where(n_hat == 0.0, np.concatenate(ts)[:, None], (n_hat > 0.0).astype(float))
+    owner = np.array([ori.k for ori in sides], dtype=int)[side]
+    jac, jinv_t = np.empty((side.size, 2, 2)), np.empty((side.size, 2, 2))
+    for k in np.unique(owner):
+        at = owner == k
+        jac[at] = reference_jacobian_points(domain.patches[k].geometry, uv[at, 0], uv[at, 1])
+        jinv_t[at] = _inv_transpose(jac[at], "patch %d" % k, uv[at])[0]
+    normals = (jinv_t @ n_hat[:, :, None])[..., 0]
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    weights = np.concatenate(ws) * np.linalg.norm(jac[np.arange(side.size), :, axis], axis=1)
+    return _SidePoints(side, axis, np.concatenate(ss), uv, weights, normals, jinv_t,
+                       np.cumsum(counts[:-1], dtype=int))
 
 
 @pytest.fixture

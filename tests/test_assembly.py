@@ -4,7 +4,6 @@ import scipy.sparse
 
 from ietidg import assembly
 from ietidg.assembly import (
-    _merged_edge_partition,
     _oriented_sides,
     _side_points,
     _sum_factorized,
@@ -18,12 +17,13 @@ from ietidg.assembly import (
 from ietidg.bspline import KnotVector, TensorSplineSpace, eval_matrices, gauss_rule, refine_uniform
 from ietidg.domains import grid_domain, slider_domain, t_domain
 from ietidg.errors import ConfigError, NumericalError
-from ietidg.geometry import GeometryMap, MultiPatchDomain, Patch, side_normal_hat
+from ietidg.geometry import GeometryMap, Interface, MultiPatchDomain, Patch, side_normal_hat
 from ietidg.ieti import setup_operator
 from ietidg.linalg import SparseSym
 
 from conftest import (curved_geometry, curved_two_patch_domain, local_systems,
                       mirrored_two_patch_domain, nonuniform_config_domain,
+                      reference_merged_partition, reference_side_points,
                       reversed_two_patch_domain, two_patch_domain, unit_square_patch)
 from test_bspline import scalar_cox_de_boor
 from test_ieti import partial_interface_domain
@@ -250,13 +250,13 @@ def quadrature_route(patch, source=1.0):
     """`assemble_volume`'s arrays from `_sum_factorized`, whatever the map: the route
     every non-affine map takes, here with the affine test switched off."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(GeometryMap, "affine_diagonal", lambda geo: None)
+        mp.setattr(patch.geometry, "affine_diagonal", None)
         return assemble_volume(patch, source=source)
 
 
 def assert_kronecker_matches_quadrature(patch, source=1.0):
     """The affine route's CSR arrays and load against the quadrature route's, to 1e-13 relative."""
-    assert patch.geometry.affine_diagonal() is not None
+    assert patch.geometry.affine_diagonal is not None
     (data, indices, indptr), load = assemble_volume(patch, source=source)
     (data_q, indices_q, indptr_q), load_q = quadrature_route(patch, source)
     assert np.array_equal(indices, indices_q) and np.array_equal(indptr, indptr_q)
@@ -301,6 +301,17 @@ class TestKroneckerVolume:
         assert_kronecker_matches_quadrature(patch)
         assert_kronecker_matches_quadrature(patch, source=lambda x, y: 1.0 + x * y**2)
 
+    def test_callable_load_on_affine_patch_takes_no_jacobian(self, monkeypatch):
+        # the load of an affine diagonal map maps the Gauss points by x0 + diag(J) (u, v)
+        # and weighs them by the constant |J_x J_y|: no Jacobian grid, no singularity check
+        patch = single_patch(GeometryMap.bilinear((0.5, -1), (2, -1), (0.5, -0.5), (2, -0.5)), p=3)
+        source = lambda x, y: np.cos(x) + y
+        (_, _, _), expected = quadrature_route(patch, source)
+        monkeypatch.setattr(GeometryMap, "jacobian_grid", lambda *args: pytest.fail("Jacobian grid"))
+        monkeypatch.setattr(assembly, "_inv_transpose", lambda *args: pytest.fail("J^-T"))
+        load = assemble_volume(patch, source=source)[1]
+        assert np.abs(load - expected).max() <= 1e-13 * np.abs(expected).max()
+
     @pytest.mark.parametrize("corners", [
         [(2, 0), (0, 0), (2, 1), (0, 1)],          # x = 2 (1 - u), y = v
         [(0, 3), (1, 3), (0, 0), (1, 0)],          # x = u, y = 3 (1 - v)
@@ -317,7 +328,7 @@ class TestKroneckerVolume:
         [(0.0, 0.0), (1.0, 0.0), (0.0, 1e-13), (1.0, 1e-13)],  # J_y 1e-13 of J_x
     ], ids=["point", "segment", "thin"])
     def test_singular_affine_maps_take_quadrature(self, corners):
-        assert GeometryMap.bilinear(*corners).affine_diagonal() is None
+        assert GeometryMap.bilinear(*corners).affine_diagonal is None
 
     @pytest.mark.parametrize("rel, affine", [(1e-12, False), (1e-16, True)])
     def test_predicate_tolerance(self, monkeypatch, rel, affine):
@@ -326,7 +337,7 @@ class TestKroneckerVolume:
         control = np.stack(np.meshgrid([0.0, 1.0, 2.0], [0.0, 0.5, 1.0], indexing="ij"), axis=-1)
         control[1, 1, 1] += rel * 2.0
         geo = GeometryMap(kv, kv, control)
-        assert (geo.affine_diagonal() is not None) is affine
+        assert (geo.affine_diagonal is not None) is affine
         patch = single_patch(geo)
         assert routes(monkeypatch, [patch]) == [not affine]
         assert setup_operator(MultiPatchDomain([patch], []).validate()).blocks[0].interior_fd is affine
@@ -493,6 +504,35 @@ class TestInterfaceTerms:
                 M[np.ix_(idx, idx)] = mats[j]
                 assert np.abs(M - R).max() <= 1e-13 * scale, (s, j)
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_side_points_match_per_side_reference(self, p, r):
+        # one sort for all sides' partitions and one map evaluation change no bit
+        doms = [grid_domain(2, degree=p, refinements=r), t_domain(degree=p, refinements=r),
+                slider_domain(3, 0.3, degree=p, refinements=r),
+                slider_domain(4, 0.37, degree=p, refinements=r),
+                nonuniform_config_domain(p, r)]
+        if r == 2:
+            doms += [curved_two_patch_domain(p), reversed_two_patch_domain(p),
+                     mirrored_two_patch_domain(p)]
+        for dom in doms:
+            new, ref = _side_points(dom), reference_side_points(dom)
+            for field, a, b in zip(new._fields, new, ref):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (dom.name, field)
+
+    def test_singular_side_jacobian_names_patch_and_first_point(self):
+        # patch 1's south side collapses to a point: J is singular along it
+        sides = {"west", "east", "south", "north"}
+        collapsed = Patch(GeometryMap.bilinear((0.5, 1), (0.5, 1), (0, 2), (1, 2)), 1.0,
+                          unit_square_patch(0, 1, 0, 1, 2, 1, sides).space)
+        dom = MultiPatchDomain([unit_square_patch(0, 1, 0, 1, 2, 1, sides), collapsed],
+                               [Interface(0, "north", (0.0, 1.0), 1, "south", (0.0, 1.0))])
+        u0 = gauss_rule(3).mapped(0.0, 0.5)[0][0]  # the first Gauss point of the side
+        for fn in (_side_points, reference_side_points):
+            with pytest.raises(NumericalError) as err:
+                fn(dom)
+            assert str(err.value) == "singular Jacobian at parameter (%.6g, 0), patch 1" % u0
+
     def test_quadrature_consistency_polynomial(self):
         # the merged-breakpoint rule integrates a degree-2p+1 polynomial exactly
         dom = two_patch_domain(p=2, r=2)
@@ -515,7 +555,7 @@ class TestInterfaceTerms:
             # each side is evaluated at its own parameter points, the fixed coordinate exact
             axis, value = fixed[ori.side_k]
             assert np.all(sp.uv[at, axis] == value) and np.all(sp.axis[at] == 1 - axis)
-            breaks = _merged_edge_partition(dom, ori)
+            breaks = reference_merged_partition(dom, ori)
             ts = gauss_rule(2).mapped(breaks[:-1, None], breaks[1:, None])[0].ravel()
             assert np.array_equal(sp.uv[at, 1 - axis], ts)
             assert np.array_equal(sp.ss[at], ori.map_param(ts))
@@ -539,7 +579,7 @@ class TestInterfaceTerms:
             geo = dom.patches[ori.k].geometry
             at = sp.side == s
             inward = sp.uv[at] - eps * side_normal_hat(ori.side_k)
-            step = np.array([geo.eval_grid([a], [b])[0, 0] - geo.eval_grid([u], [v])[0, 0]
+            step = np.array([geo.jacobian_grid([a], [b])[0][0, 0] - geo.jacobian_grid([u], [v])[0][0, 0]
                              for (a, b), (u, v) in zip(inward, sp.uv[at])])
             cosine = np.sum(step * sp.normals[at], axis=1) / np.linalg.norm(step, axis=1)
             assert cosine.max() <= -0.9, (ori, cosine.max())

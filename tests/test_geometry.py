@@ -11,6 +11,7 @@ from ietidg.domains import (
     slider_domain,
     t_domain,
 )
+from ietidg import geometry
 from ietidg.errors import ConfigError
 from ietidg.geometry import (
     GeometryMap,
@@ -18,11 +19,14 @@ from ietidg.geometry import (
     MultiPatchDomain,
     Patch,
     classify_vertices,
+    eval_maps,
     side_point,
-    validate_interface,
+    validate_interfaces,
 )
 
-from conftest import at, two_patch_domain, unit_square_patch
+from conftest import (at, curved_two_patch_domain, mirrored_two_patch_domain,
+                      nonuniform_config_domain, reference_classify_vertices, reference_validate,
+                      reversed_two_patch_domain, two_patch_domain, unit_square_patch)
 
 
 class TestGeometryMap:
@@ -30,7 +34,8 @@ class TestGeometryMap:
         geo = GeometryMap.bilinear((0, 0), (1, 0), (0, 1), (1, 1))
         x, J = at(geo, 0.3, 0.7)
         np.testing.assert_allclose(x, [0.3, 0.7])
-        np.testing.assert_allclose(geo.eval_grid([0.3], [0.7])[0, 0], [0.3, 0.7])
+        np.testing.assert_allclose(eval_maps([geo], np.zeros(1, int), np.array([0.3]), np.array([0.7]))[0],
+                                   [0.3, 0.7])
         np.testing.assert_allclose(J, np.eye(2))
 
     def test_affine_scaling(self):
@@ -67,13 +72,25 @@ class TestGeometryMap:
     def test_degenerate_rejected(self):
         geo = GeometryMap.bilinear((0, 0), (1, 0), (0, 0), (1, 0))  # collapsed
         with pytest.raises(ConfigError):
-            geo.check_bijective()
+            single_map_domain(geo).validate()
 
     def test_negative_det_allowed(self):
         # orientation-reversing but bijective map passes validation
         geo = GeometryMap.bilinear((1, 0), (0, 0), (1, 1), (0, 1))
-        geo.check_bijective()
+        single_map_domain(geo).validate()
         assert np.linalg.det(at(geo, 0.5, 0.5)[1]) < 0
+
+    @pytest.mark.parametrize("jacobian", [False, True])
+    def test_eval_maps_matches_each_map(self, jacobian):
+        # maps of two knot-vector pairs, points in mixed patch order
+        maps = [p.geometry for p in curved_two_patch_domain(p=2).patches] + [
+            GeometryMap.bilinear((0, 0), (2, 0), (0, 1), (3, 2))]
+        rng = np.random.default_rng(7)
+        patch, u, v = rng.integers(0, 3, 40), rng.uniform(0, 1, 40), rng.uniform(0, 1, 40)
+        out = eval_maps(maps, patch, u, v, jacobian)
+        for q in range(40):
+            x, J = at(maps[patch[q]], u[q], v[q])
+            np.testing.assert_allclose(out[q], J if jacobian else x, rtol=1e-14, atol=1e-14)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_control_rejected(self, bad):
@@ -84,7 +101,7 @@ class TestGeometryMap:
 class TestValidateInterface:
     def test_exact_match(self):
         dom = two_patch_domain(p=1, r=1)
-        report, ends = validate_interface(dom, 0)
+        report, ends = validate_interfaces(dom)
         assert report is None
         assert [(x.tolist(), patch, loc) for x, patch, loc in ends] == [
             ([1.0, 0.0], 0, (1.0, 0.0)), ([1.0, 0.0], 1, (0.0, 0.0)),
@@ -99,7 +116,7 @@ class TestValidateInterface:
         ifaces = [Interface(0, "east", (0.0, 0.5), 1, "west", (0.0, 0.5))]
         dom = MultiPatchDomain(patches, ifaces)
         dom.metrics = dom._compute_metrics()
-        report, ends = validate_interface(dom, 0)
+        report, ends = validate_interfaces(dom)
         assert report is None
         assert [(patch, loc) for _, patch, loc in ends] == [
             (0, (1.0, 0.0)), (1, (0.0, 0.0)), (0, (1.0, 0.5)), (1, (0.0, 0.5)),
@@ -113,8 +130,8 @@ class TestValidateInterface:
         ifaces = [Interface(0, "east", (0.0, 1.0), 1, "west", (0.0, 1.0))]
         dom = MultiPatchDomain(patches, ifaces)
         dom.metrics = dom._compute_metrics()
-        report, _ = validate_interface(dom, 0)
-        assert report is not None
+        (index, report), _ = validate_interfaces(dom)
+        assert index == 0
         assert report["max_mismatch"] == pytest.approx(1e-3, rel=1e-6)
         with pytest.raises(ConfigError):
             MultiPatchDomain(patches, ifaces).validate()
@@ -129,7 +146,7 @@ class TestValidateInterface:
         ]
         ifaces = [Interface(0, "east", (0.0, 1.0), 1, "west", (0.0, 1.0), reversed_=True)]
         dom = MultiPatchDomain(patches, ifaces).validate()
-        report, ends = validate_interface(dom, 0)
+        report, ends = validate_interfaces(dom)
         assert report is None
         # the start of side k meets the end of side l and vice versa
         assert [(x.tolist(), patch, loc) for x, patch, loc in ends] == [
@@ -138,18 +155,103 @@ class TestValidateInterface:
         ]
 
     def test_each_side_sampled_once(self, monkeypatch):
-        # one call per patch for the metrics, one per interface side
+        # one map evaluation each for the Jacobian samples, the metrics and the interfaces;
+        # the last samples every interface side once
         dom = slider_domain(3, 0.3, degree=1, refinements=1)
         calls = []
-        original = GeometryMap.eval_grid
 
-        def counted(self, *args):
-            calls.append(args)
-            return original(self, *args)
+        def counted(maps, patch, *args, **kwargs):
+            calls.append(patch)
+            return eval_maps(maps, patch, *args, **kwargs)
 
-        monkeypatch.setattr(GeometryMap, "eval_grid", counted)
+        monkeypatch.setattr(geometry, "eval_maps", counted)
         dom.validate()
-        assert len(calls) == dom.num_patches + 2 * len(dom.interfaces)
+        K, n = dom.num_patches, len(dom.interfaces)
+        assert [c.size for c in calls] == [81 * K, 132 * K, 2 * 17 * n]
+        assert np.array_equal(np.bincount(calls[2], minlength=K),
+                              17 * np.bincount([p for g in dom.interfaces for p in (g.k, g.l)]))
+
+
+def single_map_domain(geo):
+    kv = refine_uniform(KnotVector.bernstein(1), 1)
+    return MultiPatchDomain([Patch(geo, 1.0, TensorSplineSpace(kv, kv, set()))], [])
+
+
+def validation_cases():
+    cases = [(lambda p=p, r=r, f=f: f(p, r), "%s-p%d-r%d" % (name, p, r))
+             for p in (1, 2, 3) for r in (0, 1, 2) for name, f in (
+                 ("grid2x2", lambda p, r: grid_domain(2, degree=p, refinements=r)),
+                 ("tdomain", lambda p, r: t_domain(degree=p, refinements=r)),
+                 ("slider(3,0.3)", lambda p, r: slider_domain(3, 0.3, degree=p, refinements=r)),
+                 ("slider(4,0.37)", lambda p, r: slider_domain(4, 0.37, degree=p, refinements=r)),
+                 ("nonuniform", nonuniform_config_domain))]
+    cases += [(lambda p=p, f=f: f(p), "%s-p%d" % (name, p)) for p in (1, 2, 3) for name, f in (
+        ("curved", curved_two_patch_domain), ("reversed", reversed_two_patch_domain),
+        ("mirrored", mirrored_two_patch_domain))]
+    return [pytest.param(f, id=name) for f, name in cases]
+
+
+def long_patch_met_twice():
+    # patch 0 sits on patches 1 and 2; its two ranges leave a 1e-11 gap at x = 1, so
+    # the vertex there meets patch 0 at two parameter points
+    patches = [unit_square_patch(0, 2, 1, 2, 1, 1, set()), unit_square_patch(0, 1, 0, 1, 1, 1, set()),
+               unit_square_patch(1, 2, 0, 1, 1, 1, set())]
+    return MultiPatchDomain(patches, [
+        Interface(0, "south", (0.0, 0.5), 1, "north", (0.0, 1.0)),
+        Interface(0, "south", (0.5 + 1e-11, 1.0), 2, "north", (0.0, 1.0))])
+
+
+def later_interface_mismatch():
+    # three squares in a row, the third moved 1e-3 to the right
+    patches = [unit_square_patch(0, 1, 0, 1, 1, 1, set()), unit_square_patch(1, 2, 0, 1, 1, 1, set()),
+               unit_square_patch(2 + 1e-3, 3, 0, 1, 1, 1, set())]
+    return MultiPatchDomain(patches, [Interface(0, "east", (0.0, 1.0), 1, "west", (0.0, 1.0)),
+                                      Interface(1, "east", (0.0, 1.0), 2, "west", (0.0, 1.0))])
+
+
+def second_patch_collapsed():
+    patches = [unit_square_patch(0, 1, 0, 1, 1, 1, set()),
+               Patch(GeometryMap.bilinear((1, 0), (2, 0), (1, 0), (2, 0)), 1.0,
+                     unit_square_patch(0, 1, 0, 1, 1, 1, set()).space)]
+    return MultiPatchDomain(patches, [Interface(0, "east", (0.0, 1.0), 1, "west", (0.0, 1.0))])
+
+
+def overlapping_ranges():
+    dom = grid_domain(2, degree=1, refinements=1)
+    return MultiPatchDomain(dom.patches, dom.interfaces + [
+        Interface(0, "east", (0.25, 0.75), 1, "west", (0.25, 0.75))])
+
+
+class TestValidationMatchesReference:
+    """`validate` against the per-patch and per-interface loops it replaced (conftest)."""
+
+    @pytest.mark.parametrize("factory", validation_cases())
+    def test_metrics_and_vertices_bit_identical(self, factory):
+        dom = factory()
+        metrics, vertices = reference_validate(dom)
+        for key in ("H", "hhat", "h"):
+            assert np.array_equal(dom.metrics[key], metrics[key]), key
+        assert len(dom.vertices) == len(vertices)
+        for new, ref in zip(dom.vertices, vertices):
+            assert np.array_equal(new.point, ref.point)
+            assert new.adjacency == ref.adjacency and new.long_patches == ref.long_patches
+
+    @pytest.mark.parametrize("factory, message", [
+        (second_patch_collapsed,
+         "patch 1: geometry map is not bijective: Jacobian determinant changes sign"),
+        (later_interface_mismatch,
+         "interface 1 mismatch: {'max_mismatch': 0.0009999999999998899, 'tolerance': "
+         "1.4142135623730953e-09, 't': 0.0, 'point_k': [2.0, 0.0], 'point_l': [2.001, 0.0]}"),
+        (long_patch_met_twice,
+         "vertex at [1. 1.] lies inside an edge of patch 0 but meets that patch at 2 "
+         "parameter points"),
+        (overlapping_ranges, "interfaces 0 and 4 overlap on side east of patch 0"),
+    ], ids=["not-bijective", "mismatch", "long-patch-twice", "overlap"])
+    def test_error_texts(self, factory, message):
+        for validate in (lambda dom: dom.validate(), reference_validate):
+            with pytest.raises(ConfigError) as err:
+                validate(factory())
+            assert str(err.value) == message
 
 
 class TestClassifyVertices:
@@ -215,6 +317,20 @@ class TestClassifyVertices:
             tj = [v for v in dom.vertices if v.long_patches]
             assert len(tj) == 2 * (m - 1)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_greedy_clusters_match_reference(self, seed):
+        # records scattered around a few points at about the merge tolerance, so that some
+        # are close to a later cluster's first record but not to the first one's: the first
+        # cluster within merge_tol wins, and clusters keep the order of their first records
+        rng = np.random.default_rng(seed)
+        centres = rng.integers(0, 3, (60, 2)).astype(float)
+        points = centres + rng.uniform(-1e-9, 1e-9, (60, 2))
+        corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+        ends = [(x, int(rng.integers(0, 50)), corners[rng.integers(0, 4)]) for x in points]
+        new, ref = classify_vertices(ends, 1e-9), reference_classify_vertices(ends, 1e-9)
+        assert [(v.point.tolist(), v.adjacency, v.long_patches) for v in new] == [
+            (v.point.tolist(), v.adjacency, v.long_patches) for v in ref]
+
 
 class TestPatchMetrics:
     def test_unit_square(self):
@@ -248,8 +364,8 @@ class TestInterfaceGeometry:
         for g in dom.interfaces:
             t_mid = 0.5 * (g.range_k[0] + g.range_k[1])
             s_mid = float(g.map_param(t_mid))
-            pk = dom.patches[g.k].geometry.eval_grid(*side_point(g.side_k, t_mid))
-            pl = dom.patches[g.l].geometry.eval_grid(*side_point(g.side_l, s_mid))
+            pk = at(dom.patches[g.k].geometry, *side_point(g.side_k, t_mid))[0]
+            pl = at(dom.patches[g.l].geometry, *side_point(g.side_l, s_mid))[0]
             H = dom.metrics["H"][g.k]
             assert np.linalg.norm(pk - pl) <= 1e-9 * H
 
@@ -271,6 +387,16 @@ class TestDomainConfig:
             assert np.array_equal(p1.space.kv_u.knots, p2.space.kv_u.knots)
             assert np.array_equal(p1.geometry.control, p2.geometry.control)
         assert len(dom2.vertices) == len(dom.vertices)
+
+    @pytest.mark.parametrize("factory", [
+        lambda: grid_domain(2, degree=2, refinements=2),
+        lambda: t_domain(degree=2, refinements=2),
+        lambda: slider_domain(3, 0.3, degree=2, refinements=2),
+    ], ids=["grid", "tdomain", "slider"])
+    def test_builtin_patches_share_one_knot_vector(self, factory):
+        # refined once per domain, not once per patch
+        dom = factory()
+        assert len({id(kv) for p in dom.patches for kv in (p.space.kv_u, p.space.kv_v)}) == 1
 
     def test_refinements_shortcut(self):
         cfg = {

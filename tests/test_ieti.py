@@ -369,7 +369,7 @@ class TestOperator:
                 np.testing.assert_array_equal(getattr(blk.A_IG, name), getattr(ref, name))
             S = A[gamma][:, gamma].toarray() - blk.aii_fac.schur(ref)
             np.testing.assert_array_equal(blk.S, S)
-        assert [blk.interior_fd for blk in op.blocks] == [patch.geometry.affine_diagonal() is not None
+        assert [blk.interior_fd for blk in op.blocks] == [patch.geometry.affine_diagonal is not None
                                                          for patch in dom.patches]
 
     def test_psi_identity_rows_and_residual(self):
