@@ -109,8 +109,8 @@ def eval_maps(maps, patch, u, v, jacobian=False):
     maps ``maps[patch[q]]`` at the points ``(u[q], v[q])``: one `eval_basis` call per distinct
     pair of knot vectors, and each point contracts its own piece of the control net."""
     out, d = np.empty((patch.size, 2) + (2,) * jacobian), int(jacobian)
-    keys = [(geo.kv_u.knots.tobytes(), geo.kv_v.knots.tobytes()) for geo in maps]
-    group = np.array([keys.index(key) for key in keys], dtype=int)  # first map with its knots
+    keys, firsts = [(geo.kv_u.knots.tobytes(), geo.kv_v.knots.tobytes()) for geo in maps], {}
+    group = np.array([firsts.setdefault(key, k) for k, key in enumerate(keys)], dtype=int)
     for g in np.unique(group):
         ks, at = np.flatnonzero(group == g), np.flatnonzero(group[patch] == g)
         kv_u, kv_v = maps[g].kv_u, maps[g].kv_v
@@ -338,11 +338,10 @@ def classify_vertices(ends, merge_tol):
     # a record joins the first cluster whose first record is within merge_tol of it: the
     # earliest record left opens a cluster and takes every record left within merge_tol
     points = np.array([point for point, _, _ in ends], dtype=float).reshape(-1, 2)
-    close = np.linalg.norm(points[:, None] - points, axis=-1) <= merge_tol
     left, vertices = np.ones(len(ends), dtype=bool), []
     while left.any():
         first = int(np.argmax(left))
-        take = left & close[first]
+        take = left & (np.linalg.norm(points - points[first], axis=1) <= merge_tol)
         take[first] = True
         left &= ~take
         point, adjacency = ends[first][0], []
