@@ -82,11 +82,14 @@ class TestGeometryMap:
 
     @pytest.mark.parametrize("jacobian", [False, True])
     def test_eval_maps_matches_each_map(self, jacobian):
-        # maps of two knot-vector pairs, points in mixed patch order
+        # maps of three knot-vector pairs, one with kv_u unlike kv_v, points in mixed patch order
+        kv_u, kv_v = KnotVector.bernstein(2), KnotVector(2, [0, 0, 0, 0.4, 1, 1, 1])
+        control = np.stack(np.meshgrid([0.0, 0.6, 1.0], [0.0, 0.3, 0.8, 1.2], indexing="ij"), -1)
+        control[1, 1] += 0.05
         maps = [p.geometry for p in curved_two_patch_domain(p=2).patches] + [
-            GeometryMap.bilinear((0, 0), (2, 0), (0, 1), (3, 2))]
+            GeometryMap.bilinear((0, 0), (2, 0), (0, 1), (3, 2)), GeometryMap(kv_u, kv_v, control)]
         rng = np.random.default_rng(7)
-        patch, u, v = rng.integers(0, 3, 40), rng.uniform(0, 1, 40), rng.uniform(0, 1, 40)
+        patch, u, v = rng.integers(0, 4, 40), rng.uniform(0, 1, 40), rng.uniform(0, 1, 40)
         out = eval_maps(maps, patch, u, v, jacobian)
         for q in range(40):
             x, J = at(maps[patch[q]], u[q], v[q])
