@@ -118,37 +118,27 @@ def _span_fold(first, n, X, A, B):
     return out
 
 
-def _span_quadratures(patch):
-    """The u and v span quadratures of the patch's Gauss grid (the v ones are the u ones on a
-    square grid), with max(p, geometry degree) + 1 points per span."""
-    space, geo = patch.space, patch.geometry
-    squ = span_quadrature(space.kv_u, max(space.degree, geo.kv_u.p, geo.kv_v.p) + 1)
-    square = np.array_equal(space.kv_v.knots, space.kv_u.knots)
-    return squ, squ if square else span_quadrature(space.kv_v, squ.points.shape[1])
-
-
-def _lattice_load(space, squ, sqv, wf):
-    """The lattice load ``B_u (w f) B_v^T`` of the values `wf` of ``w f`` on the Gauss grid,
-    contracted in u, then in v: it pairs every function with 1 and sums its band rows."""
-    grid = squ.points.shape + sqv.points.shape
-    load = _span_fold(squ.first_active, space.n_u, wf.reshape(grid[:2] + (-1,)),
-                      squ.tables[:, :, 0], np.ones(1)).sum(1).reshape((space.n_u,) + grid[2:])
-    return _span_fold(sqv.first_active, space.n_v, load.transpose(1, 2, 0), sqv.tables[:, :, 0],
-                      np.ones(1)).sum(1).T
-
-
 def _quadrature(patch, source, label):
     """The span quadratures of the patch's Gauss grid, ``J^-T`` and ``w |det J|`` on it, and the
-    lattice load (`_lattice_load`)."""
-    squ, sqv = _span_quadratures(patch)
+    (n_u, n_v) lattice load ``B_u (w f) B_v^T``, contracted in u, then in v."""
+    space, geo = patch.space, patch.geometry
+    ng = max(space.degree, geo.kv_u.p, geo.kv_v.p) + 1
+    squ = sqv = span_quadrature(space.kv_u, ng)  # the v tables are the u ones on a square grid
+    if not np.array_equal(space.kv_v.knots, space.kv_u.knots):
+        sqv = span_quadrature(space.kv_v, ng)
     pu, pv = squ.points.ravel(), sqv.points.ravel()
-    pts, jac = patch.geometry.jacobian_grid(pu, pv)
+    pts, jac = geo.jacobian_grid(pu, pv)
     uv = np.stack(np.meshgrid(pu, pv, indexing="ij"), axis=-1)
     grid = squ.points.shape + sqv.points.shape  # the points of every element form one set
     JinvT, det = _inv_transpose(jac.reshape(grid + (2, 2)), label, uv.reshape(grid + (2,)), (1, 3))
     w = np.outer(squ.weights, sqv.weights) * np.abs(det.reshape(pu.size, pv.size))
+    # the load pairs every function with the constant 1 and sums its band rows
     fvals = source(pts[..., 0], pts[..., 1]) if callable(source) else float(source)
-    return squ, sqv, JinvT.reshape(jac.shape), w, _lattice_load(patch.space, squ, sqv, w * fvals)
+    load = _span_fold(squ.first_active, space.n_u, (w * fvals).reshape(grid[:2] + (-1,)),
+                      squ.tables[:, :, 0], np.ones(1)).sum(1).reshape((space.n_u,) + grid[2:])
+    load = _span_fold(sqv.first_active, space.n_v, load.transpose(1, 2, 0), sqv.tables[:, :, 0],
+                      np.ones(1)).sum(1)
+    return squ, sqv, JinvT.reshape(jac.shape), w, load.T
 
 
 def _sum_factorized(patch, source=1.0, label=""):
@@ -182,8 +172,7 @@ def assemble_volume(patch, source=1.0, label=""):
     fast diagonalization) the (2p+1)^2 band of each lattice row is ``c_u K_u
     (x) M_v + c_v M_u (x) K_v``, ``c_u = alpha |J_y / J_x| = alpha^2 / c_v``,
     and a constant load ``f |J_x J_y| (M_u 1) (x) (M_v 1)``: what quadrature
-    gives there, to rounding; a callable load takes the Gauss points mapped by
-    ``x0 + diag(J) (u, v)`` and the constant ``|J_x J_y|``.  Other maps take
+    gives there, to rounding.  Other maps and callable loads take
     `_sum_factorized`.  The free band rows are the CSR rows.
     """
     space, J = patch.space, patch.geometry.affine_diagonal
@@ -195,14 +184,8 @@ def assemble_volume(patch, source=1.0, label=""):
         aspect = abs(J[1] / J[0])
         band = (patch.alpha * aspect * K_u)[:, None, :, None] * M_v[:, None, :]
         band += (patch.alpha / aspect * M_u)[:, None, :, None] * K_v[:, None, :]
-        if callable(source):
-            (squ, sqv), x0 = _span_quadratures(patch), patch.geometry.control[0, 0]
-            xy = np.meshgrid(*(x0[i] + J[i] * q.points.ravel() for i, q in enumerate((squ, sqv))),
-                             indexing="ij")
-            w = np.outer(squ.weights, sqv.weights) * abs(J[0] * J[1])
-            load = _lattice_load(space, squ, sqv, w * source(*xy))
-        else:
-            load = (float(source) * abs(J[0] * J[1]) * M_u.sum(1))[:, None] * M_v.sum(1)
+        load = (_quadrature(patch, source, label)[-1] if callable(source) else
+                (float(source) * abs(J[0] * J[1]) * M_u.sum(1))[:, None] * M_v.sum(1))
 
     # band[i, j, a, b] pairs lattice (i, j) with (i + a - p, j + b - p), whose dof is cols[i, j, a, b]
     padded = np.full((n_u + 2 * p, n_v + 2 * p), -1)
@@ -239,13 +222,11 @@ _SidePoints = namedtuple("_SidePoints", "side axis ss uv weights normals jinv_t 
 def _side_points(domain):
     """Gauss points of all oriented sides' merged partitions, side after side.
 
-    A side's merged partition holds the breakpoints of both sides inside its range, in the
-    owner's edge parameter, the neighbor's through the inverse of the affine correspondence;
-    breakpoints closer than 1e-12 of the range length to the one before merge.  Per point: its
-    `side` (:func:`_oriented_sides`), the owner's parameter `axis` along it, the neighbor's edge
-    parameter `ss`, the owner's `uv`, the Gauss weight times arc measure, the owner's outward
-    unit normal and ``J^-T``; `start` is the first point of every merged sub-interval.  All
-    sides are merged in one sort and their maps evaluated in one `eval_maps` call."""
+    A merged partition holds both sides' breakpoints inside the range, in the owner's edge
+    parameter; a breakpoint within 1e-12 of the range length of the one before merges.  Per
+    point: its `side` (:func:`_oriented_sides`), the owner's parameter `axis` along it, the
+    neighbor's edge parameter `ss`, the owner's `uv`, the Gauss weight times arc measure, the
+    owner's outward unit normal and ``J^-T``; `start` is the first point of every sub-interval."""
     sides, patches = _oriented_sides(domain), domain.patches
     partner = np.arange(len(sides)) ^ 1  # side s ^ 1 is side s seen from its neighbor
     n_hat = np.array([side_normal_hat(ori.side_k) for ori in sides]).reshape(-1, 2)

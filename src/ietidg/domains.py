@@ -122,14 +122,9 @@ def slider_domain(m, s, degree=2, refinements=1, alphas=None):
             lo, hi = max(lo_b, top_cuts[j]), min(hi_b, top_cuts[j + 1])
             if hi - lo <= 1e-12:
                 continue
-            wb = hi_b - lo_b
-            wt = top_cuts[j + 1] - top_cuts[j]
-            interfaces.append(
-                Interface(
-                    i, "north", ((lo - lo_b) / wb, (hi - lo_b) / wb),
-                    m + j, "south", ((lo - top_cuts[j]) / wt, (hi - top_cuts[j]) / wt),
-                )
-            )
+            wb, wt = hi_b - lo_b, top_cuts[j + 1] - top_cuts[j]
+            interfaces.append(Interface(i, "north", ((lo - lo_b) / wb, (hi - lo_b) / wb), m + j,
+                                        "south", ((lo - top_cuts[j]) / wt, (hi - top_cuts[j]) / wt)))
     return MultiPatchDomain(patches, interfaces, name="slider%d_%g" % (m, s)).validate()
 
 

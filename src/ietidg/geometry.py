@@ -46,10 +46,9 @@ class GeometryMap:
     control : array_like, shape (n_u, n_v, 2)
         Control net.
 
-    The map is immutable.  Its attribute `affine_diagonal` is ``J = control[-1, -1] -
-    control[0, 0]`` if the control net is the map ``x0 + diag(J) (u, v)`` at the Greville
-    points to 1e-14 of ``max |J|``, and J is not singular (no entry 1e-12 of the other or
-    less); else None.
+    The map is immutable.  `affine_diagonal` is ``J = control[-1, -1] - control[0, 0]`` if the
+    net is ``x0 + diag(J) (u, v)`` at the Greville points to 1e-14 of ``max |J|`` and no entry of
+    J is 1e-12 of the other or less; else None.
     """
 
     def __init__(self, kv_u, kv_v, control):
@@ -90,8 +89,7 @@ class GeometryMap:
         jac : ndarray, shape (nu, nv, 2, 2)
             ``jac[..., :, 0]`` is the u-partial, ``jac[..., :, 1]`` the v-partial.
         """
-        BU = eval_matrices(self.kv_u, u_pts, 1)
-        BV = eval_matrices(self.kv_v, v_pts, 1)
+        BU, BV = eval_matrices(self.kv_u, u_pts, 1), eval_matrices(self.kv_v, v_pts, 1)
         ju, jv = self._contract(BU[1], BV[0]), self._contract(BU[0], BV[1])
         return self._contract(BU[0], BV[0]), np.stack([ju, jv], axis=-1)
 
@@ -108,10 +106,10 @@ def eval_maps(maps, patch, u, v, jacobian=False):
     """Values ``(Q, 2)``, or Jacobians ``(Q, 2, 2)`` as in `GeometryMap.jacobian_grid`, of the
     maps ``maps[patch[q]]`` at the points ``(u[q], v[q])``: one `eval_basis` call per distinct
     pair of knot vectors, and each point contracts its own piece of the control net."""
-    out, d = np.empty((patch.size, 2) + (2,) * jacobian), int(jacobian)
+    out, d = np.empty((patch.size, 2, 1 + jacobian)), int(jacobian)
     keys, firsts = [(geo.kv_u.knots.tobytes(), geo.kv_v.knots.tobytes()) for geo in maps], {}
     group = np.array([firsts.setdefault(key, k) for k, key in enumerate(keys)], dtype=int)
-    for g in np.unique(group):
+    for g in np.unique(group[patch]):  # the groups that own a requested point
         ks, at = np.flatnonzero(group == g), np.flatnonzero(group[patch] == g)
         kv_u, kv_v = maps[g].kv_u, maps[g].kv_v
         if keys[g][0] == keys[g][1]:  # one call serves both directions
@@ -123,12 +121,8 @@ def eval_maps(maps, patch, u, v, jacobian=False):
         C = np.take(np.stack([maps[k].control for k in ks]).reshape(-1, 2),
                     (row * kv_v.n)[:, :, None] + (fv[:, None] + np.arange(kv_v.p + 1))[:, None], axis=0)
         for col, (a, b) in enumerate(((1, 0), (0, 1)) if jacobian else ((0, 0),)):
-            # einsum("qa,qb,qabx->qx", tu[:, a], tv[:, b], C), its products summed in its order
-            terms, sums = (tu[:, a, :, None] * tv[:, b, None, :])[..., None] * C, np.zeros((at.size, 2))
-            for term in terms.reshape(at.size, tu.shape[2] * tv.shape[2], 2).transpose(1, 0, 2):
-                sums += term
-            out[(at, slice(None), col) if jacobian else at] = sums
-    return out
+            out[at, :, col] = np.einsum("qa,qb,qabx->qx", tu[:, a], tv[:, b], C)
+    return out if jacobian else out[..., 0]
 
 
 def map_edge_param(t, range_k, range_l, reversed_):
@@ -272,17 +266,12 @@ class MultiPatchDomain:
 
     def _compute_metrics(self):
         # H: the largest distance between 33 samples per side of the patch boundary
-        s, K = np.linspace(0.0, 1.0, 33), self.num_patches
-        e = np.zeros_like(s)
+        s, e, K = np.linspace(0.0, 1.0, 33), np.zeros(33), self.num_patches
         u, v = np.concatenate([e, e + 1.0, s, s]), np.concatenate([s, s, e, e + 1.0])
         x, y = eval_maps([p.geometry for p in self.patches], np.repeat(np.arange(K), u.size),
                          np.tile(u, K), np.tile(v, K)).reshape(K, -1, 2).transpose(2, 0, 1)
-        H = np.empty(K)
-        for k, (px, py) in enumerate(zip(x, y)):  # (x_i - x_j)^2 + (y_i - y_j)^2, in place
-            dx, dy = np.subtract.outer(px, px), np.subtract.outer(py, py)
-            dx *= dx
-            dx += np.multiply(dy, dy, out=dy)
-            H[k] = np.sqrt(dx.max())
+        H = np.array([np.sqrt(np.max((px[:, None] - px) ** 2 + (py[:, None] - py) ** 2))
+                      for px, py in zip(x, y)])
         hhat = np.array([max(p.space.kv_u.h_max, p.space.kv_v.h_max) for p in self.patches])
         return {"H": H, "hhat": hhat, "h": hhat * H}
 
@@ -335,8 +324,7 @@ def classify_vertices(ends, merge_tol):
     patch), and a long patch must meet the vertex at exactly one
     parameter point.
     """
-    # a record joins the first cluster whose first record is within merge_tol of it: the
-    # earliest record left opens a cluster and takes every record left within merge_tol
+    # the earliest record left opens a cluster and takes every record left within merge_tol
     points = np.array([point for point, _, _ in ends], dtype=float).reshape(-1, 2)
     left, vertices = np.ones(len(ends), dtype=bool), []
     while left.any():
@@ -358,6 +346,5 @@ def classify_vertices(ends, merge_tol):
                     "at %d parameter points" % (point, patch, count)
                 )
         vertices.append(Vertex(point, sorted(adjacency), tuple(long_patches)))
-    # by the points rounded to 9 digits, x first; a stable sort keeps ties in cluster order
-    x, y = np.round(np.array([v.point for v in vertices]).reshape(-1, 2), 9).T
-    return [vertices[i] for i in np.lexsort((y, x))]
+    vertices.sort(key=lambda v: (round(v.point[0], 9), round(v.point[1], 9)))
+    return vertices

@@ -301,17 +301,6 @@ class TestKroneckerVolume:
         assert_kronecker_matches_quadrature(patch)
         assert_kronecker_matches_quadrature(patch, source=lambda x, y: 1.0 + x * y**2)
 
-    def test_callable_load_on_affine_patch_takes_no_jacobian(self, monkeypatch):
-        # the load of an affine diagonal map maps the Gauss points by x0 + diag(J) (u, v)
-        # and weighs them by the constant |J_x J_y|: no Jacobian grid, no singularity check
-        patch = single_patch(GeometryMap.bilinear((0.5, -1), (2, -1), (0.5, -0.5), (2, -0.5)), p=3)
-        source = lambda x, y: np.cos(x) + y
-        (_, _, _), expected = quadrature_route(patch, source)
-        monkeypatch.setattr(GeometryMap, "jacobian_grid", lambda *args: pytest.fail("Jacobian grid"))
-        monkeypatch.setattr(assembly, "_inv_transpose", lambda *args: pytest.fail("J^-T"))
-        load = assemble_volume(patch, source=source)[1]
-        assert np.abs(load - expected).max() <= 1e-13 * np.abs(expected).max()
-
     @pytest.mark.parametrize("corners", [
         [(2, 0), (0, 0), (2, 1), (0, 1)],          # x = 2 (1 - u), y = v
         [(0, 3), (1, 3), (0, 0), (1, 0)],          # x = u, y = 3 (1 - v)
