@@ -99,18 +99,38 @@ def jump_matrix(jumps, k):
 
 
 def local_systems(pkg, domain, copies):
-    """Every block's extended local system, through either tree's ``build_local_system``.
+    """Every block's extended local matrix (CSR) and load, through either tree's assembly.
 
     A tree whose ``build_local_system(domain, k, delta, copies)`` assembles
-    its own interfaces is called so; one that takes the domain's
-    ``assemble_interface_terms(domain, copies, delta)`` gets them.
+    its own interfaces is called so; one whose ``build_local_system(domain,
+    k, copies, terms)`` returns the full system gets the domain's
+    ``assemble_interface_terms(domain, copies, delta)``.  A tree that forms
+    no extended matrix (its ``build_local_system`` returns only the (I,
+    Gamma) blocks) gets it rebuilt from the volume rows of ``band_rows``
+    and the interface blocks in the one sparse construction the earlier
+    trees made, so ``local A`` compares byte for byte.
     """
     asm = pkg.assembly
     if "delta" in inspect.signature(asm.build_local_system).parameters:
-        return [asm.build_local_system(domain, k, DELTA, copies)
-                for k in range(domain.num_patches)]
+        return [(s.A.csr, s.f) for s in (asm.build_local_system(domain, k, DELTA, copies)
+                                         for k in range(domain.num_patches))]
     terms = asm.assemble_interface_terms(domain, copies, DELTA)
-    return [asm.build_local_system(domain, k, copies, terms) for k in range(domain.num_patches)]
+    if not hasattr(asm, "band_rows"):
+        return [(s.A.csr, s.f) for s in (asm.build_local_system(domain, k, copies, terms)
+                                         for k in range(domain.num_patches))]
+    block, idx, mats = terms
+    out = []
+    for k, patch in enumerate(domain.patches):
+        space = patch.space
+        band, load = asm.assemble_volume(patch)
+        n = space.dimension + np.count_nonzero(copies[:, 3] == k)
+        data, indices, indptr = asm.band_rows(space, band, np.arange(space.dimension))
+        vals, (rows, cols) = pkg.linalg.block_triplets(idx[block == k], mats[block == k])
+        rows = np.concatenate([np.repeat(np.arange(space.dimension), np.diff(indptr)), rows])
+        A = pkg.linalg.SparseSym(scipy.sparse.coo_matrix(
+            (np.concatenate([data, vals]), (rows, np.concatenate([indices, cols]))), shape=(n, n)))
+        out.append((A.csr, np.concatenate([load[space.free_mask], np.zeros(n - space.dimension)])))
+    return out
 
 
 def domain_arrays(pkg, domain):
@@ -118,8 +138,8 @@ def domain_arrays(pkg, domain):
     op = pkg.ieti.setup_operator(domain, DELTA)
     part = op.partition
     out = [("copy map", part.copies)]
-    for k, (blk, sysk) in enumerate(zip(op.blocks, local_systems(pkg, domain, part.copies))):
-        out += [("local A", sysk.A.csr), ("jump B", jump_matrix(op.jumps, k)), ("local f", sysk.f),
+    for k, (blk, (A, f)) in enumerate(zip(op.blocks, local_systems(pkg, domain, part.copies))):
+        out += [("local A", A), ("jump B", jump_matrix(op.jumps, k)), ("local f", f),
                 ("interior", part.interior[k]), ("dual", part.dual[k]), ("primal", part.primal[k]),
                 ("primal_global", part.primal_global[k]), ("D", op.jumps.D[k]), ("S", blk.S),
                 ("psi", blk.psi), ("FD flag", np.array([blk.interior_fd]))]

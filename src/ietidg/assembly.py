@@ -14,10 +14,9 @@ outward normal taken from the owning patch's geometry map.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+import scipy.sparse
 
 from . import linalg
 from .bspline import active_on_interval, eval_basis, gauss_rule, span_quadrature
@@ -64,18 +63,7 @@ def copy_map(domain):
     return np.concatenate(rows)
 
 
-@dataclass
-class ExtendedLocalSystem:
-    """Matrix and load of one patch over its extended space.
-
-    Dof order: the patch's free tensor-product dofs first (compact
-    numbering of the space), then one artificial block per interface in
-    increasing interface-index order (see :func:`copy_map`).
-    """
-
-    k: int
-    A: linalg.SparseSym
-    f: np.ndarray
+SplitSystem = namedtuple("SplitSystem", "k A_IG A_GG f_I f_G A_II lattice")  # see build_local_system
 
 
 def _inv_transpose(J, where="", points=None, axes=(0,)):
@@ -163,37 +151,54 @@ def _sum_factorized(patch, source=1.0, label=""):
 
 
 def assemble_volume(patch, source=1.0, label=""):
-    """Stiffness and load of the diffusion term on one patch, over its free dofs.
+    """Lattice band and lattice load of the diffusion term on one patch.
 
-    Returns the stiffness as the arrays ``(data, indices, indptr)`` of a
-    canonical CSR matrix, and the load vector.  `source` is a scalar or a
-    callable f(x, y) of the coordinate arrays of all quadrature points.  On
+    Returns the ``(n_u, n_v, 2p+1, 2p+1)`` band, whose entry ``[i, j, a, b]``
+    pairs the lattice functions (i, j) and (i + a - p, j + b - p) (see
+    :func:`band_rows`), and the ``(n_u, n_v)`` load.  `source` is a scalar or
+    a callable f(x, y) of the coordinate arrays of all quadrature points.  On
     a map ``x0 + diag(J) (u, v)`` (``GeometryMap.affine_diagonal``, as for
-    fast diagonalization) the (2p+1)^2 band of each lattice row is ``c_u K_u
-    (x) M_v + c_v M_u (x) K_v``, ``c_u = alpha |J_y / J_x| = alpha^2 / c_v``,
-    and a constant load ``f |J_x J_y| (M_u 1) (x) (M_v 1)``: what quadrature
-    gives there, to rounding.  Other maps and callable loads take
-    `_sum_factorized`.  The free band rows are the CSR rows.
+    fast diagonalization) the band is ``c_u K_u (x) M_v + c_v M_u (x) K_v``,
+    ``c_u = alpha |J_y / J_x| = alpha^2 / c_v``, and a constant load ``f |J_x
+    J_y| (M_u 1) (x) (M_v 1)``: what quadrature gives there, to rounding.  A
+    callable load there keeps that band and takes only the load from
+    `_quadrature`; other maps take `_sum_factorized`.
     """
     space, J = patch.space, patch.geometry.affine_diagonal
-    p, n_u, n_v, bw = space.degree, space.n_u, space.n_v, 2 * space.degree + 1
     if J is None:
-        band, load = _sum_factorized(patch, source, label)
-    else:
-        (K_u, M_u), (K_v, M_v) = _univariate_bands(space.kv_u), _univariate_bands(space.kv_v)
-        aspect = abs(J[1] / J[0])
-        band = (patch.alpha * aspect * K_u)[:, None, :, None] * M_v[:, None, :]
-        band += (patch.alpha / aspect * M_u)[:, None, :, None] * K_v[:, None, :]
-        load = (_quadrature(patch, source, label)[-1] if callable(source) else
-                (float(source) * abs(J[0] * J[1]) * M_u.sum(1))[:, None] * M_v.sum(1))
+        return _sum_factorized(patch, source, label)
+    (K_u, M_u), (K_v, M_v) = _univariate_bands(space.kv_u), _univariate_bands(space.kv_v)
+    aspect = abs(J[1] / J[0])
+    band = (patch.alpha * aspect * K_u)[:, None, :, None] * M_v[:, None, :]
+    band += (patch.alpha / aspect * M_u)[:, None, :, None] * K_v[:, None, :]
+    load = (_quadrature(patch, source, label)[-1] if callable(source) else
+            (float(source) * abs(J[0] * J[1]) * M_u.sum(1))[:, None] * M_v.sum(1))
+    return band, load
 
-    # band[i, j, a, b] pairs lattice (i, j) with (i + a - p, j + b - p), whose dof is cols[i, j, a, b]
+
+def band_rows(space, band, rows):
+    """CSR arrays ``(data, indices, indptr)`` of the rows `rows` (free dofs, in that order) of the
+    volume matrix over the free dofs, read off its lattice `band` (:func:`assemble_volume`)."""
+    p, (n_u, n_v, bw, _) = space.degree, band.shape
+    iu, iv = np.divmod(np.flatnonzero(space.free_mask)[rows], n_v)
     padded = np.full((n_u + 2 * p, n_v + 2 * p), -1)
     padded[p:p + n_u, p:p + n_v] = space.dof_map
-    cols = as_strided(padded, (n_u, n_v, bw, bw), padded.strides * 2, writeable=False)
-    keep = (cols >= 0) & space.free_mask[:, :, None, None]
-    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=(2, 3))[space.free_mask])])
-    return (band[keep], cols[keep], indptr), load[space.free_mask]
+    # band[i, j, a, b] pairs lattice (i, j) with (i + a - p, j + b - p), whose dof is cols[., a, b]
+    cols = padded[iu[:, None, None] + np.arange(bw)[:, None], iv[:, None, None] + np.arange(bw)]
+    keep = cols >= 0
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=(1, 2)))])
+    return band[iu, iv][keep], cols[keep], indptr
+
+
+def _asymmetry(band, dense):
+    """Each lattice `band` entry minus its partner, one offset (a, b) of the lower half at a time
+    (row (i, j) at (a, b) against row (i + a - p, j + b - p) at (-a, -b)), then `dense - dense.T`."""
+    n_u, n_v, bw, _ = band.shape
+    for a, b in zip(*np.unravel_index(np.arange(bw * bw // 2), (bw, bw))):
+        du, dv = a - bw // 2, b - bw // 2
+        rows = band[max(0, -du):n_u - max(0, du), max(0, -dv):n_v - max(0, dv), a, b]
+        yield rows - band[max(0, du):n_u - max(0, -du), max(0, dv):n_v - max(0, -dv), -1 - a, -1 - b]
+    yield dense - dense.T
 
 
 def _univariate_bands(kv):
@@ -355,16 +360,38 @@ def assemble_interface_terms(domain, copies, delta):
     return (*side_dofs(domain, side, own, edge, lattice_maps, edge_maps), mats)
 
 
-def build_local_system(domain, k, copies, terms, source=1.0):
-    """Assemble the extended local system of patch `k` in one sparse construction.
+def build_local_system(domain, k, terms, partition, source=1.0):
+    """Block `k`'s extended system split over the (I, Gamma) dofs of `partition`, never whole.
 
-    Block `k`'s artificial dofs are its rows of the copy map `copies`, its
-    interface blocks its rows of `terms` (:func:`assemble_interface_terms`).
-    The load is supported on the patch dofs only.
+    A `SplitSystem`: sparse `A_IG`, dense `A_GG`, the load as `f_I` and `f_G`, and `A_II` (a
+    SparseSym), None when the interior is the tensor `lattice` ``(I_u, I_v)`` on a map ``x0 +
+    diag(J) (u, v)``, which fast diagonalization solves.  The Gamma rows are the band rows of
+    the skeleton patch dofs plus the block's rows of `terms` (:func:`assemble_interface_terms`),
+    `A_IG` the transpose of their I columns and `A_II` the band rows at I: a jump, nonzero only
+    on trace-active (skeleton) functions, couples no two interior dofs.  Raises SparseSym's
+    errors when a band or interface entry is not finite, or the band or `A_GG` not symmetric.
     """
-    patch = domain.patches[k]
-    n = patch.space.dimension + np.count_nonzero(copies[:, 3] == k)
-    volume, load = assemble_volume(patch, source=source, label="patch %d" % k)
+    patch, I, gamma = domain.patches[k], partition.interior[k], partition.gamma_index(k)
+    space, ng = patch.space, gamma.size
+    lat = np.flatnonzero(space.free_mask)[I]
+    lattice = tuple(np.unique(i) for i in np.divmod(lat, space.n_v))  # lat, sorted, lies in I_u x I_v
+    if patch.geometry.affine_diagonal is None or not 0 < lat.size == lattice[0].size * lattice[1].size:
+        lattice = None
+    band, load = assemble_volume(patch, source=source, label="patch %d" % k)
     block, idx, mats = terms
-    A = linalg.SparseSym.from_blocks(n, volume, idx[block == k], mats[block == k])
-    return ExtendedLocalSystem(k, A, np.concatenate([load, np.zeros(n - load.size)]))
+    mats = mats[block == k]
+    pos = np.empty(partition.offsets[k + 1] - partition.offsets[k], dtype=int)
+    pos[gamma], pos[I] = np.arange(ng), -1 - np.arange(I.size)  # Gamma position, or -1 - I position
+    dofs = np.concatenate([gamma[gamma < space.dimension], I[:0] if lattice else I])  # band rows
+    data, cols, indptr = band_rows(space, band, dofs)
+    vals, (r, c) = linalg.block_triplets(idx[block == k], mats)
+    rows = pos[np.concatenate([np.repeat(dofs, np.diff(indptr)), r])]
+    cols, vals = pos[np.concatenate([cols, c])], np.concatenate([data, vals])
+    gg, ig, ii = (rows >= 0) & (cols >= 0), (rows >= 0) & (cols < 0), (rows < 0) & (cols < 0)
+    A_GG = np.bincount(rows[gg] * ng + cols[gg], weights=vals[gg], minlength=ng * ng).reshape(ng, ng)
+    linalg.check_symmetric([band, mats], _asymmetry(band, A_GG))
+    A_IG = scipy.sparse.csr_matrix((vals[ig], (-1 - cols[ig], rows[ig])), shape=(I.size, ng))
+    A_II = None if lattice else linalg.SparseSym(scipy.sparse.coo_matrix(
+        (vals[ii], (-1 - rows[ii], -1 - cols[ii])), shape=(I.size, I.size)))
+    f = np.concatenate([load[space.free_mask], np.zeros(pos.size - space.dimension)])
+    return SplitSystem(k, A_IG, A_GG, f[I], f[gamma], A_II, lattice)

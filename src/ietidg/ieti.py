@@ -171,8 +171,10 @@ class JumpMatrices:
 
     def transpose(self, lam):
         """Per-block skeleton vectors ``B_k^T lam``, zero on Pi."""
-        return [np.pad(signs * lam[rows], (0, D.size - rows.size))
-                for rows, signs, D in zip(self.rows, self.signs, self.D)]
+        out = [np.zeros(D.size) for D in self.D]
+        for t, rows, signs in zip(out, self.rows, self.signs):
+            t[:rows.size] = signs * lam[rows]
+        return out
 
 
 def build_jump_matrices(domain, partition):
@@ -204,24 +206,20 @@ def build_jump_matrices(domain, partition):
     return JumpMatrices(n_rows, [row[d] for d in dual], [sign[d] for d in dual], D)
 
 
-def build_psi(local_system, partition, aii_fac=None, interior_fd=False):
-    """One block's skeleton record: its Schur complement, the S_DD factor and Psi.
+def build_psi(local_system, partition, aii_fac=None):
+    """One block's skeleton record from its split system: its Schur complement, the S_DD factor and Psi.
 
-    The block's skeleton columns ``gamma_index(k)`` are sliced once, and
-    ``A_IG`` and ``A_GG`` are their I and Gamma rows; `aii_fac` solves
-    ``A_II``, which SuperLU factorizes when it is None.  ``S = A_GG - A_GI
+    `aii_fac` solves ``A_II``, which SuperLU factorizes when it is None.  ``S = A_GG - A_GI
     A_II^{-1} A_IG`` is formed densely by ``aii_fac.schur(A_IG)``; ``S_DD`` gets a dense
     Cholesky factorization.  `psi` has one column per local primal dof:
     the identity on the Pi rows and ``-S_DD^{-1} S_DP`` on the Delta rows,
     so the Delta rows of ``S psi`` vanish.  The condensed load is ``g = f_G - A_GI A_II^{-1} f_I``.
     Raises when ``S_DD``, and with it the torn (I, Delta) block, is not SPD.
     """
-    k, A = local_system.k, local_system.A.csr
+    k, A_IG, A_II, f_I = local_system.k, local_system.A_IG, local_system.A_II, local_system.f_I
     I, gamma, nd = partition.interior[k], partition.gamma_index(k), partition.dual[k].size
-    A_cols = A[:, gamma]  # the one pass over the whole block
-    A_IG = A_cols[I]
-    aii_fac = aii_fac or factorize(A[I][:, I], name="patch %d interior block" % k)
-    S = A_cols[gamma].toarray() - aii_fac.schur(A_IG)
+    aii_fac = aii_fac or factorize(A_II.csr, name="patch %d interior block" % k)
+    S = local_system.A_GG - aii_fac.schur(A_IG)
     try:
         dual_fac = cholesky(S[:nd, :nd], name="patch %d S_DD" % k)
     except NumericalError as exc:
@@ -231,33 +229,8 @@ def build_psi(local_system, partition, aii_fac=None, interior_fd=False):
             "constraints (%s)" % (k, exc)
         ) from exc
     psi = np.vstack([-dual_fac.solve(S[:nd, nd:]), np.eye(gamma.size - nd)])
-    f = local_system.f
-    g = f[gamma] - A_IG.T @ aii_fac.solve(f[I])
-    return OperatorBlock(S, dual_fac, psi, aii_fac, A_IG, g, f[I], I, gamma, nd, interior_fd)
-
-
-def kronecker_interior(patch, interior, eigenpairs, name=""):
-    """Fast-diagonalization factorization of the interior block, or None if it is no Kronecker sum.
-
-    The block is ``c_u K_u (x) M_v + c_v M_u (x) K_v``, ``c_u = alpha |J_y / J_x|
-    = alpha^2 / c_v``, when the `interior` patch dofs form a tensor lattice
-    ``I_u x I_v`` in flat-lattice order and the map is ``x0 + diag(J) (u, v)``
-    (:attr:`~ietidg.geometry.GeometryMap.affine_diagonal`): the volume is
-    then assembled as that sum, and no interface term couples two interior
-    dofs (a jump is nonzero only on trace-active functions, which are
-    skeleton dofs).  ``eigenpairs(kv, idx)`` gives the 1D eigenpairs of `kv`
-    on the indices `idx`.
-    """
-    space, J = patch.space, patch.geometry.affine_diagonal
-    lat = np.flatnonzero(space.free_mask)[interior]
-    if not lat.size or J is None:
-        return None
-    I_u, I_v = (np.unique(i) for i in np.divmod(lat, space.n_v))
-    if I_u.size * I_v.size != lat.size:  # lat, sorted, lies in I_u x I_v
-        return None
-    aspect = abs(J[1] / J[0])
-    return fast_diagonalization(eigenpairs(space.kv_u, I_u), eigenpairs(space.kv_v, I_v),
-                                patch.alpha * aspect, patch.alpha / aspect, name)
+    g = local_system.f_G - A_IG.T @ aii_fac.solve(f_I)
+    return OperatorBlock(S, dual_fac, psi, aii_fac, A_IG, g, f_I, I, gamma, nd, A_II is None)
 
 
 @dataclass
@@ -282,15 +255,15 @@ class OperatorBlock:
     interior: np.ndarray
     gamma: np.ndarray
     n_dual: int
-    interior_fd: bool  # aii_fac is from kronecker_interior, not SuperLU
+    interior_fd: bool  # aii_fac is fast diagonalization, not SuperLU
 
 
 class IetiOperator:
     """Per-block skeleton data plus the coarse problem; applies F and M_sD.
 
-    Reduces every one of `local_systems` to its skeleton and keeps none of
-    them.  Immutable after construction; applications are read-only and safe
-    to call concurrently.
+    Reduces every one of `local_systems` (split systems, consumed once) to
+    its skeleton and keeps none of them.  Immutable after construction;
+    applications are read-only and safe to call concurrently.
     """
 
     def __init__(self, domain, local_systems, groups, partition, jumps):
@@ -313,10 +286,14 @@ class IetiOperator:
             return pairs[key]
 
         self.blocks = []
-        for k, sysk in enumerate(local_systems):
-            name = "patch %d interior block" % k
-            fd = kronecker_interior(domain.patches[k], partition.interior[k], eigenpairs, name)
-            self.blocks.append(build_psi(sysk, partition, fd, fd is not None))
+        for sysk in local_systems:
+            patch, name, fd = domain.patches[sysk.k], "patch %d interior block" % sysk.k, None
+            if sysk.lattice is not None:  # A_II = c_u K_u (x) M_v + c_v M_u (x) K_v
+                aspect = abs(patch.geometry.affine_diagonal[1] / patch.geometry.affine_diagonal[0])
+                kvs = (patch.space.kv_u, patch.space.kv_v)
+                fd = fast_diagonalization(*map(eigenpairs, kvs, sysk.lattice), patch.alpha * aspect,
+                                          patch.alpha / aspect, name)
+            self.blocks.append(build_psi(sysk, partition, fd))
 
         coarse = np.zeros((self.n_primal, self.n_primal))
         for blk, gk in zip(self.blocks, self.primal_global):
@@ -435,14 +412,14 @@ def lambda_factor(domain):
 
 
 def setup_operator(domain, delta=12.0, source=1.0):
-    """Decide the partition and jumps from the domain, then assemble and reduce every block."""
+    """Decide the partition and jumps from the domain, then assemble and reduce one block at a time."""
     copies = copy_map(domain)
     groups = select_primal(domain)
     partition = build_partition(domain, copies, groups)
     jumps = build_jump_matrices(domain, partition)
     terms = assemble_interface_terms(domain, copies, delta)
-    local_systems = [build_local_system(domain, k, copies, terms, source=source)
-                     for k in range(domain.num_patches)]
+    local_systems = (build_local_system(domain, k, terms, partition, source=source)
+                     for k in range(domain.num_patches))
     return IetiOperator(domain, local_systems, groups, partition, jumps)
 
 

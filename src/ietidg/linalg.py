@@ -25,12 +25,8 @@ _PIVOT_RTOL = 1e-14
 
 
 class SparseSym:
-    """Compressed-row symmetric matrix from a sparse matrix or from CSR rows and dense blocks.
-
-    Duplicate triplets are summed and explicit zeros dropped.  The values
-    are verified to be finite and symmetric up to 1e-12 relative in the max
-    norm.
-    """
+    """Compressed-row symmetric matrix from a sparse or dense matrix: duplicate triplets summed,
+    explicit zeros dropped, the values verified finite and symmetric (see `check_symmetric`)."""
 
     def __init__(self, matrix):
         csr = scipy.sparse.csr_matrix(matrix)
@@ -38,28 +34,27 @@ class SparseSym:
         csr.eliminate_zeros()
         self.csr = csr
         self.n = csr.shape[0]
-        if not np.isfinite(csr.data).all():
-            raise NumericalError("symmetric matrix has non-finite entries")
-        scale = max(np.abs(csr.data).max(initial=0.0), 1e-300)
+        check_symmetric([csr.data], self._asymmetry())
+
+    def _asymmetry(self):
+        csr = self.csr
         T = csr.T.tocsr()  # canonical, so a symmetric pattern stores the same index arrays
         same = np.array_equal(T.indptr, csr.indptr) and np.array_equal(T.indices, csr.indices)
-        worst = np.abs(T.data - csr.data if same else (csr - T).data).max(initial=0.0)
-        if worst > 1e-12 * scale:
-            raise NumericalError("symmetric matrix has asymmetry %.3e (scale %.3e)"
-                                 % (worst, scale))
-
-    @classmethod
-    def from_blocks(cls, n, base, idx, mats):
-        """The (n, n) sum of the CSR arrays `base` ``(data, indices, indptr)`` of its leading rows
-        and the dense blocks `idx`, `mats` (see `block_triplets`), in one sparse construction."""
-        data, indices, indptr = base
-        vals, (rows, cols) = block_triplets(idx, mats)
-        rows = np.concatenate([np.repeat(np.arange(indptr.size - 1), np.diff(indptr)), rows])
-        return cls(scipy.sparse.coo_matrix(
-            (np.concatenate([data, vals]), (rows, np.concatenate([indices, cols]))), shape=(n, n)))
+        yield T.data - csr.data if same else (csr - T).data
 
     def toarray(self):
         return self.csr.toarray()
+
+
+def check_symmetric(values, differences):
+    """Raise :class:`NumericalError` unless every array of `values` is finite and then every array
+    of `differences`, entries minus their transposed partners, within 1e-12 of the largest value."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise NumericalError("symmetric matrix has non-finite entries")
+    scale = max(max(np.abs(v).max(initial=0.0) for v in values), 1e-300)
+    worst = max((np.abs(d).max(initial=0.0) for d in differences), default=0.0)
+    if worst > 1e-12 * scale:
+        raise NumericalError("symmetric matrix has asymmetry %.3e (scale %.3e)" % (worst, scale))
 
 
 def block_triplets(idx, mats):

@@ -12,8 +12,8 @@ import numpy as np
 import scipy.sparse
 
 from . import linalg
-from .assembly import (_inv_transpose, _oriented_sides, assemble_volume, interface_side_terms,
-                       side_dofs)
+from .assembly import (_inv_transpose, _oriented_sides, assemble_volume, band_rows,
+                       interface_side_terms, side_dofs)
 from .bspline import eval_matrices, gauss_rule
 from .errors import NumericalError
 from .geometry import side_point
@@ -47,16 +47,17 @@ def assemble_global(domain, delta, source=1.0):
     offs = patch_offsets(domain)
     volumes = [assemble_volume(patch, source=source, label="patch %d" % k)
                for k, patch in enumerate(domain.patches)]
+    blocks = [scipy.sparse.csr_matrix(band_rows(patch.space, band, np.arange(n)), shape=(n, n))
+              for patch, (band, _), n in zip(domain.patches, volumes, np.diff(offs))]
     side, own, edge, mats = interface_side_terms(domain, delta)
     lattices = [_shifted(patch.space.dof_map.ravel(), off) for patch, off in zip(domain.patches, offs)]
     edges = [_shifted(domain.patches[o.l].space.edge_dofs(o.side_l), offs[o.l])
              for o in _oriented_sides(domain)]
     _, idx = side_dofs(domain, side, own, edge, lattices, edges)
-    matrix = scipy.sparse.block_diag([scipy.sparse.csr_matrix(A, shape=(A[2].size - 1,) * 2)
-                                      for A, _ in volumes], format="csr")
+    matrix = scipy.sparse.block_diag(blocks, format="csr")
     matrix += scipy.sparse.csr_matrix(linalg.block_triplets(idx, mats), shape=matrix.shape)
-    return GlobalSipgSystem(linalg.SparseSym(matrix),
-                            np.concatenate([load for _, load in volumes]), offs)
+    return GlobalSipgSystem(linalg.SparseSym(matrix), np.concatenate(
+        [load[patch.space.free_mask] for patch, (_, load) in zip(domain.patches, volumes)]), offs)
 
 
 def direct_solve(system):

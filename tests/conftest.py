@@ -1,15 +1,17 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 import scipy.sparse
 
 from ietidg.assembly import (_inv_transpose, _oriented_sides, _SidePoints,
-                             assemble_interface_terms, build_local_system, copy_map)
+                             assemble_interface_terms, assemble_volume, band_rows, copy_map)
 from ietidg.bspline import KnotVector, TensorSplineSpace, eval_basis, gauss_rule, refine_uniform
 from ietidg.domains import domain_from_config, domain_to_config
 from ietidg.errors import ConfigError
 from ietidg.geometry import (GeometryMap, Interface, MultiPatchDomain, Patch, Vertex, side_normal_hat,
                              side_point)
-from ietidg.linalg import SparseSym
+from ietidg.linalg import SparseSym, block_triplets
 from ietidg.refsolver import patch_offsets
 
 
@@ -228,12 +230,43 @@ def random_knotvector(rng, p=None):
     return KnotVector(p, knots)
 
 
+def volume_arrays(patch, **kwargs):
+    """`assemble_volume`'s stiffness as the CSR arrays of all its free rows, with its load on the
+    free dofs."""
+    band, load = assemble_volume(patch, **kwargs)
+    return band_rows(patch.space, band, np.arange(patch.space.dimension)), load[patch.space.free_mask]
+
+
+def extended_matrix(n, base, idx, mats):
+    """The (n, n) sum of the CSR arrays `base` ``(data, indices, indptr)`` of its leading rows
+    and the dense blocks `idx`, `mats` (see `block_triplets`), in one sparse construction."""
+    data, indices, indptr = base
+    vals, (rows, cols) = block_triplets(idx, mats)
+    rows = np.concatenate([np.repeat(np.arange(indptr.size - 1), np.diff(indptr)), rows])
+    return SparseSym(scipy.sparse.coo_matrix(
+        (np.concatenate([data, vals]), (rows, np.concatenate([indices, cols]))), shape=(n, n)))
+
+
+ExtendedSystem = namedtuple("ExtendedSystem", "k A f")
+
+
 def local_systems(domain, delta=12.0, source=1.0):
-    """Every block's extended local system, over the copy map of `domain`."""
+    """Every block's full extended system ``(k, A, f)`` over the copy map of `domain`.
+
+    The solver never forms it: each matrix is rebuilt here from the patch's
+    volume band rows and its interface blocks, the reference that the split
+    blocks of `build_local_system` are checked against.  Dof order: the
+    patch's free dofs, then its artificial dofs (see `copy_map`).
+    """
     copies = copy_map(domain)
-    terms = assemble_interface_terms(domain, copies, delta)
-    return [build_local_system(domain, k, copies, terms, source=source)
-            for k in range(domain.num_patches)]
+    block, idx, mats = assemble_interface_terms(domain, copies, delta)
+    out = []
+    for k, patch in enumerate(domain.patches):
+        n = patch.space.dimension + np.count_nonzero(copies[:, 3] == k)
+        volume, load = volume_arrays(patch, source=source, label="patch %d" % k)
+        A = extended_matrix(n, volume, idx[block == k], mats[block == k])
+        out.append(ExtendedSystem(k, A, np.concatenate([load, np.zeros(n - load.size)])))
+    return out
 
 
 def glued_from_locals(domain, local_systems, copies):

@@ -9,20 +9,21 @@ from ietidg.assembly import (
     _sum_factorized,
     assemble_interface_terms,
     assemble_volume,
+    build_local_system,
     copy_map,
     interface_side_terms,
     trace_basis_on_edge,
     univariate_matrices,
 )
 from ietidg.bspline import KnotVector, TensorSplineSpace, eval_matrices, gauss_rule, refine_uniform
-from ietidg.domains import grid_domain, slider_domain, t_domain
+from ietidg.domains import builtin_domain, grid_domain, slider_domain, t_domain
 from ietidg.errors import ConfigError, NumericalError
 from ietidg.geometry import GeometryMap, Interface, MultiPatchDomain, Patch, side_normal_hat
-from ietidg.ieti import setup_operator
-from ietidg.linalg import SparseSym
+from ietidg.ieti import build_partition, select_primal, setup_operator
+from ietidg.linalg import block_triplets
 
-from conftest import (curved_geometry, curved_two_patch_domain, local_systems,
-                      mirrored_two_patch_domain, nonuniform_config_domain,
+from conftest import (curved_geometry, curved_two_patch_domain, extended_matrix, local_systems,
+                      mirrored_two_patch_domain, nonuniform_config_domain, volume_arrays,
                       reference_merged_partition, reference_side_points,
                       reversed_two_patch_domain, two_patch_domain, unit_square_patch)
 from test_bspline import scalar_cox_de_boor
@@ -32,12 +33,12 @@ NO_ROWS = (np.zeros(0), np.zeros(0, dtype=int), np.zeros(1, dtype=int))  # CSR a
 
 
 def block_to_dense(block, n):
-    return SparseSym.from_blocks(n, NO_ROWS, *block).toarray()
+    return extended_matrix(n, NO_ROWS, *block).toarray()
 
 
 def volume_matrix(patch, **kwargs):
     """`assemble_volume`'s stiffness as a CSR matrix, with its load."""
-    arrays, load = assemble_volume(patch, **kwargs)
+    arrays, load = volume_arrays(patch, **kwargs)
     return scipy.sparse.csr_matrix(arrays, shape=(patch.space.dimension,) * 2), load
 
 
@@ -251,13 +252,13 @@ def quadrature_route(patch, source=1.0):
     every non-affine map takes, here with the affine test switched off."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(patch.geometry, "affine_diagonal", None)
-        return assemble_volume(patch, source=source)
+        return volume_arrays(patch, source=source)
 
 
 def assert_kronecker_matches_quadrature(patch, source=1.0):
     """The affine route's CSR arrays and load against the quadrature route's, to 1e-13 relative."""
     assert patch.geometry.affine_diagonal is not None
-    (data, indices, indptr), load = assemble_volume(patch, source=source)
+    (data, indices, indptr), load = volume_arrays(patch, source=source)
     (data_q, indices_q, indptr_q), load_q = quadrature_route(patch, source)
     assert np.array_equal(indices, indices_q) and np.array_equal(indptr, indptr_q)
     assert np.abs(data - data_q).max() <= 1e-13 * np.abs(data_q).max()
@@ -640,3 +641,110 @@ class TestLocalSystem:
                 v = rng.standard_normal(sysk.A.n)
                 quad = v @ (A @ v)
                 assert quad >= -1e-10 * scale * (v @ v)
+
+
+def split_systems(dom, terms=None):
+    """The partition of `dom` and every block's `build_local_system` over it."""
+    copies = copy_map(dom)
+    partition = build_partition(dom, copies, select_primal(dom))
+    terms = terms or assemble_interface_terms(dom, copies, 12.0)
+    return partition, [build_local_system(dom, k, terms, partition) for k in range(dom.num_patches)]
+
+
+def relative_gap(a, b):
+    """max |a - b| / max |b| of two dense or sparse arrays of one shape; 0 for empty ones."""
+    assert a.shape == b.shape
+    a, b = (x.toarray() if scipy.sparse.issparse(x) else x for x in (a, b))
+    return np.abs(a - b).max(initial=0.0) / max(np.abs(b).max(initial=0.0), 1e-300)
+
+
+SPLIT_DOMAINS = [
+    pytest.param(lambda a=args, p=p, r=r: builtin_domain(a[0], a[1:], degree=p, refinements=r),
+                 id="%s-p%d-r%d" % (" ".join(args), p, r))
+    for args in (("grid", "2"), ("tdomain",), ("slider", "3", "0.3"), ("slider", "4", "0.37"))
+    for p in (1, 2, 3) for r in (0, 1, 2)
+] + [
+    pytest.param(lambda: MultiPatchDomain([single_patch(GeometryMap.bilinear(
+        (2, 0), (0, 0), (2, 1), (0, 1)))], []).validate(), id="mirrored-patch"),
+    pytest.param(mirrored_two_patch_domain, id="mirrored-two-patch"),
+    pytest.param(lambda: nonuniform_config_domain(2, r=1), id="nonuniform"),
+    pytest.param(curved_two_patch_domain, id="curved"),
+    pytest.param(partial_interface_domain, id="partial"),
+]
+
+
+class TestSplitSystem:
+    @pytest.mark.parametrize("factory", SPLIT_DOMAINS)
+    def test_blocks_match_slices_of_the_extended_system(self, factory):
+        # the blocks built straight onto (I, Gamma) are the index-set slices of
+        # the full extended matrix that the solver no longer forms
+        dom = factory()
+        partition, splits = split_systems(dom)
+        for k, (split, ref) in enumerate(zip(splits, local_systems(dom))):
+            A, I, gamma = ref.A.csr, partition.interior[k], partition.gamma_index(k)
+            assert split.k == k
+            assert relative_gap(split.A_IG, A[I][:, gamma]) <= 1e-13
+            assert relative_gap(split.A_GG, A[gamma][:, gamma].toarray()) <= 1e-13
+            np.testing.assert_array_equal(split.f_I, ref.f[I])
+            np.testing.assert_array_equal(split.f_G, ref.f[gamma])
+            # the FD decision: an affine-diagonal map and an interior that is a full tensor lattice
+            patch, lat = dom.patches[k], np.flatnonzero(dom.patches[k].space.free_mask)[I]
+            rows, cols = np.divmod(lat, patch.space.n_v)
+            lattice = (patch.geometry.affine_diagonal is not None and lat.size > 0
+                       and np.unique(rows).size * np.unique(cols).size == lat.size)
+            assert (split.A_II is None) == (split.lattice is not None) == lattice
+            if split.A_II is not None:
+                assert relative_gap(split.A_II.csr, A[I][:, I]) <= 1e-13
+
+    @pytest.mark.parametrize("factory", SPLIT_DOMAINS)
+    def test_no_interface_entry_couples_two_interior_dofs(self, factory):
+        dom = factory()
+        copies = copy_map(dom)
+        partition = build_partition(dom, copies, select_primal(dom))
+        block, idx, mats = assemble_interface_terms(dom, copies, 12.0)
+        for k, I in enumerate(partition.interior):
+            vals, (rows, cols) = block_triplets(idx[block == k], mats[block == k])
+            interior = np.zeros(partition.offsets[k + 1] - partition.offsets[k], dtype=bool)
+            interior[I] = True
+            assert not np.any(vals[interior[rows] & interior[cols]])
+
+    @pytest.mark.parametrize("where", ["interior", "edge", "corner"])
+    @pytest.mark.parametrize("bad, text", [(np.nan, "non-finite entries"),
+                                           (np.inf, "non-finite entries"),
+                                           (1e-9, "asymmetry")], ids=["nan", "inf", "asymmetric"])
+    def test_bad_band_entry_raises(self, monkeypatch, where, bad, text):
+        # one band entry of patch 0, at every offset but the diagonal, made non-finite or
+        # off its transposed partner: in an interior row (I rows only), at the edge or at
+        # the corner of the lattice
+        dom = two_patch_domain(p=2, r=2)
+        space, p = dom.patches[0].space, 2
+        copies = copy_map(dom)
+        partition = build_partition(dom, copies, select_primal(dom))
+        terms = assemble_interface_terms(dom, copies, 12.0)
+        i, j = {"interior": (space.n_u // 2, space.n_v // 2), "edge": (0, space.n_v // 2),
+                "corner": (space.n_u - 1, space.n_v - 1)}[where]
+        volume = assembly.assemble_volume
+        for offset in np.ndindex(2 * p + 1, 2 * p + 1):
+            if offset == (p, p):
+                continue
+            # the offset's partner row must lie in the lattice: mirror it where it does not
+            a, b = (o if 0 <= x + o - p < n else 2 * p - o
+                    for o, x, n in zip(offset, (i, j), (space.n_u, space.n_v)))
+
+            def corrupted(patch, *args, **kwargs):
+                band, load = volume(patch, *args, **kwargs)
+                band[i, j, a, b] = bad if not np.isfinite(bad) else band[i, j, a, b] + bad * np.abs(
+                    band).max()
+                return band, load
+
+            monkeypatch.setattr(assembly, "assemble_volume", corrupted)
+            with pytest.raises(NumericalError, match="symmetric matrix has " + text):
+                build_local_system(dom, 0, terms, partition)
+
+    def test_non_finite_interface_entry_raises(self):
+        dom = two_patch_domain(p=2, r=1)
+        block, idx, mats = assemble_interface_terms(dom, copy_map(dom), 12.0)
+        mats = mats.copy()
+        mats[np.flatnonzero(block == 1)[0], 0, 0] = np.nan
+        with pytest.raises(NumericalError, match="symmetric matrix has non-finite entries"):
+            split_systems(dom, (block, idx, mats))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from ietidg.assembly import copy_map, trace_basis_on_edge, univariate_matrices
+from ietidg.assembly import (assemble_interface_terms, build_local_system, copy_map,
+                             trace_basis_on_edge, univariate_matrices)
 from ietidg.bspline import (KnotVector, TensorSplineSpace, eval_basis, greville_points,
                             refine_uniform)
 from ietidg.domains import grid_domain, slider_domain, t_domain
@@ -340,37 +341,20 @@ class TestOperator:
     def test_build_psi_standalone(self):
         dom = t_domain(degree=2, refinements=1)
         groups, partition, jumps = build_stack(dom)
-        sysk = local_systems(dom)[0]
-        A = sysk.A.toarray()
+        split = build_local_system(dom, 0, assemble_interface_terms(dom, partition.copies, 12.0),
+                                   partition)
+        A = local_systems(dom)[0].A.toarray()
         I, dual, P = partition.interior[0], partition.dual[0], partition.primal[0]
-        blk = build_psi(sysk, partition, factorize(A[np.ix_(I, I)]))
+        blk = build_psi(split, partition, factorize(A[np.ix_(I, I)]))
         assert blk.psi.shape == (dual.size + P.size, P.size)
         np.testing.assert_allclose(blk.psi[dual.size:], np.eye(P.size), atol=0)
         # extend Psi by its dense interior solve: the (I, Delta) rows of A Psi vanish
-        psi = np.zeros((sysk.A.n, P.size))
+        psi = np.zeros((A.shape[0], P.size))
         psi[blk.gamma] = blk.psi
         psi[I] = -np.linalg.solve(A[np.ix_(I, I)], A[np.ix_(I, blk.gamma)] @ blk.psi)
         res = (A @ psi)[np.concatenate([I, dual])]
         scale = abs(A.max())
         assert np.abs(res).max() <= 1e-9 * scale
-
-    @pytest.mark.parametrize("factory", [lambda: t_domain(degree=2, refinements=2),
-                                         lambda: curved_two_patch_domain(p=2, r=1)],
-                             ids=["tdomain", "curved"])
-    def test_blocks_sliced_as_by_index_sets(self, factory):
-        # one slice of the skeleton columns gives A_IG and A_GG bit for bit as
-        # the fancy-indexed index sets; the curved block's A_II goes to SuperLU
-        dom = factory()
-        op = setup_operator(dom)
-        for sysk, blk in zip(local_systems(dom), op.blocks):
-            A, I, gamma = sysk.A.csr, blk.interior, blk.gamma
-            ref = A[I][:, gamma]
-            for name in ("indptr", "indices", "data"):
-                np.testing.assert_array_equal(getattr(blk.A_IG, name), getattr(ref, name))
-            S = A[gamma][:, gamma].toarray() - blk.aii_fac.schur(ref)
-            np.testing.assert_array_equal(blk.S, S)
-        assert [blk.interior_fd for blk in op.blocks] == [patch.geometry.affine_diagonal is not None
-                                                         for patch in dom.patches]
 
     def test_psi_identity_rows_and_residual(self):
         dom = t_domain(degree=2, refinements=1, alphas=[1, 10, 100, 1, 10])

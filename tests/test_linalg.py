@@ -17,6 +17,7 @@ from ietidg.linalg import (
     pcg,
 )
 
+from conftest import extended_matrix
 
 NO_ROWS = (np.zeros(0), np.zeros(0, dtype=int), np.zeros(1, dtype=int))  # CSR arrays of no row
 
@@ -45,6 +46,9 @@ class TestSparseSym:
         with pytest.raises(NumericalError):
             SparseSym(scipy.sparse.coo_matrix(([1.0, 1.0 + 1e-6], ([0, 1], [1, 0])), shape=(2, 2)))
 
+    # the blocks' sparse construction, kept in tests/conftest.py as the
+    # reference for every block's full extended matrix
+
     def test_blocks_summed_and_dropped_indices_skipped(self):
         # dof 1 is shared by the first two blocks, dof 0 by the first and
         # third; every entry in a row or column mapped to -1 (the 5s, 6 and 9s)
@@ -53,7 +57,7 @@ class TestSparseSym:
         mats = np.array([[[1.0, 2.0, 9.0], [2.0, 3.0, 9.0], [9.0, 9.0, 9.0]],
                          [[4.0, 5.0, 9.0], [5.0, 6.0, 9.0], [9.0, 9.0, 9.0]],
                          [[7.0, 1.0, 9.0], [1.0, 8.0, 9.0], [9.0, 9.0, 9.0]]])
-        A = SparseSym.from_blocks(3, NO_ROWS, idx, mats)
+        A = extended_matrix(3, NO_ROWS, idx, mats)
         np.testing.assert_array_equal(A.toarray(),
                                       [[9.0, 2.0, 1.0], [2.0, 7.0, 0.0], [1.0, 0.0, 7.0]])
 
@@ -63,21 +67,21 @@ class TestSparseSym:
                                                  [0.0, 0.0, 1.0]]))
         arrays = (base.data, base.indices, base.indptr)
         no_blocks = (np.zeros((0, 2), dtype=int), np.zeros((0, 2, 2)))
-        assert np.array_equal(SparseSym.from_blocks(3, arrays, *no_blocks).toarray(),
+        assert np.array_equal(extended_matrix(3, arrays, *no_blocks).toarray(),
                               base.toarray())
-        A = SparseSym.from_blocks(3, arrays, np.array([[2, 0]]),
-                                  np.array([[[3.0, 1.0], [1.0, -2.0]]]))
+        A = extended_matrix(3, arrays, np.array([[2, 0]]),
+                            np.array([[[3.0, 1.0], [1.0, -2.0]]]))
         np.testing.assert_array_equal(A.toarray(),
                                       [[0.0, 1.0, 1.0], [1.0, 2.0, 0.0], [1.0, 0.0, 4.0]])
         assert A.csr.nnz == 6  # the cancelled (0, 0) entry is dropped
         # the leading block of an (n, n) matrix: rows and columns past the base stay empty
-        B = SparseSym.from_blocks(4, arrays, *no_blocks)
+        B = extended_matrix(4, arrays, *no_blocks)
         assert B.csr.shape == (4, 4) and B.csr[3].nnz == 0
 
     def test_asymmetric_block_rejected(self):
         with pytest.raises(NumericalError):
-            SparseSym.from_blocks(2, NO_ROWS, np.array([[0, 1]]),
-                                  np.array([[[1.0, 2.0], [3.0, 1.0]]]))
+            extended_matrix(2, NO_ROWS, np.array([[0, 1]]),
+                            np.array([[[1.0, 2.0], [3.0, 1.0]]]))
 
     def test_asymmetric_pattern_rejected(self):
         # an entry whose mirror is not stored: the patterns differ

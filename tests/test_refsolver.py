@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from ietidg.assembly import assemble_volume, copy_map
+from ietidg.assembly import copy_map
 from ietidg.domains import grid_domain, slider_domain, t_domain
 from ietidg.errors import NumericalError
 from ietidg.linalg import SparseSym
@@ -18,7 +18,7 @@ from ietidg.refsolver import (
 from ietidg.geometry import MultiPatchDomain
 
 from conftest import (glued_from_locals, local_systems, reversed_two_patch_domain, two_patch_domain,
-                      unit_square_patch)
+                      unit_square_patch, volume_arrays)
 
 
 def u_sin(x, y):
@@ -40,7 +40,7 @@ class TestAssembleGlobal:
         patch = unit_square_patch(0, 1, 0, 1, 2, 2, {"west", "east", "south", "north"})
         dom = MultiPatchDomain([patch], []).validate()
         system = assemble_global(dom, 12.0)
-        expected = SparseSym(scipy.sparse.csr_matrix(assemble_volume(patch)[0]))
+        expected = SparseSym(scipy.sparse.csr_matrix(volume_arrays(patch)[0]))
         assert np.abs((system.matrix.csr - expected.csr)).max() <= 1e-14
 
     @pytest.mark.parametrize("factory", [
