@@ -88,14 +88,28 @@ def jump_matrix(jumps, k):
     """Block k's jump matrix over its skeleton as a CSR.
 
     A tree that stores it as ``B_gamma`` gives it as is; one that stores the
-    multiplier ``rows`` and ``signs`` of each Delta dof gives it built from
-    them, byte for byte the same matrix.
+    multiplier ``rows`` and ``signs`` of each Delta dof, or the skeleton-vector
+    positions ``plus`` and ``minus`` of every multiplier's +1 and -1, gives it
+    built from them, byte for byte the same matrix.
     """
     if hasattr(jumps, "B_gamma"):
         return jumps.B_gamma[k]
-    rows = jumps.rows[k]
-    return scipy.sparse.csr_matrix((jumps.signs[k], (rows, np.arange(rows.size))),
-                                   shape=(jumps.n_rows, jumps.D[k].size))
+    if hasattr(jumps, "rows"):
+        rows, cols, signs = jumps.rows[k], np.arange(jumps.rows[k].size), jumps.signs[k]
+        shape = (jumps.n_rows, jumps.D[k].size)
+    else:
+        block, n = jumps.block(k), jumps.plus.size
+        pos = np.concatenate([jumps.plus, jumps.minus])
+        inside = np.flatnonzero((pos >= block.start) & (pos < block.stop))
+        rows, cols, signs = inside % n, pos[inside] - block.start, np.where(inside < n, 1.0, -1.0)
+        shape = (n, block.stop - block.start)
+    return scipy.sparse.csr_matrix((signs, (rows, cols)), shape=shape)
+
+
+def scaling(jumps, k):
+    """Block k's D: its own array in a tree that keeps one per block, else its slice of the
+    skeleton vector."""
+    return jumps.D[jumps.block(k)] if hasattr(jumps, "block") else jumps.D[k]
 
 
 def local_systems(pkg, domain, copies):
@@ -141,7 +155,7 @@ def domain_arrays(pkg, domain):
     for k, (blk, (A, f)) in enumerate(zip(op.blocks, local_systems(pkg, domain, part.copies))):
         out += [("local A", A), ("jump B", jump_matrix(op.jumps, k)), ("local f", f),
                 ("interior", part.interior[k]), ("dual", part.dual[k]), ("primal", part.primal[k]),
-                ("primal_global", part.primal_global[k]), ("D", op.jumps.D[k]), ("S", blk.S),
+                ("primal_global", part.primal_global[k]), ("D", scaling(op.jumps, k)), ("S", blk.S),
                 ("psi", blk.psi), ("FD flag", np.array([blk.interior_fd]))]
     oracle = pkg.refsolver.assemble_global(domain, DELTA)
     return out + [("oracle A", oracle.matrix.csr), ("oracle f", oracle.rhs)]

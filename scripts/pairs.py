@@ -40,7 +40,8 @@ LAYERS = ("domains.build_s", "geometry.validate_s",
           "assembly.volume_s", "assembly.volume_calls", "assembly.volume_elements",
           "assembly.local_system_s", "assembly.interface_side_s", "assembly.interface_side_calls",
           "linalg.sparse_build_s", "refsolver.assemble_s", "refsolver.direct_solve_s",
-          "ieti.psi_s", "linalg.factorize_s")
+          "ieti.psi_s", "linalg.factorize_s", "ieti.pcg_s", "ieti.apply_F_s", "ieti.apply_MsD_s",
+          "ieti.recover_s", "linalg.fact_solve_calls")
 METHOD = ("alternating pairs (the parent first for even pair indices, the change first for odd "
           "ones), each side run from its own git archive copy of the committed files; times in "
           "host-normalized reference seconds; medians and quartiles (numpy linear percentiles) "
@@ -148,7 +149,7 @@ def main(argv=None):
                 runs.append({"series": series, "workload": workload, "seed": pair,
                              "version": version, "pair": pair, "order": k, **res})
                 print("%s %s pair %d %s: %s" % (series, workload, pair, version, json.dumps(
-                    {m: res["metrics"][m] for m in ("setup_s", "assembly.volume_s")
+                    {m: res["metrics"][m] for m in ("setup_s", "solve_s", "assembly.volume_s")
                      if m in res["metrics"]})), flush=True)
                 out.write_text(json.dumps(dict(record, summary=summarize(runs),
                                                traced_layers=traced_layers(runs), runs=runs),

@@ -202,10 +202,14 @@ def _asymmetry(band, dense):
 
 
 def _univariate_bands(kv):
-    """The band rows ``(K, M)`` of `univariate_matrices`: ``[i, d]`` pairs i with ``i + d - p``."""
-    sq = span_quadrature(kv, kv.p + 1)
-    B = sq.tables.transpose(2, 0, 1, 3)[::-1]  # (derivative 1 then 0, span, point, function)
-    return _span_fold(sq.first_active, kv.n, sq.weights[..., None], B, B)[..., 0]
+    """The band rows ``(K, M)`` of `univariate_matrices`: ``[i, d]`` pairs i with ``i + d - p``.
+    Computed once per knot vector and kept on it, read-only, as `gauss_rule` keeps its nodes."""
+    if getattr(kv, "_bands", None) is None:
+        sq = span_quadrature(kv, kv.p + 1)
+        B = sq.tables.transpose(2, 0, 1, 3)[::-1]  # (derivative 1 then 0, span, point, function)
+        kv._bands = _span_fold(sq.first_active, kv.n, sq.weights[..., None], B, B)[..., 0]
+        kv._bands.flags.writeable = False
+    return kv._bands
 
 
 def univariate_matrices(kv):

@@ -147,34 +147,35 @@ def build_partition(domain, copies, groups):
 
 @dataclass
 class JumpMatrices:
-    """Signed matching constraints and the coefficient scaling.
+    """Signed matching constraints and the coefficient scaling on the skeleton vector.
 
-    Every row carries exactly one +1 (a patch trace dof) and one -1 (its
-    artificial copy), and every dual dof lies in one row, so B is stored as
-    the row ``rows[k]`` and sign ``signs[k]`` of each Delta dof of block k;
-    only `apply` and `transpose` read them.  `D` holds the diagonal scaling
-    ``(alpha_k + alpha_l) / alpha_l`` per block over ``gamma_index(k)``.
-    Row r is the r-th copy-map row whose copy is dual.
+    The skeleton vector holds block k's skeleton at ``offsets[k]:offsets[k + 1]``
+    (`block`), in ``gamma_index(k)`` order.  Row r of B is +1 at ``plus[r]``
+    (a patch trace dof) and -1 at ``minus[r]`` (its artificial copy), and
+    every dual dof lies in one row; only `apply` and `transpose` read them.
+    `D` holds the diagonal scaling ``(alpha_k + alpha_l) / alpha_l`` over the
+    vector.  Row r is the r-th copy-map row whose copy is dual.
     """
 
-    n_rows: int
-    rows: list
-    signs: list
-    D: list
+    plus: np.ndarray
+    minus: np.ndarray
+    D: np.ndarray
+    offsets: np.ndarray
 
-    def apply(self, u_blocks):
-        """``B u = sum_k B_k u_k`` for per-block skeleton vectors `u_blocks`."""
-        y = np.zeros(self.n_rows)
-        for rows, signs, u in zip(self.rows, self.signs, u_blocks):
-            y[rows] += signs * u[:rows.size]  # exact: a block's rows are distinct
-        return y
+    def block(self, k):
+        """Block k's slice of the skeleton vector."""
+        return slice(self.offsets[k], self.offsets[k + 1])
+
+    def apply(self, u):
+        """``B u`` for a skeleton vector `u`."""
+        return u[self.plus] - u[self.minus]
 
     def transpose(self, lam):
-        """Per-block skeleton vectors ``B_k^T lam``, zero on Pi."""
-        out = [np.zeros(D.size) for D in self.D]
-        for t, rows, signs in zip(out, self.rows, self.signs):
-            t[:rows.size] = signs * lam[rows]
-        return out
+        """The skeleton vector ``B^T lam``, zero on Pi."""
+        t = np.zeros(self.offsets[-1])
+        t[self.plus] = lam
+        t[self.minus] = -lam
+        return t
 
 
 def build_jump_matrices(domain, partition):
@@ -186,24 +187,23 @@ def build_jump_matrices(domain, partition):
     ext = partition.offsets
     _, src, sdof, blk, cdof = partition.copies.T
     source, copy = ext[src] + sdof, ext[blk] + cdof
-    dual = [ext[k] + d for k, d in enumerate(partition.dual)]
-    jump = np.isin(copy, np.concatenate(dual))  # a copy is dual exactly when its source is
-    n_rows = int(jump.sum())
-    if np.unique(source[jump]).size < n_rows:
+    gamma = [ext[k] + partition.gamma_index(k) for k in range(domain.num_patches)]
+    offsets = np.concatenate([[0], np.cumsum([g.size for g in gamma])])
+    gamma = np.concatenate(gamma)
+    position = np.full(ext[-1], -1)  # of every skeleton dof in the skeleton vector
+    position[gamma] = np.arange(gamma.size)
+    dual = np.concatenate([ext[k] + d for k, d in enumerate(partition.dual)])
+    jump = np.isin(copy, dual)  # a copy is dual exactly when its source is
+    if np.unique(source[jump]).size < np.count_nonzero(jump):
         raise NumericalError("dof matched by two constraints; primal selection missed a vertex")
-    row, sign = np.full(ext[-1], -1), np.zeros(ext[-1])  # multiplier and sign of every dual dof
-    row[source[jump]] = row[copy[jump]] = np.arange(n_rows)
-    sign[source[jump]], sign[copy[jump]] = 1.0, -1.0
 
     neighbor = np.full(ext[-1], domain.num_patches)
     np.minimum.at(neighbor, source, blk)
     neighbor[copy] = src
     alpha = np.array([patch.alpha for patch in domain.patches])
-    D = []
-    for k in range(domain.num_patches):
-        alpha_l = alpha[neighbor[ext[k] + partition.gamma_index(k)]]
-        D.append((alpha[k] + alpha_l) / alpha_l)
-    return JumpMatrices(n_rows, [row[d] for d in dual], [sign[d] for d in dual], D)
+    alpha_k, alpha_l = np.repeat(alpha, np.diff(offsets)), alpha[neighbor[gamma]]
+    return JumpMatrices(position[source[jump]], position[copy[jump]],
+                        (alpha_k + alpha_l) / alpha_l, offsets)
 
 
 def build_psi(local_system, partition, aii_fac=None):
@@ -261,9 +261,10 @@ class OperatorBlock:
 class IetiOperator:
     """Per-block skeleton data plus the coarse problem; applies F and M_sD.
 
-    Reduces every one of `local_systems` (split systems, consumed once) to
-    its skeleton and keeps none of them.  Immutable after construction;
-    applications are read-only and safe to call concurrently.
+    Reduces every one of `local_systems` (split systems, consumed once) to its skeleton and
+    keeps none of them.  F, d, M_sD and the recovery work on the skeleton vector of `jumps`,
+    with the condensed loads `g` and Psi as one CSR matrix `psi` onto the coarse coefficients.
+    Immutable; applications are read-only and safe to call concurrently.
     """
 
     def __init__(self, domain, local_systems, groups, partition, jumps):
@@ -271,9 +272,8 @@ class IetiOperator:
         self.groups = groups
         self.partition = partition
         self.jumps = jumps
-        self.n_rows = jumps.n_rows
+        self.n_rows = jumps.plus.size
         self.n_primal = len(groups)
-        self.primal_global = partition.primal_global
 
         # 1D eigenpairs of the FD blocks, once per distinct (knot vector, interior range)
         pairs = {}
@@ -296,55 +296,50 @@ class IetiOperator:
             self.blocks.append(build_psi(sysk, partition, fd))
 
         coarse = np.zeros((self.n_primal, self.n_primal))
-        for blk, gk in zip(self.blocks, self.primal_global):
+        for blk, gk in zip(self.blocks, partition.primal_global):
             np.add.at(coarse, (gk[:, None], gk[None, :]), blk.psi.T @ (blk.S @ blk.psi))
         self.coarse_fac = cholesky(coarse, name="coarse problem")
+        gk = np.concatenate(partition.primal_global)  # R: every block's Pi onto the coarse indices
+        R = scipy.sparse.csr_matrix((np.ones(gk.size), (np.arange(gk.size), gk)), (gk.size, self.n_primal))
+        self.psi = scipy.sparse.block_diag([blk.psi for blk in self.blocks], format="csr") @ R
+        self.psi_t = self.psi.T.tocsr()
+        self.g = np.concatenate([blk.g for blk in self.blocks])
+        self._gamma = [jumps.block(k) for k in range(len(self.blocks))]
+        self._dual = [slice(sl.start, sl.start + blk.n_dual) for sl, blk in zip(self._gamma, self.blocks)]
 
     # -- the primal-constrained solve: F, d and recovery -------------------
 
-    def solve_constrained(self, rhs_blocks):
-        """Per-block ``u = S~^{-1} r`` for per-block skeleton right-hand sides `rhs_blocks`.
-
-        A Cholesky solve on the Delta dofs of every block, plus the
-        correction ``Psi_k mu[R_k]`` from one coarse solve with the
-        right-hand side ``sum_k R_k^T Psi_k^T r_k``.
-        """
-        u_blocks = []
-        w = np.zeros(self.n_primal)
-        for blk, gk, r in zip(self.blocks, self.primal_global, rhs_blocks):
-            u = np.zeros(r.shape)
-            u[:blk.n_dual] = blk.dual_fac.solve(r[:blk.n_dual])
-            u_blocks.append(u)
-            np.add.at(w, gk, blk.psi.T @ r)
-        mu = self.coarse_fac.solve(w)
-        for u, blk, gk in zip(u_blocks, self.blocks, self.primal_global):
-            u += blk.psi @ mu[gk]
-        return u_blocks
+    def solve_constrained(self, r):
+        """``u = S~^{-1} r`` for a skeleton vector `r`: the coarse correction ``Psi mu``, ``mu``
+        solving the coarse problem for ``Psi^T r``, plus a Cholesky solve on every block's Delta."""
+        u = self.psi @ self.coarse_fac.solve(self.psi_t @ r)
+        for sl, blk in zip(self._dual, self.blocks):
+            u[sl] += blk.dual_fac.solve(r[sl])
+        return u
 
     def apply_F(self, lam):
         return self.jumps.apply(self.solve_constrained(self.jumps.transpose(lam)))
 
     def compute_d(self):
-        return self.jumps.apply(self.solve_constrained([blk.g for blk in self.blocks]))
+        return self.jumps.apply(self.solve_constrained(self.g))
 
     # -- preconditioner ----------------------------------------------------
 
     def apply_MsD(self, mu):
-        return self.jumps.apply([(blk.S @ (t / D)) / D for blk, t, D in
-                                 zip(self.blocks, self.jumps.transpose(mu), self.jumps.D)])
+        x = self.jumps.transpose(mu) / self.jumps.D
+        for sl, blk in zip(self._gamma, self.blocks):
+            x[sl] = blk.S @ x[sl]
+        return self.jumps.apply(x / self.jumps.D)
 
     # -- solution recovery -------------------------------------------------
 
     def recover_solution(self, lam):
         """Per-block coefficient vectors over the extended dofs from the converged multipliers."""
-        u_gamma = self.solve_constrained(
-            [blk.g - t for blk, t in zip(self.blocks, self.jumps.transpose(lam))])
-        u_blocks = []
-        for blk, ug in zip(self.blocks, u_gamma):
-            u = np.empty(blk.interior.size + blk.gamma.size)
-            u[blk.gamma] = ug
-            u[blk.interior] = blk.aii_fac.solve(blk.f_I - blk.A_IG @ ug)
-            u_blocks.append(u)
+        u_gamma = self.solve_constrained(self.g - self.jumps.transpose(lam))
+        u_blocks = [np.empty(blk.interior.size + blk.gamma.size) for blk in self.blocks]
+        for u, sl, blk in zip(u_blocks, self._gamma, self.blocks):
+            u[blk.gamma] = u_gamma[sl]
+            u[blk.interior] = blk.aii_fac.solve(blk.f_I - blk.A_IG @ u_gamma[sl])
         return u_blocks
 
 

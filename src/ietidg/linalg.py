@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.linalg.lapack import dsygv
+from scipy.linalg.lapack import dpotrs, dsygv
 
 from .errors import NumericalError
 
@@ -125,17 +125,18 @@ def factorize(A, name=""):
 def cholesky(A, name=""):
     """Dense Cholesky factorization of an SPD ``ndarray`` (``scipy.linalg.cho_factor``).
 
-    Raises :class:`NumericalError` when `A` is not finite or not positive definite.
+    Solves call LAPACK ``dpotrs``, as ``cho_solve`` does after its argument checks.  Raises
+    :class:`NumericalError` when `A` is not finite or not positive definite.
     """
     n = A.shape[0]
     if n == 0:
         return Factorization(0, lambda rhs: rhs)
     try:
-        factor = scipy.linalg.cho_factor(A)
+        c, lower = scipy.linalg.cho_factor(A)
     except (ValueError, np.linalg.LinAlgError) as exc:  # ValueError: not finite
         raise NumericalError("%s: expected SPD matrix, Cholesky failed: %s"
                              % (name or "cholesky", exc)) from exc
-    return Factorization(n, lambda rhs: scipy.linalg.cho_solve(factor, rhs, check_finite=False))
+    return Factorization(n, lambda rhs: dpotrs(c, rhs, lower=lower)[0])
 
 
 def generalized_eigh(K, M, name=""):

@@ -299,17 +299,19 @@ def dual_rows(partition):
 
 
 def jump_matrix(jumps, k):
-    """Block k's B as a CSR over its skeleton ``gamma_index(k)``, from its rows and signs."""
-    rows = jumps.rows[k]
-    return scipy.sparse.csr_matrix((jumps.signs[k], (rows, np.arange(rows.size))),
-                                   shape=(jumps.n_rows, jumps.D[k].size))
+    """Block k's B as a CSR over its skeleton ``gamma_index(k)``, from `plus` and `minus`."""
+    block, n = jumps.block(k), jumps.plus.size
+    pos = np.concatenate([jumps.plus, jumps.minus])
+    inside = np.flatnonzero((pos >= block.start) & (pos < block.stop))
+    return scipy.sparse.csr_matrix((np.where(inside < n, 1.0, -1.0), (inside % n, pos[inside] - block.start)),
+                                   shape=(n, block.stop - block.start))
 
 
 def full_jump_columns(jumps, partition):
     """Each block's dense B over all its extended dofs, scattered from `jump_matrix`."""
     out = []
     for k, n in enumerate(np.diff(partition.offsets)):
-        B = np.zeros((jumps.n_rows, n))
+        B = np.zeros((jumps.plus.size, n))
         B[:, partition.gamma_index(k)] = jump_matrix(jumps, k).toarray()
         out.append(B)
     return out
@@ -318,11 +320,11 @@ def full_jump_columns(jumps, partition):
 def project_wtilde(op, u_blocks):
     """Project block vectors onto the primal-constrained subspace by group averaging."""
     total, count = np.zeros(op.n_primal), np.zeros(op.n_primal)
-    for u, P, gk in zip(u_blocks, op.partition.primal, op.primal_global):
+    for u, P, gk in zip(u_blocks, op.partition.primal, op.partition.primal_global):
         np.add.at(total, gk, u[P])
         np.add.at(count, gk, 1.0)
     out = [u.copy() for u in u_blocks]
-    for u, P, gk in zip(out, op.partition.primal, op.primal_global):
+    for u, P, gk in zip(out, op.partition.primal, op.partition.primal_global):
         u[P] = total[gk] / count[gk]
     return out
 
@@ -347,7 +349,7 @@ def check_lemma_bbt(op, u_blocks):
     B_gamma = [jump_matrix(op.jumps, k) for k in range(len(op.blocks))]
     mu = sum((B @ u[blk.gamma] for B, u, blk in zip(B_gamma, u_blocks, op.blocks)),
              np.zeros(op.n_rows))
-    w = [(B.T @ mu) / D for B, D in zip(B_gamma, op.jumps.D)]
+    w = [(B.T @ mu) / op.jumps.D[op.jumps.block(k)] for k, B in enumerate(B_gamma)]
     expected = [np.zeros_like(wk) for wk in w]
     pos_gamma = []
     for blk, n in zip(op.blocks, np.diff(op.partition.offsets)):
@@ -364,3 +366,70 @@ def check_lemma_bbt(op, u_blocks):
         float(np.abs(w[k] - expected[k]).max()) if w[k].size else 0.0
         for k in range(len(op.blocks))
     )
+
+
+# -- reference: the per-block solve phase that the skeleton vector replaced,
+# kept to compare IetiOperator's applications against
+
+
+class ReferenceSolvePhase:
+    """`IetiOperator`'s F, d, M_sD and recovery as per-block loops over block vectors.
+
+    B is stored as the multiplier row and sign of every Delta dof of each
+    block, read off `jump_matrix`, and Psi as each block's dense `psi`.
+    """
+
+    def __init__(self, op):
+        self.op = op
+        self.rows, self.signs, self.D = [], [], []
+        for k in range(len(op.blocks)):
+            B = jump_matrix(op.jumps, k).tocsc()  # Delta columns first, one entry each
+            nd = op.blocks[k].n_dual
+            self.rows.append(B.indices[:nd])
+            self.signs.append(B.data[:nd])
+            self.D.append(op.jumps.D[op.jumps.block(k)])
+
+    def apply(self, u_blocks):
+        y = np.zeros(self.op.n_rows)
+        for rows, signs, u in zip(self.rows, self.signs, u_blocks):
+            y[rows] += signs * u[:rows.size]
+        return y
+
+    def transpose(self, lam):
+        out = [np.zeros(D.size) for D in self.D]
+        for t, rows, signs in zip(out, self.rows, self.signs):
+            t[:rows.size] = signs * lam[rows]
+        return out
+
+    def solve_constrained(self, rhs_blocks):
+        op, u_blocks, w = self.op, [], np.zeros(self.op.n_primal)
+        for blk, gk, r in zip(op.blocks, op.partition.primal_global, rhs_blocks):
+            u = np.zeros(r.shape)
+            u[:blk.n_dual] = blk.dual_fac.solve(r[:blk.n_dual])
+            u_blocks.append(u)
+            np.add.at(w, gk, blk.psi.T @ r)
+        mu = op.coarse_fac.solve(w)
+        for u, blk, gk in zip(u_blocks, op.blocks, op.partition.primal_global):
+            u += blk.psi @ mu[gk]
+        return u_blocks
+
+    def apply_F(self, lam):
+        return self.apply(self.solve_constrained(self.transpose(lam)))
+
+    def compute_d(self):
+        return self.apply(self.solve_constrained([blk.g for blk in self.op.blocks]))
+
+    def apply_MsD(self, mu):
+        return self.apply([(blk.S @ (t / D)) / D for blk, t, D in
+                           zip(self.op.blocks, self.transpose(mu), self.D)])
+
+    def recover_solution(self, lam):
+        u_gamma = self.solve_constrained(
+            [blk.g - t for blk, t in zip(self.op.blocks, self.transpose(lam))])
+        u_blocks = []
+        for blk, ug in zip(self.op.blocks, u_gamma):
+            u = np.empty(blk.interior.size + blk.gamma.size)
+            u[blk.gamma] = ug
+            u[blk.interior] = blk.aii_fac.solve(blk.f_I - blk.A_IG @ ug)
+            u_blocks.append(u)
+        return u_blocks

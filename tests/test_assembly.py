@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from ietidg import assembly
+from ietidg import assembly, refsolver
 from ietidg.assembly import (
     _oriented_sides,
     _side_points,
@@ -311,6 +311,28 @@ class TestKroneckerVolume:
         patch = single_patch(GeometryMap.bilinear(*corners), p=3)
         assert_kronecker_matches_quadrature(patch)
         assert_kronecker_matches_quadrature(patch, source=lambda x, y: np.cos(x) + y)
+
+    @pytest.mark.parametrize("factory", [lambda: t_domain(degree=2, refinements=2),
+                                         lambda: nonuniform_config_domain(2)])
+    def test_univariate_bands_once_per_knot_vector(self, monkeypatch, factory):
+        # on affine patches with a constant source, only the 1D bands take a span quadrature:
+        # the volumes and the FD eigenpairs of a setup and the oracle's volumes share them
+        dom = factory()
+        kvs = {id(kv): kv for patch in dom.patches for kv in (patch.space.kv_u, patch.space.kv_v)}
+        computed, quadrature = [], assembly.span_quadrature
+        monkeypatch.setattr(assembly, "span_quadrature",
+                            lambda kv, n: computed.append(id(kv)) or quadrature(kv, n))
+        op = setup_operator(dom)
+        refsolver.assemble_global(dom, 12.0)
+        assert any(blk.interior_fd for blk in op.blocks)
+        assert sorted(computed) == sorted(kvs)
+        for kv in kvs.values():
+            bands = assembly._univariate_bands(kv)
+            assert not bands.flags.writeable
+            with pytest.raises(ValueError):
+                bands[0, 0, 0] = 0.0
+            K, M = univariate_matrices(kv)
+            assert K.flags.writeable and M.flags.writeable
 
     @pytest.mark.parametrize("corners", [
         [(1.0, 1.0)] * 4,                                   # collapsed to a point

@@ -6,7 +6,7 @@ from ietidg.assembly import (assemble_interface_terms, build_local_system, copy_
                              trace_basis_on_edge, univariate_matrices)
 from ietidg.bspline import (KnotVector, TensorSplineSpace, eval_basis, greville_points,
                             refine_uniform)
-from ietidg.domains import grid_domain, slider_domain, t_domain
+from ietidg.domains import builtin_domain, grid_domain, slider_domain, t_domain
 from ietidg.errors import NumericalError
 from ietidg.geometry import GeometryMap, Interface, MultiPatchDomain, Patch
 from ietidg.ieti import (
@@ -24,10 +24,10 @@ from ietidg.ieti import (
 from ietidg import refsolver
 from ietidg.linalg import Factorization, factorize
 
-from conftest import (at, check_lemma_bbt, curved_geometry, curved_two_patch_domain, dual_rows,
-                      full_jump_columns, jump_matrix, local_systems, nonuniform_config_domain,
-                      project_wtilde, psi_residual, reversed_two_patch_domain, two_patch_domain,
-                      unit_square_patch)
+from conftest import (ReferenceSolvePhase, at, check_lemma_bbt, curved_geometry,
+                      curved_two_patch_domain, dual_rows, full_jump_columns, jump_matrix,
+                      local_systems, nonuniform_config_domain, project_wtilde, psi_residual,
+                      reversed_two_patch_domain, two_patch_domain, unit_square_patch)
 
 
 def build_stack(domain):
@@ -205,7 +205,7 @@ class TestJumpMatrices:
         dom = two_patch_domain(p=1, r=0, dirichlet=False)
         partition = build_partition(dom, copy_map(dom), [])
         jumps = build_jump_matrices(dom, partition)
-        assert jumps.n_rows == 4
+        assert jumps.plus.size == 4
         B = np.hstack(full_jump_columns(jumps, partition))
         for row in B:
             assert sorted(row[row != 0]) == [-1.0, 1.0]
@@ -218,7 +218,7 @@ class TestJumpMatrices:
         dom = two_patch_domain(p=1, r=0, dirichlet=False)
         groups, partition, jumps = build_stack(dom)
         assert len(groups) == 4
-        assert jumps.n_rows == 0
+        assert jumps.plus.size == 0
 
     def test_thin_vertex_rejected(self):
         # without primal dofs, the corner functions at the cross point are
@@ -248,15 +248,17 @@ class TestJumpMatrices:
             assert dst == nb
             sources = trace_basis_on_edge(dom.patches[src].space, side, prange).tolist()
             keys.append((iface, src != g.k, sources.index(sdof)))
-        assert len(keys) == jumps.n_rows > 0
+        assert len(keys) == jumps.plus.size > 0
         assert keys == sorted(keys)
 
     def test_coefficient_scaling_entries(self):
         dom = two_patch_domain(p=1, r=1, alphas=(1.0, 1e4))
         groups, partition, jumps = build_stack(dom)
+        assert jumps.D.size == jumps.offsets[-1] == sum(partition.gamma_index(k).size for k in range(2))
         for k, expected in ((0, (1.0 + 1e4) / 1e4), (1, (1e4 + 1.0) / 1.0)):
-            assert jumps.D[k].size > 0
-            np.testing.assert_allclose(jumps.D[k], expected)
+            D = jumps.D[jumps.block(k)]
+            assert D.size == partition.gamma_index(k).size > 0
+            np.testing.assert_allclose(D, expected)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("factory", [
@@ -293,25 +295,30 @@ class TestJumpMatrices:
         lambda p: nonuniform_config_domain(p),
     ])
     def test_rows_and_signs_pair_patch_dof_with_copy(self, rng, p, factory):
-        # every multiplier meets two dual dofs: +1 on a patch dof, -1 on a copy;
-        # apply and transpose equal the products with the materialized B_k
+        # every multiplier meets two dual dofs of the skeleton vector: +1 (plus)
+        # on a patch dof, -1 (minus) on a copy in another block; apply and
+        # transpose equal the products with the materialized B_k
         dom = factory(p)
         _, partition, jumps = build_stack(dom)
-        assert jumps.n_rows > 0
-        rows, signs = np.concatenate(jumps.rows), np.concatenate(jumps.signs)
-        on_patch = np.concatenate([partition.dual[k] < patch.space.dimension
-                                   for k, patch in enumerate(dom.patches)])
-        for side in (on_patch, ~on_patch):
-            assert np.array_equal(np.bincount(rows[side], minlength=jumps.n_rows),
-                                  np.ones(jumps.n_rows))
-        assert np.array_equal(signs, np.where(on_patch, 1.0, -1.0))
+        assert jumps.minus.size == jumps.plus.size > 0
+        gammas = [partition.gamma_index(k) for k in range(dom.num_patches)]
+        assert np.array_equal(jumps.offsets, np.cumsum([0] + [g.size for g in gammas]))
+        on_patch = np.concatenate([g < patch.space.dimension for g, patch in zip(gammas, dom.patches)])
+        dual = np.concatenate([np.arange(g.size) < partition.dual[k].size
+                               for k, g in enumerate(gammas)])
+        assert np.array_equal(np.bincount(np.concatenate([jumps.plus, jumps.minus]),
+                                          minlength=dual.size), dual)
+        assert on_patch[jumps.plus].all() and not on_patch[jumps.minus].any()
+        owner = np.repeat(np.arange(dom.num_patches), np.diff(jumps.offsets))
+        assert np.all(owner[jumps.plus] != owner[jumps.minus])
         Bs = [jump_matrix(jumps, k) for k in range(dom.num_patches)]
-        u = [rng.standard_normal(D.size) for D in jumps.D]
-        lam = rng.standard_normal(jumps.n_rows)
-        assert np.array_equal(jumps.apply(u),
-                              sum((B @ x for B, x in zip(Bs, u)), np.zeros(jumps.n_rows)))
-        for B, t in zip(Bs, jumps.transpose(lam)):
-            assert np.array_equal(t, B.T @ lam)
+        u = rng.standard_normal(jumps.offsets[-1])
+        lam = rng.standard_normal(jumps.plus.size)
+        assert np.array_equal(jumps.apply(u), sum((B @ u[jumps.block(k)] for k, B in enumerate(Bs)),
+                                                  np.zeros(jumps.plus.size)))
+        t = jumps.transpose(lam)
+        for k, B in enumerate(Bs):
+            assert np.array_equal(t[jumps.block(k)], B.T @ lam)
 
     @pytest.mark.parametrize("factory", [
         lambda: t_domain(degree=2, refinements=2),
@@ -331,7 +338,7 @@ class TestJumpMatrices:
             pos = -np.ones(partition.offsets[k + 1] - partition.offsets[k], dtype=int)
             pos[index] = np.arange(index.size)
             rr, cc, vv = zip(*[(r, pos[d], s) for r, d, s in entries[k]])
-            direct = scipy.sparse.csr_matrix((vv, (rr, cc)), shape=(jumps.n_rows, index.size))
+            direct = scipy.sparse.csr_matrix((vv, (rr, cc)), shape=(jumps.plus.size, index.size))
             assert sliced.shape == direct.shape
             assert sliced.nnz == direct.nnz
             assert (sliced != direct).nnz == 0
@@ -464,8 +471,7 @@ class TestOperator:
         # with all alphas equal, D = 2 I and M_sD = (1/4) B_Gamma S B_Gamma^T
         dom = t_domain(degree=2, refinements=1)
         op = setup_operator(dom)
-        for k in range(dom.num_patches):
-            np.testing.assert_allclose(op.jumps.D[k], 2.0)
+        np.testing.assert_allclose(op.jumps.D, 2.0)
         n = op.n_rows
         raw = np.zeros((n, n))
         for i in range(n):
@@ -484,14 +490,53 @@ class TestOperator:
         op = setup_operator(dom)
         mu = rng.standard_normal(op.n_rows)
         before = op.apply_MsD(mu)
-        pos_gamma = []
         for k in range(dom.num_patches):
             gam = op.blocks[k].gamma
             pg = {dof: i for i, dof in enumerate(gam)}
             for dof in op.partition.primal[k]:
-                op.jumps.D[k][pg[dof]] *= 7.3
+                op.jumps.D[op.jumps.block(k)][pg[dof]] *= 7.3
         after = op.apply_MsD(mu)
         np.testing.assert_allclose(after, before, rtol=0, atol=1e-12 * np.abs(before).max())
+        # the same mutation on a Delta entry reaches apply_MsD: D is the array it reads
+        k = next(k for k, blk in enumerate(op.blocks) if blk.n_dual)
+        op.jumps.D[op.jumps.block(k)][0] *= 7.3
+        assert np.abs(op.apply_MsD(mu) - before).max() > 1e-3 * np.abs(before).max()
+
+
+class TestSkeletonVector:
+    """F, d, M_sD and the recovery on the skeleton vector against the per-block loops."""
+
+    @pytest.mark.parametrize("factory", [
+        pytest.param(lambda name=name, args=args, p=p, r=r: builtin_domain(
+            name, args, degree=p, refinements=r), id="%s-p%d-r%d" % (label, p, r))
+        for label, name, args in (("grid2", "grid", ["2"]), ("tdomain", "tdomain", []),
+                                  ("slider(3,0.3)", "slider", ["3", "0.3"]),
+                                  ("slider(4,0.37)", "slider", ["4", "0.37"]))
+        for p in (1, 2, 3) for r in (0, 1, 2)
+    ] + [
+        pytest.param(lambda: nonuniform_config_domain(2, r=1), id="nonuniform"),
+        pytest.param(lambda: curved_two_patch_domain(), id="curved"),
+        pytest.param(lambda: t_domain(degree=2, refinements=2, jump_exponent=4), id="jump"),
+    ])
+    def test_matches_per_block_loops(self, rng, factory):
+        op = setup_operator(factory())
+        ref = ReferenceSolvePhase(op)
+
+        def close(a, b, scale=None):
+            assert a.shape == b.shape
+            scale = np.abs(b).max(initial=0.0) if scale is None else scale
+            assert np.abs(a - b).max(initial=0.0) <= 1e-14 * scale
+
+        lam = rng.standard_normal(op.n_rows)
+        r = rng.standard_normal(op.jumps.offsets[-1])
+        close(op.solve_constrained(r), np.concatenate(ref.solve_constrained(
+            [r[op.jumps.block(k)] for k in range(len(op.blocks))])))
+        close(op.apply_F(lam), ref.apply_F(lam))
+        close(op.apply_MsD(lam), ref.apply_MsD(lam))
+        # d is the jump of the nearly continuous S~^{-1} g: compared at that function's scale
+        u = ref.solve_constrained([blk.g for blk in op.blocks])
+        close(op.compute_d(), ref.compute_d(), np.abs(np.concatenate(u)).max())
+        close(np.concatenate(op.recover_solution(lam)), np.concatenate(ref.recover_solution(lam)))
 
 
 class TestSolve:
@@ -528,8 +573,8 @@ class TestSolve:
             tilde = np.concatenate([op.partition.interior[k], op.partition.dual[k]])
             assert np.abs(resid[tilde]).max() <= 1e-12 * scale.max()
             P = op.partition.primal[k]
-            np.add.at(w, op.primal_global[k], resid[P])
-            np.add.at(w_scale, op.primal_global[k], scale[P])
+            np.add.at(w, op.partition.primal_global[k], resid[P])
+            np.add.at(w_scale, op.partition.primal_global[k], scale[P])
         assert op.n_primal and np.abs(w).max() <= 1e-12 * w_scale.max()
         for projected, uk in zip(project_wtilde(op, u), u):
             np.testing.assert_allclose(projected, uk, rtol=1e-14, atol=0)
@@ -616,7 +661,7 @@ class TestLemma:
         u = project_wtilde(op, [rng.standard_normal(n) for n in np.diff(op.partition.offsets)])
         gam = [u[k][op.blocks[k].gamma] for k in range(2)]
         mu = sum(jump_matrix(op.jumps, k) @ gam[k] for k in range(2))
-        w0 = (jump_matrix(op.jumps, 0).T @ mu) / op.jumps.D[0]
+        w0 = (jump_matrix(op.jumps, 0).T @ mu) / op.jumps.D[op.jumps.block(0)]
         _, k, dof_k, l, dof_l = dual_rows(op.partition)[0]
         jump = u[k][dof_k] - u[l][dof_l]
         pos = {dof: i for i, dof in enumerate(op.blocks[k].gamma)}

@@ -165,6 +165,15 @@ class TestCholesky:
         for rhs in (B[:, 0], B):
             np.testing.assert_allclose(A @ fac.solve(rhs), rhs, atol=1e-12)
 
+    def test_solves_equal_cho_solve(self, rng):
+        # the solves call dpotrs directly: the bits of cho_solve, for a vector, a matrix
+        # and a non-contiguous matrix right-hand side
+        A = random_spd(rng, 30)
+        fac, factor = cholesky(A), scipy.linalg.cho_factor(A)
+        B = rng.standard_normal((34, 9))
+        for rhs in (B[:30, 0], B[:30], B[2:32, 1:8]):
+            assert np.array_equal(fac.solve(rhs), scipy.linalg.cho_solve(factor, rhs))
+
     def test_empty(self):
         assert cholesky(np.zeros((0, 0))).solve(np.zeros(0)).shape == (0,)
 
