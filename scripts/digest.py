@@ -41,7 +41,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import hashlib
 import importlib.util
-import inspect
 import sys
 from pathlib import Path
 
@@ -85,54 +84,25 @@ def case_arrays(pkg, builtin, degree, refinement, tol, jump):
 
 
 def jump_matrix(jumps, k):
-    """Block k's jump matrix over its skeleton as a CSR.
-
-    A tree that stores it as ``B_gamma`` gives it as is; one that stores the
-    multiplier ``rows`` and ``signs`` of each Delta dof, or the skeleton-vector
-    positions ``plus`` and ``minus`` of every multiplier's +1 and -1, gives it
-    built from them, byte for byte the same matrix.
-    """
-    if hasattr(jumps, "B_gamma"):
-        return jumps.B_gamma[k]
-    if hasattr(jumps, "rows"):
-        rows, cols, signs = jumps.rows[k], np.arange(jumps.rows[k].size), jumps.signs[k]
-        shape = (jumps.n_rows, jumps.D[k].size)
-    else:
-        block, n = jumps.block(k), jumps.plus.size
-        pos = np.concatenate([jumps.plus, jumps.minus])
-        inside = np.flatnonzero((pos >= block.start) & (pos < block.stop))
-        rows, cols, signs = inside % n, pos[inside] - block.start, np.where(inside < n, 1.0, -1.0)
-        shape = (n, block.stop - block.start)
-    return scipy.sparse.csr_matrix((signs, (rows, cols)), shape=shape)
-
-
-def scaling(jumps, k):
-    """Block k's D: its own array in a tree that keeps one per block, else its slice of the
-    skeleton vector."""
-    return jumps.D[jumps.block(k)] if hasattr(jumps, "block") else jumps.D[k]
+    """Block k's jump matrix over its skeleton as a CSR, built from the skeleton-vector positions
+    ``plus`` and ``minus`` of every multiplier's +1 and -1."""
+    block, n = jumps.block(k), jumps.plus.size
+    pos = np.concatenate([jumps.plus, jumps.minus])
+    inside = np.flatnonzero((pos >= block.start) & (pos < block.stop))
+    rows, cols, signs = inside % n, pos[inside] - block.start, np.where(inside < n, 1.0, -1.0)
+    return scipy.sparse.csr_matrix((signs, (rows, cols)), shape=(n, block.stop - block.start))
 
 
 def local_systems(pkg, domain, copies):
-    """Every block's extended local matrix (CSR) and load, through either tree's assembly.
+    """Every block's extended local matrix (CSR) and load.
 
-    A tree whose ``build_local_system(domain, k, delta, copies)`` assembles
-    its own interfaces is called so; one whose ``build_local_system(domain,
-    k, copies, terms)`` returns the full system gets the domain's
-    ``assemble_interface_terms(domain, copies, delta)``.  A tree that forms
-    no extended matrix (its ``build_local_system`` returns only the (I,
-    Gamma) blocks) gets it rebuilt from the volume rows of ``band_rows``
-    and the interface blocks in the one sparse construction the earlier
-    trees made, so ``local A`` compares byte for byte.
+    The solver forms no extended matrix (``build_local_system`` returns only
+    the (I, Gamma) blocks), so it is rebuilt from the volume rows of
+    ``band_rows`` and the interface blocks in one sparse construction, as
+    the trees that formed it did, so ``local A`` compares byte for byte.
     """
     asm = pkg.assembly
-    if "delta" in inspect.signature(asm.build_local_system).parameters:
-        return [(s.A.csr, s.f) for s in (asm.build_local_system(domain, k, DELTA, copies)
-                                         for k in range(domain.num_patches))]
-    terms = asm.assemble_interface_terms(domain, copies, DELTA)
-    if not hasattr(asm, "band_rows"):
-        return [(s.A.csr, s.f) for s in (asm.build_local_system(domain, k, copies, terms)
-                                         for k in range(domain.num_patches))]
-    block, idx, mats = terms
+    block, idx, mats = asm.assemble_interface_terms(domain, copies, DELTA)
     out = []
     for k, patch in enumerate(domain.patches):
         space = patch.space
@@ -155,7 +125,7 @@ def domain_arrays(pkg, domain):
     for k, (blk, (A, f)) in enumerate(zip(op.blocks, local_systems(pkg, domain, part.copies))):
         out += [("local A", A), ("jump B", jump_matrix(op.jumps, k)), ("local f", f),
                 ("interior", part.interior[k]), ("dual", part.dual[k]), ("primal", part.primal[k]),
-                ("primal_global", part.primal_global[k]), ("D", scaling(op.jumps, k)), ("S", blk.S),
+                ("primal_global", part.primal_global[k]), ("D", op.jumps.D[op.jumps.block(k)]), ("S", blk.S),
                 ("psi", blk.psi), ("FD flag", np.array([blk.interior_fd]))]
     oracle = pkg.refsolver.assemble_global(domain, DELTA)
     return out + [("oracle A", oracle.matrix.csr), ("oracle f", oracle.rhs)]

@@ -63,7 +63,7 @@ def copy_map(domain):
     return np.concatenate(rows)
 
 
-SplitSystem = namedtuple("SplitSystem", "k A_IG A_GG f_I f_G A_II lattice")  # see build_local_system
+SplitSystem = namedtuple("SplitSystem", "k A_IG A_GG f_I f_G A_II fd")  # see build_local_system
 
 
 def _inv_transpose(J, where="", points=None, axes=(0,)):
@@ -150,6 +150,12 @@ def _sum_factorized(patch, source=1.0, label=""):
     return band.reshape(n_v, bw, n_u, bw).transpose(2, 0, 3, 1), load
 
 
+def _coefficients(patch):
+    """``(c_u, c_v) = (alpha |J_y / J_x|, alpha |J_x / J_y|)`` of a map ``x0 + diag(J) (u, v)``."""
+    aspect = abs(patch.geometry.affine_diagonal[1] / patch.geometry.affine_diagonal[0])
+    return patch.alpha * aspect, patch.alpha / aspect
+
+
 def assemble_volume(patch, source=1.0, label=""):
     """Lattice band and lattice load of the diffusion term on one patch.
 
@@ -168,9 +174,9 @@ def assemble_volume(patch, source=1.0, label=""):
     if J is None:
         return _sum_factorized(patch, source, label)
     (K_u, M_u), (K_v, M_v) = _univariate_bands(space.kv_u), _univariate_bands(space.kv_v)
-    aspect = abs(J[1] / J[0])
-    band = (patch.alpha * aspect * K_u)[:, None, :, None] * M_v[:, None, :]
-    band += (patch.alpha / aspect * M_u)[:, None, :, None] * K_v[:, None, :]
+    c_u, c_v = _coefficients(patch)
+    band = (c_u * K_u)[:, None, :, None] * M_v[:, None, :]
+    band += (c_v * M_u)[:, None, :, None] * K_v[:, None, :]
     load = (_quadrature(patch, source, label)[-1] if callable(source) else
             (float(source) * abs(J[0] * J[1]) * M_u.sum(1))[:, None] * M_v.sum(1))
     return band, load
@@ -190,15 +196,17 @@ def band_rows(space, band, rows):
     return band[iu, iv][keep], cols[keep], indptr
 
 
-def _asymmetry(band, dense):
+def _asymmetry(band, dense, mats):
     """Each lattice `band` entry minus its partner, one offset (a, b) of the lower half at a time
-    (row (i, j) at (a, b) against row (i + a - p, j + b - p) at (-a, -b)), then `dense - dense.T`."""
+    (row (i, j) at (a, b) against row (i + a - p, j + b - p) at (-a, -b)), then `dense - dense.T`
+    and every interface block of the (B, s, s) `mats` minus its transpose."""
     n_u, n_v, bw, _ = band.shape
     for a, b in zip(*np.unravel_index(np.arange(bw * bw // 2), (bw, bw))):
         du, dv = a - bw // 2, b - bw // 2
         rows = band[max(0, -du):n_u - max(0, du), max(0, -dv):n_v - max(0, dv), a, b]
         yield rows - band[max(0, du):n_u - max(0, -du), max(0, dv):n_v - max(0, -dv), -1 - a, -1 - b]
     yield dense - dense.T
+    yield mats - mats.transpose(0, 2, 1)
 
 
 def _univariate_bands(kv):
@@ -210,6 +218,17 @@ def _univariate_bands(kv):
         kv._bands = _span_fold(sq.first_active, kv.n, sq.weights[..., None], B, B)[..., 0]
         kv._bands.flags.writeable = False
     return kv._bands
+
+
+def _interior_eigenpairs(kv, idx, name=""):
+    """The :func:`~ietidg.linalg.generalized_eigh` pairs of `univariate_matrices` on the functions
+    `idx`, computed once per index set and kept on `kv`, read-only, as its bands are."""
+    kept, key = kv.__dict__.setdefault("_eigenpairs", {}), idx.tobytes()
+    if key not in kept:
+        lam, U = linalg.generalized_eigh(*(m[idx][:, idx] for m in univariate_matrices(kv)), name)
+        lam.flags.writeable = U.flags.writeable = False
+        kept[key] = lam, U
+    return kept[key]
 
 
 def univariate_matrices(kv):
@@ -367,35 +386,38 @@ def assemble_interface_terms(domain, copies, delta):
 def build_local_system(domain, k, terms, partition, source=1.0):
     """Block `k`'s extended system split over the (I, Gamma) dofs of `partition`, never whole.
 
-    A `SplitSystem`: sparse `A_IG`, dense `A_GG`, the load as `f_I` and `f_G`, and `A_II` (a
-    SparseSym), None when the interior is the tensor `lattice` ``(I_u, I_v)`` on a map ``x0 +
-    diag(J) (u, v)``, which fast diagonalization solves.  The Gamma rows are the band rows of
-    the skeleton patch dofs plus the block's rows of `terms` (:func:`assemble_interface_terms`),
-    `A_IG` the transpose of their I columns and `A_II` the band rows at I: a jump, nonzero only
-    on trace-active (skeleton) functions, couples no two interior dofs.  Raises SparseSym's
-    errors when a band or interface entry is not finite, or the band or `A_GG` not symmetric.
+    A `SplitSystem`: sparse `A_IG`, dense `A_GG`, the load as `f_I` and `f_G`, and the interior
+    solver: on a map ``x0 + diag(J) (u, v)`` whose interior is a tensor lattice, `fd` solves
+    ``A_II = c_u K_u (x) M_v + c_v M_u (x) K_v`` by fast diagonalization, else `A_II` is a
+    SparseSym; the other is None.  The Gamma rows are the band rows of the skeleton patch dofs
+    plus the block's rows of `terms` (:func:`assemble_interface_terms`), `A_IG` the transpose of
+    their I columns and `A_II` the band rows at I: a jump, nonzero only on trace-active
+    (skeleton) functions, couples no two interior dofs.  Raises SparseSym's errors when a band
+    or interface entry is not finite, or the band, an interface block or `A_GG` not symmetric.
     """
     patch, I, gamma = domain.patches[k], partition.interior[k], partition.gamma_index(k)
-    space, ng = patch.space, gamma.size
+    space, ng, name = patch.space, gamma.size, "patch %d interior block" % k
     lat = np.flatnonzero(space.free_mask)[I]
     lattice = tuple(np.unique(i) for i in np.divmod(lat, space.n_v))  # lat, sorted, lies in I_u x I_v
-    if patch.geometry.affine_diagonal is None or not 0 < lat.size == lattice[0].size * lattice[1].size:
-        lattice = None
+    fd = None
+    if patch.geometry.affine_diagonal is not None and 0 < lat.size == lattice[0].size * lattice[1].size:
+        eig = [_interior_eigenpairs(kv, i, name) for kv, i in zip((space.kv_u, space.kv_v), lattice)]
+        fd = linalg.fast_diagonalization(*eig, *_coefficients(patch), name)
     band, load = assemble_volume(patch, source=source, label="patch %d" % k)
     block, idx, mats = terms
     mats = mats[block == k]
     pos = np.empty(partition.offsets[k + 1] - partition.offsets[k], dtype=int)
     pos[gamma], pos[I] = np.arange(ng), -1 - np.arange(I.size)  # Gamma position, or -1 - I position
-    dofs = np.concatenate([gamma[gamma < space.dimension], I[:0] if lattice else I])  # band rows
+    dofs = np.concatenate([gamma[gamma < space.dimension], I[:0] if fd else I])  # band rows
     data, cols, indptr = band_rows(space, band, dofs)
     vals, (r, c) = linalg.block_triplets(idx[block == k], mats)
     rows = pos[np.concatenate([np.repeat(dofs, np.diff(indptr)), r])]
     cols, vals = pos[np.concatenate([cols, c])], np.concatenate([data, vals])
     gg, ig, ii = (rows >= 0) & (cols >= 0), (rows >= 0) & (cols < 0), (rows < 0) & (cols < 0)
     A_GG = np.bincount(rows[gg] * ng + cols[gg], weights=vals[gg], minlength=ng * ng).reshape(ng, ng)
-    linalg.check_symmetric([band, mats], _asymmetry(band, A_GG))
+    linalg.check_symmetric([band, mats], _asymmetry(band, A_GG, mats))
     A_IG = scipy.sparse.csr_matrix((vals[ig], (-1 - cols[ig], rows[ig])), shape=(I.size, ng))
-    A_II = None if lattice else linalg.SparseSym(scipy.sparse.coo_matrix(
+    A_II = None if fd else linalg.SparseSym(scipy.sparse.coo_matrix(
         (vals[ii], (-1 - rows[ii], -1 - cols[ii])), shape=(I.size, I.size)))
     f = np.concatenate([load[space.free_mask], np.zeros(pos.size - space.dimension)])
-    return SplitSystem(k, A_IG, A_GG, f[I], f[gamma], A_II, lattice)
+    return SplitSystem(k, A_IG, A_GG, f[I], f[gamma], A_II, fd)

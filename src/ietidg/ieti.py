@@ -32,10 +32,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import scipy.sparse
 
-from .assembly import assemble_interface_terms, build_local_system, copy_map, univariate_matrices
+from .assembly import assemble_interface_terms, build_local_system, copy_map
 from .bspline import nonzero_at_point
 from .errors import NumericalError
-from .linalg import Factorization, cholesky, factorize, fast_diagonalization, generalized_eigh, pcg
+from .linalg import Factorization, cholesky, factorize, pcg
 
 log = logging.getLogger(__name__)
 
@@ -206,19 +206,19 @@ def build_jump_matrices(domain, partition):
                         (alpha_k + alpha_l) / alpha_l, offsets)
 
 
-def build_psi(local_system, partition, aii_fac=None):
+def build_psi(local_system, partition):
     """One block's skeleton record from its split system: its Schur complement, the S_DD factor and Psi.
 
-    `aii_fac` solves ``A_II``, which SuperLU factorizes when it is None.  ``S = A_GG - A_GI
-    A_II^{-1} A_IG`` is formed densely by ``aii_fac.schur(A_IG)``; ``S_DD`` gets a dense
-    Cholesky factorization.  `psi` has one column per local primal dof:
-    the identity on the Pi rows and ``-S_DD^{-1} S_DP`` on the Delta rows,
+    The interior solver is the system's fast diagonalization `fd`, or else SuperLU's
+    factorization of its ``A_II``.  ``S = A_GG - A_GI A_II^{-1} A_IG`` is formed densely by the
+    solver's ``schur(A_IG)``; ``S_DD`` gets a dense Cholesky factorization.  `psi` has one column
+    per local primal dof: the identity on the Pi rows and ``-S_DD^{-1} S_DP`` on the Delta rows,
     so the Delta rows of ``S psi`` vanish.  The condensed load is ``g = f_G - A_GI A_II^{-1} f_I``.
     Raises when ``S_DD``, and with it the torn (I, Delta) block, is not SPD.
     """
-    k, A_IG, A_II, f_I = local_system.k, local_system.A_IG, local_system.A_II, local_system.f_I
-    I, gamma, nd = partition.interior[k], partition.gamma_index(k), partition.dual[k].size
-    aii_fac = aii_fac or factorize(A_II.csr, name="patch %d interior block" % k)
+    k, A_IG, f_I, fd = local_system.k, local_system.A_IG, local_system.f_I, local_system.fd
+    nd = partition.dual[k].size
+    aii_fac = fd or factorize(local_system.A_II.csr, name="patch %d interior block" % k)
     S = local_system.A_GG - aii_fac.schur(A_IG)
     try:
         dual_fac = cholesky(S[:nd, :nd], name="patch %d S_DD" % k)
@@ -228,21 +228,20 @@ def build_psi(local_system, partition, aii_fac=None):
             "small for coercivity or a floating patch lacks primal "
             "constraints (%s)" % (k, exc)
         ) from exc
-    psi = np.vstack([-dual_fac.solve(S[:nd, nd:]), np.eye(gamma.size - nd)])
+    psi = np.vstack([-dual_fac.solve(S[:nd, nd:]), np.eye(S.shape[0] - nd)])
     g = local_system.f_G - A_IG.T @ aii_fac.solve(f_I)
-    return OperatorBlock(S, dual_fac, psi, aii_fac, A_IG, g, f_I, I, gamma, nd, A_II is None)
+    return OperatorBlock(S, dual_fac, psi, aii_fac, A_IG, g, f_I, fd is not None)
 
 
 @dataclass
 class OperatorBlock:
-    """One block on its skeleton, with index sets over its extended dofs.
+    """One block on its skeleton ``gamma_index(k)`` of the partition: Delta first, then Pi.
 
-    `gamma` lists the skeleton dofs, the `n_dual` Delta dofs first, then
-    Pi; `interior` the I dofs.  `S` is the dense Schur complement over
-    `gamma`, `dual_fac` the Cholesky factor of its (Delta, Delta) block,
-    `psi` the energy-minimizing primal basis on `gamma` and `g` the
-    condensed load (see `build_psi`).  `aii_fac` solves the interior block,
-    which ``A_IG`` couples to the skeleton; `f_I` is the load on I.
+    `S` is the dense Schur complement over the skeleton, `dual_fac` the
+    Cholesky factor of its (Delta, Delta) block, `psi` the energy-minimizing
+    primal basis on the skeleton and `g` the condensed load (see `build_psi`).
+    `aii_fac` solves the interior block, which ``A_IG`` couples to the
+    skeleton; `f_I` is the load on I.
     """
 
     S: np.ndarray
@@ -252,48 +251,26 @@ class OperatorBlock:
     A_IG: scipy.sparse.csr_matrix
     g: np.ndarray
     f_I: np.ndarray
-    interior: np.ndarray
-    gamma: np.ndarray
-    n_dual: int
     interior_fd: bool  # aii_fac is fast diagonalization, not SuperLU
 
 
 class IetiOperator:
     """Per-block skeleton data plus the coarse problem; applies F and M_sD.
 
-    Reduces every one of `local_systems` (split systems, consumed once) to its skeleton and
-    keeps none of them.  F, d, M_sD and the recovery work on the skeleton vector of `jumps`,
-    with the condensed loads `g` and Psi as one CSR matrix `psi` onto the coarse coefficients.
-    Immutable; applications are read-only and safe to call concurrently.
+    Reduces every one of `local_systems` (split systems with their interior solvers, consumed
+    once) to its skeleton and keeps none of them.  F, d, M_sD and the recovery work on the
+    skeleton vector of `jumps`, with the condensed loads `g` and Psi as one CSR matrix `psi`
+    onto the coarse coefficients; every index set is read from `partition`.  Immutable;
+    applications are read-only and safe to call concurrently.
     """
 
-    def __init__(self, domain, local_systems, groups, partition, jumps):
-        self.domain = domain
+    def __init__(self, local_systems, groups, partition, jumps):
         self.groups = groups
         self.partition = partition
         self.jumps = jumps
         self.n_rows = jumps.plus.size
         self.n_primal = len(groups)
-
-        # 1D eigenpairs of the FD blocks, once per distinct (knot vector, interior range)
-        pairs = {}
-
-        def eigenpairs(kv, idx):
-            key = kv.knots.tobytes() + idx.tobytes()
-            if key not in pairs:
-                K, M = (m[idx][:, idx] for m in univariate_matrices(kv))
-                pairs[key] = generalized_eigh(K, M, name)
-            return pairs[key]
-
-        self.blocks = []
-        for sysk in local_systems:
-            patch, name, fd = domain.patches[sysk.k], "patch %d interior block" % sysk.k, None
-            if sysk.lattice is not None:  # A_II = c_u K_u (x) M_v + c_v M_u (x) K_v
-                aspect = abs(patch.geometry.affine_diagonal[1] / patch.geometry.affine_diagonal[0])
-                kvs = (patch.space.kv_u, patch.space.kv_v)
-                fd = fast_diagonalization(*map(eigenpairs, kvs, sysk.lattice), patch.alpha * aspect,
-                                          patch.alpha / aspect, name)
-            self.blocks.append(build_psi(sysk, partition, fd))
+        self.blocks = [build_psi(sysk, partition) for sysk in local_systems]
 
         coarse = np.zeros((self.n_primal, self.n_primal))
         for blk, gk in zip(self.blocks, partition.primal_global):
@@ -305,7 +282,7 @@ class IetiOperator:
         self.psi_t = self.psi.T.tocsr()
         self.g = np.concatenate([blk.g for blk in self.blocks])
         self._gamma = [jumps.block(k) for k in range(len(self.blocks))]
-        self._dual = [slice(sl.start, sl.start + blk.n_dual) for sl, blk in zip(self._gamma, self.blocks)]
+        self._dual = [slice(sl.start, sl.start + d.size) for sl, d in zip(self._gamma, partition.dual)]
 
     # -- the primal-constrained solve: F, d and recovery -------------------
 
@@ -336,10 +313,10 @@ class IetiOperator:
     def recover_solution(self, lam):
         """Per-block coefficient vectors over the extended dofs from the converged multipliers."""
         u_gamma = self.solve_constrained(self.g - self.jumps.transpose(lam))
-        u_blocks = [np.empty(blk.interior.size + blk.gamma.size) for blk in self.blocks]
-        for u, sl, blk in zip(u_blocks, self._gamma, self.blocks):
-            u[blk.gamma] = u_gamma[sl]
-            u[blk.interior] = blk.aii_fac.solve(blk.f_I - blk.A_IG @ u_gamma[sl])
+        u_blocks = [np.empty(n) for n in np.diff(self.partition.offsets)]
+        for k, (u, sl, blk) in enumerate(zip(u_blocks, self._gamma, self.blocks)):
+            u[self.partition.gamma_index(k)] = u_gamma[sl]
+            u[self.partition.interior[k]] = blk.aii_fac.solve(blk.f_I - blk.A_IG @ u_gamma[sl])
         return u_blocks
 
 
@@ -415,7 +392,7 @@ def setup_operator(domain, delta=12.0, source=1.0):
     terms = assemble_interface_terms(domain, copies, delta)
     local_systems = (build_local_system(domain, k, terms, partition, source=source)
                      for k in range(domain.num_patches))
-    return IetiOperator(domain, local_systems, groups, partition, jumps)
+    return IetiOperator(local_systems, groups, partition, jumps)
 
 
 def pcg_solve(operator, d, tol=1e-6, max_iter=1000):

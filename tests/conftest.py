@@ -332,12 +332,12 @@ def project_wtilde(op, u_blocks):
 def psi_residual(op, k):
     """Energy-minimality residual of block k's Psi: max |Delta rows of S Psi| / max |S|."""
     blk = op.blocks[k]
-    res = (blk.S @ blk.psi)[:blk.n_dual]
+    res = (blk.S @ blk.psi)[:op.partition.dual[k].size]
     scale = max(np.abs(blk.S).max(initial=0.0), 1e-300)
     return float(np.abs(res).max(initial=0.0) / scale)
 
 
-def check_lemma_bbt(op, u_blocks):
+def check_lemma_bbt(domain, op, u_blocks):
     """Verify the closed form of w = B_D^T B_Gamma u for primal-constrained u.
 
     For every matched pair on an interface between patches k and l the
@@ -347,18 +347,18 @@ def check_lemma_bbt(op, u_blocks):
     deviation (all non-pair skeleton dofs must carry zero).
     """
     B_gamma = [jump_matrix(op.jumps, k) for k in range(len(op.blocks))]
-    mu = sum((B @ u[blk.gamma] for B, u, blk in zip(B_gamma, u_blocks, op.blocks)),
-             np.zeros(op.n_rows))
+    gamma = [op.partition.gamma_index(k) for k in range(len(op.blocks))]
+    mu = sum((B @ u[g] for B, u, g in zip(B_gamma, u_blocks, gamma)), np.zeros(op.n_rows))
     w = [(B.T @ mu) / op.jumps.D[op.jumps.block(k)] for k, B in enumerate(B_gamma)]
     expected = [np.zeros_like(wk) for wk in w]
     pos_gamma = []
-    for blk, n in zip(op.blocks, np.diff(op.partition.offsets)):
+    for g, n in zip(gamma, np.diff(op.partition.offsets)):
         pg = -np.ones(n, dtype=int)
-        pg[blk.gamma] = np.arange(blk.gamma.size)
+        pg[g] = np.arange(g.size)
         pos_gamma.append(pg)
     for _, k, dof_k, l, dof_l in dual_rows(op.partition):
-        a_k = op.domain.patches[k].alpha
-        a_l = op.domain.patches[l].alpha
+        a_k = domain.patches[k].alpha
+        a_l = domain.patches[l].alpha
         jump = u_blocks[k][dof_k] - u_blocks[l][dof_l]
         expected[k][pos_gamma[k][dof_k]] = a_l / (a_k + a_l) * jump
         expected[l][pos_gamma[l][dof_l]] = -a_k / (a_k + a_l) * jump
@@ -384,7 +384,7 @@ class ReferenceSolvePhase:
         self.rows, self.signs, self.D = [], [], []
         for k in range(len(op.blocks)):
             B = jump_matrix(op.jumps, k).tocsc()  # Delta columns first, one entry each
-            nd = op.blocks[k].n_dual
+            nd = op.partition.dual[k].size
             self.rows.append(B.indices[:nd])
             self.signs.append(B.data[:nd])
             self.D.append(op.jumps.D[op.jumps.block(k)])
@@ -403,9 +403,9 @@ class ReferenceSolvePhase:
 
     def solve_constrained(self, rhs_blocks):
         op, u_blocks, w = self.op, [], np.zeros(self.op.n_primal)
-        for blk, gk, r in zip(op.blocks, op.partition.primal_global, rhs_blocks):
+        for blk, dual, gk, r in zip(op.blocks, op.partition.dual, op.partition.primal_global, rhs_blocks):
             u = np.zeros(r.shape)
-            u[:blk.n_dual] = blk.dual_fac.solve(r[:blk.n_dual])
+            u[:dual.size] = blk.dual_fac.solve(r[:dual.size])
             u_blocks.append(u)
             np.add.at(w, gk, blk.psi.T @ r)
         mu = op.coarse_fac.solve(w)
@@ -427,9 +427,10 @@ class ReferenceSolvePhase:
         u_gamma = self.solve_constrained(
             [blk.g - t for blk, t in zip(self.op.blocks, self.transpose(lam))])
         u_blocks = []
-        for blk, ug in zip(self.op.blocks, u_gamma):
-            u = np.empty(blk.interior.size + blk.gamma.size)
-            u[blk.gamma] = ug
-            u[blk.interior] = blk.aii_fac.solve(blk.f_I - blk.A_IG @ ug)
+        part = self.op.partition
+        for k, (blk, ug) in enumerate(zip(self.op.blocks, u_gamma)):
+            u = np.empty(part.offsets[k + 1] - part.offsets[k])
+            u[part.gamma_index(k)] = ug
+            u[part.interior[k]] = blk.aii_fac.solve(blk.f_I - blk.A_IG @ ug)
             u_blocks.append(u)
         return u_blocks

@@ -63,7 +63,7 @@ class TestCriterion2LemmaIdentity:
         worst = 0.0
         for _ in range(50):
             u = project_wtilde(op, [rng.standard_normal(n) for n in np.diff(op.partition.offsets)])
-            worst = max(worst, check_lemma_bbt(op, u))
+            worst = max(worst, check_lemma_bbt(dom, op, u))
         assert worst <= 1e-12, "max coefficientwise deviation %.3e" % worst
         _report("PASS criterion 2 [%s alphas=%s]: max deviation %.2e"
                 % (name, pattern, worst))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from ietidg import assembly, refsolver
+from ietidg import assembly, linalg, refsolver
 from ietidg.assembly import (
     _oriented_sides,
     _side_points,
@@ -16,7 +16,8 @@ from ietidg.assembly import (
     univariate_matrices,
 )
 from ietidg.bspline import KnotVector, TensorSplineSpace, eval_matrices, gauss_rule, refine_uniform
-from ietidg.domains import builtin_domain, grid_domain, slider_domain, t_domain
+from ietidg.domains import (builtin_domain, domain_from_config, domain_to_config, grid_domain,
+                            slider_domain, t_domain)
 from ietidg.errors import ConfigError, NumericalError
 from ietidg.geometry import GeometryMap, Interface, MultiPatchDomain, Patch, side_normal_hat
 from ietidg.ieti import build_partition, select_primal, setup_operator
@@ -27,7 +28,7 @@ from conftest import (curved_geometry, curved_two_patch_domain, extended_matrix,
                       reference_merged_partition, reference_side_points,
                       reversed_two_patch_domain, two_patch_domain, unit_square_patch)
 from test_bspline import scalar_cox_de_boor
-from test_ieti import partial_interface_domain
+from test_ieti import fd_against_superlu, partial_interface_domain
 
 NO_ROWS = (np.zeros(0), np.zeros(0, dtype=int), np.zeros(1, dtype=int))  # CSR arrays of no row
 
@@ -333,6 +334,37 @@ class TestKroneckerVolume:
                 bands[0, 0, 0] = 0.0
             K, M = univariate_matrices(kv)
             assert K.flags.writeable and M.flags.writeable
+
+    @pytest.mark.parametrize("factory, calls", [
+        (lambda: t_domain(degree=2, refinements=2), 1),
+        (lambda: slider_domain(4, 0.3, degree=2, refinements=2), 1),
+        # a config's equal knot vectors are distinct objects, each with its own pairs
+        (lambda: domain_from_config(domain_to_config(t_domain(degree=2, refinements=2))), 10),
+        (lambda: nonuniform_config_domain(2), 4),
+    ], ids=["tdomain", "slider(4,0.3)", "tdomain-config", "nonuniform"])
+    def test_interior_eigenpairs_once_per_index_set(self, monkeypatch, rng, factory, calls):
+        # one generalized_eigh per distinct (knot vector, interior index set), kept on the knot
+        # vector, read-only, and shared by every FD block: a second setup computes none
+        dom = factory()
+        computed, eigh = [], linalg.generalized_eigh
+        monkeypatch.setattr(linalg, "generalized_eigh",
+                            lambda K, M, name="": computed.append(name) or eigh(K, M, name))
+        op = setup_operator(dom)
+        assert all(blk.interior_fd for blk in op.blocks)
+        assert len(computed) == calls
+        assert fd_against_superlu(dom, setup_operator(dom), rng) <= 1e-12
+        for k, (patch, blk) in enumerate(zip(dom.patches, op.blocks)):
+            space = patch.space
+            lat = np.flatnonzero(space.free_mask)[op.partition.interior[k]]
+            for kv, idx, U in ((space.kv_u, np.unique(lat // space.n_v), blk.aii_fac.U_u),
+                               (space.kv_v, np.unique(lat % space.n_v), blk.aii_fac.U_v)):
+                lam, kept = assembly._interior_eigenpairs(kv, idx)
+                assert kept is U
+                for a in (lam, U):
+                    assert not a.flags.writeable
+                    with pytest.raises(ValueError):
+                        a[0] = 0.0
+        assert len(computed) == calls
 
     @pytest.mark.parametrize("corners", [
         [(1.0, 1.0)] * 4,                                   # collapsed to a point
@@ -714,7 +746,7 @@ class TestSplitSystem:
             rows, cols = np.divmod(lat, patch.space.n_v)
             lattice = (patch.geometry.affine_diagonal is not None and lat.size > 0
                        and np.unique(rows).size * np.unique(cols).size == lat.size)
-            assert (split.A_II is None) == (split.lattice is not None) == lattice
+            assert (split.A_II is None) == (split.fd is not None) == lattice
             if split.A_II is not None:
                 assert relative_gap(split.A_II.csr, A[I][:, I]) <= 1e-13
 
@@ -770,3 +802,26 @@ class TestSplitSystem:
         mats[np.flatnonzero(block == 1)[0], 0, 0] = np.nan
         with pytest.raises(NumericalError, match="symmetric matrix has non-finite entries"):
             split_systems(dom, (block, idx, mats))
+
+    @pytest.mark.parametrize("row", ["interior", "skeleton"])
+    def test_asymmetric_interface_entry_raises(self, row):
+        # an interface entry that couples an interior dof with a skeleton dof, or its partner,
+        # moved off the other: neither reaches the dense A_GG, whose check sees only Gamma rows
+        dom = t_domain(degree=2, refinements=2)
+        copies = copy_map(dom)
+        partition = build_partition(dom, copies, select_primal(dom))
+        block, idx, mats = assemble_interface_terms(dom, copies, 12.0)
+        build_local_system(dom, 0, (block, idx, mats), partition)
+        interior = np.zeros(partition.offsets[1], dtype=bool)
+        interior[partition.interior[0]] = True
+        at = np.flatnonzero(block == 0)
+        rows, cols = idx[at, :, None], idx[at, None, :]
+        j, a, b = np.argwhere((rows >= 0) & (cols >= 0) & interior[rows] & ~interior[cols]
+                              & (mats[at] != 0))[0]
+        j = at[j]
+        if row == "skeleton":
+            a, b = b, a
+        mats = mats.copy()
+        mats[j, a, b] *= 1.5
+        with pytest.raises(NumericalError, match="symmetric matrix has asymmetry"):
+            build_local_system(dom, 0, (block, idx, mats), partition)

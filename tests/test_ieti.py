@@ -57,12 +57,12 @@ def dense_MsD(op):
 def dense_schur(op, sysk):
     """The Schur complement of block ``sysk.k`` by dense elimination of its interior."""
     A = sysk.A.toarray()
-    gam, I = op.blocks[sysk.k].gamma, op.partition.interior[sysk.k]
+    gam, I = op.partition.gamma_index(sysk.k), op.partition.interior[sysk.k]
     return A[np.ix_(gam, gam)] - A[np.ix_(gam, I)] @ np.linalg.solve(
         A[np.ix_(I, I)], A[np.ix_(I, gam)])
 
 
-def constrained_system(op):
+def constrained_system(dom, op):
     """The primal-constrained system ``(A~, B~, f~)``, assembled densely from the local systems.
 
     Its unknowns are every block's (I, Delta) dofs, block after block, then
@@ -73,7 +73,7 @@ def constrained_system(op):
     offsets = np.cumsum([0] + [t.size for t in tilde])
     n = offsets[-1] + op.n_primal
     A, B, f = np.zeros((n, n)), np.zeros((op.n_rows, n)), np.zeros(n)
-    locals_ = local_systems(op.domain)
+    locals_ = local_systems(dom)
     for k, (sysk, Bk) in enumerate(zip(locals_, full_jump_columns(op.jumps, part))):
         col = np.empty(sysk.A.n, dtype=int)
         col[tilde[k]] = offsets[k] + np.arange(tilde[k].size)
@@ -352,13 +352,13 @@ class TestOperator:
                                    partition)
         A = local_systems(dom)[0].A.toarray()
         I, dual, P = partition.interior[0], partition.dual[0], partition.primal[0]
-        blk = build_psi(split, partition, factorize(A[np.ix_(I, I)]))
+        blk = build_psi(split, partition)
         assert blk.psi.shape == (dual.size + P.size, P.size)
         np.testing.assert_allclose(blk.psi[dual.size:], np.eye(P.size), atol=0)
         # extend Psi by its dense interior solve: the (I, Delta) rows of A Psi vanish
-        psi = np.zeros((A.shape[0], P.size))
-        psi[blk.gamma] = blk.psi
-        psi[I] = -np.linalg.solve(A[np.ix_(I, I)], A[np.ix_(I, blk.gamma)] @ blk.psi)
+        psi, gamma = np.zeros((A.shape[0], P.size)), partition.gamma_index(0)
+        psi[gamma] = blk.psi
+        psi[I] = -np.linalg.solve(A[np.ix_(I, I)], A[np.ix_(I, gamma)] @ blk.psi)
         res = (A @ psi)[np.concatenate([I, dual])]
         scale = abs(A.max())
         assert np.abs(res).max() <= 1e-9 * scale
@@ -369,7 +369,7 @@ class TestOperator:
         for k, blk in enumerate(op.blocks):
             P = op.partition.primal[k]
             if P.size:
-                np.testing.assert_allclose(blk.psi[blk.n_dual:], np.eye(P.size), atol=0)
+                np.testing.assert_allclose(blk.psi[op.partition.dual[k].size:], np.eye(P.size), atol=0)
             assert psi_residual(op, k) <= 1e-9
 
     def test_psi_empty_without_primal(self):
@@ -405,17 +405,19 @@ class TestOperator:
     def test_dense_saddle_oracle(self):
         # eliminate the primal-constrained system assembled from the raw
         # blocks and compare column by column with the operator application
-        op = setup_operator(two_patch_domain(p=1, r=1))
-        A, B, f = constrained_system(op)
+        dom = two_patch_domain(p=1, r=1)
+        op = setup_operator(dom)
+        A, B, f = constrained_system(dom, op)
         F_ref = B @ np.linalg.solve(A, B.T)
         np.testing.assert_allclose(dense_F(op), F_ref, atol=1e-10 * np.abs(F_ref).max())
         d_ref = B @ np.linalg.solve(A, f)
         np.testing.assert_allclose(op.compute_d(), d_ref, atol=1e-10 * np.abs(d_ref).max())
 
     def test_dense_saddle_oracle_with_primal(self):
-        op = setup_operator(t_domain(degree=2, refinements=1, alphas=[1, 10, 100, 1, 10]))
+        dom = t_domain(degree=2, refinements=1, alphas=[1, 10, 100, 1, 10])
+        op = setup_operator(dom)
         assert op.n_primal
-        A, B, _ = constrained_system(op)
+        A, B, _ = constrained_system(dom, op)
         F_ref = B @ np.linalg.solve(A, B.T)
         np.testing.assert_allclose(dense_F(op), F_ref, atol=1e-10 * np.abs(F_ref).max())
 
@@ -431,8 +433,9 @@ class TestOperator:
         pytest.param(lambda: partial_interface_domain(), id="partial"),
     ])
     def test_schur_against_dense_elimination(self, factory):
-        op = setup_operator(factory())
-        for sysk, blk in zip(local_systems(op.domain), op.blocks):
+        dom = factory()
+        op = setup_operator(dom)
+        for sysk, blk in zip(local_systems(dom), op.blocks):
             S_ref = dense_schur(op, sysk)
             assert np.abs(blk.S - S_ref).max() <= 1e-12 * np.abs(S_ref).max()
 
@@ -452,11 +455,12 @@ class TestOperator:
         formula = Factorization.schur
         monkeypatch.setattr(Factorization, "schur",
                             lambda fac, B: generic.append(fac) or formula(fac, B))
-        op = setup_operator(factory())
+        dom = factory()
+        op = setup_operator(dom)
         separable = [k for k, blk in enumerate(op.blocks)
                      if blk.interior_fd and all(fac is not blk.aii_fac for fac in generic)]
         assert separable
-        locals_ = local_systems(op.domain)
+        locals_ = local_systems(dom)
         for k in separable:
             blk = op.blocks[k]
             S_ref = dense_schur(op, locals_[k])
@@ -464,7 +468,8 @@ class TestOperator:
             reference = formula(blk.aii_fac, blk.A_IG)
             assert np.abs(blk.aii_fac.schur(blk.A_IG) - reference).max() <= 1e-13 * np.abs(
                 reference).max()
-            S_gen = locals_[k].A.toarray()[np.ix_(blk.gamma, blk.gamma)] - reference
+            gam = op.partition.gamma_index(k)
+            S_gen = locals_[k].A.toarray()[np.ix_(gam, gam)] - reference
             assert np.abs(blk.S - S_gen).max() <= 1e-13 * np.abs(S_gen).max()
 
     def test_equal_alpha_preconditioner_formula(self):
@@ -491,14 +496,14 @@ class TestOperator:
         mu = rng.standard_normal(op.n_rows)
         before = op.apply_MsD(mu)
         for k in range(dom.num_patches):
-            gam = op.blocks[k].gamma
+            gam = op.partition.gamma_index(k)
             pg = {dof: i for i, dof in enumerate(gam)}
             for dof in op.partition.primal[k]:
                 op.jumps.D[op.jumps.block(k)][pg[dof]] *= 7.3
         after = op.apply_MsD(mu)
         np.testing.assert_allclose(after, before, rtol=0, atol=1e-12 * np.abs(before).max())
         # the same mutation on a Delta entry reaches apply_MsD: D is the array it reads
-        k = next(k for k, blk in enumerate(op.blocks) if blk.n_dual)
+        k = next(k for k, dual in enumerate(op.partition.dual) if dual.size)
         op.jumps.D[op.jumps.block(k)][0] *= 7.3
         assert np.abs(op.apply_MsD(mu) - before).max() > 1e-3 * np.abs(before).max()
 
@@ -560,13 +565,14 @@ class TestSolve:
         # A_k u_k - f_k + B_k^T lam vanish on the (I, Delta) rows, their
         # sum over the copies of each primal dof vanishes, and u is
         # continuous at the primal dofs
-        op = setup_operator(factory())
+        dom = factory()
+        op = setup_operator(dom)
         lam = rng.standard_normal(op.n_rows)
         u = op.recover_solution(lam)
         w = np.zeros(op.n_primal)
         w_scale = np.zeros(op.n_primal)
         Bs = full_jump_columns(op.jumps, op.partition)
-        for k, sysk in enumerate(local_systems(op.domain)):
+        for k, sysk in enumerate(local_systems(dom)):
             terms = (sysk.A.csr @ u[k], -sysk.f, Bs[k].T @ lam)
             resid = sum(terms)
             scale = sum(np.abs(t) for t in terms)
@@ -585,7 +591,7 @@ class TestSolve:
         op = setup_operator(dom)
         resid = np.zeros(op.n_rows)
         for k in range(dom.num_patches):
-            gam = op.blocks[k].gamma
+            gam = op.partition.gamma_index(k)
             resid += jump_matrix(op.jumps, k) @ sol.u_blocks[k][gam]
         scale = max(np.abs(np.concatenate(sol.u_blocks)).max(), 1.0)
         assert np.abs(resid).max() <= 1e-8 * scale
@@ -652,21 +658,21 @@ class TestLemma:
         dom = t_domain(degree=2, refinements=1)
         op = setup_operator(dom)
         u = [np.ones(n) for n in np.diff(op.partition.offsets)]
-        gam_vals = check_lemma_bbt(op, u)
+        gam_vals = check_lemma_bbt(dom, op, u)
         assert gam_vals <= 1e-15
 
     def test_half_jump_for_equal_alpha(self, rng):
         dom = two_patch_domain(p=1, r=1)
         op = setup_operator(dom)
         u = project_wtilde(op, [rng.standard_normal(n) for n in np.diff(op.partition.offsets)])
-        gam = [u[k][op.blocks[k].gamma] for k in range(2)]
+        gam = [u[k][op.partition.gamma_index(k)] for k in range(2)]
         mu = sum(jump_matrix(op.jumps, k) @ gam[k] for k in range(2))
         w0 = (jump_matrix(op.jumps, 0).T @ mu) / op.jumps.D[op.jumps.block(0)]
         _, k, dof_k, l, dof_l = dual_rows(op.partition)[0]
         jump = u[k][dof_k] - u[l][dof_l]
-        pos = {dof: i for i, dof in enumerate(op.blocks[k].gamma)}
+        pos = {dof: i for i, dof in enumerate(op.partition.gamma_index(k))}
         assert w0[pos[dof_k]] == pytest.approx(0.5 * jump)
-        assert check_lemma_bbt(op, u) <= 1e-13
+        assert check_lemma_bbt(dom, op, u) <= 1e-13
 
     @pytest.mark.parametrize("alphas", [
         [1.0, 1.0, 1.0, 1.0, 1.0],
@@ -677,7 +683,7 @@ class TestLemma:
         op = setup_operator(dom)
         for _ in range(50):
             u = project_wtilde(op, [rng.standard_normal(n) for n in np.diff(op.partition.offsets)])
-            assert check_lemma_bbt(op, u) <= 1e-13
+            assert check_lemma_bbt(dom, op, u) <= 1e-13
 
 
 class TestDegenerateTJunction:
@@ -734,18 +740,18 @@ class TestReducedSmoothness:
             assert np.abs(a - b).max() <= 1e-6 * scale
 
 
-def interior_matrix(op, k):
+def interior_matrix(dom, op, k):
     """Block k's assembled A_II."""
     I = op.partition.interior[k]
-    return local_systems(op.domain)[k].A.csr[I][:, I]
+    return local_systems(dom)[k].A.csr[I][:, I]
 
 
-def fd_against_superlu(op, rng):
+def fd_against_superlu(dom, op, rng):
     """Largest relative max-norm gap between each block's interior solve and SuperLU's."""
     worst = 0.0
     for k, blk in enumerate(op.blocks):
         I = op.partition.interior[k]
-        reference = factorize(interior_matrix(op, k))
+        reference = factorize(interior_matrix(dom, op, k))
         B = rng.standard_normal((I.size, 3))
         for rhs in (B[:, 0], B):
             x, y = blk.aii_fac.solve(rhs), reference.solve(rhs)
@@ -754,11 +760,11 @@ def fd_against_superlu(op, rng):
     return worst
 
 
-def kronecker_gap(op, k):
+def kronecker_gap(dom, op, k):
     """max |A_II - (c_u K_u (x) M_v + c_v M_u (x) K_v)| / max |A_II| of block k, over both
     patterns, with c_u = alpha |J_22 / J_11| = alpha^2 / c_v read off the Jacobian at the
     centre; the interior dofs must form a tensor lattice I_u x I_v."""
-    patch = op.domain.patches[k]
+    patch = dom.patches[k]
     space = patch.space
     I = op.partition.interior[k]
     lat = np.flatnonzero(space.free_mask)[I]
@@ -769,7 +775,7 @@ def kronecker_gap(op, k):
     J = at(patch.geometry, 0.5, 0.5)[1]
     c_u = patch.alpha * abs(J[1, 1] / J[0, 0])
     kron = np.kron(K_u, c_u * M_v) + np.kron(M_u, patch.alpha**2 / c_u * K_v)
-    A_II = interior_matrix(op, k).toarray()
+    A_II = interior_matrix(dom, op, k).toarray()
     return np.abs(A_II - kron).max() / np.abs(A_II).max()
 
 
@@ -815,10 +821,11 @@ class TestFastDiagonalizationInterior:
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(FD_BUILTINS))
     def test_every_patch_fd_and_equal_to_superlu(self, rng, name, p):
-        op = setup_operator(FD_BUILTINS[name](p))
+        dom = FD_BUILTINS[name](p)
+        op = setup_operator(dom)
         assert all(blk.interior_fd for blk in op.blocks)
-        assert max(kronecker_gap(op, k) for k in range(len(op.blocks))) <= 1e-13
-        assert fd_against_superlu(op, rng) <= 1e-12
+        assert max(kronecker_gap(dom, op, k) for k in range(len(op.blocks))) <= 1e-13
+        assert fd_against_superlu(dom, op, rng) <= 1e-12
 
     @staticmethod
     def _single_patch(geometry, p=2):
@@ -829,10 +836,11 @@ class TestFastDiagonalizationInterior:
     def test_mirrored_patch_takes_fd(self, rng):
         # x = 2 (1 - u), y = v: det J < 0, and c_u, c_v use |J_22 / J_11|
         geo = GeometryMap.bilinear((2, 0), (0, 0), (2, 1), (0, 1))
-        op = setup_operator(self._single_patch(geo))
+        dom = self._single_patch(geo)
+        op = setup_operator(dom)
         assert op.blocks[0].interior_fd
-        assert kronecker_gap(op, 0) <= 1e-13
-        assert fd_against_superlu(op, rng) <= 1e-12
+        assert kronecker_gap(dom, op, 0) <= 1e-13
+        assert fd_against_superlu(dom, op, rng) <= 1e-12
 
     def test_affine_spline_geometry_takes_fd(self, rng):
         # the rectangle [0, 2] x [0, 0.5] as a degree-2 map with different
@@ -842,10 +850,11 @@ class TestFastDiagonalizationInterior:
         kv_v = KnotVector(2, [0, 0, 0, 0.6, 1, 1, 1])
         control = np.stack(np.meshgrid(2.0 * greville_points(kv_u), 0.5 * greville_points(kv_v),
                                        indexing="ij"), axis=-1)
-        op = setup_operator(self._single_patch(GeometryMap(kv_u, kv_v, control)))
+        dom = self._single_patch(GeometryMap(kv_u, kv_v, control))
+        op = setup_operator(dom)
         assert op.blocks[0].interior_fd
-        assert kronecker_gap(op, 0) <= 1e-13
-        assert fd_against_superlu(op, rng) <= 1e-12
+        assert kronecker_gap(dom, op, 0) <= 1e-13
+        assert fd_against_superlu(dom, op, rng) <= 1e-12
 
     C = 1e-9
     PERTURBED = {
@@ -861,26 +870,29 @@ class TestFastDiagonalizationInterior:
         geo = GeometryMap.bilinear(*self.PERTURBED[where])
         point = (0.5, 0.5) if where == "centre" else (0.0, 0.0)
         np.testing.assert_array_equal(at(geo, *point)[1], np.eye(2))
-        op = setup_operator(self._single_patch(geo))
+        dom = self._single_patch(geo)
+        op = setup_operator(dom)
         assert not op.blocks[0].interior_fd
-        assert fd_against_superlu(op, rng) == 0.0
+        assert fd_against_superlu(dom, op, rng) == 0.0
 
     def test_rotated_affine_patch_falls_back(self, rng):
         # the unit square turned by 30 degrees: affine, but J is not diagonal
         c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
         geo = GeometryMap.bilinear((0, 0), (c, s), (-s, c), (c - s, s + c))
-        op = setup_operator(self._single_patch(geo))
+        dom = self._single_patch(geo)
+        op = setup_operator(dom)
         assert not op.blocks[0].interior_fd
-        assert fd_against_superlu(op, rng) == 0.0
+        assert fd_against_superlu(dom, op, rng) == 0.0
 
     def test_curved_patch_falls_back(self, rng):
         geo = curved_geometry()
         for point in ((0.0, 0.0), (0.5, 0.5)):
             jac = at(geo, *point)[1]
             assert jac[0, 1] == 0.0 and jac[1, 0] == 0.0
-        op = setup_operator(self._single_patch(geo))
+        dom = self._single_patch(geo)
+        op = setup_operator(dom)
         assert not op.blocks[0].interior_fd
-        assert fd_against_superlu(op, rng) == 0.0
+        assert fd_against_superlu(dom, op, rng) == 0.0
 
     def test_partial_interface_mixed_solve_matches_oracle(self, capsys):
         dom = partial_interface_domain()
