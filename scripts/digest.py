@@ -98,8 +98,8 @@ def local_systems(pkg, domain, copies):
 
     The solver forms no extended matrix (``build_local_system`` returns only
     the (I, Gamma) blocks), so it is rebuilt from the volume rows of
-    ``band_rows`` and the interface blocks in one sparse construction, as
-    the trees that formed it did, so ``local A`` compares byte for byte.
+    ``band_rows`` and the interface blocks in the one sparse construction
+    that earlier trees made: ``local A`` compares byte for byte with theirs.
     """
     asm = pkg.assembly
     block, idx, mats = asm.assemble_interface_terms(domain, copies, DELTA)
@@ -125,8 +125,8 @@ def domain_arrays(pkg, domain):
     for k, (blk, (A, f)) in enumerate(zip(op.blocks, local_systems(pkg, domain, part.copies))):
         out += [("local A", A), ("jump B", jump_matrix(op.jumps, k)), ("local f", f),
                 ("interior", part.interior[k]), ("dual", part.dual[k]), ("primal", part.primal[k]),
-                ("primal_global", part.primal_global[k]), ("D", op.jumps.D[op.jumps.block(k)]), ("S", blk.S),
-                ("psi", blk.psi), ("FD flag", np.array([blk.interior_fd]))]
+                ("primal_global", part.primal_global[k]), ("D", op.jumps.D[op.jumps.block(k)]),
+                ("S", blk.S), ("psi", blk.psi), ("FD flag", np.array([blk.interior_fd]))]
     oracle = pkg.refsolver.assemble_global(domain, DELTA)
     return out + [("oracle A", oracle.matrix.csr), ("oracle f", oracle.rhs)]
 
