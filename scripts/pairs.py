@@ -38,9 +38,10 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 END_TO_END = [m["name"] for m in BENCHMARK["end_to_end"]]
 LAYERS = ("domains.build_s", "geometry.validate_s",
           "assembly.volume_s", "assembly.volume_calls", "assembly.volume_elements",
-          "assembly.local_system_s", "assembly.interface_side_s", "assembly.interface_side_calls",
-          "linalg.sparse_build_s", "refsolver.assemble_s", "refsolver.direct_solve_s",
-          "ieti.psi_s", "linalg.factorize_s", "ieti.pcg_s", "ieti.apply_F_s", "ieti.apply_MsD_s",
+          "assembly.local_system_s", "assembly.interface_s", "assembly.interface_side_s",
+          "assembly.interface_side_calls", "linalg.sparse_build_s", "refsolver.assemble_s",
+          "refsolver.direct_solve_s", "ieti.primal_jumps_s", "ieti.operator_s", "ieti.psi_s",
+          "linalg.factorize_s", "ieti.pcg_s", "ieti.apply_F_s", "ieti.apply_MsD_s",
           "ieti.recover_s", "linalg.fact_solve_calls")
 METHOD = ("alternating pairs (the parent first for even pair indices, the change first for odd "
           "ones), each side run from its own git archive copy of the committed files; times in "

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse
 
 from . import linalg
-from .bspline import active_on_interval, eval_basis, gauss_rule, span_quadrature
+from .bspline import eval_basis, gauss_rule, span_quadrature
 from .errors import ConfigError, NumericalError
 from .geometry import eval_maps, map_edge_param, side_normal_hat
 
@@ -33,11 +33,24 @@ def trace_basis_on_edge(space, side, prange):
     functions.  Includes every function whose support meets the open range,
     also those whose Greville point lies outside it.
     """
-    dofs = space.edge_dofs(side)[active_on_interval(space.edge_kv(side), *prange)]
-    dofs = dofs[dofs >= 0]
-    if not dofs.size:
-        raise ConfigError("degenerate interface: no active trace functions on %s %s" % (side, prange))
-    return dofs
+    return _trace_dofs([(space, side, prange)])[1]
+
+
+def _trace_dofs(edges):
+    """The :func:`trace_basis_on_edge` dofs of many ``(space, side, range)`` edges in one pass:
+    ``(of, dofs)``, edge after edge, `of` the edge of every dof."""
+    kvs = [space.edge_kv(side) for space, side, _ in edges]
+    dofs = np.concatenate([np.zeros(0, int)] + [space.edge_dofs(side) for space, side, _ in edges])
+    lo, hi = (np.concatenate([np.zeros(0)] + [kv.knots[at(kv)] for kv in kvs])
+              for at in (lambda kv: np.s_[:kv.n], lambda kv: np.s_[kv.p + 1:]))
+    of = np.repeat(np.arange(len(edges)), [kv.n for kv in kvs])
+    a, b = np.array([rng for _, _, rng in edges], dtype=float).reshape(-1, 2).T
+    keep = (lo < b[of]) & (hi > a[of]) & (dofs >= 0)  # the support meets the open range
+    empty = np.flatnonzero(np.bincount(of[keep], minlength=len(edges)) == 0)
+    if empty.size:
+        raise ConfigError("degenerate interface: no active trace functions on %s %s"
+                          % edges[empty[0]][1:])
+    return of[keep], dofs[keep]
 
 
 def copy_map(domain):
@@ -50,17 +63,17 @@ def copy_map(domain):
     numbers its copies on from its own dimension, one contiguous run per
     interface in increasing interface order.
     """
-    rows = [np.zeros((0, 5), dtype=int)]
-    next_dof = [patch.space.dimension for patch in domain.patches]
-    for i, g in enumerate(domain.interfaces):
-        for src, side, prange, blk in ((g.k, g.side_k, g.range_k, g.l),
-                                       (g.l, g.side_l, g.range_l, g.k)):
-            sdof = trace_basis_on_edge(domain.patches[src].space, side, prange)
-            n = sdof.size
-            rows.append(np.column_stack([np.full(n, i), np.full(n, src), sdof, np.full(n, blk),
-                                         next_dof[blk] + np.arange(n)]))
-            next_dof[blk] += n
-    return np.concatenate(rows)
+    spaces, ifaces = [patch.space for patch in domain.patches], domain.interfaces
+    # edge 2 i is side k of interface i, copied into block l; edge 2 i + 1 is side l, into block k
+    of, sdof = _trace_dofs([(spaces[k], side, rng) for g in ifaces for k, side, rng in (
+        (g.k, g.side_k, g.range_k), (g.l, g.side_l, g.range_l))])
+    kl = np.array([(g.k, g.l) for g in ifaces], dtype=int).reshape(-1, 2)
+    src, blk = kl.ravel()[of], kl[:, ::-1].ravel()[of]
+    n = np.bincount(blk, minlength=len(spaces))  # each block's copies, numbered in row order
+    cdof = np.empty_like(blk)
+    cdof[np.argsort(blk, kind="stable")] = np.arange(blk.size) + np.repeat(
+        [space.dimension for space in spaces] - np.cumsum(n) + n, n)
+    return np.column_stack([of // 2, src, sdof, blk, cdof])
 
 
 SplitSystem = namedtuple("SplitSystem", "k A_IG A_GG f_I f_G A_II fd")  # see build_local_system
@@ -84,8 +97,13 @@ def _inv_transpose(J, where="", points=None, axes=(0,)):
             uv = np.moveaxis(points, axes, last).reshape(-1, 2)[np.argmax(np.moveaxis(bad, axes, last))]
             at = " at parameter (%.6g, %.6g)" % (uv[0], uv[1])
         raise NumericalError("singular Jacobian%s%s" % (at, ", " + where if where else ""))
-    JinvT = np.stack([J[..., 1, ::-1] * [1.0, -1.0], J[..., 0, ::-1] * [-1.0, 1.0]], axis=-2)  # adj(J)^T
-    return JinvT / det[..., None, None], det
+    return _inverse_t(J, det), det
+
+
+def _inverse_t(J, det):
+    """``J^-T = adj(J)^T / det`` of the (..., 2, 2) Jacobians `J` with determinants `det`."""
+    adj_t = np.stack([J[..., 1, ::-1] * [1.0, -1.0], J[..., 0, ::-1] * [-1.0, 1.0]], axis=-2)
+    return adj_t / det[..., None, None]
 
 
 def _span_fold(first, n, X, A, B):
@@ -290,10 +308,15 @@ def _side_points(domain):
     n_hat, axis, owner = n_hat[side], along[side], k[side]
     uv = np.where(n_hat == 0.0, t[:, None], (n_hat > 0.0).astype(float))
     jac = eval_maps([patch.geometry for patch in patches], owner, uv[:, 0], uv[:, 1], jacobian=True)
-    jinv_t = np.empty_like(jac)
-    for i in np.unique(owner):
-        at = owner == i
-        jinv_t[at] = _inv_transpose(jac[at], "patch %d" % i, uv[at])[0]
+    # one check over all points, each against its owner's largest entry; the error names the
+    # lowest bad owner's first bad point
+    det, top = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0], np.zeros(len(patches))
+    np.maximum.at(top, owner, np.abs(jac).max(axis=(1, 2)))
+    bad = np.abs(det) <= _SINGULAR_RTOL * np.maximum(top[owner] ** 2, 1e-300)
+    if bad.any():
+        q = np.argmax(bad & (owner == owner[bad].min()))
+        raise NumericalError("singular Jacobian at parameter (%.6g, %.6g), patch %d" % (*uv[q], owner[q]))
+    jinv_t = _inverse_t(jac, det)
     # outward: an inward step J (-eps n_hat) has dot product -eps with J^-T n_hat
     normals = (jinv_t @ n_hat[:, :, None])[..., 0]
     normals /= np.linalg.norm(normals, axis=1)[:, None]
@@ -331,21 +354,25 @@ def interface_side_terms(domain, delta):
     layer = np.take_along_axis(tab[1 - axis, q], col[:, None, :], axis=2)  # (Q, derivative, layer)
     values, d_layer, d_along = ((layer[:, a, :, None] * tab[axis, q, b, None, :]).reshape(
         -1, 2 * p + 2) for a, b in ((0, 0), (1, 0), (0, 1)))
-    grad_hat = np.where(axis[:, None, None] == 1, np.stack([d_layer, d_along], axis=1),
-                        np.stack([d_along, d_layer], axis=1))
+    # the flux is the row n^T J^-T times the parametric gradient: (d/du, d/dv) is (layer, along)
+    # on west and east sides (axis 1), (along, layer) on south and north
+    c = sp.normals[:, :1] * sp.jinv_t[:, 0] + sp.normals[:, 1:] * sp.jinv_t[:, 1]
+    c_layer, c_along = (np.take_along_axis(c, a[:, None], 1) for a in (1 - axis, axis))
+    flux = np.pad(c_layer * d_layer + c_along * d_along, ((0, 0), (0, p + 1)))
     jump = np.concatenate([values, -tab[2, :, 0]], axis=1)
-    flux = np.pad(np.einsum("qa,qam->qm", sp.normals, sp.jinv_t @ grad_hat), ((0, 0), (0, p + 1)))
     k, l = np.array([[ori.k, ori.l] for ori in sides], dtype=int).reshape(-1, 2).T
     alpha = np.array([patch.alpha for patch in domain.patches])[k]
     rho = alpha * delta * p * p / np.minimum(domain.metrics["h"][k], domain.metrics["h"][l])
-    # sum every sub-interval's point matrices, the g-th points of all sub-intervals at once
-    counts, mats = np.diff(np.append(start, q.size)), np.zeros((start.size, 3 * p + 3, 3 * p + 3))
-    for g in range(counts.max(initial=0)):
-        at = start + np.minimum(g, counts - 1)
-        w = sp.weights[at] * (g < counts)  # no point past the end of a sub-interval
-        fj = (0.5 * alpha[side[at]] * w)[:, None, None] * flux[at, :, None] * jump[at, None, :]
-        mats += (jump[at, :, None] * jump[at, None, :]) * (rho[side[at]] * w)[:, None, None] - (
-            fj + np.swapaxes(fj, 1, 2))
+    # mats = J^T diag(rho w) J - (X + X^T), X = F^T diag(alpha w / 2) J over a sub-interval's
+    # points: Y + Y^T for Y = G^T J, G = diag(w / 2) (rho J - alpha F), exactly symmetric
+    G = 0.5 * sp.weights[:, None] * (rho[side, None] * jump - alpha[side, None] * flux)
+    counts = np.diff(np.append(start, q.size))
+    mats = np.empty((start.size, 3 * p + 3, 3 * p + 3))
+    for n in np.unique(counts):  # owners' Gauss counts can differ
+        j = np.flatnonzero(counts == n)
+        at = start[j, None] + np.arange(n)
+        Y = np.swapaxes(G[at], 1, 2) @ jump[at]
+        mats[j] = Y + np.swapaxes(Y, 1, 2)
 
     idx = np.broadcast_arrays((first[1 - axis[start], start, None] + col[start])[:, :, None],
                               (first[axis[start], start, None] + np.arange(p + 1))[:, None, :])
@@ -372,14 +399,20 @@ def assemble_interface_terms(domain, copies, delta):
     columns ``idx[j]`` of block ``block[j]``, -1 for dropped ones.
     """
     side, own, edge, mats = interface_side_terms(domain, delta)
-    edge_maps = []
-    for s, ori in enumerate(_oriented_sides(domain)):
-        nb = domain.patches[ori.l].space
-        rows = copies[(copies[:, 0] == s // 2) & (copies[:, 3] == ori.k)]
-        copy_of = np.full(nb.dimension + 1, -1)  # the last entry serves the constrained index -1
-        copy_of[rows[:, 2]] = rows[:, 4]
-        edge_maps.append(copy_of[nb.edge_dofs(ori.side_l)])
-    lattice_maps = [patch.space.dof_map.ravel() for patch in domain.patches]
+    sides, spaces = _oriented_sides(domain), [patch.space for patch in domain.patches]
+    # side s reads the copies of its neighbor's edge functions in its owner's block, the
+    # copy-map rows of interface s // 2 in block k_s: look up (side, source dof) in all rows
+    iface, _, sdof, blk, cdof = copies.T
+    n = max(space.dimension for space in spaces) + 1  # an edge's constrained index -1 finds no row
+    key = n * (2 * iface + (blk != np.array([ori.k for ori in sides[::2]], dtype=int)[iface])) + sdof
+    order = np.argsort(key)
+    edges = [spaces[ori.l].edge_dofs(ori.side_l) for ori in sides]
+    want = n * np.repeat(np.arange(len(sides)), [e.size for e in edges]) + np.concatenate(
+        [np.zeros(0, int), *edges])
+    at = order[np.minimum(np.searchsorted(key, want, sorter=order), key.size - 1)]
+    copy = np.where(key[at] == want, cdof[at], -1)
+    edge_maps = np.split(copy, np.cumsum([e.size for e in edges])[:-1])
+    lattice_maps = [space.dof_map.ravel() for space in spaces]
     return (*side_dofs(domain, side, own, edge, lattice_maps, edge_maps), mats)
 
 
@@ -395,7 +428,7 @@ def build_local_system(domain, k, terms, partition, source=1.0):
     (skeleton) functions, couples no two interior dofs.  Raises SparseSym's errors when a band
     or interface entry is not finite, or the band, an interface block or `A_GG` not symmetric.
     """
-    patch, I, gamma = domain.patches[k], partition.interior[k], partition.gamma_index(k)
+    patch, I, gamma = domain.patches[k], partition.interior[k], partition.gamma[k]
     space, ng, name = patch.space, gamma.size, "patch %d interior block" % k
     lat = np.flatnonzero(space.free_mask)[I]
     lattice = tuple(np.unique(i) for i in np.divmod(lat, space.n_v))  # lat, sorted, lies in I_u x I_v

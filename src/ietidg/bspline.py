@@ -62,10 +62,12 @@ class KnotVector:
     def __repr__(self):
         return "KnotVector(p=%d, n=%d)" % (self.p, self.n)
 
-    @property
+    @functools.cached_property
     def breakpoints(self):
-        """Distinct knots (the 1D mesh)."""
-        return np.unique(self.knots)
+        """Distinct knots (the 1D mesh), computed once; read-only."""
+        bp = np.unique(self.knots)
+        bp.flags.writeable = False
+        return bp
 
     @property
     def h_max(self):
@@ -172,10 +174,16 @@ def nonzero_at_point(kv, x):
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError("parameter %r outside [0, 1]" % x)
+    index, positive = _covering(kv, np.array([x]))
+    return index[positive]
+
+
+def _covering(kv, x):
+    """The p + 1 functions ``index[q]`` of the span of each point ``x[q]``, every function
+    that can be nonzero there, and which of them are positive (:func:`nonzero_at_point`)."""
     U, p = kv.knots, kv.p
-    left = (U[: kv.n] < x) | (U[p : kv.n + p] == x)
-    right = (x < U[p + 1 :]) | (U[1 : kv.n + 1] == x)
-    return np.flatnonzero(left & right)
+    i, x = kv.find_span(x)[:, None] - p + np.arange(p + 1), x[:, None]
+    return i, ((U[i] < x) | (U[i + p] == x)) & ((x < U[i + p + 1]) | (U[i + 1] == x))
 
 
 @dataclass(frozen=True)

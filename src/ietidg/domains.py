@@ -198,27 +198,32 @@ def domain_from_config(config):
     A missing key or a wrongly typed entry raises :class:`ConfigError`
     naming the entry and the key or the offending value.
     """
-    where = "config"
+    where, shared = "config", {}
+
+    def knot_vector(degree, knots):  # equal (degree, knots) share one object, as in the built-ins
+        kv = KnotVector(degree, knots)
+        return shared.setdefault((kv.p, kv.knots.tobytes()), kv)
+
     try:
         patches = []
         for i, entry in enumerate(config["patches"]):
             where = "patches[%d]" % i
             gdata = entry["geometry"]
             geo = GeometryMap(
-                KnotVector(gdata["degree"], gdata["knots_u"]),
-                KnotVector(gdata["degree"], gdata["knots_v"]),
+                knot_vector(gdata["degree"], gdata["knots_u"]),
+                knot_vector(gdata["degree"], gdata["knots_v"]),
                 np.asarray(gdata["control_points"], dtype=float),
             )
             sdata = entry["space"]
             degree = sdata["degree"]
             if "knots_u" in sdata:
-                kv_u = KnotVector(degree, sdata["knots_u"])
-                kv_v = KnotVector(degree, sdata["knots_v"])
+                kv_u = knot_vector(degree, sdata["knots_u"])
+                kv_v = knot_vector(degree, sdata["knots_v"])
             else:
                 r = sdata.get("refinements", 0)
                 if isinstance(r, bool) or not isinstance(r, int) or r < 0:
                     raise ConfigError("refinements must be a non-negative integer, got %r" % (r,))
-                kv_u = kv_v = refine_uniform(KnotVector.bernstein(degree), r)
+                kv_u = kv_v = knot_vector(degree, refine_uniform(KnotVector.bernstein(degree), r).knots)
             space = TensorSplineSpace(kv_u, kv_v, entry.get("dirichlet_sides", ()))
             if isinstance(entry["alpha"], bool) or not isinstance(entry["alpha"], (int, float)):
                 raise ConfigError("alpha must be a number, got %r" % (entry["alpha"],))

@@ -268,10 +268,15 @@ class MultiPatchDomain:
         # H: the largest distance between 33 samples per side of the patch boundary
         s, e, K = np.linspace(0.0, 1.0, 33), np.zeros(33), self.num_patches
         u, v = np.concatenate([e, e + 1.0, s, s]), np.concatenate([s, s, e, e + 1.0])
-        x, y = eval_maps([p.geometry for p in self.patches], np.repeat(np.arange(K), u.size),
-                         np.tile(u, K), np.tile(v, K)).reshape(K, -1, 2).transpose(2, 0, 1)
+        x = eval_maps([p.geometry for p in self.patches], np.repeat(np.arange(K), u.size),
+                      np.tile(u, K), np.tile(v, K)).reshape(K, -1, 2)
+        # a sample farther than its bounding-box bound from every other one is in no farthest
+        # pair, as rounding is monotone: the pairs of the rest give the all-pairs maximum
+        a = np.maximum(x - x.min(1, keepdims=True), x.max(1, keepdims=True) - x)
+        d = x - x[:, :1]
+        keep = a[..., 0] ** 2 + a[..., 1] ** 2 >= (d[..., 0] ** 2 + d[..., 1] ** 2).max(1)[:, None]
         H = np.array([np.sqrt(np.max((px[:, None] - px) ** 2 + (py[:, None] - py) ** 2))
-                      for px, py in zip(x, y)])
+                      for px, py in (xk[at].T for xk, at in zip(x, keep))])
         hhat = np.array([max(p.space.kv_u.h_max, p.space.kv_v.h_max) for p in self.patches])
         return {"H": H, "hhat": hhat, "h": hhat * H}
 
@@ -309,11 +314,6 @@ def validate_interfaces(domain):
                      "point_l": x[i, 1, w].tolist()}), ends
 
 
-def _is_corner(u, v):
-    """Whether a point on the boundary of the parameter square is one of its corners."""
-    return min(u, 1.0 - u) <= _CORNER_TOL and min(v, 1.0 - v) <= _CORNER_TOL
-
-
 def classify_vertices(ends, merge_tol):
     """Cluster interface end records into vertices and detect T-junctions.
 
@@ -326,25 +326,30 @@ def classify_vertices(ends, merge_tol):
     """
     # the earliest record left opens a cluster and takes every record left within merge_tol
     points = np.array([point for point, _, _ in ends], dtype=float).reshape(-1, 2)
+    d = points[:, None] - points
+    near = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2) <= merge_tol  # the bits of np.linalg.norm
+    corner = [min(u, 1.0 - u) <= _CORNER_TOL and min(v, 1.0 - v) <= _CORNER_TOL for _, _, (u, v) in ends]
     left, vertices = np.ones(len(ends), dtype=bool), []
     while left.any():
         first = int(np.argmax(left))
-        take = left & (np.linalg.norm(points - points[first], axis=1) <= merge_tol)
+        take = left & near[first]
         take[first] = True
         left &= ~take
-        point, adjacency = ends[first][0], []
-        for patch, (u, v) in (ends[i][1:] for i in np.flatnonzero(take)):
+        point, adjacency, long_patches = ends[first][0], [], set()
+        for i in np.flatnonzero(take).tolist():
+            patch, (u, v) = ends[i][1:]
             if not any(pp == patch and abs(uu - u) <= _CORNER_TOL and abs(vv - v) <= _CORNER_TOL
                        for pp, (uu, vv) in adjacency):
-                adjacency.append((patch, (u, v)))
-        long_patches = sorted({patch for patch, loc in adjacency if not _is_corner(*loc)})
-        for patch in long_patches:
+                adjacency.append(ends[i][1:])
+                if not corner[i]:
+                    long_patches.add(patch)
+        for patch in sorted(long_patches):
             count = sum(pp == patch for pp, _ in adjacency)
             if count > 1:
                 raise ConfigError(
                     "vertex at %s lies inside an edge of patch %d but meets that patch "
                     "at %d parameter points" % (point, patch, count)
                 )
-        vertices.append(Vertex(point, sorted(adjacency), tuple(long_patches)))
+        vertices.append(Vertex(point, sorted(adjacency), tuple(sorted(long_patches))))
     vertices.sort(key=lambda v: (round(v.point[0], 9), round(v.point[1], 9)))
     return vertices

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse
 
 from .assembly import assemble_interface_terms, build_local_system, copy_map
-from .bspline import nonzero_at_point
+from .bspline import _covering, nonzero_at_point
 from .errors import NumericalError
 from .linalg import Factorization, cholesky, factorize, pcg
 
@@ -58,31 +58,33 @@ def select_primal(domain):
 
     For every vertex and every adjacent patch, all basis functions with a
     positive value at the vertex become primal sources (Dirichlet-constrained
-    candidates are dropped with a log note).  A source claimed by several
-    vertices joins one group only.
+    candidates are dropped with one log note each).  A source claimed by
+    several vertices joins the group of the first.  All (vertex, patch)
+    adjacencies are read at once; groups are sorted by source.
     """
-    groups = []
-    claimed = set()
-    for v_idx, vertex in enumerate(domain.vertices):
-        for patch, (u0, v0) in vertex.adjacency:
-            space = domain.patches[patch].space
-            js = nonzero_at_point(space.kv_v, v0)
-            for i in nonzero_at_point(space.kv_u, u0):
-                for j in js:
-                    dof = int(space.dof_map[i, j])
-                    if dof < 0:
-                        log.info(
-                            "patch %d: basis (%d, %d) at vertex %s is Dirichlet-constrained, "
-                            "not a primal dof", patch, i, j, vertex.point,
-                        )
-                        continue
-                    key = (patch, dof)
-                    if key in claimed:
-                        continue
-                    claimed.add(key)
-                    groups.append(PrimalGroup(v_idx, key))
-    groups.sort(key=lambda g: g.source)
-    return groups
+    adj = [(v, k, u, w) for v, vertex in enumerate(domain.vertices) for k, (u, w) in vertex.adjacency]
+    vtx, patch = np.array([a[:2] for a in adj], dtype=int).reshape(-1, 2).T
+    uv = np.array([a[2:] for a in adj], dtype=float).reshape(-1, 2)
+    spaces = [ptch.space for ptch in domain.patches]
+    kvs = list({id(kv): kv for space in spaces for kv in (space.kv_u, space.kv_v)}.values())
+    group = np.array([[kvs.index(sp.kv_u), kvs.index(sp.kv_v)] for sp in spaces]).reshape(-1, 2)[patch]
+    shape = group.shape + (domain.degree + 1,)  # (adjacency, direction, function of the span)
+    index, positive = np.empty(shape, dtype=int), np.empty(shape, dtype=bool)
+    for g, kv in enumerate(kvs):  # one pass per distinct knot vector
+        index[group == g], positive[group == g] = _covering(kv, uv[group == g])
+    # the candidates in loop order: adjacency, then u-index, then v-index
+    r, a, b = np.nonzero(positive[:, 0, :, None] & positive[:, 1, None, :])
+    i, j, owner, dof = index[r, 0, a], index[r, 1, b], patch[r], np.empty(r.size, dtype=int)
+    for k in np.unique(owner):
+        dof[owner == k] = spaces[k].dof_map[i[owner == k], j[owner == k]]
+    for q in np.flatnonzero(dof < 0):
+        log.info("patch %d: basis (%d, %d) at vertex %s is Dirichlet-constrained, not a primal dof",
+                 owner[q], i[q], j[q], domain.vertices[vtx[r[q]]].point)
+    keep = dof >= 0
+    v, owner, dof = vtx[r[keep]], owner[keep], dof[keep]
+    _, first = np.unique(owner * (dof.max(initial=0) + 1) + dof, return_index=True)  # by source
+    return [PrimalGroup(vi, source) for vi, source in
+            zip(v[first].tolist(), zip(owner[first].tolist(), dof[first].tolist()))]
 
 
 def degenerate_tjunction_count(domain):
@@ -97,21 +99,23 @@ def degenerate_tjunction_count(domain):
 class DofPartition:
     """Per-block interior/dual/primal index sets over the extended dofs.
 
-    `primal_global` holds the coarse index of every dof in `primal`,
-    `copies` the :func:`~ietidg.assembly.copy_map` the sets are read from,
-    and `offsets` the start of every block in the concatenation of all
-    extended dofs, plus the total.
+    `gamma` holds every block's skeleton, Delta then Pi, `primal_global`
+    the coarse index of every dof in `primal`, `copies` the
+    :func:`~ietidg.assembly.copy_map` the sets are read from, and `offsets`
+    the start of every block in the concatenation of all extended dofs,
+    plus the total.
     """
 
     interior: list
     dual: list
     primal: list
+    gamma: list
     primal_global: list
     copies: np.ndarray
     offsets: np.ndarray
 
     def gamma_index(self, k):
-        return np.concatenate([self.dual[k], self.primal[k]]).astype(int)
+        return self.gamma[k]
 
 
 def build_partition(domain, copies, groups):
@@ -136,13 +140,14 @@ def build_partition(domain, copies, groups):
     if outside.size:
         k = int(np.searchsorted(ext, outside[0], side="right")) - 1
         raise NumericalError("block %d: primal dof outside the trace-active set" % k)
-    interior, dual, primal, primal_global = [], [], [], []
+    interior, dual, primal, gamma, primal_global = [], [], [], [], []
     for c, sk in zip(np.split(coarse, ext[1:-1]), np.split(skeleton, ext[1:-1])):
         primal.append(np.flatnonzero(c >= 0))
         dual.append(np.flatnonzero(sk & (c < 0)))
+        gamma.append(np.concatenate([dual[-1], primal[-1]]))
         interior.append(np.flatnonzero(~sk))
         primal_global.append(c[primal[-1]])
-    return DofPartition(interior, dual, primal, primal_global, copies, ext)
+    return DofPartition(interior, dual, primal, gamma, primal_global, copies, ext)
 
 
 @dataclass
@@ -187,7 +192,7 @@ def build_jump_matrices(domain, partition):
     ext = partition.offsets
     _, src, sdof, blk, cdof = partition.copies.T
     source, copy = ext[src] + sdof, ext[blk] + cdof
-    gamma = [ext[k] + partition.gamma_index(k) for k in range(domain.num_patches)]
+    gamma = [ext[k] + g for k, g in enumerate(partition.gamma)]
     offsets = np.concatenate([[0], np.cumsum([g.size for g in gamma])])
     gamma = np.concatenate(gamma)
     position = np.full(ext[-1], -1)  # of every skeleton dof in the skeleton vector
@@ -315,7 +320,7 @@ class IetiOperator:
         u_gamma = self.solve_constrained(self.g - self.jumps.transpose(lam))
         u_blocks = [np.empty(n) for n in np.diff(self.partition.offsets)]
         for k, (u, sl, blk) in enumerate(zip(u_blocks, self._gamma, self.blocks)):
-            u[self.partition.gamma_index(k)] = u_gamma[sl]
+            u[self.partition.gamma[k]] = u_gamma[sl]
             u[self.partition.interior[k]] = blk.aii_fac.solve(blk.f_I - blk.A_IG @ u_gamma[sl])
         return u_blocks
 
