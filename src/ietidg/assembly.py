@@ -41,8 +41,8 @@ def _trace_dofs(edges):
     ``(of, dofs)``, edge after edge, `of` the edge of every dof."""
     kvs = [space.edge_kv(side) for space, side, _ in edges]
     dofs = np.concatenate([np.zeros(0, int)] + [space.edge_dofs(side) for space, side, _ in edges])
-    lo, hi = (np.concatenate([np.zeros(0)] + [kv.knots[at(kv)] for kv in kvs])
-              for at in (lambda kv: np.s_[:kv.n], lambda kv: np.s_[kv.p + 1:]))
+    lo = np.concatenate([np.zeros(0)] + [kv.knots[:kv.n] for kv in kvs])  # supports [lo, hi]
+    hi = np.concatenate([np.zeros(0)] + [kv.knots[kv.p + 1:] for kv in kvs])
     of = np.repeat(np.arange(len(edges)), [kv.n for kv in kvs])
     a, b = np.array([rng for _, _, rng in edges], dtype=float).reshape(-1, 2).T
     keep = (lo < b[of]) & (hi > a[of]) & (dofs >= 0)  # the support meets the open range
@@ -272,7 +272,8 @@ def _side_points(domain):
     parameter; a breakpoint within 1e-12 of the range length of the one before merges.  Per
     point: its `side` (:func:`_oriented_sides`), the owner's parameter `axis` along it, the
     neighbor's edge parameter `ss`, the owner's `uv`, the Gauss weight times arc measure, the
-    owner's outward unit normal and ``J^-T``; `start` is the first point of every sub-interval."""
+    owner's outward unit normal and ``J^-T``; `start` is the first point of every sub-interval.
+    One singular-Jacobian check covers all points, each against its owner's largest entry."""
     sides, patches = _oriented_sides(domain), domain.patches
     partner = np.arange(len(sides)) ^ 1  # side s ^ 1 is side s seen from its neighbor
     n_hat = np.array([side_normal_hat(ori.side_k) for ori in sides]).reshape(-1, 2)
@@ -330,10 +331,12 @@ def interface_side_terms(domain, delta):
     At a point with weight w, the owner's 2 (p + 1) functions N of the two
     lattice layers next to the side (whose value or derivative is nonzero
     there) and the neighbor's p + 1 edge functions psi give the jump
-    ``[N, -psi]`` and the owner-side flux ``[dN/dn, 0]``; the point's matrix
-    is ``rho w jump (x) jump - alpha w / 2 (flux (x) jump + jump (x) flux)``.
-    One pass over all sides' points evaluates the basis once per distinct
-    knot vector.  Returns ``(side, own, edge, mats)``, one row per
+    ``[N, -psi]`` and the owner-side flux ``[dN/dn, 0]``, ``dN/dn`` the row
+    ``n^T J^-T`` times ``(dN/du, dN/dv)``.  Over a sub-interval's points, rows
+    J and F, the matrix is ``J^T diag(rho w) J - (X + X^T)``, ``X = F^T
+    diag(alpha w / 2) J``: one batched product per Gauss count.  One pass
+    over all sides' points evaluates the basis once per distinct knot
+    vector.  Returns ``(side, own, edge, mats)``, one row per
     sub-interval, side after side: ``mats[j]`` couples the owner's flat
     lattice indices ``own[j]``, then the neighbor's edge functions ``edge[j]``.
     """

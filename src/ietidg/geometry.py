@@ -270,8 +270,9 @@ class MultiPatchDomain:
         u, v = np.concatenate([e, e + 1.0, s, s]), np.concatenate([s, s, e, e + 1.0])
         x = eval_maps([p.geometry for p in self.patches], np.repeat(np.arange(K), u.size),
                       np.tile(u, K), np.tile(v, K)).reshape(K, -1, 2)
-        # a sample farther than its bounding-box bound from every other one is in no farthest
-        # pair, as rounding is monotone: the pairs of the rest give the all-pairs maximum
+        # a sample whose bounding-box bound on its distances falls short of a known distance (from
+        # the first sample) is in no farthest pair, as rounding is monotone: the pairs of the
+        # other samples give the all-pairs maximum, bit for bit
         a = np.maximum(x - x.min(1, keepdims=True), x.max(1, keepdims=True) - x)
         d = x - x[:, :1]
         keep = a[..., 0] ** 2 + a[..., 1] ** 2 >= (d[..., 0] ** 2 + d[..., 1] ** 2).max(1)[:, None]

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from ietidg.assembly import (_inv_transpose, _oriented_sides, _SidePoints,
-                             assemble_interface_terms, assemble_volume, band_rows, copy_map)
-from ietidg.bspline import KnotVector, TensorSplineSpace, eval_basis, gauss_rule, refine_uniform
+from ietidg.assembly import (_inv_transpose, _oriented_sides, _side_points, _SidePoints,
+                             assemble_interface_terms, assemble_volume, band_rows, copy_map, side_dofs)
+from ietidg.bspline import (KnotVector, TensorSplineSpace, active_on_interval, eval_basis, gauss_rule,
+                            nonzero_at_point, refine_uniform)
 from ietidg.domains import domain_from_config, domain_to_config
 from ietidg.errors import ConfigError
 from ietidg.geometry import (GeometryMap, Interface, MultiPatchDomain, Patch, Vertex, side_normal_hat,
                              side_point)
+from ietidg.ieti import PrimalGroup
 from ietidg.linalg import SparseSym, block_triplets
 from ietidg.refsolver import patch_offsets
 
@@ -215,6 +217,107 @@ def reference_side_points(domain):
     weights = np.concatenate(ws) * np.linalg.norm(jac[np.arange(side.size), :, axis], axis=1)
     return _SidePoints(side, axis, np.concatenate(ss), uv, weights, normals, jinv_t,
                        np.cumsum(counts[:-1], dtype=int))
+
+
+# -- references: the per-point, per-side and per-vertex loops that the
+# whole-domain passes of interface_side_terms, copy_map,
+# assemble_interface_terms and select_primal replaced
+
+
+def reference_interface_side_terms(domain, delta):
+    """`interface_side_terms` summing each sub-interval's point matrices, the g-th points of all
+    sub-intervals at once, the flux through ``(Q, 2, 2) @ (Q, 2, 2p + 2)``."""
+    p, sides, sp = domain.degree, _oriented_sides(domain), _side_points(domain)
+    side, axis, start, q = sp.side, sp.axis, sp.start, np.arange(sp.side.size)
+    kvs = {}
+    which = np.array([[kvs.setdefault(kv.knots.tobytes(), (len(kvs), kv))[0] for kv in (
+        domain.patches[ori.k].space.kv_u, domain.patches[ori.k].space.kv_v,
+        domain.patches[ori.l].space.edge_kv(ori.side_l))] for ori in sides]).reshape(-1, 3)[side].T
+    params = np.stack([sp.uv[:, 0], sp.uv[:, 1], sp.ss])
+    first, tab = np.empty((3, q.size), dtype=int), np.empty((3, q.size, 2, p + 1))
+    for i, kv in kvs.values():
+        first[which == i], tab[which == i] = eval_basis(kv, params[which == i], 1)
+    col = (p - 1) * (sp.uv[q, 1 - axis] == 1.0).astype(int)[:, None] + np.arange(2)
+    layer = np.take_along_axis(tab[1 - axis, q], col[:, None, :], axis=2)
+    values, d_layer, d_along = ((layer[:, a, :, None] * tab[axis, q, b, None, :]).reshape(
+        -1, 2 * p + 2) for a, b in ((0, 0), (1, 0), (0, 1)))
+    grad_hat = np.where(axis[:, None, None] == 1, np.stack([d_layer, d_along], axis=1),
+                        np.stack([d_along, d_layer], axis=1))
+    jump = np.concatenate([values, -tab[2, :, 0]], axis=1)
+    flux = np.pad(np.einsum("qa,qam->qm", sp.normals, sp.jinv_t @ grad_hat), ((0, 0), (0, p + 1)))
+    k, l = np.array([[ori.k, ori.l] for ori in sides], dtype=int).reshape(-1, 2).T
+    alpha = np.array([patch.alpha for patch in domain.patches])[k]
+    rho = alpha * delta * p * p / np.minimum(domain.metrics["h"][k], domain.metrics["h"][l])
+    counts, mats = np.diff(np.append(start, q.size)), np.zeros((start.size, 3 * p + 3, 3 * p + 3))
+    for g in range(counts.max(initial=0)):
+        at = start + np.minimum(g, counts - 1)
+        w = sp.weights[at] * (g < counts)
+        fj = (0.5 * alpha[side[at]] * w)[:, None, None] * flux[at, :, None] * jump[at, None, :]
+        mats += (jump[at, :, None] * jump[at, None, :]) * (rho[side[at]] * w)[:, None, None] - (
+            fj + np.swapaxes(fj, 1, 2))
+    idx = np.broadcast_arrays((first[1 - axis[start], start, None] + col[start])[:, :, None],
+                              (first[axis[start], start, None] + np.arange(p + 1))[:, None, :])
+    iu, iv = np.where(axis[start, None, None] == 1, idx, idx[::-1])
+    n_v = np.array([patch.space.n_v for patch in domain.patches])[k[side[start]], None, None]
+    return (side[start], (iu * n_v + iv).reshape(-1, 2 * p + 2),
+            first[2, start, None] + np.arange(p + 1), mats)
+
+
+def reference_trace_basis(space, side, prange):
+    """`trace_basis_on_edge` on one edge, through `active_on_interval`."""
+    dofs = space.edge_dofs(side)[active_on_interval(space.edge_kv(side), *prange)]
+    dofs = dofs[dofs >= 0]
+    if not dofs.size:
+        raise ConfigError("degenerate interface: no active trace functions on %s %s" % (side, prange))
+    return dofs
+
+
+def reference_copy_map(domain):
+    """`copy_map` one interface side at a time."""
+    rows = [np.zeros((0, 5), dtype=int)]
+    next_dof = [patch.space.dimension for patch in domain.patches]
+    for i, g in enumerate(domain.interfaces):
+        for src, side, prange, blk in ((g.k, g.side_k, g.range_k, g.l),
+                                       (g.l, g.side_l, g.range_l, g.k)):
+            sdof = reference_trace_basis(domain.patches[src].space, side, prange)
+            n = sdof.size
+            rows.append(np.column_stack([np.full(n, i), np.full(n, src), sdof, np.full(n, blk),
+                                         next_dof[blk] + np.arange(n)]))
+            next_dof[blk] += n
+    return np.concatenate(rows)
+
+
+def reference_interface_dofs(domain, copies, side, own, edge):
+    """`assemble_interface_terms`' ``(block, idx)``, one oriented side's edge map at a time."""
+    edge_maps = []
+    for s, ori in enumerate(_oriented_sides(domain)):
+        nb = domain.patches[ori.l].space
+        rows = copies[(copies[:, 0] == s // 2) & (copies[:, 3] == ori.k)]
+        copy_of = np.full(nb.dimension + 1, -1)
+        copy_of[rows[:, 2]] = rows[:, 4]
+        edge_maps.append(copy_of[nb.edge_dofs(ori.side_l)])
+    lattice_maps = [patch.space.dof_map.ravel() for patch in domain.patches]
+    return side_dofs(domain, side, own, edge, lattice_maps, edge_maps)
+
+
+def reference_select_primal(domain, log=None):
+    """`select_primal` one vertex, adjacent patch and candidate at a time; calls ``log(patch, i,
+    j, point)`` for every Dirichlet-constrained candidate."""
+    groups, claimed = [], set()
+    for v_idx, vertex in enumerate(domain.vertices):
+        for patch, (u0, v0) in vertex.adjacency:
+            space = domain.patches[patch].space
+            for i in nonzero_at_point(space.kv_u, u0):
+                for j in nonzero_at_point(space.kv_v, v0):
+                    dof = int(space.dof_map[i, j])
+                    if dof < 0:
+                        if log:
+                            log(patch, i, j, vertex.point)
+                        continue
+                    if (patch, dof) not in claimed:
+                        claimed.add((patch, dof))
+                        groups.append(PrimalGroup(v_idx, (patch, dof)))
+    return sorted(groups, key=lambda g: g.source)
 
 
 @pytest.fixture

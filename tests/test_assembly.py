@@ -25,7 +25,8 @@ from ietidg.linalg import block_triplets
 
 from conftest import (curved_geometry, curved_two_patch_domain, extended_matrix, local_systems,
                       mirrored_two_patch_domain, nonuniform_config_domain, volume_arrays,
-                      reference_merged_partition, reference_side_points,
+                      reference_copy_map, reference_interface_dofs, reference_interface_side_terms,
+                      reference_merged_partition, reference_select_primal, reference_side_points,
                       reversed_two_patch_domain, two_patch_domain, unit_square_patch)
 from test_bspline import scalar_cox_de_boor
 from test_ieti import fd_against_superlu, partial_interface_domain
@@ -826,3 +827,63 @@ class TestSplitSystem:
         mats[j, a, b] *= 1.5
         with pytest.raises(NumericalError, match="symmetric matrix has asymmetry"):
             build_local_system(dom, 0, (block, idx, mats), partition)
+
+
+def whole_domain_cases():
+    """The built-ins at p=1..3, r=0..2 and the special domains, as pytest params."""
+    cases = [pytest.param(lambda name=name, args=args, p=p, r=r: builtin_domain(name, args, p, r),
+                          id="%s%s-p%d-r%d" % (name, args, p, r))
+             for name, args in (("grid", (2,)), ("tdomain", ()), ("slider", (4, 0.3)))
+             for p in (1, 2, 3) for r in (0, 1, 2)]
+    return cases + [pytest.param(f, id=i) for f, i in (
+        (lambda: reversed_two_patch_domain(p=2), "reversed"),
+        (lambda: mirrored_two_patch_domain(p=2), "mirrored"),
+        (lambda: curved_two_patch_domain(p=3, r=1), "curved"),
+        # the curved side takes 3 Gauss points per sub-interval, its flip 2
+        (lambda: curved_two_patch_domain(p=1, r=1), "curved-p1"),
+        (lambda: nonuniform_config_domain(2, 1), "nonuniform"),
+        (lambda: partial_interface_domain(), "partial"))]
+
+
+class TestWholeDomainPasses:
+    """The whole-domain passes against the loops they replaced (conftest)."""
+
+    @pytest.mark.parametrize("factory", whole_domain_cases())
+    def test_passes_match_loop_references(self, factory):
+        dom = factory()
+        new, ref = interface_side_terms(dom, 12.0), reference_interface_side_terms(dom, 12.0)
+        for a, b in zip(new[:3], ref[:3]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        mats, expected = new[3], ref[3]
+        assert mats.shape == expected.shape and np.array_equal(mats, np.swapaxes(mats, 1, 2))
+        assert np.all(np.abs(mats - expected).max(axis=(1, 2)) <= 1e-14 * np.abs(expected).max(axis=(1, 2)))
+        copies = copy_map(dom)
+        assert copies.dtype == reference_copy_map(dom).dtype and np.array_equal(copies, reference_copy_map(dom))
+        block, idx, _ = assemble_interface_terms(dom, copies, 12.0)
+        for a, b in zip((block, idx), reference_interface_dofs(dom, copies, *ref[:3])):
+            assert np.array_equal(a, b)
+        assert select_primal(dom) == reference_select_primal(dom)
+
+    def test_singular_on_two_owners_names_lowest_patch_first_point(self):
+        # both sides of the interface collapse to the point (0.5, 1); side 0 is owned by patch 1,
+        # so its points come first, but the error names patch 0's first bad point
+        space = unit_square_patch(0, 1, 0, 1, 2, 1, set()).space
+        low = Patch(GeometryMap.bilinear((0, 0), (1, 0), (0.5, 1), (0.5, 1)), 1.0, space)
+        high = Patch(GeometryMap.bilinear((0.5, 1), (0.5, 1), (0, 2), (1, 2)), 1.0, space)
+        dom = MultiPatchDomain([low, high], [Interface(1, "south", (0.0, 1.0), 0, "north", (0.0, 1.0))])
+        u0 = gauss_rule(3).mapped(0.0, 0.5)[0][0]
+        for fn in (_side_points, reference_side_points):
+            with pytest.raises(NumericalError) as err:
+                fn(dom)
+            assert str(err.value) == "singular Jacobian at parameter (%.6g, 1), patch 0" % u0
+
+    @pytest.mark.parametrize("factory", [lambda: t_domain(degree=2, refinements=1),
+                                         lambda: slider_domain(4, 0.3, degree=3, refinements=2)],
+                             ids=["tdomain", "slider(4,0.3)"])
+    def test_one_note_per_dirichlet_candidate(self, caplog, factory):
+        dom, notes = factory(), []
+        reference_select_primal(dom, lambda *args: notes.append(
+            "patch %d: basis (%d, %d) at vertex %s is Dirichlet-constrained, not a primal dof" % args))
+        with caplog.at_level("INFO", logger="ietidg.ieti"):
+            select_primal(dom)
+        assert notes and [r.getMessage() for r in caplog.records] == notes

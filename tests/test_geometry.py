@@ -239,6 +239,23 @@ class TestValidationMatchesReference:
             assert np.array_equal(new.point, ref.point)
             assert new.adjacency == ref.adjacency and new.long_patches == ref.long_patches
 
+    def test_H_is_the_all_pairs_maximum_on_random_nets(self, rng):
+        # the samples kept for H against all pairs of the same samples, on random degree-2 nets,
+        # every third rounded to one decimal so that equal distances tie
+        kv = KnotVector.bernstein(2)
+        s, e = np.linspace(0.0, 1.0, 33), np.zeros(33)
+        u, v = np.concatenate([e, e + 1.0, s, s]), np.concatenate([s, s, e, e + 1.0])
+        for trial in range(60):
+            nets = rng.normal(size=(3, 3, 3, 2)) * rng.uniform(0.1, 10.0) + rng.normal(size=2)
+            nets = np.round(nets, 1) if trial % 3 == 0 else nets
+            dom = MultiPatchDomain([Patch(GeometryMap(kv, kv, net), 1.0, TensorSplineSpace(kv, kv))
+                                    for net in nets], [])
+            x = eval_maps([p.geometry for p in dom.patches], np.repeat(np.arange(3), u.size),
+                          np.tile(u, 3), np.tile(v, 3)).reshape(3, -1, 2)
+            H = [np.sqrt(np.max((px[:, None] - px) ** 2 + (py[:, None] - py) ** 2)) for px, py in
+                 x.transpose(0, 2, 1)]
+            assert np.array_equal(dom._compute_metrics()["H"], H)
+
     @pytest.mark.parametrize("factory, message", [
         (second_patch_collapsed,
          "patch 1: geometry map is not bijective: Jacobian determinant changes sign"),
