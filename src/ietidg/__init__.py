@@ -6,7 +6,6 @@ from .bspline import (
     KnotVector,
     QuadratureRule,
     TensorSplineSpace,
-    active_on_interval,
     eval_basis,
     gauss_rule,
     greville_points,
@@ -27,8 +26,7 @@ from .refsolver import assemble_global, direct_solve, measure_error
 
 __all__ = [
     "KnotVector", "QuadratureRule", "TensorSplineSpace",
-    "active_on_interval", "eval_basis", "gauss_rule", "greville_points",
-    "nonzero_at_point", "refine_uniform",
+    "eval_basis", "gauss_rule", "greville_points", "nonzero_at_point", "refine_uniform",
     "builtin_domain", "grid_domain", "slider_domain", "t_domain",
     "ConfigError", "NumericalError",
     "GeometryMap", "Interface", "MultiPatchDomain", "Patch", "Vertex",

@@ -19,9 +19,9 @@ import numpy as np
 import scipy.sparse
 
 from . import linalg
-from .bspline import eval_basis, gauss_rule, span_quadrature
+from .bspline import SIDES, eval_basis, gauss_rule, span_quadrature
 from .errors import ConfigError, NumericalError
-from .geometry import eval_maps, map_edge_param, side_normal_hat
+from .geometry import eval_maps, map_edge_param
 
 _SINGULAR_RTOL = 1e-12
 
@@ -63,12 +63,10 @@ def copy_map(domain):
     numbers its copies on from its own dimension, one contiguous run per
     interface in increasing interface order.
     """
-    spaces, ifaces = [patch.space for patch in domain.patches], domain.interfaces
-    # edge 2 i is side k of interface i, copied into block l; edge 2 i + 1 is side l, into block k
-    of, sdof = _trace_dofs([(spaces[k], side, rng) for g in ifaces for k, side, rng in (
-        (g.k, g.side_k, g.range_k), (g.l, g.side_l, g.range_l))])
-    kl = np.array([(g.k, g.l) for g in ifaces], dtype=int).reshape(-1, 2)
-    src, blk = kl.ravel()[of], kl[:, ::-1].ravel()[of]
+    spaces, t = [patch.space for patch in domain.patches], domain.sides
+    of, sdof = _trace_dofs([(spaces[k], SIDES[side], tuple(rng)) for k, side, rng in zip(
+        t.owner.tolist(), t.side.tolist(), t.range.tolist())])
+    src, blk = t.owner[of], t.neighbor[of]
     n = np.bincount(blk, minlength=len(spaces))  # each block's copies, numbered in row order
     cdof = np.empty_like(blk)
     cdof[np.argsort(blk, kind="stable")] = np.arange(blk.size) + np.repeat(
@@ -257,11 +255,6 @@ def univariate_matrices(kv):
     return tuple(KM[:, :, p:-p])
 
 
-def _oriented_sides(domain):
-    """Both orientations of every interface: side ``2 i`` is interface i, ``2 i + 1`` its flip."""
-    return [ori for g in domain.interfaces for ori in (g, g.flipped())]
-
-
 _SidePoints = namedtuple("_SidePoints", "side axis ss uv weights normals jinv_t start")
 
 
@@ -270,26 +263,23 @@ def _side_points(domain):
 
     A merged partition holds both sides' breakpoints inside the range, in the owner's edge
     parameter; a breakpoint within 1e-12 of the range length of the one before merges.  Per
-    point: its `side` (:func:`_oriented_sides`), the owner's parameter `axis` along it, the
+    point: its `side` (``domain.sides``), the owner's parameter `axis` along it, the
     neighbor's edge parameter `ss`, the owner's `uv`, the Gauss weight times arc measure, the
     owner's outward unit normal and ``J^-T``; `start` is the first point of every sub-interval.
     One singular-Jacobian check covers all points, each against its owner's largest entry."""
-    sides, patches = _oriented_sides(domain), domain.patches
-    partner = np.arange(len(sides)) ^ 1  # side s ^ 1 is side s seen from its neighbor
-    n_hat = np.array([side_normal_hat(ori.side_k) for ori in sides]).reshape(-1, 2)
+    t, patches = domain.sides, domain.patches
+    k, (a, b), rev, n_hat = t.owner, t.range.T, t.reversed_, t.normal
+    partner = np.arange(k.size) ^ 1  # side s ^ 1 is side s seen from its neighbor
     along = (n_hat[:, 1] == 0.0).astype(int)  # the edge parameter is v on west and east sides
-    k = np.array([ori.k for ori in sides], dtype=int)
-    a, b = np.array([ori.range_k for ori in sides]).reshape(-1, 2).T
-    rev = np.array([ori.reversed_ for ori in sides], dtype=bool)
     # each side's own breakpoints inside its range serve it and, mapped, its partner
-    own = [patches[i].space.edge_kv(ori.side_k).breakpoints for i, ori in zip(k, sides)]
-    of = np.repeat(np.arange(len(sides)), [x.size for x in own])
+    own = [patches[i].space.edge_kv(SIDES[j]).breakpoints for i, j in zip(k.tolist(), t.side.tolist())]
+    of = np.repeat(np.arange(k.size), [x.size for x in own])
     x = np.concatenate([np.zeros(0), *own])
     inside = (a[of] < x) & (x < b[of])
     x, of = x[inside], of[inside]
     frac, to = (x - a[of]) / (b - a)[of], partner[of]
     pts = np.concatenate([a, b, x, a[to] + np.where(rev[of], 1.0 - frac, frac) * (b - a)[to]])
-    of = np.concatenate([np.arange(len(sides)), np.arange(len(sides)), of, to])
+    of = np.concatenate([np.arange(k.size), np.arange(k.size), of, to])
     order = np.lexsort((pts, of))
     pts, of = pts[order], of[order]
     keep = (np.diff(of, prepend=-1) != 0) | (np.diff(pts, prepend=0.0) > 1e-12 * (b - a)[of])
@@ -340,13 +330,15 @@ def interface_side_terms(domain, delta):
     sub-interval, side after side: ``mats[j]`` couples the owner's flat
     lattice indices ``own[j]``, then the neighbor's edge functions ``edge[j]``.
     """
-    p, sides, sp = domain.degree, _oriented_sides(domain), _side_points(domain)
+    p, t, sp = domain.degree, domain.sides, _side_points(domain)
     side, axis, start, q = sp.side, sp.axis, sp.start, np.arange(sp.side.size)
+    k, l, partner = t.owner, t.neighbor, np.arange(t.owner.size) ^ 1
     # the owner's u and v and the neighbor's edge basis at every point, by distinct knot vector
     kvs = {}
-    which = np.array([[kvs.setdefault(kv.knots.tobytes(), (len(kvs), kv))[0] for kv in (
-        domain.patches[ori.k].space.kv_u, domain.patches[ori.k].space.kv_v,
-        domain.patches[ori.l].space.edge_kv(ori.side_l))] for ori in sides]).reshape(-1, 3)[side].T
+    kv_of = np.array([[kvs.setdefault(kv.knots.tobytes(), (len(kvs), kv))[0] for kv in (
+        patch.space.kv_u, patch.space.kv_v)] for patch in domain.patches])
+    edge_kv = (t.normal[partner, 1] == 0.0).astype(int)  # the neighbor's v on west and east sides
+    which = np.stack([kv_of[k, 0], kv_of[k, 1], kv_of[l, edge_kv]])[:, side]
     params = np.stack([sp.uv[:, 0], sp.uv[:, 1], sp.ss])
     first, tab = np.empty((3, q.size), dtype=int), np.empty((3, q.size, 2, p + 1))
     for i, kv in kvs.values():
@@ -363,7 +355,6 @@ def interface_side_terms(domain, delta):
     c_layer, c_along = (np.take_along_axis(c, a[:, None], 1) for a in (1 - axis, axis))
     flux = np.pad(c_layer * d_layer + c_along * d_along, ((0, 0), (0, p + 1)))
     jump = np.concatenate([values, -tab[2, :, 0]], axis=1)
-    k, l = np.array([[ori.k, ori.l] for ori in sides], dtype=int).reshape(-1, 2).T
     alpha = np.array([patch.alpha for patch in domain.patches])[k]
     rho = alpha * delta * p * p / np.minimum(domain.metrics["h"][k], domain.metrics["h"][l])
     # mats = J^T diag(rho w) J - (X + X^T), X = F^T diag(alpha w / 2) J over a sub-interval's
@@ -385,10 +376,17 @@ def interface_side_terms(domain, delta):
             first[2, start, None] + np.arange(p + 1), mats)
 
 
+def _neighbor_edges(domain):
+    """Every oriented side's neighbor `edge_dofs`, the functions of `interface_side_terms`' `edge`."""
+    t = domain.sides
+    return [domain.patches[l].space.edge_dofs(SIDES[j]) for l, j in zip(
+        t.neighbor.tolist(), t.side[np.arange(t.side.size) ^ 1].tolist())]
+
+
 def side_dofs(domain, side, own, edge, lattice_maps, edge_maps):
     """Owner patch and the indices of :func:`interface_side_terms` rows, the owner's lattice
     mapped through ``lattice_maps[patch]`` and the edge functions through ``edge_maps[side]``."""
-    owner = np.array([ori.k for ori in _oriented_sides(domain)], dtype=int)[side]
+    owner = domain.sides.owner[side]
     idx = [np.concatenate([np.zeros(0, int), *maps])[np.cumsum([0] + [m.size for m in maps])[which]
                                                     [:, None] + local]
            for maps, which, local in ((lattice_maps, owner, own), (edge_maps, side, edge))]
@@ -402,15 +400,14 @@ def assemble_interface_terms(domain, copies, delta):
     columns ``idx[j]`` of block ``block[j]``, -1 for dropped ones.
     """
     side, own, edge, mats = interface_side_terms(domain, delta)
-    sides, spaces = _oriented_sides(domain), [patch.space for patch in domain.patches]
+    spaces, edges = [patch.space for patch in domain.patches], _neighbor_edges(domain)
     # side s reads the copies of its neighbor's edge functions in its owner's block, the
     # copy-map rows of interface s // 2 in block k_s: look up (side, source dof) in all rows
     iface, _, sdof, blk, cdof = copies.T
     n = max(space.dimension for space in spaces) + 1  # an edge's constrained index -1 finds no row
-    key = n * (2 * iface + (blk != np.array([ori.k for ori in sides[::2]], dtype=int)[iface])) + sdof
+    key = n * (2 * iface + (blk != domain.sides.owner[2 * iface])) + sdof
     order = np.argsort(key)
-    edges = [spaces[ori.l].edge_dofs(ori.side_l) for ori in sides]
-    want = n * np.repeat(np.arange(len(sides)), [e.size for e in edges]) + np.concatenate(
+    want = n * np.repeat(np.arange(len(edges)), [e.size for e in edges]) + np.concatenate(
         [np.zeros(0, int), *edges])
     at = order[np.minimum(np.searchsorted(key, want, sorter=order), key.size - 1)]
     copy = np.where(key[at] == want, cdof[at], -1)

@@ -69,9 +69,9 @@ class KnotVector:
         bp.flags.writeable = False
         return bp
 
-    @property
+    @functools.cached_property
     def h_max(self):
-        """Largest knot span."""
+        """Largest knot span, computed once."""
         return float(np.max(np.diff(self.knots)))
 
     def find_span(self, x):
@@ -155,14 +155,6 @@ def refine_uniform(kv, levels):
         mids = mids[np.diff(knots) > 0]
         knots = np.sort(np.concatenate([knots, mids]))
     return KnotVector(kv.p, knots)
-
-
-def active_on_interval(kv, a, b):
-    """Indices whose support ``[U[i], U[i+p+1]]`` overlaps ``(a, b)`` with positive length."""
-    if not (0.0 <= a < b <= 1.0):
-        raise ValueError("need 0 <= a < b <= 1, got (%r, %r)" % (a, b))
-    U = kv.knots
-    return np.flatnonzero((U[: kv.n] < b) & (U[kv.p + 1 :] > a))
 
 
 def nonzero_at_point(kv, x):

@@ -7,6 +7,7 @@ validation samples and classified as regular corners or T-junctions.
 """
 
 import logging
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,10 +166,25 @@ class Interface:
         """Affine edge-parameter correspondence from side k to side l."""
         return map_edge_param(np.asarray(t), self.range_k, self.range_l, self.reversed_)
 
-    def flipped(self):
-        """Same interface seen from patch `l`."""
-        return Interface(self.l, self.side_l, self.range_l, self.k, self.side_k,
-                         self.range_k, self.reversed_)
+
+SideTable = namedtuple("SideTable", "owner neighbor side normal range reversed_")  # see side_table
+
+
+def side_table(interfaces):
+    """Every interface seen from both of its patches: a `SideTable` of read-only arrays over 2n
+    oriented sides.  Side ``2 i`` is interface i seen from its patch k, ``2 i + 1`` from its patch
+    l, and the partner of side s is ``s ^ 1``.  Per side: the `owner` and `neighbor` patch, the
+    owner's `side` as an index into ``SIDES`` and its outward `normal` (:func:`side_normal_hat`),
+    the owner's edge-parameter `range` ``(2n, 2)`` and `reversed_`."""
+    kl = np.array([(g.k, g.l) for g in interfaces], dtype=int).reshape(-1, 2)
+    side = np.array([SIDES.index(s) for g in interfaces for s in (g.side_k, g.side_l)], dtype=int)
+    normal = np.array([side_normal_hat(name) for name in SIDES])[side]
+    ranges = np.array([(g.range_k, g.range_l) for g in interfaces], dtype=float).reshape(-1, 2)
+    rev = np.repeat(np.array([g.reversed_ for g in interfaces], dtype=bool), 2)
+    table = SideTable(kl.ravel(), kl[:, ::-1].ravel(), side, normal, ranges, rev)
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 @dataclass
@@ -194,6 +210,7 @@ class Patch:
 class MultiPatchDomain:
     """Patches, interfaces, classified vertices and derived mesh metrics.
 
+    `sides` is the :func:`side_table` of the interfaces, built once here.
     :meth:`validate` sets `vertices` and `metrics`.  Immutable after it; all
     queries are read-only and safe for concurrent use.
     """
@@ -215,6 +232,7 @@ class MultiPatchDomain:
         for g in self.interfaces:
             if not (0 <= g.k < K and 0 <= g.l < K and g.k != g.l):
                 raise ConfigError("interface references invalid patches (%d, %d)" % (g.k, g.l))
+        self.sides = side_table(self.interfaces)
         self.vertices = []
 
     @property
@@ -251,16 +269,13 @@ class MultiPatchDomain:
 
         Ranges that only touch, as at a T-junction, are valid.
         """
-        seen = {}
-        for idx, g in enumerate(self.interfaces):
-            for k, side, (a, b) in ((g.k, g.side_k, g.range_k), (g.l, g.side_l, g.range_l)):
-                for other, (c, d) in seen.get((k, side), []):
-                    if min(b, d) - max(a, c) > _CORNER_TOL:
-                        raise ConfigError(
-                            "interfaces %d and %d overlap on side %s of patch %d"
-                            % (other, idx, side, k)
-                        )
-                seen.setdefault((k, side), []).append((idx, (a, b)))
+        seen, t = {}, self.sides
+        for s, (k, side, (a, b)) in enumerate(zip(t.owner.tolist(), t.side.tolist(), t.range.tolist())):
+            for other, (c, d) in seen.get((k, side), []):
+                if min(b, d) - max(a, c) > _CORNER_TOL:
+                    raise ConfigError("interfaces %d and %d overlap on side %s of patch %d"
+                                      % (other // 2, s // 2, SIDES[side], k))
+            seen.setdefault((k, side), []).append((s, (a, b)))
 
     # -- metrics -------------------------------------------------------
 
@@ -291,22 +306,21 @@ def validate_interfaces(domain):
     records ``(point, patch, (u, v))`` per interface, taken from the same
     samples: the range start, then its end, each on side k before side l.
     """
-    ifaces, maps = domain.interfaces, [p.geometry for p in domain.patches]
-    ranges = np.array([(g.range_k, g.range_l) for g in ifaces]).reshape(-1, 2, 2)
+    sides, maps = domain.sides, [p.geometry for p in domain.patches]
+    ranges = sides.range.reshape(-1, 2, 2)  # (interface, side k or l, end)
     ts = np.linspace(ranges[:, 0, 0], ranges[:, 0, 1], _INTERFACE_SAMPLES, axis=1)
-    rev = np.array([[g.reversed_] for g in ifaces], dtype=bool).reshape(-1, 1)
+    rev = sides.reversed_[::2, None]
     t = np.stack([ts, map_edge_param(ts, *ranges.transpose(1, 2, 0)[..., None], rev)], axis=1)
-    n_hat = np.array([[side_normal_hat(g.side_k), side_normal_hat(g.side_l)] for g in ifaces])
-    n_hat = n_hat.reshape(-1, 2, 1, 2)  # (interface, side k or l, sample, axis)
+    n_hat = sides.normal.reshape(-1, 2, 1, 2)  # (interface, side k or l, sample, axis)
     uv = np.where(n_hat == 0.0, t[..., None], (n_hat > 0.0).astype(float))
-    patch = np.array([(g.k, g.l) for g in ifaces], dtype=int).reshape(-1, 2)
+    patch = sides.owner.reshape(-1, 2)
     x = eval_maps(maps, np.repeat(patch.ravel(), ts.shape[1]), uv[..., 0].ravel(),
                   uv[..., 1].ravel()).reshape(uv.shape)
     end_x, end_uv = (a[:, :, [0, -1]].swapaxes(1, 2).reshape(-1, 2) for a in (x, uv))
     ends = list(zip(end_x, np.repeat(patch, 2, axis=0).ravel().tolist(), map(tuple, end_uv.tolist())))
     dist = np.linalg.norm(x[:, 0] - x[:, 1], axis=-1)
     worst, tol = np.argmax(dist, axis=1), _MATCH_TOL * domain.metrics["H"][patch[:, 0]]
-    bad = np.flatnonzero(dist[np.arange(len(ifaces)), worst] > tol)
+    bad = np.flatnonzero(dist[np.arange(len(patch)), worst] > tol)
     if not bad.size:
         return None, ends
     i, w = bad[0], worst[bad[0]]

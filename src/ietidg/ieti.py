@@ -114,9 +114,6 @@ class DofPartition:
     copies: np.ndarray
     offsets: np.ndarray
 
-    def gamma_index(self, k):
-        return self.gamma[k]
-
 
 def build_partition(domain, copies, groups):
     """Split every block's dofs into (I, Delta, Pi) off the copy map `copies`.
@@ -155,7 +152,7 @@ class JumpMatrices:
     """Signed matching constraints and the coefficient scaling on the skeleton vector.
 
     The skeleton vector holds block k's skeleton at ``offsets[k]:offsets[k + 1]``
-    (`block`), in ``gamma_index(k)`` order.  Row r of B is +1 at ``plus[r]``
+    (`block`), in ``gamma[k]`` order.  Row r of B is +1 at ``plus[r]``
     (a patch trace dof) and -1 at ``minus[r]`` (its artificial copy), and
     every dual dof lies in one row; only `apply` and `transpose` read them.
     `D` holds the diagonal scaling ``(alpha_k + alpha_l) / alpha_l`` over the
@@ -240,7 +237,7 @@ def build_psi(local_system, partition):
 
 @dataclass
 class OperatorBlock:
-    """One block on its skeleton ``gamma_index(k)`` of the partition: Delta first, then Pi.
+    """One block on its skeleton ``gamma[k]`` of the partition: Delta first, then Pi.
 
     `S` is the dense Schur complement over the skeleton, `dual_fac` the
     Cholesky factor of its (Delta, Delta) block, `psi` the energy-minimizing

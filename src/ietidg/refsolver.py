@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse
 
 from . import linalg
-from .assembly import (_inv_transpose, _oriented_sides, assemble_volume, band_rows,
+from .assembly import (_inv_transpose, _neighbor_edges, assemble_volume, band_rows,
                        interface_side_terms, side_dofs)
 from .bspline import eval_matrices, gauss_rule
 from .errors import NumericalError
@@ -51,8 +51,7 @@ def assemble_global(domain, delta, source=1.0):
               for patch, (band, _), n in zip(domain.patches, volumes, np.diff(offs))]
     side, own, edge, mats = interface_side_terms(domain, delta)
     lattices = [_shifted(patch.space.dof_map.ravel(), off) for patch, off in zip(domain.patches, offs)]
-    edges = [_shifted(domain.patches[o.l].space.edge_dofs(o.side_l), offs[o.l])
-             for o in _oriented_sides(domain)]
+    edges = [_shifted(dofs, offs[l]) for dofs, l in zip(_neighbor_edges(domain), domain.sides.neighbor)]
     _, idx = side_dofs(domain, side, own, edge, lattices, edges)
     matrix = scipy.sparse.block_diag(blocks, format="csr")
     matrix += scipy.sparse.csr_matrix(linalg.block_triplets(idx, mats), shape=matrix.shape)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from ietidg.assembly import (_inv_transpose, _oriented_sides, _side_points, _SidePoints,
+from ietidg.assembly import (_inv_transpose, _side_points, _SidePoints,
                              assemble_interface_terms, assemble_volume, band_rows, copy_map, side_dofs)
-from ietidg.bspline import (KnotVector, TensorSplineSpace, active_on_interval, eval_basis, gauss_rule,
-                            nonzero_at_point, refine_uniform)
+from ietidg.bspline import (KnotVector, TensorSplineSpace, eval_basis, gauss_rule, nonzero_at_point,
+                            refine_uniform)
 from ietidg.domains import domain_from_config, domain_to_config
 from ietidg.errors import ConfigError
 from ietidg.geometry import (GeometryMap, Interface, MultiPatchDomain, Patch, Vertex, side_normal_hat,
@@ -171,6 +171,13 @@ def reference_classify_vertices(ends, merge_tol):
     return vertices
 
 
+def oriented_interfaces(domain):
+    """Both orientations of every interface, built from its fields: ``2 i`` is interface i,
+    ``2 i + 1`` the same interface seen from its patch l."""
+    return [ori for g in domain.interfaces for ori in (
+        g, Interface(g.l, g.side_l, g.range_l, g.k, g.side_k, g.range_k, g.reversed_))]
+
+
 def reference_merged_partition(domain, ori):
     """Breakpoints of both sides of the oriented side `ori` merged, in the owner's edge parameter."""
     own = domain.patches[ori.k].space.edge_kv(ori.side_k).breakpoints
@@ -193,7 +200,7 @@ def reference_jacobian_points(geo, u_pts, v_pts):
 
 def reference_side_points(domain):
     """`assembly._side_points` one side and one owner patch at a time."""
-    sides = _oriented_sides(domain)
+    sides = oriented_interfaces(domain)
     ts, ws, ss, counts = [np.zeros(0)], [np.zeros(0)], [np.zeros(0)], [0]
     for ori in sides:
         geo = domain.patches[ori.k].geometry
@@ -227,7 +234,7 @@ def reference_side_points(domain):
 def reference_interface_side_terms(domain, delta):
     """`interface_side_terms` summing each sub-interval's point matrices, the g-th points of all
     sub-intervals at once, the flux through ``(Q, 2, 2) @ (Q, 2, 2p + 2)``."""
-    p, sides, sp = domain.degree, _oriented_sides(domain), _side_points(domain)
+    p, sides, sp = domain.degree, oriented_interfaces(domain), _side_points(domain)
     side, axis, start, q = sp.side, sp.axis, sp.start, np.arange(sp.side.size)
     kvs = {}
     which = np.array([[kvs.setdefault(kv.knots.tobytes(), (len(kvs), kv))[0] for kv in (
@@ -264,8 +271,11 @@ def reference_interface_side_terms(domain, delta):
 
 
 def reference_trace_basis(space, side, prange):
-    """`trace_basis_on_edge` on one edge, through `active_on_interval`."""
-    dofs = space.edge_dofs(side)[active_on_interval(space.edge_kv(side), *prange)]
+    """`trace_basis_on_edge` on one edge, the support-overlap rule one function at a time."""
+    kv, (a, b) = space.edge_kv(side), prange
+    U, p = kv.knots, kv.p
+    active = np.array([i for i in range(kv.n) if U[i] < b and U[i + p + 1] > a], dtype=int)
+    dofs = space.edge_dofs(side)[active]
     dofs = dofs[dofs >= 0]
     if not dofs.size:
         raise ConfigError("degenerate interface: no active trace functions on %s %s" % (side, prange))
@@ -290,7 +300,7 @@ def reference_copy_map(domain):
 def reference_interface_dofs(domain, copies, side, own, edge):
     """`assemble_interface_terms`' ``(block, idx)``, one oriented side's edge map at a time."""
     edge_maps = []
-    for s, ori in enumerate(_oriented_sides(domain)):
+    for s, ori in enumerate(oriented_interfaces(domain)):
         nb = domain.patches[ori.l].space
         rows = copies[(copies[:, 0] == s // 2) & (copies[:, 3] == ori.k)]
         copy_of = np.full(nb.dimension + 1, -1)
@@ -402,7 +412,7 @@ def dual_rows(partition):
 
 
 def jump_matrix(jumps, k):
-    """Block k's B as a CSR over its skeleton ``gamma_index(k)``, from `plus` and `minus`."""
+    """Block k's B as a CSR over its skeleton ``gamma[k]``, from `plus` and `minus`."""
     block, n = jumps.block(k), jumps.plus.size
     pos = np.concatenate([jumps.plus, jumps.minus])
     inside = np.flatnonzero((pos >= block.start) & (pos < block.stop))
@@ -415,7 +425,7 @@ def full_jump_columns(jumps, partition):
     out = []
     for k, n in enumerate(np.diff(partition.offsets)):
         B = np.zeros((jumps.plus.size, n))
-        B[:, partition.gamma_index(k)] = jump_matrix(jumps, k).toarray()
+        B[:, partition.gamma[k]] = jump_matrix(jumps, k).toarray()
         out.append(B)
     return out
 
@@ -450,7 +460,7 @@ def check_lemma_bbt(domain, op, u_blocks):
     deviation (all non-pair skeleton dofs must carry zero).
     """
     B_gamma = [jump_matrix(op.jumps, k) for k in range(len(op.blocks))]
-    gamma = [op.partition.gamma_index(k) for k in range(len(op.blocks))]
+    gamma = [op.partition.gamma[k] for k in range(len(op.blocks))]
     mu = sum((B @ u[g] for B, u, g in zip(B_gamma, u_blocks, gamma)), np.zeros(op.n_rows))
     w = [(B.T @ mu) / op.jumps.D[op.jumps.block(k)] for k, B in enumerate(B_gamma)]
     expected = [np.zeros_like(wk) for wk in w]
@@ -533,7 +543,7 @@ class ReferenceSolvePhase:
         part = self.op.partition
         for k, (blk, ug) in enumerate(zip(self.op.blocks, u_gamma)):
             u = np.empty(part.offsets[k + 1] - part.offsets[k])
-            u[part.gamma_index(k)] = ug
+            u[part.gamma[k]] = ug
             u[part.interior[k]] = blk.aii_fac.solve(blk.f_I - blk.A_IG @ ug)
             u_blocks.append(u)
         return u_blocks

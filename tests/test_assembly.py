@@ -4,7 +4,6 @@ import scipy.sparse
 
 from ietidg import assembly, linalg, refsolver
 from ietidg.assembly import (
-    _oriented_sides,
     _side_points,
     _sum_factorized,
     assemble_interface_terms,
@@ -24,10 +23,11 @@ from ietidg.ieti import build_partition, select_primal, setup_operator
 from ietidg.linalg import block_triplets
 
 from conftest import (curved_geometry, curved_two_patch_domain, extended_matrix, local_systems,
-                      mirrored_two_patch_domain, nonuniform_config_domain, volume_arrays,
-                      reference_copy_map, reference_interface_dofs, reference_interface_side_terms,
-                      reference_merged_partition, reference_select_primal, reference_side_points,
-                      reversed_two_patch_domain, two_patch_domain, unit_square_patch)
+                      mirrored_two_patch_domain, nonuniform_config_domain, oriented_interfaces,
+                      volume_arrays, reference_copy_map, reference_interface_dofs,
+                      reference_interface_side_terms, reference_merged_partition,
+                      reference_select_primal, reference_side_points, reversed_two_patch_domain,
+                      two_patch_domain, unit_square_patch)
 from test_bspline import scalar_cox_de_boor
 from test_ieti import fd_against_superlu, partial_interface_domain
 
@@ -424,7 +424,7 @@ def reference_side_blocks(dom, delta, s):
     owner's flat lattice followed by the neighbor's edge functions, with
     every owner function active at the point (not only the two layers).
     """
-    ori = _oriented_sides(dom)[s]
+    ori = oriented_interfaces(dom)[s]
     own, nb = dom.patches[ori.k], dom.patches[ori.l]
     p, space, geo = dom.degree, own.space, own.geometry
     nb_kv = nb.space.edge_kv(ori.side_l)
@@ -538,7 +538,7 @@ class TestInterfaceTerms:
         dom = factory()
         side, own, edge, mats = interface_side_terms(dom, 12.0)
         assert np.array_equal(side, np.sort(side))
-        for s, ori in enumerate(_oriented_sides(dom)):
+        for s, ori in enumerate(oriented_interfaces(dom)):
             n_lat = dom.patches[ori.k].space.n_u * dom.patches[ori.k].space.n_v
             reference = reference_side_blocks(dom, 12.0, s)
             at = np.flatnonzero(side == s)
@@ -595,7 +595,7 @@ class TestInterfaceTerms:
         fixed = {"west": (0, 0.0), "east": (0, 1.0), "south": (1, 0.0), "north": (1, 1.0)}
         sp = _side_points(dom)
         seen = set()
-        for s, ori in enumerate(_oriented_sides(dom)):
+        for s, ori in enumerate(oriented_interfaces(dom)):
             at = sp.side == s
             np.testing.assert_allclose(np.linalg.norm(sp.normals[at], axis=1), 1.0, rtol=1e-12)
             # each side is evaluated at its own parameter points, the fixed coordinate exact
@@ -621,7 +621,7 @@ class TestInterfaceTerms:
         dom = factory()
         eps = 1e-3
         sp = _side_points(dom)
-        for s, ori in enumerate(_oriented_sides(dom)):
+        for s, ori in enumerate(oriented_interfaces(dom)):
             geo = dom.patches[ori.k].geometry
             at = sp.side == s
             inward = sp.uv[at] - eps * side_normal_hat(ori.side_k)
@@ -737,7 +737,7 @@ class TestSplitSystem:
         dom = factory()
         partition, splits = split_systems(dom)
         for k, (split, ref) in enumerate(zip(splits, local_systems(dom))):
-            A, I, gamma = ref.A.csr, partition.interior[k], partition.gamma_index(k)
+            A, I, gamma = ref.A.csr, partition.interior[k], partition.gamma[k]
             assert split.k == k
             assert relative_gap(split.A_IG, A[I][:, gamma]) <= 1e-13
             assert relative_gap(split.A_GG, A[gamma][:, gamma].toarray()) <= 1e-13

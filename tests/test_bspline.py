@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ietidg.bspline import (
     KnotVector,
     TensorSplineSpace,
-    active_on_interval,
     eval_basis,
     eval_matrices,
     gauss_rule,
@@ -17,6 +16,7 @@ from ietidg.bspline import (
     nonzero_at_point,
     refine_uniform,
 )
+from ietidg.assembly import trace_basis_on_edge
 from ietidg.errors import ConfigError
 
 from conftest import random_knotvector
@@ -26,7 +26,7 @@ class TestKnotVector:
     def test_basic(self):
         kv = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
         assert kv.n == 4
-        assert kv.h_max == 0.5
+        assert kv.h_max == 0.5 == kv.__dict__["h_max"]  # computed once and kept
         assert np.diff(kv.breakpoints).min() == 0.5
 
     def test_rejects_non_open(self):
@@ -271,18 +271,19 @@ class TestRefine:
             assert np.abs(B @ fine_coeffs - coarse_vals).max() <= 1e-10
 
 
-class TestActivity:
-    def test_active_on_interval_examples(self):
-        kv = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
-        assert active_on_interval(kv, 0.0, 0.5).tolist() == [0, 1, 2]
-        assert active_on_interval(kv, 0.0, 1.0).tolist() == [0, 1, 2, 3]
-        kv1 = KnotVector(1, [0, 0, 0.5, 1, 1])
-        assert active_on_interval(kv1, 0.5, 1.0).tolist() == [1, 2]
+def support_overlap(kv, a, b):
+    """The functions of `kv` whose support meets (a, b), by `trace_basis_on_edge` on the west
+    edge of a space with no Dirichlet sides, whose dofs there are the v-indices."""
+    return trace_basis_on_edge(TensorSplineSpace(kv, kv), "west", (a, b))
 
-    def test_active_on_interval_error(self):
-        kv = KnotVector(1, [0, 0, 1, 1])
-        with pytest.raises(ValueError):
-            active_on_interval(kv, 0.5, 0.5)
+
+class TestActivity:
+    def test_support_overlap_examples(self):
+        kv = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
+        assert support_overlap(kv, 0.0, 0.5).tolist() == [0, 1, 2]
+        assert support_overlap(kv, 0.0, 1.0).tolist() == [0, 1, 2, 3]
+        kv1 = KnotVector(1, [0, 0, 0.5, 1, 1])
+        assert support_overlap(kv1, 0.5, 1.0).tolist() == [1, 2]
 
     def test_nonzero_at_point(self):
         kv = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
@@ -315,7 +316,7 @@ class TestActivity:
         for a in bp:
             for b in bp[bp > a]:
                 loop = [i for i in range(kv.n) if U[i] < b and U[i + p + 1] > a]
-                assert active_on_interval(kv, a, b).tolist() == loop
+                assert support_overlap(kv, a, b).tolist() == loop
 
     def test_nonzero_at_c0_knot(self):
         # at a knot of multiplicity p only the C^0 function survives

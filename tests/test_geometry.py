@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ietidg.bspline import KnotVector, TensorSplineSpace, refine_uniform
+from ietidg.bspline import SIDES, KnotVector, TensorSplineSpace, refine_uniform
 from ietidg.domains import (
     domain_from_config,
     domain_to_config,
@@ -20,13 +20,17 @@ from ietidg.geometry import (
     Patch,
     classify_vertices,
     eval_maps,
+    side_normal_hat,
     side_point,
     validate_interfaces,
 )
+from ietidg.ieti import setup_operator
+from ietidg.refsolver import assemble_global
 
 from conftest import (at, curved_two_patch_domain, mirrored_two_patch_domain,
                       nonuniform_config_domain, reference_classify_vertices, reference_validate,
                       reversed_two_patch_domain, two_patch_domain, unit_square_patch)
+from test_ieti import partial_interface_domain
 
 
 class TestGeometryMap:
@@ -458,3 +462,48 @@ class TestDomainConfig:
         ]
         with pytest.raises(ConfigError):
             MultiPatchDomain(patches, [Interface(0, "east", (0.0, 1.0), 1, "west", (0.0, 1.0))])
+
+
+def side_table_cases():
+    cases = [(lambda p=p, f=f: f(p), "%s-p%d" % (name, p)) for p in (1, 2, 3) for name, f in (
+        ("grid2x2", lambda p: grid_domain(2, degree=p, refinements=1)),
+        ("tdomain", lambda p: t_domain(degree=p, refinements=1)),
+        ("slider(3,0.3)", lambda p: slider_domain(3, 0.3, degree=p, refinements=1)),
+        ("slider(4,0.37)", lambda p: slider_domain(4, 0.37, degree=p, refinements=1)))]
+    cases += [(reversed_two_patch_domain, "reversed"), (mirrored_two_patch_domain, "mirrored"),
+              (curved_two_patch_domain, "curved"), (lambda: nonuniform_config_domain(2), "nonuniform"),
+              (partial_interface_domain, "partial")]
+    return [pytest.param(f, id=name) for f, name in cases]
+
+
+class TestSideTable:
+    """`MultiPatchDomain.sides` against the interfaces it is built from."""
+
+    @pytest.mark.parametrize("factory", side_table_cases())
+    def test_sides_are_each_interface_and_its_swap(self, factory):
+        dom = factory()
+        t, n = dom.sides, len(dom.interfaces)
+        assert [a.shape for a in t] == [(2 * n,), (2 * n,), (2 * n,), (2 * n, 2), (2 * n, 2), (2 * n,)]
+        assert [a.dtype.kind for a in t] == ["i", "i", "i", "f", "f", "b"]
+        for i, g in enumerate(dom.interfaces):
+            for s, (k, side, rng, l) in ((2 * i, (g.k, g.side_k, g.range_k, g.l)),
+                                         (2 * i + 1, (g.l, g.side_l, g.range_l, g.k))):
+                assert (t.owner[s], t.neighbor[s], SIDES[t.side[s]]) == (k, l, side)
+                assert np.array_equal(t.normal[s], side_normal_hat(side))
+                assert tuple(t.range[s]) == tuple(rng) and t.reversed_[s] == g.reversed_
+        for a in t:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[:1] = a[:1]
+
+    def test_setup_and_oracle_build_no_interface(self, monkeypatch):
+        # every per-side field comes from the table: no interface is flipped into a new one
+        dom = slider_domain(4, 0.3, degree=2, refinements=3)
+        made, post_init = [], Interface.__post_init__
+        monkeypatch.setattr(Interface, "__post_init__", lambda g: (made.append(g), post_init(g)))
+        setup_operator(dom)
+        assert len(made) == 0
+        assemble_global(dom, 12.0)
+        assert len(made) == 0
+        Interface(0, "east", (0.0, 1.0), 1, "west", (0.0, 1.0))
+        assert len(made) == 1  # the wrapper counts

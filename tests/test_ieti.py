@@ -57,7 +57,7 @@ def dense_MsD(op):
 def dense_schur(op, sysk):
     """The Schur complement of block ``sysk.k`` by dense elimination of its interior."""
     A = sysk.A.toarray()
-    gam, I = op.partition.gamma_index(sysk.k), op.partition.interior[sysk.k]
+    gam, I = op.partition.gamma[sysk.k], op.partition.interior[sysk.k]
     return A[np.ix_(gam, gam)] - A[np.ix_(gam, I)] @ np.linalg.solve(
         A[np.ix_(I, I)], A[np.ix_(I, gam)])
 
@@ -254,10 +254,10 @@ class TestJumpMatrices:
     def test_coefficient_scaling_entries(self):
         dom = two_patch_domain(p=1, r=1, alphas=(1.0, 1e4))
         groups, partition, jumps = build_stack(dom)
-        assert jumps.D.size == jumps.offsets[-1] == sum(partition.gamma_index(k).size for k in range(2))
+        assert jumps.D.size == jumps.offsets[-1] == sum(partition.gamma[k].size for k in range(2))
         for k, expected in ((0, (1.0 + 1e4) / 1e4), (1, (1e4 + 1.0) / 1.0)):
             D = jumps.D[jumps.block(k)]
-            assert D.size == partition.gamma_index(k).size > 0
+            assert D.size == partition.gamma[k].size > 0
             np.testing.assert_allclose(D, expected)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -301,7 +301,7 @@ class TestJumpMatrices:
         dom = factory(p)
         _, partition, jumps = build_stack(dom)
         assert jumps.minus.size == jumps.plus.size > 0
-        gammas = [partition.gamma_index(k) for k in range(dom.num_patches)]
+        gammas = [partition.gamma[k] for k in range(dom.num_patches)]
         assert np.array_equal(jumps.offsets, np.cumsum([0] + [g.size for g in gammas]))
         on_patch = np.concatenate([g < patch.space.dimension for g, patch in zip(gammas, dom.patches)])
         dual = np.concatenate([np.arange(g.size) < partition.dual[k].size
@@ -334,7 +334,7 @@ class TestJumpMatrices:
             entries[k].append((row, dof_k, 1.0))
             entries[l].append((row, dof_l, -1.0))
         for k in range(dom.num_patches):
-            index, sliced = partition.gamma_index(k), jump_matrix(jumps, k)
+            index, sliced = partition.gamma[k], jump_matrix(jumps, k)
             pos = -np.ones(partition.offsets[k + 1] - partition.offsets[k], dtype=int)
             pos[index] = np.arange(index.size)
             rr, cc, vv = zip(*[(r, pos[d], s) for r, d, s in entries[k]])
@@ -356,7 +356,7 @@ class TestOperator:
         assert blk.psi.shape == (dual.size + P.size, P.size)
         np.testing.assert_allclose(blk.psi[dual.size:], np.eye(P.size), atol=0)
         # extend Psi by its dense interior solve: the (I, Delta) rows of A Psi vanish
-        psi, gamma = np.zeros((A.shape[0], P.size)), partition.gamma_index(0)
+        psi, gamma = np.zeros((A.shape[0], P.size)), partition.gamma[0]
         psi[gamma] = blk.psi
         psi[I] = -np.linalg.solve(A[np.ix_(I, I)], A[np.ix_(I, gamma)] @ blk.psi)
         res = (A @ psi)[np.concatenate([I, dual])]
@@ -468,7 +468,7 @@ class TestOperator:
             reference = formula(blk.aii_fac, blk.A_IG)
             assert np.abs(blk.aii_fac.schur(blk.A_IG) - reference).max() <= 1e-13 * np.abs(
                 reference).max()
-            gam = op.partition.gamma_index(k)
+            gam = op.partition.gamma[k]
             S_gen = locals_[k].A.toarray()[np.ix_(gam, gam)] - reference
             assert np.abs(blk.S - S_gen).max() <= 1e-13 * np.abs(S_gen).max()
 
@@ -496,7 +496,7 @@ class TestOperator:
         mu = rng.standard_normal(op.n_rows)
         before = op.apply_MsD(mu)
         for k in range(dom.num_patches):
-            gam = op.partition.gamma_index(k)
+            gam = op.partition.gamma[k]
             pg = {dof: i for i, dof in enumerate(gam)}
             for dof in op.partition.primal[k]:
                 op.jumps.D[op.jumps.block(k)][pg[dof]] *= 7.3
@@ -591,7 +591,7 @@ class TestSolve:
         op = setup_operator(dom)
         resid = np.zeros(op.n_rows)
         for k in range(dom.num_patches):
-            gam = op.partition.gamma_index(k)
+            gam = op.partition.gamma[k]
             resid += jump_matrix(op.jumps, k) @ sol.u_blocks[k][gam]
         scale = max(np.abs(np.concatenate(sol.u_blocks)).max(), 1.0)
         assert np.abs(resid).max() <= 1e-8 * scale
@@ -665,12 +665,12 @@ class TestLemma:
         dom = two_patch_domain(p=1, r=1)
         op = setup_operator(dom)
         u = project_wtilde(op, [rng.standard_normal(n) for n in np.diff(op.partition.offsets)])
-        gam = [u[k][op.partition.gamma_index(k)] for k in range(2)]
+        gam = [u[k][op.partition.gamma[k]] for k in range(2)]
         mu = sum(jump_matrix(op.jumps, k) @ gam[k] for k in range(2))
         w0 = (jump_matrix(op.jumps, 0).T @ mu) / op.jumps.D[op.jumps.block(0)]
         _, k, dof_k, l, dof_l = dual_rows(op.partition)[0]
         jump = u[k][dof_k] - u[l][dof_l]
-        pos = {dof: i for i, dof in enumerate(op.partition.gamma_index(k))}
+        pos = {dof: i for i, dof in enumerate(op.partition.gamma[k])}
         assert w0[pos[dof_k]] == pytest.approx(0.5 * jump)
         assert check_lemma_bbt(dom, op, u) <= 1e-13
 
