@@ -124,7 +124,8 @@ def domain_arrays(pkg, domain):
     out = [("copy map", part.copies)]
     for k, (blk, (A, f)) in enumerate(zip(op.blocks, local_systems(pkg, domain, part.copies))):
         out += [("local A", A), ("jump B", jump_matrix(op.jumps, k)), ("local f", f),
-                ("interior", part.interior[k]), ("dual", part.dual[k]), ("primal", part.primal[k]),
+                ("interior", part.interior[k]), ("dual", part.dual[k]),
+                ("primal", part.gamma[k][part.dual[k].size:]),
                 ("primal_global", part.primal_global[k]), ("D", op.jumps.D[op.jumps.block(k)]),
                 ("S", blk.S), ("psi", blk.psi), ("FD flag", np.array([blk.interior_fd]))]
     oracle = pkg.refsolver.assemble_global(domain, DELTA)

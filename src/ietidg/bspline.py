@@ -15,6 +15,8 @@ from .errors import ConfigError
 
 SIDES = ("west", "east", "south", "north")
 _EDGE = {"west": np.s_[0], "east": np.s_[-1], "south": np.s_[:, 0], "north": np.s_[:, -1]}
+_MAX_GAUSS = 64  # points of the largest rule that gauss_rule gives
+_MAX_DEGREE = _MAX_GAUSS - 2  # measure_error integrates with p + 2 points, assembly with p + 1
 
 
 class KnotVector:
@@ -42,6 +44,9 @@ class KnotVector:
         p = int(degree)
         if isinstance(degree, bool) or p != degree or p < 1:
             raise ConfigError("spline degree must be a positive integer, got %r" % degree)
+        if p > _MAX_DEGREE:
+            raise ConfigError("spline degree %d exceeds %d: its integrals would need more than %d "
+                              "Gauss points" % (p, _MAX_DEGREE, _MAX_GAUSS))
         kv = np.ascontiguousarray(knots, dtype=float)
         if kv.ndim != 1 or kv.size < 2 * (p + 1):
             raise ConfigError("knot vector too short for degree %d" % p)
@@ -197,8 +202,8 @@ class QuadratureRule:
 @functools.lru_cache(maxsize=None)
 def gauss_rule(n):
     """Gauss-Legendre rule with `n` points on [-1, 1] (exact to degree 2n-1); read-only, shared."""
-    if not 1 <= n <= 64:
-        raise ValueError("number of Gauss points must be in [1, 64], got %r" % n)
+    if not 1 <= n <= _MAX_GAUSS:
+        raise ValueError("number of Gauss points must be in [1, %d], got %r" % (_MAX_GAUSS, n))
     nodes, weights = np.polynomial.legendre.leggauss(n)
     nodes.flags.writeable = weights.flags.writeable = False
     return QuadratureRule(nodes, weights)

@@ -162,10 +162,6 @@ class Interface:
             if isinstance(a, bool) or isinstance(b, bool) or not (0.0 <= a < b <= 1.0):
                 raise ConfigError("interface range %r must be a positive sub-interval of [0,1]" % (rng,))
 
-    def map_param(self, t):
-        """Affine edge-parameter correspondence from side k to side l."""
-        return map_edge_param(np.asarray(t), self.range_k, self.range_l, self.reversed_)
-
 
 SideTable = namedtuple("SideTable", "owner neighbor side normal range reversed_")  # see side_table
 

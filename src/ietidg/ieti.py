@@ -27,72 +27,70 @@ F lambda = d by PCG with the coefficient-scaled Dirichlet preconditioner
 
 import logging
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse
 
 from .assembly import assemble_interface_terms, build_local_system, copy_map
-from .bspline import _covering, nonzero_at_point
+from .bspline import _covering
 from .errors import NumericalError
 from .linalg import Factorization, cholesky, factorize, pcg
 
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class PrimalGroup:
-    """One primal coefficient: a source basis function ``(patch, dof)`` and all its copies.
+PrimalSources = namedtuple("PrimalSources", "vertex patch dof")  # see select_primal
 
-    The copies are the copy-map rows whose source it is; all of them share
-    one global coefficient, indexed by the group's position in
-    :func:`select_primal`'s list.
-    """
 
-    vertex: int
-    source: tuple
+def _vertex_functions(domain):
+    """Every (vertex, adjacent patch) pair, in adjacency order: the `vertex`, the `patch`, whether
+    the vertex lies strictly inside an edge of the patch (`long`), and per direction the p + 1
+    functions `index` of the span at the pair's (u, v) and which of them are `positive` there
+    (:func:`~ietidg.bspline.nonzero_at_point`); one pass per distinct knot vector."""
+    adj = [(v, k, k in vertex.long_patches, u, w) for v, vertex in enumerate(domain.vertices)
+           for k, (u, w) in vertex.adjacency]
+    vtx, patch, long_ = np.array([a[:3] for a in adj], dtype=int).reshape(-1, 3).T
+    uv = np.array([a[3:] for a in adj], dtype=float).reshape(-1, 2)
+    spaces = [ptch.space for ptch in domain.patches]
+    kvs = list({id(kv): kv for space in spaces for kv in (space.kv_u, space.kv_v)}.values())
+    group = np.array([[kvs.index(sp.kv_u), kvs.index(sp.kv_v)] for sp in spaces]).reshape(-1, 2)[patch]
+    shape = group.shape + (domain.degree + 1,)  # (pair, direction, function of the span)
+    index, positive = np.empty(shape, dtype=int), np.empty(shape, dtype=bool)
+    for g, kv in enumerate(kvs):
+        index[group == g], positive[group == g] = _covering(kv, uv[group == g])
+    return vtx, patch, long_ == 1, index, positive
 
 
 def select_primal(domain):
-    """Fat-vertex primal dof selection.
+    """Fat-vertex primal dof selection: the sources as a `PrimalSources` of int arrays.
 
     For every vertex and every adjacent patch, all basis functions with a
     positive value at the vertex become primal sources (Dirichlet-constrained
     candidates are dropped with one log note each).  A source claimed by
-    several vertices joins the group of the first.  All (vertex, patch)
-    adjacencies are read at once; groups are sorted by source.
+    several vertices belongs to the first.  The sources are sorted by
+    ``(patch, dof)``, and the position of a source is its coarse index.
     """
-    adj = [(v, k, u, w) for v, vertex in enumerate(domain.vertices) for k, (u, w) in vertex.adjacency]
-    vtx, patch = np.array([a[:2] for a in adj], dtype=int).reshape(-1, 2).T
-    uv = np.array([a[2:] for a in adj], dtype=float).reshape(-1, 2)
-    spaces = [ptch.space for ptch in domain.patches]
-    kvs = list({id(kv): kv for space in spaces for kv in (space.kv_u, space.kv_v)}.values())
-    group = np.array([[kvs.index(sp.kv_u), kvs.index(sp.kv_v)] for sp in spaces]).reshape(-1, 2)[patch]
-    shape = group.shape + (domain.degree + 1,)  # (adjacency, direction, function of the span)
-    index, positive = np.empty(shape, dtype=int), np.empty(shape, dtype=bool)
-    for g, kv in enumerate(kvs):  # one pass per distinct knot vector
-        index[group == g], positive[group == g] = _covering(kv, uv[group == g])
+    vtx, patch, _, index, positive = _vertex_functions(domain)
     # the candidates in loop order: adjacency, then u-index, then v-index
     r, a, b = np.nonzero(positive[:, 0, :, None] & positive[:, 1, None, :])
     i, j, owner, dof = index[r, 0, a], index[r, 1, b], patch[r], np.empty(r.size, dtype=int)
     for k in np.unique(owner):
-        dof[owner == k] = spaces[k].dof_map[i[owner == k], j[owner == k]]
+        dof[owner == k] = domain.patches[k].space.dof_map[i[owner == k], j[owner == k]]
     for q in np.flatnonzero(dof < 0):
         log.info("patch %d: basis (%d, %d) at vertex %s is Dirichlet-constrained, not a primal dof",
                  owner[q], i[q], j[q], domain.vertices[vtx[r[q]]].point)
     keep = dof >= 0
     v, owner, dof = vtx[r[keep]], owner[keep], dof[keep]
     _, first = np.unique(owner * (dof.max(initial=0) + 1) + dof, return_index=True)  # by source
-    return [PrimalGroup(vi, source) for vi, source in
-            zip(v[first].tolist(), zip(owner[first].tolist(), dof[first].tolist()))]
+    return PrimalSources(v[first], owner[first], dof[first])
 
 
 def degenerate_tjunction_count(domain):
     """Number of T-junction sides whose fat vertex degenerates to one function."""
-    spaces = [patch.space for patch in domain.patches]
-    return sum(len(nonzero_at_point(spaces[k].kv_u, u)) * len(nonzero_at_point(spaces[k].kv_v, v)) == 1
-               for vertex in domain.vertices for k, (u, v) in vertex.adjacency
-               if k in vertex.long_patches)
+    _, _, long_, _, positive = _vertex_functions(domain)
+    return int(np.count_nonzero(long_ & (positive.sum(axis=2).prod(axis=1) == 1)))
 
 
 @dataclass
@@ -100,7 +98,7 @@ class DofPartition:
     """Per-block interior/dual/primal index sets over the extended dofs.
 
     `gamma` holds every block's skeleton, Delta then Pi, `primal_global`
-    the coarse index of every dof in `primal`, `copies` the
+    the coarse index of every Pi dof in `gamma` order, `copies` the
     :func:`~ietidg.assembly.copy_map` the sets are read from, and `offsets`
     the start of every block in the concatenation of all extended dofs,
     plus the total.
@@ -108,27 +106,25 @@ class DofPartition:
 
     interior: list
     dual: list
-    primal: list
     gamma: list
     primal_global: list
     copies: np.ndarray
     offsets: np.ndarray
 
 
-def build_partition(domain, copies, groups):
+def build_partition(domain, copies, sources):
     """Split every block's dofs into (I, Delta, Pi) off the copy map `copies`.
 
     A block's extended size is its patch dimension plus its copy-map rows.
     The skeleton (Delta and Pi) of block k is its artificial dofs plus the
-    patch dofs that some block copies; a dof is primal when it is a group
-    source or a copy of one.
+    patch dofs that some block copies; a dof is primal when it is one of the
+    `sources` (:func:`select_primal`) or a copy of one.
     """
     _, src, sdof, blk, cdof = copies.T
     dims = [patch.space.dimension for patch in domain.patches]
     ext = np.concatenate([[0], np.cumsum(np.bincount(blk, minlength=len(dims)) + dims)])
     coarse = np.full(ext[-1], -1)  # coarse index of every extended dof, -1 off Pi
-    for gi, g in enumerate(groups):
-        coarse[ext[g.source[0]] + g.source[1]] = gi
+    coarse[ext[sources.patch] + sources.dof] = np.arange(sources.dof.size)
     coarse[ext[blk] + cdof] = coarse[ext[src] + sdof]
     skeleton = np.zeros(ext[-1], dtype=bool)
     skeleton[ext[src] + sdof] = True
@@ -137,14 +133,14 @@ def build_partition(domain, copies, groups):
     if outside.size:
         k = int(np.searchsorted(ext, outside[0], side="right")) - 1
         raise NumericalError("block %d: primal dof outside the trace-active set" % k)
-    interior, dual, primal, gamma, primal_global = [], [], [], [], []
+    interior, dual, gamma, primal_global = [], [], [], []
     for c, sk in zip(np.split(coarse, ext[1:-1]), np.split(skeleton, ext[1:-1])):
-        primal.append(np.flatnonzero(c >= 0))
+        primal = np.flatnonzero(c >= 0)
         dual.append(np.flatnonzero(sk & (c < 0)))
-        gamma.append(np.concatenate([dual[-1], primal[-1]]))
+        gamma.append(np.concatenate([dual[-1], primal]))
         interior.append(np.flatnonzero(~sk))
-        primal_global.append(c[primal[-1]])
-    return DofPartition(interior, dual, primal, gamma, primal_global, copies, ext)
+        primal_global.append(c[primal])
+    return DofPartition(interior, dual, gamma, primal_global, copies, ext)
 
 
 @dataclass
@@ -266,19 +262,18 @@ class IetiOperator:
     applications are read-only and safe to call concurrently.
     """
 
-    def __init__(self, local_systems, groups, partition, jumps):
-        self.groups = groups
+    def __init__(self, local_systems, partition, jumps):
         self.partition = partition
         self.jumps = jumps
         self.n_rows = jumps.plus.size
-        self.n_primal = len(groups)
+        gk = np.concatenate(partition.primal_global)  # R: every block's Pi onto the coarse indices
+        self.n_primal = int(gk.max(initial=-1)) + 1
         self.blocks = [build_psi(sysk, partition) for sysk in local_systems]
 
         coarse = np.zeros((self.n_primal, self.n_primal))
-        for blk, gk in zip(self.blocks, partition.primal_global):
-            np.add.at(coarse, (gk[:, None], gk[None, :]), blk.psi.T @ (blk.S @ blk.psi))
+        for blk, at in zip(self.blocks, partition.primal_global):
+            np.add.at(coarse, (at[:, None], at[None, :]), blk.psi.T @ (blk.S @ blk.psi))
         self.coarse_fac = cholesky(coarse, name="coarse problem")
-        gk = np.concatenate(partition.primal_global)  # R: every block's Pi onto the coarse indices
         R = scipy.sparse.csr_matrix((np.ones(gk.size), (np.arange(gk.size), gk)), (gk.size, self.n_primal))
         self.psi = scipy.sparse.block_diag([blk.psi for blk in self.blocks], format="csr") @ R
         self.psi_t = self.psi.T.tocsr()
@@ -388,13 +383,12 @@ def lambda_factor(domain):
 def setup_operator(domain, delta=12.0, source=1.0):
     """Decide the partition and jumps from the domain, then assemble and reduce one block at a time."""
     copies = copy_map(domain)
-    groups = select_primal(domain)
-    partition = build_partition(domain, copies, groups)
+    partition = build_partition(domain, copies, select_primal(domain))
     jumps = build_jump_matrices(domain, partition)
     terms = assemble_interface_terms(domain, copies, delta)
     local_systems = (build_local_system(domain, k, terms, partition, source=source)
                      for k in range(domain.num_patches))
-    return IetiOperator(local_systems, groups, partition, jumps)
+    return IetiOperator(local_systems, partition, jumps)
 
 
 def pcg_solve(operator, d, tol=1e-6, max_iter=1000):

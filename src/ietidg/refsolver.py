@@ -14,9 +14,9 @@ import scipy.sparse
 from . import linalg
 from .assembly import (_inv_transpose, _neighbor_edges, assemble_volume, band_rows,
                        interface_side_terms, side_dofs)
-from .bspline import eval_matrices, gauss_rule
+from .bspline import SIDES, eval_matrices, gauss_rule
 from .errors import NumericalError
-from .geometry import side_point
+from .geometry import map_edge_param, side_point
 
 
 @dataclass
@@ -117,14 +117,12 @@ def measure_error(domain, u_patches, u_star, grad_u_star=None):
             ge = grad_u_star(pts[..., 0], pts[..., 1])
             h1_sq += float(np.sum(w2d * np.sum((gh - ge) ** 2, axis=-1)))
 
-    max_jump = 0.0
-    for g in domain.interfaces:
-        own = domain.patches[g.k]
-        nb = domain.patches[g.l]
-        ts = np.linspace(g.range_k[0], g.range_k[1], 64)
-        ss = np.asarray(g.map_param(ts))
-        uk = evaluate_patch(own, u_patches[g.k], *side_point(g.side_k, ts)).ravel()
-        ul = evaluate_patch(nb, u_patches[g.l], *side_point(g.side_l, ss)).ravel()
+    max_jump, t = 0.0, domain.sides
+    for s in range(0, t.owner.size, 2):  # interface s // 2 from its patch k (side s) and l (s + 1)
+        ts = np.linspace(*t.range[s], 64)
+        ss = map_edge_param(ts, t.range[s], t.range[s + 1], t.reversed_[s])
+        uk, ul = (evaluate_patch(domain.patches[t.owner[q]], u_patches[t.owner[q]],
+                                 *side_point(SIDES[t.side[q]], x)).ravel() for q, x in ((s, ts), (s + 1, ss)))
         max_jump = max(max_jump, float(np.abs(uk - ul).max()))
     return np.sqrt(l2_sq), np.sqrt(h1_sq), max_jump
 

@@ -10,11 +10,11 @@ from ietidg.bspline import (KnotVector, TensorSplineSpace, eval_basis, gauss_rul
                             refine_uniform)
 from ietidg.domains import domain_from_config, domain_to_config
 from ietidg.errors import ConfigError
-from ietidg.geometry import (GeometryMap, Interface, MultiPatchDomain, Patch, Vertex, side_normal_hat,
-                             side_point)
-from ietidg.ieti import PrimalGroup
+from ietidg.geometry import (GeometryMap, Interface, MultiPatchDomain, Patch, Vertex, map_edge_param,
+                             side_normal_hat, side_point)
+from ietidg.ieti import PrimalSources
 from ietidg.linalg import SparseSym, block_triplets
-from ietidg.refsolver import patch_offsets
+from ietidg.refsolver import evaluate_patch, patch_offsets
 
 
 def unit_square_patch(x0, x1, y0, y1, p, r, dirichlet, alpha=1.0):
@@ -127,7 +127,7 @@ def reference_validate(domain):
     ends = []
     for idx, g in enumerate(domain.interfaces):
         ts = np.linspace(g.range_k[0], g.range_k[1], 17)
-        ss = g.map_param(ts)
+        ss = map_param(g, ts)
         pk = domain.patches[g.k].geometry.jacobian_grid(*side_point(g.side_k, ts))[0].reshape(-1, 2)
         pl = domain.patches[g.l].geometry.jacobian_grid(*side_point(g.side_l, ss))[0].reshape(-1, 2)
         ends += [(x[i], patch, side_point(side, float(t[i])))
@@ -171,6 +171,11 @@ def reference_classify_vertices(ends, merge_tol):
     return vertices
 
 
+def map_param(g, t):
+    """The edge parameter on side l of interface `g` at parameter `t` on its side k."""
+    return map_edge_param(np.asarray(t), g.range_k, g.range_l, g.reversed_)
+
+
 def oriented_interfaces(domain):
     """Both orientations of every interface, built from its fields: ``2 i`` is interface i,
     ``2 i + 1`` the same interface seen from its patch l."""
@@ -207,7 +212,7 @@ def reference_side_points(domain):
         ng = max(domain.degree, geo.kv_u.p, geo.kv_v.p) + 1
         breaks = reference_merged_partition(domain, ori)
         t, w = (a.ravel() for a in gauss_rule(ng).mapped(breaks[:-1, None], breaks[1:, None]))
-        ts, ws, ss = ts + [t], ws + [w], ss + [np.asarray(ori.map_param(t))]
+        ts, ws, ss = ts + [t], ws + [w], ss + [map_param(ori, t)]
         counts += [ng] * (breaks.size - 1)
     side = np.repeat(np.arange(len(sides)), [t.size for t in ts[1:]]).astype(int)
     n_hat = np.array([side_normal_hat(ori.side_k) for ori in sides]).reshape(-1, 2)[side]
@@ -313,7 +318,7 @@ def reference_interface_dofs(domain, copies, side, own, edge):
 def reference_select_primal(domain, log=None):
     """`select_primal` one vertex, adjacent patch and candidate at a time; calls ``log(patch, i,
     j, point)`` for every Dirichlet-constrained candidate."""
-    groups, claimed = [], set()
+    sources, claimed = [], set()
     for v_idx, vertex in enumerate(domain.vertices):
         for patch, (u0, v0) in vertex.adjacency:
             space = domain.patches[patch].space
@@ -326,8 +331,36 @@ def reference_select_primal(domain, log=None):
                         continue
                     if (patch, dof) not in claimed:
                         claimed.add((patch, dof))
-                        groups.append(PrimalGroup(v_idx, (patch, dof)))
-    return sorted(groups, key=lambda g: g.source)
+                        sources.append((v_idx, patch, dof))
+    return PrimalSources(*np.array(sorted(sources, key=lambda s: s[1:]), dtype=int).reshape(-1, 3).T)
+
+
+NO_PRIMAL = PrimalSources(*np.zeros((3, 0), dtype=int))
+
+
+def reference_degenerate_tjunction_count(domain):
+    """`degenerate_tjunction_count` one vertex and long patch at a time."""
+    return sum(len(nonzero_at_point(domain.patches[k].space.kv_u, u))
+               * len(nonzero_at_point(domain.patches[k].space.kv_v, v)) == 1
+               for vertex in domain.vertices for k, (u, v) in vertex.adjacency
+               if k in vertex.long_patches)
+
+
+def reference_max_jump(domain, u_patches):
+    """The largest interface jump of `refsolver.measure_error`, one interface at a time."""
+    max_jump = 0.0
+    for g in domain.interfaces:
+        ts = np.linspace(g.range_k[0], g.range_k[1], 64)
+        uk = evaluate_patch(domain.patches[g.k], u_patches[g.k], *side_point(g.side_k, ts)).ravel()
+        ss = map_param(g, ts)
+        ul = evaluate_patch(domain.patches[g.l], u_patches[g.l], *side_point(g.side_l, ss)).ravel()
+        max_jump = max(max_jump, float(np.abs(uk - ul).max()))
+    return max_jump
+
+
+def primal_dofs(partition, k):
+    """Block k's primal dofs: the tail of its skeleton, after the dual dofs."""
+    return partition.gamma[k][partition.dual[k].size:]
 
 
 @pytest.fixture
@@ -433,11 +466,12 @@ def full_jump_columns(jumps, partition):
 def project_wtilde(op, u_blocks):
     """Project block vectors onto the primal-constrained subspace by group averaging."""
     total, count = np.zeros(op.n_primal), np.zeros(op.n_primal)
-    for u, P, gk in zip(u_blocks, op.partition.primal, op.partition.primal_global):
+    primal = [primal_dofs(op.partition, k) for k in range(len(u_blocks))]
+    for u, P, gk in zip(u_blocks, primal, op.partition.primal_global):
         np.add.at(total, gk, u[P])
         np.add.at(count, gk, 1.0)
     out = [u.copy() for u in u_blocks]
-    for u, P, gk in zip(out, op.partition.primal, op.partition.primal_global):
+    for u, P, gk in zip(out, primal, op.partition.primal_global):
         u[P] = total[gk] / count[gk]
     return out
 

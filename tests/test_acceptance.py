@@ -13,10 +13,10 @@ import scipy.linalg
 from ietidg import refsolver
 from ietidg.cli import ExperimentSpec, run_growth_study, run_solve
 from ietidg.domains import grid_domain, slider_domain, t_domain
-from ietidg.ieti import lambda_factor, pcg_solve, setup_operator, solve_ieti
+from ietidg.ieti import lambda_factor, pcg_solve, select_primal, setup_operator, solve_ieti
 
-from conftest import (check_lemma_bbt, full_jump_columns, project_wtilde, psi_residual,
-                      two_patch_domain)
+from conftest import (check_lemma_bbt, full_jump_columns, primal_dofs, project_wtilde,
+                      psi_residual, two_patch_domain)
 
 BUILTINS = {
     "grid2x2": lambda p, r, alphas=None: grid_domain(2, degree=p, refinements=r, alphas=alphas),
@@ -229,7 +229,7 @@ class TestCriterion6StructuralInvariants:
             blk_counts = counts[offsets[k] : offsets[k + 1]]
             for dof in op.partition.dual[k]:
                 assert blk_counts[dof] == 1
-            for dof in np.concatenate([op.partition.interior[k], op.partition.primal[k]]):
+            for dof in np.concatenate([op.partition.interior[k], primal_dofs(op.partition, k)]):
                 assert blk_counts[int(dof)] == 0
         # energy minimality of the primal basis
         psi_res = max(psi_residual(op, k) for k in range(dom.num_patches))
@@ -247,9 +247,8 @@ class TestCriterion6StructuralInvariants:
         # primal members evaluate positive at their vertex
         from ietidg.bspline import eval_basis
 
-        for g in op.groups:
-            vertex = dom.vertices[g.vertex]
-            patch, dof = g.source
+        for v_idx, patch, dof in zip(*(a.tolist() for a in select_primal(dom))):
+            vertex = dom.vertices[v_idx]
             loc = dict(vertex.adjacency)[patch]
             space = dom.patches[patch].space
             i, j = np.argwhere(space.dof_map == dof)[0]

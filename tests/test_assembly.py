@@ -19,13 +19,14 @@ from ietidg.domains import (builtin_domain, domain_from_config, domain_to_config
                             slider_domain, t_domain)
 from ietidg.errors import ConfigError, NumericalError
 from ietidg.geometry import GeometryMap, Interface, MultiPatchDomain, Patch, side_normal_hat
-from ietidg.ieti import build_partition, select_primal, setup_operator
+from ietidg.ieti import build_partition, degenerate_tjunction_count, select_primal, setup_operator
 from ietidg.linalg import block_triplets
 
 from conftest import (curved_geometry, curved_two_patch_domain, extended_matrix, local_systems,
-                      mirrored_two_patch_domain, nonuniform_config_domain, oriented_interfaces,
+                      map_param, mirrored_two_patch_domain, nonuniform_config_domain, oriented_interfaces,
                       volume_arrays, reference_copy_map, reference_interface_dofs,
-                      reference_interface_side_terms, reference_merged_partition,
+                      reference_degenerate_tjunction_count, reference_interface_side_terms,
+                      reference_merged_partition,
                       reference_select_primal, reference_side_points, reversed_two_patch_domain,
                       two_patch_domain, unit_square_patch)
 from test_bspline import scalar_cox_de_boor
@@ -459,7 +460,7 @@ def reference_side_blocks(dom, delta, s):
                     lat = (fu + i) * space.n_v + fv + j
                     jump[lat] = Bu[0, i] * Bv[0, j]
                     flux[lat] = normal @ JinvT @ [Bu[1, i] * Bv[0, j], Bu[0, i] * Bv[1, j]]
-            s_nb = float(ori.map_param(t))
+            s_nb = float(map_param(ori, t))
             fs, Bs = scalar_cox_de_boor(nb_kv, s_nb, 0)
             jump[n_lat + fs + np.arange(p + 1)] = -Bs[0]
             M += rho * w * np.outer(jump, jump)
@@ -604,7 +605,7 @@ class TestInterfaceTerms:
             breaks = reference_merged_partition(dom, ori)
             ts = gauss_rule(2).mapped(breaks[:-1, None], breaks[1:, None])[0].ravel()
             assert np.array_equal(sp.uv[at, 1 - axis], ts)
-            assert np.array_equal(sp.ss[at], ori.map_param(ts))
+            assert np.array_equal(sp.ss[at], map_param(ori, ts))
             seen.add(ori.side_k)
         assert seen == set(fixed)
 
@@ -862,7 +863,20 @@ class TestWholeDomainPasses:
         block, idx, _ = assemble_interface_terms(dom, copies, 12.0)
         for a, b in zip((block, idx), reference_interface_dofs(dom, copies, *ref[:3])):
             assert np.array_equal(a, b)
-        assert select_primal(dom) == reference_select_primal(dom)
+        for a, b in zip(select_primal(dom), reference_select_primal(dom)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("factory", whole_domain_cases())
+    def test_degenerate_tjunctions_match_scalar_rule(self, factory):
+        dom = factory()
+        assert degenerate_tjunction_count(dom) == reference_degenerate_tjunction_count(dom)
+
+    @pytest.mark.parametrize("offset,r", [(0.5, 1), (0.25, 2)])
+    def test_degenerate_tjunctions_on_p1_sliders(self, offset, r):
+        # the sliding line's T-junctions fall on knots of the long side, where one p = 1
+        # function alone is positive
+        dom = slider_domain(3, offset, degree=1, refinements=r)
+        assert degenerate_tjunction_count(dom) == reference_degenerate_tjunction_count(dom) == 3
 
     def test_singular_on_two_owners_names_lowest_patch_first_point(self):
         # both sides of the interface collapse to the point (0.5, 1); side 0 is owned by patch 1,

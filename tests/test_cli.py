@@ -234,6 +234,13 @@ class TestMain:
         assert run.returncode == 3
         assert run.stderr == "numerical failure: PCG did not converge in 1 iterations\n"
 
+    @pytest.mark.parametrize("degree", ["63", "64", "70"])
+    def test_degree_beyond_gauss_rules_rejected(self, capsys, degree):
+        # the error measure integrates with p + 2 Gauss points, and gauss_rule gives at most 64;
+        # it used to end in a ValueError traceback (exit 1)
+        assert main(["--builtin", "tdomain", "--degree", degree, "--refine", "0"]) == 2
+        assert ("configuration error: spline degree %s exceeds 62" % degree) in capsys.readouterr().err
+
     def test_infinite_penalty_rejected(self, capsys):
         # it used to fail later as "Factor is exactly singular" (exit 3)
         assert main(["--builtin", "tdomain", "--degree", "1", "--delta", "inf"]) == 2

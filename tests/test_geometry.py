@@ -27,7 +27,7 @@ from ietidg.geometry import (
 from ietidg.ieti import setup_operator
 from ietidg.refsolver import assemble_global
 
-from conftest import (at, curved_two_patch_domain, mirrored_two_patch_domain,
+from conftest import (at, curved_two_patch_domain, map_param, mirrored_two_patch_domain,
                       nonuniform_config_domain, reference_classify_vertices, reference_validate,
                       reversed_two_patch_domain, two_patch_domain, unit_square_patch)
 from test_ieti import partial_interface_domain
@@ -387,7 +387,7 @@ class TestInterfaceGeometry:
         dom = factory()
         for g in dom.interfaces:
             t_mid = 0.5 * (g.range_k[0] + g.range_k[1])
-            s_mid = float(g.map_param(t_mid))
+            s_mid = float(map_param(g, t_mid))
             pk = at(dom.patches[g.k].geometry, *side_point(g.side_k, t_mid))[0]
             pl = at(dom.patches[g.l].geometry, *side_point(g.side_l, s_mid))[0]
             H = dom.metrics["H"][g.k]

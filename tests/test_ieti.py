@@ -10,7 +10,7 @@ from ietidg.domains import builtin_domain, grid_domain, slider_domain, t_domain
 from ietidg.errors import NumericalError
 from ietidg.geometry import GeometryMap, Interface, MultiPatchDomain, Patch
 from ietidg.ieti import (
-    PrimalGroup,
+    PrimalSources,
     build_jump_matrices,
     build_partition,
     build_psi,
@@ -24,24 +24,24 @@ from ietidg.ieti import (
 from ietidg import refsolver
 from ietidg.linalg import Factorization, factorize
 
-from conftest import (ReferenceSolvePhase, at, check_lemma_bbt, curved_geometry,
+from conftest import (NO_PRIMAL, ReferenceSolvePhase, at, check_lemma_bbt, curved_geometry,
                       curved_two_patch_domain, dual_rows, full_jump_columns, jump_matrix,
-                      local_systems, nonuniform_config_domain, project_wtilde, psi_residual,
-                      reversed_two_patch_domain, two_patch_domain, unit_square_patch)
+                      local_systems, nonuniform_config_domain, primal_dofs, project_wtilde,
+                      psi_residual, reversed_two_patch_domain, two_patch_domain, unit_square_patch)
 
 
 def build_stack(domain):
-    """The primal groups, the partition and the jump matrices of `domain`; nothing assembled."""
-    groups = select_primal(domain)
-    partition = build_partition(domain, copy_map(domain), groups)
-    return groups, partition, build_jump_matrices(domain, partition)
+    """The primal sources, the partition and the jump matrices of `domain`; nothing assembled."""
+    sources = select_primal(domain)
+    partition = build_partition(domain, copy_map(domain), sources)
+    return sources, partition, build_jump_matrices(domain, partition)
 
 
-def members(domain, groups):
-    """(block, extended dof) pairs that share each group's coarse coefficient."""
-    partition = build_partition(domain, copy_map(domain), groups)
-    return [[(k, int(d)) for k, (P, gk) in enumerate(zip(partition.primal, partition.primal_global))
-             for d in P[gk == gi]] for gi in range(len(groups))]
+def members(domain, sources):
+    """(block, extended dof) pairs that share each source's coarse coefficient."""
+    partition = build_partition(domain, copy_map(domain), sources)
+    return [[(k, int(d)) for k, gk in enumerate(partition.primal_global)
+             for d in primal_dofs(partition, k)[gk == gi]] for gi in range(sources.dof.size)]
 
 
 def dense_F(op):
@@ -77,7 +77,7 @@ def constrained_system(dom, op):
     for k, (sysk, Bk) in enumerate(zip(locals_, full_jump_columns(op.jumps, part))):
         col = np.empty(sysk.A.n, dtype=int)
         col[tilde[k]] = offsets[k] + np.arange(tilde[k].size)
-        col[part.primal[k]] = offsets[-1] + part.primal_global[k]
+        col[primal_dofs(part, k)] = offsets[-1] + part.primal_global[k]
         R = np.eye(n)[col]
         A += R.T @ sysk.A.toarray() @ R
         B += Bk @ R
@@ -88,11 +88,11 @@ def constrained_system(dom, op):
 class TestSelectPrimal:
     def test_regular_four_patch_corner(self):
         dom = grid_domain(2, degree=2, refinements=1)
-        groups = select_primal(dom)
-        # one group per patch at the single interior vertex, each of size >= 2
-        assert len(groups) == 4
-        assert {g.source[0] for g in groups} == {0, 1, 2, 3}
-        for group_members in members(dom, groups):
+        sources = select_primal(dom)
+        # one source per patch at the single interior vertex, each shared by >= 2 dofs
+        assert sources.dof.size == 4
+        assert set(sources.patch.tolist()) == {0, 1, 2, 3}
+        for group_members in members(dom, sources):
             assert len(group_members) >= 2
 
     def test_tjunction_fat_vertex(self):
@@ -100,44 +100,45 @@ class TestSelectPrimal:
         # parameter, computed by evaluation; the two short sides contribute
         # their corner functions
         dom = t_domain(degree=2, refinements=2)
-        groups = select_primal(dom)
+        sources = select_primal(dom)
         tj_vertex = next(i for i, v in enumerate(dom.vertices) if v.long_patches)
-        tj_groups = [g for g in groups if g.vertex == tj_vertex]
-        long_side = [g for g in tj_groups if g.source[0] == 0]
+        tj = sources.vertex == tj_vertex
+        long_side = np.flatnonzero(tj & (sources.patch == 0))
         space = dom.patches[0].space
         _, (tab,) = eval_basis(space.kv_u, [0.4])
         expected_long = int(np.sum(tab[0] > 0.0))
         assert len(long_side) == expected_long == space.degree + 1
-        short = [g for g in tj_groups if g.source[0] in (1, 2)]
+        short = np.flatnonzero(tj & np.isin(sources.patch, (1, 2)))
         assert len(short) == 2
-        # long-side groups have copies on both sub-interfaces
-        group_members = members(dom, groups)
-        for g in long_side:
-            assert len(group_members[groups.index(g)]) == 3
+        # long-side sources have copies on both sub-interfaces
+        group_members = members(dom, sources)
+        for gi in long_side:
+            assert len(group_members[gi]) == 3
 
     def test_single_patch_empty(self):
         patch = unit_square_patch(0, 1, 0, 1, 2, 1, {"west", "east", "south", "north"})
         dom = MultiPatchDomain([patch], []).validate()
-        assert select_primal(dom) == []
+        assert [a.size for a in select_primal(dom)] == [0, 0, 0]
 
     def test_dirichlet_candidates_dropped(self, caplog):
         # at refinement 1 the long-side function at the west edge is
         # constrained and must not become primal
         dom = t_domain(degree=2, refinements=1)
-        groups = select_primal(dom)
-        assert all(g.source[1] >= 0 for g in groups)
+        sources = select_primal(dom)
+        assert np.all(sources.dof >= 0)
         tj_vertex = next(i for i, v in enumerate(dom.vertices) if v.long_patches)
-        long_side = [g for g in groups if g.vertex == tj_vertex and g.source[0] == 0]
-        assert len(long_side) == 2  # one of the three candidates is constrained
+        long_side = (sources.vertex == tj_vertex) & (sources.patch == 0)
+        assert np.count_nonzero(long_side) == 2  # one of the three candidates is constrained
 
     def test_groups_disjoint(self):
         for factory in (lambda: t_domain(degree=3, refinements=1),
                         lambda: slider_domain(3, 0.3, degree=2, refinements=1)):
             dom = factory()
-            groups = select_primal(dom)
+            sources = select_primal(dom)
             seen = set()
-            for g, group_members in zip(groups, members(dom, groups)):
-                assert g.source in group_members
+            for source, group_members in zip(zip(sources.patch.tolist(), sources.dof.tolist()),
+                                             members(dom, sources)):
+                assert source in group_members
                 for member in group_members:
                     assert member not in seen
                     seen.add(member)
@@ -145,10 +146,8 @@ class TestSelectPrimal:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_primal_members_positive_at_vertex(self, p):
         dom = t_domain(degree=p, refinements=2)
-        groups = select_primal(dom)
-        for g in groups:
-            vertex = dom.vertices[g.vertex]
-            patch, dof = g.source
+        for v_idx, patch, dof in zip(*(a.tolist() for a in select_primal(dom))):
+            vertex = dom.vertices[v_idx]
             loc = dict(vertex.adjacency)[patch]
             space = dom.patches[patch].space
             i, j = np.argwhere(space.dof_map == dof)[0]
@@ -192,10 +191,10 @@ class TestCopyMap:
         # an interior function cannot be a fat-vertex dof
         dom = two_patch_domain(p=2, r=2)
         copies = copy_map(dom)
-        interior = build_partition(dom, copies, []).interior[0]
-        group = PrimalGroup(0, (0, int(interior[0])))
+        interior = build_partition(dom, copies, NO_PRIMAL).interior[0]
+        source = PrimalSources(np.array([0]), np.array([0]), interior[:1])
         with pytest.raises(NumericalError, match="block 0: primal dof outside the trace-active set"):
-            build_partition(dom, copies, [group])
+            build_partition(dom, copies, source)
 
 
 class TestJumpMatrices:
@@ -203,7 +202,7 @@ class TestJumpMatrices:
         # every matched (trace, copy) pair gets one +1/-1 row; each side of
         # the interface contributes its own pairs
         dom = two_patch_domain(p=1, r=0, dirichlet=False)
-        partition = build_partition(dom, copy_map(dom), [])
+        partition = build_partition(dom, copy_map(dom), NO_PRIMAL)
         jumps = build_jump_matrices(dom, partition)
         assert jumps.plus.size == 4
         B = np.hstack(full_jump_columns(jumps, partition))
@@ -216,15 +215,15 @@ class TestJumpMatrices:
         # p = 1, one span: all trace dofs sit at the corners, so the fat
         # vertices swallow every pair and no multipliers remain
         dom = two_patch_domain(p=1, r=0, dirichlet=False)
-        groups, partition, jumps = build_stack(dom)
-        assert len(groups) == 4
+        sources, partition, jumps = build_stack(dom)
+        assert sources.dof.size == 4
         assert jumps.plus.size == 0
 
     def test_thin_vertex_rejected(self):
         # without primal dofs, the corner functions at the cross point are
         # copied across two interfaces each and would sit in two rows
         dom = grid_domain(2, degree=2, refinements=1)
-        partition = build_partition(dom, copy_map(dom), [])
+        partition = build_partition(dom, copy_map(dom), NO_PRIMAL)
         with pytest.raises(NumericalError, match="dof matched by two constraints"):
             build_jump_matrices(dom, partition)
 
@@ -238,7 +237,7 @@ class TestJumpMatrices:
         # rows run by interface, the k -> l side first, then by position in
         # the source side's trace_basis_on_edge order
         dom = factory()
-        groups, partition, jumps = build_stack(dom)
+        _, partition, jumps = build_stack(dom)
         Bs = full_jump_columns(jumps, partition)
         keys = []
         for row, (iface, src, sdof, dst, copy) in enumerate(dual_rows(partition)):
@@ -253,7 +252,7 @@ class TestJumpMatrices:
 
     def test_coefficient_scaling_entries(self):
         dom = two_patch_domain(p=1, r=1, alphas=(1.0, 1e4))
-        groups, partition, jumps = build_stack(dom)
+        _, partition, jumps = build_stack(dom)
         assert jumps.D.size == jumps.offsets[-1] == sum(partition.gamma[k].size for k in range(2))
         for k, expected in ((0, (1.0 + 1e4) / 1e4), (1, (1e4 + 1.0) / 1.0)):
             D = jumps.D[jumps.block(k)]
@@ -268,7 +267,7 @@ class TestJumpMatrices:
     ])
     def test_structure_invariants_all_builtins(self, p, factory):
         dom = factory(p)
-        groups, partition, jumps = build_stack(dom)
+        _, partition, jumps = build_stack(dom)
         Bs = full_jump_columns(jumps, partition)
         B = np.hstack(Bs)
         for row in B:
@@ -281,7 +280,7 @@ class TestJumpMatrices:
             full = Bs[k]
             for dof in partition.interior[k]:
                 assert not full[:, dof].any()
-            for dof in partition.primal[k]:
+            for dof in primal_dofs(partition, k):
                 assert not full[:, dof].any()
             # every dual column carries exactly one entry
             for dof in partition.dual[k]:
@@ -328,7 +327,7 @@ class TestJumpMatrices:
         # jump_matrix equals the matrix built straight from the constraint pairs
         # over the (Delta, Pi) columns
         dom = factory()
-        groups, partition, jumps = build_stack(dom)
+        _, partition, jumps = build_stack(dom)
         entries = [[] for _ in range(dom.num_patches)]
         for row, (_, k, dof_k, l, dof_l) in enumerate(dual_rows(partition)):
             entries[k].append((row, dof_k, 1.0))
@@ -347,11 +346,11 @@ class TestJumpMatrices:
 class TestOperator:
     def test_build_psi_standalone(self):
         dom = t_domain(degree=2, refinements=1)
-        groups, partition, jumps = build_stack(dom)
+        _, partition, jumps = build_stack(dom)
         split = build_local_system(dom, 0, assemble_interface_terms(dom, partition.copies, 12.0),
                                    partition)
         A = local_systems(dom)[0].A.toarray()
-        I, dual, P = partition.interior[0], partition.dual[0], partition.primal[0]
+        I, dual, P = partition.interior[0], partition.dual[0], primal_dofs(partition, 0)
         blk = build_psi(split, partition)
         assert blk.psi.shape == (dual.size + P.size, P.size)
         np.testing.assert_allclose(blk.psi[dual.size:], np.eye(P.size), atol=0)
@@ -367,7 +366,7 @@ class TestOperator:
         dom = t_domain(degree=2, refinements=1, alphas=[1, 10, 100, 1, 10])
         op = setup_operator(dom)
         for k, blk in enumerate(op.blocks):
-            P = op.partition.primal[k]
+            P = primal_dofs(op.partition, k)
             if P.size:
                 np.testing.assert_allclose(blk.psi[op.partition.dual[k].size:], np.eye(P.size), atol=0)
             assert psi_residual(op, k) <= 1e-9
@@ -498,7 +497,7 @@ class TestOperator:
         for k in range(dom.num_patches):
             gam = op.partition.gamma[k]
             pg = {dof: i for i, dof in enumerate(gam)}
-            for dof in op.partition.primal[k]:
+            for dof in primal_dofs(op.partition, k):
                 op.jumps.D[op.jumps.block(k)][pg[dof]] *= 7.3
         after = op.apply_MsD(mu)
         np.testing.assert_allclose(after, before, rtol=0, atol=1e-12 * np.abs(before).max())
@@ -578,7 +577,7 @@ class TestSolve:
             scale = sum(np.abs(t) for t in terms)
             tilde = np.concatenate([op.partition.interior[k], op.partition.dual[k]])
             assert np.abs(resid[tilde]).max() <= 1e-12 * scale.max()
-            P = op.partition.primal[k]
+            P = primal_dofs(op.partition, k)
             np.add.at(w, op.partition.primal_global[k], resid[P])
             np.add.at(w_scale, op.partition.primal_global[k], scale[P])
         assert op.n_primal and np.abs(w).max() <= 1e-12 * w_scale.max()

@@ -17,8 +17,9 @@ from ietidg.refsolver import (
 )
 from ietidg.geometry import MultiPatchDomain
 
-from conftest import (glued_from_locals, local_systems, reversed_two_patch_domain, two_patch_domain,
-                      unit_square_patch, volume_arrays)
+from conftest import (curved_two_patch_domain, glued_from_locals, local_systems, reference_max_jump,
+                      reversed_two_patch_domain, two_patch_domain, unit_square_patch, volume_arrays)
+from test_ieti import partial_interface_domain
 
 
 def u_sin(x, y):
@@ -125,6 +126,21 @@ class TestDirectSolve:
 
 
 class TestMeasureError:
+    @pytest.mark.parametrize("factory", [
+        lambda: t_domain(degree=2, refinements=2),
+        lambda: slider_domain(4, 0.37, degree=2, refinements=2),
+        lambda: reversed_two_patch_domain(p=2),
+        lambda: partial_interface_domain(),
+        lambda: curved_two_patch_domain(),
+    ], ids=["tdomain", "slider(4,0.37)", "reversed", "partial", "curved"])
+    def test_max_jump_matches_interface_loop(self, rng, factory):
+        # random coefficients jump on every interface; the side-table walk gives the
+        # per-interface loop's largest jump bit for bit
+        dom = factory()
+        u = [rng.standard_normal(p.space.dimension) for p in dom.patches]
+        jump = measure_error(dom, u, lambda x, y: np.zeros_like(x))[2]
+        assert jump > 0.0 and jump == reference_max_jump(dom, u)
+
     def test_zero_against_zero(self):
         dom = two_patch_domain(p=1, r=1)
         zeros = [np.zeros(p.space.dimension) for p in dom.patches]
