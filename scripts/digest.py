@@ -15,7 +15,8 @@ bytes:
   and the FD block count of each solve;
 * every ``--domain`` at every degree and refinement (by default grid(2),
   tdomain, slider(3, 0.3) and slider(4, 0.37) at p=1..3, r=0..2), and
-  every ``--config`` file as saved: each block's local ``A`` and ``f``,
+  every ``--config`` file as saved: the vertices (see ``vertex_arrays``),
+  each block's local ``A`` and ``f``,
   the copy map and the (I, Delta, Pi) partition, the jump matrix over the
   skeleton (see ``jump_matrix``), ``D``, ``S``, ``psi`` and the FD flag, and
   the oracle's global matrix and load from ``refsolver.assemble_global``.
@@ -117,11 +118,25 @@ def local_systems(pkg, domain, copies):
     return out
 
 
+def vertex_arrays(vertices):
+    """A domain's vertices as ``(point, (vertex, patch, long_), uv)``, one row of the last two per
+    (vertex, adjacent patch) pair, from the vertex table or, in earlier trees, from the list of
+    ``Vertex`` records with their ``point``, sorted ``adjacency`` and ``long_patches``."""
+    if not isinstance(vertices, list):
+        t = vertices
+        return t.point, np.column_stack([t.vertex, t.patch, t.long_]).astype(int), t.uv
+    rows = [(v, k, k in vertex.long_patches, *loc) for v, vertex in enumerate(vertices)
+            for k, loc in vertex.adjacency]
+    return (np.array([vertex.point for vertex in vertices], dtype=float).reshape(-1, 2),
+            np.array([r[:3] for r in rows], dtype=int).reshape(-1, 3),
+            np.array([r[3:] for r in rows], dtype=float).reshape(-1, 2))
+
+
 def domain_arrays(pkg, domain):
-    """(family, value) pairs of one domain's blocks and oracle, in hashing order."""
+    """(family, value) pairs of one domain's vertices, blocks and oracle, in hashing order."""
     op = pkg.ieti.setup_operator(domain, DELTA)
     part = op.partition
-    out = [("copy map", part.copies)]
+    out = [("vertices", a) for a in vertex_arrays(domain.vertices)] + [("copy map", part.copies)]
     for k, (blk, (A, f)) in enumerate(zip(op.blocks, local_systems(pkg, domain, part.copies))):
         out += [("local A", A), ("jump B", jump_matrix(op.jumps, k)), ("local f", f),
                 ("interior", part.interior[k]), ("dual", part.dual[k]),

@@ -9,12 +9,11 @@ from .bspline import (
     eval_basis,
     gauss_rule,
     greville_points,
-    nonzero_at_point,
     refine_uniform,
 )
 from .domains import builtin_domain, grid_domain, slider_domain, t_domain
 from .errors import ConfigError, NumericalError
-from .geometry import GeometryMap, Interface, MultiPatchDomain, Patch, Vertex
+from .geometry import GeometryMap, Interface, MultiPatchDomain, Patch
 from .ieti import (
     IetiOperator,
     SolveReport,
@@ -26,10 +25,10 @@ from .refsolver import assemble_global, direct_solve, measure_error
 
 __all__ = [
     "KnotVector", "QuadratureRule", "TensorSplineSpace",
-    "eval_basis", "gauss_rule", "greville_points", "nonzero_at_point", "refine_uniform",
+    "eval_basis", "gauss_rule", "greville_points", "refine_uniform",
     "builtin_domain", "grid_domain", "slider_domain", "t_domain",
     "ConfigError", "NumericalError",
-    "GeometryMap", "Interface", "MultiPatchDomain", "Patch", "Vertex",
+    "GeometryMap", "Interface", "MultiPatchDomain", "Patch",
     "IetiOperator", "SolveReport", "select_primal", "setup_operator", "solve_ieti",
     "assemble_global", "direct_solve", "measure_error",
 ]

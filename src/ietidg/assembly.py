@@ -26,19 +26,11 @@ from .geometry import eval_maps, map_edge_param
 _SINGULAR_RTOL = 1e-12
 
 
-def trace_basis_on_edge(space, side, prange):
-    """Dofs of the functions of `space` with nonvanishing trace on the range.
-
-    Returned in increasing edge order, leaving out Dirichlet-constrained
-    functions.  Includes every function whose support meets the open range,
-    also those whose Greville point lies outside it.
-    """
-    return _trace_dofs([(space, side, prange)])[1]
-
-
 def _trace_dofs(edges):
-    """The :func:`trace_basis_on_edge` dofs of many ``(space, side, range)`` edges in one pass:
-    ``(of, dofs)``, edge after edge, `of` the edge of every dof."""
+    """The dofs of every ``(space, side, range)`` edge with nonvanishing trace on its range, in one
+    pass: ``(of, dofs)``, edge after edge, `of` the edge of every dof.  An edge's dofs are those
+    whose support meets the open range, also those whose Greville point lies outside it, in
+    increasing edge order, leaving out Dirichlet-constrained functions."""
     kvs = [space.edge_kv(side) for space, side, _ in edges]
     dofs = np.concatenate([np.zeros(0, int)] + [space.edge_dofs(side) for space, side, _ in edges])
     lo = np.concatenate([np.zeros(0)] + [kv.knots[:kv.n] for kv in kvs])  # supports [lo, hi]
@@ -59,7 +51,7 @@ def copy_map(domain):
     One row ``(interface, source patch, source dof, block, copy dof)`` per
     artificial dof.  Rows run by interface; on each, the copies of side k in
     block l come first, then those of side l in block k, each side in
-    :func:`trace_basis_on_edge` order: the multiplier order.  Every block
+    :func:`_trace_dofs` order: the multiplier order.  Every block
     numbers its copies on from its own dimension, one contiguous run per
     interface in increasing interface order.
     """

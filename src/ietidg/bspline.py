@@ -162,22 +162,12 @@ def refine_uniform(kv, levels):
     return KnotVector(kv.p, knots)
 
 
-def nonzero_at_point(kv, x):
-    """Indices `i` with ``B_i(x) > 0``, read off the knot vector.
-
-    ``B_i`` is positive on the open interval ``(U[i], U[i+p+1])`` and at a
-    closed end only where that end is a knot of multiplicity ``p + 1``,
-    which an open knot vector has at 0 and 1 alone.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("parameter %r outside [0, 1]" % x)
-    index, positive = _covering(kv, np.array([x]))
-    return index[positive]
-
-
 def _covering(kv, x):
     """The p + 1 functions ``index[q]`` of the span of each point ``x[q]``, every function
-    that can be nonzero there, and which of them are positive (:func:`nonzero_at_point`)."""
+    that can be nonzero there, and which of them are positive, read off the knot vector:
+    ``B_i`` is positive on the open interval ``(U[i], U[i+p+1])`` and at a closed end only
+    where that end is a knot of multiplicity ``p + 1``, which an open knot vector has at 0
+    and 1 alone."""
     U, p = kv.knots, kv.p
     i, x = kv.find_span(x)[:, None] - p + np.arange(p + 1), x[:, None]
     return i, ((U[i] < x) | (U[i + p] == x)) & ((x < U[i + p + 1]) | (U[i + 1] == x))

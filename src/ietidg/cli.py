@@ -185,6 +185,9 @@ def run_growth_study(spec):
     if len(levels) < 4 or len(set(levels)) < len(levels):
         raise ConfigError("growth study needs four or more refinement levels, each once, got %s"
                           % levels)
+    if len(set(spec.degrees)) < len(spec.degrees):
+        raise ConfigError("growth study follows one series per degree; give each degree once, "
+                          "got %s" % spec.degrees)
     if len(spec.jump_exponents or []) > 1 or len(spec.slide_offsets or []) > 1:
         raise ConfigError("growth study follows one series per degree; "
                           "give at most one jump exponent and one slide offset")

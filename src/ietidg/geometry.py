@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import SIDES, KnotVector, TensorSplineSpace, eval_basis, eval_matrices, greville_points
+from .bspline import (SIDES, KnotVector, TensorSplineSpace, _covering, eval_basis, eval_matrices,
+                      greville_points)
 from .errors import ConfigError
 
 log = logging.getLogger(__name__)
@@ -164,6 +165,14 @@ class Interface:
 
 
 SideTable = namedtuple("SideTable", "owner neighbor side normal range reversed_")  # see side_table
+VertexTable = namedtuple("VertexTable", "point vertex patch uv long_ index positive",
+                         defaults=(None, None))  # see classify_vertices
+
+
+def _read_only(table):
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 def side_table(interfaces):
@@ -177,23 +186,7 @@ def side_table(interfaces):
     normal = np.array([side_normal_hat(name) for name in SIDES])[side]
     ranges = np.array([(g.range_k, g.range_l) for g in interfaces], dtype=float).reshape(-1, 2)
     rev = np.repeat(np.array([g.reversed_ for g in interfaces], dtype=bool), 2)
-    table = SideTable(kl.ravel(), kl[:, ::-1].ravel(), side, normal, ranges, rev)
-    for a in table:
-        a.flags.writeable = False
-    return table
-
-
-@dataclass
-class Vertex:
-    """A clustered interface endpoint with its patch adjacency.
-
-    `long_patches` holds the patches whose edge it lies strictly inside;
-    the vertex is a T-junction iff there is one.
-    """
-
-    point: np.ndarray
-    adjacency: list  # (patch index, (u, v)) pairs
-    long_patches: tuple = ()
+    return _read_only(SideTable(kl.ravel(), kl[:, ::-1].ravel(), side, normal, ranges, rev))
 
 
 @dataclass(frozen=True)
@@ -207,7 +200,8 @@ class MultiPatchDomain:
     """Patches, interfaces, classified vertices and derived mesh metrics.
 
     `sides` is the :func:`side_table` of the interfaces, built once here.
-    :meth:`validate` sets `vertices` and `metrics`.  Immutable after it; all
+    :meth:`validate` sets `metrics` and `vertices`, the :func:`classify_vertices` table with the
+    span tables of every (vertex, adjacent patch) pair.  Immutable after it; all
     queries are read-only and safe for concurrent use.
     """
 
@@ -229,7 +223,6 @@ class MultiPatchDomain:
             if not (0 <= g.k < K and 0 <= g.l < K and g.k != g.l):
                 raise ConfigError("interface references invalid patches (%d, %d)" % (g.k, g.l))
         self.sides = side_table(self.interfaces)
-        self.vertices = []
 
     @property
     def num_patches(self):
@@ -257,7 +250,9 @@ class MultiPatchDomain:
         mismatch, ends = validate_interfaces(self)
         if mismatch is not None:
             raise ConfigError("interface %d mismatch: %s" % mismatch)
-        self.vertices = classify_vertices(ends, 1e-9 * float(np.max(self.metrics["H"])))
+        t = classify_vertices(*ends, 1e-9 * float(np.max(self.metrics["H"])))
+        index, positive = _span_tables([p.space for p in self.patches], t.patch, t.uv)
+        self.vertices = _read_only(t._replace(index=index, positive=positive))
         return self
 
     def _check_overlaps(self):
@@ -296,11 +291,12 @@ class MultiPatchDomain:
 def validate_interfaces(domain):
     """Sample every interface on both sides, all with one map evaluation.
 
-    Returns ``(mismatch, ends)``.  `mismatch` is None if the sides of every
-    interface coincide, else ``(index, report)`` of the first that does not,
-    `report` a dict describing its worst sample.  `ends` holds four end
-    records ``(point, patch, (u, v))`` per interface, taken from the same
-    samples: the range start, then its end, each on side k before side l.
+    Returns ``(mismatch, (points, patch, uv))``.  `mismatch` is None if the
+    sides of every interface coincide, else ``(index, report)`` of the first
+    that does not, `report` a dict describing its worst sample.  The arrays
+    hold four end records per interface, taken from the same samples: the
+    range start, then its end, each on side k before side l; `points` and
+    `uv` are ``(4n, 2)``.
     """
     sides, maps = domain.sides, [p.geometry for p in domain.patches]
     ranges = sides.range.reshape(-1, 2, 2)  # (interface, side k or l, end)
@@ -313,7 +309,7 @@ def validate_interfaces(domain):
     x = eval_maps(maps, np.repeat(patch.ravel(), ts.shape[1]), uv[..., 0].ravel(),
                   uv[..., 1].ravel()).reshape(uv.shape)
     end_x, end_uv = (a[:, :, [0, -1]].swapaxes(1, 2).reshape(-1, 2) for a in (x, uv))
-    ends = list(zip(end_x, np.repeat(patch, 2, axis=0).ravel().tolist(), map(tuple, end_uv.tolist())))
+    ends = end_x, np.repeat(patch, 2, axis=0).ravel(), end_uv
     dist = np.linalg.norm(x[:, 0] - x[:, 1], axis=-1)
     worst, tol = np.argmax(dist, axis=1), _MATCH_TOL * domain.metrics["H"][patch[:, 0]]
     bad = np.flatnonzero(dist[np.arange(len(patch)), worst] > tol)
@@ -325,42 +321,62 @@ def validate_interfaces(domain):
                      "point_l": x[i, 1, w].tolist()}), ends
 
 
-def classify_vertices(ends, merge_tol):
+def classify_vertices(points, patch, uv, merge_tol):
     """Cluster interface end records into vertices and detect T-junctions.
 
-    `ends` holds ``(point, patch, (u, v))`` records as
-    :func:`validate_interfaces` gives them; a record joins the first
-    vertex within `merge_tol` of it.  A vertex is a T-junction iff it lies
-    strictly inside an edge of at least one adjacent patch (a "long"
-    patch), and a long patch must meet the vertex at exactly one
-    parameter point.
+    The records are the arrays of :func:`validate_interfaces`; a record
+    joins the first vertex within `merge_tol` of it.  A vertex is a
+    T-junction iff it lies strictly inside an edge of at least one adjacent
+    patch (a "long" patch), and a long patch must meet the vertex at exactly
+    one parameter point.  Returns a `VertexTable` without its span tables:
+    the `point` ``(V, 2)`` of every vertex, sorted by its coordinates rounded
+    to 9 digits, and one row per (vertex, adjacent patch) pair, by vertex and
+    then by patch and parameter point: its `vertex`, `patch`, `uv` ``(A, 2)``
+    and `long_`, whether the vertex lies strictly inside an edge of the patch.
     """
+    records = list(zip(patch.tolist(), map(tuple, uv.tolist())))
+    corner = [min(u, 1.0 - u) <= _CORNER_TOL and min(v, 1.0 - v) <= _CORNER_TOL for _, (u, v) in records]
     # the earliest record left opens a cluster and takes every record left within merge_tol
-    points = np.array([point for point, _, _ in ends], dtype=float).reshape(-1, 2)
-    d = points[:, None] - points
-    near = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2) <= merge_tol  # the bits of np.linalg.norm
-    corner = [min(u, 1.0 - u) <= _CORNER_TOL and min(v, 1.0 - v) <= _CORNER_TOL for _, _, (u, v) in ends]
-    left, vertices = np.ones(len(ends), dtype=bool), []
+    left, vertices = np.ones(len(records), dtype=bool), []
     while left.any():
         first = int(np.argmax(left))
-        take = left & near[first]
+        d = points[first] - points
+        take = left & (np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2) <= merge_tol)  # the bits of np.linalg.norm
         take[first] = True
         left &= ~take
-        point, adjacency, long_patches = ends[first][0], [], set()
+        adjacency, long_patches = [], set()
         for i in np.flatnonzero(take).tolist():
-            patch, (u, v) = ends[i][1:]
-            if not any(pp == patch and abs(uu - u) <= _CORNER_TOL and abs(vv - v) <= _CORNER_TOL
-                       for pp, (uu, vv) in adjacency):
-                adjacency.append(ends[i][1:])
+            k, (u, v) = records[i]
+            if not any(kk == k and abs(uu - u) <= _CORNER_TOL and abs(vv - v) <= _CORNER_TOL
+                       for kk, (uu, vv) in adjacency):
+                adjacency.append(records[i])
                 if not corner[i]:
-                    long_patches.add(patch)
-        for patch in sorted(long_patches):
-            count = sum(pp == patch for pp, _ in adjacency)
+                    long_patches.add(k)
+        for k in sorted(long_patches):
+            count = sum(kk == k for kk, _ in adjacency)
             if count > 1:
                 raise ConfigError(
                     "vertex at %s lies inside an edge of patch %d but meets that patch "
-                    "at %d parameter points" % (point, patch, count)
+                    "at %d parameter points" % (points[first], k, count)
                 )
-        vertices.append(Vertex(point, sorted(adjacency), tuple(sorted(long_patches))))
-    vertices.sort(key=lambda v: (round(v.point[0], 9), round(v.point[1], 9)))
-    return vertices
+        vertices.append((points[first], sorted(adjacency), long_patches))
+    vertices.sort(key=lambda vertex: (round(vertex[0][0], 9), round(vertex[0][1], 9)))
+    rows = [(v, k, k in long_patches, *loc) for v, (_, adjacency, long_patches) in enumerate(vertices)
+            for k, loc in adjacency]
+    vertex, patch, long_ = np.array([r[:3] for r in rows], dtype=int).reshape(-1, 3).T
+    return VertexTable(np.array([x for x, _, _ in vertices], dtype=float).reshape(-1, 2), vertex,
+                       patch, np.array([r[3:] for r in rows], dtype=float).reshape(-1, 2), long_ == 1)
+
+
+def _span_tables(spaces, patch, uv):
+    """The p + 1 functions `index` ``(A, 2, p + 1)`` of the span at every point ``uv[a]`` of
+    ``spaces[patch[a]]``, per direction, and which of them are `positive` there
+    (:func:`~ietidg.bspline._covering`); one call per distinct knot vector."""
+    kvs, firsts = [kv for space in spaces for kv in (space.kv_u, space.kv_v)], {}
+    group = np.array([firsts.setdefault(kv.knots.tobytes(), g) for g, kv in enumerate(kvs)])
+    group = group.reshape(-1, 2)[patch]  # (pair, direction)
+    shape = group.shape + (spaces[0].degree + 1,)
+    index, positive = np.empty(shape, dtype=int), np.empty(shape, dtype=bool)
+    for g in np.unique(group):
+        index[group == g], positive[group == g] = _covering(kvs[g], uv[group == g])
+    return index, positive

@@ -34,7 +34,6 @@ import numpy as np
 import scipy.sparse
 
 from .assembly import assemble_interface_terms, build_local_system, copy_map
-from .bspline import _covering
 from .errors import NumericalError
 from .linalg import Factorization, cholesky, factorize, pcg
 
@@ -42,25 +41,6 @@ log = logging.getLogger(__name__)
 
 
 PrimalSources = namedtuple("PrimalSources", "vertex patch dof")  # see select_primal
-
-
-def _vertex_functions(domain):
-    """Every (vertex, adjacent patch) pair, in adjacency order: the `vertex`, the `patch`, whether
-    the vertex lies strictly inside an edge of the patch (`long`), and per direction the p + 1
-    functions `index` of the span at the pair's (u, v) and which of them are `positive` there
-    (:func:`~ietidg.bspline.nonzero_at_point`); one pass per distinct knot vector."""
-    adj = [(v, k, k in vertex.long_patches, u, w) for v, vertex in enumerate(domain.vertices)
-           for k, (u, w) in vertex.adjacency]
-    vtx, patch, long_ = np.array([a[:3] for a in adj], dtype=int).reshape(-1, 3).T
-    uv = np.array([a[3:] for a in adj], dtype=float).reshape(-1, 2)
-    spaces = [ptch.space for ptch in domain.patches]
-    kvs = list({id(kv): kv for space in spaces for kv in (space.kv_u, space.kv_v)}.values())
-    group = np.array([[kvs.index(sp.kv_u), kvs.index(sp.kv_v)] for sp in spaces]).reshape(-1, 2)[patch]
-    shape = group.shape + (domain.degree + 1,)  # (pair, direction, function of the span)
-    index, positive = np.empty(shape, dtype=int), np.empty(shape, dtype=bool)
-    for g, kv in enumerate(kvs):
-        index[group == g], positive[group == g] = _covering(kv, uv[group == g])
-    return vtx, patch, long_ == 1, index, positive
 
 
 def select_primal(domain):
@@ -71,26 +51,27 @@ def select_primal(domain):
     candidates are dropped with one log note each).  A source claimed by
     several vertices belongs to the first.  The sources are sorted by
     ``(patch, dof)``, and the position of a source is its coarse index.
+    All of it is read off the vertex table ``domain.vertices``.
     """
-    vtx, patch, _, index, positive = _vertex_functions(domain)
+    t = domain.vertices
     # the candidates in loop order: adjacency, then u-index, then v-index
-    r, a, b = np.nonzero(positive[:, 0, :, None] & positive[:, 1, None, :])
-    i, j, owner, dof = index[r, 0, a], index[r, 1, b], patch[r], np.empty(r.size, dtype=int)
+    r, a, b = np.nonzero(t.positive[:, 0, :, None] & t.positive[:, 1, None, :])
+    i, j, owner, dof = t.index[r, 0, a], t.index[r, 1, b], t.patch[r], np.empty(r.size, dtype=int)
     for k in np.unique(owner):
         dof[owner == k] = domain.patches[k].space.dof_map[i[owner == k], j[owner == k]]
     for q in np.flatnonzero(dof < 0):
         log.info("patch %d: basis (%d, %d) at vertex %s is Dirichlet-constrained, not a primal dof",
-                 owner[q], i[q], j[q], domain.vertices[vtx[r[q]]].point)
+                 owner[q], i[q], j[q], t.point[t.vertex[r[q]]])
     keep = dof >= 0
-    v, owner, dof = vtx[r[keep]], owner[keep], dof[keep]
+    v, owner, dof = t.vertex[r[keep]], owner[keep], dof[keep]
     _, first = np.unique(owner * (dof.max(initial=0) + 1) + dof, return_index=True)  # by source
     return PrimalSources(v[first], owner[first], dof[first])
 
 
 def degenerate_tjunction_count(domain):
     """Number of T-junction sides whose fat vertex degenerates to one function."""
-    _, _, long_, _, positive = _vertex_functions(domain)
-    return int(np.count_nonzero(long_ & (positive.sum(axis=2).prod(axis=1) == 1)))
+    t = domain.vertices
+    return int(np.count_nonzero(t.long_ & (t.positive.sum(axis=2).prod(axis=1) == 1)))
 
 
 @dataclass

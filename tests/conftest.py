@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from ietidg.assembly import (_inv_transpose, _side_points, _SidePoints,
+from ietidg.assembly import (_inv_transpose, _side_points, _SidePoints, _trace_dofs,
                              assemble_interface_terms, assemble_volume, band_rows, copy_map, side_dofs)
-from ietidg.bspline import (KnotVector, TensorSplineSpace, eval_basis, gauss_rule, nonzero_at_point,
-                            refine_uniform)
+from ietidg.bspline import KnotVector, TensorSplineSpace, eval_basis, gauss_rule, refine_uniform
 from ietidg.domains import domain_from_config, domain_to_config
 from ietidg.errors import ConfigError
-from ietidg.geometry import (GeometryMap, Interface, MultiPatchDomain, Patch, Vertex, map_edge_param,
+from ietidg.geometry import (GeometryMap, Interface, MultiPatchDomain, Patch, map_edge_param,
                              side_normal_hat, side_point)
 from ietidg.ieti import PrimalSources
 from ietidg.linalg import SparseSym, block_triplets
@@ -142,12 +141,40 @@ def reference_validate(domain):
     return metrics, reference_classify_vertices(ends, 1e-9 * float(np.max(H)))
 
 
+# a vertex as a record: its point, its sorted (patch, (u, v)) adjacency and the sorted tuple of
+# the patches whose edge it lies strictly inside
+VertexRecord = namedtuple("VertexRecord", "point adjacency long_patches")
+
+
+def vertex_records(table):
+    """The `VertexRecord` of every vertex of a `VertexTable`, in vertex order."""
+    adjacency = [[] for _ in table.point]
+    for v, k, loc, long_ in zip(table.vertex.tolist(), table.patch.tolist(), table.uv.tolist(),
+                                table.long_.tolist()):
+        adjacency[v].append((k, tuple(loc), long_))
+    return [VertexRecord(point, [(k, loc) for k, loc, _ in adj],
+                         tuple(k for k, _, long_ in adj if long_))
+            for point, adj in zip(table.point, adjacency)]
+
+
+def end_records(points, patch, uv):
+    """The end arrays of `validate_interfaces` as a list of ``(point, patch, (u, v))`` records."""
+    return list(zip(points, patch.tolist(), map(tuple, uv.tolist())))
+
+
+def end_arrays(ends):
+    """A list of ``(point, patch, (u, v))`` records as the arrays of `validate_interfaces`."""
+    points, patch, uv = zip(*ends)
+    return np.array(points, dtype=float), np.array(patch, dtype=int), np.array(uv, dtype=float)
+
+
 def reference_classify_vertices(ends, merge_tol):
     """`classify_vertices` with one distance per record and cluster."""
     clusters = []
     for point, patch, loc in ends:
         for cl_point, members in clusters:
-            if np.linalg.norm(cl_point - point) <= merge_tol:
+            # the norm is never below |dx|: a cluster that test rules out is out either way
+            if abs(cl_point[0] - point[0]) <= merge_tol and np.linalg.norm(cl_point - point) <= merge_tol:
                 members.append((patch, loc))
                 break
         else:
@@ -166,7 +193,7 @@ def reference_classify_vertices(ends, merge_tol):
             if count > 1:
                 raise ConfigError("vertex at %s lies inside an edge of patch %d but meets that patch "
                                   "at %d parameter points" % (point, patch, count))
-        vertices.append(Vertex(point, sorted(adjacency), tuple(long_patches)))
+        vertices.append(VertexRecord(point, sorted(adjacency), tuple(long_patches)))
     vertices.sort(key=lambda v: (round(v.point[0], 9), round(v.point[1], 9)))
     return vertices
 
@@ -275,8 +302,13 @@ def reference_interface_side_terms(domain, delta):
             first[2, start, None] + np.arange(p + 1), mats)
 
 
+def trace_dofs(space, side, prange):
+    """The `_trace_dofs` dofs of one edge."""
+    return _trace_dofs([(space, side, prange)])[1]
+
+
 def reference_trace_basis(space, side, prange):
-    """`trace_basis_on_edge` on one edge, the support-overlap rule one function at a time."""
+    """`trace_dofs` on one edge, the support-overlap rule one function at a time."""
     kv, (a, b) = space.edge_kv(side), prange
     U, p = kv.knots, kv.p
     active = np.array([i for i in range(kv.n) if U[i] < b and U[i + p + 1] > a], dtype=int)
@@ -315,15 +347,23 @@ def reference_interface_dofs(domain, copies, side, own, edge):
     return side_dofs(domain, side, own, edge, lattice_maps, edge_maps)
 
 
+def positive_at(kv, x):
+    """The functions of `kv` positive at `x`, one at a time: ``B_i`` is positive on the open
+    interval ``(U[i], U[i+p+1])``, and at an end of it only where p + 1 knots meet there."""
+    U, p = kv.knots, kv.p
+    return [i for i in range(kv.n)
+            if U[i] < x < U[i + p + 1] or x == U[i] == U[i + p] or x == U[i + 1] == U[i + p + 1]]
+
+
 def reference_select_primal(domain, log=None):
     """`select_primal` one vertex, adjacent patch and candidate at a time; calls ``log(patch, i,
     j, point)`` for every Dirichlet-constrained candidate."""
     sources, claimed = [], set()
-    for v_idx, vertex in enumerate(domain.vertices):
+    for v_idx, vertex in enumerate(vertex_records(domain.vertices)):
         for patch, (u0, v0) in vertex.adjacency:
             space = domain.patches[patch].space
-            for i in nonzero_at_point(space.kv_u, u0):
-                for j in nonzero_at_point(space.kv_v, v0):
+            for i in positive_at(space.kv_u, u0):
+                for j in positive_at(space.kv_v, v0):
                     dof = int(space.dof_map[i, j])
                     if dof < 0:
                         if log:
@@ -340,9 +380,9 @@ NO_PRIMAL = PrimalSources(*np.zeros((3, 0), dtype=int))
 
 def reference_degenerate_tjunction_count(domain):
     """`degenerate_tjunction_count` one vertex and long patch at a time."""
-    return sum(len(nonzero_at_point(domain.patches[k].space.kv_u, u))
-               * len(nonzero_at_point(domain.patches[k].space.kv_v, v)) == 1
-               for vertex in domain.vertices for k, (u, v) in vertex.adjacency
+    return sum(len(positive_at(domain.patches[k].space.kv_u, u))
+               * len(positive_at(domain.patches[k].space.kv_v, v)) == 1
+               for vertex in vertex_records(domain.vertices) for k, (u, v) in vertex.adjacency
                if k in vertex.long_patches)
 
 

@@ -16,7 +16,7 @@ from ietidg.domains import grid_domain, slider_domain, t_domain
 from ietidg.ieti import lambda_factor, pcg_solve, select_primal, setup_operator, solve_ieti
 
 from conftest import (check_lemma_bbt, full_jump_columns, primal_dofs, project_wtilde,
-                      psi_residual, two_patch_domain)
+                      psi_residual, two_patch_domain, vertex_records)
 
 BUILTINS = {
     "grid2x2": lambda p, r, alphas=None: grid_domain(2, degree=p, refinements=r, alphas=alphas),
@@ -248,7 +248,7 @@ class TestCriterion6StructuralInvariants:
         from ietidg.bspline import eval_basis
 
         for v_idx, patch, dof in zip(*(a.tolist() for a in select_primal(dom))):
-            vertex = dom.vertices[v_idx]
+            vertex = vertex_records(dom.vertices)[v_idx]
             loc = dict(vertex.adjacency)[patch]
             space = dom.patches[patch].space
             i, j = np.argwhere(space.dof_map == dof)[0]

@@ -11,7 +11,6 @@ from ietidg.assembly import (
     build_local_system,
     copy_map,
     interface_side_terms,
-    trace_basis_on_edge,
     univariate_matrices,
 )
 from ietidg.bspline import KnotVector, TensorSplineSpace, eval_matrices, gauss_rule, refine_uniform
@@ -28,7 +27,7 @@ from conftest import (curved_geometry, curved_two_patch_domain, extended_matrix,
                       reference_degenerate_tjunction_count, reference_interface_side_terms,
                       reference_merged_partition,
                       reference_select_primal, reference_side_points, reversed_two_patch_domain,
-                      two_patch_domain, unit_square_patch)
+                      trace_dofs, two_patch_domain, unit_square_patch)
 from test_bspline import scalar_cox_de_boor
 from test_ieti import fd_against_superlu, partial_interface_domain
 
@@ -154,20 +153,20 @@ class TestTraceBasis:
     def test_examples(self):
         kv2 = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
         space = TensorSplineSpace(kv2, kv2)
-        dofs = trace_basis_on_edge(space, "south", (0.0, 0.5))
+        dofs = trace_dofs(space, "south", (0.0, 0.5))
         assert dofs.tolist() == space.edge_dofs("south")[:3].tolist()
         assert edge_positions(space, "south", dofs) == [0, 1, 2]
-        dofs = trace_basis_on_edge(space, "south", (0.0, 1.0))
+        dofs = trace_dofs(space, "south", (0.0, 1.0))
         assert edge_positions(space, "south", dofs) == [0, 1, 2, 3]
         kv1 = KnotVector(1, [0, 0, 0.5, 1, 1])
         space1 = TensorSplineSpace(kv1, kv1)
-        dofs = trace_basis_on_edge(space1, "south", (0.5, 1.0))
+        dofs = trace_dofs(space1, "south", (0.5, 1.0))
         assert edge_positions(space1, "south", dofs) == [1, 2]
 
     def test_dirichlet_functions_excluded(self):
         kv = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
         space = TensorSplineSpace(kv, kv, {"west"})
-        dofs = trace_basis_on_edge(space, "south", (0.0, 1.0))
+        dofs = trace_dofs(space, "south", (0.0, 1.0))
         assert np.all(dofs >= 0)
         assert edge_positions(space, "south", dofs) == [1, 2, 3]
 
@@ -175,7 +174,7 @@ class TestTraceBasis:
         kv = KnotVector(1, [0, 0, 1, 1])
         space = TensorSplineSpace(kv, kv, {"west", "east"})
         with pytest.raises(ConfigError):
-            trace_basis_on_edge(space, "west", (0.0, 1.0))
+            trace_dofs(space, "west", (0.0, 1.0))
 
 
 class TestVolume:
@@ -490,7 +489,7 @@ class TestInterfaceTerms:
         copies = copy_map(dom)
         rows = copies[copies[:, 3] == 0]
         n_total = dom.patches[0].space.dimension + len(rows)
-        sources = trace_basis_on_edge(dom.patches[1].space, "west", (0.0, 1.0))
+        sources = trace_dofs(dom.patches[1].space, "west", (0.0, 1.0))
         assert rows[:, 2].tolist() == sources.tolist()
         edges = edge_positions(dom.patches[1].space, "west", sources)
         edge_index = np.full(dom.patches[1].space.edge_kv("west").n, -1)

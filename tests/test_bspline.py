@@ -12,11 +12,11 @@ from ietidg.bspline import (
     eval_basis,
     eval_matrices,
     gauss_rule,
+    _covering,
     greville_points,
-    nonzero_at_point,
     refine_uniform,
 )
-from ietidg.assembly import trace_basis_on_edge
+from ietidg.assembly import _trace_dofs
 from ietidg.errors import ConfigError
 
 from conftest import random_knotvector
@@ -272,9 +272,15 @@ class TestRefine:
 
 
 def support_overlap(kv, a, b):
-    """The functions of `kv` whose support meets (a, b), by `trace_basis_on_edge` on the west
-    edge of a space with no Dirichlet sides, whose dofs there are the v-indices."""
-    return trace_basis_on_edge(TensorSplineSpace(kv, kv), "west", (a, b))
+    """The functions of `kv` whose support meets (a, b), by `_trace_dofs` on the west edge of a
+    space with no Dirichlet sides, whose dofs there are the v-indices."""
+    return _trace_dofs([(TensorSplineSpace(kv, kv), "west", (a, b))])[1]
+
+
+def positive_functions(kv, x):
+    """The functions of `kv` that `_covering` finds positive at `x`."""
+    index, positive = _covering(kv, np.array([x]))
+    return index[positive]
 
 
 class TestActivity:
@@ -285,16 +291,14 @@ class TestActivity:
         kv1 = KnotVector(1, [0, 0, 0.5, 1, 1])
         assert support_overlap(kv1, 0.5, 1.0).tolist() == [1, 2]
 
-    def test_nonzero_at_point(self):
+    def test_covering_positive_at_point(self):
         kv = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
         # derived by evaluating every function at x = 0.5 and thresholding
         vals = eval_matrices(kv, [0.5])[0, 0]
         expected = np.nonzero(vals > 0)[0].tolist()
-        assert nonzero_at_point(kv, 0.5).tolist() == expected == [1, 2]
-        assert nonzero_at_point(kv, 0.0).tolist() == [0]
-        assert nonzero_at_point(kv, 1.0).tolist() == [kv.n - 1]
-        with pytest.raises(ValueError):
-            nonzero_at_point(kv, 1.5)
+        assert positive_functions(kv, 0.5).tolist() == expected == [1, 2]
+        assert positive_functions(kv, 0.0).tolist() == [0]
+        assert positive_functions(kv, 1.0).tolist() == [kv.n - 1]
 
     @seed(20261019)
     @settings(max_examples=60, deadline=None, database=None)
@@ -307,7 +311,7 @@ class TestActivity:
         for x in points:
             first, table = scalar_cox_de_boor(kv, x, 0)
             positive = set((first + np.flatnonzero(table[0] > 0.0)).tolist())
-            rule = set(nonzero_at_point(kv, x).tolist())
+            rule = set(positive_functions(kv, x).tolist())
             assert positive <= rule
             # the rule is exact where a value underflows: B_i(x) ~ x**p at a subnormal x
             for i in rule - positive:
@@ -321,7 +325,7 @@ class TestActivity:
     def test_nonzero_at_c0_knot(self):
         # at a knot of multiplicity p only the C^0 function survives
         kv = KnotVector(2, [0, 0, 0, 0.4, 0.4, 1, 1, 1])
-        assert nonzero_at_point(kv, 0.4).tolist() == [2]
+        assert positive_functions(kv, 0.4).tolist() == [2]
 
 
 class TestGauss:

@@ -263,16 +263,19 @@ class TestMain:
         assert "rise=" in out
 
     @pytest.mark.parametrize("argv,message", [
-        (["--builtin", "tdomain", "--refine", "0 1 2 3", "--jump-exponents", "0 2"],
+        (["--builtin", "tdomain", "--degree", "1", "--refine", "0 1 2 3", "--jump-exponents", "0 2"],
          "one series per degree"),
-        (["--builtin", "slider", "3", "--refine", "0 1 2 3", "--slide-offsets", "0.3 0.5"],
-         "one series per degree"),
-        (["--builtin", "tdomain", "--refine", "1 1 2 3"], "each once, got [1, 1, 2, 3]"),
-    ], ids=["two_jumps", "two_offsets", "repeated_level"])
+        (["--builtin", "slider", "3", "--degree", "1", "--refine", "0 1 2 3",
+          "--slide-offsets", "0.3 0.5"], "one series per degree"),
+        (["--builtin", "tdomain", "--degree", "1", "--refine", "1 1 2 3"],
+         "each once, got [1, 1, 2, 3]"),
+        (["--builtin", "tdomain", "--degree", "1 1", "--refine", "0 1 2 3"],
+         "give each degree once, got [1, 1]"),
+    ], ids=["two_jumps", "two_offsets", "repeated_level", "repeated_degree"])
     def test_growth_rejects_mixed_series(self, capsys, solves, argv, message):
         # one degree's ratios must come from one case refined level by level;
-        # interleaved cases or repeated levels would feed largest_rise a mix
-        assert main([*argv, "--degree", "1", "--growth"]) == 2
+        # interleaved cases, repeated levels or a repeated degree would feed largest_rise a mix
+        assert main([*argv, "--growth"]) == 2
         assert message in capsys.readouterr().err
         assert solves == []
 

@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ietidg.bspline import SIDES, KnotVector, TensorSplineSpace, refine_uniform
+from ietidg import bspline
+from ietidg.bspline import SIDES, KnotVector, TensorSplineSpace, _covering, refine_uniform
 from ietidg.domains import (
     domain_from_config,
     domain_to_config,
@@ -24,12 +26,14 @@ from ietidg.geometry import (
     side_point,
     validate_interfaces,
 )
-from ietidg.ieti import setup_operator
+from ietidg.ieti import setup_operator, solve_ieti
 from ietidg.refsolver import assemble_global
 
-from conftest import (at, curved_two_patch_domain, map_param, mirrored_two_patch_domain,
-                      nonuniform_config_domain, reference_classify_vertices, reference_validate,
-                      reversed_two_patch_domain, two_patch_domain, unit_square_patch)
+from conftest import (at, curved_two_patch_domain, end_arrays, end_records, map_param,
+                      mirrored_two_patch_domain, nonuniform_config_domain, reference_classify_vertices,
+                      reference_validate, reversed_two_patch_domain, two_patch_domain, unit_square_patch,
+                      vertex_records)
+from test_assembly import whole_domain_cases
 from test_ieti import partial_interface_domain
 
 
@@ -110,7 +114,7 @@ class TestValidateInterface:
         dom = two_patch_domain(p=1, r=1)
         report, ends = validate_interfaces(dom)
         assert report is None
-        assert [(x.tolist(), patch, loc) for x, patch, loc in ends] == [
+        assert [(x.tolist(), patch, loc) for x, patch, loc in end_records(*ends)] == [
             ([1.0, 0.0], 0, (1.0, 0.0)), ([1.0, 0.0], 1, (0.0, 0.0)),
             ([1.0, 1.0], 0, (1.0, 1.0)), ([1.0, 1.0], 1, (0.0, 1.0)),
         ]
@@ -125,7 +129,7 @@ class TestValidateInterface:
         dom.metrics = dom._compute_metrics()
         report, ends = validate_interfaces(dom)
         assert report is None
-        assert [(patch, loc) for _, patch, loc in ends] == [
+        assert [(patch, loc) for _, patch, loc in end_records(*ends)] == [
             (0, (1.0, 0.0)), (1, (0.0, 0.0)), (0, (1.0, 0.5)), (1, (0.0, 0.5)),
         ]
 
@@ -156,7 +160,7 @@ class TestValidateInterface:
         report, ends = validate_interfaces(dom)
         assert report is None
         # the start of side k meets the end of side l and vice versa
-        assert [(x.tolist(), patch, loc) for x, patch, loc in ends] == [
+        assert [(x.tolist(), patch, loc) for x, patch, loc in end_records(*ends)] == [
             ([1.0, 0.0], 0, (1.0, 0.0)), ([1.0, 0.0], 1, (0.0, 1.0)),
             ([1.0, 1.0], 0, (1.0, 1.0)), ([1.0, 1.0], 1, (0.0, 0.0)),
         ]
@@ -238,8 +242,8 @@ class TestValidationMatchesReference:
         metrics, vertices = reference_validate(dom)
         for key in ("H", "hhat", "h"):
             assert np.array_equal(dom.metrics[key], metrics[key]), key
-        assert len(dom.vertices) == len(vertices)
-        for new, ref in zip(dom.vertices, vertices):
+        assert len(vertex_records(dom.vertices)) == len(vertices)
+        for new, ref in zip(vertex_records(dom.vertices), vertices):
             assert np.array_equal(new.point, ref.point)
             assert new.adjacency == ref.adjacency and new.long_patches == ref.long_patches
 
@@ -278,52 +282,128 @@ class TestValidationMatchesReference:
             assert str(err.value) == message
 
 
+def vertex_table_cases():
+    return whole_domain_cases() + [pytest.param(lambda: grid_domain(24, degree=1, refinements=0),
+                                                id="grid24-p1-r0")]
+
+
+class TestVertexTable:
+    """`domain.vertices`, the one vertex table built by `validate`."""
+
+    @pytest.mark.parametrize("factory", vertex_table_cases())
+    def test_table_matches_reference_records(self, factory):
+        dom = factory()
+        ends = end_records(*validate_interfaces(dom)[1])
+        ref = reference_classify_vertices(ends, 1e-9 * float(np.max(dom.metrics["H"])))
+        new = vertex_records(dom.vertices)
+        assert len(new) == len(ref) > 0
+        for a, b in zip(new, ref):
+            assert np.array_equal(a.point, b.point)
+            assert a.adjacency == b.adjacency and a.long_patches == b.long_patches
+
+    def test_span_tables_per_pair(self):
+        # index and positive are the covering of the pair's own patch space at its (u, v)
+        dom = nonuniform_config_domain(2, 1)
+        t = dom.vertices
+        assert t.index.shape == t.positive.shape == (t.patch.size, 2, dom.degree + 1)
+        for a, (k, (u, v)) in enumerate(zip(t.patch.tolist(), t.uv.tolist())):
+            space = dom.patches[k].space
+            for d, (kv, x) in enumerate(((space.kv_u, u), (space.kv_v, v))):
+                index, positive = _covering(kv, np.array([x]))
+                assert np.array_equal(t.index[a, d], index[0])
+                assert np.array_equal(t.positive[a, d], positive[0])
+
+    def test_arrays_read_only(self):
+        dom = t_domain(degree=2, refinements=1)
+        assert len(dom.vertices) == 7
+        for name, a in zip(dom.vertices._fields, dom.vertices):
+            assert isinstance(a, np.ndarray) and not a.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = a
+
+    @pytest.mark.parametrize("factory", [
+        lambda: t_domain(degree=2, refinements=1),
+        lambda: slider_domain(3, 0.3, degree=3, refinements=0),
+        lambda: nonuniform_config_domain(2, 1),
+    ], ids=["tdomain", "slider", "nonuniform"])
+    def test_covering_runs_once_per_knot_vector_and_never_in_a_solve(self, monkeypatch, factory):
+        # the factories validate as they build; validating again builds the table again
+        dom, calls = factory(), []
+
+        def counted(kv, x):
+            calls.append(kv.knots.tobytes())
+            return _covering(kv, x)
+
+        for module in (bspline, geometry):
+            monkeypatch.setattr(module, "_covering", counted)
+        dom.validate()
+        spaces = [patch.space for patch in dom.patches]
+        assert sorted(calls) == sorted({kv.knots.tobytes() for space in spaces
+                                        for kv in (space.kv_u, space.kv_v)})
+        calls.clear()
+        solve_ieti(dom, delta=12.0, tol=1e-8)
+        assert calls == []
+
+    def test_grid16_build_memory(self):
+        # the clustering keeps one distance row at a time: the parent's matrix of all
+        # (4n)^2 record distances took grid(16) to a 120 MB peak
+        tracemalloc.start()
+        try:
+            grid_domain(16, degree=1, refinements=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
+
 class TestClassifyVertices:
     def test_conforming_cross(self):
         dom = grid_domain(2, degree=1, refinements=1)
-        interior = [v for v in dom.vertices if len({p for p, _ in v.adjacency}) == 4]
+        interior = [v for v in vertex_records(dom.vertices) if len({p for p, _ in v.adjacency}) == 4]
         assert len(interior) == 1
         assert interior[0].long_patches == ()
         np.testing.assert_allclose(interior[0].point, [1.0, 1.0])
 
     def test_tdomain_junction(self):
         dom = t_domain(degree=2, refinements=1)
-        tj = [v for v in dom.vertices if v.long_patches]
+        tj = [v for v in vertex_records(dom.vertices) if v.long_patches]
         assert len(tj) == 1
         np.testing.assert_allclose(tj[0].point, [0.8, 1.0])
         assert tj[0].long_patches == (0,)
         # the junction is a corner of patches 1 and 2, an edge point of patch 0
         assert {p for p, _ in tj[0].adjacency} == {0, 1, 2}
-        regular4 = [v for v in dom.vertices if len({p for p, _ in v.adjacency}) == 4]
+        regular4 = [v for v in vertex_records(dom.vertices) if len({p for p, _ in v.adjacency}) == 4]
         assert len(regular4) == 1
         np.testing.assert_allclose(regular4[0].point, [2.0, 1.0])
 
     def test_single_patch_no_vertices(self):
         patch = unit_square_patch(0, 1, 0, 1, 1, 1, {"west", "east", "south", "north"})
         dom = MultiPatchDomain([patch], []).validate()
-        assert dom.vertices == []
+        assert vertex_records(dom.vertices) == []
+        assert [a.shape for a in dom.vertices] == [(0, 2), (0,), (0,), (0, 2), (0,), (0, 2, 2), (0, 2, 2)]
 
     def test_idempotent(self):
         # validating again gives equal vertices
         dom = slider_domain(3, 0.3, degree=1, refinements=1)
-        first = [(v.point.tolist(), v.adjacency, v.long_patches) for v in dom.vertices]
-        again = [(v.point.tolist(), v.adjacency, v.long_patches) for v in dom.validate().vertices]
+        first = [(v.point.tolist(), v.adjacency, v.long_patches) for v in vertex_records(dom.vertices)]
+        again = [(v.point.tolist(), v.adjacency, v.long_patches)
+                 for v in vertex_records(dom.validate().vertices)]
         assert first == again
 
     @staticmethod
     def at_origin(*records):
-        return [(np.zeros(2), patch, loc) for patch, loc in records]
+        return end_arrays([(np.zeros(2), patch, loc) for patch, loc in records])
 
     @pytest.mark.parametrize("second", [(0.0, 0.5), (0.0, 0.0)], ids=["edge_edge", "edge_corner"])
     def test_long_patch_met_twice_rejected(self, second):
         ends = self.at_origin((0, (1.0, 0.5)), (1, (0.0, 0.0)), (0, second))
         with pytest.raises(ConfigError, match="inside an edge of patch 0 but meets that "
                                               "patch at 2 parameter points"):
-            classify_vertices(ends, 1e-9)
+            classify_vertices(*ends, 1e-9)
 
     def test_corner_twice_accepted(self):
         ends = self.at_origin((0, (1.0, 0.0)), (1, (0.0, 0.0)), (0, (0.0, 0.0)))
-        (vertex,) = classify_vertices(ends, 1e-9)
+        (vertex,) = vertex_records(classify_vertices(*ends, 1e-9))
         assert vertex.long_patches == ()
         assert vertex.adjacency == [(0, (0.0, 0.0)), (0, (1.0, 0.0)), (1, (0.0, 0.0))]
 
@@ -331,18 +411,18 @@ class TestClassifyVertices:
         # the long patch's point, seen from two interfaces, counts once
         ends = self.at_origin((0, (0.5, 1.0)), (1, (1.0, 0.0)),
                               (0, (0.5 + 1e-13, 1.0)), (2, (0.0, 0.0)))
-        (vertex,) = classify_vertices(ends, 1e-9)
+        (vertex,) = vertex_records(classify_vertices(*ends, 1e-9))
         assert vertex.long_patches == (0,)
         assert vertex.adjacency == [(0, (0.5, 1.0)), (1, (1.0, 0.0)), (2, (0.0, 0.0))]
 
     def test_slider_tjunction_count(self):
         for m in (2, 3, 4):
             dom = slider_domain(m, 0.3, degree=1, refinements=1)
-            tj = [v for v in dom.vertices if v.long_patches]
+            tj = [v for v in vertex_records(dom.vertices) if v.long_patches]
             assert len(tj) == 2 * (m - 1)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_greedy_clusters_match_reference(self, seed):
+    @staticmethod
+    def scattered(seed):
         # records scattered around a few points at about the merge tolerance, so that some
         # are close to a later cluster's first record but not to the first one's: the first
         # cluster within merge_tol wins, and clusters keep the order of their first records
@@ -350,10 +430,25 @@ class TestClassifyVertices:
         centres = rng.integers(0, 3, (60, 2)).astype(float)
         points = centres + rng.uniform(-1e-9, 1e-9, (60, 2))
         corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
-        ends = [(x, int(rng.integers(0, 50)), corners[rng.integers(0, 4)]) for x in points]
-        new, ref = classify_vertices(ends, 1e-9), reference_classify_vertices(ends, 1e-9)
+        return [(x, int(rng.integers(0, 50)), corners[rng.integers(0, 4)]) for x in points], 1e-9
+
+    @staticmethod
+    def same_key():
+        # two clusters 2e-10 apart whose points both round to the key (0.123456789, 0.5): the
+        # sort keeps the one opened first in front, though its x is the larger
+        x = np.array([[0.1234567893, 0.5], [0.1234567891, 0.5]])
+        return [(x[0], 0, (1.0, 0.0)), (x[1], 1, (0.0, 0.0)), (x[0], 2, (0.0, 1.0))], 1e-11
+
+    @pytest.mark.parametrize("case", [*range(5), "same-key"])
+    def test_greedy_clusters_match_reference(self, case):
+        ends, merge_tol = self.same_key() if case == "same-key" else self.scattered(case)
+        new = vertex_records(classify_vertices(*end_arrays(ends), merge_tol))
+        ref = reference_classify_vertices(ends, merge_tol)
         assert [(v.point.tolist(), v.adjacency, v.long_patches) for v in new] == [
             (v.point.tolist(), v.adjacency, v.long_patches) for v in ref]
+        if case == "same-key":
+            assert [v.point[0] for v in new] == [0.1234567893, 0.1234567891]
+            assert len({(round(v.point[0], 9), round(v.point[1], 9)) for v in new}) == 1
 
 
 class TestPatchMetrics:
@@ -410,7 +505,7 @@ class TestDomainConfig:
             assert p1.alpha == p2.alpha
             assert np.array_equal(p1.space.kv_u.knots, p2.space.kv_u.knots)
             assert np.array_equal(p1.geometry.control, p2.geometry.control)
-        assert len(dom2.vertices) == len(dom.vertices)
+        assert len(dom2.vertices.point) == len(dom.vertices.point)
 
     @pytest.mark.parametrize("factory", [
         lambda: grid_domain(2, degree=2, refinements=2),

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from ietidg.assembly import (assemble_interface_terms, build_local_system, copy_map,
-                             trace_basis_on_edge, univariate_matrices)
+from ietidg.assembly import assemble_interface_terms, build_local_system, copy_map, univariate_matrices
 from ietidg.bspline import (KnotVector, TensorSplineSpace, eval_basis, greville_points,
                             refine_uniform)
 from ietidg.domains import builtin_domain, grid_domain, slider_domain, t_domain
@@ -27,7 +26,8 @@ from ietidg.linalg import Factorization, factorize
 from conftest import (NO_PRIMAL, ReferenceSolvePhase, at, check_lemma_bbt, curved_geometry,
                       curved_two_patch_domain, dual_rows, full_jump_columns, jump_matrix,
                       local_systems, nonuniform_config_domain, primal_dofs, project_wtilde,
-                      psi_residual, reversed_two_patch_domain, two_patch_domain, unit_square_patch)
+                      psi_residual, reversed_two_patch_domain, trace_dofs, two_patch_domain,
+                      unit_square_patch, vertex_records)
 
 
 def build_stack(domain):
@@ -101,7 +101,7 @@ class TestSelectPrimal:
         # their corner functions
         dom = t_domain(degree=2, refinements=2)
         sources = select_primal(dom)
-        tj_vertex = next(i for i, v in enumerate(dom.vertices) if v.long_patches)
+        tj_vertex = next(i for i, v in enumerate(vertex_records(dom.vertices)) if v.long_patches)
         tj = sources.vertex == tj_vertex
         long_side = np.flatnonzero(tj & (sources.patch == 0))
         space = dom.patches[0].space
@@ -126,7 +126,7 @@ class TestSelectPrimal:
         dom = t_domain(degree=2, refinements=1)
         sources = select_primal(dom)
         assert np.all(sources.dof >= 0)
-        tj_vertex = next(i for i, v in enumerate(dom.vertices) if v.long_patches)
+        tj_vertex = next(i for i, v in enumerate(vertex_records(dom.vertices)) if v.long_patches)
         long_side = (sources.vertex == tj_vertex) & (sources.patch == 0)
         assert np.count_nonzero(long_side) == 2  # one of the three candidates is constrained
 
@@ -147,7 +147,7 @@ class TestSelectPrimal:
     def test_primal_members_positive_at_vertex(self, p):
         dom = t_domain(degree=p, refinements=2)
         for v_idx, patch, dof in zip(*(a.tolist() for a in select_primal(dom))):
-            vertex = dom.vertices[v_idx]
+            vertex = vertex_records(dom.vertices)[v_idx]
             loc = dict(vertex.adjacency)[patch]
             space = dom.patches[patch].space
             i, j = np.argwhere(space.dof_map == dof)[0]
@@ -166,7 +166,7 @@ class TestCopyMap:
     ])
     def test_one_row_per_artificial_dof(self, factory):
         # every artificial dof appears once, paired with the neighbor's trace
-        # on that side in trace_basis_on_edge order; each block numbers its
+        # on that side in trace_dofs order; each block numbers its
         # copies on from its dimension, one contiguous run per interface in
         # increasing interface order
         dom = factory()
@@ -183,7 +183,7 @@ class TestCopyMap:
                 src, side, prange = (g.l, g.side_l, g.range_l) if g.k == k else (g.k, g.side_k, g.range_k)
                 rows = mine[mine[:, 0] == i]
                 assert np.all(rows[:, 1] == src)
-                sources = trace_basis_on_edge(dom.patches[src].space, side, prange).tolist()
+                sources = trace_dofs(dom.patches[src].space, side, prange).tolist()
                 assert rows[:, 2].tolist() == sources
                 assert np.all(rows[:, 2] < dims[src])
 
@@ -235,7 +235,7 @@ class TestJumpMatrices:
     def test_multiplier_order(self, factory):
         # each row pairs a source with its copy in the neighbor's block;
         # rows run by interface, the k -> l side first, then by position in
-        # the source side's trace_basis_on_edge order
+        # the source side's trace_dofs order
         dom = factory()
         _, partition, jumps = build_stack(dom)
         Bs = full_jump_columns(jumps, partition)
@@ -245,7 +245,7 @@ class TestJumpMatrices:
             g = dom.interfaces[iface]
             side, prange, nb = (g.side_k, g.range_k, g.l) if src == g.k else (g.side_l, g.range_l, g.k)
             assert dst == nb
-            sources = trace_basis_on_edge(dom.patches[src].space, side, prange).tolist()
+            sources = trace_dofs(dom.patches[src].space, side, prange).tolist()
             keys.append((iface, src != g.k, sources.index(sdof)))
         assert len(keys) == jumps.plus.size > 0
         assert keys == sorted(keys)
