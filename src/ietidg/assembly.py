@@ -139,10 +139,11 @@ def _quadrature(patch, source, label):
 
 def _sum_factorized(patch, source=1.0, label=""):
     """The (n_u, n_v, 2p+1, 2p+1) lattice band and the lattice load on any map: the metric
-    ``alpha w |det J| J^-1 J^-T`` on the Gauss grid contracted in u, then in v."""
+    ``alpha w |det J| J^-1 J^-T`` on the Gauss grid contracted in u, then in v.  The band is
+    verified finite and symmetric, each entry against its partner (`linalg.check_symmetric`)."""
     squ, sqv, JinvT, w, load = _quadrature(patch, source, label)
     space, alpha, (nsu, ng), nsv = patch.space, patch.alpha, squ.points.shape, sqv.first_active.size
-    n_u, n_v, bw = space.n_u, space.n_v, 2 * space.degree + 1
+    n_u, n_v, p, bw = space.n_u, space.n_v, space.degree, 2 * space.degree + 1
     (m00, m01), (m10, m11) = JinvT.transpose(2, 3, 0, 1)
     g01 = (m00 * m01 + m10 * m11) * (alpha * w)  # entries (x, y) = 00, 01, 10, 11 below
     metric = np.stack([(m00 * m00 + m10 * m10) * (alpha * w), g01, g01,
@@ -155,7 +156,13 @@ def _sum_factorized(patch, source=1.0, label=""):
     band = band.reshape(4, n_u * bw, nsv, ng).transpose(2, 0, 3, 1).reshape(nsv, 4 * ng, -1)
     tv_xy = tv[[[0, 0, 1, 1], [0, 1, 0, 1]]].transpose(0, 2, 1, 3, 4).reshape(2, nsv, 4 * ng, -1)
     band = _span_fold(sqv.first_active, n_v, band, *tv_xy)  # (n_v, bw, n_u * bw)
-    return band.reshape(n_v, bw, n_u, bw).transpose(2, 0, 3, 1), load
+    band = band.reshape(n_v, bw, n_u, bw).transpose(2, 0, 3, 1)
+    # row (i, j) at each offset (du, dv) of the lower half against row (i + du, j + dv) at (-du, -dv)
+    linalg.check_symmetric([band], (
+        band[max(0, -du):n_u - max(0, du), max(0, -dv):n_v - max(0, dv), p + du, p + dv]
+        - band[max(0, du):n_u - max(0, -du), max(0, dv):n_v - max(0, -dv), p - du, p - dv]
+        for du, dv in zip(*np.subtract(np.divmod(np.arange(bw * bw // 2), bw), p))))
+    return band, load
 
 
 def _coefficients(patch):
@@ -204,27 +211,18 @@ def band_rows(space, band, rows):
     return band[iu, iv][keep], cols[keep], indptr
 
 
-def _asymmetry(band, dense, mats):
-    """Each lattice `band` entry minus its partner, one offset (a, b) of the lower half at a time
-    (row (i, j) at (a, b) against row (i + a - p, j + b - p) at (-a, -b)), then `dense - dense.T`
-    and every interface block of the (B, s, s) `mats` minus its transpose."""
-    n_u, n_v, bw, _ = band.shape
-    for a, b in zip(*np.unravel_index(np.arange(bw * bw // 2), (bw, bw))):
-        du, dv = a - bw // 2, b - bw // 2
-        rows = band[max(0, -du):n_u - max(0, du), max(0, -dv):n_v - max(0, dv), a, b]
-        yield rows - band[max(0, du):n_u - max(0, -du), max(0, dv):n_v - max(0, -dv), -1 - a, -1 - b]
-    yield dense - dense.T
-    yield mats - mats.transpose(0, 2, 1)
-
-
 def _univariate_bands(kv):
     """The band rows ``(K, M)`` of `univariate_matrices`: ``[i, d]`` pairs i with ``i + d - p``.
-    Computed once per knot vector and kept on it, read-only, as `gauss_rule` keeps its nodes."""
+    Computed and verified finite and symmetric (each ``[i, d]`` against ``[i + d - p, 2p - d]``)
+    once per knot vector and kept on it, read-only, as `gauss_rule` keeps its nodes."""
     if getattr(kv, "_bands", None) is None:
-        sq = span_quadrature(kv, kv.p + 1)
+        sq, p = span_quadrature(kv, kv.p + 1), kv.p
         B = sq.tables.transpose(2, 0, 1, 3)[::-1]  # (derivative 1 then 0, span, point, function)
-        kv._bands = _span_fold(sq.first_active, kv.n, sq.weights[..., None], B, B)[..., 0]
-        kv._bands.flags.writeable = False
+        bands = _span_fold(sq.first_active, kv.n, sq.weights[..., None], B, B)[..., 0]
+        for m in bands:
+            linalg.check_symmetric([m], (m[p - d:, d] - m[:kv.n - p + d, 2 * p - d] for d in range(p)))
+        bands.flags.writeable = False
+        kv._bands = bands
     return kv._bands
 
 
@@ -413,12 +411,13 @@ def build_local_system(domain, k, terms, partition, source=1.0):
 
     A `SplitSystem`: sparse `A_IG`, dense `A_GG`, the load as `f_I` and `f_G`, and the interior
     solver: on a map ``x0 + diag(J) (u, v)`` whose interior is a tensor lattice, `fd` solves
-    ``A_II = c_u K_u (x) M_v + c_v M_u (x) K_v`` by fast diagonalization, else `A_II` is a
-    SparseSym; the other is None.  The Gamma rows are the band rows of the skeleton patch dofs
+    ``A_II = c_u K_u (x) M_v + c_v M_u (x) K_v`` by fast diagonalization, else `A_II` is a CSR
+    matrix; the other is None.  The Gamma rows are the band rows of the skeleton patch dofs
     plus the block's rows of `terms` (:func:`assemble_interface_terms`), `A_IG` the transpose of
     their I columns and `A_II` the band rows at I: a jump, nonzero only on trace-active
-    (skeleton) functions, couples no two interior dofs.  Raises SparseSym's errors when a band
-    or interface entry is not finite, or the band, an interface block or `A_GG` not symmetric.
+    (skeleton) functions, couples no two interior dofs.  The band is verified symmetric where
+    it is built (`assemble_volume`); this raises `linalg.check_symmetric`'s errors when a band
+    or interface entry is not finite, or an interface block or `A_GG` not symmetric.
     """
     patch, I, gamma = domain.patches[k], partition.interior[k], partition.gamma[k]
     space, ng, name = patch.space, gamma.size, "patch %d interior block" % k
@@ -440,9 +439,9 @@ def build_local_system(domain, k, terms, partition, source=1.0):
     cols, vals = pos[np.concatenate([cols, c])], np.concatenate([data, vals])
     gg, ig, ii = (rows >= 0) & (cols >= 0), (rows >= 0) & (cols < 0), (rows < 0) & (cols < 0)
     A_GG = np.bincount(rows[gg] * ng + cols[gg], weights=vals[gg], minlength=ng * ng).reshape(ng, ng)
-    linalg.check_symmetric([band, mats], _asymmetry(band, A_GG, mats))
+    linalg.check_symmetric([band, mats], (x - x.swapaxes(-1, -2) for x in (A_GG, mats)))
     A_IG = scipy.sparse.csr_matrix((vals[ig], (-1 - cols[ig], rows[ig])), shape=(I.size, ng))
-    A_II = None if fd else linalg.SparseSym(scipy.sparse.coo_matrix(
-        (vals[ii], (-1 - rows[ii], -1 - cols[ii])), shape=(I.size, I.size)))
+    A_II = None if fd else scipy.sparse.csr_matrix(
+        (vals[ii], (-1 - rows[ii], -1 - cols[ii])), shape=(I.size, I.size))
     f = np.concatenate([load[space.free_mask], np.zeros(pos.size - space.dimension)])
     return SplitSystem(k, A_IG, A_GG, f[I], f[gamma], A_II, fd)

@@ -224,7 +224,10 @@ def domain_from_config(config):
                 if isinstance(r, bool) or not isinstance(r, int) or r < 0:
                     raise ConfigError("refinements must be a non-negative integer, got %r" % (r,))
                 kv_u = kv_v = knot_vector(degree, refine_uniform(KnotVector.bernstein(degree), r).knots)
-            space = TensorSplineSpace(kv_u, kv_v, entry.get("dirichlet_sides", ()))
+            sides = entry.get("dirichlet_sides", [])
+            if not isinstance(sides, list):
+                raise ConfigError("dirichlet_sides must be a list of side names, got %r" % (sides,))
+            space = TensorSplineSpace(kv_u, kv_v, sides)
             if isinstance(entry["alpha"], bool) or not isinstance(entry["alpha"], (int, float)):
                 raise ConfigError("alpha must be a number, got %r" % (entry["alpha"],))
             patches.append(Patch(geo, float(entry["alpha"]), space))

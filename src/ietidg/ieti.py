@@ -197,7 +197,7 @@ def build_psi(local_system, partition):
     """
     k, A_IG, f_I, fd = local_system.k, local_system.A_IG, local_system.f_I, local_system.fd
     nd = partition.dual[k].size
-    aii_fac = fd or factorize(local_system.A_II.csr, name="patch %d interior block" % k)
+    aii_fac = fd or factorize(local_system.A_II, name="patch %d interior block" % k)
     S = local_system.A_GG - aii_fac.schur(A_IG)
     try:
         dual_fac = cholesky(S[:nd, :nd], name="patch %d S_DD" % k)

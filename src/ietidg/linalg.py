@@ -26,21 +26,18 @@ _PIVOT_RTOL = 1e-14
 
 class SparseSym:
     """Compressed-row symmetric matrix from a sparse or dense matrix: duplicate triplets summed,
-    explicit zeros dropped, the values verified finite and symmetric (see `check_symmetric`)."""
+    explicit zeros dropped, the values verified finite and symmetric (see `check_symmetric`).
+    Only the oracle builds one; every other matrix is verified where it is built."""
 
     def __init__(self, matrix):
         csr = scipy.sparse.csr_matrix(matrix)
         csr.sum_duplicates()
         csr.eliminate_zeros()
-        self.csr = csr
-        self.n = csr.shape[0]
-        check_symmetric([csr.data], self._asymmetry())
-
-    def _asymmetry(self):
-        csr = self.csr
+        self.csr, self.n = csr, csr.shape[0]
         T = csr.T.tocsr()  # canonical, so a symmetric pattern stores the same index arrays
         same = np.array_equal(T.indptr, csr.indptr) and np.array_equal(T.indices, csr.indices)
-        yield T.data - csr.data if same else (csr - T).data
+        # a generator: the difference is taken once the values are known finite
+        check_symmetric([csr.data], (T.data - csr.data if same else (csr - T).data for _ in [0]))
 
     def toarray(self):
         return self.csr.toarray()

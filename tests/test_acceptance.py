@@ -81,6 +81,26 @@ class TestCriterion3JumpRobustness:
         _report("PASS criterion 3 [p=%d]: kappa in [%.3f, %.3f], spread %.3f"
                 % (p, kappas.min(), kappas.max(), spread))
 
+    @pytest.mark.parametrize("j", [-4, 4])
+    def test_jump_across_the_sliding_line(self, j):
+        # alpha = 10^j on slider(3, 0.3)'s top row (patches 3-5): the jump lies on the
+        # sliding line, whose interior vertices are all T-junctions
+        t0 = time.perf_counter()
+        dom = slider_domain(3, 0.3, degree=2, refinements=2, alphas=[1.0] * 3 + [10.0**j] * 3)
+        sol = solve_ieti(dom, tol=1e-8)
+        system = refsolver.assemble_global(dom, 12.0)
+        direct = refsolver.split_solution(system, refsolver.direct_solve(system))
+        elapsed = time.perf_counter() - t0
+        scale = np.abs(np.concatenate(direct)).max()
+        err = max(np.abs(a - b).max() for a, b in zip(sol.u_patches, direct)) / scale
+        report = sol.report
+        assert report.converged and report.kappa <= 1.6, "kappa %.3f" % report.kappa
+        assert err <= 1e-6, "relative sup-norm discrepancy %.3e" % err
+        assert elapsed <= 1.0
+        _report("PASS criterion 3 [slider(3,0.3) top row 10^%d]: %d its, kappa %.3f, "
+                "|u_ieti - u_direct| = %.2e rel (%.2fs)" % (j, report.iterations, report.kappa,
+                                                            err, elapsed))
+
 
 GROWTH_LEVELS = [1, 2, 3, 4, 5]
 RISE_BOUND = 3.0

@@ -249,6 +249,10 @@ class TestRefine:
         kv0 = refine_uniform(kv, 0)
         assert np.array_equal(kv0.knots, kv.knots)
 
+    def test_negative_level_rejected(self):
+        with pytest.raises(ConfigError, match="refinement level must be non-negative"):
+            refine_uniform(KnotVector.bernstein(2), -1)
+
     def test_two_levels(self):
         kv = refine_uniform(KnotVector(1, [0, 0, 1, 1]), 2)
         np.testing.assert_allclose(kv.knots, [0, 0, 0.25, 0.5, 0.75, 1, 1])
@@ -386,6 +390,11 @@ class TestTensorSplineSpace:
         kv = KnotVector(1, [0, 0, 1, 1])
         with pytest.raises(ConfigError):
             TensorSplineSpace(kv, kv, {"up"})
+
+    def test_unknown_edge_side_rejected(self):
+        kv = KnotVector(1, [0, 0, 1, 1])
+        with pytest.raises(ConfigError, match="unknown side 'up'"):
+            TensorSplineSpace(kv, kv).edge_dofs("up")
 
     def test_edge_kv_orientation(self):
         kv_u = KnotVector(1, [0, 0, 0.5, 1, 1])

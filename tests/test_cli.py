@@ -208,6 +208,11 @@ class TestMain:
         assert ("configuration error: slide offsets replace the slider's offset argument '0.9'"
                 in capsys.readouterr().err)
 
+    def test_negative_refinement_rejected(self, capsys):
+        assert main(["--builtin", "tdomain", "--degree", "1", "--refine", "-1"]) == 2
+        assert ("configuration error: refinement level must be non-negative"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("max_iter", ["0", "-1"])
     def test_max_iter_must_be_positive(self, capsys, max_iter):
         assert main(["--builtin", "tdomain", "--degree", "1", "--max-iter", max_iter]) == 2
@@ -374,6 +379,13 @@ class TestMain:
         "control_nan": ("patches", 0, "geometry", "control_points",
                         [[[0, 0], [0, 1]], [[1, 0], [1, float("nan")]]],
                         "patches[0]: control points must be finite"),
+        "dirichlet_empty": ("patches", 0, None, "dirichlet_sides", "",
+                            "patches[0]: dirichlet_sides must be a list of side names, got ''"),
+        "dirichlet_dict": ("patches", 0, None, "dirichlet_sides", {"west": 1, "south": 0},
+                           "patches[0]: dirichlet_sides must be a list of side names, "
+                           "got {'west': 1, 'south': 0}"),
+        "dirichlet_string": ("patches", 0, None, "dirichlet_sides", "north",
+                             "patches[0]: dirichlet_sides must be a list of side names, got 'north'"),
     }
 
     @pytest.mark.parametrize("defect", sorted(LENIENT))
@@ -383,7 +395,9 @@ class TestMain:
         # failed as an interface mismatch, "l": true ran as patch 1, "k": true
         # gave "invalid patches (1, 1)", 1.0 as a patch index a malformed entry,
         # the range [false, 1] ran as (0, 1), a NaN knot surfaced as a failed
-        # reduction and a NaN control point passed the bijectivity check
+        # reduction, a NaN control point passed the bijectivity check, and
+        # dirichlet_sides "" ran with no Dirichlet side, a dict as its keys and
+        # "north" failed as the unknown sides ['h', 'n', 'o', 'r', 't']
         group, index, sub, key, value, message = self.LENIENT[defect]
         config = domain_to_config(grid_domain(2, degree=2, refinements=1))
         entry = config[group][index]

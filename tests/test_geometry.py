@@ -494,6 +494,10 @@ class TestInterfaceGeometry:
         with pytest.raises(ConfigError):
             Interface(0, "up", (0.0, 1.0), 1, "west", (0.0, 1.0))
 
+    def test_side_point_unknown_side(self):
+        with pytest.raises(ConfigError, match="unknown side 'up'"):
+            side_point("up", 0.5)
+
 
 class TestDomainConfig:
     def test_json_roundtrip(self):

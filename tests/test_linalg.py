@@ -131,6 +131,10 @@ class TestFactorize:
         x = fac.solve(b)
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
+    def test_wrong_leading_dimension_rejected(self):
+        with pytest.raises(ValueError, match="rhs has leading dimension 3, expected 4"):
+            factorize(np.eye(4)).solve(np.ones((3, 2)))
+
     def test_indefinite_raises(self):
         with pytest.raises(NumericalError, match="expected SPD"):
             factorize(np.diag([3.0, -2.0, 1.0, -4.0]))
@@ -296,9 +300,28 @@ class TestPcg:
         assert not res.converged
         assert res.iterations == 3
 
+    @pytest.mark.parametrize("bad_call", [1, 2], ids=["first", "later"])
+    def test_non_positive_preconditioner_product_raises(self, bad_call):
+        # the preconditioner turns indefinite at its first application or at its second
+        calls = []
+
+        def apply_M(r):
+            calls.append(r)
+            return -r if len(calls) == bad_call else r
+
+        with pytest.raises(NumericalError, match="preconditioner produced non-positive inner product"):
+            pcg(lambda x: np.array([1.0, 2.0, 3.0]) * x, apply_M, np.ones(3))
+        assert len(calls) == bad_call
+
     def test_lanczos_condition_edge_cases(self):
         assert lanczos_condition([], []) == 1.0
         assert lanczos_condition([0.5], []) == 1.0
+
+    def test_lanczos_condition_non_positive_eigenvalue(self):
+        # a negative step length, which PCG's curvature check rules out: the tridiagonal
+        # [[-1, -1], [-1, 0]] has the eigenvalue (-1 - sqrt 5) / 2
+        with pytest.raises(NumericalError, match="Lanczos tridiagonal has non-positive eigenvalue -1.618e"):
+            lanczos_condition([-1.0, 1.0], [1.0])
 
     @pytest.mark.parametrize("extra_beta", [0, 1], ids=["converged", "stopped"])
     def test_lanczos_condition_matches_loop_form(self, rng, extra_beta):

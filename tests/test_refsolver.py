@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from ietidg.assembly import copy_map
@@ -105,6 +106,14 @@ class TestDirectSolve:
         system = GlobalSipgSystem(SparseSym(A), b, np.array([0, 10]))
         x = direct_solve(system)
         np.testing.assert_allclose(x, np.linalg.inv(A) @ b, atol=1e-10)
+
+    def test_residual_bound_raises(self):
+        # Hilbert(8), condition about 1.5e10, against its lowest eigenvector: SuperLU's pivots
+        # stay positive, and the residual of its solution is about 3e-7 of the load
+        A = scipy.linalg.hilbert(8)
+        b = np.linalg.eigh(A)[1][:, 0]
+        with pytest.raises(NumericalError, match="direct solve residual .* exceeds tolerance"):
+            direct_solve(GlobalSipgSystem(SparseSym(A), b, np.array([0, 8])))
 
     def test_non_coercive_raises(self):
         dom = two_patch_domain(p=2, r=1)
