@@ -316,9 +316,10 @@ def interface_side_terms(domain, delta):
     J and F, the matrix is ``J^T diag(rho w) J - (X + X^T)``, ``X = F^T
     diag(alpha w / 2) J``: one batched product per Gauss count.  One pass
     over all sides' points evaluates the basis once per distinct knot
-    vector.  Returns ``(side, own, edge, mats)``, one row per
-    sub-interval, side after side: ``mats[j]`` couples the owner's flat
-    lattice indices ``own[j]``, then the neighbor's edge functions ``edge[j]``.
+    vector.  Returns ``(side, own, nbr, mats)``, one row per
+    sub-interval, side after side: ``mats[j]`` couples the owner's patch
+    dofs ``own[j]``, then the neighbor's patch dofs ``nbr[j]``, -1 where a
+    function is Dirichlet-constrained.
     """
     p, t, sp = domain.degree, domain.sides, _side_points(domain)
     side, axis, start, q = sp.side, sp.axis, sp.start, np.arange(sp.side.size)
@@ -361,26 +362,14 @@ def interface_side_terms(domain, delta):
     idx = np.broadcast_arrays((first[1 - axis[start], start, None] + col[start])[:, :, None],
                               (first[axis[start], start, None] + np.arange(p + 1))[:, None, :])
     iu, iv = np.where(axis[start, None, None] == 1, idx, idx[::-1])
-    n_v = np.array([patch.space.n_v for patch in domain.patches])[k[side[start]], None, None]
-    return (side[start], (iu * n_v + iv).reshape(-1, 2 * p + 2),
-            first[2, start, None] + np.arange(p + 1), mats)
-
-
-def _neighbor_edges(domain):
-    """Every oriented side's neighbor `edge_dofs`, the functions of `interface_side_terms`' `edge`."""
-    t = domain.sides
-    return [domain.patches[l].space.edge_dofs(SIDES[j]) for l, j in zip(
-        t.neighbor.tolist(), t.side[np.arange(t.side.size) ^ 1].tolist())]
-
-
-def side_dofs(domain, side, own, edge, lattice_maps, edge_maps):
-    """Owner patch and the indices of :func:`interface_side_terms` rows, the owner's lattice
-    mapped through ``lattice_maps[patch]`` and the edge functions through ``edge_maps[side]``."""
-    owner = domain.sides.owner[side]
-    idx = [np.concatenate([np.zeros(0, int), *maps])[np.cumsum([0] + [m.size for m in maps])[which]
-                                                    [:, None] + local]
-           for maps, which, local in ((lattice_maps, owner, own), (edge_maps, side, edge))]
-    return owner, np.concatenate(idx, axis=1)
+    # every owner's dof map and every side's neighbor edge dofs, concatenated
+    s, spaces = side[start], [patch.space for patch in domain.patches]
+    maps = [space.dof_map.ravel() for space in spaces] + [
+        spaces[i].edge_dofs(SIDES[j]) for i, j in zip(l.tolist(), t.side[partner].tolist())]
+    at, dofs = np.cumsum([0] + [m.size for m in maps]), np.concatenate([np.zeros(0, int), *maps])
+    n_v = np.array([space.n_v for space in spaces])[k[s], None, None]
+    return (s, dofs[at[k[s], None] + (iu * n_v + iv).reshape(-1, 2 * p + 2)],
+            dofs[at[len(spaces) + s, None] + first[2, start, None] + np.arange(p + 1)], mats)
 
 
 def assemble_interface_terms(domain, copies, delta):
@@ -389,21 +378,17 @@ def assemble_interface_terms(domain, copies, delta):
     Returns ``(block, idx, mats)``: ``mats[j]`` adds onto the rows and
     columns ``idx[j]`` of block ``block[j]``, -1 for dropped ones.
     """
-    side, own, edge, mats = interface_side_terms(domain, delta)
-    spaces, edges = [patch.space for patch in domain.patches], _neighbor_edges(domain)
-    # side s reads the copies of its neighbor's edge functions in its owner's block, the
-    # copy-map rows of interface s // 2 in block k_s: look up (side, source dof) in all rows
+    side, own, nbr, mats = interface_side_terms(domain, delta)
+    # side s reads the copies of its neighbor's dofs in its owner's block, the copy-map rows
+    # of interface s // 2 in block k_s: look up (side, source dof) in all rows
     iface, _, sdof, blk, cdof = copies.T
-    n = max(space.dimension for space in spaces) + 1  # an edge's constrained index -1 finds no row
+    n = max(patch.space.dimension for patch in domain.patches) + 1  # a constrained -1 finds no row
     key = n * (2 * iface + (blk != domain.sides.owner[2 * iface])) + sdof
     order = np.argsort(key)
-    want = n * np.repeat(np.arange(len(edges)), [e.size for e in edges]) + np.concatenate(
-        [np.zeros(0, int), *edges])
+    want = n * side[:, None] + nbr
     at = order[np.minimum(np.searchsorted(key, want, sorter=order), key.size - 1)]
     copy = np.where(key[at] == want, cdof[at], -1)
-    edge_maps = np.split(copy, np.cumsum([e.size for e in edges])[:-1])
-    lattice_maps = [space.dof_map.ravel() for space in spaces]
-    return (*side_dofs(domain, side, own, edge, lattice_maps, edge_maps), mats)
+    return domain.sides.owner[side], np.concatenate([own, copy], axis=1), mats
 
 
 def build_local_system(domain, k, terms, partition, source=1.0):

@@ -47,8 +47,11 @@ class KnotVector:
         if p > _MAX_DEGREE:
             raise ConfigError("spline degree %d exceeds %d: its integrals would need more than %d "
                               "Gauss points" % (p, _MAX_DEGREE, _MAX_GAUSS))
-        kv = np.ascontiguousarray(knots, dtype=float)
-        if kv.ndim != 1 or kv.size < 2 * (p + 1):
+        kv = np.asarray(knots)
+        if kv.ndim != 1 or kv.dtype.kind not in "iuf":
+            raise ConfigError("knots must be a list of numbers, got %r" % (knots,))
+        kv = np.ascontiguousarray(kv, dtype=float)
+        if kv.size < 2 * (p + 1):
             raise ConfigError("knot vector too short for degree %d" % p)
         if not np.all(np.diff(kv) >= 0):  # also catches NaN
             raise ConfigError("knots must be finite and non-decreasing")

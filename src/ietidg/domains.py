@@ -205,6 +205,12 @@ def domain_from_config(config):
         return shared.setdefault((kv.p, kv.knots.tobytes()), kv)
 
     try:
+        name = config.get("name", "domain")
+        for key, value, kind, noun in (("patches", config["patches"], list, "list"),
+                                       ("interfaces", config["interfaces"], list, "list"),
+                                       ("name", name, str, "string")):
+            if not isinstance(value, kind):
+                raise ConfigError("%s must be a %s, got %r" % (key, noun, value))
         patches = []
         for i, entry in enumerate(config["patches"]):
             where = "patches[%d]" % i
@@ -242,7 +248,7 @@ def domain_from_config(config):
                 g["l"], g["side_l"], tuple(g["range_l"]), reversed_,
             ))
         where = "config"
-        return MultiPatchDomain(patches, interfaces, name=config.get("name", "domain")).validate()
+        return MultiPatchDomain(patches, interfaces, name=name).validate()
     except ConfigError as exc:
         raise ConfigError("%s: %s" % (where, exc)) from exc
     except KeyError as exc:

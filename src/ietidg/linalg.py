@@ -39,9 +39,6 @@ class SparseSym:
         # a generator: the difference is taken once the values are known finite
         check_symmetric([csr.data], (T.data - csr.data if same else (csr - T).data for _ in [0]))
 
-    def toarray(self):
-        return self.csr.toarray()
-
 
 def check_symmetric(values, differences):
     """Raise :class:`NumericalError` unless every array of `values` is finite and then every array

@@ -12,8 +12,7 @@ import numpy as np
 import scipy.sparse
 
 from . import linalg
-from .assembly import (_inv_transpose, _neighbor_edges, assemble_volume, band_rows,
-                       interface_side_terms, side_dofs)
+from .assembly import _inv_transpose, assemble_volume, band_rows, interface_side_terms
 from .bspline import SIDES, eval_matrices, gauss_rule
 from .errors import NumericalError
 from .geometry import map_edge_param, side_point
@@ -49,10 +48,10 @@ def assemble_global(domain, delta, source=1.0):
                for k, patch in enumerate(domain.patches)]
     blocks = [scipy.sparse.csr_matrix(band_rows(patch.space, band, np.arange(n)), shape=(n, n))
               for patch, (band, _), n in zip(domain.patches, volumes, np.diff(offs))]
-    side, own, edge, mats = interface_side_terms(domain, delta)
-    lattices = [_shifted(patch.space.dof_map.ravel(), off) for patch, off in zip(domain.patches, offs)]
-    edges = [_shifted(dofs, offs[l]) for dofs, l in zip(_neighbor_edges(domain), domain.sides.neighbor)]
-    _, idx = side_dofs(domain, side, own, edge, lattices, edges)
+    side, own, nbr, mats = interface_side_terms(domain, delta)
+    t = domain.sides
+    idx = np.concatenate([_shifted(own, offs[t.owner[side], None]),
+                          _shifted(nbr, offs[t.neighbor[side], None])], axis=1)
     matrix = scipy.sparse.block_diag(blocks, format="csr")
     matrix += scipy.sparse.csr_matrix(linalg.block_triplets(idx, mats), shape=matrix.shape)
     return GlobalSipgSystem(linalg.SparseSym(matrix), np.concatenate(

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse
 
 from ietidg.assembly import (_inv_transpose, _side_points, _SidePoints, _trace_dofs,
-                             assemble_interface_terms, assemble_volume, band_rows, copy_map, side_dofs)
+                             assemble_interface_terms, assemble_volume, band_rows, copy_map)
 from ietidg.bspline import KnotVector, TensorSplineSpace, eval_basis, gauss_rule, refine_uniform
 from ietidg.domains import domain_from_config, domain_to_config
 from ietidg.errors import ConfigError
@@ -263,9 +263,10 @@ def reference_side_points(domain):
 # assemble_interface_terms and select_primal replaced
 
 
-def reference_interface_side_terms(domain, delta):
+def reference_lattice_side_terms(domain, delta):
     """`interface_side_terms` summing each sub-interval's point matrices, the g-th points of all
-    sub-intervals at once, the flux through ``(Q, 2, 2) @ (Q, 2, 2p + 2)``."""
+    sub-intervals at once, the flux through ``(Q, 2, 2) @ (Q, 2, 2p + 2)``; rows ``(side,
+    lattice, edge, mats)``: the owner's flat lattice indices and the neighbor's edge indices."""
     p, sides, sp = domain.degree, oriented_interfaces(domain), _side_points(domain)
     side, axis, start, q = sp.side, sp.axis, sp.start, np.arange(sp.side.size)
     kvs = {}
@@ -302,6 +303,18 @@ def reference_interface_side_terms(domain, delta):
             first[2, start, None] + np.arange(p + 1), mats)
 
 
+def reference_interface_side_terms(domain, delta):
+    """`interface_side_terms`: the rows of `reference_lattice_side_terms` mapped one oriented side
+    at a time through its owner's `dof_map` and its neighbor's `edge_dofs`."""
+    side, lattice, edge, mats = reference_lattice_side_terms(domain, delta)
+    own, nbr = np.empty_like(lattice), np.empty_like(edge)
+    for s, ori in enumerate(oriented_interfaces(domain)):
+        at = side == s
+        own[at] = domain.patches[ori.k].space.dof_map.ravel()[lattice[at]]
+        nbr[at] = domain.patches[ori.l].space.edge_dofs(ori.side_l)[edge[at]]
+    return side, own, nbr, mats
+
+
 def trace_dofs(space, side, prange):
     """The `_trace_dofs` dofs of one edge."""
     return _trace_dofs([(space, side, prange)])[1]
@@ -334,17 +347,17 @@ def reference_copy_map(domain):
     return np.concatenate(rows)
 
 
-def reference_interface_dofs(domain, copies, side, own, edge):
-    """`assemble_interface_terms`' ``(block, idx)``, one oriented side's edge map at a time."""
-    edge_maps = []
+def reference_interface_dofs(domain, copies, side, own, nbr):
+    """`assemble_interface_terms`' ``(block, idx)``: the neighbor dofs `nbr` mapped to their
+    copies in the owner's block one oriented side at a time, -1 staying -1."""
+    block, copy = np.empty_like(side), np.empty_like(nbr)
     for s, ori in enumerate(oriented_interfaces(domain)):
-        nb = domain.patches[ori.l].space
+        at = side == s
         rows = copies[(copies[:, 0] == s // 2) & (copies[:, 3] == ori.k)]
-        copy_of = np.full(nb.dimension + 1, -1)
+        copy_of = np.full(domain.patches[ori.l].space.dimension + 1, -1)  # copy_of[-1] is -1
         copy_of[rows[:, 2]] = rows[:, 4]
-        edge_maps.append(copy_of[nb.edge_dofs(ori.side_l)])
-    lattice_maps = [patch.space.dof_map.ravel() for patch in domain.patches]
-    return side_dofs(domain, side, own, edge, lattice_maps, edge_maps)
+        block[at], copy[at] = ori.k, copy_of[nbr[at]]
+    return block, np.concatenate([own, copy], axis=1)
 
 
 def positive_at(kv, x):

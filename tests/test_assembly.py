@@ -25,7 +25,7 @@ from conftest import (curved_geometry, curved_two_patch_domain, extended_matrix,
                       map_param, mirrored_two_patch_domain, nonuniform_config_domain, oriented_interfaces,
                       volume_arrays, reference_copy_map, reference_interface_dofs,
                       reference_degenerate_tjunction_count, reference_interface_side_terms,
-                      reference_merged_partition,
+                      reference_lattice_side_terms, reference_merged_partition,
                       reference_select_primal, reference_side_points, reversed_two_patch_domain,
                       trace_dofs, two_patch_domain, unit_square_patch)
 from test_bspline import scalar_cox_de_boor
@@ -35,7 +35,7 @@ NO_ROWS = (np.zeros(0), np.zeros(0, dtype=int), np.zeros(1, dtype=int))  # CSR a
 
 
 def block_to_dense(block, n):
-    return extended_matrix(n, NO_ROWS, *block).toarray()
+    return extended_matrix(n, NO_ROWS, *block).csr.toarray()
 
 
 def volume_matrix(patch, **kwargs):
@@ -44,11 +44,14 @@ def volume_matrix(patch, **kwargs):
     return scipy.sparse.csr_matrix(arrays, shape=(patch.space.dimension,) * 2), load
 
 
-def side_rows(dom, delta, s, own_index, edge_index):
-    """The `interface_side_terms` rows of oriented side `s` as an ``(idx, mats)`` block."""
-    side, own, edge, mats = interface_side_terms(dom, delta)
+def side_rows(dom, delta, s, own_index, nbr_index):
+    """The `interface_side_terms` rows of oriented side `s` as an ``(idx, mats)`` block, the
+    owner's dof d at ``own_index[d]`` and the neighbor's at ``nbr_index[d]``; a constrained
+    function (-1) and a dof mapped to -1 are dropped."""
+    side, own, nbr, mats = interface_side_terms(dom, delta)
     at = side == s
-    return np.concatenate([own_index[own[at]], edge_index[edge[at]]], axis=1), mats[at]
+    return np.concatenate([np.append(own_index, -1)[own[at]], np.append(nbr_index, -1)[nbr[at]]],
+                          axis=1), mats[at]
 
 
 def q1_stiffness_oracle():
@@ -502,9 +505,11 @@ class TestInterfaceTerms:
         # penalty block is (delta p^2 / min(h_k, h_l)) times the 1D mass matrix
         dom = two_patch_domain(p=1, r=0, dirichlet=False)
         # owner functions map to -1, so only the edge-edge part is kept
-        own_index = np.full(dom.patches[0].space.n_u * dom.patches[0].space.n_v, -1)
         # (the consistency part vanishes there: the flux is zero on edge columns)
-        block = side_rows(dom, 12.0, 0, own_index, np.arange(2))
+        own_index = np.full(dom.patches[0].space.dimension, -1)
+        nbr_index = np.full(dom.patches[1].space.dimension, -1)
+        nbr_index[dom.patches[1].space.edge_dofs("west")] = np.arange(2)
+        block = side_rows(dom, 12.0, 0, own_index, nbr_index)
         Raa = block_to_dense(block, 2)
         h = dom.metrics["h"][0]
         assert h == pytest.approx(np.sqrt(2.0), rel=1e-9)
@@ -520,12 +525,12 @@ class TestInterfaceTerms:
         sources = trace_dofs(dom.patches[1].space, "west", (0.0, 1.0))
         assert rows[:, 2].tolist() == sources.tolist()
         edges = edge_positions(dom.patches[1].space, "west", sources)
-        edge_index = np.full(dom.patches[1].space.edge_kv("west").n, -1)
-        edge_index[edges] = rows[:, 4]
+        copy_of = np.full(dom.patches[1].space.dimension, -1)
+        copy_of[sources] = rows[:, 4]
         # the penalty is linear in delta and the consistency term does not
         # depend on it, so T(24) - T(12) is the penalty part at delta = 12
         R = np.subtract(*[block_to_dense(side_rows(
-            dom, delta, 0, dom.patches[0].space.dof_map.ravel(), edge_index), n_total)
+            dom, delta, 0, np.arange(dom.patches[0].space.dimension), copy_of), n_total)
             for delta in (24.0, 12.0)])
         block, idx, mats = assemble_interface_terms(dom, copies, 12.0)
         M = block_to_dense((idx[block == 0], mats[block == 0]), n_total) - R
@@ -542,13 +547,32 @@ class TestInterfaceTerms:
     def test_one_block_per_sub_interval_over_the_edge_layers(self):
         # the reversed domain's sides break at 0.5 (owner) and 0.7 (neighbor's
         # 0.3): three sub-intervals, each over the owner's two layers next to
-        # the edge and the neighbor's p + 1 edge functions
+        # the edge and the neighbor's p + 1 edge functions, as patch dofs with
+        # -1 for the south and north ones of the constrained ends
         dom = reversed_two_patch_domain(p=2)
-        space = dom.patches[0].space
-        idx, mats = side_rows(dom, 12.0, 0, np.arange(space.n_u * space.n_v), np.arange(4))
-        assert idx.shape == (3, 2 * 3 + 3) and mats.shape == (3, 9, 9)
-        assert np.all(idx[:, :6] // space.n_v >= space.n_u - 2)
+        side, own, nbr, mats = interface_side_terms(dom, 12.0)
+        own, nbr, mats = own[side == 0], nbr[side == 0], mats[side == 0]
+        assert own.shape == (3, 2 * 3) and nbr.shape == (3, 3) and mats.shape == (3, 9, 9)
+        layers, edge = dom.patches[0].space.dof_map[-2:], dom.patches[1].space.edge_dofs("east")
+        assert np.all(np.isin(own, layers)) and np.all(np.isin(nbr, edge))
+        assert np.array_equal(own[0], layers[:, :3].ravel()) and np.array_equal(nbr[0], edge[-3:])
         assert np.array_equal(mats, np.swapaxes(mats, 1, 2))
+
+    @pytest.mark.parametrize("factory", [lambda: t_domain(degree=2, refinements=1),
+                                         lambda: slider_domain(3, 0.3, degree=2, refinements=1)],
+                             ids=["tdomain", "slider(3,0.3)"])
+    def test_constrained_functions_are_minus_one_and_free_ones_find_copies(self, factory):
+        # Dirichlet sides reach interface ends on both domains: their constrained
+        # functions are -1 on both sides, every other entry is a dof of its patch,
+        # and the copy lookup finds a copy for exactly the free neighbor dofs
+        dom = factory()
+        side, own, nbr, _ = interface_side_terms(dom, 12.0)
+        assert np.any(own == -1) and np.any(nbr == -1)
+        dims = np.array([patch.space.dimension for patch in dom.patches])
+        for dofs, patch in ((own, dom.sides.owner[side]), (nbr, dom.sides.neighbor[side])):
+            assert np.all((dofs == -1) | ((dofs >= 0) & (dofs < dims[patch, None])))
+        _, idx, _ = assemble_interface_terms(dom, copy_map(dom), 12.0)
+        assert np.array_equal(idx[:, own.shape[1]:] >= 0, nbr >= 0)
 
     @pytest.mark.parametrize("factory", [
         lambda: reversed_two_patch_domain(p=2),
@@ -560,20 +584,26 @@ class TestInterfaceTerms:
         lambda: curved_two_patch_domain(p=1, r=1),
     ], ids=["reversed", "curved", "mirrored", "slider(3,0.3)", "nonuniform", "curved-p1"])
     def test_batched_pass_matches_point_by_point_reference(self, factory):
-        # every side's sub-interval matrices, the owner's functions given as
-        # lattice indices and the neighbor's as edge indices, against the
-        # point-by-point reference over every active function
+        # every side's sub-interval matrices against the point-by-point
+        # reference over every active function, placed by the reference
+        # pass's owner lattice and neighbor edge indices, which the patch
+        # dofs must match through the owner's dof_map and the neighbor's
+        # edge_dofs
         dom = factory()
-        side, own, edge, mats = interface_side_terms(dom, 12.0)
+        side, own, nbr, mats = interface_side_terms(dom, 12.0)
+        _, lattice, edge, _ = reference_lattice_side_terms(dom, 12.0)
         assert np.array_equal(side, np.sort(side))
         for s, ori in enumerate(oriented_interfaces(dom)):
-            n_lat = dom.patches[ori.k].space.n_u * dom.patches[ori.k].space.n_v
+            space, nb = dom.patches[ori.k].space, dom.patches[ori.l].space
+            n_lat = space.n_u * space.n_v
             reference = reference_side_blocks(dom, 12.0, s)
             at = np.flatnonzero(side == s)
             assert at.size == len(reference)
+            assert np.array_equal(own[at], space.dof_map.ravel()[lattice[at]])
+            assert np.array_equal(nbr[at], nb.edge_dofs(ori.side_l)[edge[at]])
             scale = max(np.abs(R).max() for R in reference)
             for j, R in zip(at, reference):
-                idx = np.concatenate([own[j], n_lat + edge[j]])
+                idx = np.concatenate([lattice[j], n_lat + edge[j]])
                 M = np.zeros_like(R)
                 M[np.ix_(idx, idx)] = mats[j]
                 assert np.abs(M - R).max() <= 1e-13 * scale, (s, j)
@@ -665,7 +695,7 @@ class TestLocalSystem:
         dom = MultiPatchDomain([patch], []).validate()
         sysk = local_systems(dom)[0]
         assert sysk.A.n == patch.space.dimension
-        ev = np.linalg.eigvalsh(sysk.A.toarray())
+        ev = np.linalg.eigvalsh(sysk.A.csr.toarray())
         assert ev[0] > 0
 
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -700,15 +730,15 @@ class TestLocalSystem:
         sysk = local_systems(dom)[0]
         block, idx, mats = assemble_interface_terms(dom, copies, 12.0)
         R = block_to_dense((idx[block == 0], mats[block == 0]), sysk.A.n)
-        A = sysk.A.toarray()
+        A = sysk.A.csr.toarray()
         art = slice(dom.patches[0].space.dimension, sysk.A.n)
         np.testing.assert_allclose(A[art, art], R[art, art], atol=1e-13 * np.abs(A).max())
 
     def test_alpha_scaling_equivariance(self):
         dom1 = two_patch_domain(p=2, r=1, alphas=(1.0, 3.0))
         dom2 = two_patch_domain(p=2, r=1, alphas=(5.0, 15.0))
-        A1 = local_systems(dom1)[0].A.toarray()
-        A2 = local_systems(dom2)[0].A.toarray()
+        A1 = local_systems(dom1)[0].A.csr.toarray()
+        A2 = local_systems(dom2)[0].A.csr.toarray()
         np.testing.assert_allclose(A2, 5.0 * A1, atol=1e-12 * np.abs(A2).max())
 
     @pytest.mark.parametrize("factory,label", [

@@ -376,6 +376,13 @@ class TestMain:
                            "interfaces[0]: interface range (False, 1) must be"),
         "knot_nan": ("patches", 0, "space", "knots_u", [0, 0, 0, float("nan"), 1, 1, 1],
                      "patches[0]: knots must be finite and non-decreasing"),
+        "knots_string": ("patches", 0, "space", "knots_u", "000111",
+                         "patches[0]: knots must be a list of numbers, got '000111'"),
+        "geometry_knots_string": ("patches", 0, "geometry", "knots_u", "000111",
+                                  "patches[0]: knots must be a list of numbers, got '000111'"),
+        "knots_of_strings": ("patches", 0, "space", "knots_v", ["0", "0", "0", "1", "1", "1"],
+                             "patches[0]: knots must be a list of numbers, "
+                             "got ['0', '0', '0', '1', '1', '1']"),
         "control_nan": ("patches", 0, "geometry", "control_points",
                         [[[0, 0], [0, 1]], [[1, 0], [1, float("nan")]]],
                         "patches[0]: control points must be finite"),
@@ -395,9 +402,11 @@ class TestMain:
         # failed as an interface mismatch, "l": true ran as patch 1, "k": true
         # gave "invalid patches (1, 1)", 1.0 as a patch index a malformed entry,
         # the range [false, 1] ran as (0, 1), a NaN knot surfaced as a failed
-        # reduction, a NaN control point passed the bijectivity check, and
-        # dirichlet_sides "" ran with no Dirichlet side, a dict as its keys and
-        # "north" failed as the unknown sides ['h', 'n', 'o', 'r', 't']
+        # reduction, the knots "000111" failed as too short and a list of
+        # digit strings ran as numbers, a NaN control point passed the
+        # bijectivity check, and dirichlet_sides "" ran with no Dirichlet side,
+        # a dict as its keys and "north" failed as the unknown sides
+        # ['h', 'n', 'o', 'r', 't']
         group, index, sub, key, value, message = self.LENIENT[defect]
         config = domain_to_config(grid_domain(2, degree=2, refinements=1))
         entry = config[group][index]
@@ -407,6 +416,23 @@ class TestMain:
         assert main(["--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "configuration error:" in err and message in err
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("interfaces", {}, "interfaces must be a list, got {}"),
+        ("interfaces", None, "interfaces must be a list, got None"),
+        ("patches", "abc", "patches must be a list, got 'abc'"),
+        ("name", 5, "name must be a string, got 5"),
+    ], ids=["interfaces_dict", "interfaces_null", "patches_string", "name_number"])
+    def test_top_level_keys_rejected(self, capsys, tmp_path, key, value, message):
+        # {} as interfaces used to solve the patches decoupled, null failed naming
+        # the last patch, "abc" as patches failed on string indices, and the
+        # name 5 was accepted
+        config = domain_to_config(grid_domain(2, degree=2, refinements=1))
+        config[key] = value
+        path = tmp_path / "dom.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path)]) == 2
+        assert "configuration error: config: " + message in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [2.5, True, -1, "2"])
     def test_refinements_must_be_a_nonnegative_integer(self, capsys, tmp_path, value):

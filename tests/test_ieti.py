@@ -56,7 +56,7 @@ def dense_MsD(op):
 
 def dense_schur(op, sysk):
     """The Schur complement of block ``sysk.k`` by dense elimination of its interior."""
-    A = sysk.A.toarray()
+    A = sysk.A.csr.toarray()
     gam, I = op.partition.gamma[sysk.k], op.partition.interior[sysk.k]
     return A[np.ix_(gam, gam)] - A[np.ix_(gam, I)] @ np.linalg.solve(
         A[np.ix_(I, I)], A[np.ix_(I, gam)])
@@ -79,7 +79,7 @@ def constrained_system(dom, op):
         col[tilde[k]] = offsets[k] + np.arange(tilde[k].size)
         col[primal_dofs(part, k)] = offsets[-1] + part.primal_global[k]
         R = np.eye(n)[col]
-        A += R.T @ sysk.A.toarray() @ R
+        A += R.T @ sysk.A.csr.toarray() @ R
         B += Bk @ R
         f += R.T @ sysk.f
     return A, B, f
@@ -349,7 +349,7 @@ class TestOperator:
         _, partition, jumps = build_stack(dom)
         split = build_local_system(dom, 0, assemble_interface_terms(dom, partition.copies, 12.0),
                                    partition)
-        A = local_systems(dom)[0].A.toarray()
+        A = local_systems(dom)[0].A.csr.toarray()
         I, dual, P = partition.interior[0], partition.dual[0], primal_dofs(partition, 0)
         blk = build_psi(split, partition)
         assert blk.psi.shape == (dual.size + P.size, P.size)
@@ -468,7 +468,7 @@ class TestOperator:
             assert np.abs(blk.aii_fac.schur(blk.A_IG) - reference).max() <= 1e-13 * np.abs(
                 reference).max()
             gam = op.partition.gamma[k]
-            S_gen = locals_[k].A.toarray()[np.ix_(gam, gam)] - reference
+            S_gen = locals_[k].A.csr.toarray()[np.ix_(gam, gam)] - reference
             assert np.abs(blk.S - S_gen).max() <= 1e-13 * np.abs(S_gen).max()
 
     def test_equal_alpha_preconditioner_formula(self):

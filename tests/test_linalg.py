@@ -40,7 +40,7 @@ class TestSparseSym:
         ))
         assert A.csr[0, 0] == 3.0
         assert A.csr.nnz == 2  # the (0,1)/(1,0) pair cancelled to exact zero
-        np.testing.assert_allclose(A.toarray(), [[3.0, 0.0], [0.0, 4.0]])
+        np.testing.assert_allclose(A.csr.toarray(), [[3.0, 0.0], [0.0, 4.0]])
 
     def test_asymmetry_detected(self):
         with pytest.raises(NumericalError):
@@ -58,7 +58,7 @@ class TestSparseSym:
                          [[4.0, 5.0, 9.0], [5.0, 6.0, 9.0], [9.0, 9.0, 9.0]],
                          [[7.0, 1.0, 9.0], [1.0, 8.0, 9.0], [9.0, 9.0, 9.0]]])
         A = extended_matrix(3, NO_ROWS, idx, mats)
-        np.testing.assert_array_equal(A.toarray(),
+        np.testing.assert_array_equal(A.csr.toarray(),
                                       [[9.0, 2.0, 1.0], [2.0, 7.0, 0.0], [1.0, 0.0, 7.0]])
 
     def test_blocks_added_to_base(self):
@@ -67,11 +67,11 @@ class TestSparseSym:
                                                  [0.0, 0.0, 1.0]]))
         arrays = (base.data, base.indices, base.indptr)
         no_blocks = (np.zeros((0, 2), dtype=int), np.zeros((0, 2, 2)))
-        assert np.array_equal(extended_matrix(3, arrays, *no_blocks).toarray(),
+        assert np.array_equal(extended_matrix(3, arrays, *no_blocks).csr.toarray(),
                               base.toarray())
         A = extended_matrix(3, arrays, np.array([[2, 0]]),
                             np.array([[[3.0, 1.0], [1.0, -2.0]]]))
-        np.testing.assert_array_equal(A.toarray(),
+        np.testing.assert_array_equal(A.csr.toarray(),
                                       [[0.0, 1.0, 1.0], [1.0, 2.0, 0.0], [1.0, 0.0, 4.0]])
         assert A.csr.nnz == 6  # the cancelled (0, 0) entry is dropped
         # the leading block of an (n, n) matrix: rows and columns past the base stay empty
